@@ -54,8 +54,7 @@ def _arms(world):
 
 def test_fig7_table5_ab_ctr(benchmark):
     world = build_world(n_users=200, n_videos=250, days=DAYS)
-    # assignment="hash" is draw-for-draw the legacy ABTestHarness split,
-    # so this migration changes no numbers.
+    # assignment="hash": the paper's fixed per-user traffic split.
     harness = Experiment(
         world,
         arms=_arms(world),

@@ -15,28 +15,19 @@ Emits ``BENCH_model_plane.json``; CI's bench-smoke job fails the build
 if the batched paths stop being faster.
 """
 
-import os
-import random
 import time
 
 import numpy as np
 
 from repro.config import MFConfig
-from repro.core import MFModel, OnlineTrainer, SharedModelState
+from repro.core import MFModel, OnlineTrainer
 from repro.kvstore import InMemoryKVStore
-from repro.storm import Bolt, ProcessExecutor, Spout, StreamTuple, TopologyBuilder
 
 from _emit import emit_bench
 from _helpers import build_world, format_rows, report, smoke_scaled
 
 F = 16
 RNG_SEED = 413
-
-# --- Multi-core scaling: SGD workers over a shared factor arena ---------
-MP_F = 32
-MP_GROUPS = 16
-MP_ENTITIES = 2_048  # users + videos pre-interned across all groups
-MP_CHUNK = 256
 
 
 def _populated_model(backend: str, n_videos: int) -> MFModel:
@@ -65,101 +56,6 @@ def _best_of(repeats, fn):
         fn()
         best = min(best, time.perf_counter() - started)
     return best
-
-
-class _ChunkSpout(Spout):
-    """Pre-built chunks of (user, video, rating) actions, keyed by group."""
-
-    def __init__(self, chunks) -> None:
-        self._chunks = chunks
-        self._i = 0
-
-    def next_tuple(self) -> StreamTuple | None:
-        if self._i >= len(self._chunks):
-            return None
-        group, actions = self._chunks[self._i]
-        self._i += 1
-        return StreamTuple({"g": group, "actions": actions})
-
-
-class _SgdChunkBolt(Bolt):
-    def __init__(self, state: SharedModelState) -> None:
-        self._state = state
-        self._model: MFModel | None = None
-
-    def prepare(self, ctx) -> None:
-        self._model = MFModel(MFConfig(f=MP_F, seed=RNG_SEED), shared=self._state)
-
-    def process(self, tup, collector) -> None:
-        model = self._model
-        for user_id, video_id, rating in tup["actions"]:
-            model.sgd_step(user_id, video_id, rating, eta=0.02)
-
-
-def _mp_action_chunks(n_actions: int):
-    """Seeded action chunks, each chunk confined to one entity group."""
-    rng = random.Random(RNG_SEED)
-    per_group = MP_ENTITIES // (2 * MP_GROUPS)  # users == videos per group
-    chunks = []
-    for start in range(0, n_actions, MP_CHUNK):
-        g = rng.randrange(MP_GROUPS)
-        actions = [
-            (
-                f"g{g}-u{rng.randrange(per_group)}",
-                f"g{g}-v{rng.randrange(per_group)}",
-                float(rng.randrange(2)),
-            )
-            for _ in range(min(MP_CHUNK, n_actions - start))
-        ]
-        chunks.append((g, actions))
-    return chunks
-
-
-def _mp_run(chunks, workers: int) -> float:
-    """Actions/sec pushing every chunk through ``workers`` SGD processes."""
-    state = SharedModelState.create(f=MP_F)
-    try:
-        # Pre-intern every entity so the measured loop takes only the
-        # steady-state shared-lock write path, never the intern path.
-        rng = np.random.default_rng(RNG_SEED)
-        per_group = MP_ENTITIES // (2 * MP_GROUPS)
-        for kind, prefix in (("user", "u"), ("video", "v")):
-            state.arena(kind).put_many(
-                [
-                    (
-                        f"g{g}-{prefix}{i}",
-                        rng.normal(0, 0.1, MP_F),
-                        0.0,
-                    )
-                    for g in range(MP_GROUPS)
-                    for i in range(per_group)
-                ]
-            )
-        state.mu_set(0.5 * 64, 64)
-
-        builder = TopologyBuilder()
-        builder.set_spout("spout", lambda: _ChunkSpout(chunks))
-        builder.set_bolt(
-            "sgd", lambda: _SgdChunkBolt(state), parallelism=workers
-        ).fields_grouping("spout", ["g"])
-        executor = ProcessExecutor(builder.build())
-        n_actions = sum(len(actions) for _, actions in chunks)
-        started = time.perf_counter()
-        executor.run(timeout=600)
-        return n_actions / (time.perf_counter() - started)
-    finally:
-        state.unlink()
-
-
-def _mp_scaling_metrics() -> dict[str, float]:
-    chunks = _mp_action_chunks(smoke_scaled(12_000, 3_000))
-    metrics = {}
-    for workers in (1, 2, 4):
-        metrics[f"mp_actions_per_s_w{workers}"] = _mp_run(chunks, workers)
-    metrics["mp_speedup_4w"] = (
-        metrics["mp_actions_per_s_w4"] / metrics["mp_actions_per_s_w1"]
-    )
-    return metrics
 
 
 def test_model_plane_scoring_and_training_throughput():
@@ -236,10 +132,6 @@ def test_model_plane_scoring_and_training_throughput():
         }
     )
 
-    # --- Multi-core scaling: process-parallel SGD over the shared arena -
-    mp_metrics = _mp_scaling_metrics()
-    metrics.update(mp_metrics)
-
     report(
         "model_plane",
         format_rows(scoring_rows)
@@ -255,18 +147,6 @@ def test_model_plane_scoring_and_training_throughput():
                     "actions_per_s": round(batched_aps, 0),
                 },
             ]
-        )
-        + "\n\n"
-        + format_rows(
-            [
-                {
-                    "sgd workers": workers,
-                    "actions_per_s": round(
-                        mp_metrics[f"mp_actions_per_s_w{workers}"], 0
-                    ),
-                }
-                for workers in (1, 2, 4)
-            ]
         ),
     )
     emit_bench(
@@ -278,11 +158,6 @@ def test_model_plane_scoring_and_training_throughput():
             "train_actions": len(actions),
             "train_batch_size": batch_size,
             "backend": "arena",
-            "mp_f": MP_F,
-            "mp_groups": MP_GROUPS,
-            "mp_entities": MP_ENTITIES,
-            "mp_chunk": MP_CHUNK,
-            "cpus": os.cpu_count() or 1,
         },
     )
 
@@ -290,7 +165,3 @@ def test_model_plane_scoring_and_training_throughput():
     # candidates, micro-batched training strictly faster.
     assert metrics[f"predict_many_speedup_{n_candidates}"] >= 5.0
     assert train_speedup > 1.0
-    # Process parallelism needs real cores to pay off; on starved CI
-    # boxes we still emit the curve but only gate where it's meaningful.
-    if (os.cpu_count() or 1) >= 4:
-        assert mp_metrics["mp_speedup_4w"] >= 2.0

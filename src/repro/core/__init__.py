@@ -30,7 +30,6 @@ from .history import UserHistoryStore
 from .arena import FactorArena
 from .mf import MFModel, MFUpdate
 from .online import OnlineTrainer, TrainerStats
-from .shm_arena import SharedFactorArena, SharedModelState
 from .recommender import RealtimeRecommender, Recommendation
 from .reservoir import Reservoir, ReservoirTrainer
 from .similarity import (
@@ -62,8 +61,6 @@ __all__ = [
     "RatingMode",
     "extract_feedback",
     "FactorArena",
-    "SharedFactorArena",
-    "SharedModelState",
     "MFModel",
     "MFUpdate",
     "OnlineTrainer",

@@ -53,7 +53,6 @@ from ..hashing import stable_hash
 from ..kvstore import InMemoryKVStore, KVStore, Namespace
 from ..obs.profile import profiled
 from .arena import FactorArena
-from .shm_arena import SharedModelState
 
 _KINDS = ("user", "video")
 
@@ -293,90 +292,6 @@ class _ArenaParams:
         return order, vectors[idx], biases[idx]
 
 
-class _SharedArenaParams:
-    """Shared-memory arena layout: the process-parallel backend.
-
-    One :class:`~repro.core.shm_arena.SharedFactorArena` per entity kind,
-    mapped (not copied) into every worker process.  Reads and writes go
-    straight to the shared block — no store round-trip, no serialisation —
-    which is what lets ``ProcessExecutor`` bolts run SGD on the one true
-    parameter set.  The single-writer-per-key invariant (fields grouping)
-    is what makes lock-free row writes safe; the arena's flock discipline
-    covers the structural mutations (interning, growth, ``mu``).
-
-    Unlike the other layouts this one does not live in the model's KV
-    store: checkpointing goes through :meth:`SharedFactorArena.snapshot`
-    (see ``MFModel.export_shared`` / ``load_shared``).
-    """
-
-    def __init__(self, state: SharedModelState) -> None:
-        self._state = state
-        self._f = state.f
-
-    def _arena(self, kind: str):
-        return self._state.arena(kind)
-
-    # -- scalar access ----------------------------------------------------
-
-    def vector(self, kind: str, entity_id: str) -> np.ndarray | None:
-        return self._arena(kind).vector(entity_id)
-
-    def bias(self, kind: str, entity_id: str) -> float:
-        return self._arena(kind).bias(entity_id)
-
-    def has(self, kind: str, entity_id: str) -> bool:
-        return entity_id in self._arena(kind)
-
-    def count(self, kind: str) -> int:
-        return len(self._arena(kind))
-
-    def ids(self, kind: str) -> list[str]:
-        return self._arena(kind).ids()
-
-    def setdefault_vector(
-        self, kind: str, entity_id: str, factory: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        return self._arena(kind).setdefault_vector(entity_id, factory)
-
-    def put(
-        self, kind: str, entity_id: str, vector: np.ndarray, bias: float
-    ) -> None:
-        self._arena(kind).put(entity_id, vector, bias)
-
-    # -- batch access -----------------------------------------------------
-
-    def vectors_many(
-        self, kind: str, entity_ids: Sequence[str]
-    ) -> list[np.ndarray | None]:
-        return self._arena(kind).vectors_many(list(entity_ids))
-
-    def vectors_matrix(self, kind: str, entity_ids: Sequence[str]) -> np.ndarray:
-        return self._arena(kind).vectors_matrix(list(entity_ids))
-
-    def biases_array(self, kind: str, entity_ids: Sequence[str]) -> np.ndarray:
-        return self._arena(kind).biases_array(list(entity_ids))
-
-    def put_many(
-        self, kind: str, items: Sequence[tuple[str, np.ndarray, float]]
-    ) -> None:
-        if items:
-            self._arena(kind).put_many(items)
-
-    # -- bulk export / import (save, load) --------------------------------
-
-    def export(self, kind: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-        arena = self._arena(kind)
-        ids, vectors, biases, has_vec = arena.export_rows()
-        rows = {entity_id: row for row, entity_id in enumerate(ids)}
-        order = sorted(
-            entity_id for row, entity_id in enumerate(ids) if has_vec[row]
-        )
-        if not order:
-            return [], np.zeros((0, self._f)), np.zeros(0)
-        idx = np.array([rows[entity_id] for entity_id in order], dtype=np.int64)
-        return order, vectors[idx], biases[idx]
-
-
 class MFBatchSession:
     """A read-through overlay for micro-batched SGD.
 
@@ -533,40 +448,22 @@ class MFModel:
         self,
         config: MFConfig | None = None,
         store: KVStore | None = None,
-        shared: SharedModelState | None = None,
     ) -> None:
         self.config = config or MFConfig()
         self._store = store if store is not None else InMemoryKVStore()
         self._meta = Namespace(self._store, "mf:meta")
-        self._shared = shared
-        if shared is not None:
-            if shared.f != self.config.f:
-                raise ModelError(
-                    f"shared arena has f={shared.f}, config has "
-                    f"f={self.config.f}"
-                )
-            # The shared block *is* the parameter store: no KV layout to
-            # adopt, ``mu`` lives in the arena control block, and every
-            # process attaching the same segments sees one model.
-            self._params: _SharedArenaParams | _ArenaParams | _KVParams = (
-                _SharedArenaParams(shared)
-            )
-            return
         if self.config.backend == "arena":
-            self._params = _ArenaParams(self._meta, self.config.f)
+            self._params: _ArenaParams | _KVParams = _ArenaParams(
+                self._meta, self.config.f
+            )
         else:
             self._params = _KVParams(self._store, self.config.f)
         self._migrate_layout()
 
     @property
     def backend(self) -> str:
-        """The active parameter layout (``"shared"``/``"arena"``/``"kv"``)."""
-        return "shared" if self._shared is not None else self.config.backend
-
-    @property
-    def shared_state(self) -> SharedModelState | None:
-        """The shared-memory block backing this model, if any."""
-        return self._shared
+        """The active parameter layout (``"arena"`` or ``"kv"``)."""
+        return self.config.backend
 
     # ------------------------------------------------------------------
     # Layout migration
@@ -640,16 +537,11 @@ class MFModel:
 
     def _mu_state(self) -> tuple[float, int]:
         """The ``(total, count)`` accumulator behind ``mu``."""
-        if self._shared is not None:
-            return self._shared.mu_state()
         return self._meta.get("mu", (0.0, 0))
 
     def _mu_fold(self, ratings: Sequence[float]) -> None:
         """Atomically fold observed ratings into the accumulator."""
         if not ratings:
-            return
-        if self._shared is not None:
-            self._shared.mu_fold(ratings)
             return
         folded = list(ratings)
 
@@ -664,10 +556,7 @@ class MFModel:
 
     def _mu_put(self, total: float, count: int) -> None:
         """Overwrite the accumulator (load / batch-fit seeding)."""
-        if self._shared is not None:
-            self._shared.mu_set(total, count)
-        else:
-            self._meta.put("mu", (total, count))
+        self._meta.put("mu", (total, count))
 
     @property
     def mu(self) -> float:
@@ -990,31 +879,6 @@ class MFModel:
             )
             total, count = data["mu"]
             self._mu_put(float(total), int(count))
-
-    def export_shared(self) -> dict:
-        """Coherent snapshot of a shared-backend model.
-
-        Each arena is copied under its exclusive lock (no SGD write can
-        tear the copy) into a plain :class:`FactorArena`; together with
-        the ``mu`` accumulator this is everything checkpoints need, and
-        it pickles without any shared-memory handles attached.
-        """
-        if self._shared is None:
-            raise ModelError("export_shared requires a shared-backend model")
-        return {
-            "user": self._shared.user.snapshot(),
-            "video": self._shared.video.snapshot(),
-            "mu": self._shared.mu_state(),
-        }
-
-    def load_shared(self, snapshot: dict) -> None:
-        """Restore an :meth:`export_shared` snapshot into the shared block."""
-        if self._shared is None:
-            raise ModelError("load_shared requires a shared-backend model")
-        self._shared.user.load_arena(snapshot["user"])
-        self._shared.video.load_arena(snapshot["video"])
-        total, count = snapshot["mu"]
-        self._shared.mu_set(float(total), int(count))
 
     # ------------------------------------------------------------------
     # Batch training (the traditional mode of §3.1, used by baselines)

@@ -2,8 +2,8 @@
 (Table 2), the experimentation platform (§6.2), and scriptable
 adversarial scenarios (ROADMAP item 1)."""
 
-from .abtest import ABTestHarness, ABTestResult, ArmStats
 from .experiment import (
+    ArmStats,
     Experiment,
     ExperimentResult,
     MSPRTStopping,
@@ -60,8 +60,6 @@ __all__ = [
     "grid_search",
     "GridPoint",
     "GridSearchResult",
-    "ABTestHarness",
-    "ABTestResult",
     "ArmStats",
     "Experiment",
     "ExperimentResult",

@@ -4,8 +4,7 @@ Generalises the paper's fixed-split ten-day A/B test (§6.2) into an
 :class:`Experiment` object:
 
 * **assignment** — either the classic stable hash split (each user's
-  traffic goes to one arm, exactly like the legacy
-  :class:`~repro.eval.abtest.ABTestHarness`), or **team-draft
+  traffic goes to one arm, as in the paper's test), or **team-draft
   multileaving**: every request's result list is drafted round-robin from
   all arms in a per-round random order, and impressions/clicks are
   credited to the arm that contributed each slot.  Interleaving gives
@@ -18,10 +17,6 @@ Generalises the paper's fixed-split ten-day A/B test (§6.2) into an
   arm, checked at end-of-day checkpoints, so rigged experiments stop in
   days instead of running the full horizon, without inflating the
   false-positive rate of A/A runs.
-
-The legacy ``ABTestHarness`` API is kept as a thin deprecated shim over
-this module (see :mod:`repro.eval.abtest`); its hash-split semantics are
-reproduced draw for draw.
 """
 
 from __future__ import annotations

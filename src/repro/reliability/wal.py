@@ -24,6 +24,7 @@ records would break at-least-once recovery.
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
@@ -52,6 +53,11 @@ class ActionWAL:
     crashes though not power loss.  :meth:`suspend` makes appends no-ops,
     which recovery uses so replaying an action through a WAL-wired trainer
     does not re-log it.
+
+    :meth:`append` is thread-safe: sequence allocation, rotation, write,
+    flush and fsync happen under one lock, so concurrent appenders (the
+    gateway runs ``observe`` on a thread pool) get distinct, gap-free
+    sequence numbers in file order.
     """
 
     def __init__(
@@ -71,6 +77,7 @@ class ActionWAL:
         self._handle: IO[str] | None = None
         self._segment_records = 0
         self._suspended = 0
+        self._lock = threading.Lock()
         self._last_seq = self._scan_last_seq()
 
     # ------------------------------------------------------------------
@@ -88,19 +95,24 @@ class ActionWAL:
         While suspended (during replay) nothing is written and the current
         :attr:`last_seq` is returned unchanged.
         """
-        if self._suspended:
-            return self._last_seq
-        seq = self._last_seq + 1
-        if self._handle is None or self._segment_records >= self.segment_max_records:
-            self._rotate(seq)
-        assert self._handle is not None
-        self._handle.write(f"{seq}\t{action.to_log_line()}\n")
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
-        self._segment_records += 1
-        self._last_seq = seq
-        return seq
+        line = action.to_log_line()
+        with self._lock:
+            if self._suspended:
+                return self._last_seq
+            seq = self._last_seq + 1
+            if (
+                self._handle is None
+                or self._segment_records >= self.segment_max_records
+            ):
+                self._rotate(seq)
+            assert self._handle is not None
+            self._handle.write(f"{seq}\t{line}\n")
+            self._handle.flush()
+            if self.fsync:
+                os.fsync(self._handle.fileno())
+            self._segment_records += 1
+            self._last_seq = seq
+            return seq
 
     def _rotate(self, first_seq: int) -> None:
         """Seal the current segment and open ``wal-<first_seq>.log``.
@@ -138,9 +150,10 @@ class ActionWAL:
             self._suspended -= 1
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     def __enter__(self) -> "ActionWAL":
         return self

@@ -1,13 +1,11 @@
 """Storm-like stream-processing substrate (paper §5.1).
 
 Implements the Storm concepts the paper's deployment relies on — streams of
-tuples, spouts, bolts, groupings, topologies — with three interchangeable
-executors: a deterministic single-threaded one, a threaded one, and a
-process-parallel one running bolt workers on real cores.
+tuples, spouts, bolts, groupings, topologies — with two interchangeable
+executors: a deterministic single-threaded one and a threaded one.
 """
 
 from .executor import QUEUE_POLICIES, LocalExecutor, ThreadedExecutor
-from .process import ProcessExecutor
 from .grouping import (
     AllGrouping,
     FieldsGrouping,
@@ -44,7 +42,6 @@ __all__ = [
     "BoltDeclarer",
     "LocalExecutor",
     "ThreadedExecutor",
-    "ProcessExecutor",
     "QUEUE_POLICIES",
     "TopologyMetrics",
     "ComponentMetrics",

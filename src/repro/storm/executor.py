@@ -78,12 +78,6 @@ class _ExecutorBase:
         self._spout_workers: list[tuple[str, int, Spout]] = []
         self._bolt_workers: dict[tuple[str, int], Bolt] = {}
         self._opened = False
-        #: Final per-worker bolt state, gathered at shutdown from bolts
-        #: that define ``state_snapshot()``.  This is how results leave a
-        #: run when workers live in other processes (a results dict closed
-        #: over by the factory never crosses the boundary): keyed by
-        #: ``(component, worker)``.
-        self.bolt_states: dict[tuple[str, int], object] = {}
 
     def _instantiate(self) -> None:
         """Create and initialise one component instance per worker."""
@@ -104,10 +98,7 @@ class _ExecutorBase:
     def _shutdown(self) -> None:
         for _, _, spout in self._spout_workers:
             spout.close()
-        for key, bolt in self._bolt_workers.items():
-            snapshot = getattr(bolt, "state_snapshot", None)
-            if callable(snapshot):
-                self.bolt_states[key] = snapshot()
+        for bolt in self._bolt_workers.values():
             bolt.cleanup()
 
     def _route(self, source: str, tup: StreamTuple) -> list[_Delivery]:

@@ -199,73 +199,6 @@ class ComponentMetrics:
             self.instruments.queue_depth.set(depth)
             self.instruments.max_queue_depth.set(high_water)
 
-    # -- cross-process transport ------------------------------------------
-
-    _MERGE_SAMPLE_LIMIT = 2048
-
-    def to_serializable(self) -> dict:
-        """This component's counters as picklable plain data.
-
-        What a worker process sends home at shutdown.  Latency travels as
-        exact ``count``/``total``/``max`` plus a bounded sample prefix, so
-        the merged percentiles describe a representative subset while the
-        aggregate statistics stay exact.
-        """
-        with self._lock:
-            return {
-                "emitted": self.emitted,
-                "processed": self.processed,
-                "failed": self.failed,
-                "restarts": self.restarts,
-                "shed": self.shed,
-                "max_queue_depth": self.max_queue_depth,
-                "latency_count": self.latency.count,
-                "latency_total": self.latency.total,
-                "latency_max": self.latency.max,
-                "latency_samples": self.latency._samples[
-                    : self._MERGE_SAMPLE_LIMIT
-                ],
-                "per_worker_processed": dict(self.per_worker_processed),
-            }
-
-    def merge_serialized(self, data: dict) -> None:
-        """Fold a worker's :meth:`to_serializable` snapshot into this one.
-
-        Goes through the ``record_*``/instrument paths where they exist so
-        a registry-backed parent sees the worker's activity in its shared
-        :class:`~repro.obs.MetricsRegistry` too.
-        """
-        if data["emitted"]:
-            self.record_emit(data["emitted"])
-        if data["failed"]:
-            for _ in range(data["failed"]):
-                self.record_failure()
-        if data["restarts"]:
-            for _ in range(data["restarts"]):
-                self.record_restart()
-        if data["shed"]:
-            self.record_shed(data["shed"])
-        self.record_queue_depth(data["max_queue_depth"])
-        with self._lock:
-            self.processed += data["processed"]
-            latency = self.latency
-            latency.count += data["latency_count"]
-            latency.total += data["latency_total"]
-            if data["latency_max"] > latency.max:
-                latency.max = data["latency_max"]
-            room = latency.sample_limit - len(latency._samples)
-            if room > 0:
-                latency._samples.extend(data["latency_samples"][:room])
-            for worker, count in data["per_worker_processed"].items():
-                self.per_worker_processed[worker] = (
-                    self.per_worker_processed.get(worker, 0) + count
-                )
-        if self.instruments is not None:
-            if data["processed"]:
-                self.instruments.processed.inc(data["processed"])
-            for seconds in data["latency_samples"]:
-                self.instruments.latency.observe(seconds)
-
 
 class TopologyMetrics:
     """Registry of :class:`ComponentMetrics`, one per topology component.
@@ -312,17 +245,6 @@ class TopologyMetrics:
                 "p99_latency_s": metrics.latency.p99,
             }
         return out
-
-    def to_serializable(self) -> dict[str, dict]:
-        """Every component's counters as picklable plain data."""
-        with self._lock:
-            components = list(self._components.values())
-        return {m.name: m.to_serializable() for m in components}
-
-    def merge_serialized(self, data: dict[str, dict]) -> None:
-        """Fold a worker process's metrics snapshot into this registry."""
-        for name, component_data in data.items():
-            self.component(name).merge_serialized(component_data)
 
     @property
     def total_processed(self) -> int:

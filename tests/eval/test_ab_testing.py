@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data import SyntheticWorld, WorldConfig
-from repro.eval import ABTestHarness, ABTestResult, ArmStats
+from repro.eval import ArmStats, Experiment, ExperimentResult
 
 
 class _FixedArm:
@@ -36,29 +36,37 @@ def tiny_world():
 
 class TestHarness:
     def test_traffic_split_is_stable(self, tiny_world):
-        harness = ABTestHarness(
-            tiny_world, arms={"a": _SilentArm(), "b": _SilentArm()}, days=1
+        harness = Experiment(
+            tiny_world,
+            arms={"a": _SilentArm(), "b": _SilentArm()},
+            days=1,
+            assignment="hash",
         )
         for user in tiny_world.user_ids():
             assert harness.arm_of(user) == harness.arm_of(user)
 
     def test_traffic_split_roughly_even(self, tiny_world):
-        harness = ABTestHarness(
-            tiny_world, arms={"a": _SilentArm(), "b": _SilentArm()}, days=1
+        harness = Experiment(
+            tiny_world,
+            arms={"a": _SilentArm(), "b": _SilentArm()},
+            days=1,
+            assignment="hash",
         )
         arms = [harness.arm_of(u) for u in tiny_world.user_ids()]
         assert 0 < arms.count("a") < len(arms)
 
     def test_every_arm_sees_the_shared_organic_stream(self, tiny_world):
         a, b = _SilentArm(), _SilentArm()
-        ABTestHarness(tiny_world, arms={"a": a, "b": b}, days=2).run()
+        Experiment(
+            tiny_world, arms={"a": a, "b": b}, days=2, assignment="hash"
+        ).run()
         assert a.observed == b.observed
         assert a.observed > 0
 
     def test_ctr_accounting(self, tiny_world):
         good = _FixedArm(tiny_world.video_ids()[:5])
-        result = ABTestHarness(
-            tiny_world, arms={"good": good}, days=2, top_n=5
+        result = Experiment(
+            tiny_world, arms={"good": good}, days=2, top_n=5, assignment="hash"
         ).run()
         stats = result.arms["good"]
         assert len(stats.impressions) == 2
@@ -67,14 +75,16 @@ class TestHarness:
         assert 0.0 <= stats.overall_ctr <= 1.0
 
     def test_silent_arm_counts_no_impressions(self, tiny_world):
-        result = ABTestHarness(
-            tiny_world, arms={"quiet": _SilentArm()}, days=1
+        result = Experiment(
+            tiny_world, arms={"quiet": _SilentArm()}, days=1, assignment="hash"
         ).run()
         assert result.arms["quiet"].impressions == [0]
 
     def test_batch_arms_retrained_daily(self, tiny_world):
         arm = _FixedArm(["v0"])
-        ABTestHarness(tiny_world, arms={"ar": arm}, days=3).run()
+        Experiment(
+            tiny_world, arms={"ar": arm}, days=3, assignment="hash"
+        ).run()
         assert len(arm.retrained_at) == 3
         assert arm.retrained_at == sorted(arm.retrained_at)
 
@@ -93,7 +103,7 @@ class TestHarness:
                 videos = self.world.best_videos(user_id, len(self.world.videos))
                 return videos[:k] if self.best else videos[-k:]
 
-        result = ABTestHarness(
+        result = Experiment(
             tiny_world,
             arms={
                 "oracle": OracleArm(tiny_world, True),
@@ -101,13 +111,14 @@ class TestHarness:
             },
             days=3,
             seed=1,
+            assignment="hash",
         ).run()
         ctr = result.overall_ctr()
         assert ctr["oracle"] > ctr["anti"]
 
     def test_requires_arms(self, tiny_world):
         with pytest.raises(ValueError):
-            ABTestHarness(tiny_world, arms={}, days=1)
+            Experiment(tiny_world, arms={}, days=1, assignment="hash")
 
 
 class TestResult:
@@ -116,7 +127,7 @@ class TestResult:
             "a": ArmStats(impressions=[100, 100], clicks=[10, 20]),
             "b": ArmStats(impressions=[100, 100], clicks=[5, 15]),
         }
-        return ABTestResult(arms=arms, days=2)
+        return ExperimentResult(arms=arms, days=2)
 
     def test_daily_ctr(self):
         daily = self._result().daily_ctr()

@@ -4,7 +4,7 @@ that gives online methods their edge over daily-batch ones (§6.2)."""
 import pytest
 
 from repro.data import ActionType, SyntheticWorld, WorldConfig
-from repro.eval import ABTestHarness
+from repro.eval import Experiment
 
 
 class _RecordingArm:
@@ -29,7 +29,9 @@ def world():
 class TestFeedbackLoop:
     def test_clicks_feed_back_into_the_serving_arm(self, world):
         arm = _RecordingArm(world.video_ids()[:8])
-        harness = ABTestHarness(world, arms={"only": arm}, days=1, seed=2)
+        harness = Experiment(
+            world, arms={"only": arm}, days=1, seed=2, assignment="hash"
+        )
         result = harness.run()
         clicks = [
             a
@@ -46,7 +48,9 @@ class TestFeedbackLoop:
     def test_feedback_goes_only_to_the_users_arm(self, world):
         a = _RecordingArm(world.video_ids()[:8])
         b = _RecordingArm([])  # serves nothing, gets no feedback of its own
-        harness = ABTestHarness(world, arms={"a": a, "b": b}, days=1, seed=2)
+        harness = Experiment(
+            world, arms={"a": a, "b": b}, days=1, seed=2, assignment="hash"
+        )
         result = harness.run()
         assert result.arms["b"].impressions == [0]
         # both arms share the same organic traffic...

@@ -1,14 +1,12 @@
 """Tests for the continuous-experimentation engine (Experiment, mSPRT)."""
 
 import math
-import warnings
 
 import pytest
 
 from repro.data import SyntheticWorld, WorldConfig
 from repro.errors import ConfigError
 from repro.eval import (
-    ABTestHarness,
     ArmStats,
     Experiment,
     ExperimentResult,
@@ -48,9 +46,9 @@ def small_world():
     return SyntheticWorld(WorldConfig(n_users=25, n_videos=40, days=3, seed=5))
 
 
-# Pinned from the pre-refactor ABTestHarness on the fixture above with
-# days=3, seed=11 — the Experiment hash path must reproduce the legacy
-# harness draw for draw.
+# Pinned from the original fixed hash-split A/B loop on the fixture above
+# with days=3, seed=11 — the Experiment hash path must reproduce it draw
+# for draw.
 LEGACY_ANTI_IMPRESSIONS = [120, 120, 120]
 LEGACY_ANTI_CLICKS = [14, 11, 12]
 LEGACY_ORACLE_IMPRESSIONS = [130, 130, 130]
@@ -71,21 +69,6 @@ class TestHashPathLegacyEquivalence:
         assert anti.clicks == LEGACY_ANTI_CLICKS
         assert oracle.impressions == LEGACY_ORACLE_IMPRESSIONS
         assert oracle.clicks == LEGACY_ORACLE_CLICKS
-
-    def test_deprecated_harness_matches_experiment(self, small_world):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            harness = ABTestHarness(
-                small_world, self._arms(small_world), days=3, seed=11
-            )
-        legacy = harness.run()
-        assert legacy.arms["anti"].clicks == LEGACY_ANTI_CLICKS
-        assert legacy.arms["oracle"].clicks == LEGACY_ORACLE_CLICKS
-        assert legacy.assignment == "hash"
-
-    def test_harness_emits_deprecation_warning(self, small_world):
-        with pytest.warns(DeprecationWarning):
-            ABTestHarness(small_world, {"a": _FixedArm([])}, days=1)
 
     def test_arm_assignment_is_pinned(self, small_world):
         exp = Experiment(small_world, self._arms(small_world), days=1)

@@ -5,7 +5,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.core import RealtimeRecommender
 from repro.data import actions_to_log, split_by_day
-from repro.eval import ABTestHarness, evaluate
+from repro.eval import Experiment, evaluate
 from repro.baselines import HotRecommender
 from repro.storm import LocalExecutor
 from repro.topology import build_recommendation_topology
@@ -79,12 +79,13 @@ class TestABTestEndToEnd:
             clock=VirtualClock(0.0),
         )
         hot = HotRecommender(clock=VirtualClock(0.0))
-        harness = ABTestHarness(
+        harness = Experiment(
             small_world,
             arms={"rMF": rmf, "Hot": hot},
             days=2,
             top_n=5,
             seed=5,
+            assignment="hash",
         )
         result = harness.run()
         assert set(result.daily_ctr()) == {"rMF", "Hot"}

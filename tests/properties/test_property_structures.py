@@ -1,12 +1,14 @@
 """Property-based tests for the stateful structures: similar-video tables,
-hot trackers, history stores and recommendation merging."""
+hot trackers, history stores, recommendation merging and the factor arena."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock import VirtualClock
 from repro.config import MFConfig, SimilarityConfig
 from repro.core import (
+    FactorArena,
     HotVideoTracker,
     MFModel,
     SimilarVideoTable,
@@ -142,3 +144,70 @@ class TestMergeProperties:
         # nothing is wasted: if we returned fewer than n, we ran out of input
         if len(merged) < n:
             assert len(set(primary) | set(db)) == len(merged)
+
+
+ARENA_F = 3
+arena_ids = st.sampled_from([f"e{i}" for i in range(25)])
+arena_scalars = st.floats(
+    min_value=-100, max_value=100, allow_nan=False, allow_infinity=False
+)
+arena_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), arena_ids, arena_scalars, arena_scalars),
+        st.tuples(st.just("set_bias"), arena_ids, arena_scalars),
+        st.tuples(st.just("setdefault"), arena_ids, arena_scalars),
+        st.tuples(st.just("delete"), arena_ids),
+    ),
+    max_size=60,
+)
+
+
+class TestFactorArenaProperties:
+    """Random operation sequences against the obvious reference model — a
+    ``dict`` of id -> (vector, bias) — through however many growth
+    generations the sequence forces (``initial_capacity=1``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=arena_operations)
+    def test_matches_dict_reference(self, ops):
+        arena = FactorArena(ARENA_F, initial_capacity=1)
+        reference: dict = {}
+        for op in ops:
+            if op[0] == "put":
+                _, eid, value, bias = op
+                arena.put(eid, np.full(ARENA_F, value), bias)
+                reference[eid] = (np.full(ARENA_F, value), bias)
+            elif op[0] == "set_bias":
+                # A bias on a vector-less id is bookkeeping the reference
+                # ignores: ``ids()``/``len()`` only count learned vectors.
+                _, eid, bias = op
+                arena.set_bias(eid, bias)
+                if eid in reference:
+                    reference[eid] = (reference[eid][0], bias)
+            elif op[0] == "setdefault":
+                _, eid, value = op
+                got = arena.setdefault_vector(
+                    eid, lambda: np.full(ARENA_F, value)
+                )
+                if eid not in reference:
+                    reference[eid] = (np.full(ARENA_F, value), arena.bias(eid))
+                assert np.array_equal(got, reference[eid][0])
+            else:
+                _, eid = op
+                assert arena.delete(eid) == (eid in reference)
+                reference.pop(eid, None)
+
+        assert len(arena) == len(reference)
+        assert sorted(arena.ids()) == sorted(reference)
+        for eid, (vector, bias) in reference.items():
+            assert np.array_equal(arena.vector(eid), vector)
+            assert arena.bias(eid) == bias
+        all_ids = sorted(reference) + ["never-written"]
+        matrix = arena.vectors_matrix(all_ids)
+        biases = arena.biases_array(all_ids)
+        for row, eid in enumerate(all_ids):
+            if eid in reference:
+                assert np.array_equal(matrix[row], reference[eid][0])
+                assert biases[row] == reference[eid][1]
+            else:
+                assert np.array_equal(matrix[row], np.zeros(ARENA_F))

@@ -1,6 +1,7 @@
 """Write-ahead-log tests: rotation, replay positioning, torn tails."""
 
 import os
+import threading
 
 import pytest
 
@@ -154,3 +155,34 @@ class TestCorruption:
         segment.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(WALError, match="gap"):
             list(ActionWAL(tmp_path).replay())
+
+
+class TestConcurrentAppend:
+    def test_threaded_appends_leave_no_gap_or_duplicate(self, tmp_path):
+        """N threads x M appends: every seq handed out once, the file in
+        seq order — a reopened log replays ``1..N*M`` (the gateway runs
+        ``observe`` on a thread pool, so ``append`` races for real)."""
+        n_threads, per_thread = 8, 250
+        wal = ActionWAL(tmp_path, segment_max_records=64)
+        seqs: list[list[int]] = [[] for _ in range(n_threads)]
+        start = threading.Barrier(n_threads)
+
+        def worker(t: int) -> None:
+            start.wait()
+            for i in range(per_thread):
+                seqs[t].append(wal.append(_action(t * per_thread + i)))
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        wal.close()
+
+        total = n_threads * per_thread
+        assert sorted(s for per in seqs for s in per) == list(range(1, total + 1))
+        reopened = ActionWAL(tmp_path)
+        assert reopened.last_seq == total
+        assert [seq for seq, _ in reopened.replay()] == list(range(1, total + 1))

@@ -1,22 +1,22 @@
-"""Cross-executor equivalence: Local == Threaded == Process.
+"""Cross-executor equivalence: Local == Threaded.
 
-The substrate's contract is that all three executors honour identical
+The substrate's contract is that both executors honour identical
 grouping semantics.  A purpose-built topology makes the contract exact —
 every piece of state is owned by one fields-grouped key (single writer
 per key), so top-N output, acked-tuple counts, and counter totals are
-fully deterministic under thread interleaving *and* across process
-boundaries.
+fully deterministic under thread interleaving.
 
-Three proofs, each over a seeded 10k-action stream:
+Three proofs:
 
-* clean run — byte-identical top-N, per-component processed counts, and
-  ``counter_totals()`` across all three executors;
-* chaos run — ``wrap_topology`` fault injection crashes the aggregate
-  bolt on a fixed cadence; the supervised restarts land at the same
-  points everywhere, so outputs and restart counts still match exactly;
-* shared-arena SGD — workers in different *processes* write factor
-  vectors through a :class:`SharedModelState`; the learned vectors and
-  predictions must be byte-identical to the single-process run.
+* clean run (seeded 10k-action stream) — byte-identical top-N,
+  per-component processed counts, and ``counter_totals()`` across both
+  executors;
+* chaos run (same stream) — ``wrap_topology`` fault injection crashes the
+  aggregate bolt on a fixed cadence; the supervised restarts land at the
+  same points in both, so outputs and restart counts still match exactly;
+* arena SGD — bolt workers on different *threads* write factor vectors
+  into one :class:`MFModel`; the learned vectors and predictions must be
+  byte-identical to the single-threaded run.
 """
 
 import random
@@ -25,25 +25,16 @@ import numpy as np
 import pytest
 
 from repro.config import MFConfig
-from repro.core import MFModel, SharedModelState
+from repro.core import MFModel
 from repro.obs import Observability
 from repro.reliability import FaultPlan, RetryPolicy, Supervisor, wrap_topology
 from repro.storm import (
     Bolt,
     LocalExecutor,
-    ProcessExecutor,
     Spout,
     StreamTuple,
     ThreadedExecutor,
     TopologyBuilder,
-)
-
-pytestmark = pytest.mark.multiprocess
-
-EXECUTORS = pytest.mark.parametrize(
-    "executor_cls",
-    [LocalExecutor, ThreadedExecutor, ProcessExecutor],
-    ids=["local", "threaded", "process"],
 )
 
 N_ACTIONS = 10_000
@@ -72,13 +63,22 @@ class _SeededActionSpout(Spout):
 
 
 class _AggregateBolt(Bolt):
-    """Per-key running sum; fields grouping gives one writer per key."""
+    """Per-key running sum; fields grouping gives one writer per key.
 
-    def __init__(self, registry) -> None:
+    Each worker publishes its (instance-private) state dict into the
+    ``states`` dict the factory closes over, keyed by worker index — a
+    supervised restart replaces the entry with the fresh instance's.
+    """
+
+    def __init__(self, registry, states: dict[int, dict[int, int]]) -> None:
         self._sums: dict[int, int] = {}
+        self._states = states
         self._acked = registry.counter(
             "equiv_acked_total", "tuples acked by the aggregate stage"
         )
+
+    def prepare(self, ctx) -> None:
+        self._states[ctx.worker_index] = self._sums
 
     def process(self, tup, collector):
         k = tup["k"]
@@ -86,41 +86,42 @@ class _AggregateBolt(Bolt):
         self._acked.inc()
         collector.emit({"k": k, "sum": self._sums[k]})
 
-    def state_snapshot(self) -> dict[int, int]:
-        return dict(self._sums)
-
 
 class _RankBolt(Bolt):
     """Latest sum per key; per-key FIFO makes 'latest' well-defined."""
 
-    def __init__(self) -> None:
+    def __init__(self, states: dict[int, dict[int, int]]) -> None:
         self._latest: dict[int, int] = {}
+        self._states = states
+
+    def prepare(self, ctx) -> None:
+        self._states[ctx.worker_index] = self._latest
 
     def process(self, tup, collector):
         self._latest[tup["k"]] = tup["sum"]
 
-    def state_snapshot(self) -> dict[int, int]:
-        return dict(self._latest)
 
-
-def _merged_state(executor, component: str) -> dict:
-    merged: dict = {}
-    for (name, _worker), state in executor.bolt_states.items():
-        if name == component and state:
-            merged.update(state)
+def _merged_state(states: dict[int, dict[int, int]]) -> dict[int, int]:
+    merged: dict[int, int] = {}
+    for state in states.values():
+        merged.update(state)
     return merged
 
 
 def _run(executor_cls, chaos: bool = False):
     obs = Observability.create()
+    aggregate_states: dict[int, dict[int, int]] = {}
+    rank_states: dict[int, dict[int, int]] = {}
     builder = TopologyBuilder()
     builder.set_spout("spout", _SeededActionSpout)
     builder.set_bolt(
-        "aggregate", lambda: _AggregateBolt(obs.registry), parallelism=3
+        "aggregate",
+        lambda: _AggregateBolt(obs.registry, aggregate_states),
+        parallelism=3,
     ).fields_grouping("spout", ["k"])
-    builder.set_bolt("rank", _RankBolt, parallelism=2).fields_grouping(
-        "aggregate", ["k"]
-    )
+    builder.set_bolt(
+        "rank", lambda: _RankBolt(rank_states), parallelism=2
+    ).fields_grouping("aggregate", ["k"])
     topology = builder.build()
 
     supervisor = None
@@ -137,11 +138,11 @@ def _run(executor_cls, chaos: bool = False):
     else:
         metrics = executor.run(timeout=120)
 
-    latest = _merged_state(executor, "rank")
+    latest = _merged_state(rank_states)
     top_n = sorted(latest.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_N]
     return {
         "top_n": top_n,
-        "sums": _merged_state(executor, "aggregate"),
+        "sums": _merged_state(aggregate_states),
         "totals": obs.registry.counter_totals(),
         "snapshot": metrics.snapshot(),
     }
@@ -161,25 +162,24 @@ class TestCleanStream:
     def runs(self):
         return {
             cls.__name__: _run(cls)
-            for cls in (LocalExecutor, ThreadedExecutor, ProcessExecutor)
+            for cls in (LocalExecutor, ThreadedExecutor)
         }
 
     def test_top_n_identical(self, runs):
-        local, threaded, process = runs.values()
-        assert local["top_n"] == threaded["top_n"] == process["top_n"]
+        local, threaded = runs.values()
+        assert local["top_n"] == threaded["top_n"]
         expected = _expected_sums()
         assert local["top_n"] == sorted(
             expected.items(), key=lambda kv: (-kv[1], kv[0])
         )[:TOP_N]
 
     def test_aggregate_state_identical(self, runs):
-        local, threaded, process = runs.values()
-        assert local["sums"] == threaded["sums"] == process["sums"]
+        local, threaded = runs.values()
+        assert local["sums"] == threaded["sums"]
         assert local["sums"] == _expected_sums()
 
     def test_acked_counts_identical(self, runs):
-        local, threaded, process = runs.values()
-        for run in (local, threaded, process):
+        for run in runs.values():
             snap = run["snapshot"]
             assert snap["aggregate"]["processed"] == N_ACTIONS
             assert snap["rank"]["processed"] == N_ACTIONS
@@ -187,10 +187,8 @@ class TestCleanStream:
             assert run["totals"]["equiv_acked_total"] == N_ACTIONS
 
     def test_counter_totals_identical(self, runs):
-        local, threaded, process = runs.values()
-        assert (
-            local["totals"] == threaded["totals"] == process["totals"]
-        )
+        local, threaded = runs.values()
+        assert local["totals"] == threaded["totals"]
         # Pin absolutes so equality can't pass vacuously.
         assert (
             local["totals"]["storm_tuples_processed_total{component=aggregate}"]
@@ -204,7 +202,7 @@ class TestChaosStream:
     The chaos wrapper crashes the aggregate bolt every 400th tuple per
     worker; the supervisor restarts it with a fresh instance.  Restart
     points depend only on per-worker tuple order, which fields grouping
-    fixes, so all three executors crash at the same tuples, restart the
+    fixes, so both executors crash at the same tuples, restart the
     same number of times, and produce identical output.
     """
 
@@ -212,17 +210,17 @@ class TestChaosStream:
     def runs(self):
         return {
             cls.__name__: _run(cls, chaos=True)
-            for cls in (LocalExecutor, ThreadedExecutor, ProcessExecutor)
+            for cls in (LocalExecutor, ThreadedExecutor)
         }
 
     def test_chaos_outputs_identical(self, runs):
-        local, threaded, process = runs.values()
-        assert local["top_n"] == threaded["top_n"] == process["top_n"]
-        assert local["sums"] == threaded["sums"] == process["sums"]
-        assert local["totals"] == threaded["totals"] == process["totals"]
+        local, threaded = runs.values()
+        assert local["top_n"] == threaded["top_n"]
+        assert local["sums"] == threaded["sums"]
+        assert local["totals"] == threaded["totals"]
 
     def test_restarts_happened_and_agree(self, runs):
-        local, threaded, process = runs.values()
+        local, _ = runs.values()
         restarts = {
             name: run["snapshot"]["aggregate"]["restarts"]
             for name, run in runs.items()
@@ -236,11 +234,12 @@ class TestChaosStream:
 
 
 # --------------------------------------------------------------------------
-# Shared-arena SGD: real model updates from worker processes.
+# Arena SGD: real model updates from parallel bolt workers.
 # --------------------------------------------------------------------------
 
 SGD_F = 8
 SGD_GROUPS = 4
+SGD_USERS_PER_GROUP = 10
 SGD_STEPS = 800
 
 
@@ -261,7 +260,7 @@ class _SgdSpout(Spout):
         return StreamTuple(
             {
                 "g": g,
-                "u": f"g{g}-u{self._rng.randrange(10)}",
+                "u": f"g{g}-u{self._rng.randrange(SGD_USERS_PER_GROUP)}",
                 "v": f"g{g}-v{self._rng.randrange(20)}",
                 "r": float(self._rng.randrange(2)),
             }
@@ -269,53 +268,49 @@ class _SgdSpout(Spout):
 
 
 class _SgdBolt(Bolt):
-    def __init__(self, state: SharedModelState) -> None:
-        self._state = state
-        self._model: MFModel | None = None
-
-    def prepare(self, ctx) -> None:
-        self._model = MFModel(MFConfig(f=SGD_F, seed=11), shared=self._state)
+    def __init__(self, model: MFModel) -> None:
+        self._model = model
 
     def process(self, tup, collector):
         self._model.sgd_step(tup["u"], tup["v"], tup["r"], eta=0.05)
 
 
 def _run_sgd(executor_cls):
-    state = SharedModelState.create(f=SGD_F)
-    try:
-        # Freeze mu up front: the global-mean accumulator is the one
-        # piece of cross-group shared state, so updating it mid-stream
-        # would make results depend on inter-group ordering.
-        state.mu_set(300.0, 600)
-        builder = TopologyBuilder()
-        builder.set_spout("spout", _SgdSpout)
-        builder.set_bolt(
-            "sgd", lambda: _SgdBolt(state), parallelism=SGD_GROUPS
-        ).fields_grouping("spout", ["g"])
-        executor = executor_cls(builder.build())
-        if executor_cls is LocalExecutor:
-            executor.run()
-        else:
-            executor.run(timeout=120)
+    model = MFModel(MFConfig(f=SGD_F, seed=11))
+    # Seed mu = 0.5 up front and never fold it mid-stream (the bolts call
+    # ``sgd_step`` only): the global mean is the one piece of cross-group
+    # shared state, so updating it would make results depend on
+    # inter-group ordering.
+    model.observe_rating(0.0)
+    model.observe_rating(1.0)
+    builder = TopologyBuilder()
+    builder.set_spout("spout", _SgdSpout)
+    builder.set_bolt(
+        "sgd", lambda: _SgdBolt(model), parallelism=SGD_GROUPS
+    ).fields_grouping("spout", ["g"])
+    executor = executor_cls(builder.build())
+    if executor_cls is LocalExecutor:
+        executor.run()
+    else:
+        executor.run(timeout=120)
 
-        model = MFModel(MFConfig(f=SGD_F, seed=11), shared=state)
-        users = sorted(state.user.ids())
-        videos = sorted(state.video.ids())
-        vectors = {u: model.user_vector(u) for u in users}
-        predictions = {
-            u: model.predict_many(u, videos[:10]) for u in users[:5]
-        }
-        return vectors, predictions
-    finally:
-        state.unlink()
+    users = [
+        f"g{g}-u{i}"
+        for g in range(SGD_GROUPS)
+        for i in range(SGD_USERS_PER_GROUP)
+    ]
+    videos = sorted(model.known_videos())
+    vectors = {u: model.user_vector(u) for u in users if model.has_user(u)}
+    predictions = {u: model.predict_many(u, videos[:10]) for u in users[:5]}
+    return vectors, predictions
 
 
-class TestSharedArenaSgd:
-    def test_process_sgd_matches_local_byte_for_byte(self):
+class TestArenaSgd:
+    def test_threaded_sgd_matches_local_bytewise(self):
         local_vecs, local_preds = _run_sgd(LocalExecutor)
-        proc_vecs, proc_preds = _run_sgd(ProcessExecutor)
-        assert sorted(local_vecs) == sorted(proc_vecs)
+        threaded_vecs, threaded_preds = _run_sgd(ThreadedExecutor)
+        assert local_vecs and sorted(local_vecs) == sorted(threaded_vecs)
         for u in local_vecs:
-            assert np.array_equal(local_vecs[u], proc_vecs[u]), u
+            assert np.array_equal(local_vecs[u], threaded_vecs[u]), u
         for u in local_preds:
-            assert np.array_equal(local_preds[u], proc_preds[u]), u
+            assert np.array_equal(local_preds[u], threaded_preds[u]), u

@@ -1,5 +1,7 @@
 """Tests for stream tuples."""
 
+import pickle
+
 import pytest
 
 from repro.storm import DEFAULT_STREAM, StreamTuple
@@ -69,3 +71,10 @@ class TestStreamTuple:
 
     def test_repr_mentions_fields(self):
         assert "user='u1'" in repr(StreamTuple({"user": "u1"}))
+
+    def test_pickles_without_trace(self):
+        tup = StreamTuple({"a": 1, "b": "x"}, stream="s").with_trace(object())
+        clone = pickle.loads(pickle.dumps(tup))
+        assert clone == tup
+        assert clone.stream == "s"
+        assert clone.trace is None  # trace metadata is process-local
