@@ -17,7 +17,7 @@ described in the paper, plus every substrate it depends on:
   search and the simulated A/B test;
 * :mod:`repro.obs` — the observability layer: one metrics registry,
   causally-linked trace spans across the topology and the serving path,
-  profiling hooks, and the JSON perf-regression harness.
+  and the JSON perf-regression harness.
 
 Quickstart::
 
@@ -60,12 +60,7 @@ from .data import (
     WorldConfig,
 )
 from .errors import ReproError
-from .obs import (
-    MetricsRegistry,
-    Observability,
-    Tracer,
-    profiled,
-)
+from .obs import MetricsRegistry, Observability, Tracer
 
 __version__ = "1.0.0"
 
@@ -101,5 +96,4 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "Observability",
-    "profiled",
 ]

@@ -194,7 +194,6 @@ class RetrievalConfig:
       tested against.
     * ``"ann"`` — LSH shortlist from :class:`repro.core.AnnIndex` over the
       learned factor vectors, exact re-rank on top.
-    * ``"hybrid"`` — union of the table candidates and the ANN shortlist.
 
     The index knobs trade recall for probe cost: more ``tables`` and a
     larger ``probe_radius`` raise recall; more ``band_bits`` shrink the
@@ -227,10 +226,6 @@ class RetrievalConfig:
     check_every: int = 8
     #: Partition the inverted lists by ``Video.kind``.
     partition_by_kind: bool = True
-    #: Probe only partitions compatible with the requester's demographic
-    #: group (learned from observed engagements).  Off by default: pruning
-    #: narrows recall for users whose group has little history.
-    partition_pruning: bool = False
     #: Scale of the bias coordinate in the hashed direction ``[y, s*b]``
     #: (query ``[x, 1/s]``).  0 = derive from the data at build time so the
     #: query's constant coordinate stays small relative to a typical
@@ -240,8 +235,8 @@ class RetrievalConfig:
 
     def __post_init__(self) -> None:
         _require(
-            self.mode in ("table", "ann", "hybrid"),
-            f"mode must be 'table', 'ann' or 'hybrid', got {self.mode!r}",
+            self.mode in ("table", "ann"),
+            f"mode must be 'table' or 'ann', got {self.mode!r}",
         )
         _require(self.tables >= 1, "tables must be >= 1")
         _require(self.band_bits >= 0, "band_bits must be >= 0 (0 = auto)")

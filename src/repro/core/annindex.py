@@ -29,10 +29,9 @@ top-N retrieval sublinear in catalog size:
 
 * **Partitioned inverted lists** — buckets are keyed by
   ``(partition, table, band value)`` where the partition is the video's
-  ``kind``.  The paper's demographic post-filter becomes index *pruning*:
-  a request probes only partitions compatible with the requester's group
-  (learned from observed engagements), instead of filtering a full
-  shortlist after the fact.
+  ``kind``.  A query may name the partitions it wants
+  (``allowed_partitions=``) and probes only those, instead of filtering
+  a full shortlist after the fact.
 
 * **Query-directed multi-probe** — each query probes the exact bucket in
   every table first, then perturbed buckets in ascending *cost* order,
@@ -64,7 +63,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..config import RetrievalConfig
-from ..data.schema import GLOBAL_GROUP, Video
+from ..data.schema import Video
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observability
@@ -234,8 +233,6 @@ class AnnIndex:
         # a bucket to a python list on first append.
         self._buckets: dict[tuple[int, int, int], object] = {}
         self._stale = 0
-        # Demographic-group -> partition affinity, learned from engagements.
-        self._group_parts: dict[str, set[int]] = {}
         # Bias-coordinate scale s of the hashed direction [y, s*b];
         # re-derived from the data on every bulk build unless pinned by
         # config.  1.0 covers the incremental-from-empty regime.
@@ -623,33 +620,6 @@ class AnnIndex:
             self._indexed_gauge.set(self._n_alive)
         if self._stale_gauge is not None:
             self._stale_gauge.set(self._stale)
-
-    # ------------------------------------------------------------------
-    # Demographic partition affinity
-    # ------------------------------------------------------------------
-
-    def observe_group(self, group: str, video_id: str) -> None:
-        """Record that ``group`` engaged with ``video_id``'s partition."""
-        if group == GLOBAL_GROUP:
-            return
-        with self._lock:
-            pid = self._part_id(self._partition_name(video_id))
-            self._group_parts.setdefault(group, set()).add(pid)
-
-    def allowed_partitions(self, group: str) -> frozenset[str] | None:
-        """Partitions compatible with a demographic group.
-
-        ``None`` means "no pruning" — the global group, unknown groups and
-        groups with no observed history all probe every partition (pruning
-        must never make a cold group's results *worse* than post-filtering).
-        """
-        if group == GLOBAL_GROUP:
-            return None
-        with self._lock:
-            parts = self._group_parts.get(group)
-            if not parts:
-                return None
-            return frozenset(self._part_names[p] for p in parts)
 
     # ------------------------------------------------------------------
     # Queries

@@ -51,7 +51,6 @@ from ..config import MFConfig
 from ..errors import ModelError
 from ..hashing import stable_hash
 from ..kvstore import InMemoryKVStore, KVStore, Namespace
-from ..obs.profile import profiled
 from .arena import FactorArena
 
 _KINDS = ("user", "video")
@@ -668,7 +667,6 @@ class MFModel:
             score += float(x_u @ y_i)
         return score
 
-    @profiled(name="mf.predict_many")
     def predict_many(
         self, user_id: str, video_ids: list[str]
     ) -> np.ndarray:
@@ -702,7 +700,6 @@ class MFModel:
     # SGD (Eq. 5, corrected; Algorithm 1 lines 9-14)
     # ------------------------------------------------------------------
 
-    @profiled(name="mf.compute_update")
     def compute_update(
         self,
         user_id: str,

@@ -31,7 +31,7 @@ from ..data.schema import User, UserAction, Video
 from ..data.stream import ENGAGEMENT_ACTIONS
 from ..kvstore import InMemoryKVStore, KVStore
 from ..obs.kv import InstrumentedKVStore
-from ..storm.metrics import LatencyStats
+from ..obs.registry import Histogram
 
 if TYPE_CHECKING:
     from ..obs import Observability
@@ -88,13 +88,13 @@ class RealtimeRecommender:
         self._now = (
             obs.perf_clock.now if obs is not None else time.perf_counter
         )
-        self._latency_hist = (
+        self.request_latency = (
             obs.registry.histogram(
                 "recommender_request_latency_seconds",
                 "Latency of RealtimeRecommender.recommend calls",
             )
             if obs is not None
-            else None
+            else Histogram("recommender_request_latency_seconds")
         )
 
         self.model = MFModel(self.config.mf, store=backing)
@@ -118,12 +118,12 @@ class RealtimeRecommender:
         )
         self.selector = CandidateSelector(self.table, self.config.recommend)
         # Two-stage retrieval (DESIGN.md "Candidate retrieval index"): in
-        # "ann"/"hybrid" mode an LSH index over the learned video factors
-        # produces the shortlist the exact Eq. 2 re-rank scores.  "table"
-        # mode (default) is the paper's original path and the correctness
+        # "ann" mode an LSH index over the learned video factors produces
+        # the shortlist the exact Eq. 2 re-rank scores.  "table" mode
+        # (default) is the paper's original path and the correctness
         # oracle.
         self.index: AnnIndex | None = None
-        if self.config.retrieval.mode != "table":
+        if self.config.retrieval.mode == "ann":
             self.index = AnnIndex(
                 self.config.mf.f,
                 videos=videos,
@@ -136,7 +136,6 @@ class RealtimeRecommender:
             self.demographic = DemographicRecommender(
                 self.users, clock=self.clock
             )
-        self.request_latency = LatencyStats()
 
     # ------------------------------------------------------------------
     # Ingestion (User Action Processing in Figure 1)
@@ -181,13 +180,6 @@ class RealtimeRecommender:
             action, self.videos.get(action.video_id)
         ) if self.trainer.is_playtime_capable(action) else 1.0
         self.demographic.record(action, weight=weight)
-        if self.index is not None:
-            # Group -> partition affinity for index pruning; in-memory
-            # derived state, rebuilt by the same WAL replay as the hot
-            # lists.
-            self.index.observe_group(
-                self.demographic.group_for(action.user_id), action.video_id
-            )
 
     def rebuild_index(self) -> dict | None:
         """(Re)build the ANN index from the model's current factors.
@@ -267,19 +259,9 @@ class RealtimeRecommender:
         index = self.index
         assert index is not None
         blocked = exclude | set(seeds)
-        allowed = None
-        if (
-            self.config.retrieval.partition_pruning
-            and self.demographic is not None
-        ):
-            allowed = index.allowed_partitions(
-                self.demographic.group_for(user_id)
-            )
         x_u = self.model.user_vector(user_id)
         if x_u is not None:
-            return index.query_user(
-                x_u, top_n, exclude=blocked, allowed_partitions=allowed
-            )
+            return index.query_user(x_u, top_n, exclude=blocked)
         unique_seeds = list(dict.fromkeys(seeds))
         if not unique_seeds:
             return []
@@ -288,9 +270,7 @@ class RealtimeRecommender:
         for vec in self.model.video_vectors_many(unique_seeds):
             if vec is None:
                 continue
-            for vid in index.query_item(
-                vec, top_n, exclude=blocked, allowed_partitions=allowed
-            ):
+            for vid in index.query_item(vec, top_n, exclude=blocked):
                 if vid not in seen:
                     seen.add(vid)
                     shortlist.append(vid)
@@ -321,24 +301,22 @@ class RealtimeRecommender:
             exclude: set[str] = set()
             if self.config.recommend.exclude_watched:
                 exclude = set(snapshot.watched)
-            mode = self.config.retrieval.mode
-            candidates = (
-                []
-                if mode == "ann"
-                else self.selector.select(seeds, exclude=exclude, now=timestamp)
+            video_ids = (
+                [
+                    c.video_id
+                    for c in self.selector.select(
+                        seeds, exclude=exclude, now=timestamp
+                    )
+                ]
+                if self.index is None
+                else []
             )
 
-        video_ids = [c.video_id for c in candidates]
         if self.index is not None:
-            # Stage 1 of the two-stage path: the ANN shortlist ("ann"
-            # replaces the table expansion, "hybrid" unions with it); the
-            # exact predict_many below is stage 2.
+            # Stage 1 of the two-stage path: the ANN shortlist replaces
+            # the table expansion; the exact predict_many below is stage 2.
             with self._span("ann.query"):
-                shortlist = self._ann_shortlist(user_id, seeds, exclude, top_n)
-            present = set(video_ids)
-            video_ids.extend(
-                vid for vid in shortlist if vid not in present
-            )
+                video_ids = self._ann_shortlist(user_id, seeds, exclude, top_n)
 
         ranked: list[Recommendation] = []
         if video_ids:
@@ -377,10 +355,7 @@ class RealtimeRecommender:
             Recommendation(vid, score_of.get(vid, 0.0))
             for vid in final_ids[:top_n]
         ]
-        elapsed = self._now() - started
-        self.request_latency.record(elapsed)
-        if self._latency_hist is not None:
-            self._latency_hist.observe(elapsed)
+        self.request_latency.observe(self._now() - started)
         return result
 
     def recommend_ids(

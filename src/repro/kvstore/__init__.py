@@ -20,10 +20,6 @@ from .namespace import Namespace
 from .sharded import ShardedKVStore
 from .store import EntrySnapshot, InMemoryKVStore, Key, KVStore
 
-# Imported last: .breaker pulls in repro.reliability, which itself imports
-# the names bound above from this package.
-from .breaker import BreakerKVStore  # noqa: E402
-
 __all__ = [
     "KVStore",
     "Key",
@@ -38,5 +34,4 @@ __all__ = [
     "Namespace",
     "ReadThroughCache",
     "WriteCombiner",
-    "BreakerKVStore",
 ]

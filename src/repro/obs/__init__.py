@@ -1,4 +1,4 @@
-"""Observability layer: unified metrics, tracing, and profiling.
+"""Observability layer: unified metrics and tracing.
 
 The paper's §5–§6 claims are *operational* — linear Storm scalability,
 millisecond end-to-end latency under production traffic — and reproducing
@@ -11,7 +11,6 @@ them requires measuring this system the way Tencent measured theirs.
 * :class:`Tracer` — causally-linked spans from the spout (or a routed
   request) through every bolt and KV call, with per-stage latency
   attribution;
-* :func:`profiled` / :class:`SamplingProfiler` — hot-path timing hooks;
 * :class:`InstrumentedKVStore` — per-op KV metrics and spans;
 * :class:`Observability` — the bundle components accept as one ``obs=``
   argument.
@@ -28,7 +27,6 @@ from dataclasses import dataclass, field
 from ..clock import Clock, VirtualClock
 from .kv import InstrumentedKVStore
 from .percentiles import nearest_rank, summarize
-from .profile import FunctionProfiler, SamplingProfiler, profiled
 from .registry import (
     DEFAULT_BUCKETS,
     REGISTRY_SCHEMA_VERSION,
@@ -50,9 +48,6 @@ __all__ = [
     "SpanContext",
     "Tracer",
     "TRACE_SCHEMA_VERSION",
-    "FunctionProfiler",
-    "SamplingProfiler",
-    "profiled",
     "InstrumentedKVStore",
     "Observability",
     "nearest_rank",
@@ -72,7 +67,7 @@ class _PerfClock:
 
 @dataclass
 class Observability:
-    """One handle bundling the registry, tracer, and profiling hooks.
+    """One handle bundling the registry, the tracer and the perf clock.
 
     Components that support observability take ``obs: Observability |
     None = None``; passing the same bundle to the executor, the router,
@@ -87,7 +82,6 @@ class Observability:
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     tracer: Tracer = field(default_factory=Tracer)
-    profiler: FunctionProfiler | None = None
     perf_clock: Clock = field(default_factory=_PerfClock)
 
     @classmethod
@@ -96,7 +90,6 @@ class Observability:
         return cls(
             registry=MetricsRegistry(),
             tracer=Tracer(sample_every=sample_every),
-            profiler=FunctionProfiler(),
         )
 
     @classmethod
@@ -106,7 +99,6 @@ class Observability:
         return cls(
             registry=MetricsRegistry(clock=shared),
             tracer=Tracer(clock=shared),
-            profiler=FunctionProfiler(clock=shared.now),
             perf_clock=shared,
         )
 

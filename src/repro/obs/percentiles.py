@@ -1,10 +1,7 @@
 """The single percentile codepath shared by every latency summary.
 
-Before this module existed, :class:`~repro.storm.metrics.LatencyStats`
-(topology metrics) and the serving router each computed percentiles over
-their own sample buffers, with subtly divergent rank conventions.  Every
-percentile the system reports — topology stage latency, router p50/p95/p99,
-histogram summaries, bench JSON — now funnels through
+Every percentile the system reports — topology stage latency, router
+p50/p95/p99, histogram summaries, bench JSON — funnels through
 :func:`nearest_rank`, so "p99" means the same thing in every snapshot.
 
 The convention is the *nearest-rank* method on the sorted sample set:

@@ -1,12 +1,11 @@
 """Unified metrics registry: typed instruments with labels and snapshots.
 
 The paper's production claims (§6: millisecond serving under billions of
-tuples per day) are measurement claims, and before this module each
-subsystem counted for itself — :class:`~repro.storm.metrics.TopologyMetrics`
-in one private dict, the router in another, the breakers in plain ints.  A
-:class:`MetricsRegistry` is the one place they all register into, so a
-single ``to_json()`` call captures the whole system and the bench harness
-can diff runs.
+tuples per day) are measurement claims.  A :class:`MetricsRegistry` is
+the one place every subsystem — topology, router, recommender, trainer,
+KV stores, breakers — keeps its counts and latency summaries, so a single
+``to_json()`` call captures the whole system and the bench harness can
+diff runs.
 
 Three instrument kinds, deliberately Prometheus-shaped:
 
@@ -193,6 +192,13 @@ class Gauge(_Instrument):
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
+    def set_max(self, value: float) -> None:
+        """Raise the gauge to ``value`` if larger (an atomic high-water mark)."""
+        self._guard_unlabelled()
+        with self._lock:
+            if value > self._value:
+                self._value = float(value)
+
     @property
     def value(self) -> float:
         with self._lock:
@@ -228,9 +234,8 @@ class Histogram(_Instrument):
 
     Up to ``sample_limit`` raw observations are retained so
     :meth:`percentile` can answer through the shared nearest-rank
-    codepath; beyond the limit count/sum/buckets stay exact while
-    percentiles describe the first ``sample_limit`` samples (same
-    contract as :class:`~repro.storm.metrics.LatencyStats`).
+    codepath; beyond the limit count/sum/max/buckets stay exact while
+    percentiles describe the first ``sample_limit`` samples.
     """
 
     kind = "histogram"
@@ -310,11 +315,33 @@ class Histogram(_Instrument):
         with self._lock:
             return self._sum / self._count if self._count else 0.0
 
+    @property
+    def max(self) -> float:
+        with self._lock:
+            return self._max
+
     def percentile(self, q: float) -> float:
-        """Nearest-rank percentile over the retained raw samples."""
+        """Nearest-rank percentile over the retained raw samples.
+
+        ``q`` is in [0, 100]; 0.0 when empty.  Deterministic (no
+        interpolation), so tests can assert exact values from known
+        sample sets.
+        """
         with self._lock:
             samples = list(self._samples)
         return nearest_rank(samples, q)
+
+    @property
+    def p50(self) -> float:
+        return self.percentile(50.0)
+
+    @property
+    def p95(self) -> float:
+        return self.percentile(95.0)
+
+    @property
+    def p99(self) -> float:
+        return self.percentile(99.0)
 
     def state(self) -> dict:
         """Plain-data summary: cumulative buckets, count, sum, percentiles."""

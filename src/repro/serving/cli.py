@@ -224,10 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--retrieval",
-        choices=("table", "ann", "hybrid"),
+        choices=("table", "ann"),
         default="table",
-        help="candidate retrieval: similar-video tables (the paper), "
-        "LSH ANN shortlist, or the union of both",
+        help="candidate retrieval: similar-video tables (the paper) "
+        "or LSH ANN shortlist",
     )
     return parser
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..clock import Clock
-from ..storm.metrics import LatencyStats
+from ..obs.registry import Histogram
 
 if TYPE_CHECKING:  # avoid serving <-> reliability import at module load
     from ..obs import Observability
@@ -148,7 +148,9 @@ class ScenarioStats:
     ``latency`` tracks *served* requests only (ok/degraded/error); shed
     and deadline-exceeded requests are counted separately so admission
     control cannot flatter the latency distribution with near-zero
-    rejections.
+    rejections.  It is the scenario's
+    ``serving_request_latency_seconds`` registry series when the router
+    has an ``obs`` bundle, a stand-alone histogram otherwise.
     """
 
     requests: int = 0
@@ -158,7 +160,9 @@ class ScenarioStats:
     shed: int = 0
     deadline_exceeded: int = 0
     breaker_fast_fails: int = 0
-    latency: LatencyStats = field(default_factory=LatencyStats)
+    latency: Histogram = field(
+        default_factory=lambda: Histogram("serving_request_latency_seconds")
+    )
 
 
 class RequestRouter:
@@ -211,29 +215,30 @@ class RequestRouter:
                 "Requests handled by the router, by scenario and outcome",
                 labelnames=("scenario", "outcome"),
             )
-            self._latency_hist = obs.registry.histogram(
+            self._latency_family = obs.registry.histogram(
                 "serving_request_latency_seconds",
                 "End-to-end router latency for served requests",
                 labelnames=("scenario",),
             )
         else:
             self._requests_counter = None
-            self._latency_hist = None
+            self._latency_family = None
 
-    def _observe_response(self, response: RecResponse) -> None:
-        """Mirror one response into the registry instruments."""
-        if self._requests_counter is None:
-            return
-        scenario = response.request.scenario.value
-        self._requests_counter.labels(
-            scenario=scenario, outcome=response.outcome.value
-        ).inc()
-        # Match ScenarioStats: only *served* requests contribute latency,
-        # so sheds/deadline misses cannot flatter the distribution.
-        if not response.shed and not response.deadline_exceeded:
-            self._latency_hist.labels(scenario=scenario).observe(
-                response.latency_seconds
-            )
+    def _count_outcome(self, response: RecResponse) -> None:
+        if self._requests_counter is not None:
+            self._requests_counter.labels(
+                scenario=response.request.scenario.value,
+                outcome=response.outcome.value,
+            ).inc()
+
+    def _record_latency(self, scenario: Scenario, elapsed: float) -> None:
+        """Record one served request's latency; caller holds ``_lock``."""
+        stats = self._stats[scenario]
+        if self._latency_family is not None and stats.latency.count == 0:
+            # A scenario's registry series appears with its first served
+            # request, so an idle scenario exports no empty series.
+            stats.latency = self._latency_family.labels(scenario=scenario.value)
+        stats.latency.observe(elapsed)
 
     def _serve(self, backend, request: RecRequest) -> tuple[str, ...]:
         return tuple(
@@ -276,7 +281,7 @@ class RequestRouter:
                 span.set_attribute("scenario", request.scenario.value)
                 response = self._handle(request)
                 span.set_attribute("outcome", response.outcome.value)
-        self._observe_response(response)
+        self._count_outcome(response)
         return response
 
     def _handle(self, request: RecRequest) -> RecResponse:
@@ -343,7 +348,7 @@ class RequestRouter:
             if deadline_exceeded:
                 stats.deadline_exceeded += 1
             else:
-                stats.latency.record(elapsed)
+                self._record_latency(request.scenario, elapsed)
                 if error is not None:
                     stats.errors += 1
                 else:
@@ -416,12 +421,3 @@ class RequestRouter:
     def breaker_trips(self) -> int:
         """Times the primary's circuit breaker has opened (0 if none)."""
         return self.breaker.opened_count if self.breaker is not None else 0
-
-    def reset_stats(self) -> None:
-        """Zero the per-scenario counters (keep backends and breakers).
-
-        Scenario runs measure shed rate window by window on one router;
-        resetting between measurement phases beats re-wiring the chain.
-        """
-        with self._lock:
-            self._stats = {scenario: ScenarioStats() for scenario in Scenario}

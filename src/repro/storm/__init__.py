@@ -13,7 +13,7 @@ from .grouping import (
     Grouping,
     ShuffleGrouping,
 )
-from .metrics import ComponentMetrics, LatencyStats, TopologyMetrics
+from .metrics import ComponentMetrics, TopologyMetrics
 from .topology import (
     Bolt,
     BoltDeclarer,
@@ -45,5 +45,4 @@ __all__ = [
     "QUEUE_POLICIES",
     "TopologyMetrics",
     "ComponentMetrics",
-    "LatencyStats",
 ]

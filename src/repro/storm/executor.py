@@ -68,9 +68,7 @@ class _ExecutorBase:
         self.fail_fast = fail_fast
         self.supervisor = supervisor
         self.obs = obs
-        self.metrics = TopologyMetrics(
-            registry=obs.registry if obs is not None else None
-        )
+        self.metrics = TopologyMetrics(obs.registry if obs is not None else None)
         self._tracer = obs.tracer if obs is not None else None
         # Durations are measured on the bundle's perf clock so a
         # deterministic Observability yields deterministic latencies.

@@ -235,16 +235,6 @@ class TestIncrementalMaintenance:
 
 
 class TestPartitions:
-    def test_allowed_partitions_learning(self):
-        ids, videos, vectors, biases = _catalog(30)
-        idx = AnnIndex(8, videos=videos)
-        idx.bulk_load(ids, vectors, biases)
-        # Unknown group and the global group never prune.
-        assert idx.allowed_partitions("global") is None
-        assert idx.allowed_partitions("f|18-25") is None
-        idx.observe_group("f|18-25", ids[0])  # ids[0] is "music"
-        assert idx.allowed_partitions("f|18-25") == frozenset({"music"})
-
     def test_partition_restriction_filters_shortlist(self):
         ids, videos, vectors, biases = _catalog(300)
         idx = AnnIndex(8, videos=videos)

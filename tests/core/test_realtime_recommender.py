@@ -1,5 +1,8 @@
 """Tests for the end-to-end real-time recommender (Figure 1)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.clock import VirtualClock
@@ -122,6 +125,28 @@ class TestRecommend:
         trained.recommend("u0", n=5)
         assert trained.request_latency.count >= 1
         assert trained.request_latency.mean > 0
+
+    def test_latency_count_exact_under_concurrent_recommend(self, trained):
+        """Gateway worker threads share one recommender; no call may be
+        lost from its latency summary."""
+        before = trained.request_latency.count
+
+        def work():
+            for _ in range(200):
+                trained.recommend("u0", n=5)
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert trained.request_latency.count - before == 1600
 
     def test_exclude_watched_config(self, small_world, small_split):
         cfg = ReproConfig().with_overrides(recommend={"exclude_watched": True})

@@ -67,20 +67,6 @@ class TestSaturatedEquivalence:
             expected = [pool[i] for i in order[:10]]
             assert got == expected
 
-    def test_hybrid_matches_ann_when_saturated(
-        self, small_world, small_split
-    ):
-        ann = _trained(
-            small_world, small_split, "ann", enable_demographic=False
-        )
-        hybrid = _trained(
-            small_world, small_split, "hybrid", enable_demographic=False
-        )
-        for user in _warm_users(ann):
-            assert ann.recommend_ids(
-                user, current_video="v3", n=10
-            ) == hybrid.recommend_ids(user, current_video="v3", n=10)
-
     def test_ann_mode_with_demographic_merge(self, small_world, small_split):
         """The merged output only draws demographic picks from the
         post-filter-equivalent list (blocked = watched + seeds)."""

@@ -10,10 +10,8 @@ sharding/caching/instrumentation/fault-injection all see them.
 import pytest
 
 from repro.clock import VirtualClock
-from repro.reliability.overload import CircuitBreaker
-from repro.errors import CircuitOpenError, TransientKVError
+from repro.errors import TransientKVError
 from repro.kvstore import (
-    BreakerKVStore,
     InMemoryKVStore,
     Namespace,
     ReadThroughCache,
@@ -136,28 +134,6 @@ class TestNamespaceIsolation:
         right.mput([("k", "R")])
         assert left.mget(["k"]) == ["L"]
         assert right.mget(["k"]) == ["R"]
-
-
-class TestBreaker:
-    def test_batch_counts_as_one_operation(self):
-        flaky = FlakyKVStore(InMemoryKVStore())
-        breaker = BreakerKVStore(
-            flaky,
-            CircuitBreaker(
-                failure_threshold=2,
-                reset_timeout=60.0,
-                clock=VirtualClock(0.0),
-            ),
-        )
-        breaker.mput([(f"k{i}", i) for i in range(4)])
-        assert breaker.mget([f"k{i}" for i in range(4)]) == list(range(4))
-        flaky.fail_next(2)
-        with pytest.raises(TransientKVError):
-            breaker.mget(["k0"])
-        with pytest.raises(TransientKVError):
-            breaker.mget(["k0"])
-        with pytest.raises(CircuitOpenError):
-            breaker.mget(["k0"])  # breaker now open
 
 
 class TestFaultInjection:

@@ -1,9 +1,9 @@
 """The unified percentile codepath: one convention, everywhere.
 
-Every latency summary in the system (LatencyStats, Histogram, bench JSON)
-funnels through ``repro.obs.percentiles.nearest_rank``.  These tests pin
-the convention itself — nearest-rank equals numpy's ``inverted_cdf`` for
-q > 0 — and that the two consumer classes agree exactly on shared samples.
+Every latency summary in the system (Histogram, bench JSON) funnels
+through ``repro.obs.percentiles.nearest_rank``.  These tests pin the
+convention itself — nearest-rank equals numpy's ``inverted_cdf`` for
+q > 0 — and that every ``Histogram`` read agrees with it exactly.
 """
 
 import math
@@ -15,7 +15,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, nearest_rank, summarize
-from repro.storm.metrics import LatencyStats
 
 
 def test_empty_samples_return_zero():
@@ -91,14 +90,16 @@ def test_summarize_matches_nearest_rank():
         max_size=200,
     )
 )
-def test_latency_stats_and_histogram_agree(samples):
-    """The two latency summaries share one codepath: identical answers on
-    identical samples, for every quantile the system reports."""
-    stats = LatencyStats()
-    reg = MetricsRegistry()
-    hist = reg.histogram("lat_seconds", "x")
+def test_histogram_reads_agree_with_nearest_rank(samples):
+    """One codepath: ``percentile``, the ``p50``/``p95``/``p99`` reads and
+    the exported ``state()`` all answer what ``nearest_rank`` answers."""
+    hist = MetricsRegistry().histogram("lat_seconds", "x")
     for s in samples:
-        stats.record(s)
         hist.observe(s)
     for q in (0.0, 50.0, 90.0, 95.0, 99.0, 100.0):
-        assert stats.percentile(q) == hist.percentile(q)
+        assert hist.percentile(q) == nearest_rank(samples, q)
+    state = hist.state()
+    assert hist.p50 == state["p50"] == nearest_rank(samples, 50.0)
+    assert hist.p95 == state["p95"] == nearest_rank(samples, 95.0)
+    assert hist.p99 == state["p99"] == nearest_rank(samples, 99.0)
+    assert hist.max == state["max"] == max(samples)

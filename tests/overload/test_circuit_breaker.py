@@ -1,4 +1,4 @@
-"""Circuit-breaker state machine tests, including the KV-shard wrapper.
+"""Circuit-breaker state machine tests.
 
 The breaker transitions are driven entirely by recorded outcomes and an
 injected clock, so every test here is deterministic: closed -> open after
@@ -10,9 +10,8 @@ failure.
 import pytest
 
 from repro.clock import VirtualClock
-from repro.errors import CircuitOpenError, TransientKVError
-from repro.kvstore import BreakerKVStore, InMemoryKVStore
-from repro.reliability import BreakerState, CircuitBreaker, FlakyKVStore
+from repro.errors import CircuitOpenError
+from repro.reliability import BreakerState, CircuitBreaker
 
 
 def _breaker(clock, **kwargs):
@@ -105,79 +104,3 @@ class TestStateMachine:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker(reset_timeout=0.0)
-
-
-class TestBreakerKVStore:
-    """Full cycle against scripted FlakyKVStore faults."""
-
-    def _stack(self, clock, error_every=0):
-        inner = InMemoryKVStore()
-        flaky = FlakyKVStore(inner, error_every=error_every)
-        breaker = CircuitBreaker(
-            failure_threshold=3, reset_timeout=5.0, clock=clock, name="kv"
-        )
-        return inner, flaky, BreakerKVStore(flaky, breaker)
-
-    def test_closed_open_half_open_closed_cycle(self):
-        clock = VirtualClock(0.0)
-        inner, flaky, store = self._stack(clock)
-        store.put("k", 1)
-        assert store.get("k") == 1
-        assert store.breaker.state is BreakerState.CLOSED
-
-        # Script exactly three consecutive shard faults -> breaker opens.
-        flaky.fail_next(3)
-        for _ in range(3):
-            with pytest.raises(TransientKVError):
-                store.get("k")
-        assert store.breaker.state is BreakerState.OPEN
-
-        # While open: fail fast without touching the (now healthy) shard.
-        ops_before = flaky._ops
-        with pytest.raises(CircuitOpenError):
-            store.get("k")
-        assert flaky._ops == ops_before
-
-        # After the reset timeout a probe goes through and closes it.
-        clock.advance(5.0)
-        assert store.get("k") == 1
-        assert store.breaker.state is BreakerState.CLOSED
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = VirtualClock(0.0)
-        _, flaky, store = self._stack(clock)
-        store.put("k", 1)
-        flaky.fail_next(3)
-        for _ in range(3):
-            with pytest.raises(TransientKVError):
-                store.get("k")
-        clock.advance(5.0)
-        flaky.fail_next(1)  # the probe itself fails
-        with pytest.raises(TransientKVError):
-            store.get("k")
-        assert store.breaker.state is BreakerState.OPEN
-
-    def test_logical_outcomes_do_not_trip_the_breaker(self):
-        from repro.errors import KeyNotFound
-
-        clock = VirtualClock(0.0)
-        _, _, store = self._stack(clock)
-        for _ in range(10):
-            with pytest.raises(KeyNotFound):
-                store.get_strict("missing")
-        assert store.breaker.state is BreakerState.CLOSED
-
-    def test_metadata_bypasses_the_breaker(self):
-        clock = VirtualClock(0.0)
-        _, flaky, store = self._stack(clock)
-        store.put("k", 1)
-        flaky.fail_next(3)
-        for _ in range(3):
-            with pytest.raises(TransientKVError):
-                store.put("k", 2)
-        assert store.breaker.state is BreakerState.OPEN
-        # Recovery/checkpoint paths keep working while the breaker is open.
-        assert "k" in store
-        assert len(store) == 1
-        assert store.version("k") >= 1
-        assert list(store.keys()) == ["k"]
