@@ -2,7 +2,7 @@
 
 Two comparisons back the batched model plane with numbers:
 
-* **Scoring** — ``predict_many`` on the arena backend (one bias gather +
+* **Scoring** — ``predict_many`` on the factor arena (one bias gather +
   one ``(N, f) @ f`` matmul) against the per-candidate scalar loop it
   replaced, at 1k and 10k candidates.  The refactor's acceptance bar is
   >= 5x at 10k candidates.
@@ -30,10 +30,10 @@ F = 16
 RNG_SEED = 413
 
 
-def _populated_model(backend: str, n_videos: int) -> MFModel:
+def _populated_model(n_videos: int) -> MFModel:
     """A model with one user and ``n_videos`` video factors installed."""
     rng = np.random.default_rng(RNG_SEED)
-    model = MFModel(MFConfig(f=F, backend=backend), store=InMemoryKVStore())
+    model = MFModel(MFConfig(f=F), store=InMemoryKVStore())
     items = [("user", "u0", rng.normal(0, 0.1, F), 0.05)]
     items += [
         (
@@ -61,8 +61,7 @@ def _best_of(repeats, fn):
 def test_model_plane_scoring_and_training_throughput():
     # --- Scoring: scalar loop vs one vectorized predict_many ------------
     n_candidates = 10_000
-    model = _populated_model("arena", n_candidates)
-    kv_model = _populated_model("kv", n_candidates)
+    model = _populated_model(n_candidates)
     candidates = [f"v{i}" for i in range(n_candidates)]
 
     scoring_rows = []
@@ -74,9 +73,6 @@ def test_model_plane_scoring_and_training_throughput():
         )
         batched_s = _best_of(
             10, lambda: model.predict_many("u0", subset)
-        )
-        kv_batched_s = _best_of(
-            5, lambda: kv_model.predict_many("u0", subset)
         )
         # Same numbers (to BLAS accumulation order), only faster.
         np.testing.assert_allclose(
@@ -91,13 +87,11 @@ def test_model_plane_scoring_and_training_throughput():
                 "candidates": count,
                 "scalar_ms": round(scalar_s * 1000.0, 3),
                 "batched_ms": round(batched_s * 1000.0, 3),
-                "kv_batched_ms": round(kv_batched_s * 1000.0, 3),
                 "speedup": round(speedup, 1),
             }
         )
         metrics[f"scalar_ms_{count}"] = scalar_s * 1000.0
         metrics[f"batched_ms_{count}"] = batched_s * 1000.0
-        metrics[f"kv_batched_ms_{count}"] = kv_batched_s * 1000.0
         metrics[f"predict_many_speedup_{count}"] = speedup
 
     # --- Training: per-action process vs micro-batched process_batch ----
@@ -106,9 +100,7 @@ def test_model_plane_scoring_and_training_throughput():
     batch_size = 256
 
     def _train(batched: bool) -> float:
-        trained = MFModel(
-            MFConfig(f=F, backend="arena"), store=InMemoryKVStore()
-        )
+        trained = MFModel(MFConfig(f=F), store=InMemoryKVStore())
         trainer = OnlineTrainer(trained, videos=world.videos)
         started = time.perf_counter()
         if batched:
@@ -157,7 +149,6 @@ def test_model_plane_scoring_and_training_throughput():
             "candidates": n_candidates,
             "train_actions": len(actions),
             "train_batch_size": batch_size,
-            "backend": "arena",
         },
     )
 

@@ -75,44 +75,30 @@ class MFConfig:
     ``init_scale`` the standard deviation used to initialise new user/video
     vectors in Algorithm 1.
 
-    ``backend`` selects where the factors live (DESIGN.md "Model storage
-    backends & batching"):
-
-    * ``"arena"`` (default) — entity ids are interned into contiguous
-      ``(N, f)`` factor arenas stored as two KV entries, so batch reads
-      are gathers and ``predict_many`` is one matmul;
-    * ``"kv"`` — one KV entry per vector/bias, the paper's
-      distributed-storage layout where every parameter is individually
-      addressable by key (§5.1).
-
-    Both backends produce identical predictions; a store written by one
-    is migrated on model construction by the other.
+    The factors live in one layout — contiguous per-kind arenas stored as
+    two KV entries (DESIGN.md "Parameter layout") — so there is nothing to
+    select here.
     """
 
     f: int = 16
     lam: float = 0.01
     init_scale: float = 0.03
     seed: int = 7
-    backend: str = "arena"
 
     def __post_init__(self) -> None:
         _require(self.f >= 1, "latent dimensionality f must be >= 1")
         _require(self.lam >= 0, "regularization lambda must be >= 0")
         _require(self.init_scale > 0, "init_scale must be positive")
-        _require(
-            self.backend in ("arena", "kv"),
-            f"backend must be 'arena' or 'kv', got {self.backend!r}",
-        )
 
 
 @dataclass(frozen=True, slots=True)
 class OnlineConfig:
     """Adjustable online-update parameters (paper Eq. 8, Algorithm 1).
 
-    The per-action learning rate is ``eta_ui = eta0 + alpha * w_ui``:
-    ``eta0`` is the basic rate every positive action receives, and ``alpha``
-    scales the action's confidence into extra step size.  Setting
-    ``alpha = 0`` recovers the paper's *BinaryModel*.
+    The per-action learning rate is ``eta_ui = eta_0 + alpha * w_ui``:
+    ``eta0`` (the formula's ``eta_0``) is the basic rate every positive
+    action receives, and ``alpha`` scales the action's confidence into extra
+    step size.  Setting ``alpha = 0`` recovers the paper's *BinaryModel*.
     """
 
     eta0: float = 0.001

@@ -1,12 +1,11 @@
 """Contiguous factor storage for the MF model.
 
-The KV layout stores one entry per vector — ideal for the paper's
-distributed storage (§5.1) where any worker addresses any key, but every
-``predict_many`` then pays one dict lookup *and* one small-array dispatch
-per candidate.  A :class:`FactorArena` instead interns entity ids to rows
-of one growable ``(capacity, f)`` float64 matrix (plus a parallel bias
-vector), so batch reads become numpy gathers and scoring a candidate set
-is a single matmul.
+One store entry per vector (the per-key layout this replaced, DESIGN.md
+"Removed: per-key ``kv`` layout") makes every ``predict_many`` pay one dict
+lookup *and* one small-array dispatch per candidate.  A
+:class:`FactorArena` instead interns entity ids to rows of one growable
+``(capacity, f)`` float64 matrix (plus a parallel bias vector), so batch
+reads become numpy gathers and scoring a candidate set is a single matmul.
 
 One arena holds one entity kind (users or videos).  It lives as a single
 value inside the model's KV namespace, which keeps the rest of the system
@@ -35,9 +34,8 @@ class FactorArena:
 
     Rows are assigned in first-touch order and never move; growth doubles
     the capacity and copies (amortised O(1) per insert).  An id may carry
-    a bias without a vector (the KV layout allows the same); membership
-    queries and counts follow the *vector*, matching the per-key layout
-    where ``has_user`` means "has a learned ``x_u``".
+    a bias without a vector; membership queries and counts follow the
+    *vector*: ``has_user`` means "has a learned ``x_u``".
     """
 
     def __init__(self, f: int, initial_capacity: int = 64) -> None:
@@ -115,8 +113,8 @@ class FactorArena:
     def vector(self, entity_id: str) -> np.ndarray | None:
         """A copy of the entity's vector, or ``None`` when unlearned.
 
-        Copies keep the KV layout's read semantics: a vector handed out
-        earlier does not change under the caller when training continues.
+        A copy, so a vector handed out earlier does not change under the
+        caller when training continues.
         """
         with self._lock:
             row = self._rows.get(entity_id)
@@ -236,7 +234,7 @@ class FactorArena:
             return True
 
     # ------------------------------------------------------------------
-    # Bulk export / import (save, load, migration)
+    # Bulk export (save, checkpoint, ANN index build)
     # ------------------------------------------------------------------
 
     def export_rows(

@@ -10,20 +10,13 @@ squared error (Eq. 3).  Parameters live in a :class:`~repro.kvstore.KVStore`
 addressable by key from any worker, and so the Figure 2 topology can split
 *computing* an update (``ComputeMF``) from *storing* it (``MFStorage``).
 
-Two parameter layouts sit behind one model API (DESIGN.md "Model storage
-backends & batching"):
-
-* ``backend="kv"`` — one store entry per vector/bias under the ``mf:x`` /
-  ``mf:y`` / ``mf:bu`` / ``mf:bi`` namespaces, the paper's
-  distributed-storage layout;
-* ``backend="arena"`` (default) — per-kind
-  :class:`~repro.core.arena.FactorArena` objects stored as single entries
-  under ``mf:meta``, so batch reads are contiguous gathers and
-  :meth:`MFModel.predict_many` is one matmul.
-
-Both layouts hold identical float64 values, so predictions are identical;
-constructing a model over a store written by the other backend migrates
-the layout in place (see :meth:`MFModel._migrate_layout`).
+There is one parameter layout (DESIGN.md "Parameter layout"): a
+:class:`~repro.core.arena.FactorArena` per entity kind, stored as a single
+entry under ``mf:meta`` (``arena:user`` / ``arena:video``, next to the
+``mu`` accumulator), so batch reads are contiguous gathers and
+:meth:`MFModel.predict_many` is one matmul.  ``.npz``
+:meth:`MFModel.save` / :meth:`MFModel.load` is the layout-neutral export.
+The arithmetic is checked against the scalar oracle in ``tests/reference``.
 
 Two deliberate deviations from the paper's text, both documented in
 DESIGN.md:
@@ -75,107 +68,41 @@ class MFUpdate:
     eta: float
 
 
-class _KVParams:
-    """Per-entity-key parameter layout (the paper's distributed storage).
+def _check_eta(eta: float) -> None:
+    if eta <= 0:
+        raise ModelError(f"learning rate must be positive, got {eta}")
 
-    Every vector and bias is its own store entry, addressable by key from
-    any worker.  Batch reads go through the store's ``mget`` so a sharded
-    backing pays one call per shard, not one per key.
+
+def _sgd_update(
+    user_id: str,
+    video_id: str,
+    x_u: np.ndarray,
+    y_i: np.ndarray,
+    b_u: float,
+    b_i: float,
+    mu: float,
+    rating: float,
+    eta: float,
+    lam: float,
+) -> MFUpdate:
+    """Eq. 4's error and the (corrected) Eq. 5 step, all four new
+    parameters computed from the *old* ones.
+
+    The one place the update is written: the per-action and the
+    micro-batched paths both call it, which is what keeps them
+    byte-identical.
     """
-
-    _VEC_PREFIX = {"user": "mf:x", "video": "mf:y"}
-    _BIAS_PREFIX = {"user": "mf:bu", "video": "mf:bi"}
-
-    def __init__(self, store: KVStore, f: int) -> None:
-        self._f = f
-        self._vec = {
-            kind: Namespace(store, self._VEC_PREFIX[kind]) for kind in _KINDS
-        }
-        self._bias = {
-            kind: Namespace(store, self._BIAS_PREFIX[kind]) for kind in _KINDS
-        }
-
-    # -- scalar access ----------------------------------------------------
-
-    def vector(self, kind: str, entity_id: str) -> np.ndarray | None:
-        return self._vec[kind].get(entity_id)
-
-    def bias(self, kind: str, entity_id: str) -> float:
-        return self._bias[kind].get(entity_id, 0.0)
-
-    def has(self, kind: str, entity_id: str) -> bool:
-        return entity_id in self._vec[kind]
-
-    def count(self, kind: str) -> int:
-        return len(self._vec[kind])
-
-    def ids(self, kind: str) -> list[str]:
-        return list(self._vec[kind].keys())
-
-    def setdefault_vector(
-        self, kind: str, entity_id: str, factory: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        return self._vec[kind].setdefault(entity_id, factory)
-
-    def put(
-        self, kind: str, entity_id: str, vector: np.ndarray, bias: float
-    ) -> None:
-        self._vec[kind].put(entity_id, vector)
-        self._bias[kind].put(entity_id, bias)
-
-    # -- batch access -----------------------------------------------------
-
-    def vectors_many(
-        self, kind: str, entity_ids: Sequence[str]
-    ) -> list[np.ndarray | None]:
-        return self._vec[kind].mget(list(entity_ids))
-
-    def vectors_matrix(self, kind: str, entity_ids: Sequence[str]) -> np.ndarray:
-        values = self._vec[kind].mget(list(entity_ids))
-        if not values:
-            return np.zeros((0, self._f), dtype=np.float64)
-        zero = None
-        rows = []
-        for value in values:
-            if value is None:
-                if zero is None:
-                    zero = np.zeros(self._f, dtype=np.float64)
-                value = zero
-            rows.append(value)
-        return np.array(rows, dtype=np.float64)
-
-    def biases_array(self, kind: str, entity_ids: Sequence[str]) -> np.ndarray:
-        return np.array(
-            self._bias[kind].mget(list(entity_ids), 0.0), dtype=np.float64
-        )
-
-    def put_many(
-        self, kind: str, items: Sequence[tuple[str, np.ndarray, float]]
-    ) -> None:
-        self._vec[kind].mput([(eid, vec) for eid, vec, _ in items])
-        self._bias[kind].mput([(eid, bias) for eid, _, bias in items])
-
-    # -- bulk export / import (save, load, migration) ---------------------
-
-    def export(self, kind: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-        ids = sorted(self._vec[kind].keys())
-        if not ids:
-            return [], np.zeros((0, self._f)), np.zeros(0)
-        vectors = np.stack(self._vec[kind].mget(ids))
-        biases = np.array(self._bias[kind].mget(ids, 0.0), dtype=np.float64)
-        return ids, vectors, biases
-
-    def bias_only_ids(self, kind: str) -> list[str]:
-        """Ids with a bias entry but no vector (possible in this layout)."""
-        return [
-            entity_id
-            for entity_id in self._bias[kind].keys()
-            if entity_id not in self._vec[kind]
-        ]
-
-    def delete(self, kind: str, entity_id: str) -> None:
-        self._vec[kind].delete(entity_id)
-        self._bias[kind].delete(entity_id)
+    e = rating - (mu + b_u + b_i + float(x_u @ y_i))
+    return MFUpdate(
+        user_id=user_id,
+        video_id=video_id,
+        x_u=x_u + eta * (e * y_i - lam * x_u),
+        y_i=y_i + eta * (e * x_u - lam * y_i),
+        b_u=b_u + eta * (e - lam * b_u),
+        b_i=b_i + eta * (e - lam * b_i),
+        error=e,
+        eta=eta,
+    )
 
 
 class _ArenaParams:
@@ -197,8 +124,10 @@ class _ArenaParams:
         self._meta = meta
         self._f = f
 
-    def _arena(self, kind: str) -> FactorArena | None:
-        return self._meta.get(self.ARENA_KEYS[kind])
+    def _arena(self, kind: str) -> FactorArena:
+        """The stored arena, or an empty stand-in before the first write."""
+        arena = self._meta.get(self.ARENA_KEYS[kind])
+        return FactorArena(self._f, 1) if arena is None else arena
 
     def _mutate(self, kind: str, fn: Callable[[FactorArena], None]) -> None:
         def _apply(arena: FactorArena | None) -> FactorArena:
@@ -212,24 +141,19 @@ class _ArenaParams:
     # -- scalar access ----------------------------------------------------
 
     def vector(self, kind: str, entity_id: str) -> np.ndarray | None:
-        arena = self._arena(kind)
-        return None if arena is None else arena.vector(entity_id)
+        return self._arena(kind).vector(entity_id)
 
     def bias(self, kind: str, entity_id: str) -> float:
-        arena = self._arena(kind)
-        return 0.0 if arena is None else arena.bias(entity_id)
+        return self._arena(kind).bias(entity_id)
 
     def has(self, kind: str, entity_id: str) -> bool:
-        arena = self._arena(kind)
-        return arena is not None and entity_id in arena
+        return entity_id in self._arena(kind)
 
     def count(self, kind: str) -> int:
-        arena = self._arena(kind)
-        return 0 if arena is None else len(arena)
+        return len(self._arena(kind))
 
     def ids(self, kind: str) -> list[str]:
-        arena = self._arena(kind)
-        return [] if arena is None else arena.ids()
+        return self._arena(kind).ids()
 
     def setdefault_vector(
         self, kind: str, entity_id: str, factory: Callable[[], np.ndarray]
@@ -252,22 +176,13 @@ class _ArenaParams:
     def vectors_many(
         self, kind: str, entity_ids: Sequence[str]
     ) -> list[np.ndarray | None]:
-        arena = self._arena(kind)
-        if arena is None:
-            return [None] * len(entity_ids)
-        return arena.vectors_many(list(entity_ids))
+        return self._arena(kind).vectors_many(list(entity_ids))
 
     def vectors_matrix(self, kind: str, entity_ids: Sequence[str]) -> np.ndarray:
-        arena = self._arena(kind)
-        if arena is None:
-            return np.zeros((len(entity_ids), self._f), dtype=np.float64)
-        return arena.vectors_matrix(list(entity_ids))
+        return self._arena(kind).vectors_matrix(list(entity_ids))
 
     def biases_array(self, kind: str, entity_ids: Sequence[str]) -> np.ndarray:
-        arena = self._arena(kind)
-        if arena is None:
-            return np.zeros(len(entity_ids), dtype=np.float64)
-        return arena.biases_array(list(entity_ids))
+        return self._arena(kind).biases_array(list(entity_ids))
 
     def put_many(
         self, kind: str, items: Sequence[tuple[str, np.ndarray, float]]
@@ -276,13 +191,11 @@ class _ArenaParams:
             return
         self._mutate(kind, lambda arena: arena.put_many(items))
 
-    # -- bulk export / import (save, load, migration) ---------------------
+    # -- bulk export (save, ANN index build) -------------------------------
 
     def export(self, kind: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-        arena = self._arena(kind)
-        if arena is None or not len(arena):
-            return [], np.zeros((0, self._f)), np.zeros(0)
-        ids, vectors, biases, has_vec = arena.export_rows()
+        """Learned ``(ids, vectors, biases)``, row-aligned, ids sorted."""
+        ids, vectors, biases, has_vec = self._arena(kind).export_rows()
         rows = {entity_id: row for row, entity_id in enumerate(ids)}
         order = sorted(
             entity_id for row, entity_id in enumerate(ids) if has_vec[row]
@@ -316,8 +229,7 @@ class MFBatchSession:
         self._model = model
         self._vectors: dict[tuple[str, str], np.ndarray | None] = {}
         self._biases: dict[tuple[str, str], float] = {}
-        self._dirty: list[tuple[str, str]] = []
-        self._dirty_set: set[tuple[str, str]] = set()
+        self._dirty: dict[tuple[str, str], None] = {}  # first-write order
         self._prefetch("user", list(dict.fromkeys(user_ids)))
         self._prefetch("video", list(dict.fromkeys(video_ids)))
         total, count = model._mu_state()
@@ -353,9 +265,7 @@ class MFBatchSession:
         key = (kind, entity_id)
         self._vectors[key] = vector
         self._biases[key] = bias
-        if key not in self._dirty_set:
-            self._dirty_set.add(key)
-            self._dirty.append(key)
+        self._dirty.setdefault(key)
 
     @property
     def mu(self) -> float:
@@ -371,35 +281,29 @@ class MFBatchSession:
         self, user_id: str, video_id: str, rating: float, eta: float
     ) -> MFUpdate:
         """One SGD step through the overlay; identical math to the model's."""
-        if eta <= 0:
-            raise ModelError(f"learning rate must be positive, got {eta}")
+        _check_eta(eta)
         model = self._model
-        lam = model.config.lam
         x_u = self._vector("user", user_id)
         if x_u is None:
             x_u = model._init_vector("user", user_id)
         y_i = self._vector("video", video_id)
         if y_i is None:
             y_i = model._init_vector("video", video_id)
-        b_u = self._bias("user", user_id)
-        b_i = self._bias("video", video_id)
-        e = rating - (self.mu + b_u + b_i + float(x_u @ y_i))
-        new_b_u = b_u + eta * (e - lam * b_u)
-        new_b_i = b_i + eta * (e - lam * b_i)
-        new_x_u = x_u + eta * (e * y_i - lam * x_u)
-        new_y_i = y_i + eta * (e * x_u - lam * y_i)
-        self._write("user", user_id, new_x_u, new_b_u)
-        self._write("video", video_id, new_y_i, new_b_i)
-        return MFUpdate(
-            user_id=user_id,
-            video_id=video_id,
-            x_u=new_x_u,
-            y_i=new_y_i,
-            b_u=new_b_u,
-            b_i=new_b_i,
-            error=e,
-            eta=eta,
+        update = _sgd_update(
+            user_id,
+            video_id,
+            x_u,
+            y_i,
+            self._bias("user", user_id),
+            self._bias("video", video_id),
+            self.mu,
+            rating,
+            eta,
+            model.config.lam,
         )
+        self._write("user", user_id, update.x_u, update.b_u)
+        self._write("video", video_id, update.y_i, update.b_i)
+        return update
 
     def commit(self, params: bool = True) -> None:
         """Write all dirty parameters and the ``mu`` delta to the store.
@@ -413,21 +317,12 @@ class MFBatchSession:
         bolt's shape, where a downstream single-writer (``MFStorage``)
         owns parameter persistence and receives the new vectors as tuples.
         """
-        backend = self._model._params
         if params:
-            for kind in _KINDS:
-                items = [
-                    (entity_id, self._vectors[(kind, entity_id)], self._biases[(kind, entity_id)])
-                    for k, entity_id in self._dirty
-                    if k == kind
-                ]
-                if items:
-                    backend.put_many(kind, items)
-        if self._mu_ratings:
-            self._model._mu_fold(list(self._mu_ratings))
-        if params:
+            self._model.put_params_many(
+                [(*key, self._vectors[key], self._biases[key]) for key in self._dirty]
+            )
             self._dirty.clear()
-            self._dirty_set.clear()
+        self._model._mu_fold(self._mu_ratings)
         self._mu_ratings.clear()
 
 
@@ -437,10 +332,6 @@ class MFModel:
     New user/video vectors are initialised deterministically from the
     entity id (seed XOR stable hash), so initialisation is idempotent: any
     worker that first touches an entity produces the same vector.
-
-    ``config.backend`` selects the parameter layout (contiguous arena vs
-    per-entity KV entries); every public method behaves identically under
-    both.
     """
 
     def __init__(
@@ -449,86 +340,10 @@ class MFModel:
         store: KVStore | None = None,
     ) -> None:
         self.config = config or MFConfig()
-        self._store = store if store is not None else InMemoryKVStore()
-        self._meta = Namespace(self._store, "mf:meta")
-        if self.config.backend == "arena":
-            self._params: _ArenaParams | _KVParams = _ArenaParams(
-                self._meta, self.config.f
-            )
-        else:
-            self._params = _KVParams(self._store, self.config.f)
-        self._migrate_layout()
-
-    @property
-    def backend(self) -> str:
-        """The active parameter layout (``"arena"`` or ``"kv"``)."""
-        return self.config.backend
-
-    # ------------------------------------------------------------------
-    # Layout migration
-    # ------------------------------------------------------------------
-
-    def _migrate_layout(self) -> None:
-        """Adopt a store written by the other backend.
-
-        If the store already holds this backend's layout, nothing happens
-        (cheap: one or two meta reads).  Otherwise, parameters found in
-        the other layout are moved over and the old entries deleted, so a
-        checkpoint written by either backend restores into a model of the
-        other — *restore first, construct after* for cross-backend moves.
-        Mixing live models of both backends over one store is not
-        supported.
-        """
-        legacy = _KVParams(self._store, self.config.f)
-        if self.config.backend == "arena":
-            arena_params = self._params
-            assert isinstance(arena_params, _ArenaParams)
-            for kind in _KINDS:
-                if self._meta.get(arena_params.ARENA_KEYS[kind]) is not None:
-                    return  # arena layout present: nothing to migrate
-            for kind in _KINDS:
-                ids = legacy.ids(kind)
-                bias_only = legacy.bias_only_ids(kind)
-                if not ids and not bias_only:
-                    continue
-                vectors = legacy.vectors_many(kind, ids)
-                biases = legacy.biases_array(kind, ids)
-                extra_biases = legacy.biases_array(kind, bias_only)
-
-                def _fill(arena: FactorArena) -> None:
-                    for entity_id, vector, bias in zip(ids, vectors, biases):
-                        arena.put(entity_id, vector, float(bias))
-                    for entity_id, bias in zip(bias_only, extra_biases):
-                        arena.set_bias(entity_id, float(bias))
-
-                arena_params._mutate(kind, _fill)
-                for entity_id in set(ids) | set(bias_only):
-                    legacy.delete(kind, entity_id)
-        else:
-            arenas = {
-                kind: self._meta.get(_ArenaParams.ARENA_KEYS[kind])
-                for kind in _KINDS
-            }
-            if all(arena is None for arena in arenas.values()):
-                return  # no arena layout around: nothing to migrate
-            for kind in _KINDS:
-                if legacy.ids(kind) or legacy.bias_only_ids(kind):
-                    return  # both layouts present: keep the existing kv one
-            for kind, arena in arenas.items():
-                if arena is None:
-                    continue
-                ids, vectors, biases, has_vec = arena.export_rows()
-                items = [
-                    (entity_id, vectors[row], float(biases[row]))
-                    for row, entity_id in enumerate(ids)
-                    if has_vec[row]
-                ]
-                if items:
-                    legacy.put_many(kind, items)
-                for row, entity_id in enumerate(ids):
-                    if not has_vec[row]:
-                        legacy._bias[kind].put(entity_id, float(biases[row]))
-                self._meta.delete(_ArenaParams.ARENA_KEYS[kind])
+        self._meta = Namespace(
+            store if store is not None else InMemoryKVStore(), "mf:meta"
+        )
+        self._params = _ArenaParams(self._meta, self.config.f)
 
     # ------------------------------------------------------------------
     # Global average
@@ -542,7 +357,7 @@ class MFModel:
         """Atomically fold observed ratings into the accumulator."""
         if not ratings:
             return
-        folded = list(ratings)
+        folded = list(ratings)  # the caller may clear its list after this
 
         def _fold(current: tuple[float, int]) -> tuple[float, int]:
             total, count = current
@@ -585,21 +400,11 @@ class MFModel:
         """Return ``y_i`` or ``None`` when the video is unknown."""
         return self._params.vector("video", video_id)
 
-    def user_vectors_many(
-        self, user_ids: Sequence[str]
-    ) -> list[np.ndarray | None]:
-        """Batch :meth:`user_vector`: one store round-trip for the lot."""
-        return self._params.vectors_many("user", user_ids)
-
     def video_vectors_many(
         self, video_ids: Sequence[str]
     ) -> list[np.ndarray | None]:
         """Batch :meth:`video_vector`: one store round-trip for the lot."""
         return self._params.vectors_many("video", video_ids)
-
-    def video_biases_many(self, video_ids: Sequence[str]) -> np.ndarray:
-        """Batch :meth:`video_bias` as a float64 array (0.0 for unknown)."""
-        return self._params.biases_array("video", video_ids)
 
     def user_bias(self, user_id: str) -> float:
         return self._params.bias("user", user_id)
@@ -642,7 +447,7 @@ class MFModel:
     def video_rows(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Row-aligned ``(ids, vectors, biases)`` of every learned video.
 
-        Ids are sorted, so the row order is deterministic across backends
+        Ids are sorted, so the row order is deterministic across runs
         and across checkpoint restore — the ANN index build path
         (:meth:`repro.core.AnnIndex.build_from_model`) relies on this to
         make a rebuilt index comparable to the original.
@@ -680,8 +485,7 @@ class MFModel:
         ``(mu + b_u + b_i) + x_u . y_i`` — matches :meth:`predict`, so
         scores agree with the scalar loop to within 1 ULP (the matmul's
         BLAS accumulation order inside the dot product may differ from
-        the scalar ``@``).  Both backends route through this same path,
-        so arena and KV predictions are *exactly* equal to each other.
+        the scalar ``@``).
         """
         base = self.mu + self.user_bias(user_id)
         biases = self._params.biases_array("video", video_ids)
@@ -717,9 +521,7 @@ class MFModel:
         ``ComputeMF`` bolt uses this so that only ``MFStorage`` ever writes
         parameters.
         """
-        if eta <= 0:
-            raise ModelError(f"learning rate must be positive, got {eta}")
-        lam = self.config.lam
+        _check_eta(eta)
         if persist_init:
             x_u = self.ensure_user(user_id)
             y_i = self.ensure_video(video_id)
@@ -730,22 +532,17 @@ class MFModel:
             y_i = self.video_vector(video_id)
             if y_i is None:
                 y_i = self._init_vector("video", video_id)
-        b_u = self.user_bias(user_id)
-        b_i = self.video_bias(video_id)
-        e = rating - (self.mu + b_u + b_i + float(x_u @ y_i))
-        new_b_u = b_u + eta * (e - lam * b_u)
-        new_b_i = b_i + eta * (e - lam * b_i)
-        new_x_u = x_u + eta * (e * y_i - lam * x_u)
-        new_y_i = y_i + eta * (e * x_u - lam * y_i)
-        return MFUpdate(
-            user_id=user_id,
-            video_id=video_id,
-            x_u=new_x_u,
-            y_i=new_y_i,
-            b_u=new_b_u,
-            b_i=new_b_i,
-            error=e,
-            eta=eta,
+        return _sgd_update(
+            user_id,
+            video_id,
+            x_u,
+            y_i,
+            self.user_bias(user_id),
+            self.video_bias(video_id),
+            self.mu,
+            rating,
+            eta,
+            self.config.lam,
         )
 
     def put_user(self, user_id: str, x_u: np.ndarray, b_u: float) -> None:
@@ -771,8 +568,7 @@ class MFModel:
                 for item_kind, entity_id, vector, bias in items
                 if item_kind == kind
             ]
-            if batch:
-                self._params.put_many(kind, batch)
+            self._params.put_many(kind, batch)
 
     def apply_update(self, update: MFUpdate) -> None:
         """Write one computed step's parameters back to the store.
@@ -831,7 +627,7 @@ class MFModel:
         Stores user/video vectors, biases and the ``mu`` accumulators via
         one bulk export per kind (no per-key loops).  Entity ids are
         stored as arrays of strings; no pickling involved.  The file
-        format is backend-neutral: either backend loads it.
+        format does not depend on the store's parameter layout.
         """
         user_ids, x, bu = self._params.export("user")
         video_ids, y, bi = self._params.export("video")
@@ -841,8 +637,8 @@ class MFModel:
             f=np.array([self.config.f]),
             user_ids=np.array(user_ids, dtype=np.str_),
             video_ids=np.array(video_ids, dtype=np.str_),
-            x=x if len(user_ids) else np.empty((0, self.config.f)),
-            y=y if len(video_ids) else np.empty((0, self.config.f)),
+            x=x,
+            y=y,
             bu=bu,
             bi=bi,
             mu=np.array([total, float(count)]),
@@ -858,22 +654,19 @@ class MFModel:
                     f"dimensionality mismatch: file has f={stored_f}, "
                     f"model has f={self.config.f}"
                 )
-            user_ids = [str(u) for u in data["user_ids"]]
-            video_ids = [str(v) for v in data["video_ids"]]
-            self._params.put_many(
-                "user",
-                [
-                    (user_id, data["x"][idx].copy(), float(data["bu"][idx]))
-                    for idx, user_id in enumerate(user_ids)
-                ],
-            )
-            self._params.put_many(
-                "video",
-                [
-                    (video_id, data["y"][idx].copy(), float(data["bi"][idx]))
-                    for idx, video_id in enumerate(video_ids)
-                ],
-            )
+            # ``data[name]`` re-reads the whole member on every access, so
+            # each array is read exactly once, outside the per-entity loops.
+            for kind, ids, vectors, biases in (
+                ("user", data["user_ids"], data["x"], data["bu"]),
+                ("video", data["video_ids"], data["y"], data["bi"]),
+            ):
+                self._params.put_many(
+                    kind,
+                    [
+                        (str(entity_id), vector, float(bias))
+                        for entity_id, vector, bias in zip(ids, vectors, biases)
+                    ],
+                )
             total, count = data["mu"]
             self._mu_put(float(total), int(count))
 

@@ -79,9 +79,9 @@ class CheckpointInfo:
     """Manifest of one completed checkpoint.
 
     ``metadata`` carries caller-supplied, JSON-serialisable annotations —
-    e.g. the model backend (``{"mf_backend": "arena"}``) so operators can
-    see at a glance which parameter layout a snapshot holds.  It travels
-    in the manifest only; restore semantics never depend on it.
+    e.g. ``{"trained_through_day": 2}`` — so operators can see at a glance
+    what a snapshot holds.  It travels in the manifest only; restore
+    semantics never depend on it.
     """
 
     checkpoint_id: int

@@ -23,10 +23,10 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Mapping
 
 from ..config import OnlineConfig
-from ..core.actions import ActionWeigher, LogPlaytimeWeigher
-from ..core.feedback import extract_feedback
+from ..core.actions import ActionWeigher
 from ..core.history import UserHistoryStore
 from ..core.mf import MFModel
+from ..core.online import OnlineTrainer
 from ..core.simtable import SimilarVideoTable, generate_pairs
 from ..core.variants import COMBINE_MODEL, ModelVariant
 from ..data.schema import UserAction, Video
@@ -192,20 +192,20 @@ class ComputeMFBolt(Bolt):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.model = model
-        self.videos = videos
-        self.weigher = weigher or LogPlaytimeWeigher()
-        self.variant = variant
-        self.online = online or OnlineConfig()
+        # Never driven (no ``process`` calls, so no parameter writes): the
+        # trainer is here as the one owner of ``(r, w)`` extraction and Eq. 8.
+        self._trainer = OnlineTrainer(model, videos, weigher, variant, online)
         self.tracer = tracer
         self.batch_size = batch_size
         self._pending: list[UserAction] = []
 
-    def _eta(self, feedback) -> float:
-        if self.variant.adjustable:
-            eta = self.online.eta0 + self.online.alpha * feedback.confidence
-        else:
-            eta = self.online.eta0
-        return min(eta, self.online.max_eta)
+    def _feedback(self, action: UserAction):
+        """``(r, w)`` of one action; ``None`` for an unqualified tuple
+        (PLAYTIME without a known duration)."""
+        try:
+            return self._trainer.feedback_for(action)
+        except DataError:
+            return None
 
     def _emit_update(self, update, collector: Collector) -> None:
         collector.emit(
@@ -234,15 +234,9 @@ class ComputeMFBolt(Bolt):
             if len(self._pending) >= self.batch_size:
                 self._run_batch(collector)
             return
-        try:
-            feedback = extract_feedback(
-                action,
-                self.weigher,
-                self.variant.rating_mode,
-                self.videos.get(action.video_id),
-            )
-        except DataError:
-            return  # unqualified tuple: PLAYTIME without known duration
+        feedback = self._feedback(action)
+        if feedback is None:
+            return
         self.model.observe_rating(feedback.rating)
         if not feedback.is_positive:
             return
@@ -260,18 +254,7 @@ class ComputeMFBolt(Bolt):
         if not self._pending:
             return
         actions, self._pending = self._pending, []
-        feedbacks = []
-        for action in actions:
-            try:
-                feedback = extract_feedback(
-                    action,
-                    self.weigher,
-                    self.variant.rating_mode,
-                    self.videos.get(action.video_id),
-                )
-            except DataError:
-                feedback = None  # unqualified tuple, same as scalar path
-            feedbacks.append(feedback)
+        feedbacks = [self._feedback(action) for action in actions]
         session = self.model.batch_session(
             (
                 action.user_id
@@ -294,7 +277,7 @@ class ComputeMFBolt(Bolt):
                 action.user_id,
                 action.video_id,
                 feedback.rating,
-                self._eta(feedback),
+                self._trainer.learning_rate(feedback.confidence),
             )
             self._emit_update(update, collector)
         # Only the mu fold is committed here: MFStorage stays the single
@@ -306,7 +289,7 @@ class ComputeMFBolt(Bolt):
             action.user_id,
             action.video_id,
             feedback.rating,
-            self._eta(feedback),
+            self._trainer.learning_rate(feedback.confidence),
             persist_init=False,
         )
         self._emit_update(update, collector)

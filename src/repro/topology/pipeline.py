@@ -77,7 +77,7 @@ DEFAULT_PARALLELISM: Mapping[str, int] = {
 @dataclass(frozen=True, slots=True)
 class BatchingConfig:
     """Opt-in micro-batching for the model-updating line (DESIGN.md
-    "Model storage backends & batching").
+    "Model storage & batching").
 
     ``compute_mf`` / ``mf_storage`` bound how many tuples each worker
     buffers before flushing; ``1`` (the default) is strict per-tuple

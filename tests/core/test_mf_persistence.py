@@ -75,3 +75,48 @@ class TestSaveLoad:
         restored.sgd_step("u0", "v0", 1.0, eta=0.05)
         after = restored.predict("u0", "v0")
         assert after != before
+
+    def test_load_reads_each_member_once(self, monkeypatch, tmp_path):
+        # Every ``NpzFile.__getitem__`` re-reads the whole member from the
+        # archive, so reads inside the per-entity loops made load quadratic.
+        reads: list[str] = []
+        real_load = np.load
+
+        class CountingNpz:
+            def __init__(self, npz):
+                self._npz = npz
+
+            def __enter__(self):
+                self._npz.__enter__()
+                return self
+
+            def __exit__(self, *exc):
+                return self._npz.__exit__(*exc)
+
+            def __getitem__(self, name):
+                reads.append(name)
+                return self._npz[name]
+
+        monkeypatch.setattr(
+            np, "load", lambda *a, **kw: CountingNpz(real_load(*a, **kw))
+        )
+        rng = np.random.default_rng(0)
+        for n in (3, 40):
+            model = MFModel(MFConfig(f=4))
+            model.put_params_many(
+                [
+                    (kind, f"{kind[0]}{i}", rng.normal(size=4), float(i))
+                    for kind in ("user", "video")
+                    for i in range(n)
+                ]
+            )
+            path = str(tmp_path / f"model-{n}.npz")
+            model.save(path)
+            reads.clear()
+            restored = MFModel(MFConfig(f=4))
+            restored.load(path)
+            assert restored.n_users == restored.n_videos == n
+            assert restored.video_bias(f"v{n - 1}") == float(n - 1)
+            assert sorted(reads) == sorted(
+                ["f", "user_ids", "video_ids", "x", "y", "bu", "bi", "mu"]
+            )

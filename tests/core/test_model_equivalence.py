@@ -1,0 +1,218 @@
+"""The model plane against the scalar oracle, and against itself.
+
+``tests/reference`` is the paper's Table 1 / Eq. 2, 4-8 written longhand
+with no code in common with ``repro.core``; after the same seeded action
+stream production must have learned what the oracle learned, for all three
+§6.1.2 variants and along every training path (per-action ``process``,
+micro-batched ``process_batch``, ``sgd_step_many``, the assembled
+``RealtimeRecommender``).  Agreement is to ``RTOL`` — see its comment in
+``tests/reference`` for why not to the bit — while the exhaustive Eq. 2
+top-10 must be exactly the same list.
+
+The production paths are also compared with *each other*, where the
+contract is stronger: batched training, ``.npz`` save/load and checkpoint
+restore reproduce the sequential model byte for byte.
+"""
+
+import numpy as np
+import pytest
+
+from repro.clock import VirtualClock
+from repro.core import MFModel, OnlineTrainer, RealtimeRecommender
+from repro.core.variants import ALL_VARIANTS, COMBINE_MODEL
+from repro.kvstore import InMemoryKVStore
+from repro.reliability import CheckpointManager
+from tests.reference import RTOL, ReferenceModel, assert_matches_oracle
+
+VARIANT_IDS = [variant.name for variant in ALL_VARIANTS]
+
+
+def _oracle(model, actions, videos, variant=COMBINE_MODEL):
+    """The reference, fed production's deterministic new-entity vectors."""
+    oracle = ReferenceModel(model._init_vector, videos, variant.name)
+    for action in actions:
+        oracle.process(action)
+    return oracle
+
+
+def _trained_model(actions, videos, variant=COMBINE_MODEL, batch=None):
+    store = InMemoryKVStore()
+    model = MFModel(store=store)
+    trainer = OnlineTrainer(model, videos=videos, variant=variant)
+    if batch is None:
+        trainer.process_stream(actions)
+    else:
+        for start in range(0, len(actions), batch):
+            trainer.process_batch(list(actions[start : start + batch]))
+    return model, trainer, store
+
+
+@pytest.fixture(scope="module", params=ALL_VARIANTS, ids=VARIANT_IDS)
+def trained_pair(request, small_world, small_split):
+    """``(production model, its trainer, the oracle)`` after 400 actions."""
+    actions = small_split.train[:400]
+    model, trainer, _ = _trained_model(actions, small_world.videos, request.param)
+    return model, trainer, _oracle(model, actions, small_world.videos, request.param)
+
+
+class TestPredictionEquivalence:
+    def test_same_entities_learned(self, trained_pair):
+        model, trainer, oracle = trained_pair
+        assert oracle.counts["updated"] > 100  # the stream did train
+        assert_matches_oracle(model, trainer.stats, oracle)
+
+    def test_scalar_predict_matches_oracle(self, trained_pair, small_world):
+        model, _, oracle = trained_pair
+        videos = sorted(model.known_videos())[:20] + ["never-seen"]
+        for user_id in sorted(small_world.users)[:10] + ["stranger"]:
+            for video_id in videos:
+                np.testing.assert_allclose(
+                    model.predict(user_id, video_id),
+                    oracle.predict(user_id, video_id),
+                    rtol=RTOL,
+                )
+
+    def test_predict_many_matches_oracle(self, trained_pair, small_world):
+        model, _, oracle = trained_pair
+        videos = sorted(model.known_videos()) + ["never-seen"]
+        for user_id in sorted(small_world.users)[:10] + ["stranger"]:
+            np.testing.assert_allclose(
+                model.predict_many(user_id, videos),
+                [oracle.predict(user_id, video_id) for video_id in videos],
+                rtol=RTOL,
+            )
+
+    def test_predict_many_matches_scalar_predict(self, trained_pair):
+        # Same float op order as the scalar loop; only the BLAS
+        # accumulation order inside the dot product may differ, so the
+        # tolerance is a few ULP rather than exact.
+        model, _, oracle = trained_pair
+        videos = sorted(model.known_videos()) + ["never-seen"]
+        user_id = min(oracle.x)
+        batched = model.predict_many(user_id, videos)
+        scalar = np.array([model.predict(user_id, v) for v in videos])
+        np.testing.assert_allclose(batched, scalar, rtol=1e-14, atol=0.0)
+
+    def test_top_n_matches_oracle(self, trained_pair, small_world):
+        model, _, oracle = trained_pair
+        videos = sorted(model.known_videos())
+        for user_id in sorted(small_world.users)[:10]:
+            scores = model.predict_many(user_id, videos)
+            ranked = sorted(range(len(videos)), key=lambda i: (-scores[i], videos[i]))
+            assert [videos[i] for i in ranked[:10]] == oracle.top_n(user_id, 10)
+
+
+class TestBatchTrainingEquivalence:
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=VARIANT_IDS)
+    def test_process_batch_matches_sequential(
+        self, variant, small_world, small_split
+    ):
+        actions = small_split.train[:200]
+        seq_model, seq_trainer, _ = _trained_model(
+            actions, small_world.videos, variant
+        )
+        batch_model, batch_trainer, _ = _trained_model(
+            actions, small_world.videos, variant, batch=32
+        )
+        assert batch_model.mu == seq_model.mu
+        assert batch_trainer.stats == seq_trainer.stats
+        videos = sorted(seq_model.known_videos())
+        for user_id in sorted(small_world.users)[:10]:
+            np.testing.assert_array_equal(
+                batch_model.predict_many(user_id, videos),
+                seq_model.predict_many(user_id, videos),
+            )
+        assert_matches_oracle(
+            batch_model,
+            batch_trainer.stats,
+            _oracle(batch_model, actions, small_world.videos, variant),
+        )
+
+    def test_sgd_step_many_matches_loop(self):
+        steps = [
+            ("u1", "v1", 1.0, 0.01),
+            ("u1", "v2", 2.0, 0.02),
+            ("u2", "v1", 1.5, 0.01),
+            ("u1", "v1", 3.0, 0.03),
+        ]
+        loop = MFModel()
+        loop_updates = [loop.sgd_step(*step) for step in steps]
+        batched = MFModel()
+        batch_updates = batched.sgd_step_many(steps)
+        oracle = ReferenceModel(loop._init_vector, {})
+        for step, a, b in zip(steps, loop_updates, batch_updates):
+            assert a.error == b.error
+            np.testing.assert_array_equal(a.x_u, b.x_u)
+            np.testing.assert_array_equal(a.y_i, b.y_i)
+            assert a.b_u == b.b_u
+            assert a.b_i == b.b_i
+            np.testing.assert_allclose(a.error, oracle.sgd_step(*step), rtol=RTOL)
+            np.testing.assert_allclose(a.x_u, oracle.x[a.user_id], rtol=RTOL)
+            np.testing.assert_allclose(a.y_i, oracle.y[a.video_id], rtol=RTOL)
+            np.testing.assert_allclose(a.b_u, oracle.bu[a.user_id], rtol=RTOL)
+            np.testing.assert_allclose(a.b_i, oracle.bi[a.video_id], rtol=RTOL)
+        for vid in ("v1", "v2"):
+            np.testing.assert_array_equal(
+                loop.video_vector(vid), batched.video_vector(vid)
+            )
+
+
+class TestPersistence:
+    def test_checkpoint_round_trip(self, small_world, small_split, tmp_path):
+        src_model, _, src_store = _trained_model(
+            small_split.train[:300], small_world.videos
+        )
+        manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
+        info = manager.create(src_store)
+
+        dst_store = InMemoryKVStore()
+        manager.restore(info, dst_store)
+        dst_model = MFModel(store=dst_store)
+        assert dst_model.mu == src_model.mu
+        assert dst_model.n_users == src_model.n_users
+        videos = sorted(src_model.known_videos())
+        assert sorted(dst_model.known_videos()) == videos
+        for user_id in sorted(small_world.users)[:10]:
+            np.testing.assert_array_equal(
+                dst_model.predict_many(user_id, videos),
+                src_model.predict_many(user_id, videos),
+            )
+
+    def test_npz_save_load_round_trip(self, small_world, small_split, tmp_path):
+        src_model, _, _ = _trained_model(
+            small_split.train[:200], small_world.videos
+        )
+        path = str(tmp_path / "model.npz")
+        src_model.save(path)
+        dst_model = MFModel()
+        dst_model.load(path)
+        assert dst_model.mu == src_model.mu
+        videos = sorted(src_model.known_videos())
+        for user_id in ("u0", "u1", "u2"):
+            np.testing.assert_array_equal(
+                dst_model.predict_many(user_id, videos),
+                src_model.predict_many(user_id, videos),
+            )
+
+
+class TestRecommenderEquivalence:
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=VARIANT_IDS)
+    def test_recommender_model_plane_matches_oracle(
+        self, variant, small_world, small_split
+    ):
+        # The assembled system (history, simtable and demographic updates
+        # interleaved with training on one store) learns the oracle's model.
+        actions = small_split.train[:500]
+        rec = RealtimeRecommender(
+            small_world.videos,
+            users=small_world.users,
+            variant=variant,
+            clock=VirtualClock(0.0),
+            enable_demographic=True,
+        )
+        rec.observe_stream(actions)
+        assert_matches_oracle(
+            rec.model,
+            rec.trainer.stats,
+            _oracle(rec.model, actions, small_world.videos, variant),
+        )

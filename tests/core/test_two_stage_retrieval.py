@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.clock import VirtualClock
-from repro.config import MFConfig, ReproConfig, RetrievalConfig
+from repro.config import ReproConfig, RetrievalConfig
 from repro.core import DemographicRecommender, RealtimeRecommender
 from repro.data import ActionType, UserAction
 from repro.kvstore import InMemoryKVStore
@@ -169,9 +169,6 @@ class TestBatchedSeedFetches:
     ):
         obs = Observability.create()
         config = ReproConfig(
-            # The per-key KV backend, where every vector read is store
-            # traffic — the layout the batching contract protects.
-            mf=MFConfig(backend="kv"),
             retrieval=RetrievalConfig(
                 mode="ann", min_shortlist=100_000, shortlist_cap=200_000
             ),
@@ -187,14 +184,22 @@ class TestBatchedSeedFetches:
         )
         rec.observe_stream(small_split.train[:200])
         rec.rebuild_index()
-        ops_before, keys_before = self._mget_stats(obs)
-        shortlist = rec._ann_shortlist(
-            "stranger", ["v1", "v1", "v2"], set(), 10
-        )
-        ops_after, keys_after = self._mget_stats(obs)
-        assert shortlist
-        assert ops_after - ops_before == 1  # one batch for all seed vectors
-        assert keys_after - keys_before == 2
+        ops = obs.registry.get("kvstore_ops_total")
+
+        def reads() -> float:
+            # Every op that can fetch a value; writes are not expected here.
+            return sum(
+                ops.labels(op=op).value for op in ("get", "mget", "update")
+            )
+
+        # The video arena is one store entry, so all seed vectors cost one
+        # read however many seeds there are; the other read is the cold
+        # user's (missing) ``x_u`` lookup in the user arena.
+        for seeds in (["v1", "v1", "v2"], [f"v{i}" for i in range(1, 9)]):
+            before = reads()
+            shortlist = rec._ann_shortlist("stranger", seeds, set(), 10)
+            assert shortlist
+            assert reads() - before == 2
 
 
 class TestRouterIntegration:

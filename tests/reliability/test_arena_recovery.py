@@ -11,7 +11,7 @@ store per access instead of caching them.
 import numpy as np
 
 from repro.clock import VirtualClock
-from repro.config import MFConfig, ReproConfig
+from repro.config import ReproConfig
 from repro.core import MFModel, RealtimeRecommender
 from repro.core.arena import FactorArena
 from repro.kvstore import InMemoryKVStore
@@ -22,7 +22,6 @@ def test_checkpoint_snapshots_arena_as_single_entries(
     small_world, small_split, tmp_path
 ):
     store = InMemoryKVStore()
-    model = MFModel(MFConfig(backend="arena"), store=store)
     rec = RealtimeRecommender(
         small_world.videos,
         store=store,
@@ -35,12 +34,12 @@ def test_checkpoint_snapshots_arena_as_single_entries(
     ]
     assert len(arena_keys) == 2  # one per entity kind, not one per entity
     manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
-    info = manager.create(store, metadata={"mf_backend": model.backend})
-    assert info.metadata == {"mf_backend": "arena"}
+    info = manager.create(store, metadata={"trained_actions": 200})
+    assert info.metadata == {"trained_actions": 200}
 
     restored = InMemoryKVStore()
     manager.restore(info, restored)
-    clone = MFModel(MFConfig(backend="arena"), store=restored)
+    clone = MFModel(store=restored)
     assert clone.n_users == rec.model.n_users
     videos = sorted(rec.model.known_videos())
     for user_id in sorted(small_world.users)[:5]:
