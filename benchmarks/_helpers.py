@@ -23,9 +23,9 @@ EXTRA_SEEDS = (7, 99)
 def smoke_scaled(full: int, smoke: int) -> int:
     """``smoke`` when REPRO_BENCH_SMOKE is set, else ``full``.
 
-    The CI bench-smoke job runs every harnessed benchmark at reduced
-    scale just to prove the path works and the emitted JSON validates;
-    nightly/full runs use the paper-scale numbers.
+    The CI smoke jobs run the harnessed benchmarks at reduced scale just
+    to prove the path works and the emitted JSON validates; full runs use
+    the paper-scale numbers.
     """
     return smoke if bench_smoke() else full
 
@@ -47,9 +47,7 @@ def build_world(seed: int = PAPER_SEED, **overrides) -> SyntheticWorld:
     return SyntheticWorld(paper_world_config(seed=seed, **overrides))
 
 
-def train_variant(
-    world, train_actions, variant, enable_demographic=False, obs=None
-):
+def train_variant(world, train_actions, variant, enable_demographic=False):
     """Train one fresh RealtimeRecommender on a stream (single pass)."""
     recommender = RealtimeRecommender(
         world.videos,
@@ -58,7 +56,6 @@ def train_variant(
         variant=variant,
         clock=VirtualClock(0.0),
         enable_demographic=enable_demographic,
-        obs=obs,
     )
     recommender.observe_stream(train_actions)
     return recommender

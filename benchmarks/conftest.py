@@ -20,9 +20,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _helpers import build_world, train_variant  # noqa: E402
 
-from repro.core.variants import ALL_VARIANTS, COMBINE_MODEL  # noqa: E402
+from repro.core.variants import ALL_VARIANTS  # noqa: E402
 from repro.data import split_by_day  # noqa: E402
-from repro.obs import Observability  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -53,17 +52,3 @@ def trained_variants(paper_world, paper_split):
         for variant in ALL_VARIANTS
     }
 
-
-@pytest.fixture(scope="session")
-def obs_trained(paper_world, paper_split):
-    """A CombineModel trained with an Observability bundle attached.
-
-    Serving through this recommender (and a router built over the same
-    bundle) produces registry metrics and complete traces, which the
-    harnessed benchmarks embed in their BENCH_*.json span breakdowns.
-    """
-    obs = Observability.create()
-    recommender = train_variant(
-        paper_world, paper_split.train, COMBINE_MODEL, obs=obs
-    )
-    return obs, recommender

@@ -788,8 +788,8 @@ def run_scenario(
     from ..clock import VirtualClock
     from ..data.synthetic import SyntheticWorld, paper_world_config
     from ..reliability.overload import AdmissionController, CircuitBreaker
-    from ..serving.arrivals import arrival_times, offer
-    from ..serving.router import RecRequest, RequestRouter
+    from ..serving.loadgen import LoadGenerator
+    from ..serving.router import RequestRouter
     from .experiment import Experiment
 
     ops_cfg = ops or ScenarioOpsConfig()
@@ -832,49 +832,33 @@ def run_scenario(
         clock=clock,
         obs=obs,
     )
-    user_ids = world.user_ids()
-    video_ids = world.video_ids()
-    rng = np.random.default_rng(seed * 31 + 7)
+    generator = LoadGenerator(
+        router, world.user_ids(), world.video_ids(), seed=seed * 31 + 7
+    )
 
     horizon = days * SECONDS_PER_DAY
     n_windows = max(1, int(round(horizon / ops_cfg.window_seconds)))
+    offered = ops_cfg.requests_per_window
     window_stats: list[dict[str, float]] = []
-    latencies: list[float] = []
-    total_offered = total_shed = total_served = 0
+    served_ms: list[float] = []
+    total_shed = 0
     for w in range(n_windows):
         w_start = w * ops_cfg.window_seconds
         w_mid = w_start + ops_cfg.window_seconds / 2.0
         qps = ops_cfg.base_qps * scenario.offered_multiplier(w_mid)
         if clock.now() < w_start:
             clock.advance(w_start - clock.now())
-        times = arrival_times(
-            clock.now(), ops_cfg.requests_per_window, qps, process="uniform"
-        )
-        w_shed = w_served = 0
-        for now in offer(clock, times):
-            user = user_ids[rng.integers(0, len(user_ids))]
-            if rng.random() < 0.5:
-                video = video_ids[rng.integers(0, len(video_ids))]
-                request = RecRequest(user, current_video=video, timestamp=now)
-            else:
-                request = RecRequest(user, timestamp=now)
-            response = router.handle(request)
-            if response.shed:
-                w_shed += 1
-            else:
-                w_served += 1
-                latencies.append(response.latency_seconds)
-        offered = ops_cfg.requests_per_window
-        total_offered += offered
-        total_shed += w_shed
-        total_served += w_served
+        load = generator.run_offered(offered, qps, clock)
+        total_shed += load.shed
+        served_ms.extend(load.latencies_ms)
         window_stats.append(
             {
                 "start": w_start,
                 "qps": qps,
-                "shed_rate": w_shed / offered,
+                "shed_rate": load.shed / offered,
             }
         )
+    total_offered = offered * n_windows
 
     # Recovery time: after the event window closes, how long until the
     # per-window shed rate returns to the pre-event baseline (+tolerance)?
@@ -907,13 +891,14 @@ def run_scenario(
             # Never recovered within the horizon: report the full tail.
             recovery_seconds = horizon - event_end
 
-    lat_ms = np.asarray(latencies) * 1000.0
     ops_metrics = {
         "offered": float(total_offered),
-        "served": float(total_served),
+        "served": float(total_offered - total_shed),
         "shed": float(total_shed),
-        "shed_rate": total_shed / total_offered if total_offered else 0.0,
-        "accepted_p99_ms": float(np.percentile(lat_ms, 99)) if lat_ms.size else 0.0,
+        "shed_rate": total_shed / total_offered,
+        "accepted_p99_ms": float(np.percentile(served_ms, 99))
+        if served_ms
+        else 0.0,
         "breaker_trips": float(breaker.opened_count),
         "recovery_seconds": float(recovery_seconds),
         "peak_window_shed_rate": float(peak_shed),

@@ -4,8 +4,9 @@ Reproduces the operational envelope the paper quotes for production —
 millisecond request latency under concurrent traffic while the model keeps
 updating in real time (§4.1, §6).  :class:`ServingGateway` puts the
 router behind real sockets with request coalescing;
-:class:`HttpLoadGenerator` drives it open-loop for saturation
-experiments.
+:class:`LoadGenerator` offers the router open-loop load on a virtual
+clock (overload tests, the scenario engine).  Load over real sockets is
+measured by ``benchmarks/e2e``, which carries its own generator.
 """
 
 from .arrivals import ARRIVAL_PROCESSES, arrival_times, offer
@@ -15,7 +16,6 @@ from .gateway import (
     RequestCollector,
     ServingGateway,
 )
-from .httpload import HttpLoadGenerator, HttpLoadReport, http_get_json
 from .loadgen import LoadGenerator, LoadReport
 from .router import (
     Outcome,
@@ -42,7 +42,4 @@ __all__ = [
     "GatewayThread",
     "RequestCollector",
     "ServingGateway",
-    "HttpLoadGenerator",
-    "HttpLoadReport",
-    "http_get_json",
 ]

@@ -1,14 +1,14 @@
 """Shared open-loop arrival processes on the virtual clock.
 
-Every open-loop driver in the repo — :meth:`LoadGenerator.run_offered`,
-the scenario runner's ops loop, the serving benchmarks — needs the same
-thing: an *absolute* schedule of arrival times at a target rate, so that
-time the backend burns serving one request does not push later arrivals
-back.  This module is the one implementation.
+An open-loop driver needs an *absolute* schedule of arrival times at a
+target rate, so that time the backend burns serving one request does not
+push later arrivals back.  This module is the one implementation, and
+:meth:`LoadGenerator.run_offered` — which the overload tests and every
+window of the scenario runner's ops loop go through — its one consumer.
 
-``process="uniform"`` reproduces the historical ``run_offered`` spacing
-bit for bit (the same float accumulation ``t += 1/qps``), so swapping the
-hand-rolled loops for :func:`arrival_times` changes no benchmark numbers.
+``process="uniform"`` accumulates ``t += 1/qps`` in floating point rather
+than computing ``start + i/qps``; recorded scenario reports
+(``tests/eval/golden``) depend on that exact spacing.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def arrival_times(
     """Absolute arrival times for ``count`` open-loop requests.
 
     * ``uniform`` — deterministic spacing of exactly ``1/qps``, accumulated
-      with the same float additions as the legacy offered-load loop;
+      by repeated float addition (see the module docstring);
     * ``poisson`` — i.i.d. exponential inter-arrivals with mean ``1/qps``
       (deterministic given ``rng``, which may be a seed);
     * ``burst`` — bursts of ``burst_size`` arrivals spaced at

@@ -1,34 +1,27 @@
-"""Load generation — drive the router with realistic concurrent traffic.
+"""Load generation — offer the router a target request rate.
 
-The paper's deployment handles "more than 1 billion user requests every
-day, with maximum 0.1 million requests in one second" while the model
-keeps updating underneath.  :class:`LoadGenerator` reproduces that setting
-at laptop scale in two modes:
+:class:`LoadGenerator` is the one load driver in ``src/``: an open-loop
+generator that *offers* a target QPS regardless of how the router copes,
+which is what saturation needs — a closed loop slows down with the server
+and can never push it past capacity.  On a
+:class:`~repro.clock.VirtualClock` shared with the router's admission
+controller, arrivals follow the absolute schedule of
+:func:`repro.serving.arrivals.arrival_times`, so a 2× overload experiment
+(and every window of :func:`repro.eval.scenarios.run_scenario`) is
+deterministic and instant.
 
-* **closed-loop** (:meth:`LoadGenerator.run`) — N serving threads fire
-  requests back-to-back (each thread waits for its response before the
-  next request), optionally while a trainer thread streams new user
-  actions into the same recommender — serve-while-train, the system's
-  defining property.
-* **offered-load** (:meth:`LoadGenerator.run_offered`) — an open-loop
-  driver that *offers* a target QPS regardless of how the router copes,
-  which is what saturation needs: a closed loop slows down with the
-  server and can never push it past capacity.  On a
-  :class:`~repro.clock.VirtualClock` shared with the router's admission
-  controller, arrivals advance the clock at exactly ``1/qps`` steps, so a
-  2× overload experiment is deterministic and instant.
+Load over real sockets — the paper's "0.1 million requests in one second"
+envelope at laptop scale, with the trainer ingesting concurrently — is
+``benchmarks/e2e``'s job; it carries its own self-contained generator.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..clock import VirtualClock
-from ..data.schema import UserAction
 from .arrivals import arrival_times, offer
 from .router import RecRequest, RequestRouter
 
@@ -37,21 +30,18 @@ from .router import RecRequest, RequestRouter
 class LoadReport:
     """Outcome of one load run.
 
-    ``requests`` counts everything offered to the router; latency
-    percentiles describe only the requests the router actually served
-    (sheds and deadline misses are accounted in their own counters).
+    ``requests`` counts everything offered to the router;
+    ``latencies_ms`` holds one sample per request the router actually
+    served, in arrival order (sheds and deadline misses are accounted in
+    their own counters), and every latency statistic is derived from it.
     """
 
     requests: int
     errors: int
     elapsed_seconds: float
-    mean_latency_ms: float
-    p99_latency_ms: float
-    trained_actions: int
+    latencies_ms: tuple[float, ...]
     shed: int = 0
     deadline_exceeded: int = 0
-    p50_latency_ms: float = 0.0
-    p95_latency_ms: float = 0.0
 
     @property
     def qps(self) -> float:
@@ -62,33 +52,24 @@ class LoadReport:
         """Requests that reached a backend (served ok, degraded or error)."""
         return self.requests - self.shed - self.deadline_exceeded
 
+    @property
+    def mean_latency_ms(self) -> float:
+        return float(np.mean(self.latencies_ms)) if self.latencies_ms else 0.0
 
-def _report_from_responses(
-    responses_latencies_ms: np.ndarray,
-    total: int,
-    errors: int,
-    shed: int,
-    deadline_exceeded: int,
-    elapsed: float,
-    trained: int,
-) -> LoadReport:
-    lat = responses_latencies_ms
-    return LoadReport(
-        requests=total,
-        errors=errors,
-        elapsed_seconds=elapsed,
-        mean_latency_ms=float(lat.mean()) if lat.size else 0.0,
-        p99_latency_ms=float(np.percentile(lat, 99)) if lat.size else 0.0,
-        trained_actions=trained,
-        shed=shed,
-        deadline_exceeded=deadline_exceeded,
-        p50_latency_ms=float(np.percentile(lat, 50)) if lat.size else 0.0,
-        p95_latency_ms=float(np.percentile(lat, 95)) if lat.size else 0.0,
-    )
+    @property
+    def p99_latency_ms(self) -> float:
+        if not self.latencies_ms:
+            return 0.0
+        return float(np.percentile(self.latencies_ms, 99))
 
 
 class LoadGenerator:
-    """Concurrent request driver with an optional live training stream."""
+    """Open-loop request driver over a :class:`RequestRouter`.
+
+    One generator owns one random stream for its lifetime: successive
+    :meth:`run_offered` calls continue the request mix (which user asks,
+    which scenario) instead of replaying it from the seed.
+    """
 
     def __init__(
         self,
@@ -106,11 +87,12 @@ class LoadGenerator:
         self.user_ids = list(user_ids)
         self.video_ids = list(video_ids)
         self.related_fraction = related_fraction
-        self.seed = seed
+        self._rng = np.random.default_rng(seed)
 
     def _make_request(
-        self, rng: np.random.Generator, now: float, deadline: float | None
+        self, now: float, deadline: float | None
     ) -> RecRequest:
+        rng = self._rng
         user = self.user_ids[rng.integers(0, len(self.user_ids))]
         if rng.random() < self.related_fraction:
             video = self.video_ids[rng.integers(0, len(self.video_ids))]
@@ -121,99 +103,6 @@ class LoadGenerator:
                 deadline_seconds=deadline,
             )
         return RecRequest(user, timestamp=now, deadline_seconds=deadline)
-
-    def _requests_for_worker(
-        self, worker: int, count: int, now: float
-    ) -> list[RecRequest]:
-        rng = np.random.default_rng(self.seed * 1009 + worker)
-        return [self._make_request(rng, now, None) for _ in range(count)]
-
-    def run(
-        self,
-        total_requests: int,
-        workers: int = 4,
-        now: float = 0.0,
-        training_stream: list[UserAction] | None = None,
-        observe=None,
-    ) -> LoadReport:
-        """Fire ``total_requests`` across ``workers`` threads (closed loop).
-
-        When ``training_stream`` and ``observe`` are given, a dedicated
-        trainer thread feeds the stream through ``observe`` concurrently —
-        the serve-while-train scenario.
-        """
-        if total_requests < 1 or workers < 1:
-            raise ValueError("total_requests and workers must be >= 1")
-        per_worker = max(1, total_requests // workers)
-        latencies: list[float] = []
-        counters = {"errors": 0, "shed": 0, "deadline": 0}
-        lock = threading.Lock()
-
-        def serve(worker_idx: int) -> None:
-            own: list[float] = []
-            own_errors = own_shed = own_deadline = 0
-            for request in self._requests_for_worker(
-                worker_idx, per_worker, now
-            ):
-                response = self.router.handle(request)
-                if response.shed:
-                    own_shed += 1
-                    continue
-                if response.deadline_exceeded:
-                    own_deadline += 1
-                    continue
-                own.append(response.latency_seconds)
-                if not response.ok:
-                    own_errors += 1
-            with lock:
-                latencies.extend(own)
-                counters["errors"] += own_errors
-                counters["shed"] += own_shed
-                counters["deadline"] += own_deadline
-
-        trained = [0]
-        stop_training = threading.Event()
-
-        def train() -> None:
-            assert training_stream is not None and observe is not None
-            for action in training_stream:
-                if stop_training.is_set():
-                    return
-                observe(action)
-                trained[0] += 1
-
-        threads = [
-            threading.Thread(target=serve, args=(w,)) for w in range(workers)
-        ]
-        trainer = (
-            threading.Thread(target=train)
-            if training_stream is not None and observe is not None
-            else None
-        )
-        started = time.perf_counter()
-        if trainer is not None:
-            trainer.start()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - started
-        stop_training.set()
-        if trainer is not None:
-            trainer.join(timeout=60.0)
-
-        total = (
-            len(latencies) + counters["shed"] + counters["deadline"]
-        )
-        return _report_from_responses(
-            np.array(latencies) * 1000.0,
-            total=total,
-            errors=counters["errors"],
-            shed=counters["shed"],
-            deadline_exceeded=counters["deadline"],
-            elapsed=elapsed,
-            trained=trained[0],
-        )
 
     def run_offered(
         self,
@@ -239,35 +128,29 @@ class LoadGenerator:
             raise ValueError("total_requests must be >= 1")
         if qps <= 0:
             raise ValueError(f"qps must be positive, got {qps}")
-        rng = np.random.default_rng(self.seed * 1009)
-        latencies: list[float] = []
+        latencies_ms: list[float] = []
         errors = shed = deadline_missed = 0
         started = clock.now()
         schedule = arrival_times(
-            started,
-            total_requests,
-            qps,
-            process=process,
-            rng=np.random.default_rng(self.seed * 1013 + 1),
+            started, total_requests, qps, process=process, rng=self._rng
         )
         for now in offer(clock, schedule):
-            request = self._make_request(rng, now, deadline_seconds)
-            response = self.router.handle(request)
+            response = self.router.handle(
+                self._make_request(now, deadline_seconds)
+            )
             if response.shed:
                 shed += 1
             elif response.deadline_exceeded:
                 deadline_missed += 1
             else:
-                latencies.append(response.latency_seconds)
+                latencies_ms.append(response.latency_seconds * 1000.0)
                 if not response.ok:
                     errors += 1
-        elapsed = clock.now() - started
-        return _report_from_responses(
-            np.array(latencies) * 1000.0,
-            total=total_requests,
+        return LoadReport(
+            requests=total_requests,
             errors=errors,
+            elapsed_seconds=clock.now() - started,
+            latencies_ms=tuple(latencies_ms),
             shed=shed,
             deadline_exceeded=deadline_missed,
-            elapsed=elapsed,
-            trained=0,
         )

@@ -14,6 +14,8 @@ contract is stronger: batched training, ``.npz`` save/load and checkpoint
 restore reproduce the sequential model byte for byte.
 """
 
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,23 @@ class TestBatchTrainingEquivalence:
             batch_trainer.stats,
             _oracle(batch_model, actions, small_world.videos, variant),
         )
+
+    def test_process_batch_writes_once_per_batch(
+        self, small_world, small_split, monkeypatch
+    ):
+        """Why the batched path is cheaper, as a count instead of a clock:
+        however many actions train, parameters go out in one batch write
+        and ``mu`` in one fold."""
+        model = MFModel()
+        trainer = OnlineTrainer(model, videos=small_world.videos)
+        write = Mock(wraps=model.put_params_many)
+        fold = Mock(wraps=model._mu_fold)
+        monkeypatch.setattr(model, "put_params_many", write)
+        monkeypatch.setattr(model, "_mu_fold", fold)
+        updates = trainer.process_batch(list(small_split.train[:64]))
+        assert sum(update is not None for update in updates) > 1
+        assert write.call_count == 1 and len(write.call_args.args[0]) > 2
+        assert fold.call_count == 1
 
     def test_sgd_step_many_matches_loop(self):
         steps = [

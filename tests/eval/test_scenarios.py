@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from repro.eval.scenarios import (
     run_scenario,
     validate_scenario_report,
 )
+
+_GOLDEN = Path(__file__).parent / "golden" / "scenario_docs.json"
 
 
 class TestEventValidation:
@@ -309,34 +312,64 @@ class _CheapArm:
         return self.recs[:n]
 
 
+class _FailsOnRelated(_CheapArm):
+    """Raises on related-video requests for a video outside its own list.
+
+    Only the ops plane sends ``current_video``, so the quality plane is
+    untouched while breaker trips depend on exactly which request lands
+    where in the offered sequence.
+    """
+
+    def recommend_ids(self, user_id, current_video=None, n=10, now=None):
+        if current_video is not None and current_video not in self.recs:
+            raise RuntimeError("backend down")
+        return self.recs[:n]
+
+
+def _run_small(scen, rmf_arm=_CheapArm):
+    from repro.data.synthetic import SyntheticWorld, paper_world_config
+
+    world = SyntheticWorld(
+        paper_world_config(n_users=30, n_videos=40, days=3, seed=4),
+        scenario=scen,
+    )
+    ids = world.video_ids()
+    arms = {
+        "Hot": _CheapArm(ids[:10]),
+        "AR": _CheapArm(ids[5:15]),
+        "SimHash": _CheapArm(ids[10:20]),
+        "rMF": rmf_arm(ids[15:25]),
+    }
+    return run_scenario(
+        scen, days=3, n_users=30, n_videos=40, seed=4, arms=arms
+    )
+
+
+def test_report_identical_to_recorded():
+    """The whole report, byte for byte, against the recorded documents.
+    The flaky rMF arm makes ``breaker_trips`` a function of the request
+    sequence, so a load driver that re-seeds its request mix per window
+    (or draws it in another order) fails here."""
+    recorded = json.loads(_GOLDEN.read_text(encoding="utf-8"))
+    scenarios = {
+        "flash_crowd": SCENARIO_LIBRARY["flash_crowd"](day=1, duration_days=1),
+        "preference_drift": SCENARIO_LIBRARY["preference_drift"](day=1),
+        "organic": Scenario("organic"),
+    }
+    assert sorted(recorded) == sorted(scenarios)
+    for name, scen in scenarios.items():
+        doc = _run_small(scen, rmf_arm=_FailsOnRelated).to_doc()
+        assert json.dumps(doc, sort_keys=True) == json.dumps(
+            recorded[name], sort_keys=True
+        ), name
+    assert recorded["flash_crowd"]["ops"]["breaker_trips"] > 0
+
+
 class TestRunScenarioEndToEnd:
     @pytest.fixture(scope="class")
     def report(self):
-        scen = SCENARIO_LIBRARY["flash_crowd"](day=1, duration_days=1)
-        arms = None
-
-        def cheap_arms(world):
-            ids = world.video_ids()
-            return {
-                "Hot": _CheapArm(ids[:10]),
-                "AR": _CheapArm(ids[5:15]),
-                "SimHash": _CheapArm(ids[10:20]),
-                "rMF": _CheapArm(ids[15:25]),
-            }
-
-        from repro.data.synthetic import SyntheticWorld, paper_world_config
-
-        world = SyntheticWorld(
-            paper_world_config(n_users=30, n_videos=40, days=3, seed=4),
-            scenario=scen,
-        )
-        return run_scenario(
-            scen,
-            days=3,
-            n_users=30,
-            n_videos=40,
-            seed=4,
-            arms=cheap_arms(world),
+        return _run_small(
+            SCENARIO_LIBRARY["flash_crowd"](day=1, duration_days=1)
         )
 
     def test_report_document_is_valid(self, report):

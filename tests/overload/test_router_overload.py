@@ -13,6 +13,7 @@ from repro.clock import VirtualClock
 from repro.errors import CircuitOpenError
 from repro.reliability import AdmissionController, CircuitBreaker
 from repro.serving import (
+    ARRIVAL_PROCESSES,
     LoadGenerator,
     Outcome,
     RecRequest,
@@ -89,7 +90,7 @@ class TestSaturation:
 
     CAPACITY = 100.0  # requests per second
 
-    def _run(self, offered_qps, n_requests=400):
+    def _run(self, offered_qps, n_requests=400, process="uniform"):
         clock = VirtualClock(0.0)
         backend = _SimulatedBackend(clock, service_time=0.002)
         router = RequestRouter(
@@ -100,7 +101,9 @@ class TestSaturation:
             clock=clock,
         )
         generator = LoadGenerator(router, ["u1", "u2", "u3"], ["v1", "v2"])
-        report = generator.run_offered(n_requests, qps=offered_qps, clock=clock)
+        report = generator.run_offered(
+            n_requests, qps=offered_qps, clock=clock, process=process
+        )
         return router, report
 
     def test_unsaturated_baseline_sheds_nothing(self):
@@ -129,6 +132,19 @@ class TestSaturation:
         # keeps the served path entirely congestion-free).
         assert saturated.p99_latency_ms <= 2 * baseline.p99_latency_ms
         assert router.total_shed == saturated.shed
+
+    def test_bursts_shed_where_uniform_rides_the_refill(self):
+        """Equal mean rate (exactly capacity), different arrival shape:
+        bursts of 16 against a 10-token bucket are what it exists for."""
+        reports = {
+            process: self._run(self.CAPACITY, process=process)[1]
+            for process in ARRIVAL_PROCESSES
+        }
+        for report in reports.values():
+            assert report.errors == 0
+            assert report.requests == 400
+        assert reports["uniform"].shed == 0
+        assert reports["burst"].shed > 0
 
     def test_offered_load_is_open_loop(self):
         """Arrivals stay on the offered schedule even while shedding."""

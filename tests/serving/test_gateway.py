@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import threading
 
 import pytest
 
@@ -215,6 +216,44 @@ class TestHealthz:
         assert status == 503
         assert doc["status"] == "degraded"
         assert doc["breaker"] == "open"
+
+
+class TestSaturation:
+    def test_concurrent_overload_is_200_or_503_on_the_wire(self):
+        """Eight tokens and (effectively) no refill against 24 concurrent
+        clients: the bucket's verdict reaches every socket, and shedding
+        is not ill health."""
+        admission = AdmissionController(rate=1e-9, burst=8)
+        router = RequestRouter(_Backend(), admission=admission)
+        results = []
+
+        def client(i, port):
+            results.append(
+                _request(port, "POST", "/recommend", {"user_id": f"u{i}"})
+            )
+
+        with _gateway(router) as server:
+            clients = [
+                threading.Thread(target=client, args=(i, server.port))
+                for i in range(24)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30.0)
+            health, _, _ = _request(server.port, "GET", "/healthz")
+
+        ok = [r for r in results if r[0] == 200]
+        shed = [r for r in results if r[0] == 503]
+        assert len(ok) + len(shed) == len(results) == 24
+        assert len(ok) == 8
+        assert all(doc["video_ids"] for _, _, doc in ok)
+        assert all(
+            headers["Retry-After"] == "1" and doc["error"] == "shed"
+            for _, headers, doc in shed
+        )
+        assert health == 200
+        assert router.total_shed == 16
 
 
 class TestConnectionLimit:

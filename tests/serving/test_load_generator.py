@@ -1,10 +1,9 @@
-"""Tests for the load generator — including serve-while-train."""
+"""Tests for the open-loop load generator."""
 
 import pytest
 
 from repro.clock import VirtualClock
-from repro.core import RealtimeRecommender
-from repro.serving import LoadGenerator, RequestRouter
+from repro.serving import LoadGenerator, RequestRouter, Scenario
 
 
 class _Backend:
@@ -14,66 +13,62 @@ class _Backend:
 
 class TestLoadGenerator:
     def test_fires_requested_volume(self):
-        router = RequestRouter(_Backend())
+        clock = VirtualClock(0.0)
+        router = RequestRouter(_Backend(), clock=clock)
         generator = LoadGenerator(router, ["u1", "u2"], ["v1", "v2"])
-        report = generator.run(total_requests=80, workers=4)
+        report = generator.run_offered(80, qps=40.0, clock=clock)
         assert report.requests == 80
+        assert router.total_requests == 80
         assert report.errors == 0
-        assert report.qps > 0
-        assert report.mean_latency_ms >= 0
-        assert report.p99_latency_ms >= report.mean_latency_ms
+        assert report.qps == pytest.approx(80 / (79 / 40.0))
+        assert len(report.latencies_ms) == 80
+        assert report.p99_latency_ms >= report.mean_latency_ms >= 0
 
     def test_scenario_mix_respected(self):
-        router = RequestRouter(_Backend())
+        clock = VirtualClock(0.0)
+        router = RequestRouter(_Backend(), clock=clock)
         generator = LoadGenerator(
             router, ["u1"], ["v1"], related_fraction=1.0
         )
-        generator.run(total_requests=20, workers=2)
-        from repro.serving import Scenario
-
+        generator.run_offered(20, qps=10.0, clock=clock)
         assert router.stats(Scenario.RELATED_VIDEOS).requests == 20
         assert router.stats(Scenario.GUESS_YOU_LIKE).requests == 0
 
     def test_validation(self):
-        router = RequestRouter(_Backend())
+        clock = VirtualClock(0.0)
+        router = RequestRouter(_Backend(), clock=clock)
         with pytest.raises(ValueError):
             LoadGenerator(router, [], ["v1"])
         with pytest.raises(ValueError):
             LoadGenerator(router, ["u"], ["v"], related_fraction=2.0)
         generator = LoadGenerator(router, ["u"], ["v"])
         with pytest.raises(ValueError):
-            generator.run(total_requests=0)
+            generator.run_offered(0, qps=10.0, clock=clock)
+        with pytest.raises(ValueError):
+            generator.run_offered(10, qps=0.0, clock=clock)
 
+    def test_request_mix_continues_across_calls(self):
+        """One random stream per generator: two runs of 30 offer the same
+        users as one run of 60, not the first 30 twice."""
 
-class TestServeWhileTrain:
-    def test_serving_stays_healthy_during_online_training(
-        self, small_world, small_split
-    ):
-        """The system's defining property: requests are served with zero
-        errors while the same recommender ingests the live stream."""
-        recommender = RealtimeRecommender(
-            small_world.videos,
-            users=small_world.users,
-            clock=VirtualClock(0.0),
-        )
-        # warm start so there is state to read while writes happen
-        recommender.observe_stream(small_split.train[:1000])
-        router = RequestRouter(recommender)
-        generator = LoadGenerator(
-            router,
-            list(small_world.users),
-            list(small_world.videos),
-            seed=3,
-        )
-        report = generator.run(
-            total_requests=200,
-            workers=4,
-            now=small_split.train[1000].timestamp,
-            training_stream=small_split.train[1000:3000],
-            observe=recommender.observe,
-        )
-        assert report.errors == 0
-        assert report.requests == 200
-        assert report.trained_actions > 0
-        # the trainer genuinely ran concurrently and the model advanced
-        assert recommender.trainer.stats.seen >= 1000
+        def users_asked(*counts):
+            clock = VirtualClock(0.0)
+            asked = []
+
+            class Recording(_Backend):
+                def recommend_ids(self, user_id, **kwargs):
+                    asked.append(user_id)
+                    return super().recommend_ids(user_id, **kwargs)
+
+            generator = LoadGenerator(
+                RequestRouter(Recording(), clock=clock),
+                [f"u{i}" for i in range(50)],
+                ["v1"],
+                seed=5,
+            )
+            for count in counts:
+                generator.run_offered(count, qps=10.0, clock=clock)
+            return asked
+
+        assert users_asked(30, 30) == users_asked(60)
+        assert users_asked(30, 30)[:30] != users_asked(30, 30)[30:]

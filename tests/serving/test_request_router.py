@@ -1,7 +1,11 @@
 """Tests for the request router."""
 
+import threading
+
 import pytest
 
+from repro.clock import VirtualClock
+from repro.core import RealtimeRecommender
 from repro.serving import RecRequest, RequestRouter, Scenario
 
 
@@ -119,8 +123,6 @@ class TestStats:
         assert snap["related_videos"]["requests"] == 0
 
     def test_concurrent_handling_counts_exactly(self):
-        import threading
-
         router = RequestRouter(_Backend())
 
         def fire():
@@ -163,3 +165,60 @@ class TestHandleMany:
         assert not any(
             name.startswith("serving_requests_total") for name in totals
         )
+
+
+class TestServeWhileTrain:
+    def test_reads_stay_healthy_during_training(
+        self, small_world, small_split
+    ):
+        """The system's defining property: four threads read through the
+        router with zero errors while a fifth trains the same model."""
+        recommender = RealtimeRecommender(
+            small_world.videos,
+            users=small_world.users,
+            clock=VirtualClock(0.0),
+        )
+        # warm start so there is state to read while writes happen
+        recommender.observe_stream(small_split.train[:1000])
+        seen_before = recommender.trainer.stats.seen
+        router = RequestRouter(recommender)
+        users = list(small_world.users)
+        videos = list(small_world.videos)
+        now = small_split.train[1000].timestamp
+        responses = []
+
+        def read(worker):
+            for i in range(worker, 200, 4):
+                current = videos[i % len(videos)] if i % 2 else None
+                responses.append(
+                    router.handle(
+                        RecRequest(
+                            users[i % len(users)],
+                            current_video=current,
+                            timestamp=now,
+                        )
+                    )
+                )
+
+        def write():
+            for action in small_split.train[1000:3000]:
+                recommender.observe(action)
+
+        readers = [
+            threading.Thread(target=read, args=(w,)) for w in range(4)
+        ]
+        writer = threading.Thread(target=write)
+        writer.start()
+        for thread in readers:
+            thread.start()
+        for thread in [*readers, writer]:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+
+        assert len(responses) == 200
+        assert all(r.ok and r.error is None for r in responses)
+        catalogue = set(videos)
+        assert all(set(r.video_ids) <= catalogue for r in responses)
+        # the trainer genuinely ran concurrently and the model advanced
+        assert recommender.trainer.stats.seen > seen_before
+        assert router.total_requests == 200

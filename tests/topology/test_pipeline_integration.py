@@ -85,7 +85,9 @@ class TestThreadedRun:
         snap = metrics.snapshot()
         assert snap["spout"]["emitted"] == len(train)
         assert snap[COMPUTE_MF]["processed"] == len(train)
-        assert snap[MF_STORAGE]["failed"] == 0
+        assert all(stats["failed"] == 0 for stats in snap.values())
+        # fields grouping spreads the users over every ComputeMF worker
+        assert len(metrics.component(COMPUTE_MF).per_worker_processed) == 3
         assert system.model.n_users > 0
 
     def test_threaded_and_local_learn_the_same_entities(self, small_world, train):
