@@ -373,18 +373,6 @@ class AnnIndex:
         y = np.asarray(y, dtype=np.float64)
         return self.family.planes[:, : self.f] @ y
 
-    def user_band_values(self, x_u: np.ndarray) -> np.ndarray:
-        """Band values of the augmented user query ``[x_u, 1/s]``."""
-        return self.family.pack_bands(
-            (self._user_projection(x_u) > 0.0)[None, :]
-        )[0]
-
-    def item_query_band_values(self, y: np.ndarray) -> np.ndarray:
-        """Band values of a raw item query ``[y, 0]`` (seed expansion)."""
-        return self.family.pack_bands(
-            (self._item_projection(y) > 0.0)[None, :]
-        )[0]
-
     # ------------------------------------------------------------------
     # Bulk build
     # ------------------------------------------------------------------
@@ -803,17 +791,6 @@ class AnnIndex:
         """
         return self._query_rows(
             self._user_projection(x_u), n, allowed_partitions, "user"
-        )
-
-    def query_item_rows(
-        self,
-        y: np.ndarray,
-        n: int,
-        allowed_partitions: Iterable[str] | None = None,
-    ) -> np.ndarray:
-        """Row-index variant of :meth:`query_item`."""
-        return self._query_rows(
-            self._item_projection(y), n, allowed_partitions, "item"
         )
 
     def ids_for_rows(self, rows: np.ndarray) -> list[str]:

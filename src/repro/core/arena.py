@@ -170,15 +170,6 @@ class FactorArena:
     # Writes
     # ------------------------------------------------------------------
 
-    def set_vector(self, entity_id: str, vector: np.ndarray) -> None:
-        vector = self._check_dim(vector)
-        with self._lock:
-            row = self._intern(entity_id)
-            self._vecs[row] = vector
-            if not self._has_vec[row]:
-                self._has_vec[row] = True
-                self._n_vec += 1
-
     def set_bias(self, entity_id: str, bias: float) -> None:
         with self._lock:
             row = self._intern(entity_id)
@@ -252,30 +243,6 @@ class FactorArena:
                 self._vecs[:n].copy(),
                 self._biases[:n].copy(),
                 self._has_vec[:n].copy(),
-            )
-
-    def dense_rows(
-        self,
-    ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy ``(ids, vectors, biases, has_vector)`` row views.
-
-        Unlike :meth:`export_rows` the arrays are *views* into the arena's
-        backing storage — no copy, which is what lets an ANN index bulk
-        build over a million-row arena without doubling its memory.  The
-        views are read-only snapshots in the structural sense only: rows
-        never move and existing rows are not reallocated by growth (growth
-        swaps in a new backing array, leaving old views intact), but a
-        concurrent writer may still update row *contents* in place.  Use
-        for bulk read paths that tolerate torn single rows (index builds),
-        not for checkpoints.
-        """
-        with self._lock:
-            n = len(self._ids)
-            return (
-                list(self._ids),
-                self._vecs[:n],
-                self._biases[:n],
-                self._has_vec[:n],
             )
 
     def items(self) -> Iterator[tuple[str, np.ndarray, float]]:

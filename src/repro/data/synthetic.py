@@ -444,9 +444,6 @@ class SyntheticWorld:
         order = np.argsort(-scores)[:k]
         return [self._index_to_id[j] for j in order]
 
-    def group_of(self, user_id: str) -> str:
-        return self.users[user_id].demographic_group
-
     # ------------------------------------------------------------------
     # Action stream generation
     # ------------------------------------------------------------------

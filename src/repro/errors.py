@@ -20,26 +20,6 @@ class KVStoreError(ReproError):
     """Base class for key-value store failures."""
 
 
-class KeyNotFound(KVStoreError):
-    """A strict read was issued for a key that is not present."""
-
-    def __init__(self, key: object) -> None:
-        super().__init__(f"key not found: {key!r}")
-        self.key = key
-
-
-class CASConflict(KVStoreError):
-    """A compare-and-set failed because the stored version moved on."""
-
-    def __init__(self, key: object, expected: int, actual: int) -> None:
-        super().__init__(
-            f"CAS conflict on {key!r}: expected version {expected}, found {actual}"
-        )
-        self.key = key
-        self.expected = expected
-        self.actual = actual
-
-
 class TransientKVError(KVStoreError):
     """A shard failed transiently (timeout, connection blip); retryable."""
 
@@ -94,10 +74,6 @@ class CircuitOpenError(OverloadError):
     def __init__(self, name: str) -> None:
         super().__init__(f"circuit breaker {name!r} is open")
         self.name = name
-
-
-class DeadlineExceededError(OverloadError):
-    """A request's deadline budget ran out before it could be served."""
 
 
 class TopologyError(ReproError):

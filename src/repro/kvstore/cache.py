@@ -10,17 +10,20 @@ classes are those techniques:
 * :class:`WriteCombiner` buffers associative updates (counter increments,
   list merges) locally and flushes them in batches.
 
-Both are *per-worker* objects: correctness under fields grouping comes from
-the guarantee that no other worker touches the same keys, which is exactly
-the invariant the topology tests assert.
+Both were designed as *per-worker* objects: coherence with the backing
+store comes from the fields-grouping guarantee that no other worker writes
+the same keys, which is exactly the invariant the topology tests assert.
+:class:`ReadThroughCache` is additionally safe to share between threads of
+one process (its LRU is lock-guarded), because the served durable tier puts
+one instance under the gateway's thread pool; :class:`WriteCombiner` is not.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Any, Callable, Iterable, Iterator
 
-from ..errors import KeyNotFound
 from .store import EntrySnapshot, Key, KVStore
 
 _MISSING = object()
@@ -37,10 +40,13 @@ class ReadThroughCache(KVStore):
     As a full :class:`KVStore`, the cache can be handed to any component
     that expects a store — the tiering pattern is a ``ReadThroughCache``
     over a :class:`~repro.kvstore.durable.DurableKVStore`: hot set in
-    memory, full state on disk.  Versioning, iteration, and checkpoint
-    capture always delegate to the backing store (the cache holds values
-    only, never metadata).  TTL'd writes pass through but are *not*
-    cached, because the cache does not track expiry.
+    memory, full state on disk.  Iteration and checkpoint capture always
+    delegate to the backing store.
+
+    Thread-safe: one lock guards the LRU and the hit/miss counters and is
+    held across the backing call, so a fill can never overwrite a newer
+    write-through (the served durable tier puts this object under the
+    gateway's thread pool).
     """
 
     def __init__(self, backing: KVStore, capacity: int = 1024) -> None:
@@ -49,6 +55,7 @@ class ReadThroughCache(KVStore):
         self._backing = backing
         self._capacity = capacity
         self._cache: OrderedDict[Key, Any] = OrderedDict()
+        self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
@@ -56,51 +63,44 @@ class ReadThroughCache(KVStore):
     def backing(self) -> KVStore:
         return self._backing
 
-    def get(self, key: Key, default: Any = None) -> Any:
+    def _lookup(self, key: Key) -> Any:
+        """The cached value (touched and counted) or ``_MISSING``.  Lock held."""
         if key in self._cache:
             self._cache.move_to_end(key)
             self.hits += 1
             return self._cache[key]
         self.misses += 1
-        value = self._backing.get(key, _MISSING)
-        if value is _MISSING:
-            return default
-        self._insert(key, value)
-        return value
+        return _MISSING
 
-    def get_strict(self, key: Key) -> Any:
-        value = self.get(key, _MISSING)
-        if value is _MISSING:
-            raise KeyNotFound(key)
-        return value
+    def get(self, key: Key, default: Any = None) -> Any:
+        with self._lock:
+            value = self._lookup(key)
+            if value is _MISSING:
+                value = self._backing.get(key, _MISSING)
+                if value is _MISSING:
+                    return default
+                self._insert(key, value)
+            return value
 
-    def put(self, key: Key, value: Any, ttl: float | None = None) -> int:
-        version = self._backing.put(key, value, ttl=ttl)
-        if ttl is None:
+    def put(self, key: Key, value: Any) -> None:
+        with self._lock:
+            self._backing.put(key, value)
             self._insert(key, value)
-        else:
-            self._cache.pop(key, None)
-        return version
 
     def delete(self, key: Key) -> bool:
-        self._cache.pop(key, None)
-        return self._backing.delete(key)
+        with self._lock:
+            self._cache.pop(key, None)
+            return self._backing.delete(key)
 
     def update(self, key: Key, fn: Callable[[Any], Any], default: Any = None) -> Any:
-        new_value = self._backing.update(key, fn, default=default)
-        self._insert(key, new_value)
-        return new_value
-
-    def compare_and_set(self, key: Key, value: Any, expected_version: int) -> int:
-        version = self._backing.compare_and_set(key, value, expected_version)
-        self._insert(key, value)
-        return version
-
-    def version(self, key: Key) -> int:
-        return self._backing.version(key)
+        with self._lock:
+            new_value = self._backing.update(key, fn, default=default)
+            self._insert(key, new_value)
+            return new_value
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._cache or key in self._backing
+        with self._lock:
+            return key in self._cache or key in self._backing
 
     def __len__(self) -> int:
         return len(self._backing)
@@ -115,47 +115,40 @@ class ReadThroughCache(KVStore):
         keys = list(keys)
         out: list[Any] = [default] * len(keys)
         miss_positions: list[int] = []
-        for position, key in enumerate(keys):
-            if key in self._cache:
-                self._cache.move_to_end(key)
-                self.hits += 1
-                out[position] = self._cache[key]
-            else:
-                self.misses += 1
-                miss_positions.append(position)
-        if miss_positions:
-            fetched = self._backing.mget(
-                [keys[p] for p in miss_positions], _MISSING
-            )
-            for position, value in zip(miss_positions, fetched):
+        with self._lock:
+            for position, key in enumerate(keys):
+                value = self._lookup(key)
                 if value is _MISSING:
-                    continue
-                self._insert(keys[position], value)
-                out[position] = value
+                    miss_positions.append(position)
+                else:
+                    out[position] = value
+            if miss_positions:
+                fetched = self._backing.mget(
+                    [keys[p] for p in miss_positions], _MISSING
+                )
+                for position, value in zip(miss_positions, fetched):
+                    if value is _MISSING:
+                        continue
+                    self._insert(keys[position], value)
+                    out[position] = value
         return out
 
-    def mput(
-        self,
-        items: Iterable[tuple[Key, Any]],
-        ttl: float | None = None,
-    ) -> list[int]:
-        """Batch write-through: one backing ``mput``, then cache fill.
-        Returns the backing store's new versions, in input order."""
+    def mput(self, items: Iterable[tuple[Key, Any]]) -> None:
+        """Batch write-through: one backing ``mput``, then cache fill."""
         items = list(items)
-        versions = self._backing.mput(items, ttl=ttl)
-        for key, value in items:
-            if ttl is None:
+        with self._lock:
+            self._backing.mput(items)
+            for key, value in items:
                 self._insert(key, value)
-            else:
-                self._cache.pop(key, None)
-        return versions
 
     def invalidate(self, key: Key) -> None:
-        self._cache.pop(key, None)
+        with self._lock:
+            self._cache.pop(key, None)
 
     def clear(self) -> None:
         """Forget every cached value (the backing store is untouched)."""
-        self._cache.clear()
+        with self._lock:
+            self._cache.clear()
 
     #: Protocol hook: tier-aware restores (:func:`repro.kvstore.durable
     #: .drop_caches`) call ``drop_cache()`` on every layer after mutating
@@ -163,16 +156,18 @@ class ReadThroughCache(KVStore):
     drop_cache = clear
 
     # -- checkpoint support (always delegated: the backing store is the
-    # -- source of truth; the cache holds no metadata) ---------------------
+    # -- source of truth) --------------------------------------------------
 
     def snapshot_entries(self) -> list[EntrySnapshot]:
         return self._backing.snapshot_entries()
 
     def restore_entries(self, entries: Iterable[EntrySnapshot]) -> int:
-        self._cache.clear()
-        return self._backing.restore_entries(entries)
+        with self._lock:
+            self._cache.clear()
+            return self._backing.restore_entries(entries)
 
     def _insert(self, key: Key, value: Any) -> None:
+        """Lock held."""
         self._cache[key] = value
         self._cache.move_to_end(key)
         while len(self._cache) > self._capacity:

@@ -6,7 +6,9 @@ was RAM-bound and a crash meant losing everything since the last full
 checkpoint.  :class:`DurableKVStore` is the persistent tier under the cache
 hierarchy: every write is appended to a checksummed segment file on disk,
 an in-memory index maps each key to its newest record, and reads seek
-straight to the record — the classic bitcask layout.  Compose it under a
+straight to the record — the classic bitcask layout.  It speaks exactly
+the :class:`~repro.kvstore.store.KVStore` contract (no versions, no
+expiry: a record is a key, a value and a tombstone flag).  Compose it under a
 :class:`~repro.kvstore.cache.ReadThroughCache` for the hot-set-in-memory /
 full-state-on-disk split.
 
@@ -17,12 +19,14 @@ On-disk layout (all files under one root directory)::
     seg-000000000003.log     # active (append-only)
     compact-tmp-*.log        # partial compaction — discarded on open
 
-Record format (binary, little-endian)::
+Record format (binary, integers low byte first)::
 
     u32 crc32    over everything that follows (length, flags, payload)
     u32 length   payload byte count
     u8  flags    bit 0: tombstone
-    payload      pickle of (key, version, expires_at, value)
+    payload      pickle of (key, 0, None, value); the two constant slots
+                 are a retired version and expires_at, ignored on read,
+                 kept so data directories written before still open
 
 Durability semantics, by construction:
 
@@ -71,12 +75,7 @@ from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator
 
 from ..clock import Clock, SystemClock
-from ..errors import (
-    CASConflict,
-    CorruptSegmentError,
-    DurableStoreError,
-    KeyNotFound,
-)
+from ..errors import CorruptSegmentError, DurableStoreError
 from .store import EntrySnapshot, Key, KVStore
 
 __all__ = [
@@ -118,15 +117,9 @@ def _is_segment_name(name: str) -> bool:
     return stem.isdigit()
 
 
-def _encode_record(
-    key: Key,
-    version: int,
-    expires_at: float | None,
-    value: Any,
-    tombstone: bool = False,
-) -> bytes:
+def _encode_record(key: Key, value: Any, tombstone: bool = False) -> bytes:
     payload = pickle.dumps(
-        (key, version, expires_at, None if tombstone else value),
+        (key, 0, None, None if tombstone else value),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     meta = _LENFLAGS.pack(len(payload), _FLAG_TOMBSTONE if tombstone else 0)
@@ -141,8 +134,6 @@ class _IndexEntry:
     segment_id: int
     offset: int
     length: int
-    version: int
-    expires_at: float | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,15 +154,13 @@ class CompactionReport:
 class _Scan:
     """One decoded record during a segment scan."""
 
-    __slots__ = ("offset", "length", "tombstone", "key", "version", "expires_at")
+    __slots__ = ("offset", "length", "tombstone", "key")
 
-    def __init__(self, offset, length, tombstone, key, version, expires_at):
+    def __init__(self, offset, length, tombstone, key):
         self.offset = offset
         self.length = length
         self.tombstone = tombstone
         self.key = key
-        self.version = version
-        self.expires_at = expires_at
 
 
 def _scan_segment(data: bytes) -> Iterator[_Scan]:
@@ -194,14 +183,12 @@ def _scan_segment(data: bytes) -> Iterator[_Scan]:
         if zlib.crc32(data[pos + _CRC.size : end]) & 0xFFFFFFFF != crc:
             raise _ScanFailure(pos, "checksum mismatch")
         try:
-            key, version, expires_at, _value = pickle.loads(
+            key, _version, _expires_at, _value = pickle.loads(
                 data[pos + _HEADER_SIZE : end]
             )
         except Exception:
             raise _ScanFailure(pos, "undecodable payload") from None
-        yield _Scan(
-            pos, end - pos, bool(flags & _FLAG_TOMBSTONE), key, version, expires_at
-        )
+        yield _Scan(pos, end - pos, bool(flags & _FLAG_TOMBSTONE), key)
         pos = end
 
 
@@ -284,6 +271,7 @@ class DurableKVStore(KVStore):
     ``registry`` (a :class:`~repro.obs.MetricsRegistry`) makes every
     anomaly — torn tails, discarded partial compactions — and every
     compaction observable; pass ``obs.registry`` in production wiring.
+    ``clock`` paces the ``"interval"`` fsync policy and nothing else.
     """
 
     def __init__(
@@ -330,7 +318,7 @@ class DurableKVStore(KVStore):
         self._index: dict[Key, _IndexEntry] = {}
         #: keys whose newest record is a tombstone still on disk — carried
         #: through compaction so stale segments can never resurrect them.
-        self._tombstones: dict[Key, int] = {}
+        self._tombstones: set[Key] = set()
         self._segment_bytes: dict[int, int] = {}
         self._dead_bytes = 0
         self._active_id: int | None = None
@@ -366,19 +354,18 @@ class DurableKVStore(KVStore):
         self._segment_bytes.clear()
         self._dead_bytes = 0
         paths = self._segment_paths()
-        now = self._clock.now()
         for position, path in enumerate(paths):
             newest = position == len(paths) - 1
-            self._scan_into_index(path, newest=newest, now=now)
+            self._scan_into_index(path, newest=newest)
         self._update_gauges()
 
-    def _scan_into_index(self, path: Path, newest: bool, now: float) -> None:
+    def _scan_into_index(self, path: Path, newest: bool) -> None:
         segment_id = _segment_id(path)
         data = path.read_bytes()
         good_end = 0
         try:
             for record in _scan_segment(data):
-                self._apply_scan(segment_id, record, now)
+                self._apply_scan(segment_id, record)
                 good_end = record.offset + record.length
         except _ScanFailure as failure:
             if not newest:
@@ -397,23 +384,16 @@ class DurableKVStore(KVStore):
             self._metrics.truncated_bytes.inc(dropped)
         self._segment_bytes[segment_id] = good_end if newest else len(data)
 
-    def _apply_scan(self, segment_id: int, record: _Scan, now: float) -> None:
+    def _apply_scan(self, segment_id: int, record: _Scan) -> None:
         previous = self._index.pop(record.key, None)
         if previous is not None:
             self._dead_bytes += previous.length
         if record.tombstone:
-            self._tombstones[record.key] = record.version
+            self._tombstones.add(record.key)
             return
-        self._tombstones.pop(record.key, None)
-        if record.expires_at is not None and now >= record.expires_at:
-            self._dead_bytes += record.length
-            return
+        self._tombstones.discard(record.key)
         self._index[record.key] = _IndexEntry(
-            segment_id,
-            record.offset,
-            record.length,
-            record.version,
-            record.expires_at,
+            segment_id, record.offset, record.length
         )
 
     # ------------------------------------------------------------------
@@ -497,23 +477,15 @@ class DurableKVStore(KVStore):
                 self._metrics.fsyncs.inc()
                 self._last_fsync = self._clock.now()
 
-    def _write_entry(
-        self,
-        key: Key,
-        value: Any,
-        version: int,
-        expires_at: float | None,
-    ) -> None:
+    def _write_entry(self, key: Key, value: Any) -> None:
         """Append a live record and move the index to it.  Lock held."""
-        blob = _encode_record(key, version, expires_at, value)
+        blob = _encode_record(key, value)
         previous = self._index.get(key)
         if previous is not None:
             self._dead_bytes += previous.length
         segment_id, offset = self._append(blob)
-        self._index[key] = _IndexEntry(
-            segment_id, offset, len(blob), version, expires_at
-        )
-        self._tombstones.pop(key, None)
+        self._index[key] = _IndexEntry(segment_id, offset, len(blob))
+        self._tombstones.discard(key)
 
     # ------------------------------------------------------------------
     # Read path
@@ -554,150 +526,66 @@ class DurableKVStore(KVStore):
         self._metrics.reads.inc()
         return value
 
-    def _live_entry(self, key: Key) -> _IndexEntry | None:
-        """The index entry for ``key``, dropping it if expired.  Lock held."""
-        entry = self._index.get(key)
-        if entry is None:
-            return None
-        if entry.expires_at is not None and self._clock.now() >= entry.expires_at:
-            del self._index[key]
-            self._dead_bytes += entry.length
-            return None
-        return entry
-
-    def _expiry(self, ttl: float | None) -> float | None:
-        if ttl is None:
-            return None
-        if ttl <= 0:
-            raise ValueError(f"ttl must be positive, got {ttl}")
-        return self._clock.now() + ttl
-
     # ------------------------------------------------------------------
     # KVStore API
     # ------------------------------------------------------------------
 
+    def _value(self, key: Key, default: Any) -> Any:
+        """``key``'s value read from disk, or ``default``.  Lock held."""
+        entry = self._index.get(key)
+        return default if entry is None else self._read_value(key, entry)
+
     def get(self, key: Key, default: Any = None) -> Any:
         with self._lock:
-            entry = self._live_entry(key)
-            return default if entry is None else self._read_value(key, entry)
+            return self._value(key, default)
 
-    def get_strict(self, key: Key) -> Any:
+    def put(self, key: Key, value: Any) -> None:
         with self._lock:
-            entry = self._live_entry(key)
-            if entry is None:
-                raise KeyNotFound(key)
-            return self._read_value(key, entry)
-
-    def put(self, key: Key, value: Any, ttl: float | None = None) -> int:
-        with self._lock:
-            entry = self._live_entry(key)
-            version = 1 if entry is None else entry.version + 1
-            self._write_entry(key, value, version, self._expiry(ttl))
+            self._write_entry(key, value)
             self._sync()
-            return version
 
     def delete(self, key: Key) -> bool:
         with self._lock:
-            entry = self._live_entry(key)
+            entry = self._index.get(key)
             if entry is None:
                 return False
-            blob = _encode_record(key, entry.version, None, None, tombstone=True)
-            self._append(blob)
+            self._append(_encode_record(key, None, tombstone=True))
             self._sync()
             del self._index[key]
             self._dead_bytes += entry.length
-            self._tombstones[key] = entry.version
+            self._tombstones.add(key)
             return True
 
     def update(self, key: Key, fn: Callable[[Any], Any], default: Any = None) -> Any:
         with self._lock:
-            entry = self._live_entry(key)
-            current = default if entry is None else self._read_value(key, entry)
-            new_value = fn(current)
-            version = 1 if entry is None else entry.version + 1
-            expires_at = None if entry is None else entry.expires_at
-            self._write_entry(key, new_value, version, expires_at)
+            new_value = fn(self._value(key, default))
+            self._write_entry(key, new_value)
             self._sync()
             return new_value
-
-    def compare_and_set(self, key: Key, value: Any, expected_version: int) -> int:
-        with self._lock:
-            entry = self._live_entry(key)
-            actual = 0 if entry is None else entry.version
-            if actual != expected_version:
-                raise CASConflict(key, expected_version, actual)
-            version = actual + 1
-            expires_at = None if entry is None else entry.expires_at
-            self._write_entry(key, value, version, expires_at)
-            self._sync()
-            return version
-
-    def version(self, key: Key) -> int:
-        with self._lock:
-            entry = self._live_entry(key)
-            return 0 if entry is None else entry.version
 
     def mget(self, keys: Iterable[Key], default: Any = None) -> list[Any]:
         """Batch get under one lock acquisition."""
         with self._lock:
-            out = []
-            for key in keys:
-                entry = self._live_entry(key)
-                out.append(
-                    default if entry is None else self._read_value(key, entry)
-                )
-            return out
+            return [self._value(key, default) for key in keys]
 
-    def mput(
-        self,
-        items: Iterable[tuple[Key, Any]],
-        ttl: float | None = None,
-    ) -> list[int]:
+    def mput(self, items: Iterable[tuple[Key, Any]]) -> None:
         """Batch put: one lock, one group-commit fsync for the batch."""
         with self._lock:
-            versions = []
-            expires_at = self._expiry(ttl)
             for key, value in items:
-                entry = self._live_entry(key)
-                version = 1 if entry is None else entry.version + 1
-                self._write_entry(key, value, version, expires_at)
-                versions.append(version)
+                self._write_entry(key, value)
             self._sync()
-            return versions
 
     def __contains__(self, key: Key) -> bool:
         with self._lock:
-            return self._live_entry(key) is not None
+            return key in self._index
 
     def __len__(self) -> int:
         with self._lock:
-            self.sweep()
             return len(self._index)
 
     def keys(self) -> Iterator[Key]:
         with self._lock:
-            now = self._clock.now()
-            snapshot = [
-                key
-                for key, entry in self._index.items()
-                if entry.expires_at is None or now < entry.expires_at
-            ]
-        return iter(snapshot)
-
-    def sweep(self) -> int:
-        """Drop expired entries from the index; return how many."""
-        with self._lock:
-            now = self._clock.now()
-            dead = [
-                key
-                for key, entry in self._index.items()
-                if entry.expires_at is not None and now >= entry.expires_at
-            ]
-            for key in dead:
-                self._dead_bytes += self._index.pop(key).length
-            if dead:
-                self._update_gauges()
-            return len(dead)
+            return iter(list(self._index))
 
     def clear(self) -> None:
         """Remove every entry *and* every segment file (fresh store)."""
@@ -717,28 +605,19 @@ class DurableKVStore(KVStore):
     # ------------------------------------------------------------------
 
     def snapshot_entries(self) -> list[EntrySnapshot]:
-        """Exact capture (reads every live value from disk)."""
+        """One locked pass (reads every live value from disk)."""
         with self._lock:
-            now = self._clock.now()
             return [
-                EntrySnapshot(
-                    key,
-                    self._read_value(key, entry),
-                    entry.version,
-                    entry.expires_at,
-                )
-                for key, entry in list(self._index.items())
-                if entry.expires_at is None or now < entry.expires_at
+                EntrySnapshot(key, self._read_value(key, entry))
+                for key, entry in self._index.items()
             ]
 
     def restore_entries(self, entries: Iterable[EntrySnapshot]) -> int:
-        """Exact restore: reinstates versions and absolute expiries."""
+        """One lock, one group-commit fsync for the whole restore."""
         count = 0
         with self._lock:
             for entry in entries:
-                self._write_entry(
-                    entry.key, entry.value, entry.version, entry.expires_at
-                )
+                self._write_entry(entry.key, entry.value)
                 count += 1
             self._sync()
         return count
@@ -827,7 +706,6 @@ class DurableKVStore(KVStore):
             return self._compact_locked()
 
     def _compact_locked(self) -> CompactionReport:
-        self.sweep()
         self._seal_active()
         source_ids = sorted(self._segment_bytes)
         bytes_before = sum(self._segment_bytes.values())
@@ -841,18 +719,16 @@ class DurableKVStore(KVStore):
         with open(tmp, "wb") as out:
             for key, entry in self._index.items():
                 value = self._read_value(key, entry)
-                blob = _encode_record(key, entry.version, entry.expires_at, value)
+                blob = _encode_record(key, value)
                 out.write(blob)
-                new_index[key] = _IndexEntry(
-                    new_id, offset, len(blob), entry.version, entry.expires_at
-                )
+                new_index[key] = _IndexEntry(new_id, offset, len(blob))
                 offset += len(blob)
             # Tombstones survive compaction: if a crash strands a stale
             # source segment next to the compacted one, the tombstone in
             # the (higher-id) compacted segment still wins the scan and
             # the deleted key stays deleted.
-            for key, version in self._tombstones.items():
-                blob = _encode_record(key, version, None, None, tombstone=True)
+            for key in self._tombstones:
+                blob = _encode_record(key, None, tombstone=True)
                 out.write(blob)
                 offset += len(blob)
             out.flush()
@@ -942,7 +818,7 @@ _WRAPPER_ATTRS = ("inner", "_backing")
 
 
 def unwrap_durable(store: Any) -> DurableKVStore | None:
-    """Walk a wrapper chain (cache, breaker, instrumentation, namespace)
+    """Walk a wrapper chain (cache, instrumentation, fault injection)
     down to the :class:`DurableKVStore` at the bottom, or ``None``."""
     seen = set()
     current = store

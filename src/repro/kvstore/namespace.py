@@ -38,23 +38,14 @@ class Namespace(KVStore):
     def get(self, key: Key, default: Any = None) -> Any:
         return self._backing.get(self._wrap(key), default)
 
-    def get_strict(self, key: Key) -> Any:
-        return self._backing.get_strict(self._wrap(key))
-
-    def put(self, key: Key, value: Any, ttl: float | None = None) -> int:
-        return self._backing.put(self._wrap(key), value, ttl=ttl)
+    def put(self, key: Key, value: Any) -> None:
+        self._backing.put(self._wrap(key), value)
 
     def delete(self, key: Key) -> bool:
         return self._backing.delete(self._wrap(key))
 
     def update(self, key: Key, fn: Callable[[Any], Any], default: Any = None) -> Any:
         return self._backing.update(self._wrap(key), fn, default=default)
-
-    def compare_and_set(self, key: Key, value: Any, expected_version: int) -> int:
-        return self._backing.compare_and_set(self._wrap(key), value, expected_version)
-
-    def version(self, key: Key) -> int:
-        return self._backing.version(self._wrap(key))
 
     def mget(self, keys, default: Any = None) -> list[Any]:
         """Batch get: wraps every key, then delegates one batch call so a
@@ -63,11 +54,9 @@ class Namespace(KVStore):
             [self._wrap(key) for key in keys], default
         )
 
-    def mput(self, items, ttl: float | None = None) -> list[int]:
+    def mput(self, items) -> None:
         """Batch put with prefixed keys, delegated as one batch call."""
-        return self._backing.mput(
-            [(self._wrap(key), value) for key, value in items], ttl=ttl
-        )
+        self._backing.mput([(self._wrap(key), value) for key, value in items])
 
     def __contains__(self, key: Key) -> bool:
         return self._wrap(key) in self._backing

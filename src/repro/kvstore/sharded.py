@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator
 
-from ..clock import Clock
 from ..hashing import stable_bucket
 from .store import EntrySnapshot, InMemoryKVStore, Key, KVStore
 
@@ -25,10 +24,10 @@ class ShardedKVStore(KVStore):
     order.
     """
 
-    def __init__(self, n_shards: int = 16, clock: Clock | None = None) -> None:
+    def __init__(self, n_shards: int = 16) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self._shards = [InMemoryKVStore(clock=clock) for _ in range(n_shards)]
+        self._shards = [InMemoryKVStore() for _ in range(n_shards)]
 
     @property
     def n_shards(self) -> int:
@@ -47,23 +46,14 @@ class ShardedKVStore(KVStore):
     def get(self, key: Key, default: Any = None) -> Any:
         return self.shard_for(key).get(key, default)
 
-    def get_strict(self, key: Key) -> Any:
-        return self.shard_for(key).get_strict(key)
-
-    def put(self, key: Key, value: Any, ttl: float | None = None) -> int:
-        return self.shard_for(key).put(key, value, ttl=ttl)
+    def put(self, key: Key, value: Any) -> None:
+        self.shard_for(key).put(key, value)
 
     def delete(self, key: Key) -> bool:
         return self.shard_for(key).delete(key)
 
     def update(self, key: Key, fn: Callable[[Any], Any], default: Any = None) -> Any:
         return self.shard_for(key).update(key, fn, default=default)
-
-    def compare_and_set(self, key: Key, value: Any, expected_version: int) -> int:
-        return self.shard_for(key).compare_and_set(key, value, expected_version)
-
-    def version(self, key: Key) -> int:
-        return self.shard_for(key).version(key)
 
     def mget(self, keys: Iterable[Key], default: Any = None) -> list[Any]:
         """Batch get: keys are grouped per shard, one :meth:`mget` per
@@ -81,25 +71,14 @@ class ShardedKVStore(KVStore):
                 out[position] = value
         return out
 
-    def mput(
-        self,
-        items: Iterable[tuple[Key, Any]],
-        ttl: float | None = None,
-    ) -> list[int]:
-        """Batch put: one :meth:`mput` per owning shard, versions returned
-        in input order."""
-        items = list(items)
-        groups: dict[int, list[int]] = {}
-        for position, (key, _) in enumerate(items):
-            groups.setdefault(self.shard_index(key), []).append(position)
-        versions: list[int] = [0] * len(items)
-        for shard_idx, positions in groups.items():
-            shard_versions = self._shards[shard_idx].mput(
-                [items[p] for p in positions], ttl=ttl
-            )
-            for position, version in zip(positions, shard_versions):
-                versions[position] = version
-        return versions
+    def mput(self, items: Iterable[tuple[Key, Any]]) -> None:
+        """Batch put: one :meth:`mput` per owning shard, input order kept
+        within each shard."""
+        groups: dict[int, list[tuple[Key, Any]]] = {}
+        for item in items:
+            groups.setdefault(self.shard_index(item[0]), []).append(item)
+        for shard_idx, shard_items in groups.items():
+            self._shards[shard_idx].mput(shard_items)
 
     def __contains__(self, key: Key) -> bool:
         return key in self.shard_for(key)
@@ -110,10 +89,6 @@ class ShardedKVStore(KVStore):
     def keys(self) -> Iterator[Key]:
         for shard in self._shards:
             yield from shard.keys()
-
-    def sweep(self) -> int:
-        """Purge expired entries on every shard; return the total removed."""
-        return sum(shard.sweep() for shard in self._shards)
 
     def clear(self) -> None:
         for shard in self._shards:
@@ -126,18 +101,9 @@ class ShardedKVStore(KVStore):
     # -- checkpoint support ------------------------------------------------
 
     def snapshot_entries(self) -> list[EntrySnapshot]:
-        """Exact capture across all shards (shard by shard, not atomic
-        across shards — checkpoint callers quiesce writers first)."""
+        """Capture shard by shard, each under its lock (not atomic across
+        shards — checkpoint callers quiesce writers first)."""
         entries: list[EntrySnapshot] = []
         for shard in self._shards:
             entries.extend(shard.snapshot_entries())
         return entries
-
-    def restore_entries(self, entries: Iterable[EntrySnapshot]) -> int:
-        """Exact restore; each entry is routed to its owning shard, so a
-        snapshot taken at one shard count restores correctly at another."""
-        count = 0
-        for entry in entries:
-            self.shard_for(entry.key).restore_entries([entry])
-            count += 1
-        return count

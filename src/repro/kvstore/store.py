@@ -6,10 +6,18 @@ memory-based key-value storage" (§5.1) so that any worker can address any
 vector by key without touching unrelated state.  :class:`KVStore` is that
 interface; :class:`InMemoryKVStore` is one shard of it.
 
+The contract is exactly what the system calls: ``get`` / ``put`` /
+``delete`` / ``update`` / membership / ``len`` / ``keys`` (abstract) and
+``items`` / ``setdefault`` / ``mget`` / ``mput`` / ``snapshot_entries`` /
+``restore_entries`` (concrete, overridable).  There are no versions, no
+compare-and-set and no expiry: fields grouping makes every key
+single-writer (§5.1–5.2), so the one read-modify-write the system needs is
+:meth:`KVStore.update`, which runs its callable under the owning store's
+lock.
+
 Values are stored by reference; callers that mutate values in place (numpy
-vectors) must write them back with :meth:`put` so versioning and TTL stay
-coherent.  Every entry carries a monotonically increasing version used by
-:meth:`compare_and_set`.
+vectors) must write them back with :meth:`put` so every tier — caches,
+the durable log — sees the change.
 """
 
 from __future__ import annotations
@@ -19,53 +27,29 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
-from ..clock import Clock, SystemClock
-from ..errors import CASConflict, KeyNotFound
-
 Key = Hashable
 
 _MISSING = object()
 
 
-@dataclass(slots=True)
-class _Entry:
-    value: Any
-    version: int
-    expires_at: float | None
-
-
 @dataclass(frozen=True, slots=True)
 class EntrySnapshot:
-    """One live entry captured with its full metadata.
-
-    ``expires_at`` is an absolute timestamp (same clock domain as the
-    store's), so a snapshot restored under the same clock keeps the exact
-    remaining TTL.
-    """
+    """One entry captured for a checkpoint."""
 
     key: Key
     value: Any
-    version: int
-    expires_at: float | None
 
 
 class KVStore(ABC):
-    """Abstract key-value store with versioned writes and atomic updates."""
+    """Abstract key-value store with atomic per-key updates."""
 
     @abstractmethod
     def get(self, key: Key, default: Any = None) -> Any:
-        """Return the value for ``key`` or ``default`` when absent/expired."""
+        """Return the value for ``key`` or ``default`` when absent."""
 
     @abstractmethod
-    def get_strict(self, key: Key) -> Any:
-        """Return the value for ``key``; raise :class:`KeyNotFound` if absent."""
-
-    @abstractmethod
-    def put(self, key: Key, value: Any, ttl: float | None = None) -> int:
-        """Store ``value`` under ``key``; return the new version number.
-
-        ``ttl`` is a relative lifetime in seconds; ``None`` means no expiry.
-        """
+    def put(self, key: Key, value: Any) -> None:
+        """Store ``value`` under ``key``."""
 
     @abstractmethod
     def delete(self, key: Key) -> bool:
@@ -80,18 +64,6 @@ class KVStore(ABC):
         """
 
     @abstractmethod
-    def compare_and_set(self, key: Key, value: Any, expected_version: int) -> int:
-        """Write ``value`` only if the stored version equals ``expected_version``.
-
-        Version 0 means "key must be absent".  Returns the new version;
-        raises :class:`CASConflict` on mismatch.
-        """
-
-    @abstractmethod
-    def version(self, key: Key) -> int:
-        """Return the current version of ``key`` (0 when absent)."""
-
-    @abstractmethod
     def __contains__(self, key: Key) -> bool: ...
 
     @abstractmethod
@@ -99,10 +71,10 @@ class KVStore(ABC):
 
     @abstractmethod
     def keys(self) -> Iterator[Key]:
-        """Iterate over live (non-expired) keys; snapshot semantics."""
+        """Iterate over the keys; snapshot semantics."""
 
     def items(self) -> Iterator[tuple[Key, Any]]:
-        """Iterate ``(key, value)`` pairs over a snapshot of live keys."""
+        """Iterate ``(key, value)`` pairs over a snapshot of the keys."""
         for key in self.keys():
             value = self.get(key, _MISSING)
             if value is not _MISSING:
@@ -120,12 +92,11 @@ class KVStore(ABC):
     # -- batch operations --------------------------------------------------
     #
     # Contract (all implementations and wrappers):
-    #   * ``mget`` returns one value per input key, in input order; keys
-    #     that are absent or expired yield ``default``.  Duplicate keys are
-    #     allowed and each occurrence is resolved independently.
-    #   * ``mput`` writes every ``(key, value)`` pair and returns the new
-    #     version numbers in input order.  A duplicate key is written twice,
-    #     in order (last write wins, two version bumps).
+    #   * ``mget`` returns one value per input key, in input order; absent
+    #     keys yield ``default``.  Duplicate keys are allowed and each
+    #     occurrence is resolved independently.
+    #   * ``mput`` writes every ``(key, value)`` pair.  A duplicate key is
+    #     written twice, in order (last write wins).
     #   * Neither operation is atomic across keys unless a concrete store
     #     says otherwise (``InMemoryKVStore`` holds its lock for the whole
     #     batch; ``ShardedKVStore`` is atomic per shard only).
@@ -139,38 +110,20 @@ class KVStore(ABC):
         """
         return [self.get(key, default) for key in keys]
 
-    def mput(
-        self,
-        items: Iterable[tuple[Key, Any]],
-        ttl: float | None = None,
-    ) -> list[int]:
-        """Batch :meth:`put`: returns the new versions in input order.
-
-        ``ttl`` applies uniformly to every written entry.  The base
-        implementation loops over :meth:`put`.
-        """
-        return [self.put(key, value, ttl=ttl) for key, value in items]
+    def mput(self, items: Iterable[tuple[Key, Any]]) -> None:
+        """Batch :meth:`put`.  The base implementation loops over it."""
+        for key, value in items:
+            self.put(key, value)
 
     # -- checkpoint support ------------------------------------------------
 
     def snapshot_entries(self) -> list[EntrySnapshot]:
-        """Capture every live entry with version and expiry metadata.
-
-        The base implementation goes through :meth:`items` and therefore
-        loses versions and TTLs (they restore as fresh version-1 immortal
-        entries); concrete stores override it with an exact capture.
-        """
-        return [
-            EntrySnapshot(key, value, 1, None) for key, value in self.items()
-        ]
+        """Capture every entry.  Goes through :meth:`items`; stores whose
+        iteration is not already one locked pass override it."""
+        return [EntrySnapshot(key, value) for key, value in self.items()]
 
     def restore_entries(self, entries: Iterable[EntrySnapshot]) -> int:
-        """Load snapshot entries into this store; return how many.
-
-        The base implementation writes through :meth:`put`, so restored
-        entries get new versions; exact stores override it to reinstate
-        versions and absolute expiries.
-        """
+        """Load snapshot entries into this store; return how many."""
         count = 0
         for entry in entries:
             self.put(entry.key, entry.value)
@@ -179,141 +132,51 @@ class KVStore(ABC):
 
 
 class InMemoryKVStore(KVStore):
-    """A thread-safe, versioned, TTL-aware dict-backed store (one shard).
+    """A thread-safe dict-backed store (one shard)."""
 
-    Expiry is lazy: entries are purged when read or via :meth:`sweep`.
-    """
-
-    def __init__(self, clock: Clock | None = None) -> None:
-        self._clock = clock or SystemClock()
-        self._data: dict[Key, _Entry] = {}
+    def __init__(self) -> None:
+        self._data: dict[Key, Any] = {}
         self._lock = threading.RLock()
-
-    # -- internal helpers -------------------------------------------------
-
-    def _live_entry(self, key: Key) -> _Entry | None:
-        """Return the entry for ``key``, purging it if expired.  Lock held."""
-        entry = self._data.get(key)
-        if entry is None:
-            return None
-        if entry.expires_at is not None and self._clock.now() >= entry.expires_at:
-            del self._data[key]
-            return None
-        return entry
-
-    def _expiry(self, ttl: float | None) -> float | None:
-        if ttl is None:
-            return None
-        if ttl <= 0:
-            raise ValueError(f"ttl must be positive, got {ttl}")
-        return self._clock.now() + ttl
-
-    # -- KVStore API -------------------------------------------------------
 
     def get(self, key: Key, default: Any = None) -> Any:
         with self._lock:
-            entry = self._live_entry(key)
-            return default if entry is None else entry.value
+            return self._data.get(key, default)
 
-    def get_strict(self, key: Key) -> Any:
+    def put(self, key: Key, value: Any) -> None:
         with self._lock:
-            entry = self._live_entry(key)
-            if entry is None:
-                raise KeyNotFound(key)
-            return entry.value
-
-    def put(self, key: Key, value: Any, ttl: float | None = None) -> int:
-        with self._lock:
-            entry = self._live_entry(key)
-            version = 1 if entry is None else entry.version + 1
-            self._data[key] = _Entry(value, version, self._expiry(ttl))
-            return version
+            self._data[key] = value
 
     def delete(self, key: Key) -> bool:
         with self._lock:
-            return self._data.pop(key, None) is not None
+            return self._data.pop(key, _MISSING) is not _MISSING
 
     def update(self, key: Key, fn: Callable[[Any], Any], default: Any = None) -> Any:
         with self._lock:
-            entry = self._live_entry(key)
-            current = default if entry is None else entry.value
-            new_value = fn(current)
-            version = 1 if entry is None else entry.version + 1
-            expires_at = None if entry is None else entry.expires_at
-            self._data[key] = _Entry(new_value, version, expires_at)
+            new_value = fn(self._data.get(key, default))
+            self._data[key] = new_value
             return new_value
-
-    def compare_and_set(self, key: Key, value: Any, expected_version: int) -> int:
-        with self._lock:
-            entry = self._live_entry(key)
-            actual = 0 if entry is None else entry.version
-            if actual != expected_version:
-                raise CASConflict(key, expected_version, actual)
-            version = actual + 1
-            expires_at = None if entry is None else entry.expires_at
-            self._data[key] = _Entry(value, version, expires_at)
-            return version
-
-    def version(self, key: Key) -> int:
-        with self._lock:
-            entry = self._live_entry(key)
-            return 0 if entry is None else entry.version
 
     def mget(self, keys: Iterable[Key], default: Any = None) -> list[Any]:
         """Batch get under one lock acquisition (atomic snapshot)."""
         with self._lock:
-            out = []
-            for key in keys:
-                entry = self._live_entry(key)
-                out.append(default if entry is None else entry.value)
-            return out
+            return [self._data.get(key, default) for key in keys]
 
-    def mput(
-        self,
-        items: Iterable[tuple[Key, Any]],
-        ttl: float | None = None,
-    ) -> list[int]:
+    def mput(self, items: Iterable[tuple[Key, Any]]) -> None:
         """Batch put under one lock acquisition (atomic batch)."""
         with self._lock:
-            versions = []
-            for key, value in items:
-                entry = self._live_entry(key)
-                version = 1 if entry is None else entry.version + 1
-                self._data[key] = _Entry(value, version, self._expiry(ttl))
-                versions.append(version)
-            return versions
+            self._data.update(items)
 
     def __contains__(self, key: Key) -> bool:
         with self._lock:
-            return self._live_entry(key) is not None
+            return key in self._data
 
     def __len__(self) -> int:
         with self._lock:
-            self.sweep()
             return len(self._data)
 
     def keys(self) -> Iterator[Key]:
         with self._lock:
-            now = self._clock.now()
-            snapshot = [
-                key
-                for key, entry in self._data.items()
-                if entry.expires_at is None or now < entry.expires_at
-            ]
-        return iter(snapshot)
-
-    def sweep(self) -> int:
-        """Eagerly purge expired entries; return how many were removed."""
-        with self._lock:
-            now = self._clock.now()
-            dead = [
-                key
-                for key, entry in self._data.items()
-                if entry.expires_at is not None and now >= entry.expires_at
-            ]
-            for key in dead:
-                del self._data[key]
-            return len(dead)
+            return iter(list(self._data))
 
     def clear(self) -> None:
         """Remove every entry (used between benchmark rounds)."""
@@ -323,22 +186,6 @@ class InMemoryKVStore(KVStore):
     # -- checkpoint support ------------------------------------------------
 
     def snapshot_entries(self) -> list[EntrySnapshot]:
-        """Exact capture: live entries with their versions and expiries."""
+        """All entries captured under one lock acquisition."""
         with self._lock:
-            now = self._clock.now()
-            return [
-                EntrySnapshot(key, entry.value, entry.version, entry.expires_at)
-                for key, entry in self._data.items()
-                if entry.expires_at is None or now < entry.expires_at
-            ]
-
-    def restore_entries(self, entries: Iterable[EntrySnapshot]) -> int:
-        """Exact restore: reinstate versions and absolute expiries."""
-        count = 0
-        with self._lock:
-            for entry in entries:
-                self._data[entry.key] = _Entry(
-                    entry.value, entry.version, entry.expires_at
-                )
-                count += 1
-        return count
+            return [EntrySnapshot(key, value) for key, value in self._data.items()]

@@ -9,6 +9,12 @@ and, per operation, bumps ``kvstore_ops_total{op=...}``, observes
 already has an active span, so bulk offline work does not flood the
 tracer — records a ``kv.<op>`` child span.  That makes the
 router→recommender→KV call chain one causally-linked trace.
+
+The ops are the :class:`~repro.kvstore.KVStore` contract's: ``get``,
+``put``, ``delete``, ``update``, ``contains``, ``mget``, ``mput``.
+Iteration and the checkpoint pair pass through uncounted.  Registry and
+tracer are both required — :meth:`repro.obs.Observability.instrument_store`
+is the one place this class is built.
 """
 
 from __future__ import annotations
@@ -28,49 +34,39 @@ class InstrumentedKVStore(KVStore):
     Purely additive: every call forwards to ``inner`` with identical
     semantics, so it can wrap :class:`~repro.kvstore.InMemoryKVStore`,
     :class:`~repro.kvstore.ShardedKVStore`, or another wrapper (e.g. a
-    breaker store) without behavioural change.
+    :class:`~repro.kvstore.ReadThroughCache` over the durable log)
+    without behavioural change.
     """
 
     def __init__(
-        self,
-        inner: KVStore,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
+        self, inner: KVStore, registry: MetricsRegistry, tracer: Tracer
     ) -> None:
         self.inner = inner
         self._tracer = tracer
-        if registry is not None:
-            self._ops = registry.counter(
-                "kvstore_ops_total",
-                "KV operations by op name",
-                labelnames=("op",),
-            )
-            self._latency = registry.histogram(
-                "kvstore_op_latency_seconds",
-                "KV operation latency by op name",
-                labelnames=("op",),
-            )
-            self._batch_keys = registry.counter(
-                "kvstore_batch_keys_total",
-                "Keys carried by batch KV operations, by op name",
-                labelnames=("op",),
-            )
-        else:
-            self._ops = None
-            self._latency = None
-            self._batch_keys = None
+        self._ops = registry.counter(
+            "kvstore_ops_total",
+            "KV operations by op name",
+            labelnames=("op",),
+        )
+        self._latency = registry.histogram(
+            "kvstore_op_latency_seconds",
+            "KV operation latency by op name",
+            labelnames=("op",),
+        )
+        self._batch_keys = registry.counter(
+            "kvstore_batch_keys_total",
+            "Keys carried by batch KV operations, by op name",
+            labelnames=("op",),
+        )
 
     def _call(self, op: str, fn: Callable[[], Any]) -> Any:
-        if self._ops is not None:
-            self._ops.labels(op=op).inc()
+        self._ops.labels(op=op).inc()
         span = None
-        if self._tracer is not None and self._tracer.current_span() is not None:
+        if self._tracer.current_span() is not None:
             span = self._tracer.start_span(f"kv.{op}")
         try:
-            if self._latency is not None:
-                with self._latency.labels(op=op).time():
-                    return fn()
-            return fn()
+            with self._latency.labels(op=op).time():
+                return fn()
         finally:
             if span is not None:
                 span.finish()
@@ -80,11 +76,8 @@ class InstrumentedKVStore(KVStore):
     def get(self, key: Key, default: Any = None) -> Any:
         return self._call("get", lambda: self.inner.get(key, default))
 
-    def get_strict(self, key: Key) -> Any:
-        return self._call("get", lambda: self.inner.get_strict(key))
-
-    def put(self, key: Key, value: Any, ttl: float | None = None) -> int:
-        return self._call("put", lambda: self.inner.put(key, value, ttl))
+    def put(self, key: Key, value: Any) -> None:
+        self._call("put", lambda: self.inner.put(key, value))
 
     def delete(self, key: Key) -> bool:
         return self._call("delete", lambda: self.inner.delete(key))
@@ -94,30 +87,18 @@ class InstrumentedKVStore(KVStore):
     ) -> Any:
         return self._call("update", lambda: self.inner.update(key, fn, default))
 
-    def compare_and_set(
-        self, key: Key, value: Any, expected_version: int
-    ) -> int:
-        return self._call(
-            "cas", lambda: self.inner.compare_and_set(key, value, expected_version)
-        )
-
     def mget(self, keys, default: Any = None) -> list[Any]:
         """Batch get: one ``mget`` op count/span for the whole batch, plus
         the batch size in ``kvstore_batch_keys_total{op="mget"}``."""
         keys = list(keys)
-        if self._batch_keys is not None:
-            self._batch_keys.labels(op="mget").inc(len(keys))
+        self._batch_keys.labels(op="mget").inc(len(keys))
         return self._call("mget", lambda: self.inner.mget(keys, default))
 
-    def mput(self, items, ttl: float | None = None) -> list[int]:
+    def mput(self, items) -> None:
         """Batch put: one ``mput`` op count/span for the whole batch."""
         items = list(items)
-        if self._batch_keys is not None:
-            self._batch_keys.labels(op="mput").inc(len(items))
-        return self._call("mput", lambda: self.inner.mput(items, ttl=ttl))
-
-    def version(self, key: Key) -> int:
-        return self._call("version", lambda: self.inner.version(key))
+        self._batch_keys.labels(op="mput").inc(len(items))
+        self._call("mput", lambda: self.inner.mput(items))
 
     def __contains__(self, key: Key) -> bool:
         return self._call("contains", lambda: key in self.inner)
@@ -131,7 +112,8 @@ class InstrumentedKVStore(KVStore):
     def items(self) -> Iterator[tuple[Key, Any]]:
         return self.inner.items()
 
-    # -- checkpoint support (exactness preserved) --------------------------
+    # -- checkpoint support (delegated, so a restore is not counted as
+    # -- one put per entry) ------------------------------------------------
 
     def snapshot_entries(self) -> list[EntrySnapshot]:
         return self.inner.snapshot_entries()

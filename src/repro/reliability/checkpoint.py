@@ -12,7 +12,7 @@ On-disk layout (all under the manager's root directory)::
 
     ckpt-00000001/
         entries.pkl     # pickled list of EntrySnapshot records
-        manifest.json   # id, wal_seq, entry count, sha256 of entries.pkl
+        manifest.json   # format, id, wal_seq, entry count, sha256 of entries.pkl
     ckpt-00000002/
         manifest.json   # incremental: references sealed durable segments
     ...
@@ -21,8 +21,9 @@ A checkpoint is *atomic by construction*: entries are written into a
 ``tmp-*`` staging directory, the manifest (with a checksum over the entry
 payload) is written last, and only then is the directory renamed to its
 final ``ckpt-*`` name.  A crash mid-write leaves a ``tmp-*`` directory that
-restore ignores; a manifest whose checksum does not match its payload is
-rejected with :class:`~repro.errors.CheckpointError`.
+restore ignores; a manifest whose ``format`` this build does not know, or
+whose checksum does not match its payload, is rejected with
+:class:`~repro.errors.CheckpointError`.
 
 Two checkpoint kinds share that protocol:
 
@@ -301,8 +302,9 @@ class CheckpointManager:
     def restore(self, info: CheckpointInfo, store: KVStore) -> int:
         """Load checkpoint ``info`` into ``store``; return entries loaded.
 
-        Verifies the payload checksum against the manifest before touching
-        the store, so a corrupt checkpoint never half-loads.  Incremental
+        Verifies the manifest's format number and the payload checksum
+        before touching the store, so an unknown or corrupt checkpoint
+        never half-loads.  Incremental
         (``kind="segments"``) checkpoints restore by rolling the durable
         backing tier back to the referenced segment set; a referenced
         segment that is missing or resized (compaction ran after the
@@ -317,6 +319,11 @@ class CheckpointManager:
             raise CheckpointError(
                 f"checkpoint {info.name} unreadable: {exc}"
             ) from exc
+        if manifest.get("format") != _FORMAT_VERSION:
+            raise CheckpointError(
+                f"checkpoint {info.name} has unknown format "
+                f"{manifest.get('format')!r} (this build reads {_FORMAT_VERSION})"
+            )
         if manifest.get("kind", KIND_FULL) == KIND_SEGMENTS:
             return self._restore_segments(info, manifest, store)
 

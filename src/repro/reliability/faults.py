@@ -151,7 +151,7 @@ def wrap_topology(
 class FlakyKVStore(KVStore):
     """A store whose operations fail transiently on a fixed schedule.
 
-    Every ``error_every``-th operation (across get/put/update/CAS/delete)
+    Every ``error_every``-th operation (across get/put/update/delete)
     raises :class:`~repro.errors.TransientKVError` *before* touching the
     underlying store, so a retried operation sees unchanged state.
     ``error_every=0`` disables injection; :meth:`fail_next` forces the next
@@ -195,13 +195,9 @@ class FlakyKVStore(KVStore):
         self._maybe_fail("get", key)
         return self.inner.get(key, default)
 
-    def get_strict(self, key: Key) -> Any:
-        self._maybe_fail("get_strict", key)
-        return self.inner.get_strict(key)
-
-    def put(self, key: Key, value: Any, ttl: float | None = None) -> int:
+    def put(self, key: Key, value: Any) -> None:
         self._maybe_fail("put", key)
-        return self.inner.put(key, value, ttl=ttl)
+        self.inner.put(key, value)
 
     def delete(self, key: Key) -> bool:
         self._maybe_fail("delete", key)
@@ -210,13 +206,6 @@ class FlakyKVStore(KVStore):
     def update(self, key: Key, fn: Callable[[Any], Any], default: Any = None) -> Any:
         self._maybe_fail("update", key)
         return self.inner.update(key, fn, default=default)
-
-    def compare_and_set(self, key: Key, value: Any, expected_version: int) -> int:
-        self._maybe_fail("compare_and_set", key)
-        return self.inner.compare_and_set(key, value, expected_version)
-
-    def version(self, key: Key) -> int:
-        return self.inner.version(key)
 
     def __contains__(self, key: Key) -> bool:
         return key in self.inner

@@ -1,7 +1,7 @@
 """Batch read/write (``mget``/``mput``) across every store implementation.
 
-The contract (``kvstore/store.py``): results and versions come back in
-input order, missing/expired keys yield the default, duplicates are
+The contract (``kvstore/store.py``): results come back in
+input order, missing keys yield the default, duplicates are
 resolved independently on read and written in order (last wins) on write,
 and wrappers must route batches through their inner store's batch ops so
 sharding/caching/instrumentation/fault-injection all see them.
@@ -9,7 +9,6 @@ sharding/caching/instrumentation/fault-injection all see them.
 
 import pytest
 
-from repro.clock import VirtualClock
 from repro.errors import TransientKVError
 from repro.kvstore import (
     InMemoryKVStore,
@@ -65,32 +64,17 @@ class TestMget:
 
 
 class TestMput:
-    def test_writes_all_and_returns_versions(self, store):
-        versions = store.mput([(f"k{i}", i) for i in range(5)])
-        assert len(versions) == 5
-        assert all(isinstance(v, int) for v in versions)
+    def test_writes_all(self, store):
+        store.mput([(f"k{i}", i) for i in range(5)])
         assert store.mget([f"k{i}" for i in range(5)]) == list(range(5))
 
     def test_duplicate_keys_last_wins(self, store):
         store.mput([("k", "first"), ("k", "second")])
         assert store.get("k") == "second"
 
-    def test_versions_advance(self, store):
-        (v1,) = store.mput([("k", "a")])
-        (v2,) = store.mput([("k", "b")])
-        assert v2 > v1
-
     def test_empty_batch(self, store):
-        assert store.mput([]) == []
-
-
-class TestTTL:
-    def test_expired_entries_read_as_default(self):
-        clock = VirtualClock(0.0)
-        store = InMemoryKVStore(clock=clock)
-        store.mput([("a", 1), ("b", 2)], ttl=10.0)
-        clock.advance(11.0)
-        assert store.mget(["a", "b"], default="gone") == ["gone", "gone"]
+        store.mput([])
+        assert len(store) == 0
 
 
 class TestShardedRouting:

@@ -8,12 +8,7 @@ checkpoint segment handshake, and fsync policies.
 
 import pytest
 
-from repro.errors import (
-    CASConflict,
-    CorruptSegmentError,
-    DurableStoreError,
-    KeyNotFound,
-)
+from repro.errors import CorruptSegmentError, DurableStoreError
 from repro.kvstore import (
     DurableKVStore,
     InMemoryKVStore,
@@ -48,47 +43,20 @@ def store(tmp_path):
 
 class TestKVContract:
     def test_put_get_roundtrip(self, store):
-        assert store.put("k", {"a": [1, 2]}) == 1
+        store.put("k", {"a": [1, 2]})
         assert store.get("k") == {"a": [1, 2]}
         assert store.get("absent") is None
         assert store.get("absent", "dflt") == "dflt"
-
-    def test_get_strict_raises(self, store):
-        with pytest.raises(KeyNotFound):
-            store.get_strict("nope")
-
-    def test_versions_increment(self, store):
-        assert store.put("k", 1) == 1
-        assert store.put("k", 2) == 2
-        assert store.version("k") == 2
-        assert store.version("absent") == 0
 
     def test_delete(self, store):
         store.put("k", 1)
         assert store.delete("k") is True
         assert store.delete("k") is False
         assert store.get("k") is None
-        assert store.version("k") == 0
-
-    def test_version_resets_after_delete(self, store):
-        store.put("k", 1)
-        store.put("k", 2)
-        store.delete("k")
-        assert store.put("k", 3) == 1
 
     def test_update(self, store):
         assert store.update("n", lambda x: x + 1, default=0) == 1
         assert store.update("n", lambda x: x + 1, default=0) == 2
-        assert store.version("n") == 2
-
-    def test_compare_and_set(self, store):
-        v = store.compare_and_set("k", "a", 0)
-        assert v == 1
-        assert store.compare_and_set("k", "b", 1) == 2
-        with pytest.raises(CASConflict) as exc:
-            store.compare_and_set("k", "c", 1)
-        assert exc.value.actual == 2
-        assert store.get("k") == "b"
 
     def test_contains_len_keys(self, store):
         store.put("a", 1)
@@ -99,8 +67,7 @@ class TestKVContract:
         assert sorted(store.keys()) == ["a", "b"]
 
     def test_mget_mput(self, store):
-        versions = store.mput([("a", 1), ("b", 2), ("a", 3)])
-        assert versions == [1, 1, 2]
+        store.mput([("a", 1), ("b", 2), ("a", 3)])
         assert store.mget(["a", "b", "zz"], default=-1) == [3, 2, -1]
 
     def test_values_are_fresh_objects(self, store):
@@ -108,21 +75,6 @@ class TestKVContract:
         first = store.get("k")
         first.append(3)
         assert store.get("k") == [1, 2]
-
-    def test_ttl_expiry(self, tmp_path):
-        clock = FakeClock()
-        store = DurableKVStore(tmp_path / "kv", fsync="never", clock=clock)
-        store.put("k", "v", ttl=10.0)
-        assert store.get("k") == "v"
-        clock.advance(11.0)
-        assert store.get("k") is None
-        assert "k" not in store
-        assert store.version("k") == 0
-        store.close()
-
-    def test_ttl_validation(self, store):
-        with pytest.raises(ValueError):
-            store.put("k", "v", ttl=0)
 
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -166,7 +118,6 @@ class TestPersistence:
             assert reopened.get("k0") == "rewritten"
             assert reopened.get("k1") is None
             assert reopened.get("k42") == {"i": 42}
-            assert reopened.version("k0") == 2
 
     def test_tombstone_survives_reopen(self, tmp_path):
         with DurableKVStore(tmp_path / "kv", fsync="never") as store:
@@ -174,15 +125,8 @@ class TestPersistence:
             store.delete("k")
         with DurableKVStore(tmp_path / "kv", fsync="never") as reopened:
             assert reopened.get("k") is None
-            assert reopened.put("k", "again") == 1
-
-    def test_ttl_not_resurrected_on_reopen(self, tmp_path):
-        clock = FakeClock()
-        with DurableKVStore(tmp_path / "kv", fsync="never", clock=clock) as s:
-            s.put("k", "v", ttl=5.0)
-        clock.advance(10.0)
-        with DurableKVStore(tmp_path / "kv", fsync="never", clock=clock) as s:
-            assert s.get("k") is None
+            reopened.put("k", "again")
+            assert reopened.get("k") == "again"
 
     def test_segment_rotation(self, tmp_path):
         store = DurableKVStore(
@@ -302,17 +246,6 @@ class TestCompaction:
         for i in range(20):
             assert store.get(f"k{i}") == "round-9" * 4
         store.close()
-
-    def test_compact_preserves_versions_and_survives_reopen(self, tmp_path):
-        store = self._store(tmp_path)
-        for _ in range(3):
-            store.put("k", "v")
-        store.compact()
-        assert store.version("k") == 3
-        store.close()
-        with DurableKVStore(tmp_path / "kv", fsync="never") as reopened:
-            assert reopened.version("k") == 3
-            assert reopened.get("k") == "v"
 
     def test_tombstones_survive_compaction(self, tmp_path):
         store = self._store(tmp_path)
@@ -510,6 +443,5 @@ class TestTierHelpers:
         other = InMemoryKVStore()
         other.restore_entries(entries)
         assert other.get("a") == 2
-        assert other.version("a") == 2
         assert other.get("b") == [3]
         durable.close()

@@ -1,10 +1,12 @@
 """Concurrency tests: the store must be safe under real thread interleaving."""
 
+import sys
 import threading
+from collections import OrderedDict
 
-from repro.clock import VirtualClock
-from repro.errors import CASConflict
-from repro.kvstore import InMemoryKVStore, ShardedKVStore
+import pytest
+
+from repro.kvstore import InMemoryKVStore, ReadThroughCache, ShardedKVStore
 
 
 def _hammer(fn, n_threads=8, n_iter=200):
@@ -49,115 +51,77 @@ class TestAtomicUpdate:
         assert len(store) == 8 * 200
 
 
-class TestCASUnderContention:
-    def test_exactly_one_winner_per_round(self):
-        store = InMemoryKVStore()
-        store.put("slot", "init")
-        wins = []
-        lock = threading.Lock()
+class _InterruptedLRU(OrderedDict):
+    """An LRU dict that lets another thread run right after a membership
+    check says ``True`` — the window an unguarded check-then-act leaves."""
 
-        def contender(i):
-            version = store.version("slot")
-            try:
-                store.compare_and_set("slot", f"w{i}", version)
-                with lock:
-                    wins.append(i)
-            except CASConflict:
-                pass
+    def __init__(self, intrude):
+        super().__init__()
+        self.intrude = intrude
+        self.armed_key = None
 
-        threads = [
-            threading.Thread(target=contender, args=(i,)) for i in range(16)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # At least one thread must have won, and the final value must be a
-        # value some winner wrote.
-        assert wins
-        assert store.get("slot") in {f"w{i}" for i in wins}
-
-    def test_version_total_order(self):
-        """Versions observed after N successful writes equal N."""
-        store = InMemoryKVStore()
-        _hammer(lambda t, i: store.put("k", i), n_threads=4, n_iter=100)
-        assert store.version("k") == 400
-
-    def test_sharded_cas_retry_loop_loses_no_increments(self):
-        """The canonical optimistic read-modify-write, across shards.
-
-        Every thread increments a handful of hot keys via
-        ``compare_and_set`` in a retry loop; CAS conflicts mean *retry*,
-        never a lost update, so the final sum is exact regardless of how
-        often the race window is actually hit.
-        """
-        store = ShardedKVStore(n_shards=4)
-        keys = [f"hot{k}" for k in range(3)]
-
-        def increment(t, i):
-            key = keys[i % len(keys)]
-            while True:
-                current = store.get(key, 0)
-                version = store.version(key)
-                try:
-                    store.compare_and_set(key, current + 1, version)
-                    return
-                except CASConflict:
-                    continue
-
-        _hammer(increment, n_threads=8, n_iter=150)
-        assert sum(store.get(key) for key in keys) == 8 * 150
+    def __contains__(self, key):
+        present = super().__contains__(key)
+        if present and key == self.armed_key:
+            self.armed_key = None
+            self.intrude()
+        return present
 
 
-class TestTTLUnderContention:
-    def test_concurrent_ttl_writes_and_expiry_sharded(self):
-        """TTL expiry stays correct while many threads read and write.
+class TestSharedReadThroughCache:
+    """The served durable tier shares one cache between gateway threads."""
 
-        Even-numbered keys are ephemeral, odd ones durable.  After time
-        passes, concurrent readers must see every ephemeral key as gone
-        (lazy expiry) and every durable key intact, from all threads.
-        """
-        clock = VirtualClock()
-        store = ShardedKVStore(n_shards=4, clock=clock)
-
-        _hammer(
-            lambda t, i: store.put(
-                (t, i), i, ttl=5.0 if i % 2 == 0 else None
-            ),
-            n_threads=8,
-            n_iter=100,
+    @pytest.mark.parametrize("read", ["get", "mget"])
+    def test_eviction_between_lookup_and_touch(self, read):
+        """A reader that saw its key cached must not trip over a concurrent
+        eviction of that key (``KeyError`` out of ``move_to_end``)."""
+        backing = InMemoryKVStore()
+        backing.mput([(key, key * key) for key in range(4)])
+        cache = ReadThroughCache(backing, capacity=2)
+        intruder = threading.Thread(
+            target=lambda: [cache.get(2), cache.get(3)]  # evicts 0 and 1
         )
-        assert len(store) == 8 * 100
 
-        clock.advance(10.0)  # everything ephemeral is now past its expiry
-        misreads = []
-        misread_lock = threading.Lock()
+        def intrude():
+            intruder.start()
+            # Unguarded, the intruder finishes at once; guarded, it blocks
+            # on the cache lock until this read returns.
+            intruder.join(timeout=0.1)
 
-        def read(t, i):
-            value = store.get((t, i))
-            expected = None if i % 2 == 0 else i
-            if value != expected:
-                with misread_lock:
-                    misreads.append((t, i, value))
+        lru = cache._cache = _InterruptedLRU(intrude)
+        cache.get(0)
+        cache.get(1)
+        lru.armed_key = 0
+        if read == "get":
+            assert cache.get(0) == 0
+        else:
+            assert cache.mget([0, 1]) == [0, 1]
+        intruder.join(timeout=5)
+        assert not intruder.is_alive()
+        assert cache.cache_size == 2
 
-        _hammer(read, n_threads=8, n_iter=100)
-        assert not misreads
-        # Lazy gets already evicted the even keys; sweep() clears any
-        # expired entries nobody happened to read.
-        store.sweep()
-        assert len(store) == 8 * 50
+    def test_counters_and_capacity_hold_under_threads(self):
+        """Four ``get`` and two ``mget`` threads over a cache that evicts on
+        almost every lookup: right answers, no lost hit/miss count."""
+        backing = InMemoryKVStore()
+        keys = list(range(8))
+        backing.mput([(key, key * key) for key in keys])
+        cache = ReadThroughCache(backing, capacity=2)
+        n_iter = 1500
 
-    def test_rewriting_expired_key_under_contention(self):
-        """Threads racing to resurrect an expired key never corrupt it."""
-        clock = VirtualClock()
-        store = ShardedKVStore(n_shards=2, clock=clock)
-        store.put("k", "old", ttl=1.0)
-        clock.advance(2.0)
+        def work(t, i):
+            if t < 4:
+                key = keys[(t + i) % len(keys)]
+                assert cache.get(key) == key * key
+            else:
+                batch = [keys[(t + i + d) % len(keys)] for d in range(3)]
+                assert cache.mget(batch) == [key * key for key in batch]
 
-        _hammer(
-            lambda t, i: store.update("k", lambda x: x + 1, default=0),
-            n_threads=8,
-            n_iter=50,
-        )
-        # The expired value never leaks into the counter restart.
-        assert store.get("k") == 8 * 50
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-7)
+        try:
+            _hammer(work, n_threads=6, n_iter=n_iter)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.hits + cache.misses == 4 * n_iter + 2 * n_iter * 3
+        assert cache.cache_size <= 2

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.clock import VirtualClock
-from repro.errors import CASConflict, KeyNotFound
 from repro.kvstore import InMemoryKVStore
 
 
@@ -20,14 +18,6 @@ class TestBasicOps:
     def test_put_then_get(self, store):
         store.put("k", "v")
         assert store.get("k") == "v"
-
-    def test_get_strict_raises_on_missing(self, store):
-        with pytest.raises(KeyNotFound):
-            store.get_strict("missing")
-
-    def test_get_strict_returns_value(self, store):
-        store.put("k", [1, 2])
-        assert store.get_strict("k") == [1, 2]
 
     def test_overwrite(self, store):
         store.put("k", 1)
@@ -56,7 +46,7 @@ class TestBasicOps:
         store.put("zero", 0)
         store.put("none", None)
         assert "zero" in store
-        assert store.get_strict("zero") == 0
+        assert store.get("zero", "sentinel") == 0
         assert "none" in store
         assert store.get("none", "sentinel") is None
 
@@ -84,45 +74,6 @@ class TestBasicOps:
         assert len(store) == 0
 
 
-class TestVersioning:
-    def test_version_zero_when_absent(self, store):
-        assert store.version("k") == 0
-
-    def test_version_increments_on_put(self, store):
-        assert store.put("k", 1) == 1
-        assert store.put("k", 2) == 2
-        assert store.version("k") == 2
-
-    def test_delete_resets_version(self, store):
-        store.put("k", 1)
-        store.delete("k")
-        assert store.version("k") == 0
-        assert store.put("k", 1) == 1
-
-    def test_cas_succeeds_on_matching_version(self, store):
-        version = store.put("k", "old")
-        new_version = store.compare_and_set("k", "new", version)
-        assert new_version == version + 1
-        assert store.get("k") == "new"
-
-    def test_cas_version_zero_means_create(self, store):
-        store.compare_and_set("fresh", "v", 0)
-        assert store.get("fresh") == "v"
-
-    def test_cas_conflict(self, store):
-        store.put("k", "a")
-        store.put("k", "b")
-        with pytest.raises(CASConflict) as excinfo:
-            store.compare_and_set("k", "c", 1)
-        assert excinfo.value.expected == 1
-        assert excinfo.value.actual == 2
-        assert store.get("k") == "b"  # unchanged
-
-    def test_cas_conflict_on_missing_key(self, store):
-        with pytest.raises(CASConflict):
-            store.compare_and_set("missing", "v", 3)
-
-
 class TestUpdate:
     def test_update_applies_function(self, store):
         store.put("n", 10)
@@ -134,11 +85,6 @@ class TestUpdate:
         result = store.update("counter", lambda x: x + 1, default=0)
         assert result == 1
 
-    def test_update_bumps_version(self, store):
-        store.put("k", 1)
-        store.update("k", lambda x: x)
-        assert store.version("k") == 2
-
     def test_setdefault_inserts_once(self, store):
         calls = []
 
@@ -149,57 +95,3 @@ class TestUpdate:
         assert store.setdefault("k", factory) == "init"
         assert store.setdefault("k", factory) == "init"
         assert len(calls) == 1
-
-
-class TestTTL:
-    def test_entry_expires(self):
-        clock = VirtualClock(0.0)
-        store = InMemoryKVStore(clock=clock)
-        store.put("k", "v", ttl=10.0)
-        assert store.get("k") == "v"
-        clock.advance(10.0)
-        assert store.get("k") is None
-        assert "k" not in store
-
-    def test_nonexpired_survives(self):
-        clock = VirtualClock(0.0)
-        store = InMemoryKVStore(clock=clock)
-        store.put("k", "v", ttl=10.0)
-        clock.advance(9.999)
-        assert store.get("k") == "v"
-
-    def test_overwrite_without_ttl_clears_expiry(self):
-        clock = VirtualClock(0.0)
-        store = InMemoryKVStore(clock=clock)
-        store.put("k", "v1", ttl=5.0)
-        store.put("k", "v2")
-        clock.advance(100.0)
-        assert store.get("k") == "v2"
-
-    def test_sweep_purges_expired(self):
-        clock = VirtualClock(0.0)
-        store = InMemoryKVStore(clock=clock)
-        store.put("a", 1, ttl=1.0)
-        store.put("b", 2, ttl=100.0)
-        clock.advance(2.0)
-        assert store.sweep() == 1
-        assert set(store.keys()) == {"b"}
-
-    def test_keys_excludes_expired(self):
-        clock = VirtualClock(0.0)
-        store = InMemoryKVStore(clock=clock)
-        store.put("a", 1, ttl=1.0)
-        clock.advance(5.0)
-        assert list(store.keys()) == []
-
-    def test_nonpositive_ttl_rejected(self, ):
-        store = InMemoryKVStore()
-        with pytest.raises(ValueError):
-            store.put("k", "v", ttl=0.0)
-
-    def test_version_restarts_after_expiry(self):
-        clock = VirtualClock(0.0)
-        store = InMemoryKVStore(clock=clock)
-        store.put("k", "v", ttl=1.0)
-        clock.advance(2.0)
-        assert store.put("k", "v2") == 1

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import KeyNotFound
 from repro.kvstore import InMemoryKVStore, Namespace
 
 
@@ -54,23 +53,12 @@ class TestIsolation:
 
 
 class TestDelegatedOps:
-    def test_strict_get(self, backing):
-        ns = Namespace(backing, "ns")
-        with pytest.raises(KeyNotFound):
-            ns.get_strict("missing")
-
     def test_update_and_setdefault(self, backing):
         ns = Namespace(backing, "ns")
         ns.update("c", lambda x: x + 1, default=0)
         ns.update("c", lambda x: x + 1, default=0)
         assert ns.get("c") == 2
         assert ns.setdefault("c", lambda: 99) == 2
-
-    def test_cas(self, backing):
-        ns = Namespace(backing, "ns")
-        v = ns.put("k", "a")
-        ns.compare_and_set("k", "b", v)
-        assert ns.get("k") == "b"
 
     def test_contains(self, backing):
         ns = Namespace(backing, "ns")

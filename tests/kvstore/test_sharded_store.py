@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import KeyNotFound
 from repro.kvstore import ShardedKVStore
 
 
@@ -52,18 +51,9 @@ class TestDelegation:
         assert store.delete("k")
         assert store.get("k") is None
 
-    def test_get_strict(self, store):
-        with pytest.raises(KeyNotFound):
-            store.get_strict("missing")
-
     def test_update(self, store):
         store.update("counter", lambda x: x + 5, default=0)
         assert store.get("counter") == 5
-
-    def test_cas(self, store):
-        version = store.put("k", "a")
-        store.compare_and_set("k", "b", version)
-        assert store.get("k") == "b"
 
     def test_len_sums_shards(self, store):
         for i in range(50):
@@ -80,9 +70,3 @@ class TestDelegation:
         store.put("a", 1)
         store.clear()
         assert len(store) == 0
-
-    def test_version_tracking(self, store):
-        assert store.version("k") == 0
-        store.put("k", 1)
-        store.put("k", 2)
-        assert store.version("k") == 2

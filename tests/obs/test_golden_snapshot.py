@@ -54,7 +54,7 @@ class _WorkBolt(Bolt):
 def _deterministic_registry_json() -> str:
     obs = Observability.deterministic()
     clock = obs.perf_clock  # the one VirtualClock behind everything
-    store = obs.instrument_store(InMemoryKVStore(clock=clock))
+    store = obs.instrument_store(InMemoryKVStore())
     builder = TopologyBuilder()
     builder.set_spout("spout", _FixedSpout)
     builder.set_bolt(

@@ -178,20 +178,6 @@ class TestKVStoreProperties:
         assert dict(store.items()) == reference
         assert len(store) == len(reference)
 
-    @given(
-        keys=st.lists(ids, min_size=1, max_size=40),
-    )
-    def test_version_counts_writes(self, keys):
-        store = InMemoryKVStore()
-        from collections import Counter
-
-        writes = Counter()
-        for key in keys:
-            store.put(key, 0)
-            writes[key] += 1
-        for key, count in writes.items():
-            assert store.version(key) == count
-
 
 class TestMFProperties:
     @settings(max_examples=25, deadline=None)

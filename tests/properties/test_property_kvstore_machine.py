@@ -1,0 +1,259 @@
+"""Model-based test of the KV stack: every store is a plain ``dict``.
+
+One hypothesis state machine drives the whole :class:`~repro.kvstore.KVStore`
+contract (``get`` / ``put`` / ``delete`` / ``update`` / ``setdefault`` /
+``mget`` / ``mput`` / membership / ``len`` / ``keys`` / ``items`` /
+``snapshot_entries`` → ``restore_entries``) against a dict, and after every
+step compares the full contents.  It runs over the three base stores, a
+pair of namespaces sharing one store (isolation), and the two stacks
+``repro-serve`` actually builds: instrumentation over memory, and
+instrumentation over a small read-through cache over the durable log — the
+durable ones also compact and close → reopen mid-sequence.
+
+Tier-1 draws the ``deterministic`` profile (``tests/conftest.py``); the
+scheduled ``explore`` CI job runs ``tests/properties`` with fresh draws.
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.kvstore import (
+    DurableKVStore,
+    InMemoryKVStore,
+    Namespace,
+    ReadThroughCache,
+    ShardedKVStore,
+)
+from repro.obs import Observability
+
+_ABSENT = "<absent>"
+
+_KEYS = ["a", "b", "c", "k3", ("t", 1), ("t", 2), ("left", "a"), ("right", "a")]
+keys = st.sampled_from(_KEYS)
+values = st.one_of(
+    st.none(),
+    st.integers(min_value=-5, max_value=5),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=3),
+)
+views = st.integers(min_value=0, max_value=1)
+
+
+def _durable(root: Path) -> DurableKVStore:
+    # Tiny segments and compaction thresholds: a 25-step run rotates
+    # segments and auto-compacts, not just appends to one file.
+    return DurableKVStore(
+        root,
+        fsync="never",
+        segment_max_bytes=256,
+        compact_min_bytes=512,
+        compact_min_dead_ratio=0.5,
+    )
+
+
+class KVStoreMachine(RuleBasedStateMachine):
+    """Subclasses say what to build; ``build(root)`` returns the store views
+    under test (one, or two that must stay isolated) and the durable log
+    beneath them, if any."""
+
+    def build(self, root: Path):
+        raise NotImplementedError
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="kv-machine-"))
+        self.fresh_count = 0
+        self.views, self.durable = self.build(self.root / "store")
+        self.models: list[dict] = [{} for _ in self.views]
+
+    def teardown(self) -> None:
+        if self.durable is not None:
+            self.durable.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def _pick(self, view: int):
+        index = view % len(self.views)
+        return self.views[index], self.models[index]
+
+    # -- single-key operations ---------------------------------------------
+
+    @rule(view=views, key=keys, value=values)
+    def put(self, view, key, value):
+        store, model = self._pick(view)
+        assert store.put(key, value) is None
+        assert store.get(key, _ABSENT) == value  # read-your-writes
+        model[key] = value
+
+    @rule(view=views, key=keys)
+    def delete(self, view, key):
+        store, model = self._pick(view)
+        assert store.delete(key) is (key in model)
+        model.pop(key, None)
+
+    @rule(view=views, key=keys, delta=st.integers(0, 9), default=values)
+    def update(self, view, key, delta, default):
+        store, model = self._pick(view)
+
+        def fn(current):
+            # Keeps what it was handed (flattened, so values stay small).
+            kept = current[1] if isinstance(current, tuple) else current
+            return (delta, kept)
+
+        expected = fn(model.get(key, default))
+        assert store.update(key, fn, default=default) == expected
+        assert store.get(key, _ABSENT) == expected
+        model[key] = expected
+
+    @rule(view=views, key=keys, value=values)
+    def setdefault(self, view, key, value):
+        store, model = self._pick(view)
+        assert store.setdefault(key, lambda: value) == model.setdefault(key, value)
+
+    @rule(view=views, key=keys)
+    def get_and_contains(self, view, key):
+        store, model = self._pick(view)
+        assert store.get(key, _ABSENT) == model.get(key, _ABSENT)
+        assert (key in store) is (key in model)
+
+    @rule(view=views)
+    def items(self, view):
+        store, model = self._pick(view)
+        assert dict(store.items()) == model
+
+    # -- batch operations --------------------------------------------------
+
+    @rule(view=views, items=st.lists(st.tuples(keys, values), max_size=6))
+    def mput(self, view, items):
+        store, model = self._pick(view)
+        assert store.mput(items) is None
+        model.update(items)
+        written = [key for key, _ in items]
+        assert store.mget(written) == [model[key] for key in written]
+
+    @rule(view=views, batch=st.lists(keys, max_size=6))
+    def mget(self, view, batch):
+        store, model = self._pick(view)
+        assert store.mget(batch, _ABSENT) == [
+            model.get(key, _ABSENT) for key in batch
+        ]
+
+    # -- checkpoint round trip ---------------------------------------------
+
+    @rule(view=views)
+    def snapshot_restores_into_a_fresh_store(self, view):
+        store, model = self._pick(view)
+        entries = store.snapshot_entries()
+        self.fresh_count += 1
+        fresh_views, fresh_durable = self.build(
+            self.root / f"fresh-{self.fresh_count}"
+        )
+        try:
+            fresh = fresh_views[view % len(fresh_views)]
+            assert fresh.restore_entries(entries) == len(model)
+            assert dict(fresh.items()) == model
+        finally:
+            if fresh_durable is not None:
+                fresh_durable.close()
+
+    # -- durable log only --------------------------------------------------
+
+    @precondition(lambda self: self.durable is not None)
+    @rule()
+    def compact(self):
+        report = self.durable.compact()
+        assert report.live_records == len(self.durable)
+
+    @precondition(lambda self: self.durable is not None)
+    @rule()
+    def close_and_reopen(self):
+        self.durable.close()
+        self.views, self.durable = self.build(self.root / "store")
+
+    # -- the dict is the specification -------------------------------------
+
+    @invariant()
+    def contents_match_the_dict(self):
+        """Checked after every step without reading live keys through the
+        store, so a cache keeps whatever the rules left in it: a stale
+        entry is still there for the next rule — or for the absent-key
+        reads below — to trip over."""
+        for store, model in zip(self.views, self.models):
+            entries = store.snapshot_entries()
+            assert len(entries) == len(model)
+            assert {entry.key: entry.value for entry in entries} == model
+            listed = list(store.keys())
+            assert len(listed) == len(store) == len(model)
+            assert set(listed) == set(model)
+            for key in _KEYS:
+                if key not in model:
+                    assert key not in store
+                    assert store.get(key, _ABSENT) == _ABSENT
+
+
+class InMemoryMachine(KVStoreMachine):
+    def build(self, root):
+        return [InMemoryKVStore()], None
+
+
+class ShardedMachine(KVStoreMachine):
+    def build(self, root):
+        return [ShardedKVStore(n_shards=3)], None
+
+
+class NamespacePairMachine(KVStoreMachine):
+    """Two prefixes over one shared store: each view must equal its own
+    dict, so a write through one never shows through the other."""
+
+    def build(self, root):
+        shared = InMemoryKVStore()
+        return [Namespace(shared, "left"), Namespace(shared, "right")], None
+
+
+class DurableMachine(KVStoreMachine):
+    def build(self, root):
+        durable = _durable(root)
+        return [durable], durable
+
+
+class ServedMemoryStackMachine(KVStoreMachine):
+    """``repro-serve`` without ``--data-dir``."""
+
+    def build(self, root):
+        obs = Observability.deterministic()
+        return [obs.instrument_store(InMemoryKVStore())], None
+
+
+class ServedDurableStackMachine(KVStoreMachine):
+    """``repro-serve --data-dir``: the cache is small enough to evict."""
+
+    def build(self, root):
+        durable = _durable(root)
+        obs = Observability.deterministic()
+        tier = ReadThroughCache(durable, capacity=3)
+        return [obs.instrument_store(tier)], durable
+
+
+def _case(machine):
+    machine.TestCase.settings = settings(
+        max_examples=25, stateful_step_count=25, deadline=None
+    )
+    return machine.TestCase
+
+
+TestInMemory = _case(InMemoryMachine)
+TestSharded = _case(ShardedMachine)
+TestNamespacePair = _case(NamespacePairMachine)
+TestDurable = _case(DurableMachine)
+TestServedMemoryStack = _case(ServedMemoryStackMachine)
+TestServedDurableStack = _case(ServedDurableStackMachine)

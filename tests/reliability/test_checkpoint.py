@@ -1,14 +1,23 @@
 """Checkpoint tests: atomic snapshots round-trip exactly."""
 
+import hashlib
 import json
+import pickle
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
 
-from repro.clock import VirtualClock
+import repro.kvstore.store as store_module
 from repro.errors import CheckpointError
-from repro.kvstore import InMemoryKVStore, Namespace, ShardedKVStore
+from repro.kvstore import (
+    DurableKVStore,
+    InMemoryKVStore,
+    Namespace,
+    ShardedKVStore,
+)
 from repro.reliability import CheckpointManager
 
 
@@ -18,11 +27,11 @@ def _manager(tmp_path, **kwargs):
 
 
 class TestRoundTrip:
-    def test_values_versions_and_namespaces_survive(self, tmp_path):
+    def test_values_and_namespaces_survive(self, tmp_path):
         store = ShardedKVStore(n_shards=4)
         ns = Namespace(store, "mf:x")
         ns.put("u1", np.arange(4.0))
-        ns.put("u1", np.arange(4.0) * 2)  # version 2
+        ns.put("u1", np.arange(4.0) * 2)
         store.put(("history", "u2"), [("v1", 1.0), ("v2", 2.0)])
         store.put("mu", (12.5, 7))
 
@@ -36,7 +45,6 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             Namespace(restored, "mf:x").get("u1"), np.arange(4.0) * 2
         )
-        assert Namespace(restored, "mf:x").version("u1") == 2
         assert restored.get(("history", "u2")) == [("v1", 1.0), ("v2", 2.0)]
         assert restored.get("mu") == (12.5, 7)
         assert len(restored) == 3
@@ -55,31 +63,47 @@ class TestRoundTrip:
         for i in range(50):
             assert f"k{i}" in restored.shard_for(f"k{i}")
 
-    def test_ttl_entries_keep_absolute_expiry(self, tmp_path):
-        clock = VirtualClock()
-        clock.set(100.0)
-        store = InMemoryKVStore(clock=clock)
-        store.put("ephemeral", "x", ttl=50.0)
-        store.put("durable", "y")
-        manager = _manager(tmp_path)
-        manager.create(store)
+    def test_full_checkpoint_written_before_versions_left_restores(
+        self, tmp_path, monkeypatch
+    ):
+        """``entries.pkl`` files written while ``EntrySnapshot`` still had
+        ``version`` / ``expires_at`` fields restore the same keys and values
+        (never a partial load)."""
 
-        restored = InMemoryKVStore(clock=clock)
-        manager.restore_latest(restored)
-        assert restored.get("ephemeral") == "x"
-        clock.set(200.0)  # past the 150.0 absolute expiry
-        assert restored.get("ephemeral") is None
-        assert restored.get("durable") == "y"
+        @dataclass(frozen=True, slots=True)
+        class EntrySnapshot:  # the four-field layout those files pickled
+            key: Any
+            value: Any
+            version: int
+            expires_at: float | None
 
-    def test_expired_entries_not_captured(self, tmp_path):
-        clock = VirtualClock()
-        clock.set(0.0)
-        store = InMemoryKVStore(clock=clock)
-        store.put("gone", 1, ttl=1.0)
-        clock.set(10.0)
+        EntrySnapshot.__qualname__ = "EntrySnapshot"
+        EntrySnapshot.__module__ = store_module.__name__
+        old_entries = [
+            EntrySnapshot(("mf:x", "u1"), np.arange(3.0), 7, None),
+            EntrySnapshot("mu", (12.5, 7), 2, None),
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "EntrySnapshot", EntrySnapshot)
+            payload = pickle.dumps(old_entries, protocol=pickle.HIGHEST_PROTOCOL)
+
         manager = _manager(tmp_path)
-        info = manager.create(store)
-        assert info.n_entries == 0
+        info = manager.create(InMemoryKVStore())
+        (Path(info.path) / "entries.pkl").write_bytes(payload)
+        manifest_path = Path(info.path) / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(
+            n_entries=2, sha256=hashlib.sha256(payload).hexdigest()
+        )
+        manifest_path.write_text(json.dumps(manifest))
+
+        restored = InMemoryKVStore()
+        assert manager.restore(info, restored) == 2
+        np.testing.assert_array_equal(
+            restored.get(("mf:x", "u1")), np.arange(3.0)
+        )
+        assert restored.get("mu") == (12.5, 7)
+        assert len(restored) == 2
 
 
 class TestAtomicityAndRetention:
@@ -109,6 +133,33 @@ class TestAtomicityAndRetention:
         entries.write_bytes(entries.read_bytes() + b"x")
         with pytest.raises(CheckpointError, match="checksum"):
             manager.restore(info, InMemoryKVStore())
+
+    @pytest.mark.parametrize("kind", ["full", "segments"])
+    def test_unknown_manifest_format_refuses_restore(self, tmp_path, kind):
+        manager = _manager(tmp_path)
+        if kind == "full":
+            store, target = InMemoryKVStore(), InMemoryKVStore()
+            store.put("k", 1)
+            info = manager.create(store)
+        else:
+            store = target = DurableKVStore(tmp_path / "kv", fsync="never")
+            store.put("k", 1)
+            info = manager.create_incremental(store)
+        target.put("later", 2)
+        before = dict(target.items())
+        manifest_path = Path(info.path) / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["kind"] == kind
+        manifest["format"] = 99
+        manifest_path.write_text(json.dumps(manifest))
+
+        with pytest.raises(CheckpointError, match="format"):
+            manager.restore(info, target)
+        with pytest.raises(CheckpointError, match="format"):
+            manager.restore_latest(target)
+        assert dict(target.items()) == before
+        if kind == "segments":
+            store.close()
 
     def test_manifest_records_payload_hash(self, tmp_path):
         manager = _manager(tmp_path)

@@ -152,7 +152,6 @@ class TestFlakyKVStore:
         with pytest.raises(TransientKVError):
             store.put("k", 2)
         assert store.get("k") == 1
-        assert store.version("k") == 1
 
     def test_fail_next_forces_errors(self):
         store = FlakyKVStore(InMemoryKVStore())

@@ -3,15 +3,16 @@
 import pytest
 
 from repro.errors import (
-    CASConflict,
     ComponentError,
     ConfigError,
+    CorruptSegmentError,
     DataError,
-    KeyNotFound,
+    DurableStoreError,
     KVStoreError,
     ModelError,
     ReproError,
     TopologyError,
+    TransientKVError,
 )
 
 
@@ -20,8 +21,6 @@ def test_single_catchable_root():
     for exc_type in (
         ConfigError,
         KVStoreError,
-        KeyNotFound,
-        CASConflict,
         TopologyError,
         ComponentError,
         DataError,
@@ -31,21 +30,9 @@ def test_single_catchable_root():
 
 
 def test_kvstore_hierarchy():
-    assert issubclass(KeyNotFound, KVStoreError)
-    assert issubclass(CASConflict, KVStoreError)
-
-
-def test_key_not_found_carries_key():
-    error = KeyNotFound(("user", "u1"))
-    assert error.key == ("user", "u1")
-    assert "u1" in str(error)
-
-
-def test_cas_conflict_carries_versions():
-    error = CASConflict("k", expected=2, actual=5)
-    assert error.expected == 2
-    assert error.actual == 5
-    assert "2" in str(error) and "5" in str(error)
+    assert issubclass(TransientKVError, KVStoreError)
+    assert issubclass(DurableStoreError, KVStoreError)
+    assert issubclass(CorruptSegmentError, DurableStoreError)
 
 
 def test_component_error_wraps_original():
