@@ -3,13 +3,16 @@
 Run:  python examples/restart_recovery.py
 
 What it shows: a serving process ingests a live action stream into a
-durable tier (log-structured KV store under a read-through cache, with a
-write-ahead log and periodic incremental checkpoints).  This script
-SIGKILLs that process mid-ingest — no shutdown hook, no flush — then
-restarts: the checkpoint rolls the store back to a consistent segment
-set, the WAL suffix replays through a fresh recommender, and the revived
-process serves exactly the same top-N as an uninterrupted run over the
-same acked prefix.
+durable tier (log-structured KV store under a write-back cache, with a
+write-ahead log and periodic incremental checkpoints).  The WAL append is
+what acks an action; the cache holds the model's writes in memory and each
+checkpoint flushes them to the log — one record per key changed since the
+last one — before sealing it.  This script SIGKILLs that process
+mid-ingest — no shutdown hook, no flush, so every write since the last
+checkpoint dies with it — then restarts: the checkpoint rolls the store
+back to a consistent segment set, the WAL suffix replays through a fresh
+recommender, and the revived process serves exactly the same top-N as an
+uninterrupted run over the same acked prefix.
 """
 
 import os

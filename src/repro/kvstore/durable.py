@@ -10,7 +10,9 @@ straight to the record — the classic bitcask layout.  It speaks exactly
 the :class:`~repro.kvstore.store.KVStore` contract (no versions, no
 expiry: a record is a key, a value and a tombstone flag).  Compose it under a
 :class:`~repro.kvstore.cache.ReadThroughCache` for the hot-set-in-memory /
-full-state-on-disk split.
+full-state-on-disk split: that cache is write-back, so this log receives
+one record per dirty key per flush (a checkpoint, or an eviction), not one
+per write, and holds the full state as of the last flush.
 
 On-disk layout (all files under one root directory)::
 
@@ -83,6 +85,7 @@ __all__ = [
     "CompactionReport",
     "FSYNC_POLICIES",
     "unwrap_durable",
+    "flush_caches",
     "drop_caches",
 ]
 
@@ -811,51 +814,47 @@ class DurableKVStore(KVStore):
 
 
 # ----------------------------------------------------------------------
-# Tier helpers: find the durable layer / drop caches above it
+# Tier helpers: find the durable layer / flush or drop caches above it
 # ----------------------------------------------------------------------
 
 _WRAPPER_ATTRS = ("inner", "_backing")
 
 
-def unwrap_durable(store: Any) -> DurableKVStore | None:
-    """Walk a wrapper chain (cache, instrumentation, fault injection)
-    down to the :class:`DurableKVStore` at the bottom, or ``None``."""
+def _layers(store: Any) -> Iterator[Any]:
+    """Each layer of a wrapper chain (cache, instrumentation, fault
+    injection), outermost first."""
     seen = set()
-    current = store
-    while current is not None and id(current) not in seen:
-        seen.add(id(current))
-        if isinstance(current, DurableKVStore):
-            return current
-        for attr in _WRAPPER_ATTRS:
-            inner = getattr(current, attr, None)
-            if inner is not None:
-                current = inner
-                break
-        else:
-            return None
+    while store is not None and id(store) not in seen:
+        seen.add(id(store))
+        yield store
+        inners = (getattr(store, attr, None) for attr in _WRAPPER_ATTRS)
+        store = next((inner for inner in inners if inner is not None), None)
+
+
+def unwrap_durable(store: Any) -> DurableKVStore | None:
+    """The :class:`DurableKVStore` under a wrapper chain, or ``None``."""
+    for layer in _layers(store):
+        if isinstance(layer, DurableKVStore):
+            return layer
     return None
 
 
-def drop_caches(store: Any) -> None:
-    """Invalidate every caching layer above the backing store.
+def _call_each(store: Any, method: str) -> None:
+    for layer in _layers(store):
+        hook = getattr(layer, method, None)
+        if callable(hook):
+            hook()
 
-    Called after the backing tier's state changed underneath the wrappers
-    (segment-level checkpoint restore); any layer exposing ``drop_cache()``
-    is asked to forget what it holds.
-    """
-    seen = set()
-    current = store
-    while current is not None and id(current) not in seen:
-        seen.add(id(current))
-        dropper = getattr(current, "drop_cache", None)
-        if callable(dropper):
-            dropper()
-        advanced = False
-        for attr in _WRAPPER_ATTRS:
-            inner = getattr(current, attr, None)
-            if inner is not None:
-                current = inner
-                advanced = True
-                break
-        if not advanced:
-            return
+
+def flush_caches(store: Any) -> None:
+    """Before a checkpoint captures the backing tier: every layer exposing
+    ``flush()`` (a write-back cache) writes its unflushed entries down,
+    outermost first."""
+    _call_each(store, "flush")
+
+
+def drop_caches(store: Any) -> None:
+    """After the backing tier changed underneath the wrappers (segment-level
+    checkpoint restore): every layer exposing ``drop_cache()`` forgets what
+    it holds, unflushed writes included."""
+    _call_each(store, "drop_cache")

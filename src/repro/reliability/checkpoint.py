@@ -31,14 +31,14 @@ Two checkpoint kinds share that protocol:
   pickled into ``entries.pkl``; restores into any store.
 * ``kind="segments"`` (:meth:`CheckpointManager.create_incremental`) —
   for a :class:`~repro.kvstore.durable.DurableKVStore`-backed tier, the
-  manifest just *references* the sealed segment files (name + size) that
-  already hold the state durably; nothing is re-pickled, so checkpoint
-  cost is O(manifest) instead of O(dataset).  Restore rolls the durable
-  store back to exactly that segment set (deleting newer segments) and
-  drops any caches layered above it.  Compaction deletes referenced
-  segments, so older incremental checkpoints go stale —
-  :class:`~repro.errors.StaleCheckpointError` tells recovery to fall
-  back to a full WAL replay.
+  write-back caches above the log are flushed and the manifest just
+  *references* the sealed segment files (name + size) that then hold the
+  state durably, so checkpoint cost is O(dirty keys) instead of
+  O(dataset).  Restore rolls the durable store back to exactly that
+  segment set (deleting newer segments) and drops any caches layered above
+  it.  Compaction deletes referenced segments, so older incremental
+  checkpoints go stale — :class:`~repro.errors.StaleCheckpointError` tells
+  recovery to fall back to a full WAL replay.
 
 Values are serialised with :mod:`pickle` — checkpoints are trusted local
 state written and read by the same process family, and the stored values
@@ -57,7 +57,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ..errors import CheckpointError, DurableStoreError, StaleCheckpointError
-from ..kvstore import EntrySnapshot, KVStore, drop_caches, unwrap_durable
+from ..kvstore import EntrySnapshot, KVStore, drop_caches, flush_caches, unwrap_durable
 
 _PREFIX = "ckpt-"
 _TMP_PREFIX = "tmp-"
@@ -190,11 +190,11 @@ class CheckpointManager:
         """Checkpoint a durable-backed store by *referencing* its segments.
 
         ``store`` must be (or wrap) a
-        :class:`~repro.kvstore.durable.DurableKVStore`.  The active
-        segment is sealed first, so the referenced files are immutable and
-        fsynced; the manifest then records their names and sizes plus a
-        checksum over that list.  Cost is independent of dataset size —
-        no entry is re-pickled.
+        :class:`~repro.kvstore.durable.DurableKVStore`.  Caches above it
+        are flushed and the active segment sealed first, so the referenced
+        files hold every write so far, immutable and fsynced; the manifest
+        records their names and sizes plus a checksum over that list.  Cost
+        follows the keys written since the last checkpoint, not the dataset.
         """
         durable = unwrap_durable(store)
         if durable is None:
@@ -204,6 +204,9 @@ class CheckpointManager:
             )
         checkpoint_id = self._next_id()
         metadata = dict(metadata or {})
+        # Only once the write-back caches above the log are flushed do the
+        # sealed segments hold "all actions up to ``wal_seq``".
+        flush_caches(store)
         durable.seal_active()
         segments = [
             {"name": name, "bytes": size}

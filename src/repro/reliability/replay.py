@@ -1,18 +1,21 @@
 """Crash recovery: restore the last checkpoint, replay the WAL tail.
 
-Recovery semantics are **at-least-once relative to the log**: every action
-is WAL-appended before it mutates model state, so after a crash the
-restored store misses at most the actions logged after the last checkpoint
-— and exactly those are replayed.  An action whose crash interrupted its
+**The WAL is the durability point.**  Every action is WAL-appended before
+it mutates model state, and that append is what acks it; the KV store is a
+materialised view of the log, guaranteed right only at a checkpoint (where
+the write-back cache above the durable tier is flushed).  So recovery
+never trusts what the store holds *now*: it rolls it back to the last
+checkpoint — or empties it when there is none — and replays exactly the
+actions logged after it.  An action whose crash interrupted its
 (non-atomic) application is replayed in full against the *checkpoint*
-state, so no partial update survives; re-applying an action that was also
-partially applied before the checkpointed state was captured cannot happen
-because checkpoints are only taken between actions.
+state, so no partial update survives; checkpoints are only taken between
+actions, so none captures a partial one either.
 
-What recovery restores is everything that lives in the checkpointed KV
-store: MF vectors and biases, the ``mu`` accumulator, user histories, and
-similar-video tables.  State held outside the store (in-memory trainer
-counters, metrics) restarts from zero — it is observability, not model.
+The checkpoint restores what lives in the KV store: MF vectors and biases,
+the ``mu`` accumulator, user histories, similar-video tables.  Model state
+held outside it (demographic hot lists, a hot-videos fallback) is rebuilt
+from the log through :meth:`RecoveryManager.recover`'s ``rebuild``; trainer
+counters and metrics restart from zero — observability, not model.
 """
 
 from __future__ import annotations
@@ -64,9 +67,10 @@ class RecoveryManager:
         Call between actions (never mid-action): the snapshot must be a
         consistent cut of the store that corresponds exactly to "all
         actions up to ``wal.last_seq`` applied".  With ``incremental=True``
-        the store must wrap a :class:`~repro.kvstore.durable.DurableKVStore`
-        and the checkpoint only *references* its sealed segments — O(1) in
-        dataset size.
+        the store must wrap a :class:`~repro.kvstore.durable.DurableKVStore`;
+        the caches above it are flushed and the checkpoint only
+        *references* the sealed segments — cost follows the keys written
+        since the last checkpoint, not the dataset.
         """
         create = (
             self.checkpoints.create_incremental
@@ -79,6 +83,7 @@ class RecoveryManager:
         self,
         store: KVStore,
         apply: Callable[[UserAction], object],
+        rebuild: Callable[[UserAction], object] | None = None,
     ) -> RecoveryReport:
         """Rebuild state into ``store``; return what happened.
 
@@ -87,11 +92,16 @@ class RecoveryManager:
         WAL is suspended for the duration so an ``apply`` that itself logs
         to this WAL does not duplicate records.
 
-        If the newest checkpoint is incremental and has gone stale
-        (compaction deleted a referenced segment), the durable tier is
-        cleared and *everything* is replayed from the WAL — the log holds
-        every acked action from sequence 1, so the end state is identical,
-        just slower to reach.
+        ``rebuild`` serves model state kept outside ``store`` (so in no
+        checkpoint): it gets every action the restored checkpoint covers,
+        ``apply`` every later one, in one pass in log order — time-decayed
+        hot lists end up exactly as an uninterrupted run left them.
+
+        With nothing to restore — no checkpoint yet (a crash during the
+        first boot) or a stale incremental one (compaction deleted a
+        referenced segment) — the durable tier holds an unknown prefix of
+        the log, so it is cleared and the whole WAL (every acked action
+        from sequence 1) is replayed.
         """
         stale = False
         try:
@@ -99,6 +109,7 @@ class RecoveryManager:
         except StaleCheckpointError:
             stale = True
             info = None
+        if info is None:
             durable = unwrap_durable(store)
             if durable is not None:
                 durable.clear()
@@ -106,11 +117,15 @@ class RecoveryManager:
         after_seq = info.wal_seq if info is not None else 0
         replayed = 0
         last_seq = after_seq
+        start = after_seq if rebuild is None else 0
         with self.wal.suspend():
-            for seq, action in self.wal.replay(after_seq=after_seq):
-                apply(action)
-                replayed += 1
-                last_seq = seq
+            for seq, action in self.wal.replay(after_seq=start):
+                if seq <= after_seq:
+                    rebuild(action)
+                else:
+                    apply(action)
+                    replayed += 1
+                    last_seq = seq
         return RecoveryReport(
             checkpoint=info,
             replayed=replayed,

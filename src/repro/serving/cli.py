@@ -10,11 +10,12 @@ for demos, smoke tests, and poking the endpoints with curl::
     curl -s localhost:8080/healthz
     curl -s -XPOST localhost:8080/recommend -d '{"user_id": "u0001"}'
 
-With ``--data-dir`` the model plane becomes durable: the KV store is a
-:class:`~repro.kvstore.durable.DurableKVStore` under a read-through
-cache, every observed action hits a write-ahead log first, and on boot
-the process recovers checkpoint + WAL tail instead of retraining — kill
-it and restart it and it serves the same recommendations.
+With ``--data-dir`` the model plane becomes durable: every observed
+action hits a write-ahead log first (that append is the durability
+point), the KV store is a :class:`~repro.kvstore.durable.DurableKVStore`
+under a write-back cache that is flushed at checkpoints, and on boot the
+process recovers checkpoint + WAL tail instead of retraining — kill it
+and restart it and it serves the same recommendations.
 
 Everything is stdlib + numpy; the process serves until interrupted.
 """
@@ -56,10 +57,10 @@ def build_demo_gateway(
     """A fully-wired gateway over a freshly trained synthetic recommender.
 
     With ``data_dir`` the recommender's store is a durable tier
-    (``<data_dir>/kv``), actions are WAL-logged (``<data_dir>/wal``), and
-    boot first attempts checkpoint-restore + WAL replay; only a state-less
-    data dir triggers the synthetic training pass, which is then sealed
-    with an incremental checkpoint.
+    (``<data_dir>/kv``) under a write-back cache, actions are WAL-logged
+    (``<data_dir>/wal``), and boot first attempts checkpoint-restore + WAL
+    replay; only a state-less data dir triggers the synthetic training
+    pass, which is then flushed and sealed with an incremental checkpoint.
     """
     world = SyntheticWorld(
         paper_world_config(seed=seed, n_users=n_users, n_videos=n_videos)
@@ -89,24 +90,21 @@ def build_demo_gateway(
     fallback = HotRecommender()
     recovered = False
     if recovery is not None and store is not None:
+        # KV-backed state comes back from checkpoint + replayed tail; the
+        # demographic hot lists and the hot-videos fallback live in memory
+        # only, so they see the whole log in order (``rebuild``, then tail).
         report = recovery.recover(
             store,
             lambda action: (
                 recommender.observe(action),
                 fallback.observe(action),
             ),
+            rebuild=lambda action: (
+                recommender.observe_demographic(action),
+                fallback.observe(action),
+            ),
         )
         recovered = report.checkpoint is not None or report.replayed > 0
-        if report.checkpoint is not None:
-            # The checkpoint restored KV-backed state only; demographic hot
-            # lists and the hot-videos fallback are in-memory and must be
-            # rebuilt from the WAL prefix the checkpoint covers (the replay
-            # above already fed them everything after it).
-            for seq, action in wal.replay():
-                if seq > report.checkpoint.wal_seq:
-                    break
-                recommender.observe_demographic(action)
-                fallback.observe(action)
         if recovered:
             print(
                 f"recovered from {data_dir}: checkpoint="

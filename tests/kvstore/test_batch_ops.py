@@ -102,11 +102,14 @@ class TestCacheSemantics:
         assert cache.mget(["b"]) == [2]
 
     def test_mput_updates_cache_and_backing(self):
+        """The cache at once; the backing store in one ``mput`` at flush."""
         backing = InMemoryKVStore()
         cache = ReadThroughCache(backing, capacity=8)
-        cache.mput([("x", 1), ("y", 2)])
-        assert backing.get("x") == 1
-        assert cache.mget(["x", "y"]) == [1, 2]
+        cache.mput([("x", 1), ("y", 2), ("x", 3)])
+        assert cache.mget(["x", "y"]) == [3, 2]
+        assert len(backing) == 0
+        assert cache.flush() == 2
+        assert backing.mget(["x", "y"]) == [3, 2]
 
 
 class TestNamespaceIsolation:

@@ -5,10 +5,13 @@ contract (``get`` / ``put`` / ``delete`` / ``update`` / ``setdefault`` /
 ``mget`` / ``mput`` / membership / ``len`` / ``keys`` / ``items`` /
 ``snapshot_entries`` → ``restore_entries``) against a dict, and after every
 step compares the full contents.  It runs over the three base stores, a
-pair of namespaces sharing one store (isolation), and the two stacks
-``repro-serve`` actually builds: instrumentation over memory, and
-instrumentation over a small read-through cache over the durable log — the
-durable ones also compact and close → reopen mid-sequence.
+pair of namespaces sharing one store (isolation), a small write-back cache
+over memory, and the two stacks ``repro-serve`` actually builds:
+instrumentation over memory, and instrumentation over a small write-back
+cache over the durable log — the durable ones also compact and close →
+reopen mid-sequence, the cached ones also ``flush``.  Both caches hold three
+entries, so unflushed writes are evicted, re-read, deleted and compacted
+under across rules: none may be lost and none resurrected.
 
 Tier-1 draws the ``deterministic`` profile (``tests/conftest.py``); the
 scheduled ``explore`` CI job runs ``tests/properties`` with fresh draws.
@@ -48,6 +51,13 @@ values = st.one_of(
     st.lists(st.integers(min_value=0, max_value=3), max_size=3),
 )
 views = st.integers(min_value=0, max_value=1)
+
+
+def _cache_under(store) -> ReadThroughCache | None:
+    """The write-back cache in a view's wrapper chain, if it has one."""
+    while store is not None and not isinstance(store, ReadThroughCache):
+        store = getattr(store, "inner", None)
+    return store
 
 
 def _durable(root: Path) -> DurableKVStore:
@@ -166,6 +176,20 @@ class KVStoreMachine(RuleBasedStateMachine):
             if fresh_durable is not None:
                 fresh_durable.close()
 
+    # -- write-back caches only ---------------------------------------------
+
+    @precondition(lambda self: _cache_under(self.views[0]) is not None)
+    @rule()
+    def flush(self):
+        """After a flush the *backing* store alone holds the dict."""
+        cache = _cache_under(self.views[0])
+        cache.flush()
+        assert {
+            entry.key: entry.value
+            for entry in cache.backing.snapshot_entries()
+        } == self.models[0]
+        assert cache.flush() == 0
+
     # -- durable log only --------------------------------------------------
 
     @precondition(lambda self: self.durable is not None)
@@ -177,6 +201,11 @@ class KVStoreMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.durable is not None)
     @rule()
     def close_and_reopen(self):
+        """A clean shutdown: what a cache has not flushed is flushed first
+        (a crash instead loses it — that is the WAL's job, not the store's)."""
+        cache = _cache_under(self.views[0])
+        if cache is not None:
+            cache.flush()
         self.durable.close()
         self.views, self.durable = self.build(self.root / "store")
 
@@ -187,11 +216,11 @@ class KVStoreMachine(RuleBasedStateMachine):
         """Checked after every step without reading live keys through the
         store, so a cache keeps whatever the rules left in it: a stale
         entry is still there for the next rule — or for the absent-key
-        reads below — to trip over."""
+        reads below — to trip over.  ``snapshot_entries`` flushes a
+        write-back cache, so over one only the key set is checked here and
+        unflushed writes live on into the next rule; their values are
+        compared by the ``flush``, ``items`` and snapshot rules."""
         for store, model in zip(self.views, self.models):
-            entries = store.snapshot_entries()
-            assert len(entries) == len(model)
-            assert {entry.key: entry.value for entry in entries} == model
             listed = list(store.keys())
             assert len(listed) == len(store) == len(model)
             assert set(listed) == set(model)
@@ -199,6 +228,10 @@ class KVStoreMachine(RuleBasedStateMachine):
                 if key not in model:
                     assert key not in store
                     assert store.get(key, _ABSENT) == _ABSENT
+            if _cache_under(store) is None:
+                entries = store.snapshot_entries()
+                assert len(entries) == len(model)
+                assert {entry.key: entry.value for entry in entries} == model
 
 
 class InMemoryMachine(KVStoreMachine):
@@ -224,6 +257,13 @@ class DurableMachine(KVStoreMachine):
     def build(self, root):
         durable = _durable(root)
         return [durable], durable
+
+
+class CacheOverMemoryMachine(KVStoreMachine):
+    """The write-back cache by itself, small enough to evict."""
+
+    def build(self, root):
+        return [ReadThroughCache(InMemoryKVStore(), capacity=3)], None
 
 
 class ServedMemoryStackMachine(KVStoreMachine):
@@ -255,5 +295,6 @@ TestInMemory = _case(InMemoryMachine)
 TestSharded = _case(ShardedMachine)
 TestNamespacePair = _case(NamespacePairMachine)
 TestDurable = _case(DurableMachine)
+TestCacheOverMemory = _case(CacheOverMemoryMachine)
 TestServedMemoryStack = _case(ServedMemoryStackMachine)
 TestServedDurableStack = _case(ServedDurableStackMachine)

@@ -9,10 +9,15 @@ from the surviving files and checks the acceptance bar from the issue:
 * a torn tail is truncated with a metric increment, never a crash and
   never a silently wrong read;
 * a recovered ``RealtimeRecommender`` serves the same top-N as a clean
-  process that saw the same acked prefix.
+  process that saw the same acked prefix;
+* a killed ``repro-serve --data-dir`` restarts from its boot checkpoint
+  plus exactly the actions it acked since, and serves the same lists.
 """
 
+import http.client
+import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -38,16 +43,20 @@ def _metric(registry, name):
     return doc["series"][0]["value"] if doc["series"] else 0.0
 
 
-def _spawn(mode, root, *extra):
+def _child_env():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _spawn(mode, root, *extra):
     return subprocess.Popen(
         [sys.executable, str(CHILD), mode, str(root), *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_child_env(),
     )
 
 
@@ -169,3 +178,98 @@ class TestRecommenderCrash:
                 clean.recommend_ids(user, n=10, now=now)
             ), f"post-crash top-N diverged for {user}"
         durable.close()
+
+
+def _spawn_server(data_dir):
+    """``repro-serve --data-dir`` on an ephemeral port; returns the process,
+    the port and everything it printed while booting."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.serving.cli", "--port", "0",
+            "--users", "10", "--videos", "30", "--seed", "7",
+            "--data-dir", str(data_dir),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=_child_env(),
+    )
+    boot = []
+    deadline = time.monotonic() + 120.0
+    for line in proc.stdout:
+        boot.append(line)
+        listening = re.search(r"listening on http://[^:]+:(\d+)", line)
+        if listening:
+            return proc, int(listening.group(1)), "".join(boot)
+        if time.monotonic() > deadline:
+            break
+    proc.kill()
+    proc.wait(timeout=10)
+    raise AssertionError(f"server never listened: {''.join(boot)!r}")
+
+
+def _post(conn, path, doc):
+    conn.request(
+        "POST", path, body=json.dumps(doc),
+        headers={"Content-Type": "application/json"},
+    )
+    response = conn.getresponse()
+    return response.status, json.loads(response.read() or b"null")
+
+
+@pytest.mark.slow
+class TestServerCrash:
+    N_TAIL = 120
+
+    def test_killed_server_restarts_from_checkpoint_plus_tail(self, tmp_path):
+        users = [f"u{i}" for i in range(10)]
+        videos = [f"v{i}" for i in range(30)]
+        now = 1e7 + 600.0 * (self.N_TAIL + 1)
+
+        def top_tens(port):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                lists = {}
+                for user in users:
+                    status, doc = _post(
+                        conn, "/recommend",
+                        {"user_id": user, "n": 10, "timestamp": now},
+                    )
+                    assert status == 200
+                    lists[user] = doc["video_ids"]
+                return lists
+            finally:
+                conn.close()
+
+        proc, port, boot = _spawn_server(tmp_path)
+        try:
+            assert "recovered" not in boot
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            for i in range(self.N_TAIL):
+                status, _ = _post(
+                    conn, "/ingest",
+                    {
+                        "timestamp": 1e7 + 600.0 * i,
+                        "user_id": users[i % len(users)],
+                        "video_id": videos[(7 * i) % len(videos)],
+                        "action": "play" if i % 3 else "click",
+                        "view_time": 30.0 * (i % 5),
+                    },
+                )
+                assert status == 202  # acked: WAL-appended and applied
+            conn.close()
+            served = top_tens(port)
+        finally:
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+        proc, port, boot = _spawn_server(tmp_path)
+        try:
+            assert "checkpoint=ckpt-" in boot
+            assert f"replayed={self.N_TAIL} " in boot
+            assert top_tens(port) == served
+        finally:
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            proc.stdout.close()

@@ -19,6 +19,7 @@ from repro.kvstore import (
     InMemoryKVStore,
     ReadThroughCache,
 )
+from repro.obs import Observability
 from repro.reliability import (
     KIND_FULL,
     KIND_SEGMENTS,
@@ -114,6 +115,23 @@ class TestRestoreSegments:
         assert tier.get("k0") == 0  # cache was dropped, disk rolled back
         assert tier.get("new-key") is None
         assert tier.get("k5") == 5
+
+    def test_restore_discards_unflushed_writes_above_the_log(
+        self, tmp_path, durable
+    ):
+        """A write-back tier's post-checkpoint writes may never have reached
+        the log; the rollback must drop them too, not flush them later."""
+        tier = ReadThroughCache(durable, capacity=8)
+        tier.put("k", "checkpointed")
+        manager = CheckpointManager(tmp_path / "ckpt", fsync=False)
+        info = manager.create_incremental(tier, wal_seq=1)
+        assert durable.get("k") == "checkpointed"  # flushed, then sealed
+        tier.put("k", "after-checkpoint")
+        tier.put("new-key", 1)
+
+        assert manager.restore(info, tier) == 1
+        assert tier.flush() == 0
+        assert dict(tier.items()) == {"k": "checkpointed"}
 
     def test_restore_after_reopen(self, tmp_path):
         """The checkpoint outlives the store object that produced it."""
@@ -251,3 +269,103 @@ class TestRecoveryIntegration:
             assert rec_c.recommend_ids(user, n=10, now=now) == (
                 rec_a.recommend_ids(user, n=10, now=now)
             )
+
+    def test_crash_before_the_first_checkpoint_replays_onto_an_empty_store(
+        self, small_world, small_actions, tmp_path
+    ):
+        """A first boot killed before its checkpoint leaves the durable tier
+        holding *some* prefix of the log (whatever was evicted or flushed)
+        and nothing to roll back to.  Replaying from sequence 1 on top of
+        it would apply that prefix twice."""
+        stream = small_actions[: self.N_TOTAL]
+
+        rec_a = self._recommender(small_world, self._tier(tmp_path, "kv-a"))
+        rec_a.observe_stream(stream)
+
+        wal = ActionWAL(tmp_path / "wal")
+        recovery = RecoveryManager(
+            CheckpointManager(tmp_path / "ckpt", fsync=False), wal
+        )
+        tier_b = self._tier(tmp_path, "kv-b")
+        rec_b = self._recommender(small_world, tier_b, wal=wal)
+        rec_b.observe_stream(stream[: self.N_CHECKPOINT])
+        tier_b.flush()  # the log now holds a prefix — and no checkpoint does
+        rec_b.observe_stream(stream[self.N_CHECKPOINT :])
+        del rec_b
+
+        tier_c = self._tier(tmp_path, "kv-b")
+        assert len(tier_c) > 0  # the leftover prefix is really there
+        rec_c = self._recommender(small_world, tier_c, wal=wal)
+        report = recovery.recover(tier_c, rec_c.observe)
+        assert report.from_scratch and not report.stale_checkpoint
+        assert report.replayed == self.N_TOTAL
+
+        now = stream[-1].timestamp + 60.0
+        users = {a.user_id for a in stream[:50]}
+        for user in sorted(users)[:8]:
+            assert rec_c.recommend_ids(user, n=10, now=now) == (
+                rec_a.recommend_ids(user, n=10, now=now)
+            ), f"recovered top-N diverged for {user}"
+
+    def test_rebuild_sees_the_checkpointed_prefix_in_log_order(
+        self, small_world, small_actions, tmp_path
+    ):
+        """State outside the store gets one in-order pass over the log:
+        ``rebuild`` for what the checkpoint covers, ``apply`` for the rest."""
+        stream = small_actions[: self.N_CRASH]
+        wal = ActionWAL(tmp_path / "wal", segment_max_records=64)
+        recovery = RecoveryManager(
+            CheckpointManager(tmp_path / "ckpt", fsync=False), wal
+        )
+        tier_b = self._tier(tmp_path, "kv-b")
+        rec_b = self._recommender(small_world, tier_b, wal=wal)
+        rec_b.observe_stream(stream[: self.N_CHECKPOINT])
+        recovery.checkpoint(tier_b, incremental=True)
+        rec_b.observe_stream(stream[self.N_CHECKPOINT :])
+        del rec_b
+
+        seen = []
+        report = recovery.recover(
+            self._tier(tmp_path, "kv-b"),
+            lambda action: seen.append(("apply", action)),
+            rebuild=lambda action: seen.append(("rebuild", action)),
+        )
+        assert report.replayed == self.N_CRASH - self.N_CHECKPOINT
+        # (the log keeps milliseconds, so compare in its own encoding)
+        assert [action.to_log_line() for _, action in seen] == [
+            action.to_log_line() for action in stream
+        ]
+        assert [kind for kind, _ in seen] == (
+            ["rebuild"] * self.N_CHECKPOINT + ["apply"] * report.replayed
+        )
+
+
+def test_durable_work_follows_keys_not_actions(small_world, small_actions, tmp_path):
+    """The write-back mechanism as an exact, speed-independent count: the
+    served stack trains 500 actions without touching the durable log, and
+    the checkpoint then writes one record per live key — where write-through
+    re-read and re-wrote a record for every update (2,386 records and 2,325
+    reads for this stream at the parent commit)."""
+    obs = Observability.deterministic()
+    durable = DurableKVStore(
+        tmp_path / "kv", fsync="never", registry=obs.registry
+    )
+    tier = ReadThroughCache(durable, capacity=4096)
+    store = obs.instrument_store(tier)
+    wal = ActionWAL(tmp_path / "wal")
+    recovery = RecoveryManager(
+        CheckpointManager(tmp_path / "ckpt", fsync=False), wal
+    )
+    recommender = RealtimeRecommender(
+        small_world.videos, users=small_world.users, store=store, wal=wal, obs=obs
+    )
+    written = obs.registry.get("durable_kv_records_written_total")
+    recommender.observe_stream(small_actions[:500])
+    assert written.value == 0
+
+    info = recovery.checkpoint(store, incremental=True)
+    assert info.wal_seq == 500
+    assert info.n_entries == len(store) == len(durable) > 0
+    assert written.value == len(store)
+    assert obs.registry.get("durable_kv_reads_total").value == 0
+    durable.close()

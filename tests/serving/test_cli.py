@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import random
 
+import pytest
+
+from repro.data import ActionType, UserAction
 from repro.serving import GatewayConfig, GatewayThread
 from repro.serving.cli import _build_parser, build_demo_gateway
 
@@ -80,3 +84,52 @@ def test_demo_gateway_serves_end_to_end():
             health.read()
         finally:
             conn.close()
+
+
+def _durable_boot(data_dir, capsys):
+    """``build_demo_gateway(data_dir=...)``'s recommender and what it printed."""
+    gateway = build_demo_gateway(
+        GatewayConfig(port=0),
+        rate=None,
+        max_concurrency=None,
+        n_users=10,
+        n_videos=30,
+        seed=7,
+        data_dir=data_dir,
+    )
+    return gateway.router.recommender, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n_tail", [30, 300])
+def test_restart_recovers_checkpoint_plus_tail(tmp_path, capsys, n_tail):
+    """The served recovery path with a non-empty tail: a restart rolls back
+    to the boot checkpoint, replays exactly the actions ingested since, and
+    serves every user the list the uninterrupted process served — the
+    demographic hot lists decay by timestamp deltas, so this holds only if
+    they see the log in order (prefix first, then tail)."""
+    live, boot_out = _durable_boot(tmp_path, capsys)
+    assert "recovered" not in boot_out  # fresh directory: trained, not recovered
+    users, videos = sorted(live.users), sorted(live.videos)
+    rng = random.Random(n_tail)
+    stamp = 1e7
+    for _ in range(n_tail):
+        stamp += rng.randrange(1, 600)  # whole seconds: the WAL keeps ms
+        live.observe(
+            UserAction(
+                stamp,
+                rng.choice(users),
+                rng.choice(videos),
+                rng.choice((ActionType.PLAY, ActionType.CLICK)),
+            )
+        )
+    now = stamp + 60.0
+    served = {user: live.recommend_ids(user, n=10, now=now) for user in users}
+
+    # The crash: nothing of ``live`` is flushed or closed; only what its
+    # WAL and its boot checkpoint put on disk reaches the next process.
+    restarted, out = _durable_boot(tmp_path, capsys)
+    assert "checkpoint=ckpt-" in out
+    assert f"replayed={n_tail} " in out
+    assert {
+        user: restarted.recommend_ids(user, n=10, now=now) for user in users
+    } == served
