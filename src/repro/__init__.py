@@ -16,7 +16,7 @@ described in the paper, plus every substrate it depends on:
 * :mod:`repro.eval` — recall@N, average rank, the offline protocol, grid
   search and the simulated A/B test;
 * :mod:`repro.obs` — the observability layer: one metrics registry,
-  causally-linked trace spans across the topology and the serving path,
+  causally-linked trace spans along the serving path,
   and the JSON perf-regression harness.
 
 Quickstart::

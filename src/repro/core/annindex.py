@@ -237,8 +237,6 @@ class AnnIndex:
         # re-derived from the data on every bulk build unless pinned by
         # config.  1.0 covers the incremental-from-empty regime.
         self._bias_scale = cfg.bias_scale if cfg.bias_scale > 0 else 1.0
-        # Pre-computed multi-probe flip masks, radius -> [xor masks].
-        self._flip_masks = self._build_flip_masks()
         # Pre-computed bit-index combinations for directed probing,
         # radius -> (n_combos, radius) over the lowest-margin bit slots.
         depth = min(self.band_bits, self._DIRECTED_BITS)
@@ -260,18 +258,6 @@ class AnnIndex:
         if not self.config.partition_by_kind or not self.videos:
             return 1
         return max(1, len({v.kind for v in self.videos.values()}))
-
-    def _build_flip_masks(self) -> list[list[int]]:
-        masks: list[list[int]] = [[0]]
-        bits = range(self.band_bits)
-        for radius in range(1, self.config.probe_radius + 1):
-            masks.append(
-                [
-                    sum(1 << b for b in combo)
-                    for combo in itertools.combinations(bits, radius)
-                ]
-            )
-        return masks
 
     def _init_obs(self, obs: "Observability | None") -> None:
         if obs is None:
@@ -678,18 +664,16 @@ class AnnIndex:
         bands: np.ndarray,
         need: int,
         allowed_partitions: Iterable[str] | None = None,
-        margins: np.ndarray | None = None,
+        *,
+        margins: np.ndarray,
     ) -> np.ndarray:
         """Deduplicated, row-sorted candidate rows for a banded query.
 
-        With ``margins`` (the query's ``|projection|`` per hyperplane) the
-        probe sequence is query-directed: cheapest perturbations first,
+        ``margins`` (the query's ``|projection|`` per hyperplane) make the
+        probe sequence query-directed: cheapest perturbations first,
         stopping as soon as ``need`` rows (pre-dedup) are gathered.
-        Without margins it falls back to blind Hamming-radius escalation,
-        completing each radius before checking the target (the full-radius
-        sweep keeps blind probing order-independent).  Restricting
-        ``allowed_partitions`` prunes the probe set — fewer buckets
-        touched, smaller shortlist.
+        Restricting ``allowed_partitions`` prunes the probe set — fewer
+        buckets touched, smaller shortlist.
         """
         with self._lock:
             if allowed_partitions is None:
@@ -704,30 +688,15 @@ class AnnIndex:
             gathered = 0
             probed = 0
             buckets = self._buckets
-            if margins is not None:
-                for t, band in self._directed_sequence(bands, margins):
-                    for p in parts:
-                        probed += 1
-                        bucket = buckets.get((p, t, band))
-                        if bucket is not None:
-                            chunks.append(bucket)
-                            gathered += len(bucket)
-                    if gathered >= need:
-                        break
-            else:
-                for radius_masks in self._flip_masks:
-                    for mask in radius_masks:
-                        umask = np.uint64(mask)
-                        for t in range(self.tables):
-                            band = int(bands[t] ^ umask)
-                            for p in parts:
-                                probed += 1
-                                bucket = buckets.get((p, t, band))
-                                if bucket is not None:
-                                    chunks.append(bucket)
-                                    gathered += len(bucket)
-                    if gathered >= need:
-                        break
+            for t, band in self._directed_sequence(bands, margins):
+                for p in parts:
+                    probed += 1
+                    bucket = buckets.get((p, t, band))
+                    if bucket is not None:
+                        chunks.append(bucket)
+                        gathered += len(bucket)
+                if gathered >= need:
+                    break
             if self._probes is not None:
                 self._probes.inc(probed)
             if not chunks:

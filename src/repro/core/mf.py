@@ -305,23 +305,18 @@ class MFBatchSession:
         self._write("video", video_id, update.y_i, update.b_i)
         return update
 
-    def commit(self, params: bool = True) -> None:
+    def commit(self) -> None:
         """Write all dirty parameters and the ``mu`` delta to the store.
 
         Parameters go out as one batch per kind; ``mu`` is folded with one
         atomic update that replays the session's ratings in order, so
         concurrent writers (other workers' commits) are never overwritten
         and a single-rating batch is exactly the sequential code path.
-
-        ``params=False`` commits only the ``mu`` fold — the ``ComputeMF``
-        bolt's shape, where a downstream single-writer (``MFStorage``)
-        owns parameter persistence and receives the new vectors as tuples.
         """
-        if params:
-            self._model.put_params_many(
-                [(*key, self._vectors[key], self._biases[key]) for key in self._dirty]
-            )
-            self._dirty.clear()
+        self._model.put_params_many(
+            [(*key, self._vectors[key], self._biases[key]) for key in self._dirty]
+        )
+        self._dirty.clear()
         self._model._mu_fold(self._mu_ratings)
         self._mu_ratings.clear()
 
@@ -558,8 +553,8 @@ class MFModel:
     ) -> None:
         """Batch parameter write: ``(kind, id, vector, bias)`` records.
 
-        The micro-batched ``MFStorage`` path: all user rows go out in one
-        batch write, all video rows in another.  Within a kind, later
+        The :meth:`MFBatchSession.commit` path: all user rows go out in
+        one batch write, all video rows in another.  Within a kind, later
         records win (same as sequential puts).
         """
         for kind in _KINDS:

@@ -8,9 +8,9 @@ them requires measuring this system the way Tencent measured theirs.
 * :class:`MetricsRegistry` with typed :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments — the shared registry every subsystem
   (topology metrics, router, trainer, KV stores, breakers) reports into;
-* :class:`Tracer` — causally-linked spans from the spout (or a routed
-  request) through every bolt and KV call, with per-stage latency
-  attribution;
+* :class:`Tracer` — synchronous, causally-linked spans from a routed
+  request through the recommender and every KV call, with per-stage
+  latency attribution;
 * :class:`InstrumentedKVStore` — per-op KV metrics and spans;
 * :class:`Observability` — the bundle components accept as one ``obs=``
   argument.
@@ -72,7 +72,7 @@ class Observability:
     Components that support observability take ``obs: Observability |
     None = None``; passing the same bundle to the executor, the router,
     and the recommender is what stitches their metrics into one registry
-    document and their spans into shared traces.
+    document and the serving path's spans into shared traces.
 
     ``perf_clock`` is the clock *durations* are measured on — wall
     ``perf_counter`` by default, or the same virtual clock as everything

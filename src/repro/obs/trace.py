@@ -1,46 +1,32 @@
-"""Request/tuple tracing: causally-linked spans across the topology.
+"""Request tracing: causally-linked spans along the serving path.
 
-The paper quotes *end-to-end* numbers — an action enters the spout and
-milliseconds later the refreshed model serves a request — but per-component
-counters cannot attribute that end-to-end time to stages.  A
-:class:`Tracer` mints a trace id at the edge of the system (the spout, or a
+Per-component counters cannot attribute a request's end-to-end time to
+stages.  A :class:`Tracer` mints a trace id at the edge of the system (a
 :class:`~repro.serving.router.RequestRouter` request), propagates it
-through tuple metadata across bolts and through router→recommender→KV
-calls, and records one :class:`Span` per unit of work, parent-linked so the
-whole causal tree can be exported and each stage's share of the latency
-read off.
+through router → recommender → KV calls, and records one :class:`Span` per
+unit of work, parent-linked so the whole causal tree can be exported and
+each stage's share of the latency read off.
 
-Two propagation styles, both supported:
-
-* **synchronous** (serving path) — spans nest with the call stack.  The
-  tracer keeps a per-thread ambient span; :meth:`Tracer.span` parents to
-  it automatically, so the router's span encloses the recommender's,
-  which encloses each KV op's.
-* **deferred** (topology path) — a bolt's output tuples are processed
-  later, on other workers/threads.  The emitting span *defers* one child
-  slot per downstream delivery (:meth:`Tracer.defer_child`) and stays
-  open until every deferred child completes; the receiving executor opens
-  the child with :meth:`Tracer.start_deferred`.  A span's ``end``
-  therefore covers its whole subtree, which gives the causality
-  invariants the test suite pins down: every child starts after its
-  parent starts and ends before its parent ends, and a trace's root span
-  brackets the entire end-to-end flow.
-
-``work_end`` (when the span's own work finished) is recorded separately
-from ``end`` (when its subtree finished), so per-stage *self* latency and
-*subtree* latency are both attributable (:meth:`Tracer.stage_latencies`).
+Spans are synchronous and request-scoped: they nest with the call stack.
+The tracer keeps a per-thread ambient span; :meth:`Tracer.span` parents to
+it automatically, so the router's span encloses the recommender's, which
+encloses each KV op's.  Every child therefore starts after its parent
+starts and ends before its parent ends, and a span's *self* time — its
+duration minus its direct children's (:meth:`Tracer.stage_latencies`) — is
+the work done in that stage alone.
 
 Ids are minted from deterministic counters — with a
 :class:`~repro.clock.VirtualClock` a traced run is bit-for-bit
 reproducible.  ``sample_every=n`` keeps only every n-th trace (the ids
 still advance, so sampled runs stay comparable); ``max_spans`` bounds
-memory.
+memory, evicting the oldest finished span in O(1).
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
@@ -50,7 +36,7 @@ from ..clock import Clock, SystemClock
 __all__ = ["Span", "SpanContext", "Tracer", "TRACE_SCHEMA_VERSION"]
 
 #: Version stamped into ``Tracer.to_json()`` documents.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 #: Sentinel: "parent me to the calling thread's ambient span, else root".
 _AMBIENT = object()
@@ -58,7 +44,7 @@ _AMBIENT = object()
 
 @dataclass(frozen=True, slots=True)
 class SpanContext:
-    """The propagatable identity of a span (carried on stream tuples)."""
+    """The propagatable identity of a span."""
 
     trace_id: str
     span_id: str
@@ -69,11 +55,9 @@ class SpanContext:
 class Span:
     """One unit of traced work.
 
-    ``start`` ≤ ``work_end`` ≤ ``end``; ``end`` extends past ``work_end``
-    while deferred children are still running.  Attribute writes go
-    through :meth:`set_attribute`; after completion a span is effectively
-    frozen (the tracer only hands out completed spans from its export
-    APIs).
+    Attribute writes go through :meth:`set_attribute`; after completion a
+    span is effectively frozen (the tracer only hands out completed spans
+    from its export APIs).
     """
 
     name: str
@@ -81,10 +65,8 @@ class Span:
     parent_id: str | None
     start: float
     attributes: dict[str, Any] = field(default_factory=dict)
-    work_end: float | None = None
     end: float | None = None
     error: str | None = None
-    _pending: int = field(default=0, repr=False)
     _tracer: "Tracer | None" = field(default=None, repr=False)
 
     @property
@@ -105,23 +87,14 @@ class Span:
 
     @property
     def duration(self) -> float:
-        """Subtree duration (start → last deferred descendant done)."""
+        """Inclusive duration, children included."""
         return 0.0 if self.end is None else self.end - self.start
-
-    @property
-    def self_duration(self) -> float:
-        """Own-work duration (start → this span's work finished)."""
-        return 0.0 if self.work_end is None else self.work_end - self.start
 
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
 
     def finish(self, error: str | None = None) -> None:
-        """Mark this span's own work done (idempotent).
-
-        The span *completes* — becomes exportable — once every deferred
-        child slot has also completed.
-        """
+        """Mark this span done (idempotent); it becomes exportable."""
         if self._tracer is not None:
             self._tracer._finish(self, error)
 
@@ -138,7 +111,16 @@ class _NoopSpan(Span):
     """Span of an unsampled trace: carries context, records nothing."""
 
     def finish(self, error: str | None = None) -> None:  # noqa: D102
-        self.end = self.work_end = self.start
+        self.end = self.start
+
+
+def _self_times(spans: list[Span]) -> dict[str, float]:
+    """Exclusive time per span id: duration minus direct children's."""
+    out = {s.span_id: s.duration for s in spans}
+    for s in spans:
+        if s.parent_id in out:
+            out[s.parent_id] -= s.duration
+    return out
 
 
 class Tracer:
@@ -162,8 +144,8 @@ class Tracer:
         self._trace_seq = 0
         self._span_seq = 0
         self._root_seq = 0
-        self._active: dict[str, Span] = {}
-        self._finished: list[Span] = []
+        self._open = 0
+        self._finished: deque[Span] = deque(maxlen=max_spans)
         self.dropped_spans = 0
 
     # -- ids ---------------------------------------------------------------
@@ -192,16 +174,6 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    @contextmanager
-    def activate(self, span: Span) -> Iterator[Span]:
-        """Make ``span`` the calling thread's ambient span."""
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield span
-        finally:
-            stack.pop()
-
     # -- span lifecycle ----------------------------------------------------
 
     def start_span(
@@ -212,10 +184,9 @@ class Tracer:
     ) -> Span:
         """Open a span.
 
-        ``parent`` may be a :class:`Span`, a :class:`SpanContext` (e.g.
-        read off a stream tuple), ``None`` for an explicit new root, or
-        omitted to parent to the calling thread's ambient span (falling
-        back to a new root).
+        ``parent`` may be a :class:`Span`, a :class:`SpanContext`, ``None``
+        for an explicit new root, or omitted to parent to the calling
+        thread's ambient span (falling back to a new root).
         """
         if parent is _AMBIENT:
             parent = self.current_span()
@@ -237,7 +208,8 @@ class Tracer:
             now = self._clock.now()
             if not sampled:
                 return _NoopSpan(name, context, parent_id, now)
-            span = Span(
+            self._open += 1
+            return Span(
                 name,
                 context,
                 parent_id,
@@ -245,8 +217,6 @@ class Tracer:
                 attributes=dict(attributes or {}),
                 _tracer=self,
             )
-            self._active[span_id] = span
-            return span
 
     @contextmanager
     def span(
@@ -255,91 +225,31 @@ class Tracer:
         parent: "Span | SpanContext | None" = _AMBIENT,  # type: ignore[assignment]
         attributes: Mapping[str, Any] | None = None,
     ) -> Iterator[Span]:
-        """``with tracer.span("stage"):`` — start, activate, auto-finish."""
+        """``with tracer.span("stage"):`` — start, make ambient, finish."""
         opened = self.start_span(name, parent=parent, attributes=attributes)
         error: str | None = None
-        with self.activate(opened):
-            try:
-                yield opened
-            except BaseException as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                raise
-            finally:
-                opened.finish(error=error)
-
-    # -- deferred children (the topology path) ----------------------------
-
-    def defer_child(self, span: Span) -> None:
-        """Reserve one deferred-child slot on ``span``.
-
-        Called once per downstream delivery that will carry
-        ``span.context``; the span stays open until each slot is consumed
-        by a completing :meth:`start_deferred` span (or released by
-        :meth:`cancel_deferred`).
-        """
-        if not span.context.sampled or span._tracer is not self:
-            return
-        with self._lock:
-            span._pending += 1
-
-    def start_deferred(
-        self,
-        name: str,
-        parent: SpanContext,
-        attributes: Mapping[str, Any] | None = None,
-    ) -> Span:
-        """Open the child span for one deferred slot of ``parent``.
-
-        When this span (and its own subtree) completes, the parent's slot
-        is released — completion cascades rootward.
-        """
-        span = self.start_span(name, parent=parent, attributes=attributes)
-        if span.context.sampled:
-            span.attributes.setdefault("deferred", True)
-        return span
-
-    def cancel_deferred(self, parent: SpanContext) -> None:
-        """Release one deferred slot without a child span (tuple shed)."""
-        if not parent.sampled:
-            return
-        with self._lock:
-            span = self._active.get(parent.span_id)
-            if span is not None:
-                span._pending -= 1
-                self._cascade_locked(span)
-
-    # -- completion --------------------------------------------------------
+        stack = self._stack()
+        stack.append(opened)
+        try:
+            yield opened
+        except BaseException as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            raise
+        finally:
+            stack.pop()
+            opened.finish(error=error)
 
     def _finish(self, span: Span, error: str | None) -> None:
         with self._lock:
-            if span.work_end is not None:  # idempotent
+            if span.end is not None:  # idempotent
                 return
-            span.work_end = self._clock.now()
+            span.end = self._clock.now()
             if error is not None:
                 span.error = error
-            self._cascade_locked(span)
-
-    def _cascade_locked(self, span: Span) -> None:
-        """Complete ``span`` if ready, then walk released parents rootward."""
-        current: Span | None = span
-        while current is not None:
-            if current.work_end is None or current._pending > 0:
-                return
-            if current.end is None:
-                current.end = self._clock.now()
-                self._active.pop(current.span_id, None)
-                if len(self._finished) >= self.max_spans:
-                    self._finished.pop(0)
-                    self.dropped_spans += 1
-                self._finished.append(current)
-            parent = (
-                self._active.get(current.parent_id)
-                if current.parent_id is not None
-                else None
-            )
-            if parent is not None and current.attributes.get("deferred"):
-                parent._pending -= 1
-            current = parent
+            self._open -= 1
+            if len(self._finished) == self.max_spans:
+                self.dropped_spans += 1  # the append evicts the oldest
+            self._finished.append(span)
 
     # -- export ------------------------------------------------------------
 
@@ -349,7 +259,7 @@ class Tracer:
 
     def active_span_count(self) -> int:
         with self._lock:
-            return len(self._active)
+            return self._open
 
     def traces(self) -> dict[str, list[Span]]:
         """Finished spans grouped by trace id, in start order."""
@@ -361,7 +271,7 @@ class Tracer:
         return grouped
 
     def complete_traces(self) -> dict[str, list[Span]]:
-        """Only traces whose root span has completed (subtree fully done)."""
+        """Only traces whose root span has finished."""
         return {
             trace_id: spans
             for trace_id, spans in self.traces().items()
@@ -374,6 +284,7 @@ class Tracer:
         if not spans:
             return None
         by_id = {s.span_id: s for s in spans}
+        self_times = _self_times(spans)
         children: dict[str, list[Span]] = {}
         roots: list[Span] = []
         for s in spans:
@@ -390,7 +301,7 @@ class Tracer:
                 "span_id": s.span_id,
                 "start": s.start,
                 "end": s.end,
-                "self_seconds": s.self_duration,
+                "self_seconds": self_times[s.span_id],
                 "subtree_seconds": s.duration,
                 "attributes": dict(s.attributes),
                 "error": s.error,
@@ -412,19 +323,22 @@ class Tracer:
 
         Returns ``{name: {count, self_seconds, subtree_seconds}}``, over
         one trace or (``trace_id=None``) over every finished span.
+        ``self_seconds`` is exclusive time (duration minus the direct
+        children's), ``subtree_seconds`` inclusive time.
         """
         spans = (
             self.traces().get(trace_id, [])
             if trace_id is not None
             else self.finished_spans()
         )
+        self_times = _self_times(spans)
         out: dict[str, dict[str, float]] = {}
         for s in spans:
             agg = out.setdefault(
                 s.name, {"count": 0, "self_seconds": 0.0, "subtree_seconds": 0.0}
             )
             agg["count"] += 1
-            agg["self_seconds"] += s.self_duration
+            agg["self_seconds"] += self_times[s.span_id]
             agg["subtree_seconds"] += s.duration
         return out
 
@@ -440,7 +354,6 @@ class Tracer:
                     "parent_id": s.parent_id,
                     "name": s.name,
                     "start": s.start,
-                    "work_end": s.work_end,
                     "end": s.end,
                     "attributes": {
                         k: v

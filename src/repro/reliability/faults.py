@@ -101,11 +101,6 @@ class ChaosBolt(Bolt):
             if roll < self.plan.drop_rate + self.plan.duplicate_rate:
                 collector.emit(emitted, stream=emitted.stream)
 
-    def flush(self, collector: Collector) -> None:
-        # End-of-stream flush passes through un-faulted: the crash/drop
-        # schedules are defined over delivered tuples, not flushes.
-        self.inner.flush(collector)
-
     def cleanup(self) -> None:
         self.inner.cleanup()
 

@@ -11,16 +11,15 @@ HTTP/1.1 front-end over :class:`~repro.serving.router.RequestRouter`:
 * ``POST /ingest``   — feed one user action into the live trainer;
 * ``GET  /metrics``  — the schema-versioned
   :meth:`~repro.obs.MetricsRegistry.to_json` document;
-* ``GET  /healthz``  — liveness + breaker/supervisor state;
+* ``GET  /healthz``  — liveness + circuit-breaker state;
 * ``GET  /snapshot`` — the router's per-scenario counters plus the
   gateway's own connection/coalescing statistics.
 
 **Request coalescing.** Concurrent in-flight ``/recommend`` requests are
 not dispatched one by one: a :class:`RequestCollector` buffers them for up
-to ``batch_window_ms`` (or until ``batch_max`` accumulate, mirroring
-:class:`~repro.topology.BatchingConfig`'s flush-on-full semantics) and
-hands the whole batch to one :meth:`RequestRouter.handle_many` call on a
-worker thread.  That realises the vectorized model plane's batched-scoring
+to ``batch_window_ms`` (or until ``batch_max`` accumulate, whichever
+comes first) and hands the whole batch to one
+:meth:`RequestRouter.handle_many` call on a worker thread.  That realises the vectorized model plane's batched-scoring
 win *across connections* — the batch a single caller used to have to
 assemble now assembles itself from independent sockets.
 
@@ -59,7 +58,6 @@ from .router import Outcome, RecRequest, RecResponse, RequestRouter
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observability
     from ..reliability.overload import CircuitBreaker
-    from ..reliability.supervisor import Supervisor
 
 __all__ = [
     "GatewayConfig",
@@ -90,9 +88,8 @@ class GatewayConfig:
     """Tunables of one :class:`ServingGateway`.
 
     ``batch_window_ms``/``batch_max`` bound the request-coalescing
-    collector exactly like :class:`~repro.topology.BatchingConfig` bounds
-    the trainer bolts: a batch flushes when it is full *or* when the
-    oldest request has waited the whole window.  ``batch_window_ms=0``
+    collector: a batch flushes when it is full *or* when the oldest
+    request has waited the whole window.  ``batch_window_ms=0``
     still coalesces whatever arrived while the previous batch was being
     served (greedy drain), so a loaded gateway batches even with no timer.
 
@@ -354,9 +351,9 @@ class ServingGateway:
     ``503``.  ``obs`` wires gateway metrics
     (``gateway_http_requests_total``, ``gateway_open_connections``,
     ``gateway_coalesced_batch_size``, ``gateway_connections_rejected_total``)
-    into the same registry ``/metrics`` serves.  ``breaker`` and
-    ``supervisor`` default to the router's own breaker and feed
-    ``/healthz``.
+    into the same registry ``/metrics`` serves.  ``breaker`` defaults to
+    the router's own breaker and feeds ``/healthz``: the gateway is
+    healthy while it is not open.
 
     Lifecycle: ``await start()`` binds the socket (``port`` then reports
     the real port when the config asked for 0), ``await stop()`` closes
@@ -370,14 +367,12 @@ class ServingGateway:
         config: GatewayConfig | None = None,
         observe: Callable[[UserAction], None] | None = None,
         obs: "Observability | None" = None,
-        supervisor: "Supervisor | None" = None,
         breaker: "CircuitBreaker | None" = None,
     ) -> None:
         self.router = router
         self.config = config or GatewayConfig()
         self.observe = observe
         self.obs = obs
-        self.supervisor = supervisor
         self.breaker = breaker if breaker is not None else router.breaker
         self.collector = RequestCollector(
             router,
@@ -663,14 +658,10 @@ class ServingGateway:
         breaker_state = (
             self.breaker.state.value if self.breaker is not None else None
         )
-        supervisor_given_up = (
-            self.supervisor.gave_up() if self.supervisor is not None else 0
-        )
-        healthy = breaker_state != "open" and supervisor_given_up == 0
+        healthy = breaker_state != "open"
         payload = {
             "status": "ok" if healthy else "degraded",
             "breaker": breaker_state,
-            "supervisor_gave_up": supervisor_given_up,
             "open_connections": self._open_connections,
         }
         return (200 if healthy else 503), payload, None

@@ -5,7 +5,7 @@ tuples, spouts, bolts, groupings, topologies — with two interchangeable
 executors: a deterministic single-threaded one and a threaded one.
 """
 
-from .executor import QUEUE_POLICIES, LocalExecutor, ThreadedExecutor
+from .executor import LocalExecutor, ThreadedExecutor
 from .grouping import (
     AllGrouping,
     FieldsGrouping,
@@ -42,7 +42,6 @@ __all__ = [
     "BoltDeclarer",
     "LocalExecutor",
     "ThreadedExecutor",
-    "QUEUE_POLICIES",
     "TopologyMetrics",
     "ComponentMetrics",
 ]

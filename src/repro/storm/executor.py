@@ -6,10 +6,10 @@ model:
 * :class:`LocalExecutor` — single-threaded and deterministic.  Tuples are
   processed in a fixed interleaving, so tests and the offline evaluation
   protocol get bit-for-bit reproducible runs.
-* :class:`ThreadedExecutor` — one OS thread per worker with real queues.
-  Used by the scalability benchmarks to measure throughput as parallelism
-  grows, and by the concurrency tests that assert the fields-grouping
-  single-writer invariant under true interleaving.
+* :class:`ThreadedExecutor` — one OS thread per worker with real bounded
+  queues and blocking backpressure.  It is what runs the Figure-2 topology
+  outside tests, and what the concurrency tests use to assert the
+  fields-grouping single-writer invariant under true interleaving.
 
 Both honour grouping semantics identically: a tuple emitted on
 ``(source, stream)`` is delivered to every subscribed bolt, to the worker(s)
@@ -69,7 +69,6 @@ class _ExecutorBase:
         self.supervisor = supervisor
         self.obs = obs
         self.metrics = TopologyMetrics(obs.registry if obs is not None else None)
-        self._tracer = obs.tracer if obs is not None else None
         # Durations are measured on the bundle's perf clock so a
         # deterministic Observability yields deterministic latencies.
         self._now = obs.perf_clock.now if obs is not None else time.perf_counter
@@ -81,6 +80,9 @@ class _ExecutorBase:
         """Create and initialise one component instance per worker."""
         if self._opened:
             return
+        for name in self.topology.components:
+            # Every component reports, even one that never sees a tuple.
+            self.metrics.component(name)
         for spec in self.topology.spouts:
             for worker in range(spec.parallelism):
                 spout = spec.factory()
@@ -132,25 +134,11 @@ class _ExecutorBase:
         """
         bolt = self._bolt_workers[(delivery.target, delivery.worker)]
         component = self.metrics.component(delivery.target)
-        tracer = self._tracer
-        span = None
-        if tracer is not None and delivery.tup.trace is not None:
-            # Consume the deferred-child slot the upstream span reserved
-            # for this delivery; emissions below reserve slots in turn.
-            span = tracer.start_deferred(
-                f"bolt:{delivery.target}", parent=delivery.tup.trace
-            )
         while True:
             collector = Collector()
-            if span is not None:
-                collector.trace = span.context
             started = self._now()
             try:
-                if span is not None:
-                    with tracer.activate(span):
-                        bolt.process(delivery.tup, collector)
-                else:
-                    bolt.process(delivery.tup, collector)
+                bolt.process(delivery.tup, collector)
                 break
             except Exception as exc:  # noqa: BLE001 - isolation boundary
                 component.record_failure()
@@ -159,8 +147,6 @@ class _ExecutorBase:
                 ):
                     bolt = self._restart_bolt(delivery.target, delivery.worker)
                     continue
-                if span is not None:
-                    span.finish(error=f"{type(exc).__name__}: {exc}")
                 if self.fail_fast:
                     raise ComponentError(delivery.target, exc) from exc
                 return []
@@ -169,42 +155,7 @@ class _ExecutorBase:
         for emitted in collector.drain():
             component.record_emit()
             out.extend(self._route(delivery.target, emitted))
-        if span is not None:
-            for _ in out:
-                tracer.defer_child(span)
-            span.finish()
         return out
-
-    def _flush_one(self, name: str, worker: int) -> list[_Delivery]:
-        """Invoke one worker's :meth:`Bolt.flush`; route its emissions."""
-        bolt = self._bolt_workers[(name, worker)]
-        collector = Collector()
-        component = self.metrics.component(name)
-        try:
-            bolt.flush(collector)
-        except Exception as exc:  # noqa: BLE001 - isolation boundary
-            component.record_failure()
-            if self.fail_fast:
-                raise ComponentError(name, exc) from exc
-            return []
-        out: list[_Delivery] = []
-        for emitted in collector.drain():
-            component.record_emit()
-            out.extend(self._route(name, emitted))
-        return out
-
-    def _flush_all(self) -> None:
-        """Drain every worker's buffered output at end of stream.
-
-        Workers are visited in declaration order — topological for a
-        DAG built front-to-back, as this repo's topologies are — so a
-        flush that feeds a downstream batching bolt lands in its buffer
-        before that bolt's own flush runs.
-        """
-        for name, worker in list(self._bolt_workers):
-            pending = deque(self._flush_one(name, worker))
-            while pending:
-                pending.extend(self._process_one(pending.popleft()))
 
 
 class LocalExecutor(_ExecutorBase):
@@ -233,30 +184,12 @@ class LocalExecutor(_ExecutorBase):
                 live.append((name, worker, spout))
                 consumed += 1
                 self.metrics.component(name).record_emit()
-                root = None
-                if self._tracer is not None:
-                    root = self._tracer.start_span(f"spout:{name}", parent=None)
-                    if root.context.sampled:
-                        tup = tup.with_trace(root.context)
-                deliveries = self._route(name, tup)
-                if root is not None:
-                    for _ in deliveries:
-                        self._tracer.defer_child(root)
-                    root.finish()
-                self._drain(deliveries)
-            self._flush_all()
+                pending = deque(self._route(name, tup))
+                while pending:
+                    pending.extend(self._process_one(pending.popleft()))
             return self.metrics
         finally:
             self._shutdown()
-
-    def _drain(self, deliveries: list[_Delivery]) -> None:
-        pending = deque(deliveries)
-        while pending:
-            pending.extend(self._process_one(pending.popleft()))
-
-
-#: Full-queue behaviours for :class:`ThreadedExecutor`.
-QUEUE_POLICIES = ("block", "shed_newest", "shed_oldest")
 
 
 class ThreadedExecutor(_ExecutorBase):
@@ -267,21 +200,12 @@ class ThreadedExecutor(_ExecutorBase):
     are stopped.  Component failures with ``fail_fast=True`` abort the run
     and re-raise from :meth:`run`.
 
-    ``queue_policy`` selects the backpressure behaviour when a worker's
-    inbound queue is full:
-
-    * ``"block"`` (default) — the producer waits for space, propagating
-      backpressure up to the spout (classic flow control; the wait is
-      interrupted by a run abort, so a failed run cannot stall a spout
-      forever).
-    * ``"shed_newest"`` — the incoming tuple is dropped (tail drop).
-    * ``"shed_oldest"`` — the oldest queued tuple is dropped to make room
-      (head drop; keeps the freshest data flowing, the right policy for
-      real-time signals like the paper's action stream).
-
-    Shed tuples are counted per component in
-    :class:`~repro.storm.metrics.TopologyMetrics` (``shed``), alongside a
-    queue-depth gauge/high-water mark sampled at every enqueue.
+    A full inbound queue blocks the producer until there is space,
+    propagating backpressure up to the spout.  The wait is interrupted by
+    a run abort, so a failed run cannot stall a spout forever; deliveries
+    dropped that way, or drained at shutdown, are counted per component
+    as ``shed`` in :class:`~repro.storm.metrics.TopologyMetrics`, alongside
+    a queue-depth gauge/high-water mark sampled at every enqueue.
     """
 
     def __init__(
@@ -290,18 +214,12 @@ class ThreadedExecutor(_ExecutorBase):
         fail_fast: bool = True,
         queue_size: int = 10_000,
         supervisor: "Supervisor | None" = None,
-        queue_policy: str = "block",
         obs: "Observability | None" = None,
     ) -> None:
         super().__init__(
             topology, fail_fast=fail_fast, supervisor=supervisor, obs=obs
         )
-        if queue_policy not in QUEUE_POLICIES:
-            raise ValueError(
-                f"queue_policy must be one of {QUEUE_POLICIES}, got {queue_policy!r}"
-            )
         self._queue_size = queue_size
-        self._queue_policy = queue_policy
         self._queues: dict[tuple[str, int], queue.Queue] = {}
         self._inflight = 0
         self._cond = threading.Condition()
@@ -311,50 +229,21 @@ class ThreadedExecutor(_ExecutorBase):
     def _shed(self, delivery: _Delivery) -> None:
         """Account one dropped delivery: shed counter + in-flight release."""
         self.metrics.component(delivery.target).record_shed()
-        if self._tracer is not None and delivery.tup.trace is not None:
-            # Release the deferred slot so the upstream span can complete.
-            self._tracer.cancel_deferred(delivery.tup.trace)
         self._done_one()
 
     def _enqueue(self, delivery: _Delivery) -> None:
         q = self._queues[(delivery.target, delivery.worker)]
         with self._cond:
             self._inflight += 1
-        if self._queue_policy == "block":
-            while True:
-                try:
-                    q.put(delivery, timeout=_POLL_INTERVAL)
-                    break
-                except queue.Full:
-                    if self._stop.is_set():
-                        # Run is aborting: don't stall the producer forever.
-                        self._shed(delivery)
-                        return
-        elif self._queue_policy == "shed_newest":
+        while True:
             try:
-                q.put_nowait(delivery)
+                q.put(delivery, timeout=_POLL_INTERVAL)
+                break
             except queue.Full:
-                self._shed(delivery)
-                return
-        else:  # shed_oldest
-            while True:
-                try:
-                    q.put_nowait(delivery)
-                    break
-                except queue.Full:
-                    try:
-                        victim = q.get_nowait()
-                    except queue.Empty:
-                        continue  # consumer raced us; retry the put
-                    if victim is None:
-                        # Shutdown sentinel: keep it, drop the newcomer.
-                        try:
-                            q.put_nowait(victim)
-                        except queue.Full:
-                            pass  # worker is exiting anyway
-                        self._shed(delivery)
-                        return
-                    self._shed(victim)
+                if self._stop.is_set():
+                    # Run is aborting: don't stall the producer forever.
+                    self._shed(delivery)
+                    return
         self.metrics.component(delivery.target).record_queue_depth(q.qsize())
 
     def _done_one(self) -> None:
@@ -365,26 +254,13 @@ class ThreadedExecutor(_ExecutorBase):
 
     def _spout_loop(self, name: str, spout: Spout) -> None:
         component = self.metrics.component(name)
-        tracer = self._tracer
         try:
             while not self._stop.is_set():
                 tup = spout.next_tuple()
                 if tup is None:
                     return
                 component.record_emit()
-                root = None
-                if tracer is not None:
-                    root = tracer.start_span(f"spout:{name}", parent=None)
-                    if root.context.sampled:
-                        tup = tup.with_trace(root.context)
-                deliveries = self._route(name, tup)
-                if root is not None:
-                    # Reserve every slot before any enqueue so a fast
-                    # consumer cannot complete the root prematurely.
-                    for _ in deliveries:
-                        tracer.defer_child(root)
-                    root.finish()
-                for delivery in deliveries:
+                for delivery in self._route(name, tup):
                     self._enqueue(delivery)
         except Exception as exc:  # noqa: BLE001 - isolate spout failures
             component.record_failure()
@@ -475,10 +351,6 @@ class ThreadedExecutor(_ExecutorBase):
                             self._shed(stale)
             for thread in bolt_threads:
                 thread.join(timeout=1.0)
-            if self._error is None:
-                # Workers have stopped, so buffered batches can be flushed
-                # and drained inline without racing the queues.
-                self._flush_all()
             self._shutdown()
         if self._error is not None:
             raise self._error

@@ -88,7 +88,7 @@ class ComponentMetrics:
         self._restarts.inc()
 
     def record_shed(self, count: int = 1) -> None:
-        """Count tuples dropped by a backpressure shed policy."""
+        """Count deliveries dropped by a run abort or shutdown drain."""
         self._shed.inc(count)
 
     def record_queue_depth(self, depth: int) -> None:

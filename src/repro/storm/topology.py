@@ -43,14 +43,11 @@ class Collector:
 
     def __init__(self) -> None:
         self.emitted: list[StreamTuple] = []
-        # Trace metadata stamped onto every emitted tuple (set by the
-        # executor before each spout/bolt invocation when tracing is on).
-        self.trace: Any = None
 
     def emit(
         self, values: Mapping[str, Any], stream: str = DEFAULT_STREAM
     ) -> StreamTuple:
-        tup = StreamTuple(values, stream=stream, trace=self.trace)
+        tup = StreamTuple(values, stream=stream)
         self.emitted.append(tup)
         return tup
 
@@ -89,15 +86,6 @@ class Bolt(ABC):
     @abstractmethod
     def process(self, tup: StreamTuple, collector: Collector) -> None:
         """Handle one tuple; emit downstream tuples via ``collector``."""
-
-    def flush(self, collector: Collector) -> None:
-        """Emit any buffered output (default: none).
-
-        Micro-batching bolts override this.  Executors call it once per
-        worker after the sources are exhausted — before :meth:`cleanup`,
-        with a live collector — so a partially filled batch is never lost
-        at the end of a run.
-        """
 
     def cleanup(self) -> None:
         """Per-worker shutdown hook (default: none)."""

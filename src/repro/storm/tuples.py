@@ -25,22 +25,15 @@ class StreamTuple(Mapping[str, Any]):
     'actions'
     """
 
-    __slots__ = ("_values", "stream", "trace")
+    __slots__ = ("_values", "stream")
 
     def __init__(
-        self,
-        values: Mapping[str, Any],
-        stream: str = DEFAULT_STREAM,
-        trace: Any = None,
+        self, values: Mapping[str, Any], stream: str = DEFAULT_STREAM
     ) -> None:
         if not values:
             raise ValueError("a stream tuple must carry at least one field")
         self._values: Mapping[str, Any] = MappingProxyType(dict(values))
         self.stream = stream
-        # Trace metadata (a SpanContext when tracing is on) rides along
-        # with the tuple but is not data: excluded from equality/hash so
-        # grouping and dedup semantics are identical with tracing enabled.
-        self.trace = trace
 
     def __getitem__(self, field: str) -> Any:
         return self._values[field]
@@ -59,17 +52,10 @@ class StreamTuple(Mapping[str, Any]):
         """Return a copy carrying additional/overridden fields."""
         merged = dict(self._values)
         merged.update(extra)
-        return StreamTuple(merged, stream=self.stream, trace=self.trace)
-
-    def with_trace(self, trace: Any) -> "StreamTuple":
-        """Return a copy carrying ``trace`` as its trace metadata."""
-        tup = StreamTuple(self._values, stream=self.stream, trace=trace)
-        return tup
+        return StreamTuple(merged, stream=self.stream)
 
     def __reduce__(self):
         # MappingProxyType does not pickle; rebuild from a plain dict.
-        # Trace metadata is process-local (spans live in the tracer that
-        # minted them), so it does not cross a process boundary.
         return (StreamTuple, (dict(self._values), self.stream))
 
     def __repr__(self) -> str:

@@ -3,11 +3,13 @@
 Three processing lines fan out from the spout:
 
 1. ``ComputeMF -> MFStorage`` — model updating.  ``ComputeMF`` reads the
-   current vectors, computes the single-step SGD update (Algorithm 1) and
-   emits the *new* vectors re-partitioned by their storage key;
-   ``MFStorage`` — the only writer of MF parameters — persists them.  The
-   fields grouping between the two guarantees a single worker per key, so
-   vector updates are atomic without locks.
+   current vectors, computes the single-step SGD update (Algorithm 1) with
+   the system's one :class:`~repro.core.online.OnlineTrainer` supplying
+   ``(r, w)`` and Eq. 8, and emits the *new* vectors re-partitioned by
+   their storage key; ``MFStorage`` — the only writer of MF parameters —
+   persists them, one tuple at a time.  The fields grouping between the
+   two guarantees a single worker per key, so vector updates are atomic
+   without locks.
 2. ``UserHistory`` — records each user's behaviour history.
 3. ``GetItemPairs -> ItemPairSim -> ResultStorage`` — similar-video table
    maintenance: pair the acted-on video with the user's recent history,
@@ -20,16 +22,12 @@ in the KV store, exactly as in the production design.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Mapping
 
-from ..config import OnlineConfig
-from ..core.actions import ActionWeigher
 from ..core.history import UserHistoryStore
 from ..core.mf import MFModel
 from ..core.online import OnlineTrainer
 from ..core.simtable import SimilarVideoTable, generate_pairs
-from ..core.variants import COMBINE_MODEL, ModelVariant
-from ..data.schema import UserAction, Video
+from ..data.schema import UserAction
 from ..data.stream import ENGAGEMENT_ACTIONS
 from ..errors import DataError
 from ..reliability.deadletter import (
@@ -39,9 +37,6 @@ from ..reliability.deadletter import (
     DeadLetterStore,
 )
 from ..storm import Bolt, Collector, StreamTuple
-
-if TYPE_CHECKING:
-    from ..obs import Tracer
 
 #: Stream names used between the bolts.
 USER_VEC_STREAM = "user_vec"
@@ -167,47 +162,32 @@ class ComputeMFBolt(Bolt):
     """Computes Algorithm 1's new parameters and emits them keyed for
     storage.  Never writes vectors itself (``persist_init=False``).
 
-    ``batch_size > 1`` turns on opt-in micro-batching: actions buffer in
-    the worker and are trained through one
-    :class:`~repro.core.mf.MFBatchSession` per flush (one batched read,
-    one ``mu`` fold), with the new vectors emitted at flush time.  The SGD
-    arithmetic replays sequentially through the overlay, so the emitted
-    parameters match the unbatched path; what changes is write latency
-    (downstream sees updates per flush, not per tuple) and crash exposure
-    (a restarted worker loses its buffered, not-yet-flushed actions — the
-    WAL/replay path still covers them).  The default ``batch_size=1`` is
-    exactly the original per-tuple behaviour.
+    ``trainer`` is the system's :class:`~repro.core.online.OnlineTrainer`,
+    the one owner of ``(r, w)`` extraction and Eq. 8's learning rate; the
+    bolt reads its model and folds ``mu``, but parameter writes are left
+    to ``MFStorage``, the single writer per key.
     """
 
-    def __init__(
-        self,
-        model: MFModel,
-        videos: Mapping[str, Video],
-        weigher: ActionWeigher | None = None,
-        variant: ModelVariant = COMBINE_MODEL,
-        online: OnlineConfig | None = None,
-        tracer: "Tracer | None" = None,
-        batch_size: int = 1,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.model = model
-        # Never driven (no ``process`` calls, so no parameter writes): the
-        # trainer is here as the one owner of ``(r, w)`` extraction and Eq. 8.
-        self._trainer = OnlineTrainer(model, videos, weigher, variant, online)
-        self.tracer = tracer
-        self.batch_size = batch_size
-        self._pending: list[UserAction] = []
+    def __init__(self, trainer: OnlineTrainer) -> None:
+        self.trainer = trainer
 
-    def _feedback(self, action: UserAction):
-        """``(r, w)`` of one action; ``None`` for an unqualified tuple
-        (PLAYTIME without a known duration)."""
+    def process(self, tup: StreamTuple, collector: Collector) -> None:
+        action: UserAction = tup["action"]
         try:
-            return self._trainer.feedback_for(action)
+            feedback = self.trainer.feedback_for(action)
         except DataError:
-            return None
-
-    def _emit_update(self, update, collector: Collector) -> None:
+            return  # unqualified tuple: PLAYTIME without a known duration
+        model = self.trainer.model
+        model.observe_rating(feedback.rating)
+        if not feedback.is_positive:
+            return
+        update = model.compute_update(
+            action.user_id,
+            action.video_id,
+            feedback.rating,
+            self.trainer.learning_rate(feedback.confidence),
+            persist_init=False,
+        )
         collector.emit(
             {
                 "kind": "user",
@@ -227,117 +207,20 @@ class ComputeMFBolt(Bolt):
             stream=VIDEO_VEC_STREAM,
         )
 
-    def process(self, tup: StreamTuple, collector: Collector) -> None:
-        action: UserAction = tup["action"]
-        if self.batch_size > 1:
-            self._pending.append(action)
-            if len(self._pending) >= self.batch_size:
-                self._run_batch(collector)
-            return
-        feedback = self._feedback(action)
-        if feedback is None:
-            return
-        self.model.observe_rating(feedback.rating)
-        if not feedback.is_positive:
-            return
-        if self.tracer is not None and self.tracer.current_span() is not None:
-            with self.tracer.span("trainer.update"):
-                self._update(action, feedback, collector)
-        else:
-            self._update(action, feedback, collector)
-
-    def flush(self, collector: Collector) -> None:
-        if self.batch_size > 1:
-            self._run_batch(collector)
-
-    def _run_batch(self, collector: Collector) -> None:
-        if not self._pending:
-            return
-        actions, self._pending = self._pending, []
-        feedbacks = [self._feedback(action) for action in actions]
-        session = self.model.batch_session(
-            (
-                action.user_id
-                for action, feedback in zip(actions, feedbacks)
-                if feedback is not None and feedback.is_positive
-            ),
-            (
-                action.video_id
-                for action, feedback in zip(actions, feedbacks)
-                if feedback is not None and feedback.is_positive
-            ),
-        )
-        for action, feedback in zip(actions, feedbacks):
-            if feedback is None:
-                continue
-            session.observe_rating(feedback.rating)
-            if not feedback.is_positive:
-                continue
-            update = session.sgd_step(
-                action.user_id,
-                action.video_id,
-                feedback.rating,
-                self._trainer.learning_rate(feedback.confidence),
-            )
-            self._emit_update(update, collector)
-        # Only the mu fold is committed here: MFStorage stays the single
-        # writer of parameters, fed by the emissions above.
-        session.commit(params=False)
-
-    def _update(self, action, feedback, collector: Collector) -> None:
-        update = self.model.compute_update(
-            action.user_id,
-            action.video_id,
-            feedback.rating,
-            self._trainer.learning_rate(feedback.confidence),
-            persist_init=False,
-        )
-        self._emit_update(update, collector)
-
 
 class MFStorageBolt(Bolt):
-    """The single writer of MF parameters (per fields-grouped key).
+    """The single writer of MF parameters (per fields-grouped key)."""
 
-    With ``batch_size > 1`` incoming parameter tuples buffer and land in
-    one :meth:`~repro.core.mf.MFModel.put_params_many` per flush — one
-    batched store write per kind instead of one put per tuple.  Ordering
-    within the buffer is preserved (later tuples win, as sequential puts
-    would), and fields grouping still guarantees this worker is the only
-    writer of its keys.  Default ``batch_size=1`` writes per tuple.
-    """
-
-    def __init__(self, model: MFModel, batch_size: int = 1) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    def __init__(self, model: MFModel) -> None:
         self.model = model
-        self.batch_size = batch_size
         self.writes = 0
-        self._pending: list[tuple[str, str, object, float]] = []
 
     def process(self, tup: StreamTuple, collector: Collector) -> None:
-        if self.batch_size > 1:
-            self._pending.append(
-                (tup["kind"], tup["key"], tup["vector"], tup["bias"])
-            )
-            if len(self._pending) >= self.batch_size:
-                self._run_batch()
-            return
         if tup["kind"] == "user":
             self.model.put_user(tup["key"], tup["vector"], tup["bias"])
         else:
             self.model.put_video(tup["key"], tup["vector"], tup["bias"])
         self.writes += 1
-
-    def flush(self, collector: Collector) -> None:
-        if self.batch_size > 1:
-            self._run_batch()
-
-    def _run_batch(self) -> None:
-        if not self._pending:
-            return
-        batch, self._pending = self._pending, []
-        self.model.put_params_many(batch)
-        self.writes += len(batch)
 
 
 class UserHistoryBolt(Bolt):

@@ -14,10 +14,14 @@ the groupings of the paper's figure:
 * ``ItemPairSim -> ResultStorage``: fields grouping by ``video`` (the
   figure's ``<video1#video2,sim>:video1`` edge).
 
-All bolt workers share one KV store; because every piece of state lives
-there, a :class:`~repro.core.recommender.RealtimeRecommender` constructed
-over the same store acts as the serving layer for whatever the topology has
-learned so far.
+The topology's state is built once, as one
+:class:`~repro.core.recommender.RealtimeRecommender` (no demographic
+component) over the shared KV store: the bolts write its model, history
+and similar-video table, ``ComputeMF`` takes ``(r, w)`` and Eq. 8 from its
+trainer, and :meth:`RecommendationSystem.serving_recommender` returns it as
+the serving layer for whatever the topology has learned so far.  Every
+bolt processes one tuple at a time; batched training lives in
+:meth:`~repro.core.online.OnlineTrainer.process_batch`, not here.
 """
 
 from __future__ import annotations
@@ -27,11 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..clock import Clock, SystemClock
 from ..config import ReproConfig
-from ..core.actions import LogPlaytimeWeigher
-from ..core.history import UserHistoryStore
-from ..core.mf import MFModel
 from ..core.recommender import RealtimeRecommender
-from ..core.simtable import SimilarVideoTable
 from ..core.variants import COMBINE_MODEL, ModelVariant
 from ..data.schema import User, UserAction, Video
 from ..kvstore import KVStore, ShardedKVStore
@@ -75,35 +75,6 @@ DEFAULT_PARALLELISM: Mapping[str, int] = {
 
 
 @dataclass(frozen=True, slots=True)
-class BatchingConfig:
-    """Opt-in micro-batching for the model-updating line (DESIGN.md
-    "Model storage & batching").
-
-    ``compute_mf`` / ``mf_storage`` bound how many tuples each worker
-    buffers before flushing; ``1`` (the default) is strict per-tuple
-    processing, byte-identical to the unbatched topology.  Buffers flush
-    when full and again at end-of-stream via :meth:`Bolt.flush`, so no
-    tuple is held past the run.  Trade-off: fewer store round-trips per
-    tuple versus update latency of up to one batch and loss of a worker's
-    unflushed buffer if it crashes mid-batch (WAL replay still covers the
-    actions themselves).
-    """
-
-    compute_mf: int = 1
-    mf_storage: int = 1
-
-    def __post_init__(self) -> None:
-        if self.compute_mf < 1:
-            raise ValueError(
-                f"compute_mf batch size must be >= 1, got {self.compute_mf}"
-            )
-        if self.mf_storage < 1:
-            raise ValueError(
-                f"mf_storage batch size must be >= 1, got {self.mf_storage}"
-            )
-
-
-@dataclass(frozen=True, slots=True)
 class IngestConfig:
     """Configuration of the :class:`~repro.topology.bolts.SanitizeBolt`
     ingest-hygiene stage.
@@ -133,37 +104,33 @@ class RecommendationSystem:
     obs: "Observability | None" = None
 
     def __post_init__(self) -> None:
-        self.model = MFModel(self.config.mf, store=self.store)
-        self.history = UserHistoryStore(store=self.store)
-        self.table = SimilarVideoTable(
-            self.videos,
-            self.model,
-            config=self.config.similarity,
-            clock=self.clock,
-            store=self.store,
-        )
-        self.weigher = LogPlaytimeWeigher(self.config.weights)
-
-    def serving_recommender(
-        self, enable_demographic: bool = False
-    ) -> RealtimeRecommender:
-        """A request-serving view over the topology's learned state.
-
-        Shares the KV store, so everything the topology has processed is
-        immediately visible.  Use its :meth:`recommend` only — feeding
-        actions through both the topology and the recommender would train
-        twice.
-        """
-        return RealtimeRecommender(
+        # The topology's state, built once: the bolts and the serving view
+        # share these handles, and ComputeMF takes its (r, w) extraction
+        # and Eq. 8 from this trainer.
+        self._recommender = RealtimeRecommender(
             self.videos,
             users=self.users,
             config=self.config,
             variant=self.variant,
             clock=self.clock,
             store=self.store,
-            enable_demographic=enable_demographic,
+            enable_demographic=False,
             obs=self.obs,
         )
+        self.model = self._recommender.model
+        self.history = self._recommender.history
+        self.table = self._recommender.table
+        self.trainer = self._recommender.trainer
+
+    def serving_recommender(self) -> RealtimeRecommender:
+        """The request-serving view over the topology's learned state.
+
+        Shares the model, history and similar-video table the bolts
+        write, so everything the topology has processed is immediately
+        visible.  Use its :meth:`recommend` only — feeding actions through
+        both the topology and the recommender would train twice.
+        """
+        return self._recommender
 
 
 def build_recommendation_topology(
@@ -178,7 +145,6 @@ def build_recommendation_topology(
     ingest: IngestConfig | None = None,
     dead_letters: DeadLetterStore | None = None,
     obs: "Observability | None" = None,
-    batching: BatchingConfig | None = None,
 ) -> tuple[Topology, RecommendationSystem]:
     """Assemble the paper's topology over a shared KV store.
 
@@ -219,7 +185,6 @@ def build_recommendation_topology(
     )
     workers = dict(DEFAULT_PARALLELISM)
     workers.update(parallelism or {})
-    batches = batching or BatchingConfig()
 
     builder = TopologyBuilder()
     shared_source = SharedSource(source)
@@ -250,20 +215,12 @@ def build_recommendation_topology(
     ).fields_grouping(action_source, ["user"], stream=action_stream)
     builder.set_bolt(
         COMPUTE_MF,
-        lambda: ComputeMFBolt(
-            system.model,
-            system.videos,
-            weigher=system.weigher,
-            variant=system.variant,
-            online=system.config.online,
-            tracer=obs.tracer if obs is not None else None,
-            batch_size=batches.compute_mf,
-        ),
+        lambda: ComputeMFBolt(system.trainer),
         parallelism=workers[COMPUTE_MF],
     ).fields_grouping(action_source, ["user"], stream=action_stream)
     mf_storage = builder.set_bolt(
         MF_STORAGE,
-        lambda: MFStorageBolt(system.model, batch_size=batches.mf_storage),
+        lambda: MFStorageBolt(system.model),
         parallelism=workers[MF_STORAGE],
     )
     mf_storage.fields_grouping(COMPUTE_MF, ["kind", "key"], stream="user_vec")

@@ -26,7 +26,7 @@ class TestLogPipelineEndToEnd:
         metrics = LocalExecutor(topo).run()
         assert metrics.snapshot()["spout"]["emitted"] == len(small_split.train)
         clock.set(max(a.timestamp for a in small_split.train) + 1)
-        recommender = system.serving_recommender(enable_demographic=False)
+        recommender = system.serving_recommender()
         served = 0
         for user in list(small_world.users)[:20]:
             if recommender.recommend_ids(user, n=5):

@@ -6,8 +6,8 @@ then 100 requests are routed through a serving recommender over the same
 KV store.  Afterwards the bundle must hold
 
 * one ``to_json()`` registry document covering every subsystem's metrics;
-* at least one complete trace covering spout → bolt(s) → trainer, and at
-  least one covering router → recommender → KV.
+* at least one complete trace covering router → recommender → KV, and no
+  spans from the topology, which reports through the registry only.
 """
 
 import json
@@ -83,26 +83,20 @@ def test_end_to_end_observability(small_world, small_split, executor_cls):
     traces = obs.tracer.complete_traces().values()
     assert traces
 
-    topo_shape = {"spout:spout", "bolt:compute_mf", "trainer.update"}
     serving_shape = {"router.handle", "recommender.recommend"}
-    topo_traces = [
-        spans
-        for spans in traces
-        if topo_shape <= {s.name for s in spans}
-    ]
     serving_traces = [
         spans
         for spans in traces
         if serving_shape <= {s.name for s in spans}
         and any(s.name.startswith("kv.") for s in spans)
     ]
-    assert topo_traces, "no complete trace covers spout -> bolt -> trainer"
     assert serving_traces, "no complete trace covers router -> recommender -> kv"
 
     # Per-stage attribution is available over the whole run.
     stages = obs.tracer.stage_latencies()
-    for stage in ("spout:spout", "bolt:compute_mf", "router.handle", "kv.get"):
+    for stage in ("router.handle", "recommender.recommend", "kv.get"):
         assert stages[stage]["count"] > 0
+    assert not [n for n in stages if n.startswith(("spout:", "bolt:"))]
 
     # The causal chain hangs together inside one serving trace: the
     # recommender span is a child of the router span.

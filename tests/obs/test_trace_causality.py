@@ -1,28 +1,16 @@
-"""Span causality invariants, unit-level and through both executors.
+"""Span causality invariants of the synchronous tracer.
 
-The deferred-children protocol promises: a parent span's ``end`` brackets
-its whole subtree, every non-root span's parent exists in the same trace,
-and each spout tuple gets exactly one trace even when fields grouping fans
-its descendants out across workers.  These properties must hold under the
-deterministic LocalExecutor and the ThreadedExecutor alike.
+Spans nest with the call stack: a child starts after and ends before its
+parent, ``self_seconds`` is a span's duration minus its direct children's,
+and a bounded buffer evicts the oldest finished span first.
 """
+
+import json
 
 import pytest
 
 from repro.clock import VirtualClock
-from repro.obs import Observability, Tracer
-from repro.storm import (
-    Bolt,
-    LocalExecutor,
-    Spout,
-    StreamTuple,
-    ThreadedExecutor,
-    TopologyBuilder,
-)
-
-# ---------------------------------------------------------------------------
-# Tracer unit tests
-# ---------------------------------------------------------------------------
+from repro.obs import TRACE_SCHEMA_VERSION, Tracer
 
 
 def test_sync_spans_nest_via_ambient_parent():
@@ -35,44 +23,6 @@ def test_sync_spans_nest_via_ambient_parent():
     spans = {s.name: s for s in tracer.finished_spans()}
     assert spans["inner"].parent_id == spans["outer"].span_id
     assert spans["inner"].trace_id == spans["outer"].trace_id
-
-
-def test_deferred_parent_stays_open_until_children_complete():
-    clock = VirtualClock(0.0)
-    tracer = Tracer(clock=clock)
-    root = tracer.start_span("root", parent=None)
-    tracer.defer_child(root)
-    tracer.defer_child(root)
-    clock.advance(1.0)
-    root.finish()
-    # Own work done, but two deferred slots are outstanding.
-    assert not root.finished
-    assert tracer.active_span_count() == 1
-
-    child_a = tracer.start_deferred("a", parent=root.context)
-    clock.advance(1.0)
-    child_a.finish()
-    assert not root.finished  # one slot left
-
-    child_b = tracer.start_deferred("b", parent=root.context)
-    clock.advance(1.0)
-    child_b.finish()
-    assert root.finished
-    assert tracer.active_span_count() == 0
-    # Subtree duration covers the children; self duration does not.
-    assert root.self_duration == 1.0
-    assert root.duration == 3.0
-
-
-def test_cancel_deferred_releases_a_slot():
-    tracer = Tracer(clock=VirtualClock(0.0))
-    root = tracer.start_span("root", parent=None)
-    tracer.defer_child(root)
-    root.finish()
-    assert not root.finished
-    tracer.cancel_deferred(root.context)  # the delivery was shed
-    assert root.finished
-    assert tracer.active_span_count() == 0
 
 
 def test_span_records_error_from_exception():
@@ -105,133 +55,71 @@ def test_max_spans_bounds_memory_and_counts_drops():
     assert tracer.dropped_spans == 3
 
 
-# ---------------------------------------------------------------------------
-# Through the topology, under both executors
-# ---------------------------------------------------------------------------
-
-N_TUPLES = 12
-
-
-class _ListSpout(Spout):
-    """Emits a fixed action list: key cycles over 3 values."""
-
-    def __init__(self) -> None:
-        self._items = [{"k": i % 3, "v": i} for i in range(N_TUPLES)]
-        self._i = 0
-
-    def next_tuple(self) -> StreamTuple | None:
-        if self._i >= len(self._items):
-            return None
-        tup = StreamTuple(self._items[self._i])
-        self._i += 1
-        return tup
+def test_eviction_keeps_the_newest_spans():
+    tracer = Tracer(clock=VirtualClock(0.0), max_spans=3)
+    for i in range(7):
+        tracer.start_span(f"s{i}", parent=None).finish()
+    assert [s.name for s in tracer.finished_spans()] == ["s4", "s5", "s6"]
+    assert tracer.dropped_spans == 4
 
 
-class _SplitBolt(Bolt):
-    """Fans each tuple out: one 'even' copy plus one 'odd' copy."""
-
-    def process(self, tup, collector):
-        collector.emit({"k": tup["k"], "v": tup["v"], "side": "even"})
-        collector.emit({"k": tup["k"], "v": tup["v"], "side": "odd"})
-
-
-class _SinkBolt(Bolt):
-    def process(self, tup, collector):
-        pass
-
-
-def _traced_topology():
-    builder = TopologyBuilder()
-    builder.set_spout("spout", _ListSpout)
-    builder.set_bolt("split", _SplitBolt, parallelism=2).fields_grouping(
-        "spout", ["k"]
-    )
-    builder.set_bolt("sink", _SinkBolt, parallelism=3).fields_grouping(
-        "split", ["k"]
-    )
-    return builder.build()
+def _request_tree(clock: VirtualClock) -> Tracer:
+    """router (1s own) -> recommender (2s own) -> two kv.get (1s each)."""
+    tracer = Tracer(clock=clock)
+    with tracer.span("router.handle", parent=None):
+        clock.advance(1.0)
+        with tracer.span("recommender.recommend"):
+            clock.advance(2.0)
+            for _ in range(2):
+                with tracer.span("kv.get"):
+                    clock.advance(1.0)
+    return tracer
 
 
-def _run(executor_cls):
-    obs = Observability.create()
-    executor = executor_cls(_traced_topology(), obs=obs)
-    if executor_cls is ThreadedExecutor:
-        executor.run(timeout=60.0)
-    else:
-        executor.run()
-    return obs.tracer
-
-
-@pytest.mark.parametrize(
-    "executor_cls", [LocalExecutor, ThreadedExecutor], ids=["local", "threaded"]
-)
-def test_topology_traces_are_causal(executor_cls):
-    tracer = _run(executor_cls)
-
-    # Every reserved slot was consumed: nothing is left open.
+def test_child_intervals_nest_inside_parent():
+    tracer = _request_tree(VirtualClock(0.0))
     assert tracer.active_span_count() == 0
-
-    traces = tracer.complete_traces()
-    # One distinct trace per spout tuple, despite fields-grouped fan-out.
-    assert len(traces) == N_TUPLES
-    assert len(tracer.traces()) == N_TUPLES
-
-    for trace_id, spans in traces.items():
-        by_id = {s.span_id: s for s in spans}
-        roots = [s for s in spans if s.is_root]
-        assert len(roots) == 1, f"trace {trace_id} must have exactly one root"
-        root = roots[0]
-        assert root.name == "spout:spout"
-        # spout -> 1 split invocation -> 2 emitted -> 2 sink invocations.
-        names = sorted(s.name for s in spans)
-        assert names == [
-            "bolt:sink",
-            "bolt:sink",
-            "bolt:split",
-            "spout:spout",
-        ]
-        for span in spans:
-            assert span.finished
-            assert span.trace_id == trace_id
-            assert span.work_end >= span.start
-            assert span.end >= span.work_end
-            if span.parent_id is None:
-                continue
-            # No orphans: the parent is part of the same exported trace...
-            assert span.parent_id in by_id, f"orphan span {span.name}"
-            parent = by_id[span.parent_id]
-            # ...and the child's interval nests inside the parent's.
-            assert span.start >= parent.start
-            assert span.end <= parent.end
+    (spans,) = tracer.complete_traces().values()
+    by_id = {s.span_id: s for s in spans}
+    assert sum(s.is_root for s in spans) == 1
+    for span in spans:
+        if span.parent_id is None:
+            continue
+        parent = by_id[span.parent_id]
+        assert parent.start <= span.start <= span.end <= parent.end
 
 
-@pytest.mark.parametrize(
-    "executor_cls", [LocalExecutor, ThreadedExecutor], ids=["local", "threaded"]
-)
-def test_stage_latencies_attribute_every_stage(executor_cls):
-    tracer = _run(executor_cls)
-    stages = tracer.stage_latencies()
-    assert stages["spout:spout"]["count"] == N_TUPLES
-    assert stages["bolt:split"]["count"] == N_TUPLES
-    assert stages["bolt:sink"]["count"] == 2 * N_TUPLES
-    for agg in stages.values():
-        assert agg["subtree_seconds"] >= agg["self_seconds"] >= 0.0
+def test_stage_latencies_self_seconds_is_exclusive_time():
+    stages = _request_tree(VirtualClock(0.0)).stage_latencies()
+    assert stages["router.handle"] == {
+        "count": 1, "self_seconds": 1.0, "subtree_seconds": 5.0
+    }
+    assert stages["recommender.recommend"] == {
+        "count": 1, "self_seconds": 2.0, "subtree_seconds": 4.0
+    }
+    assert stages["kv.get"] == {
+        "count": 2, "self_seconds": 2.0, "subtree_seconds": 2.0
+    }
 
 
 def test_span_tree_renders_nested_structure():
-    tracer = _run(LocalExecutor)
+    tracer = _request_tree(VirtualClock(0.0))
     trace_id = next(iter(tracer.complete_traces()))
     tree = tracer.span_tree(trace_id)
-    assert tree["name"] == "spout:spout"
-    assert [c["name"] for c in tree["children"]] == ["bolt:split"]
-    split = tree["children"][0]
-    assert [c["name"] for c in split["children"]] == ["bolt:sink", "bolt:sink"]
-    assert all(c["attributes"].get("deferred") for c in split["children"])
+    assert tree["name"] == "router.handle"
+    assert (tree["self_seconds"], tree["subtree_seconds"]) == (1.0, 5.0)
+    assert [c["name"] for c in tree["children"]] == ["recommender.recommend"]
+    rec = tree["children"][0]
+    assert [c["name"] for c in rec["children"]] == ["kv.get", "kv.get"]
+    assert rec["self_seconds"] == 2.0
 
 
-def test_sampled_topology_run_keeps_every_nth_trace():
-    obs = Observability(tracer=Tracer(sample_every=4))
-    LocalExecutor(_traced_topology(), obs=obs).run()
-    # 12 spout tuples, every 4th sampled -> 3 complete traces, none open.
-    assert len(obs.tracer.complete_traces()) == 3
-    assert obs.tracer.active_span_count() == 0
+def test_to_json_is_schema_v2():
+    tracer = _request_tree(VirtualClock(0.0))
+    document = json.loads(tracer.to_json())
+    assert document["schema_version"] == TRACE_SCHEMA_VERSION == 2
+    assert len(document["spans"]) == 4
+    assert set(document["spans"][0]) == {
+        "trace_id", "span_id", "parent_id", "name", "start", "end",
+        "attributes", "error",
+    }

@@ -1,4 +1,4 @@
-"""ThreadedExecutor backpressure policies and shutdown regression tests."""
+"""ThreadedExecutor blocking backpressure and shutdown regression tests."""
 
 import threading
 import time
@@ -6,7 +6,6 @@ import time
 import pytest
 
 from repro.storm import (
-    QUEUE_POLICIES,
     Bolt,
     Collector,
     Spout,
@@ -91,56 +90,27 @@ class TestShutdownRegression:
 
 
 class TestQueuePolicies:
-    def test_invalid_policy_rejected(self):
-        topo = _topology(1, lambda: _SlowBolt())
-        with pytest.raises(ValueError):
-            ThreadedExecutor(topo, queue_policy="drop_everything")
-        assert set(QUEUE_POLICIES) == {"block", "shed_newest", "shed_oldest"}
+    """The one queue policy: a full queue blocks the producer."""
 
-    def test_block_policy_processes_everything(self):
+    def _run_blocking(self):
         _SlowBolt.seen = []
         try:
-            topo = _topology(200, lambda: _SlowBolt())
-            metrics = ThreadedExecutor(
-                topo, queue_size=2, queue_policy="block"
-            ).run(timeout=30.0)
-            assert metrics.component("sink").processed == 200
-            assert metrics.total_shed == 0
-        finally:
-            _SlowBolt.seen = None
-
-    def _run_shedding(self, policy):
-        _SlowBolt.seen = []
-        try:
-            topo = _topology(300, lambda: _SlowBolt(delay=0.002))
-            executor = ThreadedExecutor(
-                topo, queue_size=2, queue_policy=policy
-            )
-            metrics = executor.run(timeout=30.0)
+            topo = _topology(200, lambda: _SlowBolt(delay=0.0005))
+            metrics = ThreadedExecutor(topo, queue_size=2).run(timeout=30.0)
             return metrics, list(_SlowBolt.seen)
         finally:
             _SlowBolt.seen = None
 
-    def test_shed_newest_drops_and_counts(self):
-        metrics, seen = self._run_shedding("shed_newest")
-        sink = metrics.component("sink")
-        assert sink.shed > 0
-        assert sink.processed + sink.shed == 300
-        assert len(seen) == sink.processed
-
-    def test_shed_oldest_keeps_the_freshest_tuples(self):
-        metrics, seen = self._run_shedding("shed_oldest")
-        sink = metrics.component("sink")
-        assert sink.shed > 0
-        assert sink.processed + sink.shed == 300
-        # Head-drop keeps the latest data flowing: the last source tuple
-        # must survive (it can never be evicted once enqueued last).
-        assert seen[-1] == 300
+    def test_block_policy_processes_everything(self):
+        metrics, seen = self._run_blocking()
+        assert metrics.component("sink").processed == 200
+        assert metrics.total_shed == 0
+        assert seen == list(range(1, 201))  # one worker: FIFO order kept
 
     def test_queue_depth_metrics_in_snapshot(self):
-        metrics, _ = self._run_shedding("shed_newest")
+        metrics, _ = self._run_blocking()
         snap = metrics.snapshot()["sink"]
         assert snap["max_queue_depth"] >= 1
         assert snap["max_queue_depth"] <= 2
-        assert snap["shed"] > 0
+        assert snap["shed"] == 0
         assert "queue_depth" in snap

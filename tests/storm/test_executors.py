@@ -129,6 +129,17 @@ class TestDelivery:
         assert snap["collect"]["failed"] == 0
         assert snap["collect"]["mean_latency_s"] >= 0
 
+    def test_idle_components_appear_in_snapshot(self, executor_cls):
+        builder = TopologyBuilder()
+        builder.set_spout("src", lambda: ListSpout([]))
+        builder.set_bolt("double", DoubleBolt).shuffle_grouping("src")
+        builder.set_bolt("collect", lambda: CollectBolt([])).shuffle_grouping(
+            "double"
+        )
+        snap = executor_cls(builder.build()).run().snapshot()
+        assert list(snap) == ["src", "double", "collect"]
+        assert all(stats["processed"] == 0 for stats in snap.values())
+
     def test_fail_fast_raises_component_error(self, executor_cls):
         builder = TopologyBuilder()
         spout = ListSpout(range(5))

@@ -73,8 +73,8 @@ class TestStreamTuple:
         assert "user='u1'" in repr(StreamTuple({"user": "u1"}))
 
     def test_pickles_without_trace(self):
-        tup = StreamTuple({"a": 1, "b": "x"}, stream="s").with_trace(object())
+        tup = StreamTuple({"a": 1, "b": "x"}, stream="s")
         clone = pickle.loads(pickle.dumps(tup))
         assert clone == tup
         assert clone.stream == "s"
-        assert clone.trace is None  # trace metadata is process-local
+        assert not hasattr(clone, "trace")  # tuples carry data only

@@ -5,7 +5,12 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.config import MFConfig, OnlineConfig, SimilarityConfig
-from repro.core import MFModel, SimilarVideoTable, UserHistoryStore
+from repro.core import (
+    MFModel,
+    OnlineTrainer,
+    SimilarVideoTable,
+    UserHistoryStore,
+)
 from repro.core.variants import BINARY_MODEL, COMBINE_MODEL
 from repro.data import ActionType, UserAction, Video
 from repro.storm import Collector
@@ -37,10 +42,12 @@ def _impress(user="u1", video="v1", ts=0.0):
 class TestComputeMFBolt:
     def _bolt(self, model=None):
         return ComputeMFBolt(
-            model or MFModel(MFConfig(f=4, seed=1)),
-            VIDEOS,
-            variant=COMBINE_MODEL,
-            online=OnlineConfig(eta0=0.01, alpha=0.01),
+            OnlineTrainer(
+                model or MFModel(MFConfig(f=4, seed=1)),
+                VIDEOS,
+                variant=COMBINE_MODEL,
+                config=OnlineConfig(eta0=0.01, alpha=0.01),
+            )
         )
 
     def test_positive_action_emits_two_vector_tuples(self):
@@ -83,8 +90,10 @@ class TestComputeMFBolt:
         for kind in (ActionType.CLICK, ActionType.LIKE):
             model = MFModel(MFConfig(f=4, seed=1))
             bolt = ComputeMFBolt(
-                model, VIDEOS, variant=COMBINE_MODEL,
-                online=OnlineConfig(eta0=0.01, alpha=0.05),
+                OnlineTrainer(
+                    model, VIDEOS, variant=COMBINE_MODEL,
+                    config=OnlineConfig(eta0=0.01, alpha=0.05),
+                )
             )
             collector = Collector()
             bolt.process(

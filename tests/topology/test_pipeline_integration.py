@@ -147,7 +147,7 @@ class TestSingleWriterInvariant:
         builder.set_spout("spout", lambda: ActionSpout(shared))
         builder.set_bolt(
             "compute_mf",
-            lambda: ComputeMFBolt(system.model, system.videos),
+            lambda: ComputeMFBolt(system.trainer),
             parallelism=4,
         ).fields_grouping("spout", ["user"])
         storage = builder.set_bolt(

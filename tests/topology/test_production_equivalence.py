@@ -1,0 +1,83 @@
+"""The Figure-2 topology learns exactly what the production path learns.
+
+``RealtimeRecommender.observe_stream`` is the path the served system
+trains on; the topology is the executable specification of the same
+Algorithm 1 split across ComputeMF (``(r, w)``, Eq. 8, the SGD step) and
+MFStorage (the single writer of each key).  Under the deterministic
+``LocalExecutor`` the pipeline drains between source tuples, so every
+ComputeMF step reads the parameters the previous action's MFStorage
+writes left behind — and the learned state must be byte-identical to the
+sequential trainer's, for every model variant.
+"""
+
+import pytest
+
+from repro.clock import VirtualClock
+from repro.core import RealtimeRecommender
+from repro.core.variants import ALL_VARIANTS
+from repro.data import SyntheticWorld, WorldConfig
+from repro.storm import LocalExecutor
+from repro.topology import build_recommendation_topology
+
+N_ACTIONS = 1_500
+
+
+@pytest.fixture(scope="module")
+def world():
+    return SyntheticWorld(WorldConfig(n_users=40, n_videos=60, seed=3))
+
+
+@pytest.fixture(scope="module")
+def actions(world):
+    stream = world.generate_actions()[:N_ACTIONS]
+    assert len(stream) == N_ACTIONS
+    return stream
+
+
+def _rows(model):
+    ids, vectors, biases = model.video_rows()
+    return ids, vectors.tobytes(), biases.tobytes()
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.name)
+def test_topology_learns_byte_identical_parameters(world, actions, variant):
+    production = RealtimeRecommender(
+        world.videos,
+        users=world.users,
+        variant=variant,
+        clock=VirtualClock(0.0),
+        enable_demographic=False,
+    )
+    production.observe_stream(actions)
+
+    topology, system = build_recommendation_topology(
+        list(actions),
+        world.videos,
+        users=world.users,
+        variant=variant,
+        clock=VirtualClock(0.0),
+    )
+    LocalExecutor(topology).run()
+
+    expected, learned = production.model, system.model
+    assert learned.mu == expected.mu
+    assert learned.n_videos == expected.n_videos > 0
+    assert _rows(learned) == _rows(expected)
+    assert learned.n_users == expected.n_users > 0
+    for user_id in sorted(world.users):
+        want = expected.user_vector(user_id)
+        got = learned.user_vector(user_id)
+        assert (got is None) == (want is None), user_id
+        if want is not None:
+            assert got.tobytes() == want.tobytes(), user_id
+        assert learned.user_bias(user_id) == expected.user_bias(user_id)
+
+
+def test_compute_mf_uses_the_systems_trainer(world):
+    topology, system = build_recommendation_topology(
+        [], world.videos, clock=VirtualClock(0.0)
+    )
+    bolt = topology.components["compute_mf"].factory()
+    assert bolt.trainer is system.trainer
+    assert system.serving_recommender().trainer is system.trainer
+    assert system.serving_recommender().demographic is None
