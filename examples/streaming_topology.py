@@ -10,19 +10,21 @@ What it shows:
      -> ItemPairSim -> ResultStorage — over a sharded KV store,
   3. executing it on the threaded executor with real per-worker queues,
   4. serving recommendations straight from the KV-store state the
-     topology built.
+     topology built,
+  5. replaying the same log under the deterministic executor, where the
+     topology is the executable specification of Algorithm 1: it learns
+     video factors byte-identical to ``RealtimeRecommender.observe_stream``.
 """
 
-from repro import SyntheticWorld, VirtualClock, WorldConfig
-from repro.data import actions_to_log
-from repro.storm import ThreadedExecutor
+from repro import RealtimeRecommender, SyntheticWorld, VirtualClock, WorldConfig
+from repro.storm import LocalExecutor, ThreadedExecutor
 from repro.topology import build_recommendation_topology
 
 
 def main() -> None:
     world = SyntheticWorld(WorldConfig(n_users=150, n_videos=200, days=2, seed=8))
     actions = world.generate_actions()
-    log_lines = actions_to_log(actions).splitlines()
+    log_lines = [a.to_log_line() for a in actions]
     print(f"raw log: {len(log_lines):,} lines")
 
     clock = VirtualClock(0.0)
@@ -70,6 +72,26 @@ def main() -> None:
         f"{system.model.n_videos} videos, "
         f"{len(system.table.tracked_videos())} similar-video lists"
     )
+
+    specification, reference = build_recommendation_topology(
+        log_lines, world.videos, users=world.users, clock=VirtualClock(0.0)
+    )
+    LocalExecutor(specification).run()
+    sequential = RealtimeRecommender(
+        world.videos,
+        users=world.users,
+        clock=VirtualClock(0.0),
+        enable_demographic=False,
+    )
+    sequential.observe_stream(actions)
+    _, want_vectors, want_biases = sequential.model.video_rows()
+    _, got_vectors, got_biases = reference.model.video_rows()
+    identical = (
+        got_vectors.tobytes() == want_vectors.tobytes()
+        and got_biases.tobytes() == want_biases.tobytes()
+        and reference.model.mu == sequential.model.mu
+    )
+    print(f"\ndeterministic replay matches observe_stream byte for byte: {identical}")
 
 
 if __name__ == "__main__":

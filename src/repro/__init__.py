@@ -10,9 +10,9 @@ described in the paper, plus every substrate it depends on:
 * :mod:`repro.storm` — a Storm-like stream-processing engine;
 * :mod:`repro.kvstore` — the distributed-style key-value storage;
 * :mod:`repro.topology` — the paper's Figure 2 topology on that engine;
-* :mod:`repro.data` — synthetic Tencent-like workloads and MovieLens I/O;
-* :mod:`repro.baselines` — Hot / AR / SimHash / ItemCF / BatchMF
-  comparators;
+* :mod:`repro.data` — the action schema and synthetic Tencent-like
+  workloads;
+* :mod:`repro.baselines` — the Hot / AR / SimHash comparators of §6.2;
 * :mod:`repro.eval` — recall@N, average rank, the offline protocol, grid
   search and the simulated A/B test;
 * :mod:`repro.obs` — the observability layer: one metrics registry,

@@ -3,18 +3,12 @@
 * :class:`HotRecommender` — real-time decayed popularity ("Hot");
 * :class:`AssociationRuleRecommender` — daily-batch association rules ("AR");
 * :class:`SimHashCFRecommender` — offline user-based CF with SimHash
-  bucketing ("SimHash");
-* :class:`ItemCFRecommender` — incremental item-based CF with
-  confidence-as-rating (ref [17]);
-* :class:`BatchMFRecommender` — interval-retrained offline MF (the
-  traditional mode of §3.1).
+  bucketing ("SimHash").
 """
 
 from .association import AssociationRuleRecommender
-from .base import BatchRetrainable, Recommender
-from .batch_mf import BatchMFRecommender
+from .base import Recommender
 from .hot import HotRecommender
-from .itemcf import ItemCFRecommender
 from .simhash import (
     SIGNATURE_BITS,
     SimHashCFRecommender,
@@ -25,12 +19,9 @@ from .simhash import (
 
 __all__ = [
     "Recommender",
-    "BatchRetrainable",
     "HotRecommender",
     "AssociationRuleRecommender",
     "SimHashCFRecommender",
-    "ItemCFRecommender",
-    "BatchMFRecommender",
     "simhash",
     "token_hash",
     "hamming_similarity",

@@ -30,12 +30,3 @@ class Recommender(Protocol):
     ) -> list[str]:
         """Serve a top-``n`` recommendation list of video ids."""
         ...  # pragma: no cover - protocol body
-
-
-class BatchRetrainable(Protocol):
-    """Batch models additionally retrain at fixed intervals (§6.2:
-    "trained in batch mode for every day")."""
-
-    def retrain(self, now: float) -> None:
-        """Rebuild the model from all actions observed so far."""
-        ...  # pragma: no cover - protocol body

@@ -46,7 +46,6 @@ from .variants import (
     COMBINE_MODEL,
     CONF_MODEL,
     ModelVariant,
-    variant_by_name,
 )
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "CONF_MODEL",
     "COMBINE_MODEL",
     "ALL_VARIANTS",
-    "variant_by_name",
     "SimilarityScorer",
     "cf_similarity",
     "type_similarity",

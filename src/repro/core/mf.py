@@ -664,50 +664,3 @@ class MFModel:
                 )
             total, count = data["mu"]
             self._mu_put(float(total), int(count))
-
-    # ------------------------------------------------------------------
-    # Batch training (the traditional mode of §3.1, used by baselines)
-    # ------------------------------------------------------------------
-
-    def fit_batch(
-        self,
-        ratings: list[tuple[str, str, float]],
-        epochs: int = 10,
-        eta: float = 0.02,
-        shuffle_seed: int = 0,
-        batch_size: int = 512,
-    ) -> list[float]:
-        """Multi-pass SGD over a fixed dataset; returns per-epoch RMSE.
-
-        This is the conventional offline training the paper contrasts its
-        online strategy against; the ``BatchMF`` baseline retrains with it
-        at regular intervals.  ``mu`` is seeded once from the dataset mean
-        before the first epoch (epochs never touch it — there is nothing
-        new to observe in a fixed dataset), steps run through micro-batch
-        sessions of ``batch_size`` to amortise store round-trips, and the
-        per-epoch RMSE is ``sqrt(mean(errors**2))`` over the collected
-        error array rather than a scalar accumulation.
-        """
-        if not ratings:
-            raise ModelError("fit_batch needs a non-empty dataset")
-        if batch_size < 1:
-            raise ModelError(f"batch_size must be >= 1, got {batch_size}")
-        mean = sum(r for _, _, r in ratings) / len(ratings)
-        self._mu_put(mean * len(ratings), len(ratings))
-        rng = np.random.default_rng(shuffle_seed)
-        order = np.arange(len(ratings))
-        history: list[float] = []
-        for _ in range(epochs):
-            rng.shuffle(order)
-            errors = np.empty(len(order), dtype=np.float64)
-            for start in range(0, len(order), batch_size):
-                chunk = order[start : start + batch_size]
-                steps = [
-                    (ratings[idx][0], ratings[idx][1], ratings[idx][2], eta)
-                    for idx in chunk
-                ]
-                updates = self.sgd_step_many(steps)
-                for offset, update in enumerate(updates):
-                    errors[start + offset] = update.error
-            history.append(float(np.sqrt(np.mean(errors**2))))
-        return history

@@ -56,11 +56,3 @@ GRID_SEARCHED_RATES: dict[str, tuple[float, float]] = {
 def grid_searched_rates(variant: ModelVariant) -> tuple[float, float]:
     """The tuned ``(eta0, alpha)`` for a variant (see GRID_SEARCHED_RATES)."""
     return GRID_SEARCHED_RATES[variant.name]
-
-
-def variant_by_name(name: str) -> ModelVariant:
-    """Look up a variant by its paper name (case-insensitive)."""
-    for variant in ALL_VARIANTS:
-        if variant.name.lower() == name.lower():
-            return variant
-    raise KeyError(f"unknown model variant: {name!r}")

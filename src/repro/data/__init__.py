@@ -1,23 +1,13 @@
-"""Data substrate: schemas, synthetic world, MovieLens I/O, splits, stats."""
+"""Data substrate: schemas, the synthetic world, stream splits, stats."""
 
-from .movielens import (
-    DEFAULT_DURATION,
-    actions_to_log,
-    load_ratings_file,
-    parse_items,
-    parse_ratings,
-    write_actions,
-)
 from .schema import GLOBAL_GROUP, ActionType, User, UserAction, Video
 from .stats import DatasetStats, dataset_stats, group_stats
 from .stream import (
     ENGAGEMENT_ACTIONS,
     TrainTestSplit,
     day_of,
-    engaged_videos_by_user,
     filter_active,
     replay,
-    sort_stream,
     split_by_day,
 )
 from .synthetic import SyntheticWorld, WorldConfig
@@ -32,19 +22,11 @@ __all__ = [
     "WorldConfig",
     "TrainTestSplit",
     "ENGAGEMENT_ACTIONS",
-    "sort_stream",
     "filter_active",
     "split_by_day",
     "day_of",
     "replay",
-    "engaged_videos_by_user",
     "DatasetStats",
     "dataset_stats",
     "group_stats",
-    "parse_ratings",
-    "load_ratings_file",
-    "parse_items",
-    "write_actions",
-    "actions_to_log",
-    "DEFAULT_DURATION",
 ]

@@ -117,14 +117,19 @@ class UserAction:
     # -- log-line (de)serialisation, used by the ActionSpout ---------------
 
     def to_log_line(self) -> str:
-        """Render as the tab-separated raw-log format the spout parses."""
+        """Render as the tab-separated raw-log format the spout parses.
+
+        Times use ``repr(float)``, the shortest string that parses back to
+        the same float, so a WAL replay feeds Eq. 8 the exact timestamps
+        live ingest saw.
+        """
         return "\t".join(
             (
-                f"{self.timestamp:.3f}",
+                repr(float(self.timestamp)),
                 self.user_id,
                 self.video_id,
                 self.action.value,
-                f"{self.view_time:.3f}",
+                repr(float(self.view_time)),
             )
         )
 

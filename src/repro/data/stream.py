@@ -30,11 +30,6 @@ ENGAGEMENT_ACTIONS = frozenset(
 )
 
 
-def sort_stream(actions: Iterable[UserAction]) -> list[UserAction]:
-    """Return the actions in replay (timestamp) order."""
-    return sorted(actions)
-
-
 def filter_active(
     actions: Sequence[UserAction],
     min_user_actions: int = 50,
@@ -122,14 +117,3 @@ def replay(actions: Sequence[UserAction]) -> Iterator[UserAction]:
             raise DataError("actions out of order after sort; corrupt stream")
         last = action.timestamp
         yield action
-
-
-def engaged_videos_by_user(
-    actions: Iterable[UserAction],
-) -> dict[str, set[str]]:
-    """Map each user to the set of videos they positively engaged with."""
-    out: dict[str, set[str]] = {}
-    for action in actions:
-        if action.action in ENGAGEMENT_ACTIONS:
-            out.setdefault(action.user_id, set()).add(action.video_id)
-    return out

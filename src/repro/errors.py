@@ -20,10 +20,6 @@ class KVStoreError(ReproError):
     """Base class for key-value store failures."""
 
 
-class TransientKVError(KVStoreError):
-    """A shard failed transiently (timeout, connection blip); retryable."""
-
-
 class DurableStoreError(KVStoreError):
     """The durable log-structured store hit an unrecoverable disk problem."""
 
@@ -60,10 +56,6 @@ class WALError(ReliabilityError):
     """The write-ahead log is unreadable beyond normal torn-tail truncation."""
 
 
-class InjectedFault(ReproError):
-    """A deliberately injected failure from the fault-injection harness."""
-
-
 class OverloadError(ReproError):
     """Base class for overload-protection failures (breakers, deadlines)."""
 
@@ -90,7 +82,7 @@ class ComponentError(TopologyError):
 
 
 class DataError(ReproError):
-    """Malformed input data (action log line, MovieLens row, ...)."""
+    """Malformed input data (an unparseable action log line, ...)."""
 
 
 class ModelError(ReproError):

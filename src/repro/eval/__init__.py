@@ -31,9 +31,7 @@ from .multiseed import (
 )
 from .metrics import (
     average_rank,
-    mean_absolute_error,
     percentile_rank,
-    precision_at_n,
     recall_at_n,
     retrieval_recall,
     recall_curve,
@@ -51,8 +49,6 @@ __all__ = [
     "recall_curve",
     "average_rank",
     "percentile_rank",
-    "precision_at_n",
-    "mean_absolute_error",
     "EvalResult",
     "evaluate",
     "interest_lists_by_user",

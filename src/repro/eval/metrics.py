@@ -117,41 +117,3 @@ def average_rank(
             numerator += true_rank * weight
             denominator += weight
     return numerator / denominator if denominator else 1.0
-
-
-def precision_at_n(
-    recommended: Mapping[str, Sequence[str]],
-    liked: Mapping[str, set[str]],
-    n: int,
-) -> float:
-    """Fraction of recommended items (up to N) the user actually liked.
-
-    Unlike Eq. 13 this divides by the *actual* list length, so short lists
-    are not penalised — a secondary diagnostic, not a paper metric.
-    """
-    test_users = [u for u, videos in liked.items() if videos]
-    if not test_users:
-        return 0.0
-    total = 0.0
-    counted = 0
-    for user_id in test_users:
-        top_n = list(recommended.get(user_id, ()))[:n]
-        if not top_n:
-            continue
-        hits = sum(1 for video_id in top_n if video_id in liked[user_id])
-        total += hits / len(top_n)
-        counted += 1
-    return total / counted if counted else 0.0
-
-
-def mean_absolute_error(
-    predictions: Sequence[float], truths: Sequence[float]
-) -> float:
-    """Plain MAE between two aligned sequences."""
-    if len(predictions) != len(truths):
-        raise ValueError(
-            f"length mismatch: {len(predictions)} vs {len(truths)}"
-        )
-    if not predictions:
-        return 0.0
-    return sum(abs(p - t) for p, t in zip(predictions, truths)) / len(predictions)

@@ -30,8 +30,8 @@ import cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -46,10 +46,8 @@ __all__ = [
     "PreferenceDrift",
     "ExtraVideoSpec",
     "Scenario",
-    "baseline",
     "flash_crowd",
     "catalog_churn",
-    "cold_start",
     "diurnal_wave",
     "preference_drift",
     "SCENARIO_LIBRARY",
@@ -397,11 +395,6 @@ def _plane_rotation(dim: int, angle: float, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def baseline() -> Scenario:
-    """The organic no-event world (byte-identical to ``scenario=None``)."""
-    return Scenario("baseline")
-
-
 def flash_crowd(
     day: int = 3,
     duration_days: int = 2,
@@ -435,20 +428,6 @@ def catalog_churn(
                 start_day=start_day,
                 adds_per_day=adds_per_day,
                 retires_per_day=retires_per_day,
-            ),
-        ),
-    )
-
-
-def cold_start(start_day: int = 1, adds_per_day: int = 6) -> Scenario:
-    """Adds-only churn: a stream of cold items with nothing retired."""
-    return Scenario(
-        "cold_start",
-        (
-            CatalogChurn(
-                start_day=start_day,
-                adds_per_day=adds_per_day,
-                retires_per_day=0,
             ),
         ),
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from ..clock import Clock, VirtualClock
 from .kv import InstrumentedKVStore
-from .percentiles import nearest_rank, summarize
+from .percentiles import nearest_rank
 from .registry import (
     DEFAULT_BUCKETS,
     REGISTRY_SCHEMA_VERSION,
@@ -51,7 +51,6 @@ __all__ = [
     "InstrumentedKVStore",
     "Observability",
     "nearest_rank",
-    "summarize",
 ]
 
 

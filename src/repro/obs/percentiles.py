@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["nearest_rank", "summarize"]
+__all__ = ["nearest_rank"]
 
 
 def nearest_rank(samples: Sequence[float], q: float) -> float:
@@ -34,24 +34,3 @@ def nearest_rank(samples: Sequence[float], q: float) -> float:
     ordered = sorted(samples)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
-
-
-def summarize(
-    samples: Sequence[float], quantiles: Sequence[float] = (50.0, 95.0, 99.0)
-) -> dict[str, float]:
-    """Percentile summary dict (``{"p50": ..., ...}``) over one sort.
-
-    The keys drop trailing ``.0`` (``p99`` not ``p99.0``) but keep
-    fractional quantiles distinct (``p99.9``).
-    """
-    if not samples:
-        return {f"p{q:g}": 0.0 for q in quantiles}
-    ordered = sorted(samples)
-    n = len(ordered)
-    out: dict[str, float] = {}
-    for q in quantiles:
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        rank = max(1, math.ceil(q / 100.0 * n))
-        out[f"p{q:g}"] = ordered[rank - 1]
-    return out

@@ -1,4 +1,4 @@
-"""Fault tolerance: checkpoints, WAL replay, fault injection, supervision.
+"""Fault tolerance: checkpoints, WAL replay, supervision, overload control.
 
 The paper's production deployment leans on Storm's fault tolerance — failed
 tuples are replayed, and the model state in external KV storage survives
@@ -13,18 +13,14 @@ in-process substrate:
   checkpoint + replay the WAL tail (at-least-once);
 * :mod:`~repro.reliability.supervisor` — bounded worker restarts with
   exponential backoff, honoured by both executors;
-* :mod:`~repro.reliability.faults` — seeded, deterministic chaos: worker
-  crashes, tuple drops/duplicates/redeliveries, transient KV errors;
 * :mod:`~repro.reliability.overload` — admission control (token bucket +
   concurrency cap) and circuit breakers, the serve-under-load half of
-  robustness;
-* :mod:`~repro.reliability.deadletter` — the quarantine for rejected
-  ingest tuples, with reason codes, inspection and replay.
+  robustness.
 
 Recovery semantics are documented in DESIGN.md ("Fault-tolerance
 subsystem"), overload semantics in DESIGN.md ("Overload semantics"); the
 chaos/recovery test suites live in ``tests/reliability`` and
-``tests/overload``.
+``tests/overload``, their seeded fault injection in ``tests/support``.
 """
 
 from .checkpoint import (
@@ -33,14 +29,6 @@ from .checkpoint import (
     CheckpointInfo,
     CheckpointManager,
 )
-from .deadletter import (
-    REASON_DUPLICATE,
-    REASON_LATE,
-    REASON_MALFORMED,
-    DeadLetter,
-    DeadLetterStore,
-)
-from .faults import ChaosBolt, FaultPlan, FlakyKVStore, wrap_topology
 from .overload import (
     AdmissionController,
     AdmissionDecision,
@@ -63,19 +51,10 @@ __all__ = [
     "RecoveryReport",
     "RetryPolicy",
     "Supervisor",
-    "FaultPlan",
-    "ChaosBolt",
-    "FlakyKVStore",
-    "wrap_topology",
     "TokenBucket",
     "ConcurrencyLimiter",
     "AdmissionController",
     "AdmissionDecision",
     "CircuitBreaker",
     "BreakerState",
-    "DeadLetterStore",
-    "DeadLetter",
-    "REASON_MALFORMED",
-    "REASON_DUPLICATE",
-    "REASON_LATE",
 ]

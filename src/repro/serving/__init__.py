@@ -10,12 +10,7 @@ measured by ``benchmarks/e2e``, which carries its own generator.
 """
 
 from .arrivals import ARRIVAL_PROCESSES, arrival_times, offer
-from .gateway import (
-    GatewayConfig,
-    GatewayThread,
-    RequestCollector,
-    ServingGateway,
-)
+from .gateway import GatewayConfig, RequestCollector, ServingGateway
 from .loadgen import LoadGenerator, LoadReport
 from .router import (
     Outcome,
@@ -39,7 +34,6 @@ __all__ = [
     "LoadGenerator",
     "LoadReport",
     "GatewayConfig",
-    "GatewayThread",
     "RequestCollector",
     "ServingGateway",
 ]

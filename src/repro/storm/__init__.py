@@ -6,13 +6,7 @@ executors: a deterministic single-threaded one and a threaded one.
 """
 
 from .executor import LocalExecutor, ThreadedExecutor
-from .grouping import (
-    AllGrouping,
-    FieldsGrouping,
-    GlobalGrouping,
-    Grouping,
-    ShuffleGrouping,
-)
+from .grouping import FieldsGrouping, Grouping, ShuffleGrouping
 from .metrics import ComponentMetrics, TopologyMetrics
 from .topology import (
     Bolt,
@@ -31,8 +25,6 @@ __all__ = [
     "Grouping",
     "ShuffleGrouping",
     "FieldsGrouping",
-    "GlobalGrouping",
-    "AllGrouping",
     "Spout",
     "Bolt",
     "Collector",

@@ -64,17 +64,3 @@ class FieldsGrouping(Grouping):
 
     def describe(self) -> str:
         return f"FieldsGrouping({', '.join(self.fields)})"
-
-
-class GlobalGrouping(Grouping):
-    """Send every tuple to worker 0 (a single consumer)."""
-
-    def select(self, tup: StreamTuple, n_workers: int) -> Sequence[int]:
-        return (0,)
-
-
-class AllGrouping(Grouping):
-    """Broadcast every tuple to all workers (e.g. config refresh signals)."""
-
-    def select(self, tup: StreamTuple, n_workers: int) -> Sequence[int]:
-        return tuple(range(n_workers))

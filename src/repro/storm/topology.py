@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from ..errors import TopologyError
-from .grouping import (
-    AllGrouping,
-    FieldsGrouping,
-    GlobalGrouping,
-    Grouping,
-    ShuffleGrouping,
-)
+from .grouping import FieldsGrouping, Grouping, ShuffleGrouping
 from .tuples import DEFAULT_STREAM, StreamTuple
 
 
@@ -138,16 +132,6 @@ class BoltDeclarer:
         self, source: str, fields: Iterable[str], stream: str = DEFAULT_STREAM
     ) -> "BoltDeclarer":
         return self._subscribe(source, FieldsGrouping(tuple(fields)), stream)
-
-    def global_grouping(
-        self, source: str, stream: str = DEFAULT_STREAM
-    ) -> "BoltDeclarer":
-        return self._subscribe(source, GlobalGrouping(), stream)
-
-    def all_grouping(
-        self, source: str, stream: str = DEFAULT_STREAM
-    ) -> "BoltDeclarer":
-        return self._subscribe(source, AllGrouping(), stream)
 
 
 class Topology:

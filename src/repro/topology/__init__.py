@@ -2,7 +2,6 @@
 
 from .bolts import (
     PAIR_STREAM,
-    SANITIZED_STREAM,
     SIM_STREAM,
     USER_VEC_STREAM,
     VIDEO_VEC_STREAM,
@@ -11,7 +10,6 @@ from .bolts import (
     ItemPairSimBolt,
     MFStorageBolt,
     ResultStorageBolt,
-    SanitizeBolt,
     UserHistoryBolt,
 )
 from .pipeline import (
@@ -21,10 +19,8 @@ from .pipeline import (
     ITEM_PAIR_SIM,
     MF_STORAGE,
     RESULT_STORAGE,
-    SANITIZE,
     SPOUT,
     USER_HISTORY,
-    IngestConfig,
     RecommendationSystem,
     build_recommendation_topology,
 )
@@ -40,18 +36,14 @@ __all__ = [
     "GetItemPairsBolt",
     "ItemPairSimBolt",
     "ResultStorageBolt",
-    "SanitizeBolt",
     "USER_VEC_STREAM",
     "VIDEO_VEC_STREAM",
     "PAIR_STREAM",
     "SIM_STREAM",
-    "SANITIZED_STREAM",
     "build_recommendation_topology",
     "RecommendationSystem",
-    "IngestConfig",
     "DEFAULT_PARALLELISM",
     "SPOUT",
-    "SANITIZE",
     "USER_HISTORY",
     "COMPUTE_MF",
     "MF_STORAGE",

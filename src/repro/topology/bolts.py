@@ -21,8 +21,6 @@ in the KV store, exactly as in the production design.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from ..core.history import UserHistoryStore
 from ..core.mf import MFModel
 from ..core.online import OnlineTrainer
@@ -30,12 +28,6 @@ from ..core.simtable import SimilarVideoTable, generate_pairs
 from ..data.schema import UserAction
 from ..data.stream import ENGAGEMENT_ACTIONS
 from ..errors import DataError
-from ..reliability.deadletter import (
-    REASON_DUPLICATE,
-    REASON_LATE,
-    REASON_MALFORMED,
-    DeadLetterStore,
-)
 from ..storm import Bolt, Collector, StreamTuple
 
 #: Stream names used between the bolts.
@@ -43,119 +35,6 @@ USER_VEC_STREAM = "user_vec"
 VIDEO_VEC_STREAM = "video_vec"
 PAIR_STREAM = "pairs"
 SIM_STREAM = "sims"
-SANITIZED_STREAM = "actions"
-
-
-class SanitizeBolt(Bolt):
-    """Ingest hygiene at the head of the topology (§5.1's "filters the
-    unqualified data tuples", made observable).
-
-    Consumes raw spout tuples (``{"raw": <log line | UserAction>}``) and
-    emits clean, canonical action tuples on :data:`SANITIZED_STREAM`.
-    Three defect classes are intercepted and routed to the
-    :class:`~repro.reliability.deadletter.DeadLetterStore` with exact
-    reason codes instead of reaching (and skewing) the model:
-
-    * **malformed** — unparseable log lines (``DataError``);
-    * **duplicate** — an identical ``(user, video, action, timestamp,
-      view_time)`` event inside the bounded dedup window — e.g. an
-      at-least-once redelivery upstream — which would otherwise apply the
-      same SGD step twice;
-    * **late** — events older than ``max_lateness_seconds`` behind the
-      watermark (the maximum event time seen), whose damping factor
-      ``2^(-dt/xi)`` would be computed against long-stale state.
-
-    Deterministic: the watermark and the dedup window advance on *event*
-    time only, never wall time.  The dedup window is bounded both in time
-    (``dedup_window_seconds``) and in entries (``dedup_max_keys``, FIFO
-    eviction), so memory cannot grow with the stream.
-    """
-
-    def __init__(
-        self,
-        dead_letters: DeadLetterStore,
-        dedup_window_seconds: float = 3600.0,
-        max_lateness_seconds: float = 86_400.0,
-        dedup_max_keys: int = 65_536,
-    ) -> None:
-        if dedup_window_seconds < 0:
-            raise ValueError("dedup_window_seconds must be >= 0")
-        if max_lateness_seconds < 0:
-            raise ValueError("max_lateness_seconds must be >= 0")
-        if dedup_max_keys < 1:
-            raise ValueError("dedup_max_keys must be >= 1")
-        self.dead_letters = dead_letters
-        self.dedup_window_seconds = dedup_window_seconds
-        self.max_lateness_seconds = max_lateness_seconds
-        self.dedup_max_keys = dedup_max_keys
-        self.watermark = float("-inf")
-        self.accepted = 0
-        self.rejected = 0
-        self._seen: OrderedDict[tuple, float] = OrderedDict()
-
-    def _reject(self, reason: str, payload, detail: str) -> None:
-        self.rejected += 1
-        self.dead_letters.add(reason, payload, detail)
-
-    def _evict(self) -> None:
-        horizon = self.watermark - self.dedup_window_seconds
-        while self._seen:
-            _, ts = next(iter(self._seen.items()))
-            if ts >= horizon and len(self._seen) <= self.dedup_max_keys:
-                break
-            self._seen.popitem(last=False)
-
-    def process(self, tup: StreamTuple, collector: Collector) -> None:
-        raw = tup["raw"] if "raw" in tup else tup["action"]
-        if isinstance(raw, UserAction):
-            action = raw
-        else:
-            try:
-                action = UserAction.from_log_line(raw)
-            except DataError as exc:
-                self._reject(REASON_MALFORMED, raw, str(exc))
-                return
-
-        if (
-            self.watermark != float("-inf")
-            and action.timestamp < self.watermark - self.max_lateness_seconds
-        ):
-            self._reject(
-                REASON_LATE,
-                action,
-                f"timestamp {action.timestamp:.3f} is "
-                f"{self.watermark - action.timestamp:.3f}s behind the "
-                f"watermark (max lateness {self.max_lateness_seconds:.0f}s)",
-            )
-            return
-
-        key = (
-            action.user_id,
-            action.video_id,
-            action.action.value,
-            action.timestamp,
-            action.view_time,
-        )
-        if key in self._seen:
-            self._reject(
-                REASON_DUPLICATE,
-                action,
-                "identical event already seen inside the dedup window",
-            )
-            return
-
-        self.watermark = max(self.watermark, action.timestamp)
-        self._seen[key] = action.timestamp
-        self._evict()
-        self.accepted += 1
-        collector.emit(
-            {
-                "user": action.user_id,
-                "video": action.video_id,
-                "action": action,
-            },
-            stream=SANITIZED_STREAM,
-        )
 
 
 class ComputeMFBolt(Bolt):

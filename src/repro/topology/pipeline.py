@@ -35,16 +35,13 @@ from ..core.recommender import RealtimeRecommender
 from ..core.variants import COMBINE_MODEL, ModelVariant
 from ..data.schema import User, UserAction, Video
 from ..kvstore import KVStore, ShardedKVStore
-from ..reliability.deadletter import DeadLetterStore
 from ..storm import Topology, TopologyBuilder
 from .bolts import (
-    SANITIZED_STREAM,
     ComputeMFBolt,
     GetItemPairsBolt,
     ItemPairSimBolt,
     MFStorageBolt,
     ResultStorageBolt,
-    SanitizeBolt,
     UserHistoryBolt,
 )
 from .spout import ActionSpout, SharedSource
@@ -52,10 +49,8 @@ from .spout import ActionSpout, SharedSource
 if TYPE_CHECKING:
     from ..obs import Observability
 
-#: Component names, matching Figure 2 (plus the optional ingest-hygiene
-#: stage in front of the three processing lines).
+#: Component names, matching Figure 2.
 SPOUT = "spout"
-SANITIZE = "sanitize"
 USER_HISTORY = "user_history"
 COMPUTE_MF = "compute_mf"
 MF_STORAGE = "mf_storage"
@@ -74,22 +69,6 @@ DEFAULT_PARALLELISM: Mapping[str, int] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class IngestConfig:
-    """Configuration of the :class:`~repro.topology.bolts.SanitizeBolt`
-    ingest-hygiene stage.
-
-    ``parallelism`` defaults to 1 so the dedup window and watermark are a
-    single consistent view of the stream; raise it only if approximate
-    (per-worker) dedup is acceptable.
-    """
-
-    dedup_window_seconds: float = 3600.0
-    max_lateness_seconds: float = 86_400.0
-    dedup_max_keys: int = 65_536
-    parallelism: int = 1
-
-
 @dataclass
 class RecommendationSystem:
     """Handles to the shared state behind a running topology."""
@@ -100,7 +79,6 @@ class RecommendationSystem:
     config: ReproConfig = field(default_factory=ReproConfig)
     variant: ModelVariant = COMBINE_MODEL
     clock: Clock = field(default_factory=SystemClock)
-    dead_letters: DeadLetterStore | None = None
     obs: "Observability | None" = None
 
     def __post_init__(self) -> None:
@@ -142,8 +120,6 @@ def build_recommendation_topology(
     clock: Clock | None = None,
     store: KVStore | None = None,
     parallelism: Mapping[str, int] | None = None,
-    ingest: IngestConfig | None = None,
-    dead_letters: DeadLetterStore | None = None,
     obs: "Observability | None" = None,
 ) -> tuple[Topology, RecommendationSystem]:
     """Assemble the paper's topology over a shared KV store.
@@ -153,14 +129,6 @@ def build_recommendation_topology(
     :class:`~repro.storm.ThreadedExecutor`) and the
     :class:`RecommendationSystem` handles for inspecting state and serving
     requests.
-
-    With ``ingest`` set, a :class:`~repro.topology.bolts.SanitizeBolt`
-    stage is inserted between the spout and the three processing lines:
-    the spout forwards raw input untouched, and the sanitizer parses it,
-    drops duplicates/late/malformed tuples into the system's
-    :class:`~repro.reliability.deadletter.DeadLetterStore`
-    (``system.dead_letters``; pass ``dead_letters`` to share one), and
-    emits only clean actions downstream.
     """
     backing = store if store is not None else ShardedKVStore()
     if obs is not None:
@@ -174,13 +142,6 @@ def build_recommendation_topology(
         config=config or ReproConfig(),
         variant=variant,
         clock=clock or SystemClock(),
-        # NB: an empty DeadLetterStore is falsy (it has __len__), so this
-        # must be an identity check, not `dead_letters or DeadLetterStore()`.
-        dead_letters=(
-            (dead_letters if dead_letters is not None else DeadLetterStore())
-            if ingest is not None
-            else None
-        ),
         obs=obs,
     )
     workers = dict(DEFAULT_PARALLELISM)
@@ -190,34 +151,19 @@ def build_recommendation_topology(
     shared_source = SharedSource(source)
     builder.set_spout(
         SPOUT,
-        lambda: ActionSpout(shared_source, parse=ingest is None),
+        lambda: ActionSpout(shared_source),
         parallelism=workers[SPOUT],
     )
-    if ingest is not None:
-        dlq = system.dead_letters
-        builder.set_bolt(
-            SANITIZE,
-            lambda: SanitizeBolt(
-                dlq,
-                dedup_window_seconds=ingest.dedup_window_seconds,
-                max_lateness_seconds=ingest.max_lateness_seconds,
-                dedup_max_keys=ingest.dedup_max_keys,
-            ),
-            parallelism=workers.get(SANITIZE, ingest.parallelism),
-        ).shuffle_grouping(SPOUT)
-        action_source, action_stream = SANITIZE, SANITIZED_STREAM
-    else:
-        action_source, action_stream = SPOUT, "default"
     builder.set_bolt(
         USER_HISTORY,
         lambda: UserHistoryBolt(system.history),
         parallelism=workers[USER_HISTORY],
-    ).fields_grouping(action_source, ["user"], stream=action_stream)
+    ).fields_grouping(SPOUT, ["user"])
     builder.set_bolt(
         COMPUTE_MF,
         lambda: ComputeMFBolt(system.trainer),
         parallelism=workers[COMPUTE_MF],
-    ).fields_grouping(action_source, ["user"], stream=action_stream)
+    ).fields_grouping(SPOUT, ["user"])
     mf_storage = builder.set_bolt(
         MF_STORAGE,
         lambda: MFStorageBolt(system.model),
@@ -229,7 +175,7 @@ def build_recommendation_topology(
         GET_ITEM_PAIRS,
         lambda: GetItemPairsBolt(system.history),
         parallelism=workers[GET_ITEM_PAIRS],
-    ).fields_grouping(action_source, ["user"], stream=action_stream)
+    ).fields_grouping(SPOUT, ["user"])
     builder.set_bolt(
         ITEM_PAIR_SIM,
         lambda: ItemPairSimBolt(system.table),

@@ -52,21 +52,11 @@ def action_tuple(action: UserAction) -> StreamTuple:
 
 
 class ActionSpout(Spout):
-    """Parses and emits user actions from an in-memory or file source.
+    """Parses and emits user actions from an in-memory or file source."""
 
-    With ``parse=False`` the spout forwards every source item untouched as
-    a ``{"raw": item}`` tuple — the mode used when a
-    :class:`~repro.topology.bolts.SanitizeBolt` sits downstream, so that
-    malformed lines reach the dead-letter queue instead of being silently
-    dropped here.
-    """
-
-    def __init__(
-        self, source: Iterable[str | UserAction], parse: bool = True
-    ) -> None:
+    def __init__(self, source: Iterable[str | UserAction]) -> None:
         self._source = source
         self._iter: Iterator[str | UserAction] | None = None
-        self.parse = parse
         self.emitted = 0
         self.filtered = 0
 
@@ -76,9 +66,6 @@ class ActionSpout(Spout):
     def next_tuple(self) -> StreamTuple | None:
         assert self._iter is not None, "spout used before open()"
         for item in self._iter:
-            if not self.parse:
-                self.emitted += 1
-                return StreamTuple({"raw": item})
             if isinstance(item, UserAction):
                 action = item
             else:

@@ -5,9 +5,7 @@ import pytest
 
 from repro.baselines import (
     AssociationRuleRecommender,
-    BatchMFRecommender,
     HotRecommender,
-    ItemCFRecommender,
     Recommender,
     SimHashCFRecommender,
 )
@@ -23,8 +21,6 @@ def _instances():
         HotRecommender(clock=VirtualClock(0.0)),
         AssociationRuleRecommender(),
         SimHashCFRecommender(),
-        ItemCFRecommender(videos=VIDEOS),
-        BatchMFRecommender(videos=VIDEOS),
         RealtimeRecommender(VIDEOS, clock=VirtualClock(0.0)),
         GroupedRecommender(VIDEOS, {}, clock=VirtualClock(0.0)),
     ]

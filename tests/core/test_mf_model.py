@@ -173,26 +173,7 @@ class TestSGDStep:
         assert model.video_bias("v") == -0.25
 
 
-class TestBatchTraining:
-    def test_rmse_decreases_over_epochs(self):
-        rng = np.random.default_rng(0)
-        ratings = [
-            (f"u{i % 10}", f"v{i % 15}", float(rng.integers(0, 2)))
-            for i in range(200)
-        ]
-        model = MFModel(MFConfig(f=8, seed=1))
-        history = model.fit_batch(ratings, epochs=8, eta=0.05)
-        assert history[-1] < history[0]
-
-    def test_mu_set_to_dataset_mean(self):
-        model = MFModel(MFConfig(f=4))
-        model.fit_batch([("u", "v", 1.0), ("u", "w", 0.0)], epochs=1)
-        assert model.mu == pytest.approx(0.5)
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ModelError):
-            MFModel().fit_batch([])
-
+class TestSharedStore:
     def test_shared_store_is_the_single_source_of_truth(self):
         """Two MFModel views over one store see each other's writes."""
         store = InMemoryKVStore()

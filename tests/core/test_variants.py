@@ -8,7 +8,6 @@ from repro.core import (
     COMBINE_MODEL,
     CONF_MODEL,
     RatingMode,
-    variant_by_name,
 )
 from repro.core.variants import grid_searched_rates
 
@@ -36,16 +35,6 @@ def test_combine_model_semantics():
     """The paper's model: binary ratings + adjustable learning rate."""
     assert COMBINE_MODEL.rating_mode is RatingMode.BINARY
     assert COMBINE_MODEL.adjustable
-
-
-def test_lookup_by_name_case_insensitive():
-    assert variant_by_name("combinemodel") is COMBINE_MODEL
-    assert variant_by_name("BinaryModel") is BINARY_MODEL
-
-
-def test_lookup_unknown_raises():
-    with pytest.raises(KeyError):
-        variant_by_name("MegaModel")
 
 
 def test_grid_searched_rates_cover_all_variants():

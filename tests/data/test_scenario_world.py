@@ -22,9 +22,7 @@ from repro.eval.scenarios import (
     FlashCrowd,
     PreferenceDrift,
     Scenario,
-    baseline,
     catalog_churn,
-    cold_start,
     diurnal_wave,
     flash_crowd,
     preference_drift,
@@ -89,7 +87,7 @@ class TestByteIdentity:
     def test_event_free_scenario_is_byte_identical(self):
         cfg = WorldConfig(n_users=30, n_videos=40, days=2, seed=9)
         plain = SyntheticWorld(cfg).generate_actions()
-        scenario = SyntheticWorld(cfg, scenario=baseline()).generate_actions()
+        scenario = SyntheticWorld(cfg, scenario=Scenario("baseline")).generate_actions()
         assert plain == scenario
 
 
@@ -190,7 +188,7 @@ class TestCatalogChurn:
             SyntheticWorld(cfg, scenario=scen).generate_actions()
 
     def test_cold_start_only_adds(self, base_cfg):
-        scen = cold_start(start_day=1, adds_per_day=4)
+        scen = catalog_churn(start_day=1, adds_per_day=4, retires_per_day=0)
         world = SyntheticWorld(base_cfg, scenario=scen)
         assert len(world.videos) == base_cfg.n_videos + 4 * 5
         actions = world.generate_actions()

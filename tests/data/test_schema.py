@@ -1,6 +1,8 @@
 """Tests for entities and action records."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.data import GLOBAL_GROUP, ActionType, User, UserAction, Video
 from repro.errors import DataError
@@ -62,6 +64,13 @@ class TestUserAction:
         assert sorted([a, b]) == [b, a]
 
 
+#: Ids as the log format allows them: non-empty, no field or line breaks.
+_IDS = st.text(
+    st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+    min_size=1,
+)
+
+
 class TestLogLineRoundTrip:
     def test_round_trip(self):
         a = UserAction(1234.5, "u7", "v9", ActionType.PLAYTIME, view_time=88.25)
@@ -77,6 +86,32 @@ class TestLogLineRoundTrip:
             view = 10.0 if action is ActionType.PLAYTIME else 0.0
             a = UserAction(1.0, "u", "v", action, view_time=view)
             assert UserAction.from_log_line(a.to_log_line()).action is action
+
+    @given(
+        timestamp=st.floats(allow_nan=False, allow_infinity=False),
+        user_id=_IDS,
+        video_id=_IDS,
+        action=st.sampled_from(ActionType),
+        view_time=st.floats(
+            min_value=0.0, allow_nan=False, allow_infinity=False
+        ),
+    )
+    def test_round_trip_is_exact(
+        self, timestamp, user_id, video_id, action, view_time
+    ):
+        """Times survive the log line bit for bit (the WAL relies on it)."""
+        if action is ActionType.PLAYTIME and view_time <= 0.0:
+            view_time = 1.0
+        a = UserAction(timestamp, user_id, video_id, action, view_time)
+        parsed = UserAction.from_log_line(a.to_log_line())
+        assert parsed == a
+        # UserAction equality compares the timestamp only.
+        assert (
+            parsed.user_id,
+            parsed.video_id,
+            parsed.action,
+            parsed.view_time,
+        ) == (user_id, video_id, action, view_time)
 
     @pytest.mark.parametrize(
         "line",

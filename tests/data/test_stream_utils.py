@@ -7,10 +7,8 @@ from repro.data import (
     ActionType,
     UserAction,
     day_of,
-    engaged_videos_by_user,
     filter_active,
     replay,
-    sort_stream,
     split_by_day,
 )
 from repro.errors import DataError
@@ -21,10 +19,6 @@ def _action(ts, user="u", video="v", action=ActionType.CLICK):
 
 
 class TestSortAndReplay:
-    def test_sort_stream(self):
-        actions = [_action(3.0), _action(1.0), _action(2.0)]
-        assert [a.timestamp for a in sort_stream(actions)] == [1.0, 2.0, 3.0]
-
     def test_replay_yields_in_order(self):
         actions = [_action(3.0), _action(1.0)]
         assert [a.timestamp for a in replay(actions)] == [1.0, 3.0]
@@ -97,18 +91,6 @@ class TestFilterActive:
 
     def test_empty_input(self):
         assert filter_active([], 50, 50) == []
-
-
-class TestEngagedVideos:
-    def test_collects_engagements_only(self):
-        actions = [
-            UserAction(1.0, "u", "v1", ActionType.IMPRESS),
-            UserAction(2.0, "u", "v2", ActionType.CLICK),
-            UserAction(3.0, "u", "v3", ActionType.PLAYTIME, view_time=10.0),
-            UserAction(4.0, "u2", "v1", ActionType.LIKE),
-        ]
-        engaged = engaged_videos_by_user(actions)
-        assert engaged == {"u": {"v2", "v3"}, "u2": {"v1"}}
 
 
 class TestGroupByDay:

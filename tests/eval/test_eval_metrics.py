@@ -4,9 +4,7 @@ import pytest
 
 from repro.eval import (
     average_rank,
-    mean_absolute_error,
     percentile_rank,
-    precision_at_n,
     recall_at_n,
     recall_curve,
 )
@@ -111,24 +109,3 @@ class TestAverageRank:
         # weights: b -> 1-0 = 1, a -> 1-0.5 = 0.5
         # rank = (0.5*1 + 0*0.5) / (1 + 0.5) = 1/3
         assert average_rank(recommended, test_ranking) == pytest.approx(1 / 3)
-
-
-class TestSecondaryMetrics:
-    def test_precision_uses_actual_length(self):
-        recommended = {"u": ["a"]}
-        liked = {"u": {"a"}}
-        assert precision_at_n(recommended, liked, n=10) == 1.0
-
-    def test_precision_empty(self):
-        assert precision_at_n({}, {}, 5) == 0.0
-        assert precision_at_n({"u": []}, {"u": {"a"}}, 5) == 0.0
-
-    def test_mae(self):
-        assert mean_absolute_error([1.0, 2.0], [2.0, 0.0]) == pytest.approx(1.5)
-
-    def test_mae_empty(self):
-        assert mean_absolute_error([], []) == 0.0
-
-    def test_mae_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mean_absolute_error([1.0], [1.0, 2.0])

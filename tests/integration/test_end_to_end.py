@@ -4,7 +4,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.core import RealtimeRecommender
-from repro.data import actions_to_log, split_by_day
+from repro.data import split_by_day
 from repro.eval import Experiment, evaluate
 from repro.baselines import HotRecommender
 from repro.storm import LocalExecutor
@@ -18,7 +18,7 @@ class TestLogPipelineEndToEnd:
         """Serialize the world to raw log lines, run the full Figure 2
         topology over them, and serve recommendations from its state —
         the complete production path."""
-        log_lines = actions_to_log(small_split.train).splitlines()
+        log_lines = [a.to_log_line() for a in small_split.train]
         clock = VirtualClock(0.0)
         topo, system = build_recommendation_topology(
             log_lines, small_world.videos, users=small_world.users, clock=clock

@@ -9,7 +9,6 @@ sharding/caching/instrumentation/fault-injection all see them.
 
 import pytest
 
-from repro.errors import TransientKVError
 from repro.kvstore import (
     InMemoryKVStore,
     Namespace,
@@ -17,7 +16,7 @@ from repro.kvstore import (
     ShardedKVStore,
 )
 from repro.obs import Observability
-from repro.reliability import FlakyKVStore
+from tests.support.faults import FlakyKVStore, TransientKVError
 
 
 def _stores():

@@ -7,19 +7,17 @@ q > 0 — and that every ``Histogram`` read agrees with it exactly.
 """
 
 import math
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.obs import MetricsRegistry, nearest_rank, summarize
+from repro.obs import MetricsRegistry, nearest_rank
 
 
 def test_empty_samples_return_zero():
     assert nearest_rank([], 50.0) == 0.0
-    assert summarize([]) == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
 
 
 def test_out_of_range_quantile_rejected():
@@ -66,16 +64,6 @@ def test_matches_numpy_inverted_cdf(samples, q):
 
 def test_q_zero_returns_minimum():
     assert nearest_rank([3.0, 1.0, 2.0], 0.0) == 1.0
-
-
-def test_summarize_matches_nearest_rank():
-    rng = random.Random(7)
-    samples = [rng.uniform(0.0, 1.0) for _ in range(137)]
-    summary = summarize(samples, quantiles=(50.0, 95.0, 99.0, 99.9))
-    assert summary["p50"] == nearest_rank(samples, 50.0)
-    assert summary["p95"] == nearest_rank(samples, 95.0)
-    assert summary["p99"] == nearest_rank(samples, 99.0)
-    assert summary["p99.9"] == nearest_rank(samples, 99.9)
 
 
 @given(

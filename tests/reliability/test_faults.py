@@ -2,16 +2,8 @@
 
 import pytest
 
-from repro.errors import InjectedFault, TransientKVError
 from repro.kvstore import InMemoryKVStore
-from repro.reliability import (
-    ChaosBolt,
-    FaultPlan,
-    FlakyKVStore,
-    RetryPolicy,
-    Supervisor,
-    wrap_topology,
-)
+from repro.reliability import RetryPolicy, Supervisor
 from repro.storm import (
     Bolt,
     Collector,
@@ -20,6 +12,14 @@ from repro.storm import (
     Spout,
     StreamTuple,
     TopologyBuilder,
+)
+from tests.support.faults import (
+    ChaosBolt,
+    FaultPlan,
+    FlakyKVStore,
+    InjectedFault,
+    TransientKVError,
+    wrap_topology,
 )
 
 

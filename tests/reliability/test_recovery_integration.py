@@ -18,12 +18,9 @@ from repro.kvstore import InMemoryKVStore, ShardedKVStore
 from repro.reliability import (
     ActionWAL,
     CheckpointManager,
-    FaultPlan,
-    FlakyKVStore,
     RecoveryManager,
     RetryPolicy,
     Supervisor,
-    wrap_topology,
 )
 from repro.serving.router import RecRequest, RequestRouter, Scenario
 from repro.storm import LocalExecutor
@@ -37,6 +34,7 @@ from repro.topology.pipeline import (
     USER_HISTORY,
     build_recommendation_topology,
 )
+from tests.support.faults import FaultPlan, FlakyKVStore, wrap_topology
 
 N_TOTAL = 240  # actions in the run
 N_CHECKPOINT = 150  # checkpoint taken after this many

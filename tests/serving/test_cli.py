@@ -9,8 +9,9 @@ import random
 import pytest
 
 from repro.data import ActionType, UserAction
-from repro.serving import GatewayConfig, GatewayThread
+from repro.serving import GatewayConfig
 from repro.serving.cli import _build_parser, build_demo_gateway
+from tests.support.gateway_thread import GatewayThread
 
 
 def test_parser_defaults_and_flags():

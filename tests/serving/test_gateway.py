@@ -18,12 +18,12 @@ from repro.obs import Observability
 from repro.reliability.overload import AdmissionController, CircuitBreaker
 from repro.serving import (
     GatewayConfig,
-    GatewayThread,
     RecRequest,
     RequestCollector,
     RequestRouter,
     ServingGateway,
 )
+from tests.support.gateway_thread import GatewayThread
 
 
 class _Backend:

@@ -14,10 +14,10 @@ import json
 from repro.reliability.overload import AdmissionController
 from repro.serving import (
     GatewayConfig,
-    GatewayThread,
     RequestRouter,
     ServingGateway,
 )
+from tests.support.gateway_thread import GatewayThread
 
 
 class _OkBackend:

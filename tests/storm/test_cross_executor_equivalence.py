@@ -27,7 +27,7 @@ import pytest
 from repro.config import MFConfig
 from repro.core import MFModel
 from repro.obs import Observability
-from repro.reliability import FaultPlan, RetryPolicy, Supervisor, wrap_topology
+from repro.reliability import RetryPolicy, Supervisor
 from repro.storm import (
     Bolt,
     LocalExecutor,
@@ -36,6 +36,7 @@ from repro.storm import (
     ThreadedExecutor,
     TopologyBuilder,
 )
+from tests.support.faults import FaultPlan, wrap_topology
 
 N_ACTIONS = 10_000
 N_KEYS = 23

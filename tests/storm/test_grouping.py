@@ -3,13 +3,7 @@ fields grouping that the paper's §5.1 correctness argument rests on."""
 
 from collections import Counter
 
-from repro.storm import (
-    AllGrouping,
-    FieldsGrouping,
-    GlobalGrouping,
-    ShuffleGrouping,
-    StreamTuple,
-)
+from repro.storm import FieldsGrouping, ShuffleGrouping, StreamTuple
 
 
 def _tup(**fields):
@@ -78,20 +72,3 @@ class TestShuffleGrouping:
         g = ShuffleGrouping()
         seq = [g.select(_tup(x=i), 3)[0] for i in range(6)]
         assert seq == [0, 1, 2, 0, 1, 2]
-
-
-class TestGlobalGrouping:
-    def test_always_worker_zero(self):
-        g = GlobalGrouping()
-        assert all(
-            g.select(_tup(x=i), 8) == (0,) for i in range(20)
-        )
-
-
-class TestAllGrouping:
-    def test_broadcast_to_every_worker(self):
-        g = AllGrouping()
-        assert g.select(_tup(x=1), 5) == (0, 1, 2, 3, 4)
-
-    def test_single_worker(self):
-        assert AllGrouping().select(_tup(x=1), 1) == (0,)

@@ -12,7 +12,6 @@ from repro.errors import (
     ModelError,
     ReproError,
     TopologyError,
-    TransientKVError,
 )
 
 
@@ -30,7 +29,6 @@ def test_single_catchable_root():
 
 
 def test_kvstore_hierarchy():
-    assert issubclass(TransientKVError, KVStoreError)
     assert issubclass(DurableStoreError, KVStoreError)
     assert issubclass(CorruptSegmentError, DurableStoreError)
 
