@@ -19,6 +19,9 @@ from ..core.history import UserHistoryStore
 from ..data.schema import UserAction
 from ..data.stream import ENGAGEMENT_ACTIONS
 
+#: Strongest rules kept per antecedent video.
+MAX_RULES_PER_VIDEO = 50
+
 
 class AssociationRuleRecommender:
     """Pairwise association rules over session baskets."""
@@ -28,7 +31,6 @@ class AssociationRuleRecommender:
         min_support: int = 2,
         min_confidence: float = 0.05,
         session_gap: float = 1800.0,
-        max_rules_per_video: int = 50,
         exclude_watched: bool = True,
     ) -> None:
         if min_support < 1:
@@ -38,7 +40,6 @@ class AssociationRuleRecommender:
         self.min_support = min_support
         self.min_confidence = min_confidence
         self.session_gap = session_gap
-        self.max_rules_per_video = max_rules_per_video
         self.exclude_watched = exclude_watched
         self.history = UserHistoryStore()
         self._log: list[UserAction] = []
@@ -104,13 +105,9 @@ class AssociationRuleRecommender:
                 rules[j].append((i, conf_ji))
         for antecedent in rules:
             rules[antecedent].sort(key=lambda pair: (-pair[1], pair[0]))
-            del rules[antecedent][self.max_rules_per_video :]
+            del rules[antecedent][MAX_RULES_PER_VIDEO:]
         self._rules = dict(rules)
         self.trained_at = now
-
-    @property
-    def n_rules(self) -> int:
-        return sum(len(v) for v in self._rules.values())
 
     # ------------------------------------------------------------------
     # Serving

@@ -14,6 +14,8 @@ from ..data.schema import UserAction
 from ..data.stream import ENGAGEMENT_ACTIONS
 
 _GLOBAL = "__all__"
+#: Videos the decayed popularity tracker keeps scores for.
+MAX_TRACKED = 1000
 
 
 class HotRecommender:
@@ -22,13 +24,12 @@ class HotRecommender:
     def __init__(
         self,
         half_life: float = SECONDS_PER_DAY,
-        max_tracked: int = 1000,
         clock: Clock | None = None,
         exclude_watched: bool = True,
     ) -> None:
         self.clock = clock or SystemClock()
         self.tracker = HotVideoTracker(
-            half_life=half_life, max_tracked=max_tracked, clock=self.clock
+            half_life=half_life, max_tracked=MAX_TRACKED, clock=self.clock
         )
         self.history = UserHistoryStore()
         self.exclude_watched = exclude_watched

@@ -19,6 +19,8 @@ from ..data.schema import UserAction
 from ..data.stream import ENGAGEMENT_ACTIONS
 
 SIGNATURE_BITS = 64
+#: Bucket-mates a user's recommendations are drawn from.
+MAX_NEIGHBORS = 50
 
 
 def token_hash(token: str) -> int:
@@ -60,7 +62,6 @@ class SimHashCFRecommender:
     def __init__(
         self,
         bands: int = 8,
-        max_neighbors: int = 50,
         min_similarity: float = 0.55,
         exclude_watched: bool = True,
     ) -> None:
@@ -70,7 +71,6 @@ class SimHashCFRecommender:
             )
         self.bands = bands
         self.band_bits = SIGNATURE_BITS // bands
-        self.max_neighbors = max_neighbors
         self.min_similarity = min_similarity
         self.exclude_watched = exclude_watched
         self.history = UserHistoryStore()
@@ -130,7 +130,7 @@ class SimHashCFRecommender:
             (other, sim) for other, sim in scored if sim >= self.min_similarity
         ]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[: self.max_neighbors]
+        return scored[:MAX_NEIGHBORS]
 
     # ------------------------------------------------------------------
     # Serving

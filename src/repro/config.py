@@ -28,10 +28,11 @@ def _require(condition: bool, message: str) -> None:
 class ActionWeightConfig:
     """Weights of implicit-feedback action types (paper Table 1, Eq. 6).
 
-    ``Impress`` carries zero weight — an impression alone is *not* evidence
-    of preference and never updates the model (§3.3).  ``PlayTime`` actions
-    are weighted by the *view rate* ``vrate = watched_seconds / video_length``
-    through ``w = a + b * log10(vrate)`` so that a full view scores ``a`` and
+    ``Impress`` has no field: its weight is fixed at zero — an impression
+    alone is *not* evidence of preference and never updates the model
+    (§3.3).  ``PlayTime`` actions are weighted by the *view rate*
+    ``vrate = watched_seconds / video_length`` through
+    ``w = a + b * log10(vrate)`` so that a full view scores ``a`` and
     the floor view rate scores ``a - b``; the paper clamps ``vrate`` to
     ``[0.1, 1]`` and treats anything below the floor like a bare ``Play``.
 
@@ -42,7 +43,6 @@ class ActionWeightConfig:
     the source text; 0.5 is our grid-searched choice).
     """
 
-    impress: float = 0.0
     click: float = 0.5
     play: float = 1.5
     comment: float = 3.0
@@ -53,7 +53,6 @@ class ActionWeightConfig:
     vrate_floor: float = 0.1
 
     def __post_init__(self) -> None:
-        _require(self.impress == 0.0, "impress weight must be 0 (no evidence)")
         _require(self.click > 0, "click weight must be positive")
         _require(self.a >= self.b > 0, "Eq. 6 requires a >= b > 0")
         _require(0 < self.vrate_floor < 1, "vrate floor must be in (0, 1)")

@@ -53,7 +53,7 @@ class _BaseWeigher:
     def __init__(self, config: ActionWeightConfig | None = None) -> None:
         self.config = config or ActionWeightConfig()
         self._fixed: Mapping[ActionType, float] = {
-            ActionType.IMPRESS: self.config.impress,
+            ActionType.IMPRESS: 0.0,  # a display is no evidence (§3.3)
             ActionType.CLICK: self.config.click,
             ActionType.PLAY: self.config.play,
             ActionType.COMMENT: self.config.comment,

@@ -33,9 +33,9 @@ class FactorArena:
     """Interned ``id -> (vector row, bias)`` storage over contiguous arrays.
 
     Rows are assigned in first-touch order and never move; growth doubles
-    the capacity and copies (amortised O(1) per insert).  An id may carry
-    a bias without a vector; membership queries and counts follow the
-    *vector*: ``has_user`` means "has a learned ``x_u``".
+    the capacity and copies (amortised O(1) per insert).  A deleted id
+    keeps its row; membership queries and counts follow the *vector*:
+    ``id in arena`` means "has a learned vector".
     """
 
     def __init__(self, f: int, initial_capacity: int = 64) -> None:
@@ -169,11 +169,6 @@ class FactorArena:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-
-    def set_bias(self, entity_id: str, bias: float) -> None:
-        with self._lock:
-            row = self._intern(entity_id)
-            self._biases[row] = bias
 
     def put(self, entity_id: str, vector: np.ndarray, bias: float) -> None:
         """Write vector and bias together (the common SGD-commit shape)."""

@@ -146,14 +146,8 @@ class _ArenaParams:
     def bias(self, kind: str, entity_id: str) -> float:
         return self._arena(kind).bias(entity_id)
 
-    def has(self, kind: str, entity_id: str) -> bool:
-        return entity_id in self._arena(kind)
-
     def count(self, kind: str) -> int:
         return len(self._arena(kind))
-
-    def ids(self, kind: str) -> list[str]:
-        return self._arena(kind).ids()
 
     def setdefault_vector(
         self, kind: str, entity_id: str, factory: Callable[[], np.ndarray]
@@ -421,12 +415,6 @@ class MFModel:
             "video", video_id, lambda: self._init_vector("video", video_id)
         )
 
-    def has_user(self, user_id: str) -> bool:
-        return self._params.has("user", user_id)
-
-    def has_video(self, video_id: str) -> bool:
-        return self._params.has("video", video_id)
-
     @property
     def n_users(self) -> int:
         return self._params.count("user")
@@ -434,10 +422,6 @@ class MFModel:
     @property
     def n_videos(self) -> int:
         return self._params.count("video")
-
-    def known_videos(self) -> list[str]:
-        """Ids of all videos with a learned vector."""
-        return self._params.ids("video")
 
     def video_rows(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Row-aligned ``(ids, vectors, biases)`` of every learned video.
@@ -596,21 +580,6 @@ class MFModel:
         to the sequential per-action methods.
         """
         return MFBatchSession(self, user_ids, video_ids)
-
-    def sgd_step_many(
-        self, steps: Sequence[tuple[str, str, float, float]]
-    ) -> list[MFUpdate]:
-        """Apply many ``(user, video, rating, eta)`` steps as one batch."""
-        session = self.batch_session(
-            (user_id for user_id, _, _, _ in steps),
-            (video_id for _, video_id, _, _ in steps),
-        )
-        updates = [
-            session.sgd_step(user_id, video_id, rating, eta)
-            for user_id, video_id, rating, eta in steps
-        ]
-        session.commit()
-        return updates
 
     # ------------------------------------------------------------------
     # Persistence

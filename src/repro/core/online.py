@@ -11,7 +11,7 @@ with ``r_ui = 0`` (impressions) never update the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Mapping, Protocol
 
 from ..config import OnlineConfig
 from ..data.schema import ActionType, UserAction, Video
@@ -46,10 +46,6 @@ class TrainerStats:
     skipped_zero: int = 0
     skipped_invalid: int = 0
     abs_error_total: float = field(default=0.0)
-
-    @property
-    def mean_abs_error(self) -> float:
-        return self.abs_error_total / self.updated if self.updated else 0.0
 
 
 class OnlineTrainer:
@@ -194,13 +190,6 @@ class OnlineTrainer:
             results.append(update)
         session.commit()
         return results
-
-    def process_stream(self, actions: Iterable[UserAction]) -> int:
-        """Process a whole stream in order; return the number of updates."""
-        before = self.stats.updated
-        for action in actions:
-            self.process(action)
-        return self.stats.updated - before
 
     def is_playtime_capable(self, action: UserAction) -> bool:
         """Whether this trainer can weight ``action`` (duration known)."""

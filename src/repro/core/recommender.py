@@ -207,19 +207,6 @@ class RealtimeRecommender:
     # Serving (Figure 1 right-hand side)
     # ------------------------------------------------------------------
 
-    def seeds_for(
-        self, user_id: str, current_video: str | None = None
-    ) -> list[str]:
-        """Seed videos for a request (§4.1).
-
-        The currently watched video when the request comes from the
-        "related videos" scenario; otherwise the user's recent history
-        ("Guess You Like").
-        """
-        if current_video is not None:
-            return [current_video]
-        return self.history.recent(user_id, self.config.recommend.max_seeds)
-
     def recommend(
         self,
         user_id: str,
@@ -288,8 +275,10 @@ class RealtimeRecommender:
         timestamp = self.clock.now() if now is None else now
 
         with self._span("candidates.select"):
-            # One history read serves both seed selection and the watched
-            # filter (mutually consistent, half the store traffic).
+            # Seeds (§4.1): the watched video for "related videos", else the
+            # user's recent history for "guess you like".  One history read
+            # serves both seed selection and the watched filter (mutually
+            # consistent, half the store traffic).
             snapshot = self.history.snapshot(
                 user_id, self.config.recommend.max_seeds
             )

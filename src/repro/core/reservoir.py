@@ -107,11 +107,3 @@ class ReservoirTrainer:
             self.trainer.process(replayed)
             self.stats.replayed += 1
         return update
-
-    def process_stream(self, actions) -> int:
-        """Process a whole stream; return the number of primary updates."""
-        count = 0
-        for action in actions:
-            if self.process(action) is not None:
-                count += 1
-        return count

@@ -72,14 +72,3 @@ class SimilarityScorer:
     def damped(self, raw: float, elapsed: float) -> float:
         """Apply Eq. 11's decay to a stored raw relevance."""
         return raw * damping(elapsed, self.config.xi)
-
-    def relevance(
-        self,
-        video_i: Video,
-        y_i: np.ndarray,
-        video_j: Video,
-        y_j: np.ndarray,
-        elapsed: float = 0.0,
-    ) -> float:
-        """Full Eq. 12 in one call (used when scoring a fresh pair)."""
-        return self.damped(self.raw_relevance(video_i, y_i, video_j, y_j), elapsed)

@@ -87,14 +87,13 @@ class SimilarVideoTable:
         videos: Mapping[str, Video],
         model: MFModel,
         config: SimilarityConfig | None = None,
-        scorer: SimilarityScorer | None = None,
         clock: Clock | None = None,
         store: KVStore | None = None,
     ) -> None:
         self.videos = videos
         self.model = model
         self.config = config or SimilarityConfig()
-        self.scorer = scorer or SimilarityScorer(self.config)
+        self.scorer = SimilarityScorer(self.config)
         self.clock = clock or SystemClock()
         backing = store if store is not None else InMemoryKVStore()
         # Per video: dict other_id -> (raw_relevance, updated_at).
@@ -270,10 +269,6 @@ class SimilarVideoTable:
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         limit = self.config.table_size if k is None else k
         return scored[:limit]
-
-    def raw_entries(self, video_id: str) -> dict[str, tuple[float, float]]:
-        """The stored (raw relevance, updated_at) map — for tests/tools."""
-        return dict(self._table.get(video_id, {}))
 
     def tracked_videos(self) -> list[str]:
         """Ids of all videos that currently have a similar list."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import isfinite
 
 from ..errors import DataError
 
@@ -97,6 +98,12 @@ class UserAction:
     Orderable by ``timestamp`` first so a list of actions sorts into replay
     order.  ``view_time`` is only meaningful for PLAYTIME actions and is the
     number of seconds actually watched.
+
+    Every constructible action survives :meth:`to_log_line` as a log file
+    reads it back: ids are non-empty and hold no tab (the field separator),
+    LF or CR (a universal-newline read turns CR into a record break), and
+    both times are finite.  ``/ingest`` bodies and log lines are checked
+    here, so one bad action cannot make a write-ahead log unreadable.
     """
 
     timestamp: float
@@ -106,6 +113,26 @@ class UserAction:
     view_time: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        user_id, video_id = self.user_id, self.video_id
+        if (
+            not user_id
+            or not video_id
+            or "\t" in user_id
+            or "\n" in user_id
+            or "\r" in user_id
+            or "\t" in video_id
+            or "\n" in video_id
+            or "\r" in video_id
+        ):
+            raise DataError(
+                "ids must be non-empty and free of tab, CR and LF "
+                f"(user={user_id!r}, video={video_id!r})"
+            )
+        if not (isfinite(self.timestamp) and isfinite(self.view_time)):
+            raise DataError(
+                f"times must be finite (timestamp={self.timestamp!r}, "
+                f"view_time={self.view_time!r})"
+            )
         if self.action is ActionType.PLAYTIME and self.view_time <= 0:
             raise DataError(
                 "PLAYTIME actions must carry a positive view_time "
@@ -140,8 +167,6 @@ class UserAction:
         if len(parts) != 5:
             raise DataError(f"malformed action log line: {line!r}")
         ts, user_id, video_id, action_token, view_time = parts
-        if not user_id or not video_id:
-            raise DataError(f"empty user or video id in line: {line!r}")
         try:
             timestamp = float(ts)
             viewed = float(view_time)

@@ -85,11 +85,6 @@ class TrainTestSplit:
     train: list[UserAction]
     test: list[UserAction]
 
-    @property
-    def test_engagements(self) -> list[UserAction]:
-        """Positive test actions — the ones recall@N counts as 'liked'."""
-        return [a for a in self.test if a.action in ENGAGEMENT_ACTIONS]
-
 
 def split_by_day(
     actions: Sequence[UserAction], train_days: int = 6

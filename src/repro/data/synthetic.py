@@ -434,16 +434,6 @@ class SyntheticWorld:
             + cfg.click_scale * self.affinity(user_id, video_id, now=now)
         )
 
-    def best_videos(
-        self, user_id: str, k: int = 10, now: float | None = None
-    ) -> list[str]:
-        """Ground-truth top-k videos for a user (for sanity checks)."""
-        u = self._user_index[user_id]
-        factors = self._effective_user_factors(now)
-        scores = self.video_factors @ factors[u]
-        order = np.argsort(-scores)[:k]
-        return [self._index_to_id[j] for j in order]
-
     # ------------------------------------------------------------------
     # Action stream generation
     # ------------------------------------------------------------------

@@ -56,18 +56,6 @@ class WALError(ReliabilityError):
     """The write-ahead log is unreadable beyond normal torn-tail truncation."""
 
 
-class OverloadError(ReproError):
-    """Base class for overload-protection failures (breakers, deadlines)."""
-
-
-class CircuitOpenError(OverloadError):
-    """A call was rejected fast because its circuit breaker is open."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(f"circuit breaker {name!r} is open")
-        self.name = name
-
-
 class TopologyError(ReproError):
     """The stream topology is mis-wired (unknown component, cycle, ...)."""
 

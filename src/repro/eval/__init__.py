@@ -17,7 +17,6 @@ from .scenarios import (
     FlashCrowd,
     PreferenceDrift,
     Scenario,
-    ScenarioOpsConfig,
     ScenarioReport,
     run_scenario,
     validate_scenario_report,
@@ -67,7 +66,6 @@ __all__ = [
     "DiurnalWave",
     "PreferenceDrift",
     "SCENARIO_LIBRARY",
-    "ScenarioOpsConfig",
     "ScenarioReport",
     "run_scenario",
     "validate_scenario_report",

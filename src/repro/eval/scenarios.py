@@ -51,7 +51,6 @@ __all__ = [
     "diurnal_wave",
     "preference_drift",
     "SCENARIO_LIBRARY",
-    "ScenarioOpsConfig",
     "ScenarioReport",
     "SCENARIO_REPORT_SCHEMA_VERSION",
     "validate_scenario_report",
@@ -618,31 +617,20 @@ def validate_scenario_report(doc: Any) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioOpsConfig:
-    """Serving-plane knobs of :func:`run_scenario`.
-
-    ``base_qps`` is the off-event offered rate; ``capacity_qps`` sizes the
-    admission controller's token bucket.  Defaults offer ~80% of capacity
-    off-event so an event spike (flash crowd, diurnal peak) pushes the
-    router past capacity and sheds become observable, and recovery after
-    the event is measurable.  ``window_seconds`` is the shed-rate
-    measurement granularity (also the resolution of recovery time).
-    """
-
-    base_qps: float = 40.0
-    capacity_qps: float = 50.0
-    burst: float = 20.0
-    window_seconds: float = SECONDS_PER_DAY / 8.0
-    requests_per_window: int = 256
-    service_time: float = 0.004
-    recovery_tolerance: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.base_qps <= 0 or self.capacity_qps <= 0:
-            raise ConfigError("qps knobs must be positive")
-        if self.window_seconds <= 0 or self.requests_per_window < 1:
-            raise ConfigError("window knobs must be positive")
+# Serving plane of :func:`run_scenario`.  Off-event the router is offered
+# ~80% of its token-bucket capacity, so an event spike (flash crowd,
+# diurnal peak) pushes it past capacity, sheds become observable and the
+# recovery after the event is measurable.  A window is the shed-rate
+# measurement granularity (and the resolution of recovery time).
+_BASE_QPS = 40.0
+_CAPACITY_QPS = 50.0
+_BURST = 20.0
+_WINDOW_SECONDS = SECONDS_PER_DAY / 8.0
+_REQUESTS_PER_WINDOW = 256
+#: Virtual seconds each served request costs the backend.
+_SERVICE_TIME = 0.004
+#: Shed-rate slack over the pre-event baseline that counts as recovered.
+_RECOVERY_TOLERANCE = 0.02
 
 
 class _SimulatedBackend:
@@ -665,12 +653,11 @@ class _SimulatedBackend:
         )
 
 
-def default_arms(world, *, production_rmf: bool = True) -> dict[str, Any]:
+def default_arms(world) -> dict[str, Any]:
     """The four arms of the paper's live test (§6.2) on ``world``.
 
-    ``production_rmf`` selects the deployed configuration — the
-    CombineModel trained per demographic group with demographic filtering
-    — versus the plain :class:`~repro.core.RealtimeRecommender`.
+    rMF is the deployed configuration: the CombineModel trained per
+    demographic group, with demographic filtering.
     """
     from ..baselines import (
         AssociationRuleRecommender,
@@ -678,7 +665,7 @@ def default_arms(world, *, production_rmf: bool = True) -> dict[str, Any]:
         SimHashCFRecommender,
     )
     from ..clock import VirtualClock
-    from ..core import COMBINE_MODEL, GroupedRecommender, RealtimeRecommender
+    from ..core import COMBINE_MODEL, GroupedRecommender
     from ..core.variants import grid_searched_rates
     from ..config import ReproConfig
 
@@ -689,23 +676,14 @@ def default_arms(world, *, production_rmf: bool = True) -> dict[str, Any]:
         weights={"click": 0.5},
         recommend={"max_candidates": 20, "demographic_slots": 0.05},
     )
-    if production_rmf:
-        rmf = GroupedRecommender(
-            world.videos,
-            world.users,
-            config=rmf_config,
-            variant=COMBINE_MODEL,
-            clock=VirtualClock(0.0),
-            enable_demographic=True,
-        )
-    else:
-        rmf = RealtimeRecommender(
-            world.videos,
-            users=world.users,
-            config=rmf_config,
-            variant=COMBINE_MODEL,
-            clock=VirtualClock(0.0),
-        )
+    rmf = GroupedRecommender(
+        world.videos,
+        world.users,
+        config=rmf_config,
+        variant=COMBINE_MODEL,
+        clock=VirtualClock(0.0),
+        enable_demographic=True,
+    )
     return {
         "Hot": HotRecommender(clock=VirtualClock(0.0), exclude_watched=False),
         "AR": AssociationRuleRecommender(
@@ -744,19 +722,14 @@ def run_scenario(
     n_users: int = 120,
     n_videos: int = 160,
     seed: int = 2016,
-    experiment_seed: int = 17,
     arms: Mapping[str, Any] | None = None,
-    world_overrides: Mapping[str, Any] | None = None,
-    ops: ScenarioOpsConfig | None = None,
-    assignment: str = "interleave",
-    stopping=None,
-    obs=None,
 ) -> ScenarioReport:
     """Run one scenario end-to-end and return its :class:`ScenarioReport`.
 
     Quality plane: a fresh calibrated world with ``scenario`` drives an
-    :class:`~repro.eval.experiment.Experiment` over the standard four arms
-    (CTR per arm per day, optional sequential stopping).  Ops plane: the
+    interleaved :class:`~repro.eval.experiment.Experiment` over the
+    standard four arms (:func:`default_arms`; ``arms`` substitutes others)
+    for the full horizon (CTR per arm per day).  Ops plane: the
     trained rMF arm is put behind a :class:`~repro.serving.RequestRouter`
     with admission control and a circuit breaker on a shared
     :class:`~repro.clock.VirtualClock`, and offered open-loop load whose
@@ -771,24 +744,16 @@ def run_scenario(
     from ..serving.router import RequestRouter
     from .experiment import Experiment
 
-    ops_cfg = ops or ScenarioOpsConfig()
-    overrides = dict(world_overrides or {})
     world = SyntheticWorld(
         paper_world_config(
-            n_users=n_users, n_videos=n_videos, days=days, seed=seed,
-            **overrides,
+            n_users=n_users, n_videos=n_videos, days=days, seed=seed
         ),
         scenario=scenario,
     )
     if arms is None:
         arms = default_arms(world)
     experiment = Experiment(
-        world,
-        arms,
-        days=days,
-        seed=experiment_seed,
-        assignment=assignment,
-        stopping=stopping,
+        world, arms, days=days, seed=17, assignment="interleave"
     )
     result = experiment.run()
     overall = result.overall_ctr()
@@ -796,35 +761,34 @@ def run_scenario(
     # ---- ops plane: offered load over the scenario's QPS profile --------
     clock = VirtualClock(0.0)
     admission = AdmissionController(
-        rate=ops_cfg.capacity_qps,
-        burst=ops_cfg.burst,
+        rate=_CAPACITY_QPS,
+        burst=_BURST,
         clock=clock,
     )
     breaker = CircuitBreaker(clock=clock)
     primary = arms.get("rMF") or next(iter(arms.values()))
     fallback = arms.get("Hot")
     router = RequestRouter(
-        _SimulatedBackend(primary, clock, ops_cfg.service_time),
+        _SimulatedBackend(primary, clock, _SERVICE_TIME),
         fallback=fallback,
         admission=admission,
         breaker=breaker,
         clock=clock,
-        obs=obs,
     )
     generator = LoadGenerator(
         router, world.user_ids(), world.video_ids(), seed=seed * 31 + 7
     )
 
     horizon = days * SECONDS_PER_DAY
-    n_windows = max(1, int(round(horizon / ops_cfg.window_seconds)))
-    offered = ops_cfg.requests_per_window
+    n_windows = max(1, int(round(horizon / _WINDOW_SECONDS)))
+    offered = _REQUESTS_PER_WINDOW
     window_stats: list[dict[str, float]] = []
     served_ms: list[float] = []
     total_shed = 0
     for w in range(n_windows):
-        w_start = w * ops_cfg.window_seconds
-        w_mid = w_start + ops_cfg.window_seconds / 2.0
-        qps = ops_cfg.base_qps * scenario.offered_multiplier(w_mid)
+        w_start = w * _WINDOW_SECONDS
+        w_mid = w_start + _WINDOW_SECONDS / 2.0
+        qps = _BASE_QPS * scenario.offered_multiplier(w_mid)
         if clock.now() < w_start:
             clock.advance(w_start - clock.now())
         load = generator.run_offered(offered, qps, clock)
@@ -856,13 +820,13 @@ def run_scenario(
             if event_start <= s["start"] < event_end
         ]
         peak_shed = max(during, default=0.0)
-        threshold = baseline_shed + ops_cfg.recovery_tolerance
+        threshold = baseline_shed + _RECOVERY_TOLERANCE
         recovered_at = None
         for s in window_stats:
             if s["start"] < event_end:
                 continue
             if s["shed_rate"] <= threshold:
-                recovered_at = s["start"] + ops_cfg.window_seconds
+                recovered_at = s["start"] + _WINDOW_SECONDS
                 break
         if recovered_at is not None:
             recovery_seconds = max(0.0, recovered_at - event_end)
@@ -901,5 +865,4 @@ def run_scenario(
         arms=arms_doc,
         ctr_ordering_ok=_ctr_ordering_ok(overall),
         ops=ops_metrics,
-        stopped_day=result.stopped_day,
     )

@@ -94,10 +94,6 @@ class ShardedKVStore(KVStore):
         for shard in self._shards:
             shard.clear()
 
-    def shard_sizes(self) -> list[int]:
-        """Per-shard entry counts — handy for checking key spread in tests."""
-        return [len(shard) for shard in self._shards]
-
     # -- checkpoint support ------------------------------------------------
 
     def snapshot_entries(self) -> list[EntrySnapshot]:

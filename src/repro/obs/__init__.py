@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..clock import Clock, VirtualClock
+from ..clock import Clock
 from .kv import InstrumentedKVStore
 from .percentiles import nearest_rank
 from .registry import (
@@ -68,15 +68,20 @@ class _PerfClock:
 class Observability:
     """One handle bundling the registry, the tracer and the perf clock.
 
-    Components that support observability take ``obs: Observability |
-    None = None``; passing the same bundle to the executor, the router,
-    and the recommender is what stitches their metrics into one registry
-    document and the serving path's spans into shared traces.
+    Components take it as one ``obs=`` argument.  The HTTP boundary
+    (:class:`~repro.serving.ServingGateway` and its
+    :class:`~repro.serving.RequestCollector`) requires it, since
+    ``/metrics`` serves its registry; the recommender, trainer, router,
+    executors and topology accept ``obs=None`` and then record nothing.
+    Passing the same bundle to all of them is what stitches their metrics
+    into one registry document and the serving path's spans into shared
+    traces.
 
     ``perf_clock`` is the clock *durations* are measured on — wall
-    ``perf_counter`` by default, or the same virtual clock as everything
-    else under :meth:`deterministic` (where latencies only advance when
-    the test advances the clock, making golden snapshots exact).
+    ``perf_counter`` by default.  Built with one shared
+    :class:`~repro.clock.VirtualClock` as the registry clock, tracer clock
+    and ``perf_clock``, latencies only advance when the caller advances
+    the clock, which is what makes golden snapshots exact.
     """
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -89,16 +94,6 @@ class Observability:
         return cls(
             registry=MetricsRegistry(),
             tracer=Tracer(sample_every=sample_every),
-        )
-
-    @classmethod
-    def deterministic(cls, clock: Clock | None = None) -> "Observability":
-        """Fully deterministic bundle on one shared virtual clock."""
-        shared = clock if clock is not None else VirtualClock(0.0)
-        return cls(
-            registry=MetricsRegistry(clock=shared),
-            tracer=Tracer(clock=shared),
-            perf_clock=shared,
         )
 
     def instrument_store(self, store):

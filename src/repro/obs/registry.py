@@ -10,7 +10,7 @@ diff runs.
 Three instrument kinds, deliberately Prometheus-shaped:
 
 * :class:`Counter` — monotonically non-decreasing; ``inc()`` only.
-* :class:`Gauge` — a value that goes both ways; ``set()``/``inc()``/``dec()``.
+* :class:`Gauge` — a value that goes both ways; ``set()``/``inc()``.
 * :class:`Histogram` — fixed bucket boundaries chosen at creation time,
   cumulative bucket counts, exact count/sum, plus a bounded raw-sample
   buffer so percentile queries go through the shared
@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import re
 import threading
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from ..clock import Clock, SystemClock
 from .percentiles import nearest_rank
@@ -188,9 +188,6 @@ class Gauge(_Instrument):
         self._guard_unlabelled()
         with self._lock:
             self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     def set_max(self, value: float) -> None:
         """Raise the gauge to ``value`` if larger (an atomic high-water mark)."""
@@ -526,24 +523,3 @@ class MetricsRegistry:
             if all(series_labels.get(k) == v for k, v in wanted.items()):
                 out += leaf.value  # type: ignore[union-attr]
         return out
-
-    def counter_totals(self) -> dict[str, float]:
-        """Flat ``{name{label=value,...}: total}`` view of every counter.
-
-        Only counters — the deterministic part of a run.  Used by the
-        executor-equivalence tests: two executors over the same stream
-        must agree on every count even though latency histograms differ.
-        """
-        totals: dict[str, float] = {}
-        with self._lock:
-            instruments = sorted(self._instruments.items())
-        for name, instrument in instruments:
-            if not isinstance(instrument, Counter):
-                continue
-            for labels, leaf in instrument._series():
-                label_part = ",".join(
-                    f"{k}={v}" for k, v in sorted(labels.items())
-                )
-                key = f"{name}{{{label_part}}}" if label_part else name
-                totals[key] = leaf.value  # type: ignore[union-attr]
-        return totals

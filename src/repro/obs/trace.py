@@ -82,10 +82,6 @@ class Span:
         return self.parent_id is None
 
     @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    @property
     def duration(self) -> float:
         """Inclusive duration, children included."""
         return 0.0 if self.end is None else self.end - self.start

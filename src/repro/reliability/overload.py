@@ -15,10 +15,10 @@ breaker → fallback, see DESIGN.md "Overload semantics"):
 * :class:`AdmissionController` — combines both; rejections carry a reason
   (``"rate"`` or ``"concurrency"``) and are counted.
 * :class:`CircuitBreaker` — the closed → open → half-open state machine.
-  ``failure_threshold`` consecutive failures open the circuit; while open
-  every call fails fast (no backend invocation) until ``reset_timeout``
-  seconds pass, then a bounded number of half-open probes decide between
-  closing and re-opening.
+  :data:`FAILURE_THRESHOLD` consecutive failures open the circuit; while
+  open every call fails fast (no backend invocation) until
+  :data:`RESET_TIMEOUT` seconds pass, then one half-open probe decides
+  between closing and re-opening.
 
 Everything here takes an injected clock and no RNG, so overload behaviour
 in tests is deterministic.
@@ -29,10 +29,9 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from ..clock import Clock, SystemClock
-from ..errors import CircuitOpenError
 
 if TYPE_CHECKING:
     from ..obs import MetricsRegistry
@@ -84,13 +83,6 @@ class TokenBucket:
                 return True
             return False
 
-    @property
-    def available(self) -> float:
-        """Current token count (after refill) — for tests and dashboards."""
-        with self._lock:
-            self._refill_locked()
-            return self._tokens
-
 
 class ConcurrencyLimiter:
     """Non-blocking cap on concurrently admitted requests."""
@@ -114,11 +106,6 @@ class ConcurrencyLimiter:
             if self._inflight <= 0:
                 raise RuntimeError("release() without a matching try_acquire()")
             self._inflight -= 1
-
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
 
 
 #: Reason codes attached to shed admissions.
@@ -221,17 +208,22 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+#: Consecutive primary failures that trip a closed breaker open.
+FAILURE_THRESHOLD = 5
+#: Clock seconds an open breaker waits before letting one probe through.
+RESET_TIMEOUT = 30.0
+
+
 class CircuitBreaker:
     """Closed → open → half-open circuit breaker with an injected clock.
 
-    * **closed** — calls flow through; ``failure_threshold`` *consecutive*
-      failures trip the breaker open (a success resets the streak).
-    * **open** — :meth:`allow` returns ``False`` (callers fail fast with
-      :class:`~repro.errors.CircuitOpenError` via :meth:`call`) until
-      ``reset_timeout`` seconds of clock time have passed.
-    * **half-open** — up to ``half_open_max_probes`` trial calls are let
-      through; ``success_threshold`` consecutive successes close the
-      breaker, any failure re-opens it (and restarts the timeout).
+    * **closed** — calls flow through; :data:`FAILURE_THRESHOLD`
+      *consecutive* failures trip the breaker open (a success resets the
+      streak).
+    * **open** — :meth:`allow` returns ``False`` until
+      :data:`RESET_TIMEOUT` seconds of clock time have passed.
+    * **half-open** — one trial call is let through; its success closes
+      the breaker, its failure re-opens it (and restarts the timeout).
 
     Thread-safe; all transitions are driven by :meth:`allow`,
     :meth:`record_success` and :meth:`record_failure`, so the state machine
@@ -240,34 +232,17 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        failure_threshold: int = 5,
-        reset_timeout: float = 30.0,
-        success_threshold: int = 1,
-        half_open_max_probes: int = 1,
         clock: Clock | None = None,
         name: str = "breaker",
         registry: "MetricsRegistry | None" = None,
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if reset_timeout <= 0:
-            raise ValueError("reset_timeout must be positive")
-        if success_threshold < 1:
-            raise ValueError("success_threshold must be >= 1")
-        if half_open_max_probes < 1:
-            raise ValueError("half_open_max_probes must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self.success_threshold = success_threshold
-        self.half_open_max_probes = half_open_max_probes
         self.name = name
         self._clock = clock or SystemClock()
         self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
-        self._consecutive_successes = 0
         self._opened_at = 0.0
-        self._probes = 0
+        self._probe_sent = False
         self.opened_count = 0
         self.fast_failures = 0
         if registry is not None:
@@ -309,46 +284,38 @@ class CircuitBreaker:
     def _maybe_half_open_locked(self) -> None:
         if (
             self._state is BreakerState.OPEN
-            and self._clock.now() - self._opened_at >= self.reset_timeout
+            and self._clock.now() - self._opened_at >= RESET_TIMEOUT
         ):
             self._state = BreakerState.HALF_OPEN
-            self._probes = 0
-            self._consecutive_successes = 0
+            self._probe_sent = False
             self._record_transition_locked(BreakerState.HALF_OPEN)
 
     def _open_locked(self) -> None:
         self._state = BreakerState.OPEN
         self._opened_at = self._clock.now()
         self._consecutive_failures = 0
-        self._consecutive_successes = 0
         self.opened_count += 1
         self._record_transition_locked(BreakerState.OPEN)
 
     def allow(self) -> bool:
-        """Whether a call may proceed right now (counts half-open probes)."""
+        """Whether a call may proceed right now (spends the half-open probe)."""
         with self._lock:
             self._maybe_half_open_locked()
             if self._state is BreakerState.CLOSED:
                 return True
-            if self._state is BreakerState.HALF_OPEN:
-                if self._probes < self.half_open_max_probes:
-                    self._probes += 1
-                    return True
+            if self._state is BreakerState.HALF_OPEN and not self._probe_sent:
+                self._probe_sent = True
+                return True
             self.fast_failures += 1
             return False
 
     def record_success(self) -> None:
         with self._lock:
             self._consecutive_failures = 0
+            # In OPEN a straggler from before the trip finished; ignore it.
             if self._state is BreakerState.HALF_OPEN:
-                self._consecutive_successes += 1
-                if self._consecutive_successes >= self.success_threshold:
-                    self._state = BreakerState.CLOSED
-                    self._consecutive_successes = 0
-                    self._record_transition_locked(BreakerState.CLOSED)
-            elif self._state is BreakerState.OPEN:
-                # A straggler from before the trip finished; ignore.
-                pass
+                self._state = BreakerState.CLOSED
+                self._record_transition_locked(BreakerState.CLOSED)
 
     def record_failure(self) -> None:
         with self._lock:
@@ -357,23 +324,5 @@ class CircuitBreaker:
                 return
             if self._state is BreakerState.CLOSED:
                 self._consecutive_failures += 1
-                if self._consecutive_failures >= self.failure_threshold:
+                if self._consecutive_failures >= FAILURE_THRESHOLD:
                     self._open_locked()
-
-    def call(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Run ``fn`` through the breaker.
-
-        Raises :class:`~repro.errors.CircuitOpenError` without invoking
-        ``fn`` when the breaker is open (or half-open with its probe budget
-        spent); otherwise records success/failure from the call's outcome
-        and re-raises any failure.
-        """
-        if not self.allow():
-            raise CircuitOpenError(self.name)
-        try:
-            result = fn(*args, **kwargs)
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result

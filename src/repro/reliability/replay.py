@@ -39,10 +39,6 @@ class RecoveryReport:
     last_seq: int
     stale_checkpoint: bool = False
 
-    @property
-    def from_scratch(self) -> bool:
-        return self.checkpoint is None
-
 
 class RecoveryManager:
     """Couples a :class:`CheckpointManager` with an :class:`ActionWAL`.

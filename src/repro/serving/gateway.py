@@ -48,7 +48,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Awaitable, Callable
 
 from ..data.schema import ActionType, UserAction
@@ -80,6 +80,10 @@ _REASONS = {
 
 #: Upper bound on one request's header block, defensive.
 _MAX_HEADER_BYTES = 16 * 1024
+#: Upper bound on one request's body; larger bodies get ``413``.
+_MAX_BODY_BYTES = 64 * 1024
+#: ``Retry-After`` seconds on every ``503`` the gateway sends.
+_RETRY_AFTER_SECONDS = "1"
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,8 +109,6 @@ class GatewayConfig:
     deadline_ms: float | None = None
     batch_window_ms: float = 2.0
     batch_max: int = 64
-    max_body_bytes: int = 64 * 1024
-    retry_after_seconds: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
@@ -123,8 +125,6 @@ class GatewayConfig:
             raise ValueError(
                 f"deadline_ms must be >= 0, got {self.deadline_ms}"
             )
-        if self.max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be >= 1")
 
 
 @dataclass(slots=True)
@@ -162,16 +162,16 @@ class RequestCollector:
     batches form under load.
 
     Per-batch sizes are recorded in a bounded histogram
-    (:meth:`coalesce_snapshot`) and, when a registry is attached, the
+    (:meth:`coalesce_snapshot`) and in the registry's
     ``gateway_coalesced_batch_size`` histogram.
     """
 
     def __init__(
         self,
         router: RequestRouter,
+        obs: "Observability",
         batch_max: int = 64,
         window_seconds: float = 0.002,
-        obs: "Observability | None" = None,
     ) -> None:
         if batch_max < 1:
             raise ValueError(f"batch_max must be >= 1, got {batch_max}")
@@ -186,14 +186,10 @@ class RequestCollector:
         self._batches = 0
         self._coalesced_requests = 0
         self._stats_lock = threading.Lock()
-        self._size_hist = (
-            obs.registry.histogram(
-                "gateway_coalesced_batch_size",
-                "Requests coalesced into one handle_many call",
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-            )
-            if obs is not None
-            else None
+        self._size_hist = obs.registry.histogram(
+            "gateway_coalesced_batch_size",
+            "Requests coalesced into one handle_many call",
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128),
         )
 
     async def submit(self, request: RecRequest) -> RecResponse:
@@ -244,8 +240,7 @@ class RequestCollector:
             self._batches += 1
             self._coalesced_requests += size
             self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
-        if self._size_hist is not None:
-            self._size_hist.observe(size)
+        self._size_hist.observe(size)
 
     def coalesce_snapshot(self) -> dict:
         """Plain-dict coalescing statistics (for ``/snapshot`` and benches)."""
@@ -262,9 +257,7 @@ class RequestCollector:
         }
 
 
-async def _read_request(
-    reader: asyncio.StreamReader, max_body_bytes: int
-) -> _HttpRequest | None:
+async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
     """Parse one HTTP/1.1 request; ``None`` on clean EOF before a request."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -296,7 +289,7 @@ async def _read_request(
         raise _HttpError(400, f"bad Content-Length: {raw_length!r}") from exc
     if length < 0:
         raise _HttpError(400, f"bad Content-Length: {raw_length!r}")
-    if length > max_body_bytes:
+    if length > _MAX_BODY_BYTES:
         raise _HttpError(413, f"body of {length} bytes exceeds limit")
     body = b""
     if length:
@@ -346,13 +339,12 @@ class ServingGateway:
     """Asyncio HTTP server over a :class:`RequestRouter`.
 
     ``observe`` is the live-training sink ``POST /ingest`` feeds (e.g.
-    ``RealtimeRecommender.observe``); omit it and ``/ingest`` answers
-    ``503``.  ``obs`` wires gateway metrics
+    ``RealtimeRecommender.observe``).  ``obs`` is the bundle whose registry
+    ``/metrics`` serves; the gateway reports into it too
     (``gateway_http_requests_total``, ``gateway_open_connections``,
-    ``gateway_coalesced_batch_size``, ``gateway_connections_rejected_total``)
-    into the same registry ``/metrics`` serves.  ``breaker`` defaults to
-    the router's own breaker and feeds ``/healthz``: the gateway is
-    healthy while it is not open.
+    ``gateway_coalesced_batch_size``, ``gateway_connections_rejected_total``).
+    ``breaker`` defaults to the router's own breaker and feeds
+    ``/healthz``: the gateway is healthy while it is not open.
 
     Lifecycle: ``await start()`` binds the socket (``port`` then reports
     the real port when the config asked for 0), ``await stop()`` closes
@@ -363,9 +355,10 @@ class ServingGateway:
     def __init__(
         self,
         router: RequestRouter,
+        *,
+        observe: Callable[[UserAction], None],
+        obs: "Observability",
         config: GatewayConfig | None = None,
-        observe: Callable[[UserAction], None] | None = None,
-        obs: "Observability | None" = None,
         breaker: "CircuitBreaker | None" = None,
     ) -> None:
         self.router = router
@@ -375,33 +368,28 @@ class ServingGateway:
         self.breaker = breaker if breaker is not None else router.breaker
         self.collector = RequestCollector(
             router,
+            obs,
             batch_max=self.config.batch_max,
             window_seconds=self.config.batch_window_ms / 1000.0,
-            obs=obs,
         )
         self._server: asyncio.AbstractServer | None = None
         self._open_connections = 0
         self._rejected_connections = 0
         self._ingested = 0
         self._conn_lock = threading.Lock()
-        if obs is not None:
-            self._http_counter = obs.registry.counter(
-                "gateway_http_requests_total",
-                "HTTP requests served by the gateway, by path and status",
-                labelnames=("path", "status"),
-            )
-            self._conn_gauge = obs.registry.gauge(
-                "gateway_open_connections",
-                "Currently open gateway connections",
-            )
-            self._rejected_counter = obs.registry.counter(
-                "gateway_connections_rejected_total",
-                "Connections refused because max_connections was reached",
-            )
-        else:
-            self._http_counter = None
-            self._conn_gauge = None
-            self._rejected_counter = None
+        self._http_counter = obs.registry.counter(
+            "gateway_http_requests_total",
+            "HTTP requests served by the gateway, by path and status",
+            labelnames=("path", "status"),
+        )
+        self._conn_gauge = obs.registry.gauge(
+            "gateway_open_connections",
+            "Currently open gateway connections",
+        )
+        self._rejected_counter = obs.registry.counter(
+            "gateway_connections_rejected_total",
+            "Connections refused because max_connections was reached",
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -414,7 +402,7 @@ class ServingGateway:
             self._handle_connection,
             host=self.config.host,
             port=self.config.port,
-            limit=max(self.config.max_body_bytes, _MAX_HEADER_BYTES) + 1024,
+            limit=max(_MAX_BODY_BYTES, _MAX_HEADER_BYTES) + 1024,
         )
 
     async def stop(self) -> None:
@@ -446,8 +434,7 @@ class ServingGateway:
         with self._conn_lock:
             self._open_connections += delta
             count = self._open_connections
-        if self._conn_gauge is not None:
-            self._conn_gauge.set(count)
+        self._conn_gauge.set(count)
         return count
 
     async def _handle_connection(
@@ -457,18 +444,13 @@ class ServingGateway:
             # Socket-level shedding: answer and close before any routing.
             with self._conn_lock:
                 self._rejected_connections += 1
-            if self._rejected_counter is not None:
-                self._rejected_counter.inc()
+            self._rejected_counter.inc()
             await self._finish(
                 writer,
                 _response_bytes(
                     503,
                     {"error": "too many connections"},
-                    extra_headers={
-                        "Retry-After": _retry_after(
-                            self.config.retry_after_seconds
-                        )
-                    },
+                    extra_headers={"Retry-After": _RETRY_AFTER_SECONDS},
                     keep_alive=False,
                 ),
             )
@@ -489,9 +471,7 @@ class ServingGateway:
     ) -> None:
         while True:
             try:
-                request = await _read_request(
-                    reader, self.config.max_body_bytes
-                )
+                request = await _read_request(reader)
             except _HttpError as exc:
                 await self._finish(
                     writer,
@@ -505,10 +485,9 @@ class ServingGateway:
             if request is None:
                 return
             status, payload, extra = await self._dispatch(request)
-            if self._http_counter is not None:
-                self._http_counter.labels(
-                    path=request.path, status=str(status)
-                ).inc()
+            self._http_counter.labels(
+                path=request.path, status=str(status)
+            ).inc()
             try:
                 await self._finish(
                     writer,
@@ -617,8 +596,7 @@ class ServingGateway:
             base["error"] = "shed"
             if response.shed_reason is not None:
                 base["reason"] = response.shed_reason
-            retry = {"Retry-After": _retry_after(self.config.retry_after_seconds)}
-            return 503, base, retry
+            return 503, base, {"Retry-After": _RETRY_AFTER_SECONDS}
         if outcome is Outcome.DEADLINE_EXCEEDED:
             base["error"] = "deadline exceeded"
             return 504, base, None
@@ -633,8 +611,6 @@ class ServingGateway:
     async def _ingest(
         self, request: _HttpRequest
     ) -> tuple[int, dict, dict[str, str] | None]:
-        if self.observe is None:
-            return 503, {"error": "ingest is not wired on this gateway"}, None
         action = _parse_action(self._json_body(request))
         loop = asyncio.get_running_loop()
         # The trainer touches the (locked) KV store — keep it off the loop.
@@ -647,8 +623,6 @@ class ServingGateway:
     async def _metrics(
         self, request: _HttpRequest
     ) -> tuple[int, dict, dict[str, str] | None]:
-        if self.obs is None:
-            return 200, {"metrics": None, "detail": "no registry attached"}, None
         return 200, json.loads(self.obs.registry.to_json()), None
 
     async def _healthz(
@@ -680,8 +654,3 @@ class ServingGateway:
             "gateway": gateway,
         }
         return 200, payload, None
-
-
-def _retry_after(seconds: float) -> str:
-    """Retry-After wants integral seconds; round up so 0.5 isn't 'now'."""
-    return str(max(1, int(seconds + 0.999)))

@@ -33,23 +33,16 @@ from __future__ import annotations
 
 import enum
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..clock import Clock
+from ..obs import _PerfClock
 from ..obs.registry import Histogram
 
 if TYPE_CHECKING:  # avoid serving <-> reliability import at module load
     from ..obs import Observability
     from ..reliability.overload import AdmissionController, CircuitBreaker
-
-
-class _PerfClock:
-    """Monotonic wall-clock for latency/deadline measurement (default)."""
-
-    def now(self) -> float:
-        return time.perf_counter()
 
 
 class Scenario(enum.Enum):

@@ -6,7 +6,7 @@ executors: a deterministic single-threaded one and a threaded one.
 """
 
 from .executor import LocalExecutor, ThreadedExecutor
-from .grouping import FieldsGrouping, Grouping, ShuffleGrouping
+from .grouping import FieldsGrouping, Grouping
 from .metrics import ComponentMetrics, TopologyMetrics
 from .topology import (
     Bolt,
@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_STREAM",
     "StreamTuple",
     "Grouping",
-    "ShuffleGrouping",
     "FieldsGrouping",
     "Spout",
     "Bolt",

@@ -5,7 +5,8 @@ vectors are re-partitioned from ``ComputeMF`` to ``MFStorage`` by their KV
 key, which "guarantees only a single worker node should operate over a
 specific video or user vector at some point", making vector updates atomic
 without locks.  :class:`FieldsGrouping` implements exactly that guarantee
-with a stable hash, and the topology tests assert it.
+with a stable hash, and the topology tests assert it.  It is the only
+grouping: every edge of Figure 2 is fields-grouped.
 """
 
 from __future__ import annotations
@@ -27,23 +28,6 @@ class Grouping(ABC):
     def describe(self) -> str:
         """Human-readable label used in topology dumps."""
         return type(self).__name__
-
-
-class ShuffleGrouping(Grouping):
-    """Round-robin distribution — even load, no key affinity.
-
-    Deterministic (a counter, not randomness) so that test runs are
-    reproducible; Storm's shuffle grouping promises only even distribution,
-    which round-robin satisfies.
-    """
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def select(self, tup: StreamTuple, n_workers: int) -> Sequence[int]:
-        worker = self._next % n_workers
-        self._next += 1
-        return (worker,)
 
 
 class FieldsGrouping(Grouping):

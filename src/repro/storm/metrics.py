@@ -166,11 +166,6 @@ class TopologyMetrics:
         return out
 
     @property
-    def total_processed(self) -> int:
-        with self._lock:
-            return sum(m.processed for m in self._components.values())
-
-    @property
     def total_shed(self) -> int:
         with self._lock:
             return sum(m.shed for m in self._components.values())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from ..errors import TopologyError
-from .grouping import FieldsGrouping, Grouping, ShuffleGrouping
+from .grouping import FieldsGrouping, Grouping
 from .tuples import DEFAULT_STREAM, StreamTuple
 
 
@@ -123,11 +123,6 @@ class BoltDeclarer:
         self._spec.subscriptions.append(Subscription(source, stream, grouping))
         return self
 
-    def shuffle_grouping(
-        self, source: str, stream: str = DEFAULT_STREAM
-    ) -> "BoltDeclarer":
-        return self._subscribe(source, ShuffleGrouping(), stream)
-
     def fields_grouping(
         self, source: str, fields: Iterable[str], stream: str = DEFAULT_STREAM
     ) -> "BoltDeclarer":
@@ -158,31 +153,6 @@ class Topology:
     def targets(self, source: str, stream: str) -> list[tuple[str, Grouping]]:
         """Downstream (bolt, grouping) pairs for tuples on (source, stream)."""
         return self.routes.get((source, stream), [])
-
-    def with_wrapped_bolts(
-        self, wrap: Callable[[ComponentSpec], Callable[[], Bolt]]
-    ) -> "Topology":
-        """A copy of this topology with every bolt factory replaced.
-
-        ``wrap`` receives each bolt's spec and returns the replacement
-        factory (typically one that decorates the original factory's
-        product).  Spouts, parallelism, and wiring are untouched.  The
-        fault-injection harness uses this to interpose chaos wrappers
-        without rebuilding the topology by hand.
-        """
-        components: dict[str, ComponentSpec] = {}
-        for name, spec in self.components.items():
-            if spec.is_spout:
-                components[name] = spec
-            else:
-                components[name] = ComponentSpec(
-                    name=spec.name,
-                    factory=wrap(spec),
-                    parallelism=spec.parallelism,
-                    is_spout=False,
-                    subscriptions=list(spec.subscriptions),
-                )
-        return Topology(components)
 
     def describe(self) -> str:
         """Render the wiring as text, one line per edge (for docs/tests)."""

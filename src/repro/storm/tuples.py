@@ -48,12 +48,6 @@ class StreamTuple(Mapping[str, Any]):
         """Project the tuple onto ``fields`` (used by fields grouping)."""
         return tuple(self._values[f] for f in fields)
 
-    def with_fields(self, **extra: Any) -> "StreamTuple":
-        """Return a copy carrying additional/overridden fields."""
-        merged = dict(self._values)
-        merged.update(extra)
-        return StreamTuple(merged, stream=self.stream)
-
     def __reduce__(self):
         # MappingProxyType does not pickle; rebuild from a plain dict.
         return (StreamTuple, (dict(self._values), self.stream))

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..clock import Clock, SystemClock
-from ..config import ReproConfig
 from ..core.recommender import RealtimeRecommender
 from ..core.variants import COMBINE_MODEL, ModelVariant
 from ..data.schema import User, UserAction, Video
@@ -76,7 +75,6 @@ class RecommendationSystem:
     store: KVStore
     videos: Mapping[str, Video]
     users: Mapping[str, User] = field(default_factory=dict)
-    config: ReproConfig = field(default_factory=ReproConfig)
     variant: ModelVariant = COMBINE_MODEL
     clock: Clock = field(default_factory=SystemClock)
     obs: "Observability | None" = None
@@ -88,7 +86,6 @@ class RecommendationSystem:
         self._recommender = RealtimeRecommender(
             self.videos,
             users=self.users,
-            config=self.config,
             variant=self.variant,
             clock=self.clock,
             store=self.store,
@@ -115,7 +112,6 @@ def build_recommendation_topology(
     source: Iterable[str | UserAction],
     videos: Mapping[str, Video],
     users: Mapping[str, User] | None = None,
-    config: ReproConfig | None = None,
     variant: ModelVariant = COMBINE_MODEL,
     clock: Clock | None = None,
     store: KVStore | None = None,
@@ -139,7 +135,6 @@ def build_recommendation_topology(
         store=backing,
         videos=videos,
         users=users or {},
-        config=config or ReproConfig(),
         variant=variant,
         clock=clock or SystemClock(),
         obs=obs,

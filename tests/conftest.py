@@ -13,6 +13,7 @@ from hypothesis import settings
 
 from repro.data import SyntheticWorld, WorldConfig, split_by_day
 from repro.data.synthetic import paper_world_config
+from tests.support.obs import deterministic_obs
 
 # Tier-1 and CI draw the same examples on every run and keep no example
 # database, so two runs pass or fail identically; a scheduled job explores
@@ -58,3 +59,10 @@ def medium_actions(medium_world):
 @pytest.fixture(scope="session")
 def medium_split(medium_actions):
     return split_by_day(medium_actions, train_days=3)
+
+
+@pytest.fixture
+def virtual_obs():
+    """An Observability bundle whose registry, tracer and perf clock share
+    one VirtualClock (``virtual_obs.perf_clock``)."""
+    return deterministic_obs()

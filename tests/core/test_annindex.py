@@ -297,6 +297,6 @@ class TestRebuildEquivalence:
         flipped = -np.asarray(model.video_vector("v0001"))
         idx.upsert("v0001", flipped)
         report = idx.rebuild(model)
-        assert report["indexed"] == len(model.known_videos())
+        assert report["indexed"] == len(model.video_rows()[0])
         assert report["build_seconds"] >= 0.0
         assert idx.stats()["stale_entries"] == 0

@@ -12,6 +12,7 @@ from repro.core import (
 from repro.config import MFConfig, SimilarityConfig
 from repro.data import ActionType, UserAction, Video
 from repro.kvstore import InMemoryKVStore, Namespace
+from tests.support.world import raw_entries
 
 
 class TestRecommenderEdges:
@@ -30,7 +31,7 @@ class TestRecommenderEdges:
         rec.observe(UserAction(0.0, "u0", "not-in-catalogue", ActionType.CLICK))
         # trains the MF pair (ids are opaque to MF) but cannot enter the
         # similar tables (no metadata) — and nothing crashes.
-        assert rec.model.has_video("not-in-catalogue")
+        assert rec.model.video_vector("not-in-catalogue") is not None
         assert "not-in-catalogue" not in rec.table
 
     def test_same_timestamp_actions(self, small_world):
@@ -71,7 +72,7 @@ class TestSimTableEdges:
         table.offer_pair("v0", "v1", now=0.0)
         table.offer_pair("v0", "v2", now=0.0)
         table.offer_pair("v0", "v3", now=0.0)
-        assert len(table.raw_entries("v0")) == 1
+        assert len(raw_entries(table, "v0")) == 1
 
 
 class TestNamespaceMixedBacking:

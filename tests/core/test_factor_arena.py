@@ -49,9 +49,11 @@ class TestBasics:
 
     def test_bias_without_vector(self):
         arena = FactorArena(4)
-        arena.set_bias("u", 0.5)
-        assert arena.bias("u") == 0.5
-        assert "u" not in arena  # membership follows the vector
+        arena.put("u", _vec(4, 1.0), 0.5)
+        arena.delete("u")
+        assert arena.bias("u") == 0.0
+        assert "u" in arena.export_rows()[0]  # the row is retained...
+        assert "u" not in arena  # ...but membership follows the vector
         assert len(arena) == 0
 
 
@@ -133,14 +135,15 @@ class TestPickle:
         arena = FactorArena(3, initial_capacity=2)
         for i in range(10):
             arena.put(f"e{i}", _vec(3, i), float(i) / 2)
-        arena.set_bias("bias-only", 0.75)
+        arena.put("bias-only", _vec(3, 1.0), 0.75)
+        arena.delete("bias-only")
         clone = pickle.loads(pickle.dumps(arena))
         assert len(clone) == 10
         assert clone.ids() == arena.ids()
         for i in range(10):
             np.testing.assert_array_equal(clone.vector(f"e{i}"), _vec(3, i))
             assert clone.bias(f"e{i}") == float(i) / 2
-        assert clone.bias("bias-only") == 0.75
+        assert clone.export_rows()[0] == arena.export_rows()[0]
         assert "bias-only" not in clone
         # The clone is independently mutable (fresh lock, fresh arrays).
         clone.put("new", _vec(3, 42.0), 0.0)

@@ -30,16 +30,15 @@ class TestRouting:
         grouped.observe(_click("f1", "v1"))
         male = grouped.recommender_for_group("m|young")
         female = grouped.recommender_for_group("f|adult")
-        assert male.model.has_user("m1")
-        assert not male.model.has_user("f1")
-        assert female.model.has_user("f1")
+        assert male.model.user_vector("m1") is not None
+        assert male.model.user_vector("f1") is None
+        assert female.model.user_vector("f1") is not None
 
     def test_unknown_user_routed_to_global(self, grouped):
         grouped.observe(_click("stranger", "v0"))
         assert GLOBAL_GROUP in grouped.groups()
-        assert grouped.recommender_for_group(GLOBAL_GROUP).model.has_user(
-            "stranger"
-        )
+        model = grouped.recommender_for_group(GLOBAL_GROUP).model
+        assert model.user_vector("stranger") is not None
 
     def test_unregistered_user_routed_to_global(self, grouped):
         grouped.observe(_click("anon", "v0"))

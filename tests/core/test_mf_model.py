@@ -18,12 +18,12 @@ class TestInitialisation:
     def test_unknown_entities_have_no_vectors(self, model):
         assert model.user_vector("u1") is None
         assert model.video_vector("v1") is None
-        assert not model.has_user("u1")
+        assert model.user_vector("u1") is None
 
     def test_ensure_creates_vector(self, model):
         x = model.ensure_user("u1")
         assert x.shape == (8,)
-        assert model.has_user("u1")
+        assert model.user_vector("u1") is not None
 
     def test_ensure_is_idempotent(self, model):
         x1 = model.ensure_user("u1")
@@ -49,7 +49,7 @@ class TestInitialisation:
         model.ensure_video("v1")
         assert model.n_users == 2
         assert model.n_videos == 1
-        assert set(model.known_videos()) == {"v1"}
+        assert set(model.video_rows()[0]) == {"v1"}
 
 
 class TestMu:
@@ -150,8 +150,8 @@ class TestSGDStep:
 
     def test_compute_update_without_persist_init_does_not_store(self, model):
         update = model.compute_update("u", "v", 1.0, 0.1, persist_init=False)
-        assert not model.has_user("u")
-        assert not model.has_video("v")
+        assert model.user_vector("u") is None
+        assert model.video_vector("v") is None
         assert update.x_u.shape == (8,)
 
     def test_compute_then_apply_equals_sgd_step(self):
@@ -180,5 +180,5 @@ class TestSharedStore:
         writer = MFModel(MFConfig(f=4, seed=2), store=store)
         reader = MFModel(MFConfig(f=4, seed=2), store=store)
         writer.sgd_step("u", "v", 1.0, 0.1)
-        assert reader.has_user("u")
+        assert reader.user_vector("u") is not None
         assert np.array_equal(reader.user_vector("u"), writer.user_vector("u"))

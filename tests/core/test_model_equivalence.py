@@ -4,7 +4,7 @@
 with no code in common with ``repro.core``; after the same seeded action
 stream production must have learned what the oracle learned, for all three
 §6.1.2 variants and along every training path (per-action ``process``,
-micro-batched ``process_batch``, ``sgd_step_many``, the assembled
+micro-batched ``process_batch``, an ``MFModel.batch_session``, the assembled
 ``RealtimeRecommender``).  Agreement is to ``RTOL`` — see its comment in
 ``tests/reference`` for why not to the bit — while the exhaustive Eq. 2
 top-10 must be exactly the same list.
@@ -42,7 +42,8 @@ def _trained_model(actions, videos, variant=COMBINE_MODEL, batch=None):
     model = MFModel(store=store)
     trainer = OnlineTrainer(model, videos=videos, variant=variant)
     if batch is None:
-        trainer.process_stream(actions)
+        for action in actions:
+            trainer.process(action)
     else:
         for start in range(0, len(actions), batch):
             trainer.process_batch(list(actions[start : start + batch]))
@@ -65,7 +66,7 @@ class TestPredictionEquivalence:
 
     def test_scalar_predict_matches_oracle(self, trained_pair, small_world):
         model, _, oracle = trained_pair
-        videos = sorted(model.known_videos())[:20] + ["never-seen"]
+        videos = sorted(model.video_rows()[0])[:20] + ["never-seen"]
         for user_id in sorted(small_world.users)[:10] + ["stranger"]:
             for video_id in videos:
                 np.testing.assert_allclose(
@@ -76,7 +77,7 @@ class TestPredictionEquivalence:
 
     def test_predict_many_matches_oracle(self, trained_pair, small_world):
         model, _, oracle = trained_pair
-        videos = sorted(model.known_videos()) + ["never-seen"]
+        videos = sorted(model.video_rows()[0]) + ["never-seen"]
         for user_id in sorted(small_world.users)[:10] + ["stranger"]:
             np.testing.assert_allclose(
                 model.predict_many(user_id, videos),
@@ -89,7 +90,7 @@ class TestPredictionEquivalence:
         # accumulation order inside the dot product may differ, so the
         # tolerance is a few ULP rather than exact.
         model, _, oracle = trained_pair
-        videos = sorted(model.known_videos()) + ["never-seen"]
+        videos = sorted(model.video_rows()[0]) + ["never-seen"]
         user_id = min(oracle.x)
         batched = model.predict_many(user_id, videos)
         scalar = np.array([model.predict(user_id, v) for v in videos])
@@ -97,7 +98,7 @@ class TestPredictionEquivalence:
 
     def test_top_n_matches_oracle(self, trained_pair, small_world):
         model, _, oracle = trained_pair
-        videos = sorted(model.known_videos())
+        videos = sorted(model.video_rows()[0])
         for user_id in sorted(small_world.users)[:10]:
             scores = model.predict_many(user_id, videos)
             ranked = sorted(range(len(videos)), key=lambda i: (-scores[i], videos[i]))
@@ -118,7 +119,7 @@ class TestBatchTrainingEquivalence:
         )
         assert batch_model.mu == seq_model.mu
         assert batch_trainer.stats == seq_trainer.stats
-        videos = sorted(seq_model.known_videos())
+        videos = sorted(seq_model.video_rows()[0])
         for user_id in sorted(small_world.users)[:10]:
             np.testing.assert_array_equal(
                 batch_model.predict_many(user_id, videos),
@@ -147,7 +148,7 @@ class TestBatchTrainingEquivalence:
         assert write.call_count == 1 and len(write.call_args.args[0]) > 2
         assert fold.call_count == 1
 
-    def test_sgd_step_many_matches_loop(self):
+    def test_batch_session_matches_loop(self):
         steps = [
             ("u1", "v1", 1.0, 0.01),
             ("u1", "v2", 2.0, 0.02),
@@ -157,7 +158,12 @@ class TestBatchTrainingEquivalence:
         loop = MFModel()
         loop_updates = [loop.sgd_step(*step) for step in steps]
         batched = MFModel()
-        batch_updates = batched.sgd_step_many(steps)
+        session = batched.batch_session(
+            (user_id for user_id, _, _, _ in steps),
+            (video_id for _, video_id, _, _ in steps),
+        )
+        batch_updates = [session.sgd_step(*step) for step in steps]
+        session.commit()
         oracle = ReferenceModel(loop._init_vector, {})
         for step, a, b in zip(steps, loop_updates, batch_updates):
             assert a.error == b.error
@@ -189,8 +195,8 @@ class TestPersistence:
         dst_model = MFModel(store=dst_store)
         assert dst_model.mu == src_model.mu
         assert dst_model.n_users == src_model.n_users
-        videos = sorted(src_model.known_videos())
-        assert sorted(dst_model.known_videos()) == videos
+        videos = sorted(src_model.video_rows()[0])
+        assert sorted(dst_model.video_rows()[0]) == videos
         for user_id in sorted(small_world.users)[:10]:
             np.testing.assert_array_equal(
                 dst_model.predict_many(user_id, videos),
@@ -206,7 +212,7 @@ class TestPersistence:
         dst_model = MFModel()
         dst_model.load(path)
         assert dst_model.mu == src_model.mu
-        videos = sorted(src_model.known_videos())
+        videos = sorted(src_model.video_rows()[0])
         for user_id in ("u0", "u1", "u2"):
             np.testing.assert_array_equal(
                 dst_model.predict_many(user_id, videos),

@@ -48,7 +48,7 @@ class TestProcessing:
             UserAction(0.0, "u1", "v1", ActionType.IMPRESS)
         )
         assert result is None
-        assert not trainer.model.has_user("u1")
+        assert trainer.model.user_vector("u1") is None
         assert trainer.stats.skipped_zero == 1
 
     def test_impression_still_counts_into_mu(self):
@@ -61,8 +61,8 @@ class TestProcessing:
         trainer = _trainer()
         update = trainer.process(_click())
         assert update is not None
-        assert trainer.model.has_user("u1")
-        assert trainer.model.has_video("v1")
+        assert trainer.model.user_vector("u1") is not None
+        assert trainer.model.video_vector("v1") is not None
         assert trainer.stats.updated == 1
 
     def test_new_entities_initialised_on_first_action(self):
@@ -97,7 +97,7 @@ class TestProcessing:
         bad = UserAction(0.0, "u1", "ghost", ActionType.PLAYTIME, view_time=10)
         assert trainer.process(bad) is None
         assert trainer.stats.skipped_invalid == 1
-        assert not trainer.model.has_user("u1")
+        assert trainer.model.user_vector("u1") is None
 
     def test_is_playtime_capable(self):
         trainer = _trainer()
@@ -114,13 +114,15 @@ class TestProcessing:
             _click(ts=1.0),
             _click(user="u2", ts=2.0),
         ]
-        assert trainer.process_stream(stream) == 2
+        for action in stream:
+            trainer.process(action)
+        assert trainer.stats.updated == 2
         assert trainer.stats.seen == 3
 
     def test_stats_mean_abs_error(self):
         trainer = _trainer()
         trainer.process(_click())
-        assert trainer.stats.mean_abs_error > 0
+        assert trainer.stats.abs_error_total > 0
 
     def test_repeated_engagement_raises_prediction(self):
         """Single-step updating: repeated positive actions push the pair's

@@ -9,6 +9,7 @@ from repro.clock import VirtualClock
 from repro.config import ReproConfig
 from repro.core import RealtimeRecommender, Recommendation
 from repro.data import ActionType, UserAction, Video
+from tests.support.world import raw_entries
 
 
 @pytest.fixture
@@ -43,8 +44,8 @@ class TestObserve:
     def test_engagement_trains_model(self, small_world):
         rec = RealtimeRecommender(small_world.videos, clock=VirtualClock(0.0))
         rec.observe(UserAction(1.0, "u0", "v0", ActionType.CLICK))
-        assert rec.model.has_user("u0")
-        assert rec.model.has_video("v0")
+        assert rec.model.user_vector("u0") is not None
+        assert rec.model.video_vector("v0") is not None
 
     def test_co_engagement_builds_similar_table(self, small_world):
         rec = RealtimeRecommender(small_world.videos, clock=VirtualClock(0.0))
@@ -53,8 +54,8 @@ class TestObserve:
         # The pair is scored and stored in both directions (its *damped*
         # relevance may be <= 0 with near-random cold vectors, so check the
         # raw table rather than the positive-filtered neighbor view).
-        assert "v0" in rec.table.raw_entries("v1")
-        assert "v1" in rec.table.raw_entries("v0")
+        assert "v0" in raw_entries(rec.table, "v1")
+        assert "v1" in raw_entries(rec.table, "v0")
 
     def test_stream_count(self, small_world, small_split):
         rec = RealtimeRecommender(small_world.videos, clock=VirtualClock(0.0))
@@ -62,18 +63,34 @@ class TestObserve:
         assert count == 100
 
 
-class TestSeeds:
-    def test_current_video_is_the_seed(self, trained):
-        assert trained.seeds_for("u0", current_video="v5") == ["v5"]
+def _seeds(rec, monkeypatch, user_id, current_video=None):
+    """The seeds one ``recommend`` call expands through the simtable."""
+    seen = []
+    select = rec.selector.select
 
-    def test_history_seeds_when_not_watching(self, trained):
-        seeds = trained.seeds_for("u0")
+    def spy(seeds, **kwargs):
+        seen.append(list(seeds))
+        return select(seeds, **kwargs)
+
+    monkeypatch.setattr(rec.selector, "select", spy)
+    rec.recommend(user_id, current_video=current_video, n=5)
+    (seeds,) = seen
+    return seeds
+
+
+class TestSeeds:
+    def test_current_video_is_the_seed(self, trained, monkeypatch):
+        assert _seeds(trained, monkeypatch, "u0", current_video="v5") == ["v5"]
+
+    def test_history_seeds_when_not_watching(self, trained, monkeypatch):
+        seeds = _seeds(trained, monkeypatch, "u0")
+        assert seeds
         assert seeds == trained.history.recent(
             "u0", trained.config.recommend.max_seeds
         )
 
-    def test_unknown_user_no_seeds(self, trained):
-        assert trained.seeds_for("stranger") == []
+    def test_unknown_user_no_seeds(self, trained, monkeypatch):
+        assert _seeds(trained, monkeypatch, "stranger") == []
 
 
 class TestRecommend:

@@ -85,7 +85,8 @@ class TestReservoirTrainer:
     def test_replays_happen(self):
         wrapped = ReservoirTrainer(_trainer(), capacity=50, replays=2, seed=1)
         stream = [_click(f"u{i % 4}", f"v{i % 6}", float(i)) for i in range(40)]
-        wrapped.process_stream(stream)
+        for action in stream:
+            wrapped.process(action)
         assert wrapped.stats.replayed > 0
         assert len(wrapped.reservoir) == 40
 

@@ -101,12 +101,13 @@ class TestSimilarityScorer:
 
     def test_full_relevance_eq12(self, scorer):
         y1, y2 = np.array([0.5, 0.5]), np.array([0.5, -0.5])
-        full = scorer.relevance(COMEDY_A, y1, COMEDY_B, y2, elapsed=100.0)
         raw = scorer.raw_relevance(COMEDY_A, y1, COMEDY_B, y2)
+        full = scorer.damped(raw, elapsed=100.0)
         assert full == pytest.approx(raw * 0.5)
 
     def test_stale_similarity_forgotten(self, scorer):
         """After many half-lives the relevance is negligible — 'the past
         similar videos should be gradually forgotten'."""
         y = np.array([1.0, 0.0])
-        assert scorer.relevance(COMEDY_A, y, COMEDY_B, y, elapsed=10_000.0) < 1e-20
+        raw = scorer.raw_relevance(COMEDY_A, y, COMEDY_B, y)
+        assert scorer.damped(raw, elapsed=10_000.0) < 1e-20

@@ -7,6 +7,7 @@ from repro.config import SimilarityConfig
 from repro.core import MFModel, SimilarVideoTable, generate_pairs
 from repro.config import MFConfig
 from repro.data import Video
+from tests.support.world import raw_entries
 
 
 def _videos(n=6, kinds=("a", "b")):
@@ -92,13 +93,13 @@ class TestTopKEviction:
         _, _, _, table = setup
         for other in ("v1", "v2", "v3", "v4", "v5"):
             table.offer_pair("v0", other, now=0.0)
-        assert len(table.raw_entries("v0")) == 3
+        assert len(raw_entries(table, "v0")) == 3
 
     def test_weakest_evicted(self, setup):
         videos, model, clock, table = setup
         for other in ("v1", "v2", "v3", "v4", "v5"):
             table.offer_pair("v0", other, now=0.0)
-        kept = table.raw_entries("v0")
+        kept = raw_entries(table, "v0")
         all_raw = {
             other: table.score_pair("v0", other)
             for other in ("v1", "v2", "v3", "v4", "v5")

@@ -18,6 +18,7 @@ from repro.core.simtable import _eviction_key
 from repro.data import SyntheticWorld, WorldConfig
 from repro.data.stream import ENGAGEMENT_ACTIONS
 from repro.eval.scenarios import FlashCrowd, Scenario
+from tests.support.world import raw_entries
 
 VIRAL_DAY = 2
 XI = 2.0 * SECONDS_PER_DAY  # the damping window the assertions use
@@ -156,14 +157,14 @@ class TestEvictionIsHeapWeakest:
             [(0.9, 0.0), (0.5, 1000.0), (0.8, 2000.0), (0.4, 3000.0)]
         ):
             table.insert_scored("v0", f"v{i + 1}", raw, t)
-        entries = table.raw_entries("v0")
+        entries = raw_entries(table, "v0")
         assert len(entries) == 4
         weakest = min(
             entries, key=lambda o: _eviction_key(*entries[o], xi=xi)
         )
 
         table.insert_scored("v0", "v9", 0.95, 4000.0)
-        after = table.raw_entries("v0")
+        after = raw_entries(table, "v0")
         assert len(after) == 4
         assert weakest not in after
         assert "v9" in after
@@ -180,14 +181,14 @@ class TestEvictionIsHeapWeakest:
         # Repeatedly inserting ever-stronger entries must evict survivors
         # in exactly ascending damped order.
         expected_order = sorted(
-            table.raw_entries("v0").items(),
+            raw_entries(table, "v0").items(),
             key=lambda item: _eviction_key(*item[1], xi=xi),
         )
         evicted = []
-        present = set(table.raw_entries("v0"))
+        present = set(raw_entries(table, "v0"))
         for j, t in enumerate([2000.0, 3000.0, 4000.0]):
             table.insert_scored("v0", f"v{j + 6}", 5.0 + j, t)
-            now_present = set(table.raw_entries("v0"))
+            now_present = set(raw_entries(table, "v0"))
             gone = present - now_present
             assert len(gone) == 1
             evicted.append(gone.pop())
@@ -203,6 +204,6 @@ class TestEvictionIsHeapWeakest:
             "v0", "v2", 0.5, 10 * SECONDS_PER_DAY
         )  # moderate, fresh: damped 10*2^-5 = 0.3125 < 0.5
         table.insert_scored("v0", "v3", 0.6, 10 * SECONDS_PER_DAY)
-        after = table.raw_entries("v0")
+        after = raw_entries(table, "v0")
         assert "v1" not in after  # the stale titan fell first
         assert set(after) == {"v2", "v3"}

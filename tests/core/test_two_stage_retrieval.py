@@ -12,6 +12,7 @@ from repro.data import ActionType, UserAction
 from repro.kvstore import InMemoryKVStore
 from repro.obs import Observability
 from repro.serving import RecRequest, RequestRouter
+from tests.support.obs import counter_totals
 
 
 def _config(mode, **knobs):
@@ -56,7 +57,7 @@ class TestSaturatedEquivalence:
         rec = _trained(
             small_world, small_split, "ann", enable_demographic=False
         )
-        catalog = rec.model.known_videos()
+        catalog = rec.model.video_rows()[0]
         for user in _warm_users(rec):
             got = rec.recommend_ids(user, current_video="v5", n=10)
             pool = [vid for vid in catalog if vid != "v5"]
@@ -231,7 +232,7 @@ class TestRouterIntegration:
         rec.observe_stream(small_split.train[:300])
         rec.rebuild_index()
         rec.recommend_ids(_warm_users(rec, limit=1)[0], n=5)
-        totals = obs.registry.counter_totals()
+        totals = counter_totals(obs.registry)
 
         def total(family):
             return sum(

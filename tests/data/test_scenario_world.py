@@ -27,6 +27,7 @@ from repro.eval.scenarios import (
     flash_crowd,
     preference_drift,
 )
+from tests.support.world import best_videos
 
 # Captured from the pre-scenario generator (commit before this refactor).
 GOLDEN_STREAM_SMALL = (
@@ -222,8 +223,8 @@ class TestPreferenceDrift:
         assert before == no_time  # pre-drift == base ground truth
         assert after != before
 
-        top_before = world.best_videos("u0", k=5, now=2 * SECONDS_PER_DAY)
-        top_after = world.best_videos("u0", k=5, now=4 * SECONDS_PER_DAY)
+        top_before = best_videos(world, "u0", k=5, now=2 * SECONDS_PER_DAY)
+        top_after = best_videos(world, "u0", k=5, now=4 * SECONDS_PER_DAY)
         assert top_before != top_after
 
     def test_rotation_preserves_norms(self, base_cfg):

@@ -11,6 +11,7 @@ from repro.data import (
     replay,
     split_by_day,
 )
+from repro.data.stream import ENGAGEMENT_ACTIONS
 from repro.errors import DataError
 
 
@@ -60,7 +61,8 @@ class TestSplitByDay:
             UserAction(7 * SECONDS_PER_DAY, "u", "v2", ActionType.CLICK),
         ]
         split = split_by_day(actions, train_days=6)
-        assert [a.video_id for a in split.test_engagements] == ["v2"]
+        engaged = [a for a in split.test if a.action in ENGAGEMENT_ACTIONS]
+        assert [a.video_id for a in engaged] == ["v2"]
 
 
 class TestFilterActive:

@@ -8,6 +8,7 @@ from repro.clock import SECONDS_PER_DAY
 from repro.data import ActionType, SyntheticWorld, WorldConfig
 from repro.data.synthetic import paper_world_config
 from repro.errors import ConfigError
+from tests.support.world import best_videos
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,7 @@ class TestGroundTruth:
         )
 
     def test_best_videos_sorted_by_affinity(self, world):
-        best = world.best_videos("u3", k=5)
+        best = best_videos(world, "u3", k=5)
         affinities = [world.affinity("u3", v) for v in best]
         assert affinities == sorted(affinities, reverse=True)
 
@@ -163,7 +164,7 @@ class TestGroundTruth:
 
     def test_simulate_clicks_rate_tracks_probability(self, world):
         rng = np.random.default_rng(0)
-        video = world.best_videos("u0", 1)[0]
+        video = best_videos(world, "u0", 1)[0]
         p = world.click_probability("u0", video)
         hits = sum(
             1 for _ in range(500) if world.simulate_clicks("u0", [video], rng)

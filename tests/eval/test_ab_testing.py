@@ -4,6 +4,7 @@ import pytest
 
 from repro.data import SyntheticWorld, WorldConfig
 from repro.eval import ArmStats, Experiment, ExperimentResult
+from tests.support.world import best_videos
 
 
 class _FixedArm:
@@ -100,7 +101,7 @@ class TestHarness:
 
             def recommend_ids(self, user_id, current_video=None, n=None, now=None):
                 k = n or 10
-                videos = self.world.best_videos(user_id, len(self.world.videos))
+                videos = best_videos(self.world, user_id, len(self.world.videos))
                 return videos[:k] if self.best else videos[-k:]
 
         result = Experiment(

@@ -13,6 +13,7 @@ from repro.eval import (
     MSPRTStopping,
     mixture_sprt_p_value,
 )
+from tests.support.world import best_videos
 
 
 class _FixedArm:
@@ -37,7 +38,7 @@ class _OracleArm(_FixedArm):
 
     def recommend_ids(self, user_id, current_video=None, n=None, now=None):
         k = n or 10
-        videos = self.world.best_videos(user_id, len(self.world.videos))
+        videos = best_videos(self.world, user_id, len(self.world.videos))
         return videos[:k] if self.best else videos[-k:]
 
 

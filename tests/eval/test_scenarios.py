@@ -17,7 +17,6 @@ from repro.eval.scenarios import (
     FlashCrowd,
     PreferenceDrift,
     Scenario,
-    ScenarioOpsConfig,
     ScenarioReport,
     _ctr_ordering_ok,
     _plane_rotation,
@@ -289,14 +288,6 @@ class TestCtrOrdering:
 
     def test_missing_arms_rejected(self):
         assert not _ctr_ordering_ok({"Hot": 0.2})
-
-
-class TestOpsConfig:
-    def test_rejects_bad_knobs(self):
-        with pytest.raises(ConfigError):
-            ScenarioOpsConfig(base_qps=0.0)
-        with pytest.raises(ConfigError):
-            ScenarioOpsConfig(requests_per_window=0)
 
 
 class _CheapArm:

@@ -15,7 +15,6 @@ from repro.kvstore import (
     ReadThroughCache,
     ShardedKVStore,
 )
-from repro.obs import Observability
 from tests.support.faults import FlakyKVStore, TransientKVError
 
 
@@ -135,8 +134,8 @@ class TestFaultInjection:
 
 
 class TestInstrumented:
-    def test_batch_ops_counted_with_key_totals(self):
-        obs = Observability.deterministic()
+    def test_batch_ops_counted_with_key_totals(self, virtual_obs):
+        obs = virtual_obs
         store = obs.instrument_store(InMemoryKVStore())
         store.mput([(f"k{i}", i) for i in range(3)])
         store.mget([f"k{i}" for i in range(5)])

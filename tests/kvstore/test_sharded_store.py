@@ -22,7 +22,7 @@ class TestSharding:
     def test_keys_spread_across_shards(self, store):
         for i in range(400):
             store.put(f"key-{i}", i)
-        sizes = store.shard_sizes()
+        sizes = [len(shard) for shard in store._shards]
         assert sum(sizes) == 400
         assert all(size > 10 for size in sizes)
 

@@ -22,6 +22,7 @@ from repro.storm import (
     ThreadedExecutor,
     TopologyBuilder,
 )
+from tests.support.obs import counter_totals
 
 N_TUPLES = 60
 N_KEYS = 7
@@ -113,8 +114,8 @@ def test_same_input_same_output_same_counters():
     )[:TOP_N]
 
     # ...and identical counter totals, storm-level and application-level.
-    local_totals = local_obs.registry.counter_totals()
-    threaded_totals = threaded_obs.registry.counter_totals()
+    local_totals = counter_totals(local_obs.registry)
+    threaded_totals = counter_totals(threaded_obs.registry)
     assert local_totals == threaded_totals
 
     # Sanity-pin the absolute numbers so the diff can't pass vacuously.
@@ -133,6 +134,6 @@ def test_counters_stable_across_repeated_runs(executor_cls):
     second_top, second_obs = _run(executor_cls)
     assert first_top == second_top
     assert (
-        first_obs.registry.counter_totals()
-        == second_obs.registry.counter_totals()
+        counter_totals(first_obs.registry)
+        == counter_totals(second_obs.registry)
     )

@@ -17,8 +17,8 @@ import os
 from pathlib import Path
 
 from repro.kvstore import InMemoryKVStore
-from repro.obs import Observability
 from repro.storm import Bolt, LocalExecutor, Spout, StreamTuple, TopologyBuilder
+from tests.support.obs import deterministic_obs
 
 GOLDEN = Path(__file__).parent / "golden" / "registry_snapshot.json"
 
@@ -52,7 +52,7 @@ class _WorkBolt(Bolt):
 
 
 def _deterministic_registry_json() -> str:
-    obs = Observability.deterministic()
+    obs = deterministic_obs()
     clock = obs.perf_clock  # the one VirtualClock behind everything
     store = obs.instrument_store(InMemoryKVStore())
     builder = TopologyBuilder()

@@ -12,6 +12,7 @@ from repro.obs import (
     REGISTRY_SCHEMA_VERSION,
     MetricsRegistry,
 )
+from tests.support.obs import counter_totals
 
 
 def test_counter_monotonic_and_negative_rejected():
@@ -29,7 +30,7 @@ def test_gauge_set_inc_dec():
     g = reg.gauge("queue_depth", "depth")
     g.set(7)
     g.inc(3)
-    g.dec(2)
+    g.inc(-2)
     assert g.value == 8
 
 
@@ -58,7 +59,7 @@ def test_labelled_series_are_independent():
     c = reg.counter("ops_total", "x", labelnames=("op",))
     c.labels(op="get").inc(2)
     c.labels(op="put").inc(5)
-    totals = reg.counter_totals()
+    totals = counter_totals(reg)
     assert totals["ops_total{op=get}"] == 2
     assert totals["ops_total{op=put}"] == 5
 

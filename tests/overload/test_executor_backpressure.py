@@ -50,7 +50,7 @@ class _FailingBolt(Bolt):
 def _topology(n_tuples, bolt_factory):
     builder = TopologyBuilder()
     builder.set_spout("src", lambda: _CountingSpout(n_tuples))
-    builder.set_bolt("sink", bolt_factory).shuffle_grouping("src")
+    builder.set_bolt("sink", bolt_factory).fields_grouping("src", ["i"])
     return builder.build()
 
 

@@ -10,8 +10,8 @@ exact and reproducible.
 import pytest
 
 from repro.clock import VirtualClock
-from repro.errors import CircuitOpenError
 from repro.reliability import AdmissionController, CircuitBreaker
+from repro.reliability.overload import FAILURE_THRESHOLD, RESET_TIMEOUT
 from repro.serving import (
     ARRIVAL_PROCESSES,
     LoadGenerator,
@@ -191,15 +191,14 @@ class TestPrimaryBreakerFailover:
         clock = VirtualClock(0.0)
         primary = _SimulatedBackend(clock, service_time=0.050, fail=True)
         fallback = _SimulatedBackend(clock, service_time=0.001)
-        breaker = CircuitBreaker(
-            failure_threshold=3, reset_timeout=30.0, clock=clock
-        )
+        breaker = CircuitBreaker(clock=clock)
         router = RequestRouter(
             primary, fallback=fallback, breaker=breaker, clock=clock
         )
 
-        # Three failures trip the breaker; each costs the primary's 50ms.
-        for _ in range(3):
+        # FAILURE_THRESHOLD failures trip the breaker; each costs the
+        # primary's 50ms.
+        for _ in range(FAILURE_THRESHOLD):
             response = router.handle(RecRequest("u1"))
             assert response.outcome is Outcome.DEGRADED
             assert response.latency_seconds >= 0.050
@@ -215,7 +214,7 @@ class TestPrimaryBreakerFailover:
 
         # Recovery: after the reset timeout the primary is probed again.
         primary.fail = False
-        clock.advance(30.0)
+        clock.advance(RESET_TIMEOUT)
         response = router.handle(RecRequest("u1"))
         assert response.outcome is Outcome.OK
         assert primary.calls == calls_before + 1
@@ -223,11 +222,10 @@ class TestPrimaryBreakerFailover:
     def test_breaker_without_fallback_reports_error(self):
         clock = VirtualClock(0.0)
         primary = _SimulatedBackend(clock, fail=True)
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout=30.0, clock=clock
-        )
+        breaker = CircuitBreaker(clock=clock)
         router = RequestRouter(primary, breaker=breaker, clock=clock)
-        router.handle(RecRequest("u1"))
+        for _ in range(FAILURE_THRESHOLD):
+            router.handle(RecRequest("u1"))
         response = router.handle(RecRequest("u1"))
         assert response.outcome is Outcome.ERROR
-        assert CircuitOpenError.__name__ in response.error
+        assert "CircuitOpenError" in response.error

@@ -39,7 +39,7 @@ from repro.kvstore import (
     ReadThroughCache,
     ShardedKVStore,
 )
-from repro.obs import Observability
+from tests.support.obs import deterministic_obs
 
 _ABSENT = "<absent>"
 
@@ -270,7 +270,7 @@ class ServedMemoryStackMachine(KVStoreMachine):
     """``repro-serve`` without ``--data-dir``."""
 
     def build(self, root):
-        obs = Observability.deterministic()
+        obs = deterministic_obs()
         return [obs.instrument_store(InMemoryKVStore())], None
 
 
@@ -279,7 +279,7 @@ class ServedDurableStackMachine(KVStoreMachine):
 
     def build(self, root):
         durable = _durable(root)
-        obs = Observability.deterministic()
+        obs = deterministic_obs()
         tier = ReadThroughCache(durable, capacity=3)
         return [obs.instrument_store(tier)], durable
 

@@ -16,6 +16,7 @@ from repro.core import (
     merge_recommendations,
 )
 from repro.data import Video
+from tests.support.world import raw_entries
 
 video_ids = st.sampled_from([f"v{i}" for i in range(12)])
 user_ids = st.sampled_from([f"u{i}" for i in range(5)])
@@ -50,7 +51,7 @@ class TestSimilarVideoTableProperties:
         for video_i, video_j, ts in sorted(pairs, key=lambda p: p[2]):
             table.offer_pair(video_i, video_j, now=ts)
         for video in table.tracked_videos():
-            entries = table.raw_entries(video)
+            entries = raw_entries(table, video)
             # bounded
             assert len(entries) <= 4
             # never self-similar
@@ -73,8 +74,8 @@ class TestSimilarVideoTableProperties:
         for video_i, video_j in pairs:
             raw = table.offer_pair(video_i, video_j, now=0.0)
             if raw is not None:
-                assert video_j in table.raw_entries(video_i)
-                assert video_i in table.raw_entries(video_j)
+                assert video_j in raw_entries(table, video_i)
+                assert video_i in raw_entries(table, video_j)
 
 
 class TestHotTrackerProperties:
@@ -154,7 +155,6 @@ arena_scalars = st.floats(
 arena_operations = st.lists(
     st.one_of(
         st.tuples(st.just("put"), arena_ids, arena_scalars, arena_scalars),
-        st.tuples(st.just("set_bias"), arena_ids, arena_scalars),
         st.tuples(st.just("setdefault"), arena_ids, arena_scalars),
         st.tuples(st.just("delete"), arena_ids),
     ),
@@ -177,13 +177,6 @@ class TestFactorArenaProperties:
                 _, eid, value, bias = op
                 arena.put(eid, np.full(ARENA_F, value), bias)
                 reference[eid] = (np.full(ARENA_F, value), bias)
-            elif op[0] == "set_bias":
-                # A bias on a vector-less id is bookkeeping the reference
-                # ignores: ``ids()``/``len()`` only count learned vectors.
-                _, eid, bias = op
-                arena.set_bias(eid, bias)
-                if eid in reference:
-                    reference[eid] = (reference[eid][0], bias)
             elif op[0] == "setdefault":
                 _, eid, value = op
                 got = arena.setdefault_vector(

@@ -23,7 +23,7 @@ def assert_matches_oracle(model, stats, oracle: ReferenceModel, n: int = 10):
     _close(model.mu, oracle.mu)
     assert model.n_users == len(oracle.x)
     videos = sorted(oracle.y)
-    assert sorted(model.known_videos()) == videos
+    assert sorted(model.video_rows()[0]) == videos
     for user_id, x_u in oracle.x.items():
         _close(model.user_vector(user_id), x_u)
         _close(model.user_bias(user_id), oracle.bu[user_id])

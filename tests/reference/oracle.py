@@ -77,7 +77,7 @@ class ReferenceModel:
                 return cfg.play
             return cfg.a + cfg.b * math.log10(vrate)
         table = {
-            ActionType.IMPRESS: cfg.impress,
+            ActionType.IMPRESS: 0.0,
             ActionType.CLICK: cfg.click,
             ActionType.PLAY: cfg.play,
             ActionType.COMMENT: cfg.comment,

@@ -41,7 +41,7 @@ def test_checkpoint_snapshots_arena_as_single_entries(
     manager.restore(info, restored)
     clone = MFModel(store=restored)
     assert clone.n_users == rec.model.n_users
-    videos = sorted(rec.model.known_videos())
+    videos = sorted(rec.model.video_rows()[0])
     for user_id in sorted(small_world.users)[:5]:
         np.testing.assert_array_equal(
             clone.predict_many(user_id, videos),
@@ -76,7 +76,7 @@ def test_model_constructed_before_restore_sees_restored_arena(
     assert rec_b.model.n_users == 0
     manager.restore(info, store_b)
     assert rec_b.model.n_users == rec_a.model.n_users
-    videos = sorted(rec_a.model.known_videos())
+    videos = sorted(rec_a.model.video_rows()[0])
     for user_id in sorted(small_world.users)[:5]:
         np.testing.assert_array_equal(
             rec_b.model.predict_many(user_id, videos),

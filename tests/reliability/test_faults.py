@@ -106,8 +106,8 @@ class TestWrapTopology:
         sink = []
         builder = TopologyBuilder()
         builder.set_spout("src", lambda: RangeSpout(30))
-        builder.set_bolt("mid", ForwardBolt).shuffle_grouping("src")
-        builder.set_bolt("sink", lambda: SinkBolt(sink)).shuffle_grouping("mid")
+        builder.set_bolt("mid", ForwardBolt).fields_grouping("src", ["i"])
+        builder.set_bolt("sink", lambda: SinkBolt(sink)).fields_grouping("mid", ["i"])
         chaotic = wrap_topology(
             builder.build(), FaultPlan(crash_every={"mid": 5})
         )
@@ -126,7 +126,7 @@ class TestWrapTopology:
     def test_spouts_are_not_wrapped(self):
         builder = TopologyBuilder()
         builder.set_spout("src", lambda: RangeSpout(1))
-        builder.set_bolt("sink", lambda: SinkBolt([])).shuffle_grouping("src")
+        builder.set_bolt("sink", lambda: SinkBolt([])).fields_grouping("src", ["i"])
         chaotic = wrap_topology(builder.build(), FaultPlan())
         assert chaotic.components["src"].factory().__class__ is RangeSpout
         assert isinstance(chaotic.components["sink"].factory(), ChaosBolt)

@@ -19,7 +19,6 @@ from repro.kvstore import (
     InMemoryKVStore,
     ReadThroughCache,
 )
-from repro.obs import Observability
 from repro.reliability import (
     KIND_FULL,
     KIND_SEGMENTS,
@@ -220,7 +219,7 @@ class TestRecoveryIntegration:
         tier_c = self._tier(tmp_path, "kv-b")
         rec_c = self._recommender(small_world, tier_c, wal=wal)
         report = recovery.recover(tier_c, rec_c.observe)
-        assert not report.from_scratch
+        assert report.checkpoint is not None
         assert not report.stale_checkpoint
         assert report.checkpoint.incremental
         assert report.replayed == self.N_CRASH - self.N_CHECKPOINT
@@ -260,7 +259,7 @@ class TestRecoveryIntegration:
         rec_c = self._recommender(small_world, tier_c, wal=wal)
         report = recovery.recover(tier_c, rec_c.observe)
         assert report.stale_checkpoint
-        assert report.from_scratch
+        assert report.checkpoint is None
         assert report.replayed == self.N_TOTAL  # the whole log, from seq 1
 
         now = stream[-1].timestamp + 60.0
@@ -297,7 +296,7 @@ class TestRecoveryIntegration:
         assert len(tier_c) > 0  # the leftover prefix is really there
         rec_c = self._recommender(small_world, tier_c, wal=wal)
         report = recovery.recover(tier_c, rec_c.observe)
-        assert report.from_scratch and not report.stale_checkpoint
+        assert report.checkpoint is None and not report.stale_checkpoint
         assert report.replayed == self.N_TOTAL
 
         now = stream[-1].timestamp + 60.0
@@ -340,13 +339,15 @@ class TestRecoveryIntegration:
         )
 
 
-def test_durable_work_follows_keys_not_actions(small_world, small_actions, tmp_path):
+def test_durable_work_follows_keys_not_actions(
+    small_world, small_actions, tmp_path, virtual_obs
+):
     """The write-back mechanism as an exact, speed-independent count: the
     served stack trains 500 actions without touching the durable log, and
     the checkpoint then writes one record per live key — where write-through
     re-read and re-wrote a record for every update (2,386 records and 2,325
     reads for this stream at the parent commit)."""
-    obs = Observability.deterministic()
+    obs = virtual_obs
     durable = DurableKVStore(
         tmp_path / "kv", fsync="never", registry=obs.registry
     )

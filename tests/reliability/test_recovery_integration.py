@@ -90,7 +90,7 @@ class TestKillAndRecover:
         store_c = ShardedKVStore(n_shards=4)
         rec_c = _recommender(small_world, store_c, wal=wal)
         report = recovery.recover(store_c, rec_c.observe)
-        assert not report.from_scratch
+        assert report.checkpoint is not None
         assert report.checkpoint.wal_seq == N_CHECKPOINT
         assert report.replayed == N_CRASH - N_CHECKPOINT
         assert wal.last_seq == N_CRASH  # replay did not re-log
@@ -119,7 +119,7 @@ class TestKillAndRecover:
         store = ShardedKVStore(n_shards=2)
         rec_b = _recommender(small_world, store, wal=wal)
         report = recovery.recover(store, rec_b.observe)
-        assert report.from_scratch
+        assert report.checkpoint is None
         assert report.replayed == 100
 
         now = stream[99].timestamp + 60.0

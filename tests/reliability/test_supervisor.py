@@ -103,7 +103,7 @@ class TestSupervisedExecution:
         builder.set_spout("src", lambda: RangeSpout(40))
         builder.set_bolt(
             "flaky", lambda: CrashOnceBolt(sink, crashes), parallelism=2
-        ).shuffle_grouping("src")
+        ).fields_grouping("src", ["i"])
         supervisor = Supervisor(RetryPolicy(max_restarts=100), sleep=_NO_SLEEP)
         metrics = executor_cls(
             builder.build(), fail_fast=True, supervisor=supervisor
@@ -120,7 +120,7 @@ class TestSupervisedExecution:
     def test_budget_exhaustion_fails_fast(self, executor_cls):
         builder = TopologyBuilder()
         builder.set_spout("src", lambda: RangeSpout(5))
-        builder.set_bolt("bad", AlwaysFailBolt).shuffle_grouping("src")
+        builder.set_bolt("bad", AlwaysFailBolt).fields_grouping("src", ["i"])
         supervisor = Supervisor(RetryPolicy(max_restarts=2), sleep=_NO_SLEEP)
         executor = executor_cls(
             builder.build(), fail_fast=True, supervisor=supervisor
@@ -144,7 +144,7 @@ class TestSupervisedExecution:
 
         builder = TopologyBuilder()
         builder.set_spout("src", lambda: RangeSpout(5))
-        builder.set_bolt("bad", FailFirstTupleBolt).shuffle_grouping("src")
+        builder.set_bolt("bad", FailFirstTupleBolt).fields_grouping("src", ["i"])
         supervisor = Supervisor(RetryPolicy(max_restarts=2), sleep=_NO_SLEEP)
         metrics = executor_cls(
             builder.build(), fail_fast=False, supervisor=supervisor
@@ -156,6 +156,6 @@ class TestSupervisedExecution:
     def test_unsupervised_behaviour_unchanged(self, executor_cls):
         builder = TopologyBuilder()
         builder.set_spout("src", lambda: RangeSpout(3))
-        builder.set_bolt("bad", AlwaysFailBolt).shuffle_grouping("src")
+        builder.set_bolt("bad", AlwaysFailBolt).fields_grouping("src", ["i"])
         with pytest.raises(ComponentError):
             executor_cls(builder.build(), fail_fast=True).run()

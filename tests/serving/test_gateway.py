@@ -15,7 +15,12 @@ import threading
 import pytest
 
 from repro.obs import Observability
-from repro.reliability.overload import AdmissionController, CircuitBreaker
+from repro.reliability import ActionWAL
+from repro.reliability.overload import (
+    FAILURE_THRESHOLD,
+    AdmissionController,
+    CircuitBreaker,
+)
 from repro.serving import (
     GatewayConfig,
     RecRequest,
@@ -62,9 +67,14 @@ def _request(
         conn.close()
 
 
-def _gateway(router, config=None, **kwargs):
+def _gateway(router, config=None, observe=None, obs=None):
     return GatewayThread(
-        ServingGateway(router, config=config or GatewayConfig(), **kwargs)
+        ServingGateway(
+            router,
+            config=config or GatewayConfig(),
+            observe=observe or (lambda action: None),
+            obs=obs or Observability.create(),
+        )
     )
 
 
@@ -142,13 +152,6 @@ class TestEndpoints:
         assert "gateway_http_requests_total" in names
         assert "gateway_coalesced_batch_size" in names
 
-    def test_metrics_without_obs_is_still_json(self):
-        router = RequestRouter(_Backend())
-        with _gateway(router) as server:
-            status, _, doc = _request(server.port, "GET", "/metrics")
-        assert status == 200
-        assert doc["metrics"] is None
-
     def test_ingest_feeds_observe(self):
         seen = []
         router = RequestRouter(_Backend())
@@ -178,21 +181,38 @@ class TestEndpoints:
             )
         assert status == 400
 
-    def test_ingest_without_sink_is_503(self):
-        router = RequestRouter(_Backend())
-        with _gateway(router) as server:
-            status, _, _ = _request(
-                server.port,
-                "POST",
-                "/ingest",
-                {
-                    "timestamp": 1.0,
-                    "user_id": "u",
-                    "video_id": "v",
-                    "action": "click",
-                },
-            )
-        assert status == 503
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"user_id": "u\t1"},
+            {"user_id": ""},
+            {"video_id": "v\r2"},
+            {"timestamp": float("nan")},
+            {"view_time": "nan"},
+        ],
+        ids=["tab-in-user", "empty-user", "cr-in-video", "nan-time", "nan-view"],
+    )
+    def test_ingest_bad_action_is_400_and_leaves_wal_untouched(
+        self, bad, tmp_path
+    ):
+        """One bad ``/ingest`` body must not reach the write-ahead log: a
+        record the log cannot read back stops a durable server's restart."""
+        good = {
+            "timestamp": 1.0,
+            "user_id": "u1",
+            "video_id": "v2",
+            "action": "click",
+        }
+        body = {**good, **bad}
+        with ActionWAL(tmp_path / "wal") as wal:
+            with _gateway(RequestRouter(_Backend()), observe=wal.append) as server:
+                status, _, doc = _request(server.port, "POST", "/ingest", body)
+                assert status == 400, doc
+                assert "bad action" in doc["error"]
+                status, _, _ = _request(server.port, "POST", "/ingest", good)
+                assert status == 202
+        replayed = [action for _, action in ActionWAL(tmp_path / "wal").replay()]
+        assert [(a.user_id, a.video_id) for a in replayed] == [("u1", "v2")]
 
 
 class TestHealthz:
@@ -205,13 +225,14 @@ class TestHealthz:
         assert doc["breaker"] is None
 
     def test_open_breaker_flips_healthz_to_503(self):
-        breaker = CircuitBreaker(failure_threshold=1)
+        breaker = CircuitBreaker()
         router = RequestRouter(
             _Backend(fail_always=True), breaker=breaker
         )
         with _gateway(router) as server:
             # Trip the breaker through real traffic, then ask for health.
-            _request(server.port, "POST", "/recommend", {"user_id": "u1"})
+            for _ in range(FAILURE_THRESHOLD):
+                _request(server.port, "POST", "/recommend", {"user_id": "u1"})
             status, _, doc = _request(server.port, "GET", "/healthz")
         assert status == 503
         assert doc["status"] == "degraded"
@@ -316,7 +337,7 @@ class TestCollector:
     def test_concurrent_submissions_coalesce(self):
         router = RequestRouter(_Backend())
         collector = RequestCollector(
-            router, batch_max=64, window_seconds=0.05
+            router, Observability.create(), batch_max=64, window_seconds=0.05
         )
 
         async def scenario():
@@ -334,7 +355,9 @@ class TestCollector:
 
     def test_batch_max_forces_flush(self):
         router = RequestRouter(_Backend())
-        collector = RequestCollector(router, batch_max=4, window_seconds=60.0)
+        collector = RequestCollector(
+            router, Observability.create(), batch_max=4, window_seconds=60.0
+        )
 
         async def scenario():
             return await asyncio.gather(
@@ -348,7 +371,9 @@ class TestCollector:
 
     def test_responses_match_requests_in_order(self):
         router = RequestRouter(_Backend(fail_for={"u1"}))
-        collector = RequestCollector(router, batch_max=8, window_seconds=0.01)
+        collector = RequestCollector(
+            router, Observability.create(), batch_max=8, window_seconds=0.01
+        )
 
         async def scenario():
             return await asyncio.gather(
@@ -362,10 +387,11 @@ class TestCollector:
 
     def test_rejects_bad_bounds(self):
         router = RequestRouter(_Backend())
+        obs = Observability.create()
         with pytest.raises(ValueError):
-            RequestCollector(router, batch_max=0)
+            RequestCollector(router, obs, batch_max=0)
         with pytest.raises(ValueError):
-            RequestCollector(router, window_seconds=-1.0)
+            RequestCollector(router, obs, window_seconds=-1.0)
 
 
 class TestGatewayConfigValidation:

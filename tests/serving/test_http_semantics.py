@@ -11,12 +11,9 @@ from __future__ import annotations
 import http.client
 import json
 
+from repro.obs import Observability
 from repro.reliability.overload import AdmissionController
-from repro.serving import (
-    GatewayConfig,
-    RequestRouter,
-    ServingGateway,
-)
+from repro.serving import RequestRouter, ServingGateway
 from tests.support.gateway_thread import GatewayThread
 
 
@@ -46,6 +43,14 @@ def _post_recommend(port, body):
         conn.close()
 
 
+def _serve(router):
+    return GatewayThread(
+        ServingGateway(
+            router, observe=lambda action: None, obs=Observability.create()
+        )
+    )
+
+
 def _snapshot(router):
     return router.snapshot()["guess_you_like"]
 
@@ -54,7 +59,7 @@ def test_shed_maps_to_503_with_retry_after():
     # A bucket with ~zero capacity sheds every request on arrival.
     admission = AdmissionController(rate=1e-9)
     router = RequestRouter(_OkBackend(), admission=admission)
-    with GatewayThread(ServingGateway(router)) as server:
+    with _serve(router) as server:
         status, headers, doc = _post_recommend(server.port, {"user_id": "u1"})
     assert status == 503
     assert headers["Retry-After"] == "1"
@@ -69,7 +74,7 @@ def test_shed_maps_to_503_with_retry_after():
 def test_deadline_maps_to_504():
     # Primary fails and the budget is already spent -> deadline, not error.
     router = RequestRouter(_FailingBackend(), fallback=_OkBackend())
-    with GatewayThread(ServingGateway(router)) as server:
+    with _serve(router) as server:
         status, _headers, doc = _post_recommend(
             server.port, {"user_id": "u1", "deadline_ms": 0}
         )
@@ -83,7 +88,7 @@ def test_deadline_maps_to_504():
 
 def test_fallback_served_maps_to_200_with_degraded_header():
     router = RequestRouter(_FailingBackend(), fallback=_OkBackend())
-    with GatewayThread(ServingGateway(router)) as server:
+    with _serve(router) as server:
         status, headers, doc = _post_recommend(
             server.port, {"user_id": "u1", "n": 2}
         )
@@ -97,7 +102,7 @@ def test_fallback_served_maps_to_200_with_degraded_header():
 
 def test_fallback_also_failing_maps_to_500():
     router = RequestRouter(_FailingBackend(), fallback=_FailingBackend())
-    with GatewayThread(ServingGateway(router)) as server:
+    with _serve(router) as server:
         status, headers, doc = _post_recommend(server.port, {"user_id": "u1"})
     assert status == 500
     assert "primary exploded" in doc["error"]
@@ -110,7 +115,7 @@ def test_fallback_also_failing_maps_to_500():
 
 def test_ok_maps_to_plain_200():
     router = RequestRouter(_OkBackend())
-    with GatewayThread(ServingGateway(router)) as server:
+    with _serve(router) as server:
         status, headers, doc = _post_recommend(
             server.port, {"user_id": "u1", "n": 1}
         )
@@ -122,12 +127,3 @@ def test_ok_maps_to_plain_200():
     assert counters["errors"] == 0
     assert counters["shed"] == 0
 
-
-def test_custom_retry_after_config():
-    admission = AdmissionController(rate=1e-9)
-    router = RequestRouter(_OkBackend(), admission=admission)
-    config = GatewayConfig(retry_after_seconds=7.0)
-    with GatewayThread(ServingGateway(router, config=config)) as server:
-        status, headers, _doc = _post_recommend(server.port, {"user_id": "u1"})
-    assert status == 503
-    assert headers["Retry-After"] == "7"

@@ -7,6 +7,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.core import RealtimeRecommender
 from repro.serving import RecRequest, RequestRouter, Scenario
+from tests.support.obs import counter_totals
 
 
 class _Backend:
@@ -161,7 +162,7 @@ class TestHandleMany:
             assert stats.requests == 0
             assert stats.latency.count == 0
         # Registry side: no serving counter series exists yet either.
-        totals = obs.registry.counter_totals()
+        totals = counter_totals(obs.registry)
         assert not any(
             name.startswith("serving_requests_total") for name in totals
         )

@@ -37,6 +37,7 @@ from repro.storm import (
     TopologyBuilder,
 )
 from tests.support.faults import FaultPlan, wrap_topology
+from tests.support.obs import counter_totals
 
 N_ACTIONS = 10_000
 N_KEYS = 23
@@ -144,7 +145,7 @@ def _run(executor_cls, chaos: bool = False):
     return {
         "top_n": top_n,
         "sums": _merged_state(aggregate_states),
-        "totals": obs.registry.counter_totals(),
+        "totals": counter_totals(obs.registry),
         "snapshot": metrics.snapshot(),
     }
 
@@ -300,8 +301,8 @@ def _run_sgd(executor_cls):
         for g in range(SGD_GROUPS)
         for i in range(SGD_USERS_PER_GROUP)
     ]
-    videos = sorted(model.known_videos())
-    vectors = {u: model.user_vector(u) for u in users if model.has_user(u)}
+    videos = sorted(model.video_rows()[0])
+    vectors = {u: model.user_vector(u) for u in users if model.user_vector(u) is not None}
     predictions = {u: model.predict_many(u, videos[:10]) for u in users[:5]}
     return vectors, predictions
 

@@ -68,7 +68,7 @@ def _simple_topology(items, sink, parallelism=1):
     builder.set_spout("src", lambda: spout)
     builder.set_bolt(
         "collect", lambda: CollectBolt(sink), parallelism=parallelism
-    ).shuffle_grouping("src")
+    ).fields_grouping("src", ["value"])
     return builder.build()
 
 
@@ -85,10 +85,8 @@ class TestDelivery:
         builder = TopologyBuilder()
         spout = ListSpout(range(50))
         builder.set_spout("src", lambda: spout)
-        builder.set_bolt("double", DoubleBolt).shuffle_grouping("src")
-        builder.set_bolt("collect", lambda: CollectBolt(sink)).shuffle_grouping(
-            "double"
-        )
+        builder.set_bolt("double", DoubleBolt).fields_grouping("src", ["value"])
+        builder.set_bolt("collect", lambda: CollectBolt(sink)).fields_grouping("double", ["value"])
         executor_cls(builder.build()).run()
         assert sorted(v for _, v in sink) == [2 * i for i in range(50)]
 
@@ -113,8 +111,8 @@ class TestDelivery:
         builder = TopologyBuilder()
         spout = ListSpout(range(30))
         builder.set_spout("src", lambda: spout)
-        builder.set_bolt("a", lambda: CollectBolt(sink_a)).shuffle_grouping("src")
-        builder.set_bolt("b", lambda: CollectBolt(sink_b)).shuffle_grouping("src")
+        builder.set_bolt("a", lambda: CollectBolt(sink_a)).fields_grouping("src", ["value"])
+        builder.set_bolt("b", lambda: CollectBolt(sink_b)).fields_grouping("src", ["value"])
         executor_cls(builder.build()).run()
         assert len(sink_a) == 30
         assert len(sink_b) == 30
@@ -132,10 +130,8 @@ class TestDelivery:
     def test_idle_components_appear_in_snapshot(self, executor_cls):
         builder = TopologyBuilder()
         builder.set_spout("src", lambda: ListSpout([]))
-        builder.set_bolt("double", DoubleBolt).shuffle_grouping("src")
-        builder.set_bolt("collect", lambda: CollectBolt([])).shuffle_grouping(
-            "double"
-        )
+        builder.set_bolt("double", DoubleBolt).fields_grouping("src", ["value"])
+        builder.set_bolt("collect", lambda: CollectBolt([])).fields_grouping("double", ["value"])
         snap = executor_cls(builder.build()).run().snapshot()
         assert list(snap) == ["src", "double", "collect"]
         assert all(stats["processed"] == 0 for stats in snap.values())
@@ -144,7 +140,7 @@ class TestDelivery:
         builder = TopologyBuilder()
         spout = ListSpout(range(5))
         builder.set_spout("src", lambda: spout)
-        builder.set_bolt("bad", ExplodingBolt).shuffle_grouping("src")
+        builder.set_bolt("bad", ExplodingBolt).fields_grouping("src", ["value"])
         with pytest.raises(ComponentError, match="bad"):
             executor_cls(builder.build(), fail_fast=True).run()
 
@@ -152,7 +148,7 @@ class TestDelivery:
         builder = TopologyBuilder()
         spout = ListSpout(range(5))
         builder.set_spout("src", lambda: spout)
-        builder.set_bolt("bad", ExplodingBolt).shuffle_grouping("src")
+        builder.set_bolt("bad", ExplodingBolt).fields_grouping("src", ["value"])
         metrics = executor_cls(builder.build(), fail_fast=False).run()
         assert metrics.snapshot()["bad"]["failed"] == 5
 
@@ -199,14 +195,14 @@ class TestLocalExecutorSpecifics:
 
         builder = TopologyBuilder()
         builder.set_spout("s", HookSpout)
-        builder.set_bolt("b", HookBolt).shuffle_grouping("s")
+        builder.set_bolt("b", HookBolt).fields_grouping("s", ["value"])
         LocalExecutor(builder.build()).run()
         assert events == ["open", "prepare", "close", "cleanup"]
 
 
 class TestThreadedExecutorSpecifics:
     def test_parallel_workers_all_used(self):
-        """With shuffle grouping and enough tuples, all workers see work."""
+        """With enough distinct keys, fields grouping gives every worker work."""
         sink = []
         topo = _simple_topology(range(200), sink, parallelism=4)
         metrics = ThreadedExecutor(topo).run()
@@ -222,9 +218,7 @@ class TestThreadedExecutorSpecifics:
         sink = []
         builder = TopologyBuilder()
         builder.set_spout("src", EndlessSpout)
-        builder.set_bolt("collect", lambda: CollectBolt(sink)).shuffle_grouping(
-            "src"
-        )
+        builder.set_bolt("collect", lambda: CollectBolt(sink)).fields_grouping("src", ["value"])
         executor = ThreadedExecutor(builder.build())
         executor.run(timeout=0.3)  # must return, not hang
         assert sink  # processed something before the deadline

@@ -52,8 +52,8 @@ class TestPartialFailures:
         builder = TopologyBuilder()
         spout = RangeSpout(30)
         builder.set_spout("src", lambda: spout)
-        builder.set_bolt("flaky", FlakyBolt).shuffle_grouping("src")
-        builder.set_bolt("sink", lambda: SinkBolt(sink)).shuffle_grouping("flaky")
+        builder.set_bolt("flaky", FlakyBolt).fields_grouping("src", ["i"])
+        builder.set_bolt("sink", lambda: SinkBolt(sink)).fields_grouping("flaky", ["i"])
         metrics = executor_cls(builder.build(), fail_fast=False).run()
 
         expected = [i for i in range(30) if i % 3 != 0]
@@ -69,8 +69,8 @@ class TestPartialFailures:
         builder = TopologyBuilder()
         spout = RangeSpout(9)
         builder.set_spout("src", lambda: spout)
-        builder.set_bolt("flaky", FlakyBolt, parallelism=1).shuffle_grouping("src")
-        builder.set_bolt("sink", lambda: SinkBolt(sink)).shuffle_grouping("flaky")
+        builder.set_bolt("flaky", FlakyBolt, parallelism=1).fields_grouping("src", ["i"])
+        builder.set_bolt("sink", lambda: SinkBolt(sink)).fields_grouping("flaky", ["i"])
         executor_cls(builder.build(), fail_fast=False).run()
         # tuple 8 (late, after several failures) still arrives
         assert 8 in sink

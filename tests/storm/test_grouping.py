@@ -3,7 +3,7 @@ fields grouping that the paper's §5.1 correctness argument rests on."""
 
 from collections import Counter
 
-from repro.storm import FieldsGrouping, ShuffleGrouping, StreamTuple
+from repro.storm import FieldsGrouping, StreamTuple
 
 
 def _tup(**fields):
@@ -57,18 +57,3 @@ class TestFieldsGrouping:
     def test_describe_mentions_fields(self):
         assert "user" in FieldsGrouping(["user"]).describe()
 
-
-class TestShuffleGrouping:
-    def test_round_robin_even_distribution(self):
-        g = ShuffleGrouping()
-        counts = Counter(g.select(_tup(x=i), 4)[0] for i in range(400))
-        assert set(counts.values()) == {100}
-
-    def test_single_delivery(self):
-        g = ShuffleGrouping()
-        assert len(g.select(_tup(x=1), 4)) == 1
-
-    def test_deterministic_sequence(self):
-        g = ShuffleGrouping()
-        seq = [g.select(_tup(x=i), 3)[0] for i in range(6)]
-        assert seq == [0, 1, 2, 0, 1, 2]

@@ -25,7 +25,7 @@ class EchoBolt(Bolt):
 def test_minimal_topology_builds():
     builder = TopologyBuilder()
     builder.set_spout("src", NullSpout)
-    builder.set_bolt("echo", EchoBolt).shuffle_grouping("src")
+    builder.set_bolt("echo", EchoBolt).fields_grouping("src", ["x"])
     topo = builder.build()
     assert {s.name for s in topo.spouts} == {"src"}
     assert {b.name for b in topo.bolts} == {"echo"}
@@ -33,8 +33,8 @@ def test_minimal_topology_builds():
 
 def test_no_spout_rejected():
     builder = TopologyBuilder()
-    builder.set_bolt("b", EchoBolt).shuffle_grouping("b2")
-    builder.set_bolt("b2", EchoBolt).shuffle_grouping("b")
+    builder.set_bolt("b", EchoBolt).fields_grouping("b2", ["x"])
+    builder.set_bolt("b2", EchoBolt).fields_grouping("b", ["x"])
     with pytest.raises(TopologyError, match="at least one spout"):
         builder.build()
 
@@ -49,7 +49,7 @@ def test_duplicate_names_rejected():
 def test_unknown_source_rejected():
     builder = TopologyBuilder()
     builder.set_spout("src", NullSpout)
-    builder.set_bolt("b", EchoBolt).shuffle_grouping("ghost")
+    builder.set_bolt("b", EchoBolt).fields_grouping("ghost", ["x"])
     with pytest.raises(TopologyError, match="unknown component"):
         builder.build()
 
@@ -57,7 +57,7 @@ def test_unknown_source_rejected():
 def test_self_subscription_rejected():
     builder = TopologyBuilder()
     builder.set_spout("src", NullSpout)
-    builder.set_bolt("b", EchoBolt).shuffle_grouping("b")
+    builder.set_bolt("b", EchoBolt).fields_grouping("b", ["x"])
     with pytest.raises(TopologyError, match="itself"):
         builder.build()
 
@@ -79,8 +79,8 @@ def test_nonpositive_parallelism_rejected():
 def test_routes_resolve_per_stream():
     builder = TopologyBuilder()
     builder.set_spout("src", NullSpout)
-    builder.set_bolt("a", EchoBolt).shuffle_grouping("src", stream="s1")
-    builder.set_bolt("b", EchoBolt).shuffle_grouping("src", stream="s2")
+    builder.set_bolt("a", EchoBolt).fields_grouping("src", ["x"], stream="s1")
+    builder.set_bolt("b", EchoBolt).fields_grouping("src", ["x"], stream="s2")
     topo = builder.build()
     assert [t for t, _ in topo.targets("src", "s1")] == ["a"]
     assert [t for t, _ in topo.targets("src", "s2")] == ["b"]
@@ -90,7 +90,7 @@ def test_routes_resolve_per_stream():
 def test_multiple_subscribers_same_stream():
     builder = TopologyBuilder()
     builder.set_spout("src", NullSpout)
-    builder.set_bolt("a", EchoBolt).shuffle_grouping("src")
+    builder.set_bolt("a", EchoBolt).fields_grouping("src", ["x"])
     builder.set_bolt("b", EchoBolt).fields_grouping("src", ["x"])
     topo = builder.build()
     assert {t for t, _ in topo.targets("src", "default")} == {"a", "b"}

@@ -49,14 +49,6 @@ class TestStreamTuple:
         with pytest.raises(KeyError):
             t.select(("a", "zz"))
 
-    def test_with_fields_creates_new_tuple(self):
-        t = StreamTuple({"a": 1}, stream="s")
-        t2 = t.with_fields(b=2, a=10)
-        assert t2["a"] == 10
-        assert t2["b"] == 2
-        assert t2.stream == "s"
-        assert t["a"] == 1  # original unchanged
-
     def test_equality_includes_stream(self):
         a = StreamTuple({"x": 1}, stream="s1")
         b = StreamTuple({"x": 1}, stream="s1")

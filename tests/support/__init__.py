@@ -1,1 +1,2 @@
-"""Test harnesses: fault injection and a threaded HTTP gateway."""
+"""Test harnesses: fault injection, a threaded HTTP gateway, and
+observability and ground-truth helpers."""

@@ -120,10 +120,10 @@ def wrap_topology(
     plan: FaultPlan,
     components: Iterable[str] | None = None,
 ) -> Topology:
-    """Interpose :class:`ChaosBolt` around bolts of ``topology``.
+    """A copy of ``topology`` with :class:`ChaosBolt` around its bolts.
 
     ``components`` restricts the chaos to the named bolts (default: every
-    bolt).
+    bolt).  Spouts, parallelism and wiring are untouched.
     """
     wanted = set(components) if components is not None else None
 
@@ -133,7 +133,20 @@ def wrap_topology(
             return inner_factory
         return lambda: ChaosBolt(inner_factory(), spec.name, plan)
 
-    return topology.with_wrapped_bolts(_wrap)
+    return Topology(
+        {
+            name: spec
+            if spec.is_spout
+            else ComponentSpec(
+                name=spec.name,
+                factory=_wrap(spec),
+                parallelism=spec.parallelism,
+                is_spout=False,
+                subscriptions=list(spec.subscriptions),
+            )
+            for name, spec in topology.components.items()
+        }
+    )
 
 
 class FlakyKVStore(KVStore):

@@ -17,7 +17,6 @@ from repro.errors import ConfigError
 class TestActionWeightConfig:
     def test_defaults_valid(self):
         cfg = ActionWeightConfig()
-        assert cfg.impress == 0.0
         assert cfg.a >= cfg.b > 0
 
     def test_playtime_span_matches_table1(self):
@@ -27,7 +26,8 @@ class TestActionWeightConfig:
         assert cfg.a - cfg.b == pytest.approx(1.5)
 
     def test_nonzero_impress_rejected(self):
-        with pytest.raises(ConfigError):
+        # The impression weight is fixed at 0 (§3.3): there is no field.
+        with pytest.raises(TypeError):
             ActionWeightConfig(impress=0.5)
 
     def test_a_less_than_b_rejected(self):

@@ -27,6 +27,7 @@ from repro.topology import (
     UserHistoryBolt,
 )
 from repro.topology import action_tuple
+from tests.support.world import raw_entries
 
 VIDEOS = {f"v{i}": Video(f"v{i}", "t", duration=1000.0) for i in range(5)}
 
@@ -72,8 +73,8 @@ class TestComputeMFBolt:
         model = MFModel(MFConfig(f=4, seed=1))
         bolt = self._bolt(model)
         bolt.process(_click(), Collector())
-        assert not model.has_user("u1")
-        assert not model.has_video("v1")
+        assert model.user_vector("u1") is None
+        assert model.video_vector("v1") is None
 
     def test_unqualified_playtime_skipped(self):
         bolt = self._bolt()
@@ -211,7 +212,7 @@ class TestItemPairSimAndResultStorage:
         assert directed == {("v0", "v1"), ("v1", "v0")}
         assert all(t.stream == SIM_STREAM for t in collector.emitted)
         # scoring must not touch the table itself
-        assert table.raw_entries("v0") == {}
+        assert raw_entries(table, "v0") == {}
 
     def test_unknown_video_pair_dropped(self):
         bolt = ItemPairSimBolt(self._table())
@@ -239,6 +240,6 @@ class TestItemPairSimAndResultStorage:
             ),
             Collector(),
         )
-        assert table.raw_entries("v0") == {"v1": (0.7, 0.0)}
-        assert table.raw_entries("v1") == {}  # directed: other side separate
+        assert raw_entries(table, "v0") == {"v1": (0.7, 0.0)}
+        assert raw_entries(table, "v1") == {}  # directed: other side separate
         assert bolt.writes == 1
