@@ -174,73 +174,19 @@ class RetrievalConfig:
     ``mode`` selects how the recommender gathers the pool the Eq. 2
     re-ranker scores:
 
-    * ``"table"`` (default) — the paper's similar-video tables only; no
-      index is built.  This is also the correctness oracle the ANN path is
-      tested against.
-    * ``"ann"`` — LSH shortlist from :class:`repro.core.AnnIndex` over the
-      learned factor vectors, exact re-rank on top.
-
-    The index knobs trade recall for probe cost: more ``tables`` and a
-    larger ``probe_radius`` raise recall; more ``band_bits`` shrink the
-    buckets (fewer candidates per probe).  ``band_bits = 0`` auto-sizes the
-    bands so mean bucket occupancy lands near ``target_occupancy``.
+    * ``"table"`` (default) — the paper's similar-video tables only.
+    * ``"ann"`` — an exact scan over the learned video factors
+      (:class:`repro.core.AnnIndex`) shortlists, the Eq. 2 re-rank orders.
+      The name predates the scan; callers still select it as ``"ann"``.
     """
 
     mode: str = "table"
-    #: Number of independent hash tables (LSH bands).
-    tables: int = 8
-    #: Bits per band; 0 = auto-size from catalog size and partition count.
-    band_bits: int = 0
-    #: Target mean rows per (partition, band-value) bucket for auto-sizing.
-    target_occupancy: int = 32
-    min_band_bits: int = 4
-    max_band_bits: int = 20
-    #: Maximum Hamming radius of multi-probe escalation within each band.
-    probe_radius: int = 2
-    #: Shortlist target = ``oversample * n`` before the exact re-rank.
-    #: Query-directed probing stops at the first perturbation that meets
-    #: it, so it is the recall/latency knob: the default holds recall@100
-    #: above 0.95 on a 1M-item clustered catalog.
-    oversample: int = 128
-    #: Floor on the shortlist target (useful when ``n`` is tiny).
-    min_shortlist: int = 512
-    #: Hard cap on shortlist size handed to the re-ranker.
-    shortlist_cap: int = 65_536
-    #: Re-hash an indexed video every ``check_every``-th upsert (signature
-    #: drift check), not on every SGD step.
-    check_every: int = 8
-    #: Partition the inverted lists by ``Video.kind``.
-    partition_by_kind: bool = True
-    #: Scale of the bias coordinate in the hashed direction ``[y, s*b]``
-    #: (query ``[x, 1/s]``).  0 = derive from the data at build time so the
-    #: query's constant coordinate stays small relative to a typical
-    #: factor vector and does not compress the angular spread.
-    bias_scale: float = 0.0
-    seed: int = 83
 
     def __post_init__(self) -> None:
         _require(
             self.mode in ("table", "ann"),
             f"mode must be 'table' or 'ann', got {self.mode!r}",
         )
-        _require(self.tables >= 1, "tables must be >= 1")
-        _require(self.band_bits >= 0, "band_bits must be >= 0 (0 = auto)")
-        _require(self.target_occupancy >= 1, "target_occupancy must be >= 1")
-        _require(
-            1 <= self.min_band_bits <= self.max_band_bits <= 63,
-            "need 1 <= min_band_bits <= max_band_bits <= 63",
-        )
-        _require(
-            self.band_bits == 0 or self.band_bits <= 63,
-            "band_bits must fit in a uint64 band value",
-        )
-        _require(self.probe_radius >= 0, "probe_radius must be >= 0")
-        _require(self.oversample >= 1, "oversample must be >= 1")
-        _require(self.min_shortlist >= 1, "min_shortlist must be >= 1")
-        _require(self.shortlist_cap >= self.min_shortlist,
-                 "shortlist_cap must be >= min_shortlist")
-        _require(self.check_every >= 1, "check_every must be >= 1")
-        _require(self.bias_scale >= 0, "bias_scale must be >= 0 (0 = auto)")
 
 
 @dataclass(frozen=True, slots=True)

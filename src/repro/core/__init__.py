@@ -17,7 +17,7 @@ Module map (paper section in parentheses):
 """
 
 from .actions import LinearPlaytimeWeigher, LogPlaytimeWeigher, view_rate
-from .annindex import AnnIndex, RandomHyperplanes, auto_band_bits, top_n_by_score
+from .annindex import AnnIndex, top_n_by_score
 from .candidates import Candidate, CandidateSelector
 from .demographic import (
     DemographicRecommender,
@@ -50,8 +50,6 @@ from .variants import (
 
 __all__ = [
     "AnnIndex",
-    "RandomHyperplanes",
-    "auto_band_bits",
     "top_n_by_score",
     "LogPlaytimeWeigher",
     "LinearPlaytimeWeigher",

@@ -220,7 +220,7 @@ class FactorArena:
             return True
 
     # ------------------------------------------------------------------
-    # Bulk export (save, checkpoint, ANN index build)
+    # Bulk export (save, checkpoint, retrieval mirror build)
     # ------------------------------------------------------------------
 
     def export_rows(

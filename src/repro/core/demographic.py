@@ -155,8 +155,8 @@ class DemographicRecommender:
         """Hot videos for the user's group with ``blocked`` ids suppressed.
 
         One centralised definition of the paper's demographic filter so
-        every caller (the recommender's merge stage, the two-stage ANN
-        path) shares identical semantics, pinned by test: blocked videos
+        every caller (the recommender's merge stage in both retrieval
+        modes) shares identical semantics, pinned by test: blocked videos
         still *consume ranking budget* — the list is ranked and truncated
         to ``k`` first, then blocked entries are dropped without top-up —
         exactly as if :meth:`recommend`'s output were post-filtered.

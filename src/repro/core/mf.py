@@ -185,7 +185,7 @@ class _ArenaParams:
             return
         self._mutate(kind, lambda arena: arena.put_many(items))
 
-    # -- bulk export (save, ANN index build) -------------------------------
+    # -- bulk export (save, retrieval mirror build) ------------------------
 
     def export(self, kind: str) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Learned ``(ids, vectors, biases)``, row-aligned, ids sorted."""
@@ -427,9 +427,9 @@ class MFModel:
         """Row-aligned ``(ids, vectors, biases)`` of every learned video.
 
         Ids are sorted, so the row order is deterministic across runs
-        and across checkpoint restore — the ANN index build path
+        and across checkpoint restore — the retrieval mirror's build
         (:meth:`repro.core.AnnIndex.build_from_model`) relies on this to
-        make a rebuilt index comparable to the original.
+        make a rebuilt mirror identical to the original.
         """
         return self._params.export("video")
 

@@ -25,6 +25,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
+import numpy as np
+
 from ..clock import Clock, SystemClock
 from ..config import ReproConfig
 from ..data.schema import User, UserAction, Video
@@ -118,19 +120,12 @@ class RealtimeRecommender:
         )
         self.selector = CandidateSelector(self.table, self.config.recommend)
         # Two-stage retrieval (DESIGN.md "Candidate retrieval index"): in
-        # "ann" mode an LSH index over the learned video factors produces
-        # the shortlist the exact Eq. 2 re-rank scores.  "table" mode
-        # (default) is the paper's original path and the correctness
-        # oracle.
+        # "ann" mode an exact scan over the learned video factors produces
+        # the shortlist the Eq. 2 re-rank scores.  "table" mode (default)
+        # is the paper's path.
         self.index: AnnIndex | None = None
         if self.config.retrieval.mode == "ann":
-            self.index = AnnIndex(
-                self.config.mf.f,
-                videos=videos,
-                config=self.config.retrieval,
-                obs=obs,
-                expected_videos=len(videos) or None,
-            )
+            self.index = AnnIndex(self.config.mf.f, obs=obs)
         self.demographic: DemographicRecommender | None = None
         if enable_demographic:
             self.demographic = DemographicRecommender(
@@ -152,9 +147,6 @@ class RealtimeRecommender:
         """
         update = self.trainer.process(action)
         if update is not None and self.index is not None:
-            # Incremental index maintenance: the index re-hashes the video
-            # only every check_every-th upsert (signature drift, not every
-            # SGD step) — see AnnIndex.upsert.
             self.index.upsert(action.video_id, update.y_i, update.b_i)
         if action.action in ENGAGEMENT_ACTIONS:
             recent = self.history.recent(
@@ -182,13 +174,13 @@ class RealtimeRecommender:
         self.demographic.record(action, weight=weight)
 
     def rebuild_index(self) -> dict | None:
-        """(Re)build the ANN index from the model's current factors.
+        """(Re)build the retrieval mirror from the model's current factors.
 
-        The recovery hook for the retrieval index: after a checkpoint
-        restore the KV-backed factor arena is authoritative and the index
-        is rebuilt from it (`AnnIndex.build_from_model`), serving the same
-        shortlists as the pre-crash index.  Returns the build report (cost
-        included), or ``None`` when no index is configured.
+        The recovery hook for ``"ann"`` mode: after a checkpoint restore
+        the KV-backed factor arena is authoritative and the mirror is
+        rebuilt from it (`AnnIndex.build_from_model`), serving the same
+        shortlists as before the crash.  Returns the build report (cost
+        included), or ``None`` in ``"table"`` mode.
         """
         if self.index is None:
             return None
@@ -236,12 +228,12 @@ class RealtimeRecommender:
         exclude: set[str],
         top_n: int,
     ) -> list[str]:
-        """Stage-1 ANN shortlist for one request (id-sorted).
+        """Stage-1 shortlist for one request (id-sorted).
 
-        Warm users are one MIPS query with their own vector.  Cold users
-        (no learned ``x_u``) fall back to item-to-item queries around the
-        seed videos; the seed vectors are fetched through a *single*
-        deduplicated batch read rather than one fetch per seed.
+        Warm users are one scan with their own vector.  Cold users (no
+        learned ``x_u``) fall back to item-to-item scans around the seed
+        videos: the seed vectors come from a *single* deduplicated batch
+        read and are scored together in one product.
         """
         index = self.index
         assert index is not None
@@ -249,19 +241,14 @@ class RealtimeRecommender:
         x_u = self.model.user_vector(user_id)
         if x_u is not None:
             return index.query_user(x_u, top_n, exclude=blocked)
-        unique_seeds = list(dict.fromkeys(seeds))
-        if not unique_seeds:
+        vectors = [
+            vec
+            for vec in self.model.video_vectors_many(list(dict.fromkeys(seeds)))
+            if vec is not None
+        ]
+        if not vectors:
             return []
-        shortlist: list[str] = []
-        seen: set[str] = set()
-        for vec in self.model.video_vectors_many(unique_seeds):
-            if vec is None:
-                continue
-            for vid in index.query_item(vec, top_n, exclude=blocked):
-                if vid not in seen:
-                    seen.add(vid)
-                    shortlist.append(vid)
-        return shortlist
+        return index.query_item(np.vstack(vectors), top_n, exclude=blocked)
 
     def _recommend(
         self,
@@ -302,8 +289,8 @@ class RealtimeRecommender:
             )
 
         if self.index is not None:
-            # Stage 1 of the two-stage path: the ANN shortlist replaces
-            # the table expansion; the exact predict_many below is stage 2.
+            # Stage 1 of the two-stage path: the factor-scan shortlist
+            # replaces the table expansion; predict_many below is stage 2.
             with self._span("ann.query"):
                 video_ids = self._ann_shortlist(user_id, seeds, exclude, top_n)
 

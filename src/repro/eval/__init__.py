@@ -32,7 +32,6 @@ from .metrics import (
     average_rank,
     percentile_rank,
     recall_at_n,
-    retrieval_recall,
     recall_curve,
 )
 from .protocol import (
@@ -44,7 +43,6 @@ from .protocol import (
 
 __all__ = [
     "recall_at_n",
-    "retrieval_recall",
     "recall_curve",
     "average_rank",
     "percentile_rank",

@@ -37,22 +37,6 @@ def recall_at_n(
     return total / len(test_users)
 
 
-def retrieval_recall(
-    approx: Sequence[str], exact: Sequence[str], n: int
-) -> float:
-    """Recall@n of an approximate retrieval against its exact oracle.
-
-    The index-vs-brute-force quality gate: treats the comparison as Eq. 13
-    (:func:`recall_at_n`) with a single pseudo-user whose "liked" set is
-    the oracle's top-``n``.  Assumes the oracle returned at least ``n``
-    results (short oracles deflate the score, by Eq. 13's ``/N``
-    convention).
-    """
-    return recall_at_n(
-        {"_query": list(approx)}, {"_query": set(list(exact)[:n])}, n
-    )
-
-
 def recall_curve(
     recommended: Mapping[str, Sequence[str]],
     liked: Mapping[str, set[str]],

@@ -117,9 +117,9 @@ class FlashCrowd(ScenarioEvent):
     From ``day`` for ``duration_days`` the viral video's popularity is
     multiplied by ``boost`` and overall arrivals by ``rate_spike`` — the
     regime that exercises simtable eviction (a flood of fresh pairs must
-    displace heap-weakest entries), ANN drift-gated upserts (the new
-    item's factors move fast) and the admission controller (the traffic
-    spike must shed, then recover).
+    displace heap-weakest entries), online training of a new item whose
+    factors move fast, and the admission controller (the traffic spike
+    must shed, then recover).
     """
 
     day: int = 3

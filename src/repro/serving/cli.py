@@ -119,14 +119,13 @@ def build_demo_gateway(
             fallback.observe(action)
         if recovery is not None and store is not None:
             recovery.checkpoint(store, incremental=True)
-    # Seal the boot path for index-backed retrieval: whether the factors
-    # came from training or checkpoint+WAL recovery, the ANN index is
+    # Seal the boot path for factor-scan retrieval: whether the factors
+    # came from training or checkpoint+WAL recovery, the scan's mirror is
     # rebuilt from the arena so it serves the exact same catalog.
     report = recommender.rebuild_index()
     if report is not None:
         print(
-            f"ann index built: {report['indexed']} videos, "
-            f"{report['tables']}x{report['band_bits']} bits "
+            f"factor mirror built: {report['indexed']} videos "
             f"in {report['build_seconds'] * 1e3:.0f}ms",
             flush=True,
         )
@@ -225,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("table", "ann"),
         default="table",
         help="candidate retrieval: similar-video tables (the paper) "
-        "or LSH ANN shortlist",
+        "or an exact scan over the learned video factors",
     )
     return parser
 

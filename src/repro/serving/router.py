@@ -62,12 +62,18 @@ class Outcome(enum.Enum):
     ERROR = "error"
 
 
+#: Largest list one request may ask for.  A cap, because in ``"ann"``
+#: retrieval the work a request does grows with ``n``.
+MAX_N = 100
+
+
 @dataclass(frozen=True, slots=True)
 class RecRequest:
     """One recommendation request.
 
     ``current_video`` set means the related-videos scenario; absent means
-    the home-page scenario seeded from the user's history.
+    the home-page scenario seeded from the user's history.  ``n`` must be
+    in ``[1, MAX_N]``.
     ``deadline_seconds`` is an optional total latency budget measured on
     the router's clock from the moment :meth:`RequestRouter.handle` starts.
     """
@@ -77,6 +83,10 @@ class RecRequest:
     n: int = 10
     timestamp: float | None = None
     deadline_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must be in [1, {MAX_N}], got {self.n}")
 
     @property
     def scenario(self) -> Scenario:

@@ -1,31 +1,39 @@
-"""Tests for the LSH-bucketed ANN index (DESIGN.md "Candidate retrieval
-index"): hashing, auto-sizing, incremental maintenance, partition
-pruning, and the rebuild-from-checkpoint equivalence contract."""
+"""Tests for the factor-scan retrieval index (DESIGN.md "Candidate retrieval
+index"): the shared tie-break, exact top-``OVERFETCH * n`` shortlists,
+in-place and appending upserts, the rebuild-from-checkpoint equivalence
+contract, and scans racing upserts."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.config import MFConfig, RetrievalConfig
-from repro.core import (
-    AnnIndex,
-    MFModel,
-    RandomHyperplanes,
-    auto_band_bits,
-    top_n_by_score,
-)
-from repro.data import Video
+from repro.config import MFConfig
+from repro.core import AnnIndex, MFModel, top_n_by_score
+from repro.core.annindex import OVERFETCH
 
 
-def _catalog(n, f=8, kinds=("music", "news", "sport"), seed=3):
+def _catalog(n, f=8, seed=3):
     rng = np.random.default_rng(seed)
     ids = [f"v{i:04d}" for i in range(n)]
-    videos = {
-        vid: Video(vid, kinds[i % len(kinds)], duration=100.0)
-        for i, vid in enumerate(ids)
-    }
     vectors = rng.standard_normal((n, f)) * 0.3
     biases = rng.standard_normal(n) * 0.05
-    return ids, videos, vectors, biases
+    return ids, vectors, biases
+
+
+def _index(ids, vectors, biases):
+    """An index built, as the recommender builds it, from a model."""
+    model = MFModel(MFConfig(f=vectors.shape[1]))
+    model.put_params_many(
+        [("video", vid, vec, float(b)) for vid, vec, b in zip(ids, vectors, biases)]
+    )
+    idx = AnnIndex(vectors.shape[1])
+    return idx, idx.build_from_model(model)
+
+
+def _exact(ids, scores, k):
+    return sorted(vid for vid, _ in top_n_by_score(ids, scores, k))
 
 
 class TestTopNByScore:
@@ -57,203 +65,116 @@ class TestTopNByScore:
         assert top_n_by_score(["v0"], np.array([1.0]), 0) == []
 
 
-class TestAutoBandBits:
-    def test_grows_with_catalog_size(self):
-        cfg = RetrievalConfig()
-        small = auto_band_bits(1_000, 1, cfg)
-        large = auto_band_bits(1_000_000, 1, cfg)
-        assert small < large
-
-    def test_partitions_shrink_the_bands(self):
-        cfg = RetrievalConfig()
-        assert auto_band_bits(100_000, 8, cfg) <= auto_band_bits(
-            100_000, 1, cfg
-        )
-
-    def test_clamped_to_configured_range(self):
-        cfg = RetrievalConfig()
-        assert auto_band_bits(1, 1, cfg) == cfg.min_band_bits
-        assert auto_band_bits(10**12, 1, cfg) == cfg.max_band_bits
-
-    def test_explicit_band_bits_wins(self):
-        cfg = RetrievalConfig(band_bits=7)
-        assert auto_band_bits(10**9, 4, cfg) == 7
-
-
-class TestRandomHyperplanes:
-    def test_deterministic_in_seed(self):
-        a = RandomHyperplanes(8, tables=4, band_bits=6, seed=9)
-        b = RandomHyperplanes(8, tables=4, band_bits=6, seed=9)
-        vecs = np.random.default_rng(0).standard_normal((10, 8))
-        assert np.array_equal(a.band_values(vecs), b.band_values(vecs))
-
-    def test_band_values_shape_and_range(self):
-        fam = RandomHyperplanes(5, tables=3, band_bits=4, seed=1)
-        bands = fam.band_values(np.ones((7, 5)))
-        assert bands.shape == (7, 3)
-        assert (bands < 16).all()
-
-    def test_sign_signatures_are_scale_invariant(self):
-        fam = RandomHyperplanes(6, tables=2, band_bits=8, seed=2)
-        v = np.random.default_rng(3).standard_normal(6)
-        assert np.array_equal(
-            fam.band_values(v[None, :]), fam.band_values(v[None, :] * 37.0)
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="band_bits"):
-            RandomHyperplanes(4, tables=2, band_bits=64, seed=0)
-        with pytest.raises(ValueError, match="tables"):
-            RandomHyperplanes(4, tables=0, band_bits=8, seed=0)
-        with pytest.raises(ValueError, match="dim"):
-            RandomHyperplanes(0, tables=2, band_bits=8, seed=0)
-
-
 class TestBulkLoadAndQuery:
     def test_self_retrieval(self):
-        ids, videos, vectors, biases = _catalog(400)
-        idx = AnnIndex(8, videos=videos)
-        idx.bulk_load(ids, vectors, biases)
-        # Each indexed vector must retrieve itself (its exact buckets are
-        # always probed first).
+        ids, vectors, biases = _catalog(400)
+        idx, _ = _index(ids, vectors, biases)
+        # Cosine 1 is the maximum: every vector is its own best match.
         for i in (0, 57, 399):
             assert ids[i] in idx.query_item(vectors[i], 10)
 
     def test_shortlist_subset_of_catalog(self):
-        ids, videos, vectors, biases = _catalog(300)
-        idx = AnnIndex(8, videos=videos)
-        idx.bulk_load(ids, vectors, biases)
-        rng = np.random.default_rng(5)
-        shortlist = idx.query_user(rng.standard_normal(8), 20)
+        ids, vectors, biases = _catalog(300)
+        idx, _ = _index(ids, vectors, biases)
+        shortlist = idx.query_user(np.random.default_rng(5).standard_normal(8), 20)
         assert set(shortlist) <= set(ids)
         assert shortlist == sorted(shortlist)
+        assert len(shortlist) == OVERFETCH * 20
+
+    def test_user_shortlist_is_exact_top_by_inner_product_plus_bias(self):
+        ids, vectors, biases = _catalog(300)
+        idx, _ = _index(ids, vectors, biases)
+        x = np.random.default_rng(6).standard_normal(8)
+        assert idx.query_user(x, 15) == _exact(
+            ids, vectors @ x + biases, OVERFETCH * 15
+        )
+
+    def test_item_shortlist_is_exact_top_by_cosine(self):
+        ids, vectors, biases = _catalog(300)
+        idx, _ = _index(ids, vectors, biases)
+        y = np.random.default_rng(7).standard_normal(8)
+        cosine = vectors @ y / (np.linalg.norm(vectors, axis=1) * np.linalg.norm(y))
+        assert idx.query_item(y, 15) == _exact(ids, cosine, OVERFETCH * 15)
+
+    def test_stacked_seeds_union_their_shortlists(self):
+        ids, vectors, biases = _catalog(200)
+        idx, _ = _index(ids, vectors, biases)
+        seeds = vectors[[3, 90, 150]]
+        union = sorted(set().union(*(idx.query_item(s, 5) for s in seeds)))
+        assert idx.query_item(seeds, 5) == union
 
     def test_exclude_is_respected(self):
-        ids, videos, vectors, biases = _catalog(100)
-        idx = AnnIndex(8, videos=videos)
-        idx.bulk_load(ids, vectors, biases)
-        blocked = set(ids[:50])
+        ids, vectors, biases = _catalog(100)
+        idx, _ = _index(ids, vectors, biases)
+        blocked = set(ids[:50]) | {"not-indexed"}
         shortlist = idx.query_item(vectors[0], 20, exclude=blocked)
         assert not blocked & set(shortlist)
+        assert len(shortlist) == OVERFETCH * 20
+
+    def test_exclude_larger_than_the_rest_returns_what_is_left(self):
+        ids, vectors, biases = _catalog(30)
+        idx, _ = _index(ids, vectors, biases)
+        x = np.ones(8)
+        assert idx.query_user(x, 10, exclude=set(ids[5:])) == ids[:5]
 
     def test_build_report(self):
-        ids, videos, vectors, biases = _catalog(150)
-        idx = AnnIndex(8, videos=videos)
-        report = idx.bulk_load(ids, vectors, biases)
+        ids, vectors, biases = _catalog(150)
+        idx, report = _index(ids, vectors, biases)
         assert report["indexed"] == 150
-        assert report["partitions"] == 4  # 3 kinds + unpartitioned slot
         assert report["build_seconds"] >= 0.0
-        assert report["bias_scale"] > 0.0
         assert len(idx) == 150
-
-    def test_pinned_bias_scale_is_honoured(self):
-        ids, videos, vectors, biases = _catalog(60)
-        idx = AnnIndex(8, config=RetrievalConfig(bias_scale=2.5))
-        report = idx.bulk_load(ids, vectors, biases)
-        assert report["bias_scale"] == 2.5
-
-    def test_row_queries_match_id_queries(self):
-        ids, videos, vectors, biases = _catalog(250)
-        idx = AnnIndex(8, videos=videos)
-        idx.bulk_load(ids, vectors, biases)
-        x = np.random.default_rng(8).standard_normal(8)
-        rows = idx.query_user_rows(x, 15)
-        assert sorted(idx.ids_for_rows(rows)) == idx.query_user(x, 15)
-
-    def test_duplicate_ids_rejected(self):
-        idx = AnnIndex(4)
-        with pytest.raises(ValueError, match="duplicate"):
-            idx.bulk_load(["v0", "v0"], np.zeros((2, 4)))
+        assert "v0007" in idx and "v9999" not in idx
 
     def test_shape_mismatch_rejected(self):
         idx = AnnIndex(4)
         with pytest.raises(ValueError, match="shape"):
-            idx.bulk_load(["v0"], np.zeros((1, 5)))
+            idx.upsert("v0", np.zeros(5))
 
-    def test_bucket_occupancy_histogram(self):
-        ids, videos, vectors, biases = _catalog(200)
-        idx = AnnIndex(8, videos=videos)
-        idx.bulk_load(ids, vectors, biases)
-        occ = idx.bucket_occupancy()
-        assert occ["buckets"] > 0
-        assert occ["max"] >= occ["p90"] >= occ["p50"] >= 1
-        assert occ["mean"] > 0.0
+    def test_empty_index_returns_nothing(self):
+        idx = AnnIndex(4)
+        assert idx.query_user(np.ones(4), 5) == []
+        assert idx.query_item(np.ones(4), 5) == []
 
 
 class TestIncrementalMaintenance:
-    def _index(self, check_every=2):
-        _, videos, _, _ = _catalog(10)
-        return AnnIndex(
-            4,
-            videos=videos,
-            config=RetrievalConfig(check_every=check_every, min_band_bits=6),
-        )
-
-    def test_upsert_outcomes(self):
-        idx = self._index(check_every=2)
-        v = np.array([0.5, -0.2, 0.1, 0.3])
-        assert idx.upsert("v0001", v) == "fresh"
-        # Drift check not due yet (every 2nd upsert).
-        assert idx.upsert("v0001", v) == "skipped"
-        # Due, signature unchanged.
-        assert idx.upsert("v0001", v) == "checked"
-        assert idx.upsert("v0001", v) == "skipped"
-        # Due again, vector flipped -> signature must drift.
-        assert idx.upsert("v0001", -v) == "rehashed"
-
     def test_fresh_video_is_queryable(self):
-        idx = self._index()
+        idx = AnnIndex(4)
         v = np.array([1.0, 0.0, 0.0, 0.0])
         idx.upsert("v0003", v)
         assert "v0003" in idx
         assert "v0003" in idx.query_item(v, 5)
 
-    def test_evict_removes_from_results(self):
-        idx = self._index()
-        v = np.array([0.0, 1.0, 0.0, 0.0])
-        idx.upsert("v0004", v)
-        assert idx.evict("v0004") is True
-        assert "v0004" not in idx
-        assert "v0004" not in idx.query_item(v, 5)
-        assert idx.evict("v0004") is False  # already gone
+    def test_moved_video_is_found_at_its_new_vector(self):
+        e1, e2, e3 = np.eye(3)
+        idx = AnnIndex(3)
+        for vid in ("va", "vb", "vc"):
+            idx.upsert(vid, e2)
+        idx.upsert("vz", e1)  # sorts last: it wins no id tie-break
+        assert "vz" in idx.query_item(e1, 1)
+        idx.upsert("vz", e3)
+        assert len(idx) == 4
+        assert "vz" in idx.query_item(e3, 1)
+        assert "vz" not in idx.query_item(e1, 1)
 
-    def test_rehash_keeps_video_findable_at_new_signature(self):
-        idx = self._index(check_every=1)
-        v = np.array([0.8, 0.1, -0.3, 0.2])
-        idx.upsert("v0005", v)
-        idx.upsert("v0005", -v)  # every upsert checks; flip rehashes
-        assert "v0005" in idx.query_item(-v, 5)
+    def test_bias_update_moves_user_ranking(self):
+        idx = AnnIndex(2)
+        idx.upsert("va", np.zeros(2), 0.1)
+        idx.upsert("vb", np.zeros(2), 0.2)
+        idx.upsert("vc", np.zeros(2), 0.0)
+        idx.upsert("vd", np.zeros(2), -1.0)
+        assert idx.query_user(np.ones(2), 1) == ["va", "vb"]
+        idx.upsert("vc", np.zeros(2), 5.0)
+        assert idx.query_user(np.ones(2), 1) == ["vb", "vc"]
 
-    def test_stats_keys(self):
-        idx = self._index()
-        idx.upsert("v0000", np.ones(4))
-        stats = idx.stats()
-        assert stats["indexed"] == 1
-        assert stats["tables"] == idx.tables
-        assert stats["stale_entries"] >= 0
-        assert stats["bias_scale"] > 0
-
-
-class TestPartitions:
-    def test_partition_restriction_filters_shortlist(self):
-        ids, videos, vectors, biases = _catalog(300)
-        idx = AnnIndex(8, videos=videos)
-        idx.bulk_load(ids, vectors, biases)
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            shortlist = idx.query_user(
-                rng.standard_normal(8), 20, allowed_partitions=["news"]
-            )
-            assert shortlist  # news is a third of the catalog
-            assert all(videos[vid].kind == "news" for vid in shortlist)
-
-    def test_partitioning_disabled_uses_single_partition(self):
-        ids, videos, vectors, biases = _catalog(50)
-        idx = AnnIndex(
-            8, videos=videos, config=RetrievalConfig(partition_by_kind=False)
-        )
-        report = idx.bulk_load(ids, vectors, biases)
-        assert report["partitions"] == 1
+    def test_growth_keeps_every_row(self):
+        idx = AnnIndex(3)
+        rng = np.random.default_rng(1)
+        vectors = {f"v{i}": rng.standard_normal(3) for i in range(200)}
+        for vid, vec in vectors.items():
+            idx.upsert(vid, vec, 0.0)
+        assert len(idx) == 200
+        for vid in ("v0", "v63", "v64", "v199"):
+            assert vid in idx.query_item(vectors[vid], 1)
 
 
 class TestRebuildEquivalence:
@@ -282,21 +203,91 @@ class TestRebuildEquivalence:
         restored = AnnIndex(6)
         restored.build_from_model(restored_model)
 
-        assert fresh.indexed_ids() == restored.indexed_ids()
+        assert len(fresh) == len(restored) == len(model.video_rows()[0])
         rng = np.random.default_rng(99)
         for _ in range(10):
             x = rng.standard_normal(6)
-            assert fresh.query_user(x, 10) == restored.query_user(x, 10)
-            assert fresh.query_item(x, 10) == restored.query_item(x, 10)
+            assert fresh.query_user(x, 5) == restored.query_user(x, 5)
+            assert fresh.query_item(x, 5) == restored.query_item(x, 5)
 
-    def test_rebuild_reports_cost_and_resets_stale(self):
+    def test_rebuild_reports_cost_and_resyncs_with_model(self):
         model = self._trained_model()
-        idx = AnnIndex(6, config=RetrievalConfig(check_every=1))
+        idx = AnnIndex(6)
         idx.build_from_model(model)
-        # Dirty the index, then rebuild: stale entries are gone.
-        flipped = -np.asarray(model.video_vector("v0001"))
-        idx.upsert("v0001", flipped)
-        report = idx.rebuild(model)
-        assert report["indexed"] == len(model.video_rows()[0])
+        clean = idx.query_item(model.video_vector("v0001"), 3)
+        # Drift the mirror away from the model, then rebuild.
+        idx.upsert("v0001", -np.asarray(model.video_vector("v0001")))
+        idx.upsert("stray", np.ones(6))
+        report = idx.build_from_model(model)
+        assert report["indexed"] == len(model.video_rows()[0]) == len(idx)
         assert report["build_seconds"] >= 0.0
-        assert idx.stats()["stale_entries"] == 0
+        assert "stray" not in idx
+        assert idx.query_item(model.video_vector("v0001"), 3) == clean
+
+
+class TestConcurrency:
+    def test_scans_racing_growth_see_only_known_videos(self):
+        """One thread appends videos (forcing several doublings) and moves
+        old ones while three others scan: no scan raises, and every
+        shortlist holds distinct ids of videos that were upserted."""
+        f = 4
+        rng = np.random.default_rng(0)
+        ids, vectors, biases = _catalog(32, f=f)
+        idx, _ = _index(ids, vectors, biases)
+        fresh = [(f"new{i}", rng.standard_normal(f)) for i in range(400)]
+        known = set(ids) | {vid for vid, _ in fresh}
+        errors: list[Exception] = []
+        scanned, done = threading.Event(), threading.Event()
+        sizes_seen = []
+
+        def writer():
+            try:
+                for i, (vid, vec) in enumerate(fresh):
+                    idx.upsert(vid, vec, 0.01 * i)
+                    idx.upsert(ids[i % len(ids)], -vec, 0.0)
+                    if i % 50 == 49:
+                        # Let a scan finish before the next chunk, so the
+                        # readers see the index at many sizes; scans still
+                        # race the chunk's upserts.
+                        scanned.clear()
+                        scanned.wait(10)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader():
+            queries = np.random.default_rng(1).standard_normal((3, f))
+            try:
+                while not done.is_set():
+                    for shortlist in (
+                        idx.query_user(queries[0], 5),
+                        idx.query_item(queries[1], 5),
+                        idx.query_item(queries, 5),
+                    ):
+                        assert len(shortlist) == len(set(shortlist))
+                        assert set(shortlist) <= known
+                    sizes_seen.append(len(idx))
+                    scanned.set()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                scanned.set()
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(idx) == len(known)
+        # Readers saw the index at several sizes, not just before and after.
+        assert len(set(sizes_seen)) > 2

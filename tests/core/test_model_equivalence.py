@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.clock import VirtualClock
+from repro.config import ReproConfig, RetrievalConfig
 from repro.core import MFModel, OnlineTrainer, RealtimeRecommender
 from repro.core.variants import ALL_VARIANTS, COMBINE_MODEL
 from repro.kvstore import InMemoryKVStore
@@ -241,3 +242,36 @@ class TestRecommenderEquivalence:
             rec.trainer.stats,
             _oracle(rec.model, actions, small_world.videos, variant),
         )
+
+    @pytest.mark.parametrize("rebuild", [True, False], ids=["rebuilt", "upserted"])
+    def test_ann_mode_serves_the_oracles_top_n_over_every_video(
+        self, rebuild, small_world, small_split
+    ):
+        """``"ann"`` retrieval is exact: for warm users with no history (no
+        seeds, nothing excluded) the served list is the oracle's Eq. 2
+        top-``n`` over the whole catalog, whether the scan's mirror was
+        rebuilt from the model or kept current by the trainer's upserts."""
+        actions = small_split.train[:500]
+        rec = RealtimeRecommender(
+            small_world.videos,
+            users=small_world.users,
+            config=ReproConfig(retrieval=RetrievalConfig(mode="ann")),
+            clock=VirtualClock(0.0),
+            enable_demographic=False,
+        )
+        # Train through the trainer only: factors are learned, histories
+        # stay empty.
+        for action in actions:
+            update = rec.trainer.process(action)
+            if update is not None and not rebuild:
+                rec.index.upsert(action.video_id, update.y_i, update.b_i)
+        if rebuild:
+            rec.rebuild_index()
+        oracle = _oracle(rec.model, actions, small_world.videos)
+        assert len(rec.index) == len(oracle.y)
+        for user_id in sorted(oracle.x)[:15]:
+            assert rec.history.recent(user_id, 1) == []
+            for n in (1, 10, 25):
+                assert rec.recommend_ids(user_id, n=n, now=1.0) == oracle.top_n(
+                    user_id, n
+                )

@@ -1,6 +1,6 @@
-"""Equivalence suite for two-stage (ANN shortlist -> exact re-rank)
-retrieval: saturated-index equality with exhaustive re-ranking, demographic
-post-filter semantics, batched seed fetches, and router integration."""
+"""Equivalence suite for two-stage (factor-scan shortlist -> Eq. 2 re-rank)
+retrieval: equality with exhaustive re-ranking, demographic post-filter
+semantics, batched seed fetches, and router integration."""
 
 import numpy as np
 import pytest
@@ -15,18 +15,11 @@ from repro.serving import RecRequest, RequestRouter
 from tests.support.obs import counter_totals
 
 
-def _config(mode, **knobs):
-    # Saturating shortlist: with min_shortlist far above the catalog the
-    # ANN stage returns every indexed video, so stage 2 must reproduce the
-    # exhaustive re-rank exactly — any divergence is a retrieval bug.
-    return ReproConfig(
-        retrieval=RetrievalConfig(
-            mode=mode,
-            min_shortlist=100_000,
-            shortlist_cap=200_000,
-            **knobs,
-        )
-    )
+def _config(mode):
+    # The scan's shortlist is the exact top OVERFETCH * n, so stage 2 must
+    # reproduce the exhaustive re-rank exactly — any divergence is a
+    # retrieval bug.
+    return ReproConfig(retrieval=RetrievalConfig(mode=mode))
 
 
 def _trained(small_world, small_split, mode, **kwargs):
@@ -169,15 +162,10 @@ class TestBatchedSeedFetches:
         self, small_world, small_split
     ):
         obs = Observability.create()
-        config = ReproConfig(
-            retrieval=RetrievalConfig(
-                mode="ann", min_shortlist=100_000, shortlist_cap=200_000
-            ),
-        )
         rec = RealtimeRecommender(
             small_world.videos,
             users=small_world.users,
-            config=config,
+            config=_config("ann"),
             clock=VirtualClock(0.0),
             store=InMemoryKVStore(),
             obs=obs,
@@ -240,6 +228,6 @@ class TestRouterIntegration:
             )
 
         assert total("ann_queries_total") >= 1
-        assert total("ann_probes_total") >= 1
         assert total("ann_rebuilds_total") >= 1
-        assert total("ann_upserts_total") >= 1
+        indexed = obs.registry.get("ann_indexed_videos").value
+        assert indexed == len(rec.index) == len(rec.model.video_rows()[0])

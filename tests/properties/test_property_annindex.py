@@ -1,129 +1,141 @@
-"""Property-based tests for the ANN index: the Charikar collision law,
-membership under arbitrary upsert/evict interleavings, and shortlist
-containment/partition invariants."""
+"""Property-based tests for the factor-scan retrieval index: after any
+sequence of upserts that move rows, add rows and grow the arrays, a user
+shortlist re-ranked by ``predict_many`` is the exhaustive Eq. 2 top-``n``
+of the whole catalog, and an item shortlist is the exhaustive cosine
+top-``OVERFETCH * n``.
+
+Factors and biases are drawn on a grid of quarter units, which float32
+holds exactly: the float32 scan and the float64 reference then score
+every video identically, so the comparisons are equalities, ties
+included."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import RetrievalConfig
-from repro.core import AnnIndex, RandomHyperplanes
-from repro.data import Video
+from repro.config import MFConfig
+from repro.core import AnnIndex, MFModel, top_n_by_score
+from repro.core.annindex import OVERFETCH
 
-KINDS = ("music", "news", "sport")
+F = 3
+POOL = [f"v{i:03d}" for i in range(40)]
 
-
-def _vector_for(video_id: str, f: int = 4) -> np.ndarray:
-    """A deterministic pseudo-random factor vector per id."""
-    rng = np.random.default_rng(abs(hash(video_id)) % (2**32))
-    return rng.standard_normal(f) * 0.3
-
-
-def _videos(n=12):
-    return {
-        f"v{i}": Video(f"v{i}", KINDS[i % len(KINDS)], duration=100.0)
-        for i in range(n)
-    }
-
-
-class TestCollisionLaw:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        angle=st.floats(0.05, np.pi - 0.05),
-    )
-    def test_hamming_tracks_angle(self, seed, angle):
-        """P(sign bit differs) = theta/pi (Charikar): with 504 hyperplanes
-        the empirical bit-difference rate stays within a generous CLT band
-        of the angle between the vectors."""
-        family = RandomHyperplanes(6, tables=8, band_bits=63, seed=seed)
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal(6)
-        a /= np.linalg.norm(a)
-        raw = rng.standard_normal(6)
-        ortho = raw - (raw @ a) * a
-        ortho /= np.linalg.norm(ortho)
-        b = np.cos(angle) * a + np.sin(angle) * ortho
-        bits = family.bit_matrix(np.vstack([a, b]))
-        observed = RandomHyperplanes.hamming(bits[0], bits[1]) / bits.shape[1]
-        assert abs(observed - angle / np.pi) < 0.15
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_closer_pair_collides_more(self, seed):
-        family = RandomHyperplanes(6, tables=8, band_bits=63, seed=seed)
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal(6)
-        a /= np.linalg.norm(a)
-        raw = rng.standard_normal(6)
-        ortho = raw - (raw @ a) * a
-        ortho /= np.linalg.norm(ortho)
-
-        def ham(angle):
-            b = np.cos(angle) * a + np.sin(angle) * ortho
-            bits = family.bit_matrix(np.vstack([a, b]))
-            return RandomHyperplanes.hamming(bits[0], bits[1])
-
-        assert ham(0.2) < ham(2.9)
-
-
-ops = st.lists(
-    st.tuples(
-        st.sampled_from(["upsert", "evict"]),
-        st.sampled_from([f"v{i}" for i in range(12)]),
-    ),
-    max_size=60,
+vectors = st.lists(st.integers(-6, 6), min_size=F, max_size=F).map(
+    lambda v: np.array(v, dtype=np.float64) / 4
 )
+biases = st.integers(-8, 8).map(lambda b: b / 4)
+catalogs = st.dictionaries(
+    st.sampled_from(POOL), st.tuples(vectors, biases), max_size=25
+)
+upserts = st.lists(
+    st.tuples(st.sampled_from(POOL), vectors, biases), max_size=15
+)
+
+
+def _filler(count: int):
+    """``count`` new videos on the grid: enough of them outgrow the index's
+    initial 64 rows."""
+    rng = np.random.default_rng(count)
+    return [
+        (f"w{i:03d}", rng.integers(-6, 7, F) / 4, float(rng.integers(-8, 9)) / 4)
+        for i in range(count)
+    ]
+
+
+def _eq2_top(model: MFModel, user: str, pool: list[str], n: int) -> list[str]:
+    """The serving path's stage 2: ``predict_many``, ``(score desc, id asc)``."""
+    scores = model.predict_many(user, pool)
+    order = sorted(range(len(pool)), key=lambda i: (-scores[i], pool[i]))
+    return [pool[i] for i in order[:n]]
+
+
+def _cosine_top(model: MFModel, y: np.ndarray, pool: list[str], k: int):
+    rows = np.array([model.video_vector(vid) for vid in pool]).reshape(-1, F)
+    denom = np.linalg.norm(rows, axis=1) * np.linalg.norm(y)
+    dots = rows @ y
+    cosine = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    return sorted(vid for vid, _ in top_n_by_score(pool, cosine, k))
+
+
+class TestExactContract:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        catalog=catalogs,
+        moves=upserts,
+        grow=st.integers(0, 80),
+        late=upserts,
+        x_u=vectors,
+        b_u=biases,
+        y=vectors,
+        exclude=st.sets(st.sampled_from(POOL)),
+        n=st.integers(1, 12),
+    )
+    def test_shortlists_equal_the_exhaustive_rankings(
+        self, catalog, moves, grow, late, x_u, b_u, y, exclude, n
+    ):
+        model = MFModel(MFConfig(f=F))
+        model.put_params_many(
+            [("video", vid, vec, b) for vid, (vec, b) in catalog.items()]
+            + [("user", "u", x_u, b_u)]
+        )
+        idx = AnnIndex(F)
+        idx.build_from_model(model)
+        steps = [[], *([op] for op in moves), _filler(grow), *([op] for op in late)]
+        for step in steps:
+            for vid, vec, b in step:
+                model.put_video(vid, vec, b)
+                idx.upsert(vid, vec, b)
+
+            pool = [v for v in model.video_rows()[0] if v not in exclude]
+            assert len(idx) == len(model.video_rows()[0])
+            shortlist = idx.query_user(x_u, n, exclude=exclude)
+            assert shortlist == sorted(set(shortlist))
+            assert _eq2_top(model, "u", shortlist, n) == _eq2_top(
+                model, "u", pool, n
+            )
+            assert idx.query_item(y, n, exclude=exclude) == _cosine_top(
+                model, y, pool, OVERFETCH * n
+            )
 
 
 class TestMembership:
     @settings(max_examples=40, deadline=None)
-    @given(ops=ops)
+    @given(ops=upserts)
     def test_matches_dict_reference_under_any_interleaving(self, ops):
-        videos = _videos()
-        idx = AnnIndex(
-            4, videos=videos, config=RetrievalConfig(check_every=1)
-        )
+        idx = AnnIndex(F)
         reference: dict[str, np.ndarray] = {}
-        for op, vid in ops:
-            if op == "upsert":
-                vec = _vector_for(vid)
-                idx.upsert(vid, vec)
-                reference[vid] = vec
-            else:
-                assert idx.evict(vid) == (vid in reference)
-                reference.pop(vid, None)
+        for vid, vec, b in ops:
+            idx.upsert(vid, vec, b)
+            reference[vid] = vec
         assert len(idx) == len(reference)
-        assert idx.indexed_ids() == sorted(reference)
-        for vid in videos:
+        for vid in POOL:
             assert (vid in idx) == (vid in reference)
-        # Every member retrieves itself; non-members never appear.
+        # Every member with a direction retrieves itself (cosine 1).
         for vid, vec in reference.items():
-            shortlist = idx.query_item(vec, len(reference))
-            assert vid in shortlist
-            assert set(shortlist) <= set(reference)
+            if np.any(vec):
+                assert vid in idx.query_item(vec, len(reference))
 
 
 class TestShortlistInvariants:
     @settings(max_examples=40, deadline=None)
     @given(
-        seed=st.integers(0, 2**31 - 1),
-        allowed=st.sets(st.sampled_from(KINDS), min_size=1),
+        catalog=catalogs,
+        query=vectors,
+        exclude=st.sets(st.sampled_from(POOL)),
         n=st.integers(1, 20),
     )
-    def test_subset_of_catalog_and_respects_partitions(
-        self, seed, allowed, n
+    def test_subset_of_catalog_and_respects_exclude(
+        self, catalog, query, exclude, n
     ):
-        videos = _videos(30)
-        ids = sorted(videos)
-        vectors = np.vstack([_vector_for(vid, 8) for vid in ids])
-        idx = AnnIndex(8, videos=videos)
-        idx.bulk_load(ids, vectors)
-        query = np.random.default_rng(seed).standard_normal(8)
-        shortlist = idx.query_user(query, n, allowed_partitions=allowed)
-        assert set(shortlist) <= set(ids)
-        assert shortlist == sorted(shortlist)
-        assert all(videos[vid].kind in allowed for vid in shortlist)
-        excluded = set(ids[:10])
-        filtered = idx.query_user(query, n, exclude=excluded)
-        assert not excluded & set(filtered)
+        idx = AnnIndex(F)
+        for vid, (vec, b) in catalog.items():
+            idx.upsert(vid, vec, b)
+        for shortlist in (
+            idx.query_user(query, n, exclude=exclude),
+            idx.query_item(query, n, exclude=exclude),
+        ):
+            assert set(shortlist) <= set(catalog) - exclude
+            assert shortlist == sorted(set(shortlist))
+            assert len(shortlist) == min(
+                OVERFETCH * n, len(set(catalog) - exclude)
+            )

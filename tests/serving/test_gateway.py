@@ -28,6 +28,7 @@ from repro.serving import (
     RequestRouter,
     ServingGateway,
 )
+from repro.serving.router import MAX_N
 from tests.support.gateway_thread import GatewayThread
 
 
@@ -108,6 +109,24 @@ class TestEndpoints:
             status, _, doc = _request(server.port, "POST", "/recommend", {})
         assert status == 400
         assert "user_id" in doc["error"]
+
+    @pytest.mark.parametrize("n", [-3, 0, MAX_N + 1])
+    def test_recommend_n_out_of_range_is_400(self, n):
+        """A list length outside ``[1, MAX_N]`` never reaches the backend:
+        a negative ``n`` used to be served as ``ids[:n]``, a huge one would
+        score the whole catalog in ``"ann"`` mode."""
+        backend = _Backend()
+        with _gateway(RequestRouter(backend)) as server:
+            status, _, doc = _request(
+                server.port, "POST", "/recommend", {"user_id": "u1", "n": n}
+            )
+            ok, _, _ = _request(
+                server.port, "POST", "/recommend", {"user_id": "u1", "n": MAX_N}
+            )
+        assert status == 400, doc
+        assert "n must be in" in doc["error"]
+        assert ok == 200
+        assert backend.calls == ["u1"]
 
     def test_invalid_json_is_400(self):
         router = RequestRouter(_Backend())

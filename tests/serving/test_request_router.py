@@ -7,6 +7,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.core import RealtimeRecommender
 from repro.serving import RecRequest, RequestRouter, Scenario
+from repro.serving.router import MAX_N
 from tests.support.obs import counter_totals
 
 
@@ -31,6 +32,11 @@ class TestScenarioDispatch:
 
     def test_guess_you_like_scenario(self):
         assert RecRequest("u1").scenario is Scenario.GUESS_YOU_LIKE
+
+    @pytest.mark.parametrize("n", [-3, 0, MAX_N + 1])
+    def test_n_outside_range_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be in"):
+            RecRequest("u1", n=n)
 
     def test_arguments_forwarded(self):
         backend = _Backend()

@@ -37,16 +37,11 @@ ALLOWED = {
     ),
 }
 
-_INDEX = "ROADMAP item 8 decides whether the LSH index exists"
 _TIER = "ROADMAP item 4 decides whether the durable tier exists"
 _TRACE = "ROADMAP item 9's /debug/trace serves the Tracer query API"
 
 #: ``module:Class.method`` -> why only tests call it.
 ALLOWED_METHODS = {
-    "repro.core.annindex:AnnIndex.evict": _INDEX,
-    "repro.core.annindex:AnnIndex.indexed_ids": _INDEX,
-    "repro.core.annindex:RandomHyperplanes.band_values": _INDEX,
-    "repro.core.annindex:RandomHyperplanes.hamming": _INDEX,
     "repro.kvstore.cache:ReadThroughCache.invalidate": _TIER,
     "repro.kvstore.cache:ReadThroughCache.hit_rate": _TIER,
     "repro.kvstore.cache:ReadThroughCache.cache_size": _TIER,
