@@ -59,8 +59,6 @@ def test_fig7_table5_ab_ctr(benchmark):
         world,
         arms=_arms(world),
         days=DAYS,
-        requests_per_user_per_day=1,
-        top_n=10,
         seed=17,
         assignment="hash",
     )

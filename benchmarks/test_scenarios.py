@@ -4,13 +4,8 @@ The paper's live experiment (§6.2) ran on benign organic traffic; the
 scenario engine stresses the same four arms under the regimes where
 real-time updating is supposed to pay off: a flash crowd, daily catalog
 churn with cold items, a diurnal traffic wave, and a mid-stream preference
-drift.  Two invariants are asserted per scenario:
-
-* **quality** — the paper's CTR ordering (Hot < AR ~ SimHash < rMF)
-  survives the disturbance;
-* **ops** — the serving plane under the scenario's offered-load profile
-  reports a valid, finite envelope (shed rate, accepted p99, breaker
-  trips, post-event recovery time).
+drift.  Per scenario the report must be valid and the paper's CTR
+ordering (Hot < AR ~ SimHash < rMF) must survive the disturbance.
 
 Every run emits one schema-versioned ``BENCH_scenarios.json`` with the
 flattened metrics of all four scenarios, which CI validates and archives.
@@ -44,7 +39,6 @@ def test_scenario_sweep(benchmark):
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     ctr_rows = []
-    ops_rows = []
     metrics = {}
     for name, scenario_report in sorted(reports.items()):
         doc = scenario_report.to_doc()
@@ -58,25 +52,12 @@ def test_scenario_sweep(benchmark):
         row["ordering_ok"] = doc["ctr_ordering_ok"]
         ctr_rows.append(row)
 
-        ops = doc["ops"]
-        ops_rows.append(
-            {
-                "scenario": name,
-                "shed_rate": round(ops["shed_rate"], 4),
-                "peak_shed": round(ops["peak_window_shed_rate"], 4),
-                "p99_ms": round(ops["accepted_p99_ms"], 3),
-                "breaker_trips": int(ops["breaker_trips"]),
-                "recovery_s": int(ops["recovery_seconds"]),
-            }
-        )
-
     report(
         "scenarios_ctr",
         format_rows(
             ctr_rows, columns=["scenario", *ARMS, "ordering_ok"]
         ),
     )
-    report("scenarios_ops", format_rows(ops_rows))
     emit_bench(
         "scenarios",
         metrics,
@@ -89,6 +70,3 @@ def test_scenario_sweep(benchmark):
             f"CTR ordering broke under {name}: "
             f"{ {a: s['overall_ctr'] for a, s in scenario_report.arms.items()} }"
         )
-    # Scenarios with a traffic spike must actually stress admission.
-    assert reports["flash_crowd"].ops["peak_window_shed_rate"] > 0.0
-    assert reports["diurnal_wave"].ops["peak_window_shed_rate"] > 0.0

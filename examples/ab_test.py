@@ -5,9 +5,9 @@ Run:  python examples/ab_test.py
 What it shows: the live-evaluation methodology of the paper, upgraded to
 the :class:`repro.eval.Experiment` platform — team-draft interleaved
 traffic (every request is a multileaved list drafted from all arms, which
-slashes the variance of CTR deltas), mSPRT sequential stopping against the
-Hot control, CTR tracked per day — on the synthetic world whose
-ground-truth click model simulates the users.  Batch arms (AR, SimHash)
+slashes the variance of CTR deltas), run for the full horizon with CTR
+tracked per day — on the synthetic world whose ground-truth click model
+simulates the users.  Batch arms (AR, SimHash)
 retrain daily; Hot and rMF update in real time.
 """
 
@@ -18,7 +18,7 @@ from repro.baselines import (
     SimHashCFRecommender,
 )
 from repro.data.synthetic import paper_world_config
-from repro.eval import Experiment, MSPRTStopping
+from repro.eval import Experiment
 
 DAYS = 5
 
@@ -37,15 +37,7 @@ def main() -> None:
             world.videos, users=world.users, clock=VirtualClock(0.0)
         ),
     }
-    experiment = Experiment(
-        world,
-        arms,
-        days=DAYS,
-        requests_per_user_per_day=1,
-        top_n=10,
-        assignment="interleave",
-        stopping=MSPRTStopping(control="Hot", min_days=2),
-    )
+    experiment = Experiment(world, arms, days=DAYS, assignment="interleave")
     print(
         f"running a {DAYS}-day interleaved experiment with arms: "
         f"{', '.join(arms)} ..."
@@ -74,17 +66,6 @@ def main() -> None:
     improvements = result.improvement_table()
     for (a, b) in (("rMF", "Hot"), ("rMF", "AR"), ("rMF", "SimHash")):
         print(f"  {a} over {b}: {100 * improvements[(a, b)]:+.1f} %")
-
-    print("\nsequential stopping (mSPRT vs the Hot control):")
-    for arm, p in sorted(result.p_values.items()):
-        print(f"  {arm:<8} running p-value {p:.2e}")
-    if result.stopped_day is not None:
-        print(
-            f"  stopped early after day {result.stopped_day + 1}: "
-            f"{result.stopped_arm} beat the control at alpha=0.05"
-        )
-    else:
-        print("  ran the full horizon (no arm crossed alpha)")
 
 
 if __name__ == "__main__":

@@ -2,21 +2,24 @@
 
 Run:  python examples/serve_while_train.py
 
-What it shows: the load generator offers the recommendation router both
+What it shows: a seeded request loop sends the recommendation router both
 Figure 6 scenarios while a trainer thread streams fresh user actions into
 the very same model — recommendations reflect activity from seconds ago,
-and serving latency stays in the millisecond band throughout.  Arrivals
-are paced on a virtual clock, so the requests fire back to back; latency
-is wall time measured by the router.  Over real sockets this is the
-``serve_while_train`` workload of ``benchmarks/e2e``.
+and serving latency stays in the millisecond band throughout.  Requests
+are stamped 10 ms apart from the first day-7 action but fire back to
+back; latency is wall time measured by the router.  Over real sockets
+this is the ``serve_while_train`` workload of ``benchmarks/e2e``.
 """
 
+import random
 import threading
 
 from repro import RealtimeRecommender, SyntheticWorld, VirtualClock
 from repro.data import split_by_day
 from repro.data.synthetic import paper_world_config
-from repro.serving import LoadGenerator, RequestRouter, Scenario
+from repro.serving import RecRequest, RequestRouter
+
+N_REQUESTS = 1000
 
 
 def main() -> None:
@@ -33,33 +36,40 @@ def main() -> None:
     seen_before = recommender.trainer.stats.seen
 
     router = RequestRouter(recommender)
-    generator = LoadGenerator(
-        router, list(world.users), list(world.videos), seed=1
-    )
+    rng = random.Random(1)
+    users, videos = list(world.users), list(world.videos)
+    start = clock.now()
     trainer = threading.Thread(
         target=recommender.observe_stream, args=(split.test,)
     )
     print(
-        f"offering 1,000 requests while streaming "
+        f"sending {N_REQUESTS:,} requests while streaming "
         f"{len(split.test):,} day-7 actions into the model ..."
     )
     trainer.start()
-    load = generator.run_offered(1000, 100.0, VirtualClock(clock.now()))
+    for i in range(N_REQUESTS):
+        current = rng.choice(videos) if rng.random() < 0.5 else None
+        router.handle(
+            RecRequest(
+                rng.choice(users),
+                current_video=current,
+                timestamp=start + 0.01 * (i + 1),
+            )
+        )
     trained = recommender.trainer.stats.seen - seen_before
     trainer.join()
 
-    print(f"\nserved {load.accepted:,} requests with {load.errors} errors")
-    print(
-        f"latency: mean {load.mean_latency_ms:.2f} ms, "
-        f"p99 {load.p99_latency_ms:.2f} ms"
-    )
+    snapshot = router.snapshot()
+    served = sum(stats["requests"] for stats in snapshot.values())
+    errors = sum(stats["errors"] for stats in snapshot.values())
+    print(f"\nserved {served:,} requests with {errors} errors")
     print(f"actions trained during the run: {trained:,}")
-    for scenario in Scenario:
-        stats = router.stats(scenario)
+    for scenario, stats in snapshot.items():
         print(
-            f"  {scenario.value:<16} requests={stats.requests:<5} "
-            f"empty={stats.empty:<4} "
-            f"mean={stats.latency.mean * 1000:.2f} ms"
+            f"  {scenario:<16} requests={stats['requests']:<5} "
+            f"empty={stats['empty']:<4} "
+            f"mean={stats['mean_latency_ms']:.2f} ms "
+            f"p99={stats['p99_latency_ms']:.2f} ms"
         )
 
 

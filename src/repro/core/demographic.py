@@ -92,9 +92,6 @@ class HotVideoTracker:
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:k]
 
-    def groups(self) -> list[str]:
-        return list(self._groups.keys())
-
 
 class DemographicRecommender:
     """The DB algorithm: hot videos of the requesting user's group.

@@ -99,7 +99,3 @@ class GroupedRecommender:
             r.video_id
             for r in self.recommend(user_id, current_video, n=n, now=now)
         ]
-
-    def groups(self) -> list[str]:
-        """Groups that have received at least one action or request."""
-        return list(self._groups)

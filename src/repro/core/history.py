@@ -72,11 +72,6 @@ class UserHistoryStore:
         """All videos currently in the user's (bounded) history."""
         return {video_id for video_id, _ in self._store.get(user_id, [])}
 
-    def last_active(self, user_id: str) -> float | None:
-        """Timestamp of the user's most recent recorded engagement."""
-        entries = self._store.get(user_id, [])
-        return entries[0][1] if entries else None
-
     def snapshot(self, user_id: str, k: int | None = None) -> HistorySnapshot:
         """Recent list, watched set and last-active from a single get."""
         entries = self._store.get(user_id, [])

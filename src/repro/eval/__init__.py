@@ -2,13 +2,7 @@
 (Table 2), the experimentation platform (§6.2), and scriptable
 adversarial scenarios (ROADMAP item 1)."""
 
-from .experiment import (
-    ArmStats,
-    Experiment,
-    ExperimentResult,
-    MSPRTStopping,
-    mixture_sprt_p_value,
-)
+from .experiment import ArmStats, Experiment, ExperimentResult
 from .gridsearch import GridPoint, GridSearchResult, grid_search
 from .scenarios import (
     SCENARIO_LIBRARY,
@@ -56,8 +50,6 @@ __all__ = [
     "ArmStats",
     "Experiment",
     "ExperimentResult",
-    "MSPRTStopping",
-    "mixture_sprt_p_value",
     "Scenario",
     "FlashCrowd",
     "CatalogChurn",

@@ -1,4 +1,4 @@
-"""Continuous experimentation: many arms, interleaving, early stopping.
+"""Continuous experimentation: many arms, hash split or interleaving.
 
 Generalises the paper's fixed-split ten-day A/B test (§6.2) into an
 :class:`Experiment` object:
@@ -11,12 +11,10 @@ Generalises the paper's fixed-split ten-day A/B test (§6.2) into an
   every arm per-user paired exposure, which slashes the variance of CTR
   deltas;
 * **shared logs** — all arms observe the same organic daily stream plus
-  all recommendation feedback, as in the paper's production setup;
-* **sequential stopping** — an always-valid mixture sequential probability
-  ratio test (mSPRT, Johari et al.) per treatment arm against a control
-  arm, checked at end-of-day checkpoints, so rigged experiments stop in
-  days instead of running the full horizon, without inflating the
-  false-positive rate of A/A runs.
+  all recommendation feedback, as in the paper's production setup.
+
+Every user asks for one list of :data:`TOP_N` videos per day, and every
+run lasts its full horizon.
 """
 
 from __future__ import annotations
@@ -38,9 +36,10 @@ __all__ = [
     "ArmStats",
     "Experiment",
     "ExperimentResult",
-    "MSPRTStopping",
-    "mixture_sprt_p_value",
 ]
+
+#: Videos in every served list.
+TOP_N = 10
 
 
 @dataclass(slots=True)
@@ -79,91 +78,17 @@ class ArmStats:
 
 
 # ---------------------------------------------------------------------------
-# Sequential stopping (mSPRT)
-# ---------------------------------------------------------------------------
-
-
-def mixture_sprt_p_value(
-    clicks_a: int,
-    impressions_a: int,
-    clicks_b: int,
-    impressions_b: int,
-    tau: float,
-) -> float:
-    """One mSPRT likelihood-ratio step for a CTR difference.
-
-    Normal-approximation mixture SPRT with a ``N(0, tau^2)`` prior on the
-    treatment effect ``theta = p_b - p_a`` (Johari, Pekelis & Walsh,
-    "Always valid inference").  Returns ``1 / Lambda_n`` clipped to
-    ``[0, 1]`` — the *instantaneous* p-value; callers must take the
-    running minimum over checkpoints to keep it always-valid.
-    """
-    if impressions_a <= 0 or impressions_b <= 0:
-        return 1.0
-    p_a = clicks_a / impressions_a
-    p_b = clicks_b / impressions_b
-    pooled = (clicks_a + clicks_b) / (impressions_a + impressions_b)
-    variance = max(pooled * (1.0 - pooled), 1e-12) * (
-        1.0 / impressions_a + 1.0 / impressions_b
-    )
-    theta = p_b - p_a
-    tau_sq = tau * tau
-    log_lambda = 0.5 * math.log(variance / (variance + tau_sq)) + (
-        theta * theta * tau_sq
-    ) / (2.0 * variance * (variance + tau_sq))
-    if log_lambda > 700.0:  # exp overflow guard: p-value is ~0 anyway
-        return 0.0
-    return min(1.0, math.exp(-log_lambda))
-
-
-@dataclass(frozen=True, slots=True)
-class MSPRTStopping:
-    """Sequential-stopping policy for :class:`Experiment`.
-
-    At the end of every day (after ``min_days`` full days) each treatment
-    arm is tested against ``control`` (default: the alphabetically first
-    arm) with an always-valid mSPRT p-value on cumulative impressions and
-    clicks.  The experiment stops as soon as any arm's running p-value
-    drops to ``alpha`` or below.
-    """
-
-    alpha: float = 0.05
-    tau: float = 0.02
-    control: str | None = None
-    min_days: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.tau <= 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.min_days < 1:
-            raise ConfigError("min_days must be >= 1")
-
-
-# ---------------------------------------------------------------------------
 # Results
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """The outcome of one experiment run.
-
-    ``days`` is the number of days actually simulated — fewer than the
-    configured horizon when sequential stopping fired (``stopped_day`` is
-    then the zero-based day after which the experiment halted, and
-    ``stopped_arm`` the treatment arm that crossed the threshold).
-    ``p_values`` holds the final running mSPRT p-value per treatment arm
-    (empty when no stopping policy was attached).
-    """
+    """The outcome of one experiment run over ``days`` simulated days."""
 
     arms: Mapping[str, ArmStats]
     days: int
     assignment: str = "hash"
-    stopped_day: int | None = None
-    stopped_arm: str | None = None
-    p_values: Mapping[str, float] = field(default_factory=dict)
 
     def daily_ctr(self) -> dict[str, list[float | None]]:
         """Figure 7: one CTR series per arm (None on zero-impression days)."""
@@ -215,9 +140,7 @@ class Experiment:
 
     ``assignment="hash"`` reproduces the legacy fixed hash split draw for
     draw; ``assignment="interleave"`` serves every request with a
-    team-draft multileaved list built from all arms.  An optional
-    ``stopping`` policy (:class:`MSPRTStopping`) ends the run early at a
-    day boundary.
+    team-draft multileaved list built from all arms.
     """
 
     ASSIGNMENTS = ("hash", "interleave")
@@ -227,11 +150,8 @@ class Experiment:
         world: SyntheticWorld,
         arms: Mapping[str, Any],
         days: int = 10,
-        requests_per_user_per_day: int = 1,
-        top_n: int = 10,
         seed: int = 99,
         assignment: str = "hash",
-        stopping: MSPRTStopping | None = None,
     ) -> None:
         if not arms:
             raise ValueError("an experiment needs at least one arm")
@@ -240,23 +160,10 @@ class Experiment:
                 f"assignment must be one of {self.ASSIGNMENTS}, "
                 f"got {assignment!r}"
             )
-        if stopping is not None:
-            control = stopping.control
-            if control is not None and control not in arms:
-                raise ConfigError(
-                    f"stopping control arm {control!r} is not an arm"
-                )
-            if len(arms) < 2:
-                raise ConfigError(
-                    "sequential stopping needs at least two arms"
-                )
         self.world = world
         self.arms = dict(arms)
         self.days = days
-        self.requests_per_user_per_day = requests_per_user_per_day
-        self.top_n = top_n
         self.assignment = assignment
-        self.stopping = stopping
         self._rng = np.random.default_rng(seed)
         self._arm_names = sorted(self.arms)
 
@@ -273,12 +180,12 @@ class Experiment:
 
         Rounds of drafting: each round visits the arms in a fresh random
         order; every arm drafts its best not-yet-picked candidate.  Stops
-        at ``top_n`` slots or when all candidate lists are exhausted.
+        at :data:`TOP_N` slots or when all candidate lists are exhausted.
         """
         cursors = {name: 0 for name in self._arm_names}
         picked: set[str] = set()
         slots: list[tuple[str, str]] = []
-        while len(slots) < self.top_n:
+        while len(slots) < TOP_N:
             progressed = False
             order = self._rng.permutation(len(self._arm_names))
             for idx in order:
@@ -295,7 +202,7 @@ class Experiment:
                 picked.add(video_id)
                 slots.append((video_id, name))
                 progressed = True
-                if len(slots) >= self.top_n:
+                if len(slots) >= TOP_N:
                     break
             if not progressed:
                 break
@@ -318,45 +225,6 @@ class Experiment:
             t += 5.0
         return actions
 
-    # -- stopping -----------------------------------------------------------
-
-    def _control_arm(self) -> str:
-        assert self.stopping is not None
-        return (
-            self.stopping.control
-            if self.stopping.control is not None
-            else self._arm_names[0]
-        )
-
-    def _check_stopping(
-        self,
-        stats: Mapping[str, ArmStats],
-        running_p: dict[str, float],
-        day: int,
-    ) -> str | None:
-        """Update running p-values; return the winning arm if any crossed."""
-        assert self.stopping is not None
-        control = self._control_arm()
-        control_stats = stats[control]
-        crossed: str | None = None
-        for name in self._arm_names:
-            if name == control:
-                continue
-            step = mixture_sprt_p_value(
-                control_stats.total_clicks,
-                control_stats.total_impressions,
-                stats[name].total_clicks,
-                stats[name].total_impressions,
-                self.stopping.tau,
-            )
-            running_p[name] = min(running_p.get(name, 1.0), step)
-        if day + 1 < self.stopping.min_days:
-            return None
-        for name, p in running_p.items():
-            if p <= self.stopping.alpha:
-                crossed = name if crossed is None else crossed
-        return crossed
-
     # -- the run loop -------------------------------------------------------
 
     def run(self) -> ExperimentResult:
@@ -366,10 +234,6 @@ class Experiment:
 
         stats = {name: ArmStats() for name in self._arm_names}
         users = self.world.user_ids()
-        running_p: dict[str, float] = {}
-        stopped_day: int | None = None
-        stopped_arm: str | None = None
-        days_run = 0
 
         for day in range(self.days):
             # 1. Everyone ingests the day's shared organic traffic.
@@ -377,22 +241,19 @@ class Experiment:
                 for arm in self.arms.values():
                     arm.observe(action)
 
-            # 2. Serve each user's requests.
+            # 2. Serve each user's request.
             day_impressions = {name: 0 for name in self._arm_names}
             day_clicks = {name: 0 for name in self._arm_names}
             for user_id in users:
-                for _ in range(self.requests_per_user_per_day):
-                    now = (day + 1) * SECONDS_PER_DAY - self._rng.uniform(
-                        0, SECONDS_PER_DAY / 2
+                now = (day + 1) * SECONDS_PER_DAY - self._rng.uniform(
+                    0, SECONDS_PER_DAY / 2
+                )
+                if self.assignment == "hash":
+                    self._serve_hash(user_id, now, day_impressions, day_clicks)
+                else:
+                    self._serve_interleaved(
+                        user_id, now, day_impressions, day_clicks
                     )
-                    if self.assignment == "hash":
-                        self._serve_hash(
-                            user_id, now, day_impressions, day_clicks
-                        )
-                    else:
-                        self._serve_interleaved(
-                            user_id, now, day_impressions, day_clicks
-                        )
 
             for name in self._arm_names:
                 stats[name].impressions.append(day_impressions[name])
@@ -405,23 +266,8 @@ class Experiment:
                 if callable(retrain):
                     retrain(end_of_day)
 
-            days_run = day + 1
-
-            # 4. Sequential stopping at the day checkpoint.
-            if self.stopping is not None:
-                winner = self._check_stopping(stats, running_p, day)
-                if winner is not None:
-                    stopped_day = day
-                    stopped_arm = winner
-                    break
-
         return ExperimentResult(
-            arms=stats,
-            days=days_run,
-            assignment=self.assignment,
-            stopped_day=stopped_day,
-            stopped_arm=stopped_arm,
-            p_values=dict(running_p),
+            arms=stats, days=self.days, assignment=self.assignment
         )
 
     def _serve_hash(
@@ -434,7 +280,7 @@ class Experiment:
         """One hash-split request — draw-for-draw the legacy harness."""
         arm_name = self.arm_of(user_id)
         arm = self.arms[arm_name]
-        shown = arm.recommend_ids(user_id, n=self.top_n, now=now)
+        shown = arm.recommend_ids(user_id, n=TOP_N, now=now)
         if not shown:
             return
         clicked = self.world.simulate_clicks(
@@ -455,7 +301,7 @@ class Experiment:
         """One team-draft multileaved request across all arms."""
         per_arm = {
             name: list(
-                self.arms[name].recommend_ids(user_id, n=self.top_n, now=now)
+                self.arms[name].recommend_ids(user_id, n=TOP_N, now=now)
             )
             for name in self._arm_names
         }

@@ -14,17 +14,16 @@ drifting under the model.  This module makes those regimes first-class:
   its per-day dynamics (popularity, catalog membership, arrival rates,
   preference factors).  A world with no scenario is **byte-identical** to
   the pre-scenario generator — pinned by a golden digest test;
-* :func:`run_scenario` drives a full experiment through the scenario —
-  quality via :class:`~repro.eval.experiment.Experiment` (CTR per arm) and
-  ops via :class:`~repro.serving.RequestRouter` under open-loop offered
-  load on a shared :class:`~repro.clock.VirtualClock` (shed rate, accepted
-  p99, breaker trips, post-event recovery time) — and returns one
-  schema-versioned :class:`ScenarioReport`.
+* :func:`run_scenario` drives an interleaved
+  :class:`~repro.eval.experiment.Experiment` through the scenario and
+  returns the CTR per arm per day as one schema-versioned
+  :class:`ScenarioReport`.
 
-The module deliberately imports only :mod:`repro.clock` and typed schema
-pieces at import time; the heavy serving/eval wiring is imported inside
-:func:`run_scenario` so the data layer can reference scenarios without an
-import cycle.
+The engine measures recommendation quality only; serving under load is
+measured over HTTP by ``benchmarks/e2e``.  The module deliberately imports
+only :mod:`repro.clock` and typed schema pieces at import time; the heavy
+eval wiring is imported inside :func:`run_scenario` so the data layer can
+reference scenarios without an import cycle.
 """
 
 from __future__ import annotations
@@ -101,14 +100,6 @@ class ScenarioEvent:
         """``(angle_radians, seed)`` when user factors are rotated on ``day``."""
         return None
 
-    def offered_multiplier(self, t: float) -> float:
-        """Serving-plane offered-QPS multiplier at absolute time ``t``."""
-        return 1.0
-
-    def event_window(self, days: int) -> tuple[float, float] | None:
-        """The primary disturbance window in seconds, if any."""
-        return None
-
 
 @dataclass(frozen=True, slots=True)
 class FlashCrowd(ScenarioEvent):
@@ -117,9 +108,8 @@ class FlashCrowd(ScenarioEvent):
     From ``day`` for ``duration_days`` the viral video's popularity is
     multiplied by ``boost`` and overall arrivals by ``rate_spike`` — the
     regime that exercises simtable eviction (a flood of fresh pairs must
-    displace heap-weakest entries), online training of a new item whose
-    factors move fast, and the admission controller (the traffic spike
-    must shed, then recover).
+    displace heap-weakest entries) and online training of a new item whose
+    factors move fast.
     """
 
     day: int = 3
@@ -153,17 +143,6 @@ class FlashCrowd(ScenarioEvent):
         if self.day <= day < self.day + self.duration_days:
             return self.rate_spike
         return 1.0
-
-    def offered_multiplier(self, t: float) -> float:
-        start = self.day * SECONDS_PER_DAY
-        end = (self.day + self.duration_days) * SECONDS_PER_DAY
-        return self.rate_spike if start <= t < end else 1.0
-
-    def event_window(self, days: int) -> tuple[float, float] | None:
-        return (
-            self.day * SECONDS_PER_DAY,
-            (self.day + self.duration_days) * SECONDS_PER_DAY,
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,18 +180,13 @@ class CatalogChurn(ScenarioEvent):
             return 0
         return self.retires_per_day * (day - self.start_day + 1)
 
-    def event_window(self, days: int) -> tuple[float, float] | None:
-        return (self.start_day * SECONDS_PER_DAY, days * SECONDS_PER_DAY)
-
 
 @dataclass(frozen=True, slots=True)
 class DiurnalWave(ScenarioEvent):
     """Arrival-rate modulation: a sinusoidal within-day traffic wave.
 
     Session start times follow a density ``1 + amplitude * sin(...)``
-    instead of uniform, and the serving plane offers QPS modulated by the
-    same wave — peak hours push the admission controller past capacity,
-    troughs let it recover.
+    instead of uniform, so engagement crowds into peak hours.
     """
 
     amplitude: float = 0.7
@@ -227,19 +201,6 @@ class DiurnalWave(ScenarioEvent):
 
     def arrival_wave(self, day: int) -> tuple[float, float, float] | None:
         return (self.amplitude, self.period_seconds, self.phase)
-
-    def offered_multiplier(self, t: float) -> float:
-        return 1.0 + self.amplitude * math.sin(
-            2.0 * math.pi * t / self.period_seconds + self.phase
-        )
-
-    def event_window(self, days: int) -> tuple[float, float] | None:
-        # The peak half-wave of the middle day: the window where offered
-        # load exceeds its mean and the admission controller is stressed.
-        mid = days // 2
-        quarter = self.period_seconds / 4.0
-        peak = mid * SECONDS_PER_DAY + self.period_seconds / 2.0
-        return (peak - quarter, peak + quarter)
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,10 +227,6 @@ class PreferenceDrift(ScenarioEvent):
         if day >= self.day:
             return (math.radians(self.angle_degrees), self.seed)
         return None
-
-    def event_window(self, days: int) -> tuple[float, float] | None:
-        start = self.day * SECONDS_PER_DAY
-        return (start, start + SECONDS_PER_DAY)
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +303,6 @@ class Scenario:
             step = _plane_rotation(dim, angle, seed)
             rotation = step if rotation is None else rotation @ step
         return rotation
-
-    # -- serving-plane queries ---------------------------------------------
-
-    def offered_multiplier(self, t: float) -> float:
-        mult = 1.0
-        for event in self.events:
-            mult *= event.offered_multiplier(t)
-        return mult
-
-    def event_window(self, days: int) -> tuple[float, float] | None:
-        """The earliest-starting disturbance window across all events."""
-        windows = [
-            w for e in self.events if (w := e.event_window(days)) is not None
-        ]
-        return min(windows) if windows else None
 
     def describe(self) -> str:
         if not self.events:
@@ -468,11 +410,11 @@ SCENARIO_LIBRARY: dict[str, Any] = {
 
 
 # ---------------------------------------------------------------------------
-# ScenarioReport — one schema for quality + ops
+# ScenarioReport
 # ---------------------------------------------------------------------------
 
 #: Version stamped into every ScenarioReport document.
-SCENARIO_REPORT_SCHEMA_VERSION = 1
+SCENARIO_REPORT_SCHEMA_VERSION = 2
 
 _REPORT_TOP_KEYS = {
     "schema_version",
@@ -481,30 +423,17 @@ _REPORT_TOP_KEYS = {
     "days",
     "arms",
     "ctr_ordering_ok",
-    "stopped_day",
-    "ops",
-}
-_REPORT_OPS_KEYS = {
-    "offered",
-    "served",
-    "shed",
-    "shed_rate",
-    "accepted_p99_ms",
-    "breaker_trips",
-    "recovery_seconds",
-    "peak_window_shed_rate",
 }
 
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Quality and ops metrics of one scenario run, in one schema.
+    """The quality metrics of one scenario run.
 
     ``arms`` maps arm name to ``{"overall_ctr", "impressions", "clicks",
     "daily_ctr"}`` (``daily_ctr`` entries are ``None`` on zero-impression
-    days); ``ops`` carries the serving-plane numbers measured on the
-    shared virtual clock.  :meth:`to_doc` produces the JSON document the
-    benchmark harness validates and archives.
+    days).  :meth:`to_doc` produces the JSON document the benchmark
+    harness validates and archives.
     """
 
     scenario: str
@@ -512,8 +441,6 @@ class ScenarioReport:
     days: int
     arms: Mapping[str, Mapping[str, Any]]
     ctr_ordering_ok: bool
-    ops: Mapping[str, float]
-    stopped_day: int | None = None
 
     def to_doc(self) -> dict[str, Any]:
         doc = {
@@ -531,8 +458,6 @@ class ScenarioReport:
                 for name, stats in self.arms.items()
             },
             "ctr_ordering_ok": self.ctr_ordering_ok,
-            "stopped_day": self.stopped_day,
-            "ops": dict(self.ops),
         }
         errors = validate_scenario_report(doc)
         if errors:
@@ -551,9 +476,6 @@ class ScenarioReport:
             if ctr is not None and math.isfinite(ctr):
                 out[f"{prefix}_ctr_{name.lower()}"] = float(ctr)
         out[f"{prefix}_ordering_ok"] = 1.0 if self.ctr_ordering_ok else 0.0
-        for key in ("shed_rate", "accepted_p99_ms", "recovery_seconds",
-                    "breaker_trips", "peak_window_shed_rate"):
-            out[f"{prefix}_{key}"] = float(self.ops[key])
         return out
 
 
@@ -592,20 +514,6 @@ def validate_scenario_report(doc: Any) -> list[str]:
                 errors.append(f"arms[{name!r}]['daily_ctr'] must be a list")
     if not isinstance(doc.get("ctr_ordering_ok"), bool):
         errors.append("ctr_ordering_ok must be a boolean")
-    stopped = doc.get("stopped_day")
-    if stopped is not None and not isinstance(stopped, int):
-        errors.append("stopped_day must be null or an integer")
-    ops = doc.get("ops")
-    if not isinstance(ops, dict):
-        errors.append("ops must be an object")
-    else:
-        missing = _REPORT_OPS_KEYS - set(ops)
-        if missing:
-            errors.append(f"ops missing keys: {sorted(missing)}")
-        for key, value in ops.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or not math.isfinite(value):
-                errors.append(f"ops[{key!r}] must be a finite number")
     unknown = set(doc) - _REPORT_TOP_KEYS
     if unknown:
         errors.append(f"unknown top-level keys: {sorted(unknown)}")
@@ -615,42 +523,6 @@ def validate_scenario_report(doc: Any) -> list[str]:
 # ---------------------------------------------------------------------------
 # End-to-end scenario runner
 # ---------------------------------------------------------------------------
-
-
-# Serving plane of :func:`run_scenario`.  Off-event the router is offered
-# ~80% of its token-bucket capacity, so an event spike (flash crowd,
-# diurnal peak) pushes it past capacity, sheds become observable and the
-# recovery after the event is measurable.  A window is the shed-rate
-# measurement granularity (and the resolution of recovery time).
-_BASE_QPS = 40.0
-_CAPACITY_QPS = 50.0
-_BURST = 20.0
-_WINDOW_SECONDS = SECONDS_PER_DAY / 8.0
-_REQUESTS_PER_WINDOW = 256
-#: Virtual seconds each served request costs the backend.
-_SERVICE_TIME = 0.004
-#: Shed-rate slack over the pre-event baseline that counts as recovered.
-_RECOVERY_TOLERANCE = 0.02
-
-
-class _SimulatedBackend:
-    """Wraps an arm so every request consumes virtual service time.
-
-    The admission controller's token bucket refills on the same virtual
-    clock the arrivals advance; charging a deterministic per-request cost
-    makes accepted-latency percentiles meaningful in virtual time.
-    """
-
-    def __init__(self, inner, clock, service_time: float) -> None:
-        self._inner = inner
-        self._clock = clock
-        self._service_time = service_time
-
-    def recommend_ids(self, user_id, current_video=None, n=10, now=None):
-        self._clock.advance(self._service_time)
-        return self._inner.recommend_ids(
-            user_id, current_video=current_video, n=n, now=now
-        )
 
 
 def default_arms(world) -> dict[str, Any]:
@@ -726,22 +598,12 @@ def run_scenario(
 ) -> ScenarioReport:
     """Run one scenario end-to-end and return its :class:`ScenarioReport`.
 
-    Quality plane: a fresh calibrated world with ``scenario`` drives an
-    interleaved :class:`~repro.eval.experiment.Experiment` over the
-    standard four arms (:func:`default_arms`; ``arms`` substitutes others)
-    for the full horizon (CTR per arm per day).  Ops plane: the
-    trained rMF arm is put behind a :class:`~repro.serving.RequestRouter`
-    with admission control and a circuit breaker on a shared
-    :class:`~repro.clock.VirtualClock`, and offered open-loop load whose
-    QPS follows the scenario's profile, window by window — shed rate,
-    accepted p99, breaker trips and post-event recovery time come out of
-    that loop.
+    A fresh calibrated world with ``scenario`` drives an interleaved
+    :class:`~repro.eval.experiment.Experiment` over the standard four arms
+    (:func:`default_arms`; ``arms`` substitutes others) for the full
+    horizon: CTR per arm per day, and whether the paper's ordering held.
     """
-    from ..clock import VirtualClock
     from ..data.synthetic import SyntheticWorld, paper_world_config
-    from ..reliability.overload import AdmissionController, CircuitBreaker
-    from ..serving.loadgen import LoadGenerator
-    from ..serving.router import RequestRouter
     from .experiment import Experiment
 
     world = SyntheticWorld(
@@ -752,101 +614,9 @@ def run_scenario(
     )
     if arms is None:
         arms = default_arms(world)
-    experiment = Experiment(
+    result = Experiment(
         world, arms, days=days, seed=17, assignment="interleave"
-    )
-    result = experiment.run()
-    overall = result.overall_ctr()
-
-    # ---- ops plane: offered load over the scenario's QPS profile --------
-    clock = VirtualClock(0.0)
-    admission = AdmissionController(
-        rate=_CAPACITY_QPS,
-        burst=_BURST,
-        clock=clock,
-    )
-    breaker = CircuitBreaker(clock=clock)
-    primary = arms.get("rMF") or next(iter(arms.values()))
-    fallback = arms.get("Hot")
-    router = RequestRouter(
-        _SimulatedBackend(primary, clock, _SERVICE_TIME),
-        fallback=fallback,
-        admission=admission,
-        breaker=breaker,
-        clock=clock,
-    )
-    generator = LoadGenerator(
-        router, world.user_ids(), world.video_ids(), seed=seed * 31 + 7
-    )
-
-    horizon = days * SECONDS_PER_DAY
-    n_windows = max(1, int(round(horizon / _WINDOW_SECONDS)))
-    offered = _REQUESTS_PER_WINDOW
-    window_stats: list[dict[str, float]] = []
-    served_ms: list[float] = []
-    total_shed = 0
-    for w in range(n_windows):
-        w_start = w * _WINDOW_SECONDS
-        w_mid = w_start + _WINDOW_SECONDS / 2.0
-        qps = _BASE_QPS * scenario.offered_multiplier(w_mid)
-        if clock.now() < w_start:
-            clock.advance(w_start - clock.now())
-        load = generator.run_offered(offered, qps, clock)
-        total_shed += load.shed
-        served_ms.extend(load.latencies_ms)
-        window_stats.append(
-            {
-                "start": w_start,
-                "qps": qps,
-                "shed_rate": load.shed / offered,
-            }
-        )
-    total_offered = offered * n_windows
-
-    # Recovery time: after the event window closes, how long until the
-    # per-window shed rate returns to the pre-event baseline (+tolerance)?
-    window = scenario.event_window(days)
-    recovery_seconds = 0.0
-    peak_shed = 0.0
-    if window is not None:
-        event_start, event_end = window
-        pre = [
-            s["shed_rate"] for s in window_stats if s["start"] < event_start
-        ]
-        baseline_shed = float(np.mean(pre)) if pre else 0.0
-        during = [
-            s["shed_rate"]
-            for s in window_stats
-            if event_start <= s["start"] < event_end
-        ]
-        peak_shed = max(during, default=0.0)
-        threshold = baseline_shed + _RECOVERY_TOLERANCE
-        recovered_at = None
-        for s in window_stats:
-            if s["start"] < event_end:
-                continue
-            if s["shed_rate"] <= threshold:
-                recovered_at = s["start"] + _WINDOW_SECONDS
-                break
-        if recovered_at is not None:
-            recovery_seconds = max(0.0, recovered_at - event_end)
-        elif any(s["start"] >= event_end for s in window_stats):
-            # Never recovered within the horizon: report the full tail.
-            recovery_seconds = horizon - event_end
-
-    ops_metrics = {
-        "offered": float(total_offered),
-        "served": float(total_offered - total_shed),
-        "shed": float(total_shed),
-        "shed_rate": total_shed / total_offered,
-        "accepted_p99_ms": float(np.percentile(served_ms, 99))
-        if served_ms
-        else 0.0,
-        "breaker_trips": float(breaker.opened_count),
-        "recovery_seconds": float(recovery_seconds),
-        "peak_window_shed_rate": float(peak_shed),
-    }
-
+    ).run()
     arms_doc = {
         name: {
             "overall_ctr": stats.overall_ctr
@@ -863,6 +633,5 @@ def run_scenario(
         events=tuple(type(e).__name__ for e in scenario.events),
         days=result.days,
         arms=arms_doc,
-        ctr_ordering_ok=_ctr_ordering_ok(overall),
-        ops=ops_metrics,
+        ctr_ordering_ok=_ctr_ordering_ok(result.overall_ctr()),
     )

@@ -26,10 +26,6 @@ class Namespace(KVStore):
         self._backing = backing
         self._prefix = prefix
 
-    @property
-    def prefix(self) -> str:
-        return self._prefix
-
     def _wrap(self, key: Key) -> tuple[str, Key]:
         return (self._prefix, key)
 

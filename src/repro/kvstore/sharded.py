@@ -29,10 +29,6 @@ class ShardedKVStore(KVStore):
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self._shards = [InMemoryKVStore() for _ in range(n_shards)]
 
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
     def shard_index(self, key: Key) -> int:
         """Return the index of the shard that owns ``key`` (stable)."""
         return stable_bucket(key, len(self._shards))

@@ -446,10 +446,6 @@ class MetricsRegistry:
 
     # -- introspection -----------------------------------------------------
 
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._instruments)
-
     def get(self, name: str) -> _Instrument | None:
         with self._lock:
             return self._instruments.get(name)
@@ -493,33 +489,3 @@ class MetricsRegistry:
             "metrics": self.snapshot(),
         }
         return json.dumps(document, indent=indent, sort_keys=True)
-
-    def total(self, name: str, **labels: str) -> float:
-        """Sum of a counter/gauge over all series matching ``labels``.
-
-        ``labels`` filters on a subset of the instrument's label names —
-        ``registry.total("serving_requests_total", outcome="shed")`` sums
-        the shed count across scenarios.  Unknown instruments total 0.0
-        (absence of traffic, not an error); histograms are rejected
-        because summing their counts silently discards the distribution.
-        """
-        instrument = self.get(name)
-        if instrument is None:
-            return 0.0
-        if isinstance(instrument, Histogram):
-            raise ValueError(
-                f"metric {name!r} is a histogram; total() only sums "
-                "counters and gauges"
-            )
-        unknown = set(labels) - set(instrument.labelnames)
-        if unknown:
-            raise ValueError(
-                f"metric {name!r} has labels {instrument.labelnames}, "
-                f"cannot filter on {sorted(unknown)}"
-            )
-        wanted = {k: str(v) for k, v in labels.items()}
-        out = 0.0
-        for series_labels, leaf in instrument._series():
-            if all(series_labels.get(k) == v for k, v in wanted.items()):
-                out += leaf.value  # type: ignore[union-attr]
-        return out

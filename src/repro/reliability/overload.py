@@ -7,8 +7,9 @@ classic controls the serving layer composes (admission → deadline →
 breaker → fallback, see DESIGN.md "Overload semantics"):
 
 * :class:`TokenBucket` — a deterministic rate limiter.  Tokens refill at
-  ``rate`` per second on the injected clock and cap at ``capacity``; a
-  request is admitted iff a token is available.  With a
+  ``rate`` per second on the injected clock and cap at ``rate`` (one
+  second's worth, so ``rate`` must be at least 1); a request is admitted
+  iff a token is available.  With a
   :class:`~repro.clock.VirtualClock` the refill schedule is exact, so
   saturation tests are bit-for-bit reproducible.
 * :class:`ConcurrencyLimiter` — a non-blocking cap on in-flight requests.
@@ -40,25 +41,19 @@ if TYPE_CHECKING:
 class TokenBucket:
     """Deterministic token-bucket rate limiter.
 
-    ``rate`` tokens are added per second of *clock* time, up to
-    ``capacity``; the bucket starts full.  :meth:`try_acquire` is
+    ``rate`` tokens are added per second of *clock* time, up to a
+    capacity of ``rate``; the bucket starts full.  A request takes one
+    token, so ``rate`` must be at least 1 — a smaller bucket could never
+    hold a whole token and would shed everything.  :meth:`try_acquire` is
     non-blocking — overload is shed, never queued.
     """
 
-    def __init__(
-        self,
-        rate: float,
-        capacity: float | None = None,
-        clock: Clock | None = None,
-    ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+    def __init__(self, rate: float, clock: Clock | None = None) -> None:
+        if not rate >= 1:
+            raise ValueError(f"rate must be >= 1 request/s, got {rate}")
         self.rate = float(rate)
-        self.capacity = float(capacity) if capacity is not None else float(rate)
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
         self._clock = clock or SystemClock()
-        self._tokens = self.capacity
+        self._tokens = self.rate
         self._last_refill = self._clock.now()
         self._lock = threading.Lock()
 
@@ -66,7 +61,7 @@ class TokenBucket:
         now = self._clock.now()
         elapsed = now - self._last_refill
         if elapsed > 0:
-            self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
+            self._tokens = min(self.rate, self._tokens + elapsed * self.rate)
             self._last_refill = now
 
     def try_acquire(self, tokens: float = 1.0) -> bool:
@@ -129,15 +124,14 @@ class AdmissionDecision:
 class AdmissionController:
     """Admission control in front of a serving endpoint.
 
-    Composes an optional rate limit (requests per second with burst
-    ``burst``) and an optional concurrency cap.  The rate check runs
-    first: a request shed by rate never consumes a concurrency slot.
+    Composes an optional rate limit (a :class:`TokenBucket` of ``rate``
+    requests per second) and an optional concurrency cap.  The rate check
+    runs first: a request shed by rate never consumes a concurrency slot.
     """
 
     def __init__(
         self,
         rate: float | None = None,
-        burst: float | None = None,
         max_concurrency: int | None = None,
         clock: Clock | None = None,
         registry: "MetricsRegistry | None" = None,
@@ -154,7 +148,7 @@ class AdmissionController:
             else None
         )
         self._bucket = (
-            TokenBucket(rate, capacity=burst, clock=clock)
+            TokenBucket(rate, clock=clock)
             if rate is not None
             else None
         )

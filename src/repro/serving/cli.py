@@ -192,7 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rate",
         type=float,
         default=None,
-        help="admission-control requests/second (excess is shed with 503)",
+        help="admission-control requests/second, at least 1 "
+        "(excess is shed with 503)",
     )
     parser.add_argument(
         "--max-inflight",

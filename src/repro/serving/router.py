@@ -32,6 +32,7 @@ exceptions — and are counted per scenario.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -73,9 +74,10 @@ class RecRequest:
 
     ``current_video`` set means the related-videos scenario; absent means
     the home-page scenario seeded from the user's history.  ``n`` must be
-    in ``[1, MAX_N]``.
-    ``deadline_seconds`` is an optional total latency budget measured on
-    the router's clock from the moment :meth:`RequestRouter.handle` starts.
+    in ``[1, MAX_N]``, and ``timestamp``, when given, finite.
+    ``deadline_seconds`` is an optional total latency budget (finite and
+    non-negative) measured on the router's clock from the moment
+    :meth:`RequestRouter.handle` starts.
     """
 
     user_id: str
@@ -87,6 +89,13 @@ class RecRequest:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must be in [1, {MAX_N}], got {self.n}")
+        if self.timestamp is not None and not math.isfinite(self.timestamp):
+            raise ValueError(f"timestamp must be finite, got {self.timestamp}")
+        deadline = self.deadline_seconds
+        if deadline is not None and not 0 <= deadline < math.inf:
+            raise ValueError(
+                f"deadline_seconds must be finite and >= 0, got {deadline}"
+            )
 
     @property
     def scenario(self) -> Scenario:
@@ -409,18 +418,3 @@ class RequestRouter:
                     "p99_latency_ms": stats.latency.p99 * 1000.0,
                 }
         return out
-
-    @property
-    def total_requests(self) -> int:
-        with self._lock:
-            return sum(s.requests for s in self._stats.values())
-
-    @property
-    def total_shed(self) -> int:
-        with self._lock:
-            return sum(s.shed for s in self._stats.values())
-
-    @property
-    def breaker_trips(self) -> int:
-        """Times the primary's circuit breaker has opened (0 if none)."""
-        return self.breaker.opened_count if self.breaker is not None else 0

@@ -164,8 +164,3 @@ class TopologyMetrics:
                 "p99_latency_s": metrics.latency.p99,
             }
         return out
-
-    @property
-    def total_shed(self) -> int:
-        with self._lock:
-            return sum(m.shed for m in self._components.values())

@@ -5,6 +5,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.core import GroupedRecommender
 from repro.data import GLOBAL_GROUP, ActionType, User, UserAction, Video
+from tests.support.world import created_groups
 
 VIDEOS = {f"v{i}": Video(f"v{i}", "t", duration=100.0) for i in range(6)}
 USERS = {
@@ -36,7 +37,7 @@ class TestRouting:
 
     def test_unknown_user_routed_to_global(self, grouped):
         grouped.observe(_click("stranger", "v0"))
-        assert GLOBAL_GROUP in grouped.groups()
+        assert created_groups(grouped) == [GLOBAL_GROUP]
         model = grouped.recommender_for_group(GLOBAL_GROUP).model
         assert model.user_vector("stranger") is not None
 
@@ -45,9 +46,9 @@ class TestRouting:
         assert grouped.group_for("anon") == GLOBAL_GROUP
 
     def test_groups_created_lazily(self, grouped):
-        assert grouped.groups() == []
+        assert created_groups(grouped) == []
         grouped.observe(_click("m1", "v0"))
-        assert grouped.groups() == ["m|young"]
+        assert created_groups(grouped) == ["m|young"]
 
     def test_same_group_same_recommender(self, grouped):
         assert grouped.recommender_for_user("m1") is grouped.recommender_for_user("m2")

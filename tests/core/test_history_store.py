@@ -64,14 +64,14 @@ class TestQueries:
         history = UserHistoryStore()
         assert history.recent("ghost") == []
         assert history.watched("ghost") == set()
-        assert history.last_active("ghost") is None
+        assert history.snapshot("ghost").last_active is None
         assert "ghost" not in history
 
     def test_last_active(self):
         history = UserHistoryStore()
         history.record(_engagement("u", "a", 5.0))
         history.record(_engagement("u", "b", 9.0))
-        assert history.last_active("u") == 9.0
+        assert history.snapshot("u").last_active == 9.0
 
     def test_len_counts_users(self):
         history = UserHistoryStore()

@@ -67,7 +67,7 @@ class TestHarness:
     def test_ctr_accounting(self, tiny_world):
         good = _FixedArm(tiny_world.video_ids()[:5])
         result = Experiment(
-            tiny_world, arms={"good": good}, days=2, top_n=5, assignment="hash"
+            tiny_world, arms={"good": good}, days=2, assignment="hash"
         ).run()
         stats = result.arms["good"]
         assert len(stats.impressions) == 2

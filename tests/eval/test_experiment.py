@@ -1,4 +1,4 @@
-"""Tests for the continuous-experimentation engine (Experiment, mSPRT)."""
+"""Tests for the continuous-experimentation engine (Experiment)."""
 
 import math
 
@@ -6,13 +6,7 @@ import pytest
 
 from repro.data import SyntheticWorld, WorldConfig
 from repro.errors import ConfigError
-from repro.eval import (
-    ArmStats,
-    Experiment,
-    ExperimentResult,
-    MSPRTStopping,
-    mixture_sprt_p_value,
-)
+from repro.eval import ArmStats, Experiment, ExperimentResult
 from tests.support.world import best_videos
 
 
@@ -81,8 +75,7 @@ class TestInterleaving:
         a = _FixedArm([f"v{i}" for i in range(10)])
         b = _FixedArm([f"v{i}" for i in range(5, 15)])
         exp = Experiment(
-            small_world, {"a": a, "b": b}, days=1, assignment="interleave",
-            top_n=10,
+            small_world, {"a": a, "b": b}, days=1, assignment="interleave"
         )
         slots = exp._interleave({"a": a.recs, "b": b.recs})
         shown = [vid for vid, _ in slots]
@@ -141,104 +134,13 @@ class TestInterleaving:
             )
 
 
-class TestMixtureSPRT:
-    def test_no_data_is_inconclusive(self):
-        assert mixture_sprt_p_value(0, 0, 0, 0, tau=0.02) == 1.0
-        assert mixture_sprt_p_value(5, 10, 0, 0, tau=0.02) == 1.0
-
-    def test_identical_rates_stay_near_one(self):
-        p = mixture_sprt_p_value(50, 1000, 50, 1000, tau=0.02)
-        assert p > 0.5
-
-    def test_large_gap_drives_p_down(self):
-        p = mixture_sprt_p_value(50, 1000, 200, 1000, tau=0.02)
-        assert p < 1e-6
-
-    def test_symmetric_in_direction(self):
-        up = mixture_sprt_p_value(50, 1000, 100, 1000, tau=0.02)
-        down = mixture_sprt_p_value(100, 1000, 50, 1000, tau=0.02)
-        assert up == pytest.approx(down)
-
-    def test_more_data_sharpens_same_rates(self):
-        small = mixture_sprt_p_value(10, 100, 20, 100, tau=0.02)
-        big = mixture_sprt_p_value(1000, 10000, 2000, 10000, tau=0.02)
-        assert big < small
-
-    def test_extreme_gap_hits_zero_without_overflow(self):
-        assert mixture_sprt_p_value(0, 10**6, 10**6, 10**6, tau=0.5) == 0.0
-
-    def test_stopping_policy_validation(self):
-        with pytest.raises(ConfigError):
-            MSPRTStopping(alpha=0.0)
-        with pytest.raises(ConfigError):
-            MSPRTStopping(alpha=1.5)
-        with pytest.raises(ConfigError):
-            MSPRTStopping(tau=-1.0)
-        with pytest.raises(ConfigError):
-            MSPRTStopping(min_days=0)
-
-    def test_stopping_needs_known_control_and_two_arms(self, small_world):
-        with pytest.raises(ConfigError):
-            Experiment(
-                small_world,
-                {"a": _FixedArm([]), "b": _FixedArm([])},
-                stopping=MSPRTStopping(control="nope"),
-            )
-        with pytest.raises(ConfigError):
-            Experiment(
-                small_world,
-                {"a": _FixedArm([])},
-                stopping=MSPRTStopping(),
-            )
-
-
-class TestSequentialStopping:
-    def test_rigged_experiment_stops_early(self, small_world):
-        """Oracle vs anti-oracle: a huge true effect must stop in days."""
-        arms = {
-            "oracle": _OracleArm(small_world, True),
-            "anti": _OracleArm(small_world, False),
-        }
-        result = Experiment(
-            small_world,
-            arms,
-            days=10,
-            seed=11,
-            stopping=MSPRTStopping(control="anti", min_days=2),
-        ).run()
-        assert result.stopped_day is not None
-        assert result.stopped_arm == "oracle"
-        assert result.days < 10
-        assert result.p_values["oracle"] <= 0.05
-
-    def test_aa_runs_do_not_stop(self):
-        """Identical arms must essentially never cross alpha=0.05 — the
-        running-min mSPRT p-value is always-valid under optional stopping
-        (the acceptance criterion for sequential stopping)."""
-        false_positives = 0
-        for seed in range(12):
-            world = SyntheticWorld(
-                WorldConfig(n_users=20, n_videos=30, days=4, seed=seed)
-            )
-            recs = world.video_ids()[:10]
-            result = Experiment(
-                world,
-                {"a": _FixedArm(recs), "b": _FixedArm(recs)},
-                days=4,
-                seed=seed + 100,
-                stopping=MSPRTStopping(min_days=2),
-            ).run()
-            if result.stopped_day is not None:
-                false_positives += 1
-        assert false_positives == 0
-
-    def test_no_stopping_policy_runs_full_horizon(self, small_world):
+class TestFullHorizon:
+    def test_every_run_lasts_its_full_horizon(self, small_world):
         result = Experiment(
             small_world, {"a": _FixedArm(small_world.video_ids()[:5])}, days=3
         ).run()
         assert result.days == 3
-        assert result.stopped_day is None
-        assert result.p_values == {}
+        assert len(result.arms["a"].impressions) == 3
 
 
 class TestResultAggregation:

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.clock import SECONDS_PER_DAY
 from repro.errors import ConfigError
 from repro.eval.scenarios import (
     SCENARIO_LIBRARY,
@@ -109,24 +108,6 @@ class TestComposition:
         with pytest.raises(ConfigError):
             scen.extra_video_specs(days=3)
 
-    def test_offered_multiplier_follows_events(self):
-        scen = Scenario(
-            "flash", (FlashCrowd(day=1, duration_days=1, rate_spike=2.0),)
-        )
-        assert scen.offered_multiplier(0.5 * SECONDS_PER_DAY) == 1.0
-        assert scen.offered_multiplier(1.5 * SECONDS_PER_DAY) == 2.0
-
-    def test_event_window_picks_earliest(self):
-        scen = Scenario(
-            "combo",
-            (
-                FlashCrowd(day=3, duration_days=1),
-                PreferenceDrift(day=1),
-            ),
-        )
-        start, _ = scen.event_window(days=6)
-        assert start == SECONDS_PER_DAY
-
     def test_describe_names_events(self):
         scen = Scenario("flash", (FlashCrowd(),))
         assert "FlashCrowd" in scen.describe()
@@ -192,16 +173,6 @@ def _report(**overrides):
             },
         },
         ctr_ordering_ok=True,
-        ops={
-            "offered": 512.0,
-            "served": 500.0,
-            "shed": 12.0,
-            "shed_rate": 12.0 / 512.0,
-            "accepted_p99_ms": 4.2,
-            "breaker_trips": 0.0,
-            "recovery_seconds": 10800.0,
-            "peak_window_shed_rate": 0.09,
-        },
     )
     base.update(overrides)
     return ScenarioReport(**base)
@@ -220,8 +191,7 @@ class TestScenarioReport:
         assert flat["flash_crowd_ctr_hot"] == pytest.approx(0.2)
         assert flat["flash_crowd_ctr_rmf"] == pytest.approx(0.4)
         assert flat["flash_crowd_ordering_ok"] == 1.0
-        assert flat["flash_crowd_recovery_seconds"] == 10800.0
-        assert all(math.isfinite(v) for v in flat.values())
+        assert len(flat) == 3
 
     def test_never_served_arm_dropped_from_flat_metrics(self):
         report = _report(
@@ -239,21 +209,20 @@ class TestScenarioReport:
         assert "flash_crowd_ctr_hot" not in flat
         assert flat["flash_crowd_ordering_ok"] == 0.0
 
-    def test_to_doc_refuses_missing_ops_keys(self):
-        report = _report(ops={"offered": 1.0})
-        with pytest.raises(ValueError, match="ops missing keys"):
+    def test_to_doc_refuses_an_invalid_report(self):
+        report = _report(days=0)
+        with pytest.raises(ValueError, match="days must be"):
             report.to_doc()
 
     def test_validator_catches_each_defect(self):
         good = _report().to_doc()
         for mutate, needle in [
-            (lambda d: d.pop("ops"), "ops"),
-            (lambda d: d.update(schema_version=99), "schema_version"),
+            (lambda d: d.update(schema_version=1), "schema_version"),
             (lambda d: d.update(days=0), "days"),
             (lambda d: d.update(arms={}), "arms"),
             (lambda d: d.update(ctr_ordering_ok="yes"), "ctr_ordering_ok"),
             (lambda d: d.update(extra_key=1), "unknown top-level"),
-            (lambda d: d["ops"].update(shed_rate=float("nan")), "finite"),
+            (lambda d: d.update(ops={}), "unknown top-level"),
             (lambda d: d["arms"]["Hot"].pop("daily_ctr"), "daily_ctr"),
         ]:
             doc = json.loads(json.dumps(good))
@@ -303,21 +272,7 @@ class _CheapArm:
         return self.recs[:n]
 
 
-class _FailsOnRelated(_CheapArm):
-    """Raises on related-video requests for a video outside its own list.
-
-    Only the ops plane sends ``current_video``, so the quality plane is
-    untouched while breaker trips depend on exactly which request lands
-    where in the offered sequence.
-    """
-
-    def recommend_ids(self, user_id, current_video=None, n=10, now=None):
-        if current_video is not None and current_video not in self.recs:
-            raise RuntimeError("backend down")
-        return self.recs[:n]
-
-
-def _run_small(scen, rmf_arm=_CheapArm):
+def _run_small(scen):
     from repro.data.synthetic import SyntheticWorld, paper_world_config
 
     world = SyntheticWorld(
@@ -329,7 +284,7 @@ def _run_small(scen, rmf_arm=_CheapArm):
         "Hot": _CheapArm(ids[:10]),
         "AR": _CheapArm(ids[5:15]),
         "SimHash": _CheapArm(ids[10:20]),
-        "rMF": rmf_arm(ids[15:25]),
+        "rMF": _CheapArm(ids[15:25]),
     }
     return run_scenario(
         scen, days=3, n_users=30, n_videos=40, seed=4, arms=arms
@@ -337,10 +292,10 @@ def _run_small(scen, rmf_arm=_CheapArm):
 
 
 def test_report_identical_to_recorded():
-    """The whole report, byte for byte, against the recorded documents.
-    The flaky rMF arm makes ``breaker_trips`` a function of the request
-    sequence, so a load driver that re-seeds its request mix per window
-    (or draws it in another order) fails here."""
+    """The whole report, byte for byte, against the recorded documents:
+    every impression, click and daily CTR of every arm, so a world, an
+    experiment loop or an interleaving that draws in another order fails
+    here."""
     recorded = json.loads(_GOLDEN.read_text(encoding="utf-8"))
     scenarios = {
         "flash_crowd": SCENARIO_LIBRARY["flash_crowd"](day=1, duration_days=1),
@@ -349,11 +304,10 @@ def test_report_identical_to_recorded():
     }
     assert sorted(recorded) == sorted(scenarios)
     for name, scen in scenarios.items():
-        doc = _run_small(scen, rmf_arm=_FailsOnRelated).to_doc()
+        doc = _run_small(scen).to_doc()
         assert json.dumps(doc, sort_keys=True) == json.dumps(
             recorded[name], sort_keys=True
         ), name
-    assert recorded["flash_crowd"]["ops"]["breaker_trips"] > 0
 
 
 class TestRunScenarioEndToEnd:
@@ -375,14 +329,3 @@ class TestRunScenarioEndToEnd:
             stats = report.arms[name]
             assert stats["impressions"] > 0
             assert len(stats["daily_ctr"]) == 3
-
-    def test_ops_metrics_conserve_requests(self, report):
-        ops = report.ops
-        assert ops["offered"] == ops["served"] + ops["shed"]
-        assert 0.0 <= ops["shed_rate"] <= 1.0
-        assert ops["accepted_p99_ms"] > 0.0
-        assert ops["recovery_seconds"] >= 0.0
-
-    def test_flash_crowd_actually_sheds(self, report):
-        # The 1.5x offered spike pushes 60 qps against a 50 qps bucket.
-        assert report.ops["peak_window_shed_rate"] > 0.0

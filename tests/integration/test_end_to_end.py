@@ -83,7 +83,6 @@ class TestABTestEndToEnd:
             small_world,
             arms={"rMF": rmf, "Hot": hot},
             days=2,
-            top_n=5,
             seed=5,
             assignment="hash",
         )

@@ -11,7 +11,7 @@ from repro.reliability.overload import SHED_CONCURRENCY, SHED_RATE
 
 class TestTokenBucket:
     def test_starts_full_and_drains(self):
-        bucket = TokenBucket(rate=10.0, capacity=3, clock=VirtualClock(0.0))
+        bucket = TokenBucket(rate=3.0, clock=VirtualClock(0.0))
         assert [bucket.try_acquire() for _ in range(4)] == [
             True,
             True,
@@ -21,7 +21,7 @@ class TestTokenBucket:
 
     def test_refills_at_rate_on_injected_clock(self):
         clock = VirtualClock(0.0)
-        bucket = TokenBucket(rate=2.0, capacity=2, clock=clock)
+        bucket = TokenBucket(rate=2.0, clock=clock)
         assert bucket.try_acquire() and bucket.try_acquire()
         assert not bucket.try_acquire()
         clock.advance(0.5)  # 1 token back at 2 tokens/s
@@ -29,8 +29,9 @@ class TestTokenBucket:
         assert not bucket.try_acquire()
 
     def test_refill_caps_at_capacity(self):
+        """The capacity is one second's worth of tokens."""
         clock = VirtualClock(0.0)
-        bucket = TokenBucket(rate=100.0, capacity=5, clock=clock)
+        bucket = TokenBucket(rate=5.0, clock=clock)
         clock.advance(1000.0)
         assert all(bucket.try_acquire() for _ in range(5))
         assert not bucket.try_acquire()
@@ -39,18 +40,28 @@ class TestTokenBucket:
         """At 2x offered load, exactly every other request is admitted
         once the burst is spent — bit-for-bit reproducible."""
         clock = VirtualClock(0.0)
-        bucket = TokenBucket(rate=10.0, capacity=1, clock=clock)
+        bucket = TokenBucket(rate=10.0, clock=clock)
+        assert all(bucket.try_acquire() for _ in range(10))  # the burst
         outcomes = []
         for _ in range(20):
-            outcomes.append(bucket.try_acquire())
             clock.advance(0.05)  # 20 arrivals/s against 10 tokens/s
-        assert outcomes == [True, False] * 10
+            outcomes.append(bucket.try_acquire())
+        assert outcomes == [False, True] * 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TokenBucket(rate=0.0)
         with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, capacity=0)
+            TokenBucket(rate=-1.0)
+
+    @pytest.mark.parametrize("rate", [0.5, 1e-9, float("nan")])
+    def test_rate_below_one_token_is_rejected(self, rate):
+        # Capacity is the rate and a request takes one token: such a
+        # bucket could never admit anything.
+        with pytest.raises(ValueError):
+            TokenBucket(rate=rate)
+        with pytest.raises(ValueError):
+            AdmissionController(rate=rate)
 
 
 class TestConcurrencyLimiter:
@@ -93,9 +104,7 @@ class TestAdmissionController:
             AdmissionController()
 
     def test_rate_shed_reason(self):
-        controller = AdmissionController(
-            rate=1.0, burst=1, clock=VirtualClock(0.0)
-        )
+        controller = AdmissionController(rate=1.0, clock=VirtualClock(0.0))
         assert controller.try_admit().admitted
         decision = controller.try_admit()
         assert not decision.admitted
@@ -116,7 +125,7 @@ class TestAdmissionController:
     def test_rate_check_runs_before_concurrency(self):
         """A rate-shed request must not consume a concurrency slot."""
         controller = AdmissionController(
-            rate=1.0, burst=1, max_concurrency=5, clock=VirtualClock(0.0)
+            rate=1.0, max_concurrency=5, clock=VirtualClock(0.0)
         )
         controller.try_admit()
         for _ in range(10):

@@ -104,7 +104,7 @@ class TestQueuePolicies:
     def test_block_policy_processes_everything(self):
         metrics, seen = self._run_blocking()
         assert metrics.component("sink").processed == 200
-        assert metrics.total_shed == 0
+        assert sum(c["shed"] for c in metrics.snapshot().values()) == 0
         assert seen == list(range(1, 201))  # one worker: FIFO order kept
 
     def test_queue_depth_metrics_in_snapshot(self):

@@ -76,7 +76,6 @@ class TestMetricsSurfacing:
         assert snap["queue_depth"] == 3
         assert snap["max_queue_depth"] == 7
         assert snap["p99_latency_s"] == pytest.approx(0.100)
-        assert metrics.total_shed == 2
 
     def test_component_metrics_defaults(self):
         comp = TopologyMetrics().component("x")

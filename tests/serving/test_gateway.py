@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.clock import VirtualClock
 from repro.obs import Observability
 from repro.reliability import ActionWAL
 from repro.reliability.overload import (
@@ -26,6 +27,7 @@ from repro.serving import (
     RecRequest,
     RequestCollector,
     RequestRouter,
+    Scenario,
     ServingGateway,
 )
 from repro.serving.router import MAX_N
@@ -127,6 +129,29 @@ class TestEndpoints:
         assert "n must be in" in doc["error"]
         assert ok == 200
         assert backend.calls == ["u1"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"timestamp": float("inf")},
+            {"timestamp": float("nan")},
+            {"deadline_ms": -1},
+            {"deadline_ms": float("nan")},
+        ],
+        ids=["inf-time", "nan-time", "neg-deadline", "nan-deadline"],
+    )
+    def test_recommend_bad_time_or_deadline_is_400(self, bad):
+        """``json.loads`` accepts ``Infinity`` and ``NaN``: an infinite
+        ``now`` collapses every time-damped score (the list falls back to
+        id order), and a negative or NaN budget is no budget at all."""
+        backend = _Backend()
+        with _gateway(RequestRouter(backend)) as server:
+            status, _, doc = _request(
+                server.port, "POST", "/recommend", {"user_id": "u1", **bad}
+            )
+        assert status == 400, doc
+        assert "bad request field" in doc["error"]
+        assert backend.calls == []
 
     def test_invalid_json_is_400(self):
         router = RequestRouter(_Backend())
@@ -260,10 +285,10 @@ class TestHealthz:
 
 class TestSaturation:
     def test_concurrent_overload_is_200_or_503_on_the_wire(self):
-        """Eight tokens and (effectively) no refill against 24 concurrent
-        clients: the bucket's verdict reaches every socket, and shedding
-        is not ill health."""
-        admission = AdmissionController(rate=1e-9, burst=8)
+        """Eight tokens and no refill (the bucket's clock stands still)
+        against 24 concurrent clients: the bucket's verdict reaches every
+        socket, and shedding is not ill health."""
+        admission = AdmissionController(rate=8, clock=VirtualClock(0.0))
         router = RequestRouter(_Backend(), admission=admission)
         results = []
 
@@ -293,7 +318,7 @@ class TestSaturation:
             for _, headers, doc in shed
         )
         assert health == 200
-        assert router.total_shed == 16
+        assert router.stats(Scenario.GUESS_YOU_LIKE).shed == 16
 
 
 class TestConnectionLimit:
@@ -346,7 +371,7 @@ class TestKeepAlive:
                     response.read()
             finally:
                 conn.close()
-        assert router.total_requests == 5
+        assert router.stats(Scenario.GUESS_YOU_LIKE).requests == 5
 
 
 class TestCollector:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import http.client
 import json
 
+from repro.clock import VirtualClock
 from repro.obs import Observability
 from repro.reliability.overload import AdmissionController
 from repro.serving import RequestRouter, ServingGateway
@@ -56,8 +57,10 @@ def _snapshot(router):
 
 
 def test_shed_maps_to_503_with_retry_after():
-    # A bucket with ~zero capacity sheds every request on arrival.
-    admission = AdmissionController(rate=1e-9)
+    # A one-token bucket on a clock nobody advances, its token spent up
+    # front, sheds every request on arrival.
+    admission = AdmissionController(rate=1, clock=VirtualClock(0.0))
+    assert admission.try_admit().admitted
     router = RequestRouter(_OkBackend(), admission=admission)
     with _serve(router) as server:
         status, headers, doc = _post_recommend(server.port, {"user_id": "u1"})

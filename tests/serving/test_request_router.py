@@ -25,6 +25,10 @@ class _Backend:
         return [f"rec{i}" for i in range(n or 10)]
 
 
+def _total_requests(router):
+    return sum(stats["requests"] for stats in router.snapshot().values())
+
+
 class TestScenarioDispatch:
     def test_related_videos_scenario(self):
         request = RecRequest("u1", current_video="v9")
@@ -37,6 +41,23 @@ class TestScenarioDispatch:
     def test_n_outside_range_rejected(self, n):
         with pytest.raises(ValueError, match="n must be in"):
             RecRequest("u1", n=n)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timestamp", float("inf")),
+            ("timestamp", float("nan")),
+            ("deadline_seconds", -0.001),
+            ("deadline_seconds", float("nan")),
+            ("deadline_seconds", float("inf")),
+        ],
+    )
+    def test_non_finite_time_or_bad_deadline_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RecRequest("u1", **{field: value})
+
+    def test_zero_deadline_accepted(self):
+        assert RecRequest("u1", deadline_seconds=0.0).deadline_seconds == 0.0
 
     def test_arguments_forwarded(self):
         backend = _Backend()
@@ -119,7 +140,7 @@ class TestStats:
         assert home.requests == 1
         assert related.requests == 2
         assert related.errors == 1
-        assert router.total_requests == 3
+        assert _total_requests(router) == 3
 
     def test_snapshot_shape(self):
         router = RequestRouter(_Backend())
@@ -141,7 +162,7 @@ class TestStats:
             t.start()
         for t in threads:
             t.join()
-        assert router.total_requests == 600
+        assert _total_requests(router) == 600
         assert router.stats(Scenario.GUESS_YOU_LIKE).latency.count == 600
 
 
@@ -153,7 +174,7 @@ class TestHandleMany:
         assert [r.request.user_id for r in responses] == [
             f"u{i}" for i in range(5)
         ]
-        assert router.total_requests == 5
+        assert _total_requests(router) == 5
 
     def test_empty_batch_is_a_noop(self):
         """The gateway's empty-flush path must not touch any accounting."""
@@ -162,7 +183,7 @@ class TestHandleMany:
         obs = Observability.create()
         router = RequestRouter(_Backend(), obs=obs)
         assert router.handle_many([]) == []
-        assert router.total_requests == 0
+        assert _total_requests(router) == 0
         for scenario in Scenario:
             stats = router.stats(scenario)
             assert stats.requests == 0
@@ -228,4 +249,4 @@ class TestServeWhileTrain:
         assert all(set(r.video_ids) <= catalogue for r in responses)
         # the trainer genuinely ran concurrently and the model advanced
         assert recommender.trainer.stats.seen > seen_before
-        assert router.total_requests == 200
+        assert _total_requests(router) == 200

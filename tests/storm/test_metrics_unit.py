@@ -15,7 +15,7 @@ from repro.storm import (
     TopologyBuilder,
     TopologyMetrics,
 )
-from tests.support.obs import counter_totals
+from tests.support.obs import counter_totals, registry_total
 
 
 class TestLatencyStats:
@@ -93,8 +93,13 @@ class TestComponentMetrics:
         metrics = TopologyMetrics(registry).component("bolt")
         metrics.record_emit(2)
         metrics.record_shed()
-        assert registry.total("storm_tuples_emitted_total", component="bolt") == 2
-        assert registry.total("storm_tuples_shed_total", component="bolt") == 1
+        emitted = registry_total(
+            registry, "storm_tuples_emitted_total", component="bolt"
+        )
+        assert emitted == 2
+        assert registry_total(
+            registry, "storm_tuples_shed_total", component="bolt"
+        ) == 1
         assert metrics.latency is registry.get(
             "storm_process_latency_seconds"
         ).labels(component="bolt")

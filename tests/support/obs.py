@@ -1,4 +1,4 @@
-"""Observability helpers: a deterministic bundle and a flat counter view."""
+"""Observability helpers: a deterministic bundle and counter views."""
 
 from __future__ import annotations
 
@@ -38,3 +38,27 @@ def counter_totals(registry: MetricsRegistry) -> dict[str, float]:
             key = f"{name}{{{label_part}}}" if label_part else name
             totals[key] = series["value"]
     return totals
+
+
+def registry_total(registry: MetricsRegistry, name: str, **labels: str) -> float:
+    """Sum of a counter/gauge over all series matching ``labels``.
+
+    ``labels`` filters on a subset of the instrument's label names.  An
+    unknown instrument totals 0.0 (absence of traffic, not an error);
+    histograms are rejected because summing their counts silently discards
+    the distribution.
+    """
+    metric = registry.snapshot().get(name)
+    if metric is None:
+        return 0.0
+    if metric["kind"] == "histogram":
+        raise ValueError(f"metric {name!r} is a histogram")
+    unknown = set(labels) - set(metric["labelnames"])
+    if unknown:
+        raise ValueError(f"metric {name!r} has no labels {sorted(unknown)}")
+    wanted = {k: str(v) for k, v in labels.items()}
+    return sum(
+        series["value"]
+        for series in metric["series"]
+        if all(series["labels"].get(k) == v for k, v in wanted.items())
+    )

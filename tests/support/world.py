@@ -1,14 +1,15 @@
 """Ground-truth and stored-state readers for tests.
 
 They read private state on purpose: the system itself never needs a raw
-similar-video entry or a user's true best videos, only tests do.
+similar-video entry, a user's true best videos or the list of group
+models created so far, only tests do.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import SimilarVideoTable
+from repro.core import GroupedRecommender, SimilarVideoTable
 from repro.data import SyntheticWorld
 
 
@@ -26,3 +27,8 @@ def raw_entries(
 ) -> dict[str, tuple[float, float]]:
     """One video's stored ``{other: (raw relevance, updated_at)}`` map."""
     return dict(table._table.get(video_id, {}))
+
+
+def created_groups(grouped: GroupedRecommender) -> list[str]:
+    """Groups whose recommender exists, in creation order."""
+    return list(grouped._groups)
