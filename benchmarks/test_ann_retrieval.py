@@ -9,6 +9,8 @@ contract:
 
 * the two-stage top-100 equals the brute-force float64 top-100 exactly —
   same ids, same order — for every query at every size;
+* the mirror's build peaks at no more than 1.25x the bytes it keeps
+  (``build_peak_mb``, from ``tracemalloc``, so it holds on any host);
 * the brute and scan ``*_p50_ms`` columns and the mirror's build time are
   reported, not asserted (their ratios do not hold on a shared host).
 
@@ -16,6 +18,7 @@ Emits ``BENCH_ann_retrieval.json``.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -34,8 +37,9 @@ N_QUERIES = 20 if bench_smoke() else 30
 class _Catalog:
     """Clustered factor catalog: C centers, tight per-cluster noise.
 
-    Exposes ``video_rows()`` — the one method ``AnnIndex.build_from_model``
-    reads — so the mirror is built straight from the arrays.
+    Exposes ``video_rows(dtype)`` — the one method
+    ``AnnIndex.build_from_model`` reads — as a model does: fresh arrays in
+    ``dtype``, which the mirror keeps.
     """
 
     def __init__(self, n: int, seed: int = 7) -> None:
@@ -49,8 +53,8 @@ class _Catalog:
         self.biases = rng.standard_normal(n) * 0.05
         self.ids = [f"v{i:07d}" for i in range(n)]
 
-    def video_rows(self):
-        return self.ids, self.vectors, self.biases
+    def video_rows(self, dtype=np.float64):
+        return self.ids, self.vectors.astype(dtype), self.biases.astype(dtype)
 
     def queries(self, rng) -> np.ndarray:
         picks = self.centers[rng.integers(0, len(self.centers), N_QUERIES)]
@@ -61,8 +65,22 @@ def test_exact_scan_matches_brute_force():
     results = []
     for n in SIZES:
         catalog = _Catalog(n)
-        ids, vectors, biases = catalog.video_rows()
+        ids, vectors, biases = catalog.ids, catalog.vectors, catalog.biases
         row_of = {vid: row for row, vid in enumerate(ids)}
+
+        # Build once under tracemalloc (it slows allocation, so the timed
+        # build below is a second one): peak vs the bytes the mirror keeps.
+        index = AnnIndex(F)
+        tracemalloc.start()
+        try:
+            index.build_from_model(catalog)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * kept, (
+            f"mirror build at n={n} peaked at {peak / kept:.2f}x what it keeps"
+        )
+
         index = AnnIndex(F)
         started = time.perf_counter()
         index.build_from_model(catalog)
@@ -95,6 +113,7 @@ def test_exact_scan_matches_brute_force():
             {
                 "n": n,
                 "build_s": round(build_seconds, 3),
+                "build_peak_mb": round(peak / 1e6, 2),
                 "recall_at_100": round(float(np.mean(overlaps)), 4),
                 "brute_p50_ms": round(float(np.median(brute_times)) * 1e3, 3),
                 "scan_p50_ms": round(float(np.median(scan_times)) * 1e3, 3),
@@ -108,7 +127,13 @@ def test_exact_scan_matches_brute_force():
         metrics={
             f"{key}_n{row['n']}": row[key]
             for row in results
-            for key in ("recall_at_100", "brute_p50_ms", "scan_p50_ms", "build_s")
+            for key in (
+                "recall_at_100",
+                "brute_p50_ms",
+                "scan_p50_ms",
+                "build_s",
+                "build_peak_mb",
+            )
         },
         params={
             "f": F,

@@ -89,7 +89,9 @@ class AnnIndex:
             raise ValueError(f"factor dimensionality must be >= 1, got {f}")
         self.f = f
         self._lock = threading.Lock()
-        self._install([], np.zeros((0, f)), np.zeros(0))
+        self._install(
+            [], np.zeros((0, f), dtype=np.float32), np.zeros(0, dtype=np.float32)
+        )
         if obs is None:
             self._queries = self._rebuilds = self._indexed = None
         else:
@@ -105,22 +107,17 @@ class AnnIndex:
             )
 
     def _install(
-        self, ids: list[str], vectors: np.ndarray, biases: np.ndarray
+        self, ids: list[str], matrix: np.ndarray, bias: np.ndarray
     ) -> None:
-        """Replace the mirror with row-aligned ``ids`` / ``vectors`` /
-        ``biases`` (caller holds the lock, or no reader exists yet)."""
-        n = len(ids)
-        capacity = max(64, n)
-        self._ids = np.empty(capacity, dtype=object)
-        self._ids[:n] = ids
-        self._matrix = np.zeros((capacity, self.f), dtype=np.float32)
-        self._matrix[:n] = vectors
-        self._bias = np.zeros(capacity, dtype=np.float32)
-        self._bias[:n] = biases
-        self._norms = np.zeros(capacity)
-        self._norms[:n] = _norms(self._matrix[:n])
+        """Adopt the row-aligned float32 ``matrix`` and ``bias`` over
+        ``ids`` as the mirror, without copying them (caller holds the
+        lock, or no reader exists yet)."""
+        self._ids = np.empty(len(ids), dtype=object)
+        self._ids[:] = ids
+        self._matrix, self._bias = matrix, bias
+        self._norms = _norms(matrix)
         self._row_of = {vid: row for row, vid in enumerate(ids)}
-        self._n = n
+        self._n = len(ids)
 
     # ------------------------------------------------------------------
     # Writes
@@ -131,10 +128,12 @@ class AnnIndex:
 
         Reads the model's deterministic export (sorted ids), so a fresh
         build and a checkpoint-restored build hold identical rows in
-        identical order.  Returns ``{"indexed", "build_seconds"}``.
+        identical order.  The export is float32 and becomes the mirror
+        itself, so the build holds no full-size copy besides it.  Returns
+        ``{"indexed", "build_seconds"}``.
         """
         started = time.perf_counter()
-        ids, vectors, biases = model.video_rows()
+        ids, vectors, biases = model.video_rows(np.float32)
         with self._lock:
             self._install(ids, vectors, biases)
         if self._rebuilds is not None:
@@ -170,7 +169,7 @@ class AnnIndex:
     def _grow(self) -> None:
         """Double the arrays.  Fresh arrays, so a scan holding the old ones
         keeps a consistent view."""
-        n, capacity = self._n, 2 * len(self._ids)
+        n, capacity = self._n, max(64, 2 * len(self._ids))
 
         def grown(old: np.ndarray) -> np.ndarray:
             fresh = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)

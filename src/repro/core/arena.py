@@ -24,18 +24,21 @@ row set.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
+
+#: Rows :meth:`FactorArena.sorted_rows` gathers per step: its only scratch
+#: memory is one float64 block of this many rows.
+_BLOCK = 4096
 
 
 class FactorArena:
     """Interned ``id -> (vector row, bias)`` storage over contiguous arrays.
 
     Rows are assigned in first-touch order and never move; growth doubles
-    the capacity and copies (amortised O(1) per insert).  A deleted id
-    keeps its row; membership queries and counts follow the *vector*:
-    ``id in arena`` means "has a learned vector".
+    the capacity and copies (amortised O(1) per insert).  Every interned
+    id has a learned vector: ``id in arena`` and ``len(arena)`` count rows.
     """
 
     def __init__(self, f: int, initial_capacity: int = 64) -> None:
@@ -50,8 +53,6 @@ class FactorArena:
         self._ids: list[str] = []
         self._vecs = np.zeros((initial_capacity, f), dtype=np.float64)
         self._biases = np.zeros(initial_capacity, dtype=np.float64)
-        self._has_vec = np.zeros(initial_capacity, dtype=bool)
-        self._n_vec = 0
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -63,7 +64,7 @@ class FactorArena:
         if need <= capacity:
             return
         new_capacity = max(capacity * 2, need)
-        for name in ("_vecs", "_biases", "_has_vec"):
+        for name in ("_vecs", "_biases"):
             old = getattr(self, name)
             shape = (new_capacity,) + old.shape[1:]
             fresh = np.zeros(shape, dtype=old.dtype)
@@ -87,6 +88,18 @@ class FactorArena:
             )
         return vector
 
+    def _gather(self, array: np.ndarray, entity_ids: list[str]) -> np.ndarray:
+        """Rows of ``array`` for ``entity_ids``, zero for unknown ids
+        (caller holds the lock)."""
+        idx = np.fromiter(
+            (self._rows.get(entity_id, -1) for entity_id in entity_ids),
+            dtype=np.int64,
+            count=len(entity_ids),
+        )
+        out = array[np.where(idx >= 0, idx, 0)]
+        out[idx < 0] = 0.0
+        return out
+
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -94,21 +107,11 @@ class FactorArena:
     def __len__(self) -> int:
         """Number of entities with a learned vector."""
         with self._lock:
-            return self._n_vec
+            return len(self._ids)
 
     def __contains__(self, entity_id: str) -> bool:
         with self._lock:
-            row = self._rows.get(entity_id)
-            return row is not None and bool(self._has_vec[row])
-
-    def ids(self) -> list[str]:
-        """Ids with a vector, in first-touch order."""
-        with self._lock:
-            return [
-                entity_id
-                for entity_id in self._ids
-                if self._has_vec[self._rows[entity_id]]
-            ]
+            return entity_id in self._rows
 
     def vector(self, entity_id: str) -> np.ndarray | None:
         """A copy of the entity's vector, or ``None`` when unlearned.
@@ -118,9 +121,7 @@ class FactorArena:
         """
         with self._lock:
             row = self._rows.get(entity_id)
-            if row is None or not self._has_vec[row]:
-                return None
-            return self._vecs[row].copy()
+            return None if row is None else self._vecs[row].copy()
 
     def bias(self, entity_id: str, default: float = 0.0) -> float:
         with self._lock:
@@ -130,41 +131,42 @@ class FactorArena:
     def vectors_many(self, entity_ids: list[str]) -> list[np.ndarray | None]:
         """Per-id vector copies (``None`` for unlearned), one lock pass."""
         with self._lock:
-            out: list[np.ndarray | None] = []
-            for entity_id in entity_ids:
-                row = self._rows.get(entity_id)
-                if row is None or not self._has_vec[row]:
-                    out.append(None)
-                else:
-                    out.append(self._vecs[row].copy())
-            return out
+            rows = [self._rows.get(entity_id) for entity_id in entity_ids]
+            return [None if row is None else self._vecs[row].copy() for row in rows]
 
     def vectors_matrix(self, entity_ids: list[str]) -> np.ndarray:
         """An ``(n, f)`` gather with zero rows for unlearned ids."""
-        n = len(entity_ids)
         with self._lock:
-            idx = np.empty(n, dtype=np.int64)
-            for position, entity_id in enumerate(entity_ids):
-                row = self._rows.get(entity_id, -1)
-                if row >= 0 and not self._has_vec[row]:
-                    row = -1
-                idx[position] = row
-            out = self._vecs[np.where(idx >= 0, idx, 0)]
-            out[idx < 0] = 0.0
-            return out
+            return self._gather(self._vecs, entity_ids)
 
     def biases_array(self, entity_ids: list[str]) -> np.ndarray:
         """An ``(n,)`` gather of biases with 0.0 for unknown ids."""
-        n = len(entity_ids)
         with self._lock:
-            idx = np.fromiter(
-                (self._rows.get(entity_id, -1) for entity_id in entity_ids),
-                dtype=np.int64,
-                count=n,
-            )
-            out = self._biases[np.where(idx >= 0, idx, 0)]
-            out[idx < 0] = 0.0
-            return out
+            return self._gather(self._biases, entity_ids)
+
+    def sorted_rows(
+        self, dtype: type = np.float64
+    ) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Row-aligned ``(ids, vectors, biases)`` in ``dtype``, ids sorted.
+
+        Rows are gathered ``_BLOCK`` at a time straight into the returned
+        arrays, so the export costs its own bytes plus one block: a
+        float32 export never holds a float64 copy of the arena.
+        """
+        with self._lock:
+            ids = sorted(self._ids)
+            vectors = np.empty((len(ids), self.f), dtype=dtype)
+            biases = np.empty(len(ids), dtype=dtype)
+            for start in range(0, len(ids), _BLOCK):
+                block = ids[start : start + _BLOCK]
+                rows = np.fromiter(
+                    map(self._rows.__getitem__, block),
+                    dtype=np.int64,
+                    count=len(block),
+                )
+                vectors[start : start + len(block)] = self._vecs[rows]
+                biases[start : start + len(block)] = self._biases[rows]
+        return ids, vectors, biases
 
     # ------------------------------------------------------------------
     # Writes
@@ -177,109 +179,82 @@ class FactorArena:
             row = self._intern(entity_id)
             self._vecs[row] = vector
             self._biases[row] = bias
-            if not self._has_vec[row]:
-                self._has_vec[row] = True
-                self._n_vec += 1
 
     def put_many(
         self, items: Iterable[tuple[str, np.ndarray, float]]
     ) -> None:
-        """Apply many ``(id, vector, bias)`` writes under one lock pass."""
+        """Apply many ``(id, vector, bias)`` writes under one lock pass.
+
+        All or nothing: a first pass checks every vector's shape and counts
+        the ids not yet interned, so a bad record raises before any row is
+        written and the arrays grow at most once for the batch (by an upper
+        bound when a new id repeats).  ``items`` is iterated twice, so it
+        must be re-iterable (a list, or the model's per-kind view).
+        """
         with self._lock:
+            rows, ids, shape = self._rows, self._ids, (self.f,)
+            fresh = 0
+            for entity_id, vector, _ in items:
+                if np.shape(vector) != shape:
+                    raise ValueError(
+                        f"vector shape {np.shape(vector)} does not match "
+                        f"arena f={self.f}"
+                    )
+                fresh += entity_id not in rows
+            self._grow(len(ids) + fresh)
+            vecs, biases = self._vecs, self._biases
             for entity_id, vector, bias in items:
-                vector = self._check_dim(vector)
-                row = self._intern(entity_id)
-                self._vecs[row] = vector
-                self._biases[row] = bias
-                if not self._has_vec[row]:
-                    self._has_vec[row] = True
-                    self._n_vec += 1
+                row = rows.setdefault(entity_id, len(ids))
+                if row == len(ids):
+                    ids.append(entity_id)
+                vecs[row] = vector
+                biases[row] = bias
 
     def setdefault_vector(
         self, entity_id: str, factory
     ) -> np.ndarray:
         """Return the entity's vector, installing ``factory()`` if unlearned."""
         with self._lock:
-            row = self._intern(entity_id)
-            if not self._has_vec[row]:
-                self._vecs[row] = self._check_dim(factory())
-                self._has_vec[row] = True
-                self._n_vec += 1
-            return self._vecs[row].copy()
-
-    def delete(self, entity_id: str) -> bool:
-        """Forget an entity's vector (the row itself is retained)."""
-        with self._lock:
             row = self._rows.get(entity_id)
-            if row is None or not self._has_vec[row]:
-                return False
-            self._has_vec[row] = False
-            self._vecs[row] = 0.0
-            self._biases[row] = 0.0
-            self._n_vec -= 1
-            return True
-
-    # ------------------------------------------------------------------
-    # Bulk export (save, checkpoint, retrieval mirror build)
-    # ------------------------------------------------------------------
-
-    def export_rows(
-        self,
-    ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-        """Compacted copies of ``(ids, vectors, biases, has_vector)``.
-
-        Row-aligned over *all* interned ids (bias-only rows included), so
-        a consumer can reconstruct the arena exactly.
-        """
-        with self._lock:
-            n = len(self._ids)
-            return (
-                list(self._ids),
-                self._vecs[:n].copy(),
-                self._biases[:n].copy(),
-                self._has_vec[:n].copy(),
-            )
-
-    def items(self) -> Iterator[tuple[str, np.ndarray, float]]:
-        """Iterate ``(id, vector copy, bias)`` for learned ids."""
-        ids, vecs, biases, has_vec = self.export_rows()
-        for row, entity_id in enumerate(ids):
-            if has_vec[row]:
-                yield entity_id, vecs[row].copy(), float(biases[row])
+            if row is None:
+                vector = self._check_dim(factory())
+                row = self._intern(entity_id)
+                self._vecs[row] = vector
+            return self._vecs[row].copy()
 
     # ------------------------------------------------------------------
     # Pickle support (checkpointing)
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        ids, vecs, biases, has_vec = self.export_rows()
-        return {
-            "f": self.f,
-            "ids": ids,
-            "vecs": vecs,
-            "biases": biases,
-            "has_vec": has_vec,
-        }
+        with self._lock:
+            n = len(self._ids)
+            return {
+                "f": self.f,
+                "ids": list(self._ids),
+                "vecs": self._vecs[:n].copy(),
+                "biases": self._biases[:n].copy(),
+            }
 
     def __setstate__(self, state: dict) -> None:
+        ids, vecs, biases = state["ids"], state["vecs"], state["biases"]
+        if "has_vec" in state:
+            # Written before every row had a vector: the rows without one
+            # were deleted (zero vector, zero bias), so drop them.
+            keep = np.asarray(state["has_vec"], dtype=bool)
+            ids = [entity_id for entity_id, kept in zip(ids, keep) if kept]
+            vecs, biases = vecs[keep], biases[keep]
         self.f = state["f"]
-        self._ids = list(state["ids"])
+        self._ids = list(ids)
         self._rows = {
             entity_id: row for row, entity_id in enumerate(self._ids)
         }
         n = max(len(self._ids), 1)
         self._vecs = np.zeros((n, self.f), dtype=np.float64)
         self._biases = np.zeros(n, dtype=np.float64)
-        self._has_vec = np.zeros(n, dtype=bool)
-        count = len(self._ids)
-        self._vecs[:count] = state["vecs"]
-        self._biases[:count] = state["biases"]
-        self._has_vec[:count] = state["has_vec"]
-        self._n_vec = int(np.count_nonzero(self._has_vec[:count]))
+        self._vecs[: len(self._ids)] = vecs
+        self._biases[: len(self._ids)] = biases
         self._lock = threading.RLock()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FactorArena(f={self.f}, interned={len(self._ids)}, "
-            f"learned={self._n_vec})"
-        )
+        return f"FactorArena(f={self.f}, learned={len(self._ids)})"

@@ -14,9 +14,9 @@ There is one parameter layout (DESIGN.md "Parameter layout"): a
 :class:`~repro.core.arena.FactorArena` per entity kind, stored as a single
 entry under ``mf:meta`` (``arena:user`` / ``arena:video``, next to the
 ``mu`` accumulator), so batch reads are contiguous gathers and
-:meth:`MFModel.predict_many` is one matmul.  ``.npz``
-:meth:`MFModel.save` / :meth:`MFModel.load` is the layout-neutral export.
-The arithmetic is checked against the scalar oracle in ``tests/reference``.
+:meth:`MFModel.predict_many` is one matmul.  Checkpoints capture the two
+arenas as ordinary store entries (``repro.reliability``).  The arithmetic
+is checked against the scalar oracle in ``tests/reference``.
 
 Two deliberate deviations from the paper's text, both documented in
 DESIGN.md:
@@ -178,24 +178,36 @@ class _ArenaParams:
     def biases_array(self, kind: str, entity_ids: Sequence[str]) -> np.ndarray:
         return self._arena(kind).biases_array(list(entity_ids))
 
-    def put_many(
-        self, kind: str, items: Sequence[tuple[str, np.ndarray, float]]
-    ) -> None:
-        if not items:
-            return
+    def put_many(self, kind: str, items: "_KindRecords") -> None:
         self._mutate(kind, lambda arena: arena.put_many(items))
 
-    # -- bulk export (save, retrieval mirror build) ------------------------
+    # -- bulk export (retrieval mirror build) ------------------------------
 
-    def export(self, kind: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    def export(
+        self, kind: str, dtype: type
+    ) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Learned ``(ids, vectors, biases)``, row-aligned, ids sorted."""
-        ids, vectors, biases, has_vec = self._arena(kind).export_rows()
-        rows = {entity_id: row for row, entity_id in enumerate(ids)}
-        order = sorted(
-            entity_id for row, entity_id in enumerate(ids) if has_vec[row]
+        return self._arena(kind).sorted_rows(dtype)
+
+
+class _KindRecords:
+    """One kind's ``(id, vector, bias)`` records of a mixed
+    ``(kind, id, vector, bias)`` batch: a re-iterable view, so the arena's
+    two passes read the batch without a per-kind copy of it."""
+
+    def __init__(
+        self, items: Sequence[tuple[str, str, np.ndarray, float]], kind: str
+    ) -> None:
+        self._items = items
+        self._kind = kind
+
+    def __iter__(self):
+        kind = self._kind
+        return (
+            (entity_id, vector, bias)
+            for item_kind, entity_id, vector, bias in self._items
+            if item_kind == kind
         )
-        idx = np.array([rows[entity_id] for entity_id in order], dtype=np.int64)
-        return order, vectors[idx], biases[idx]
 
 
 class MFBatchSession:
@@ -357,10 +369,6 @@ class MFModel:
 
         self._meta.update("mu", _fold, default=(0.0, 0))
 
-    def _mu_put(self, total: float, count: int) -> None:
-        """Overwrite the accumulator (load / batch-fit seeding)."""
-        self._meta.put("mu", (total, count))
-
     @property
     def mu(self) -> float:
         """The running overall average rating (Eq. 2's ``mu``)."""
@@ -423,15 +431,18 @@ class MFModel:
     def n_videos(self) -> int:
         return self._params.count("video")
 
-    def video_rows(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+    def video_rows(
+        self, dtype: type = np.float64
+    ) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Row-aligned ``(ids, vectors, biases)`` of every learned video.
 
         Ids are sorted, so the row order is deterministic across runs
         and across checkpoint restore — the retrieval mirror's build
         (:meth:`repro.core.AnnIndex.build_from_model`) relies on this to
-        make a rebuilt mirror identical to the original.
+        make a rebuilt mirror identical to the original.  The arrays are
+        fresh, in ``dtype``; the mirror keeps a float32 export as its own.
         """
-        return self._params.export("video")
+        return self._params.export("video", dtype)
 
     # ------------------------------------------------------------------
     # Prediction (Eq. 2) and error (Eq. 4)
@@ -537,17 +548,26 @@ class MFModel:
     ) -> None:
         """Batch parameter write: ``(kind, id, vector, bias)`` records.
 
-        The :meth:`MFBatchSession.commit` path: all user rows go out in
-        one batch write, all video rows in another.  Within a kind, later
-        records win (same as sequential puts).
+        The :meth:`MFBatchSession.commit` path and the bulk load of a
+        catalog: all user rows go out in one batch write, all video rows
+        in another, each streamed from ``items`` with no per-kind copy.
+        Within a kind, later records win (same as sequential puts).  All
+        or nothing: every record's kind and shape is checked before either
+        arena is written.
         """
-        for kind in _KINDS:
-            batch = [
-                (entity_id, vector, bias)
-                for item_kind, entity_id, vector, bias in items
-                if item_kind == kind
-            ]
-            self._params.put_many(kind, batch)
+        counts = dict.fromkeys(_KINDS, 0)
+        shape = (self.config.f,)
+        for kind, _, vector, _ in items:
+            if kind not in counts:
+                raise ModelError(f"unknown parameter kind {kind!r}")
+            if np.shape(vector) != shape:
+                raise ValueError(
+                    f"vector shape {np.shape(vector)} does not match f={shape[0]}"
+                )
+            counts[kind] += 1
+        for kind, count in counts.items():
+            if count:
+                self._params.put_many(kind, _KindRecords(items, kind))
 
     def apply_update(self, update: MFUpdate) -> None:
         """Write one computed step's parameters back to the store.
@@ -580,56 +600,3 @@ class MFModel:
         to the sequential per-action methods.
         """
         return MFBatchSession(self, user_ids, video_ids)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Serialise all parameters to an ``.npz`` file.
-
-        Stores user/video vectors, biases and the ``mu`` accumulators via
-        one bulk export per kind (no per-key loops).  Entity ids are
-        stored as arrays of strings; no pickling involved.  The file
-        format does not depend on the store's parameter layout.
-        """
-        user_ids, x, bu = self._params.export("user")
-        video_ids, y, bi = self._params.export("video")
-        total, count = self._mu_state()
-        np.savez(
-            path,
-            f=np.array([self.config.f]),
-            user_ids=np.array(user_ids, dtype=np.str_),
-            video_ids=np.array(video_ids, dtype=np.str_),
-            x=x,
-            y=y,
-            bu=bu,
-            bi=bi,
-            mu=np.array([total, float(count)]),
-        )
-
-    def load(self, path: str) -> None:
-        """Restore parameters saved with :meth:`save` into this model's
-        store (existing entries for the same ids are overwritten)."""
-        with np.load(path, allow_pickle=False) as data:
-            stored_f = int(data["f"][0])
-            if stored_f != self.config.f:
-                raise ModelError(
-                    f"dimensionality mismatch: file has f={stored_f}, "
-                    f"model has f={self.config.f}"
-                )
-            # ``data[name]`` re-reads the whole member on every access, so
-            # each array is read exactly once, outside the per-entity loops.
-            for kind, ids, vectors, biases in (
-                ("user", data["user_ids"], data["x"], data["bu"]),
-                ("video", data["video_ids"], data["y"], data["bi"]),
-            ):
-                self._params.put_many(
-                    kind,
-                    [
-                        (str(entity_id), vector, float(bias))
-                        for entity_id, vector, bias in zip(ids, vectors, biases)
-                    ],
-                )
-            total, count = data["mu"]
-            self._mu_put(float(total), int(count))

@@ -12,6 +12,8 @@ import pytest
 from repro.config import MFConfig
 from repro.core import AnnIndex, MFModel, top_n_by_score
 from repro.core.annindex import OVERFETCH
+from repro.kvstore import InMemoryKVStore
+from repro.reliability import CheckpointManager
 
 
 def _catalog(n, f=8, seed=3):
@@ -178,8 +180,8 @@ class TestIncrementalMaintenance:
 
 
 class TestRebuildEquivalence:
-    def _trained_model(self, f=6):
-        model = MFModel(MFConfig(f=f, seed=4))
+    def _trained_model(self, f=6, store=None):
+        model = MFModel(MFConfig(f=f, seed=4), store=store)
         model.observe_rating(0.0)
         model.observe_rating(1.0)
         rng = np.random.default_rng(12)
@@ -192,14 +194,15 @@ class TestRebuildEquivalence:
     def test_checkpoint_restored_index_serves_identical_shortlists(
         self, tmp_path
     ):
-        model = self._trained_model()
+        store = InMemoryKVStore()
+        model = self._trained_model(store=store)
         fresh = AnnIndex(6)
         fresh.build_from_model(model)
 
-        path = tmp_path / "model.npz"
-        model.save(str(path))
-        restored_model = MFModel(MFConfig(f=6))
-        restored_model.load(str(path))
+        manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
+        restored_store = InMemoryKVStore()
+        manager.restore(manager.create(store), restored_store)
+        restored_model = MFModel(MFConfig(f=6), store=restored_store)
         restored = AnnIndex(6)
         restored.build_from_model(restored_model)
 

@@ -1,122 +1,77 @@
-"""Tests for MF model save/load."""
+"""MF model persistence: a checkpoint of the model's store, restored into a
+fresh store (the recovery path ``repro-serve --data-dir`` serves)."""
 
 import numpy as np
 import pytest
 
 from repro.config import MFConfig
 from repro.core import MFModel
-from repro.errors import ModelError
+from repro.kvstore import InMemoryKVStore
+from repro.reliability import CheckpointManager
+
+
+def _restore(store, tmp_path, f, seed=0):
+    """A model over a fresh store holding a checkpoint of ``store``."""
+    manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
+    restored = InMemoryKVStore()
+    manager.restore(manager.create(store), restored)
+    return MFModel(MFConfig(f=f, seed=seed), store=restored)
 
 
 @pytest.fixture
-def trained(tmp_path):
-    model = MFModel(MFConfig(f=6, seed=3))
+def trained():
+    store = InMemoryKVStore()
+    model = MFModel(MFConfig(f=6, seed=3), store=store)
     model.observe_rating(0.0)
     model.observe_rating(1.0)
     for i in range(10):
         model.sgd_step(f"u{i % 3}", f"v{i % 4}", 1.0, eta=0.05)
-    path = tmp_path / "model.npz"
-    model.save(str(path))
-    return model, path
+    return model, store
 
 
 class TestSaveLoad:
-    def test_round_trip_restores_everything(self, trained):
-        model, path = trained
-        restored = MFModel(MFConfig(f=6, seed=99))
-        restored.load(str(path))
+    def test_round_trip_restores_everything(self, trained, tmp_path):
+        model, store = trained
+        restored = _restore(store, tmp_path, f=6, seed=99)
         assert restored.n_users == model.n_users
         assert restored.n_videos == model.n_videos
-        assert restored.mu == pytest.approx(model.mu)
+        assert restored.mu == model.mu
         for user in ("u0", "u1", "u2"):
-            assert np.allclose(
+            np.testing.assert_array_equal(
                 restored.user_vector(user), model.user_vector(user)
             )
-            assert restored.user_bias(user) == pytest.approx(
-                model.user_bias(user)
-            )
+            assert restored.user_bias(user) == model.user_bias(user)
         for video in ("v0", "v1", "v2", "v3"):
-            assert np.allclose(
+            np.testing.assert_array_equal(
                 restored.video_vector(video), model.video_vector(video)
             )
 
-    def test_predictions_identical_after_reload(self, trained):
-        model, path = trained
-        restored = MFModel(MFConfig(f=6))
-        restored.load(str(path))
+    def test_predictions_identical_after_reload(self, trained, tmp_path):
+        model, store = trained
+        restored = _restore(store, tmp_path, f=6)
         for user in ("u0", "u2"):
             for video in ("v0", "v3"):
-                assert restored.predict(user, video) == pytest.approx(
-                    model.predict(user, video)
-                )
+                assert restored.predict(user, video) == model.predict(user, video)
 
-    def test_dimension_mismatch_rejected(self, trained):
-        _, path = trained
-        wrong = MFModel(MFConfig(f=8))
-        with pytest.raises(ModelError, match="dimensionality"):
-            wrong.load(str(path))
+    def test_dimension_mismatch_rejected(self, trained, tmp_path):
+        # A model of another dimensionality over the restored arenas cannot
+        # write a vector into them.
+        _, store = trained
+        wrong = _restore(store, tmp_path, f=8)
+        with pytest.raises(ValueError, match="does not match"):
+            wrong.ensure_user("new-user")
 
     def test_empty_model_round_trip(self, tmp_path):
-        model = MFModel(MFConfig(f=4))
-        path = tmp_path / "empty.npz"
-        model.save(str(path))
-        restored = MFModel(MFConfig(f=4))
-        restored.load(str(path))
+        restored = _restore(InMemoryKVStore(), tmp_path, f=4)
         assert restored.n_users == 0
         assert restored.n_videos == 0
         assert restored.mu == 0.0
 
-    def test_training_continues_after_reload(self, trained):
+    def test_training_continues_after_reload(self, trained, tmp_path):
         """Online learning resumes seamlessly from a checkpoint."""
-        model, path = trained
-        restored = MFModel(MFConfig(f=6))
-        restored.load(str(path))
+        _, store = trained
+        restored = _restore(store, tmp_path, f=6)
         before = restored.predict("u0", "v0")
         restored.sgd_step("u0", "v0", 1.0, eta=0.05)
         after = restored.predict("u0", "v0")
         assert after != before
-
-    def test_load_reads_each_member_once(self, monkeypatch, tmp_path):
-        # Every ``NpzFile.__getitem__`` re-reads the whole member from the
-        # archive, so reads inside the per-entity loops made load quadratic.
-        reads: list[str] = []
-        real_load = np.load
-
-        class CountingNpz:
-            def __init__(self, npz):
-                self._npz = npz
-
-            def __enter__(self):
-                self._npz.__enter__()
-                return self
-
-            def __exit__(self, *exc):
-                return self._npz.__exit__(*exc)
-
-            def __getitem__(self, name):
-                reads.append(name)
-                return self._npz[name]
-
-        monkeypatch.setattr(
-            np, "load", lambda *a, **kw: CountingNpz(real_load(*a, **kw))
-        )
-        rng = np.random.default_rng(0)
-        for n in (3, 40):
-            model = MFModel(MFConfig(f=4))
-            model.put_params_many(
-                [
-                    (kind, f"{kind[0]}{i}", rng.normal(size=4), float(i))
-                    for kind in ("user", "video")
-                    for i in range(n)
-                ]
-            )
-            path = str(tmp_path / f"model-{n}.npz")
-            model.save(path)
-            reads.clear()
-            restored = MFModel(MFConfig(f=4))
-            restored.load(path)
-            assert restored.n_users == restored.n_videos == n
-            assert restored.video_bias(f"v{n - 1}") == float(n - 1)
-            assert sorted(reads) == sorted(
-                ["f", "user_ids", "video_ids", "x", "y", "bu", "bi", "mu"]
-            )

@@ -10,8 +10,8 @@ micro-batched ``process_batch``, an ``MFModel.batch_session``, the assembled
 top-10 must be exactly the same list.
 
 The production paths are also compared with *each other*, where the
-contract is stronger: batched training, ``.npz`` save/load and checkpoint
-restore reproduce the sequential model byte for byte.
+contract is stronger: batched training and checkpoint restore (with
+training resumed after it) reproduce the sequential model byte for byte.
 """
 
 from unittest.mock import Mock
@@ -204,20 +204,34 @@ class TestPersistence:
                 src_model.predict_many(user_id, videos),
             )
 
-    def test_npz_save_load_round_trip(self, small_world, small_split, tmp_path):
-        src_model, _, _ = _trained_model(
-            small_split.train[:200], small_world.videos
+    def test_training_resumes_identically_after_restore(
+        self, small_world, small_split, tmp_path
+    ):
+        # The served recovery path: checkpoint, restore into a fresh store,
+        # keep training.  The restored model must go on learning exactly
+        # what the uninterrupted one learns.
+        actions = small_split.train[:300]
+        src_model, src_trainer, src_store = _trained_model(
+            actions[:200], small_world.videos
         )
-        path = str(tmp_path / "model.npz")
-        src_model.save(path)
-        dst_model = MFModel()
-        dst_model.load(path)
+        manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
+        dst_store = InMemoryKVStore()
+        manager.restore(manager.create(src_store), dst_store)
+        dst_model = MFModel(store=dst_store)
+        dst_trainer = OnlineTrainer(dst_model, videos=small_world.videos)
+        for action in actions[200:]:
+            src_trainer.process(action)
+            dst_trainer.process(action)
         assert dst_model.mu == src_model.mu
-        videos = sorted(src_model.video_rows()[0])
+        src_ids, src_vectors, src_biases = src_model.video_rows()
+        dst_ids, dst_vectors, dst_biases = dst_model.video_rows()
+        assert dst_ids == src_ids
+        np.testing.assert_array_equal(dst_vectors, src_vectors)
+        np.testing.assert_array_equal(dst_biases, src_biases)
         for user_id in ("u0", "u1", "u2"):
             np.testing.assert_array_equal(
-                dst_model.predict_many(user_id, videos),
-                src_model.predict_many(user_id, videos),
+                dst_model.predict_many(user_id, src_ids),
+                src_model.predict_many(user_id, src_ids),
             )
 
 

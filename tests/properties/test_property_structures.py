@@ -156,7 +156,10 @@ arena_operations = st.lists(
     st.one_of(
         st.tuples(st.just("put"), arena_ids, arena_scalars, arena_scalars),
         st.tuples(st.just("setdefault"), arena_ids, arena_scalars),
-        st.tuples(st.just("delete"), arena_ids),
+        st.tuples(
+            st.just("put_many"),
+            st.lists(st.tuples(arena_ids, arena_scalars, arena_scalars)),
+        ),
     ),
     max_size=60,
 )
@@ -165,7 +168,8 @@ arena_operations = st.lists(
 class TestFactorArenaProperties:
     """Random operation sequences against the obvious reference model — a
     ``dict`` of id -> (vector, bias) — through however many growth
-    generations the sequence forces (``initial_capacity=1``)."""
+    generations the sequence forces (``initial_capacity=1``).  A
+    ``put_many`` batch may repeat an id; the later record wins."""
 
     @settings(max_examples=60, deadline=None)
     @given(ops=arena_operations)
@@ -186,12 +190,19 @@ class TestFactorArenaProperties:
                     reference[eid] = (np.full(ARENA_F, value), arena.bias(eid))
                 assert np.array_equal(got, reference[eid][0])
             else:
-                _, eid = op
-                assert arena.delete(eid) == (eid in reference)
-                reference.pop(eid, None)
+                batch = [
+                    (eid, np.full(ARENA_F, value), bias)
+                    for eid, value, bias in op[1]
+                ]
+                arena.put_many(batch)
+                reference.update((eid, (vec, bias)) for eid, vec, bias in batch)
 
         assert len(arena) == len(reference)
-        assert sorted(arena.ids()) == sorted(reference)
+        ids, vectors, biases = arena.sorted_rows()
+        assert ids == sorted(reference)
+        for row, eid in enumerate(ids):
+            assert np.array_equal(vectors[row], reference[eid][0])
+            assert biases[row] == reference[eid][1]
         for eid, (vector, bias) in reference.items():
             assert np.array_equal(arena.vector(eid), vector)
             assert arena.bias(eid) == bias

@@ -1,15 +1,16 @@
 """Ground-truth and stored-state readers for tests.
 
 They read private state on purpose: the system itself never needs a raw
-similar-video entry, a user's true best videos or the list of group
-models created so far, only tests do.
+similar-video entry, a user's true best videos, the list of group
+models created so far, a model's user rows or the retrieval mirror's
+rows, only tests do.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import GroupedRecommender, SimilarVideoTable
+from repro.core import AnnIndex, GroupedRecommender, MFModel, SimilarVideoTable
 from repro.data import SyntheticWorld
 
 
@@ -32,3 +33,18 @@ def raw_entries(
 def created_groups(grouped: GroupedRecommender) -> list[str]:
     """Groups whose recommender exists, in creation order."""
     return list(grouped._groups)
+
+
+def mirror_rows(index: AnnIndex) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The retrieval mirror's ``(ids, float32 matrix, float32 biases)``, in
+    row order, without its spare capacity."""
+    n = len(index)
+    return list(index._ids[:n]), index._matrix[:n], index._bias[:n]
+
+
+def stored_rows(
+    model: MFModel, kind: str
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``(ids, vectors, biases)`` of one kind (``"user"`` or ``"video"``),
+    ids sorted — :meth:`MFModel.video_rows` for either kind."""
+    return model._params.export(kind, np.float64)
