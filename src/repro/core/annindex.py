@@ -34,6 +34,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..obs.registry import Children
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observability
     from .mf import MFModel
@@ -96,8 +98,10 @@ class AnnIndex:
             self._queries = self._rebuilds = self._indexed = None
         else:
             reg = obs.registry
-            self._queries = reg.counter(
-                "ann_queries_total", "Retrieval scans by kind", ("kind",)
+            self._queries = Children(
+                reg.counter(
+                    "ann_queries_total", "Retrieval scans by kind", ("kind",)
+                )
             )
             self._rebuilds = reg.counter(
                 "ann_rebuilds_total", "Full mirror (re)builds"
@@ -202,7 +206,7 @@ class AnnIndex:
                 [row_of[vid] for vid in exclude or () if vid in row_of],
             )
         if self._queries is not None:
-            self._queries.labels(kind=kind).inc()
+            self._queries[kind].inc()
         return view
 
     @staticmethod

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Protocol
 from ..config import OnlineConfig
 from ..data.schema import ActionType, UserAction, Video
 from ..errors import DataError
+from ..obs.registry import Children
 from .actions import ActionWeigher, LogPlaytimeWeigher
 from .feedback import Feedback, extract_feedback
 from .mf import MFModel, MFUpdate
@@ -75,10 +76,12 @@ class OnlineTrainer:
         self.stats = TrainerStats()
         self._tracer = obs.tracer if obs is not None else None
         self._actions_counter = (
-            obs.registry.counter(
-                "trainer_actions_total",
-                "Actions processed by the online trainer, by result",
-                labelnames=("result",),
+            Children(
+                obs.registry.counter(
+                    "trainer_actions_total",
+                    "Actions processed by the online trainer, by result",
+                    labelnames=("result",),
+                )
             )
             if obs is not None
             else None
@@ -86,7 +89,7 @@ class OnlineTrainer:
 
     def _count(self, result: str) -> None:
         if self._actions_counter is not None:
-            self._actions_counter.labels(result=result).inc()
+            self._actions_counter[result].inc()
 
     def learning_rate(self, confidence: float) -> float:
         """Eq. 8, clamped at ``max_eta`` for stability."""

@@ -11,7 +11,9 @@ them requires measuring this system the way Tencent measured theirs.
 * :class:`Tracer` — synchronous, causally-linked spans from a routed
   request through the recommender and every KV call, with per-stage
   latency attribution;
-* :class:`InstrumentedKVStore` — per-op KV metrics and spans;
+* :class:`InstrumentedKVStore` — per-op KV counts and spans, at one
+  counter increment per op outside a trace (the trainer makes ~30 per
+  action);
 * :class:`Observability` — the bundle components accept as one ``obs=``
   argument.
 
@@ -79,9 +81,9 @@ class Observability:
 
     ``perf_clock`` is the clock *durations* are measured on — wall
     ``perf_counter`` by default.  Built with one shared
-    :class:`~repro.clock.VirtualClock` as the registry clock, tracer clock
-    and ``perf_clock``, latencies only advance when the caller advances
-    the clock, which is what makes golden snapshots exact.
+    :class:`~repro.clock.VirtualClock` as the tracer clock and
+    ``perf_clock``, latencies only advance when the caller advances the
+    clock, which is what makes golden snapshots exact.
     """
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)

@@ -1,14 +1,17 @@
-"""Observability wrapper for KV stores: op counters, latency, spans.
+"""Observability wrapper for KV stores: op counters and spans.
 
 The paper's serving path is dominated by KV traffic (vectors, histories,
 similar-video lists all live in the "distributed memory-based key-value
 storage", §5.1), so per-op visibility is where latency attribution ends.
 :class:`InstrumentedKVStore` wraps any :class:`~repro.kvstore.KVStore`
-and, per operation, bumps ``kvstore_ops_total{op=...}``, observes
-``kvstore_op_latency_seconds{op=...}``, and — only when the calling thread
-already has an active span, so bulk offline work does not flood the
-tracer — records a ``kv.<op>`` child span.  That makes the
+and, per operation, bumps ``kvstore_ops_total{op=...}`` and — only when
+the calling thread already has an active span, so bulk offline work does
+not flood the tracer — records a ``kv.<op>`` child span.  That makes the
 router→recommender→KV call chain one causally-linked trace.
+
+The trainer makes about 30 KV ops per action, so an untraced op costs one
+counter increment (its child cached per op name) and an ambient-span
+check; nothing times it — a span's duration is the op's latency.
 
 The ops are the :class:`~repro.kvstore.KVStore` contract's: ``get``,
 ``put``, ``delete``, ``update``, ``contains``, ``mget``, ``mput``.
@@ -22,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator
 
 from ..kvstore.store import EntrySnapshot, Key, KVStore
-from .registry import MetricsRegistry
+from .registry import Children, MetricsRegistry
 from .trace import Tracer
 
 __all__ = ["InstrumentedKVStore"]
@@ -43,65 +46,79 @@ class InstrumentedKVStore(KVStore):
     ) -> None:
         self.inner = inner
         self._tracer = tracer
-        self._ops = registry.counter(
-            "kvstore_ops_total",
-            "KV operations by op name",
-            labelnames=("op",),
+        self._ops = Children(
+            registry.counter(
+                "kvstore_ops_total",
+                "KV operations by op name",
+                labelnames=("op",),
+            )
         )
-        self._latency = registry.histogram(
-            "kvstore_op_latency_seconds",
-            "KV operation latency by op name",
-            labelnames=("op",),
-        )
-        self._batch_keys = registry.counter(
-            "kvstore_batch_keys_total",
-            "Keys carried by batch KV operations, by op name",
-            labelnames=("op",),
+        self._batch_keys = Children(
+            registry.counter(
+                "kvstore_batch_keys_total",
+                "Keys carried by batch KV operations, by op name",
+                labelnames=("op",),
+            )
         )
 
-    def _call(self, op: str, fn: Callable[[], Any]) -> Any:
-        self._ops.labels(op=op).inc()
-        span = None
-        if self._tracer.current_span() is not None:
-            span = self._tracer.start_span(f"kv.{op}")
+    def _count(self, op: str) -> bool:
+        """Count one ``op``; whether the calling thread is inside a trace.
+        Untraced, ops call ``inner`` directly: no closure, no ``*args``."""
+        self._ops[op].inc()
+        return self._tracer.current_span() is not None
+
+    def _traced(self, op: str, fn: Callable[..., Any], *args: Any) -> Any:
+        span = self._tracer.start_span(f"kv.{op}")
         try:
-            with self._latency.labels(op=op).time():
-                return fn()
+            return fn(*args)
         finally:
-            if span is not None:
-                span.finish()
+            span.finish()
 
     # -- KVStore API -------------------------------------------------------
 
     def get(self, key: Key, default: Any = None) -> Any:
-        return self._call("get", lambda: self.inner.get(key, default))
+        if self._count("get"):
+            return self._traced("get", self.inner.get, key, default)
+        return self.inner.get(key, default)
 
     def put(self, key: Key, value: Any) -> None:
-        self._call("put", lambda: self.inner.put(key, value))
+        if self._count("put"):
+            return self._traced("put", self.inner.put, key, value)
+        self.inner.put(key, value)
 
     def delete(self, key: Key) -> bool:
-        return self._call("delete", lambda: self.inner.delete(key))
+        if self._count("delete"):
+            return self._traced("delete", self.inner.delete, key)
+        return self.inner.delete(key)
 
     def update(
         self, key: Key, fn: Callable[[Any], Any], default: Any = None
     ) -> Any:
-        return self._call("update", lambda: self.inner.update(key, fn, default))
+        if self._count("update"):
+            return self._traced("update", self.inner.update, key, fn, default)
+        return self.inner.update(key, fn, default)
 
     def mget(self, keys, default: Any = None) -> list[Any]:
         """Batch get: one ``mget`` op count/span for the whole batch, plus
         the batch size in ``kvstore_batch_keys_total{op="mget"}``."""
         keys = list(keys)
-        self._batch_keys.labels(op="mget").inc(len(keys))
-        return self._call("mget", lambda: self.inner.mget(keys, default))
+        self._batch_keys["mget"].inc(len(keys))
+        if self._count("mget"):
+            return self._traced("mget", self.inner.mget, keys, default)
+        return self.inner.mget(keys, default)
 
     def mput(self, items) -> None:
         """Batch put: one ``mput`` op count/span for the whole batch."""
         items = list(items)
-        self._batch_keys.labels(op="mput").inc(len(items))
-        self._call("mput", lambda: self.inner.mput(items))
+        self._batch_keys["mput"].inc(len(items))
+        if self._count("mput"):
+            return self._traced("mput", self.inner.mput, items)
+        self.inner.mput(items)
 
     def __contains__(self, key: Key) -> bool:
-        return self._call("contains", lambda: key in self.inner)
+        if self._count("contains"):
+            return self._traced("contains", self.inner.__contains__, key)
+        return key in self.inner
 
     def __len__(self) -> int:
         return len(self.inner)

@@ -14,13 +14,14 @@ Three instrument kinds, deliberately Prometheus-shaped:
 * :class:`Histogram` — fixed bucket boundaries chosen at creation time,
   cumulative bucket counts, exact count/sum, plus a bounded raw-sample
   buffer so percentile queries go through the shared
-  :func:`~repro.obs.percentiles.nearest_rank` codepath.  Durations are
-  measured on an injected clock (:meth:`Histogram.time`), so latency
-  metrics are deterministic under a :class:`~repro.clock.VirtualClock`.
+  :func:`~repro.obs.percentiles.nearest_rank` codepath.  Callers time
+  on their own clock and ``observe()`` the duration.
 
 Instruments support labels: declare ``labelnames`` at registration, then
 ``instrument.labels(component="spout")`` returns the child series for that
-label combination.  Metric naming convention (enforced nowhere, documented
+label combination.  Code that picks a child per event holds a
+:class:`Children` map instead, which calls ``labels()`` once per label
+value.  Metric naming convention (enforced nowhere, documented
 in DESIGN.md): ``<subsystem>_<quantity>_<unit>`` with ``_total`` for
 counters — e.g. ``storm_tuples_processed_total``,
 ``serving_request_latency_seconds``.
@@ -28,19 +29,23 @@ counters — e.g. ``storm_tuples_processed_total``,
 Everything is thread-safe; ``snapshot()`` returns plain data that is
 detached from the registry (mutating it cannot corrupt live instruments,
 and later instrument updates never mutate an already-taken snapshot).
+Every recorded value must be finite, so ``to_json()`` is always strict
+JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Sequence
 
-from ..clock import Clock, SystemClock
 from .percentiles import nearest_rank
 
 __all__ = [
+    "Children",
     "Counter",
     "Gauge",
     "Histogram",
@@ -74,6 +79,13 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 )
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+
+
+def _finite(value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"metric values must be finite, got {value}")
+    return value
 
 
 def _check_name(name: str) -> str:
@@ -138,6 +150,22 @@ class _Instrument:
             )
 
 
+class Children(dict):
+    """Label value (a tuple, in ``labelnames`` order, for several labels)
+    → child series, resolved through ``labels()`` on first use and a plain
+    dict lookup after that, so an unused value exports no series."""
+
+    def __init__(self, instrument: _Instrument) -> None:
+        super().__init__()
+        self._instrument = instrument
+
+    def __missing__(self, key) -> _Instrument:
+        values = key if isinstance(key, tuple) else (key,)
+        names = self._instrument.labelnames
+        child = self[key] = self._instrument.labels(**dict(zip(names, values)))
+        return child
+
+
 class Counter(_Instrument):
     """A monotonically non-decreasing count."""
 
@@ -153,11 +181,17 @@ class Counter(_Instrument):
         return Counter(self.name, self.help)
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up, got inc({amount})")
+        if not 0 <= amount < math.inf:
+            raise ValueError(
+                f"counters only go up by finite amounts, got inc({amount})"
+            )
         self._guard_unlabelled()
-        with self._lock:
+        # Per KV op: explicit acquire/release is cheaper than ``with``.
+        self._lock.acquire()
+        try:
             self._value += amount
+        finally:
+            self._lock.release()
 
     @property
     def value(self) -> float:
@@ -180,44 +214,29 @@ class Gauge(_Instrument):
         return Gauge(self.name, self.help)
 
     def set(self, value: float) -> None:
+        value = _finite(value)
         self._guard_unlabelled()
         with self._lock:
-            self._value = float(value)
+            self._value = value
 
     def inc(self, amount: float = 1.0) -> None:
+        amount = _finite(amount)
         self._guard_unlabelled()
         with self._lock:
             self._value += amount
 
     def set_max(self, value: float) -> None:
         """Raise the gauge to ``value`` if larger (an atomic high-water mark)."""
+        value = _finite(value)
         self._guard_unlabelled()
         with self._lock:
             if value > self._value:
-                self._value = float(value)
+                self._value = value
 
     @property
     def value(self) -> float:
         with self._lock:
             return self._value
-
-
-class _Timer:
-    """Context manager recording one duration into a histogram."""
-
-    __slots__ = ("_histogram", "_clock", "_started")
-
-    def __init__(self, histogram: "Histogram", clock: Clock) -> None:
-        self._histogram = histogram
-        self._clock = clock
-        self._started = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._started = self._clock.now()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._histogram.observe(self._clock.now() - self._started)
 
 
 class Histogram(_Instrument):
@@ -243,7 +262,6 @@ class Histogram(_Instrument):
         help: str = "",
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        clock: Clock | None = None,
         sample_limit: int = 65_536,
     ) -> None:
         super().__init__(name, help, labelnames)
@@ -254,7 +272,6 @@ class Histogram(_Instrument):
             raise ValueError(f"bucket bounds must strictly increase: {bounds}")
         self.buckets = bounds
         self.sample_limit = sample_limit
-        self._clock = clock or SystemClock()
         self._bucket_counts = [0] * (len(bounds) + 1)  # +Inf last
         self._count = 0
         self._sum = 0.0
@@ -267,18 +284,14 @@ class Histogram(_Instrument):
             self.name,
             self.help,
             buckets=self.buckets,
-            clock=self._clock,
             sample_limit=self.sample_limit,
         )
 
     def observe(self, value: float) -> None:
         self._guard_unlabelled()
-        value = float(value)
-        idx = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                idx = i
-                break
+        # Finite first: bisect would file NaN in the first bucket.
+        value = _finite(value)
+        idx = bisect_left(self.buckets, value)  # first bound >= value
         with self._lock:
             self._bucket_counts[idx] += 1
             self._count += 1
@@ -289,11 +302,6 @@ class Histogram(_Instrument):
                 self._max = value
             if len(self._samples) < self.sample_limit:
                 self._samples.append(value)
-
-    def time(self) -> _Timer:
-        """``with histogram.time(): ...`` — duration on the injected clock."""
-        self._guard_unlabelled()
-        return _Timer(self, self._clock)
 
     # -- queries -----------------------------------------------------------
 
@@ -379,14 +387,9 @@ class MetricsRegistry:
     re-registering under a different kind or label set raises — silent
     metric collisions are exactly what a shared registry exists to
     prevent.
-
-    ``clock`` seeds every histogram's timer, so one
-    :class:`~repro.clock.VirtualClock` injected here makes every latency
-    metric in the system deterministic.
     """
 
-    def __init__(self, clock: Clock | None = None) -> None:
-        self._clock = clock or SystemClock()
+    def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
         self._lock = threading.Lock()
 
@@ -440,7 +443,6 @@ class MetricsRegistry:
                 "help": help,
                 "labelnames": tuple(labelnames),
                 "buckets": tuple(buckets),
-                "clock": self._clock,
             },
         )
 
@@ -488,4 +490,6 @@ class MetricsRegistry:
             "schema_version": REGISTRY_SCHEMA_VERSION,
             "metrics": self.snapshot(),
         }
-        return json.dumps(document, indent=indent, sort_keys=True)
+        return json.dumps(
+            document, indent=indent, sort_keys=True, allow_nan=False
+        )

@@ -110,6 +110,14 @@ class _NoopSpan(Span):
         self.end = self.start
 
 
+class _ThreadStack(threading.local):
+    """Per-thread stack of active spans, present from the first read (a
+    missed ``getattr`` on a ``threading.local`` raises internally: slow)."""
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+
+
 def _self_times(spans: list[Span]) -> dict[str, float]:
     """Exclusive time per span id: duration minus direct children's."""
     out = {s.span_id: s.duration for s in spans}
@@ -136,7 +144,7 @@ class Tracer:
         self.sample_every = sample_every
         self.max_spans = max_spans
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._local = _ThreadStack()
         self._trace_seq = 0
         self._span_seq = 0
         self._root_seq = 0
@@ -158,16 +166,9 @@ class Tracer:
 
     # -- ambient (per-thread) span ----------------------------------------
 
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     def current_span(self) -> Span | None:
         """The calling thread's innermost active span, if any."""
-        stack = self._stack()
+        stack = self._local.stack
         return stack[-1] if stack else None
 
     # -- span lifecycle ----------------------------------------------------
@@ -224,7 +225,7 @@ class Tracer:
         """``with tracer.span("stage"):`` — start, make ambient, finish."""
         opened = self.start_span(name, parent=parent, attributes=attributes)
         error: str | None = None
-        stack = self._stack()
+        stack = self._local.stack
         stack.append(opened)
         try:
             yield opened

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..clock import Clock, SystemClock
+from ..obs.registry import Children
 
 if TYPE_CHECKING:
     from ..obs import MetricsRegistry
@@ -139,10 +140,12 @@ class AdmissionController:
         if rate is None and max_concurrency is None:
             raise ValueError("need at least one of rate / max_concurrency")
         self._decisions = (
-            registry.counter(
-                "admission_decisions_total",
-                "Admission control outcomes, by decision",
-                labelnames=("decision",),
+            Children(
+                registry.counter(
+                    "admission_decisions_total",
+                    "Admission control outcomes, by decision",
+                    labelnames=("decision",),
+                )
             )
             if registry is not None
             else None
@@ -181,7 +184,7 @@ class AdmissionController:
 
     def _count(self, decision: str) -> None:
         if self._decisions is not None:
-            self._decisions.labels(decision=decision).inc()
+            self._decisions[decision].inc()
 
     def release(self) -> None:
         """Return the concurrency slot of an admitted request."""

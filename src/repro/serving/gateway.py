@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Awaitable, Callable
 
 from ..data.schema import ActionType, UserAction
 from ..errors import DataError
+from ..obs.registry import Children
 from .router import Outcome, RecRequest, RecResponse, RequestRouter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -377,10 +378,12 @@ class ServingGateway:
         self._rejected_connections = 0
         self._ingested = 0
         self._conn_lock = threading.Lock()
-        self._http_counter = obs.registry.counter(
-            "gateway_http_requests_total",
-            "HTTP requests served by the gateway, by path and status",
-            labelnames=("path", "status"),
+        self._http_counter = Children(
+            obs.registry.counter(
+                "gateway_http_requests_total",
+                "HTTP requests served by the gateway, by path and status",
+                labelnames=("path", "status"),
+            )
         )
         self._conn_gauge = obs.registry.gauge(
             "gateway_open_connections",
@@ -485,9 +488,7 @@ class ServingGateway:
             if request is None:
                 return
             status, payload, extra = await self._dispatch(request)
-            self._http_counter.labels(
-                path=request.path, status=str(status)
-            ).inc()
+            self._http_counter[request.path, str(status)].inc()
             try:
                 await self._finish(
                     writer,

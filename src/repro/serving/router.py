@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 
 from ..clock import Clock
 from ..obs import _PerfClock
-from ..obs.registry import Histogram
+from ..obs.registry import Children, Histogram
 
 if TYPE_CHECKING:  # avoid serving <-> reliability import at module load
     from ..obs import Observability
@@ -222,10 +222,12 @@ class RequestRouter:
         self._lock = threading.Lock()
         self._tracer = obs.tracer if obs is not None else None
         if obs is not None:
-            self._requests_counter = obs.registry.counter(
-                "serving_requests_total",
-                "Requests handled by the router, by scenario and outcome",
-                labelnames=("scenario", "outcome"),
+            self._requests_counter = Children(
+                obs.registry.counter(
+                    "serving_requests_total",
+                    "Requests handled by the router, by scenario and outcome",
+                    labelnames=("scenario", "outcome"),
+                )
             )
             self._latency_family = obs.registry.histogram(
                 "serving_request_latency_seconds",
@@ -238,10 +240,9 @@ class RequestRouter:
 
     def _count_outcome(self, response: RecResponse) -> None:
         if self._requests_counter is not None:
-            self._requests_counter.labels(
-                scenario=response.request.scenario.value,
-                outcome=response.outcome.value,
-            ).inc()
+            self._requests_counter[
+                response.request.scenario.value, response.outcome.value
+            ].inc()
 
     def _record_latency(self, scenario: Scenario, elapsed: float) -> None:
         """Record one served request's latency; caller holds ``_lock``."""

@@ -63,6 +63,6 @@ def medium_split(medium_actions):
 
 @pytest.fixture
 def virtual_obs():
-    """An Observability bundle whose registry, tracer and perf clock share
-    one VirtualClock (``virtual_obs.perf_clock``)."""
+    """An Observability bundle whose tracer and perf clock share one
+    VirtualClock (``virtual_obs.perf_clock``)."""
     return deterministic_obs()

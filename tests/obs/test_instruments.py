@@ -1,12 +1,12 @@
 """Unit and property tests for the registry instruments."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.clock import VirtualClock
 from repro.obs import (
     DEFAULT_BUCKETS,
     REGISTRY_SCHEMA_VERSION,
@@ -108,6 +108,81 @@ def test_histogram_bucket_monotonicity(samples):
         assert count == sum(1 for s in samples if s <= bound)
 
 
+def _linear_bucket(bounds, value):
+    """The bucket index a scan over the bounds picks: the first bound the
+    value does not exceed, else the ``+Inf`` bucket."""
+    for i, bound in enumerate(bounds):
+        if value <= bound:
+            return i
+    return len(bounds)
+
+
+_on_and_beside_bounds = st.sampled_from(DEFAULT_BUCKETS).flatmap(
+    lambda b: st.sampled_from(
+        [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+    )
+)
+
+
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        _on_and_beside_bounds,
+    )
+)
+def test_histogram_bucket_matches_linear_scan(value):
+    """Every finite value lands in the bucket the scan over the bounds
+    picks, including values exactly on a bound and one ulp either side."""
+    reg = MetricsRegistry()
+    h = reg.histogram("lat_seconds", "x")
+    h.observe(value)
+    cumulative = [b["count"] for b in h.state()["buckets"]]
+    assert cumulative.index(1) == _linear_bucket(DEFAULT_BUCKETS, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "record",
+    [
+        pytest.param(
+            lambda reg, v: reg.counter("c_total").inc(v), id="counter.inc"
+        ),
+        pytest.param(lambda reg, v: reg.gauge("g").set(v), id="gauge.set"),
+        pytest.param(lambda reg, v: reg.gauge("g").inc(v), id="gauge.inc"),
+        pytest.param(
+            lambda reg, v: reg.gauge("g").set_max(v), id="gauge.set_max"
+        ),
+        pytest.param(
+            lambda reg, v: reg.histogram("h_seconds").observe(v),
+            id="histogram.observe",
+        ),
+    ],
+)
+def test_non_finite_value_rejected_and_export_stays_strict_json(record, value):
+    """A non-finite value is refused before it touches the instrument, so
+    ``to_json()`` (the ``/metrics`` body) stays parseable by a strict JSON
+    parser; a NaN in a histogram would make its ``sum`` NaN for good."""
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    reg = MetricsRegistry()
+    with pytest.raises(ValueError):
+        record(reg, value)
+    doc = json.loads(reg.to_json(), parse_constant=refuse)
+    for metric in doc["metrics"].values():
+        for series in metric["series"]:
+            assert series.get("value", 0.0) == 0.0
+            assert series.get("count", 0) == 0
+
+
+def test_to_json_refuses_to_emit_non_finite_numbers():
+    reg = MetricsRegistry()
+    reg.gauge("g")._value = math.nan  # a value that got past the guards
+    with pytest.raises(ValueError):
+        reg.to_json()
+
+
 def test_histogram_percentiles_from_samples():
     reg = MetricsRegistry()
     h = reg.histogram("lat_seconds", "x")
@@ -115,15 +190,6 @@ def test_histogram_percentiles_from_samples():
         h.observe(v)
     assert h.percentile(50.0) == 0.003
     assert h.percentile(100.0) == 0.005
-
-
-def test_histogram_timer_uses_injected_clock():
-    clock = VirtualClock(0.0)
-    reg = MetricsRegistry(clock=clock)
-    h = reg.histogram("lat_seconds", "x")
-    with h.time():
-        clock.advance(0.25)
-    assert h.state()["sum"] == 0.25
 
 
 def test_snapshot_is_immutable_and_detached():
@@ -141,8 +207,6 @@ def test_snapshot_is_immutable_and_detached():
 
 
 def test_to_json_schema_versioned():
-    import json
-
     reg = MetricsRegistry()
     reg.counter("ops_total", "x").inc()
     doc = json.loads(reg.to_json())

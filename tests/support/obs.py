@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
+
 from repro.clock import Clock, VirtualClock
-from repro.obs import MetricsRegistry, Observability, Tracer
+from repro.obs import Histogram, MetricsRegistry, Observability, Tracer
+from repro.obs.registry import _Instrument
 
 
 def deterministic_obs(clock: Clock | None = None) -> Observability:
-    """A bundle whose registry, tracer and perf clock share one clock.
+    """A bundle whose tracer and perf clock share one clock.
 
     On a :class:`~repro.clock.VirtualClock` latencies only advance when the
     test advances it, which makes golden registry snapshots exact.
     """
     shared = clock if clock is not None else VirtualClock(0.0)
     return Observability(
-        registry=MetricsRegistry(clock=shared),
+        registry=MetricsRegistry(),
         tracer=Tracer(clock=shared),
         perf_clock=shared,
     )
@@ -62,3 +67,33 @@ def registry_total(registry: MetricsRegistry, name: str, **labels: str) -> float
         for series in metric["series"]
         if all(series["labels"].get(k) == v for k, v in wanted.items())
     )
+
+
+class InstrumentCalls:
+    """What :func:`count_instrument_calls` saw: ``labels`` maps each
+    ``(instrument name, label items)`` to its ``labels()`` calls;
+    ``observed`` counts ``Histogram.observe`` calls."""
+
+    def __init__(self) -> None:
+        self.labels: Counter = Counter()
+        self.observed = 0
+
+
+@contextmanager
+def count_instrument_calls():
+    """Count ``_Instrument.labels`` and ``Histogram.observe`` calls made
+    inside the block, process-wide: the per-event instrumentation work."""
+    calls = InstrumentCalls()
+    labels, observe = _Instrument.labels, Histogram.observe
+
+    def counting_labels(self, **labelvalues):
+        calls.labels[self.name, tuple(sorted(labelvalues.items()))] += 1
+        return labels(self, **labelvalues)
+
+    def counting_observe(self, value):
+        calls.observed += 1
+        return observe(self, value)
+
+    with mock.patch.object(_Instrument, "labels", counting_labels):
+        with mock.patch.object(Histogram, "observe", counting_observe):
+            yield calls
