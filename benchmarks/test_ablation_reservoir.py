@@ -44,9 +44,12 @@ def test_ablation_single_pass_vs_reservoir(
         )
         elapsed = time.perf_counter() - started
         trainer = recommender.trainer
-        # ReservoirTrainer wraps the OnlineTrainer; unwrap for stats.
+        # ReservoirTrainer wraps the OnlineTrainer; unwrap for its counter.
         inner = getattr(trainer, "trainer", trainer)
-        return result, elapsed, inner.stats.updated
+        updated = inner.registry.get("trainer_actions_total").labels(
+            result="updated"
+        )
+        return result, elapsed, int(updated.value)
 
     def run():
         single = RealtimeRecommender(

@@ -17,6 +17,7 @@ import threading
 from repro import RealtimeRecommender, SyntheticWorld, VirtualClock
 from repro.data import split_by_day
 from repro.data.synthetic import paper_world_config
+from repro.obs import Observability
 from repro.serving import RecRequest, RequestRouter
 
 N_REQUESTS = 1000
@@ -33,9 +34,9 @@ def main() -> None:
     print(f"warm-starting on {len(split.train):,} actions ...")
     recommender.observe_stream(split.train)
     clock.set(min(a.timestamp for a in split.test))
-    seen_before = recommender.trainer.stats.seen
+    seen_before = recommender.trainer.seen
 
-    router = RequestRouter(recommender)
+    router = RequestRouter(recommender, obs=Observability.create())
     rng = random.Random(1)
     users, videos = list(world.users), list(world.videos)
     start = clock.now()
@@ -56,7 +57,7 @@ def main() -> None:
                 timestamp=start + 0.01 * (i + 1),
             )
         )
-    trained = recommender.trainer.stats.seen - seen_before
+    trained = recommender.trainer.seen - seen_before
     trainer.join()
 
     snapshot = router.snapshot()

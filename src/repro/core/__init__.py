@@ -29,7 +29,7 @@ from .grouped import GroupedRecommender
 from .history import UserHistoryStore
 from .arena import FactorArena
 from .mf import MFModel, MFUpdate
-from .online import OnlineTrainer, TrainerStats
+from .online import OnlineTrainer
 from .recommender import RealtimeRecommender, Recommendation
 from .reservoir import Reservoir, ReservoirTrainer
 from .similarity import (
@@ -61,7 +61,6 @@ __all__ = [
     "MFModel",
     "MFUpdate",
     "OnlineTrainer",
-    "TrainerStats",
     "ModelVariant",
     "BINARY_MODEL",
     "CONF_MODEL",

@@ -10,13 +10,12 @@ with ``r_ui = 0`` (impressions) never update the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Protocol
 
 from ..config import OnlineConfig
 from ..data.schema import ActionType, UserAction, Video
 from ..errors import DataError
-from ..obs.registry import Children
+from ..obs.registry import Children, MetricsRegistry
 from .actions import ActionWeigher, LogPlaytimeWeigher
 from .feedback import Feedback, extract_feedback
 from .mf import MFModel, MFUpdate
@@ -38,15 +37,9 @@ class ActionLog(Protocol):
         ...  # pragma: no cover - protocol body
 
 
-@dataclass(slots=True)
-class TrainerStats:
-    """Counters over a trainer's lifetime."""
-
-    seen: int = 0
-    updated: int = 0
-    skipped_zero: int = 0
-    skipped_invalid: int = 0
-    abs_error_total: float = field(default=0.0)
+#: The ``result`` label values of ``trainer_actions_total``: every action
+#: processed is counted under exactly one.
+_RESULTS = ("updated", "skipped_zero", "skipped_invalid")
 
 
 class OnlineTrainer:
@@ -55,6 +48,12 @@ class OnlineTrainer:
     ``videos`` supplies durations for PlayTime view rates; PLAYTIME actions
     on unknown videos are counted as invalid and skipped, mirroring the
     spout's "filters the unqualified data tuples" step (§5.1).
+
+    Each processed action is counted once, in
+    ``trainer_actions_total{result}`` of ``registry``: ``obs.registry``
+    when ``obs`` is given, a private :class:`~repro.obs.MetricsRegistry`
+    otherwise (the rule :class:`~repro.storm.metrics.TopologyMetrics`
+    follows).
     """
 
     def __init__(
@@ -73,23 +72,25 @@ class OnlineTrainer:
         self.variant = variant
         self.config = config or OnlineConfig()
         self.wal = wal
-        self.stats = TrainerStats()
         self._tracer = obs.tracer if obs is not None else None
-        self._actions_counter = (
-            Children(
-                obs.registry.counter(
-                    "trainer_actions_total",
-                    "Actions processed by the online trainer, by result",
-                    labelnames=("result",),
-                )
+        self.registry = obs.registry if obs is not None else MetricsRegistry()
+        self._actions = Children(
+            self.registry.counter(
+                "trainer_actions_total",
+                "Actions processed by the online trainer, by result",
+                labelnames=("result",),
             )
-            if obs is not None
-            else None
         )
 
-    def _count(self, result: str) -> None:
-        if self._actions_counter is not None:
-            self._actions_counter[result].inc()
+    @property
+    def seen(self) -> int:
+        """Actions processed so far: ``trainer_actions_total`` summed over
+        its results."""
+        return sum(
+            int(child.value)
+            for child in map(self._actions.peek, _RESULTS)
+            if child is not None
+        )
 
     def learning_rate(self, confidence: float) -> float:
         """Eq. 8, clamped at ``max_eta`` for stability."""
@@ -125,32 +126,27 @@ class OnlineTrainer:
     def _process(self, action: UserAction) -> MFUpdate | None:
         if self.wal is not None:
             self.wal.append(action)
-        self.stats.seen += 1
         try:
             feedback = self.feedback_for(action)
         except DataError:
-            self.stats.skipped_invalid += 1
-            self._count("skipped_invalid")
+            self._actions["skipped_invalid"].inc()
             return None
         self.model.observe_rating(feedback.rating)
         if not feedback.is_positive:
-            self.stats.skipped_zero += 1
-            self._count("skipped_zero")
+            self._actions["skipped_zero"].inc()
             return None
         eta = self.learning_rate(feedback.confidence)
         update = self.model.sgd_step(
             action.user_id, action.video_id, feedback.rating, eta
         )
-        self.stats.updated += 1
-        self.stats.abs_error_total += abs(update.error)
-        self._count("updated")
+        self._actions["updated"].inc()
         return update
 
     def process_batch(self, actions: list[UserAction]) -> list[MFUpdate | None]:
         """Process a micro-batch of actions with batched store traffic.
 
         Semantically identical to calling :meth:`process` per action in
-        order — same WAL appends, same stats, same counters, same model
+        order — same WAL appends, same counters, same model
         parameters (the SGD steps replay sequentially through a
         :class:`~repro.core.mf.MFBatchSession` overlay) — but vectors,
         biases and ``mu`` are read once up front and written once at the
@@ -160,10 +156,9 @@ class OnlineTrainer:
             return []
         if len(actions) == 1:
             return [self.process(actions[0])]
-        for action in actions:
-            if self.wal is not None:
+        if self.wal is not None:
+            for action in actions:
                 self.wal.append(action)
-            self.stats.seen += 1
         session = self.model.batch_session(
             (action.user_id for action in actions),
             (action.video_id for action in actions),
@@ -173,23 +168,19 @@ class OnlineTrainer:
             try:
                 feedback = self.feedback_for(action)
             except DataError:
-                self.stats.skipped_invalid += 1
-                self._count("skipped_invalid")
+                self._actions["skipped_invalid"].inc()
                 results.append(None)
                 continue
             session.observe_rating(feedback.rating)
             if not feedback.is_positive:
-                self.stats.skipped_zero += 1
-                self._count("skipped_zero")
+                self._actions["skipped_zero"].inc()
                 results.append(None)
                 continue
             eta = self.learning_rate(feedback.confidence)
             update = session.sgd_step(
                 action.user_id, action.video_id, feedback.rating, eta
             )
-            self.stats.updated += 1
-            self.stats.abs_error_total += abs(update.error)
-            self._count("updated")
+            self._actions["updated"].inc()
             results.append(update)
         session.commit()
         return results

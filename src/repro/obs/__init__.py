@@ -70,11 +70,12 @@ class _PerfClock:
 class Observability:
     """One handle bundling the registry, the tracer and the perf clock.
 
-    Components take it as one ``obs=`` argument.  The HTTP boundary
-    (:class:`~repro.serving.ServingGateway` and its
-    :class:`~repro.serving.RequestCollector`) requires it, since
-    ``/metrics`` serves its registry; the recommender, trainer, router,
-    executors and topology accept ``obs=None`` and then record nothing.
+    Components take it as one ``obs=`` argument.  The serving path
+    requires it: :class:`~repro.serving.RequestRouter` counts and times
+    every request in it, and :class:`~repro.serving.ServingGateway`
+    takes its router's bundle, since ``/metrics`` serves that registry.
+    The recommender, trainer, executors and topology accept ``obs=None``
+    and then record into private instruments.
     Passing the same bundle to all of them is what stitches their metrics
     into one registry document and the serving path's spans into shared
     traces.

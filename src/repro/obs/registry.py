@@ -165,6 +165,14 @@ class Children(dict):
         child = self[key] = self._instrument.labels(**dict(zip(names, values)))
         return child
 
+    def peek(self, key) -> _Instrument | None:
+        """The registry's series for ``key`` if it exists, without creating
+        it: how a plain-dict view reads the registry."""
+        values = key if isinstance(key, tuple) else (key,)
+        instrument = self._instrument
+        with instrument._lock:
+            return instrument._children.get(tuple(str(v) for v in values))
+
 
 class Counter(_Instrument):
     """A monotonically non-decreasing count."""

@@ -14,7 +14,7 @@ breaker → fallback, see DESIGN.md "Overload semantics"):
   saturation tests are bit-for-bit reproducible.
 * :class:`ConcurrencyLimiter` — a non-blocking cap on in-flight requests.
 * :class:`AdmissionController` — combines both; rejections carry a reason
-  (``"rate"`` or ``"concurrency"``) and are counted.
+  (``"rate"`` or ``"concurrency"``) and are counted in the registry.
 * :class:`CircuitBreaker` — the closed → open → half-open state machine.
   :data:`FAILURE_THRESHOLD` consecutive failures open the circuit; while
   open every call fails fast (no backend invocation) until
@@ -128,6 +128,9 @@ class AdmissionController:
     Composes an optional rate limit (a :class:`TokenBucket` of ``rate``
     requests per second) and an optional concurrency cap.  The rate check
     runs first: a request shed by rate never consumes a concurrency slot.
+    Every decision is counted in ``registry`` as
+    ``admission_decisions_total{decision}`` (``admitted``, ``shed_rate``
+    or ``shed_concurrency``).
     """
 
     def __init__(
@@ -135,20 +138,17 @@ class AdmissionController:
         rate: float | None = None,
         max_concurrency: int | None = None,
         clock: Clock | None = None,
-        registry: "MetricsRegistry | None" = None,
+        *,
+        registry: "MetricsRegistry",
     ) -> None:
         if rate is None and max_concurrency is None:
             raise ValueError("need at least one of rate / max_concurrency")
-        self._decisions = (
-            Children(
-                registry.counter(
-                    "admission_decisions_total",
-                    "Admission control outcomes, by decision",
-                    labelnames=("decision",),
-                )
+        self._decisions = Children(
+            registry.counter(
+                "admission_decisions_total",
+                "Admission control outcomes, by decision",
+                labelnames=("decision",),
             )
-            if registry is not None
-            else None
         )
         self._bucket = (
             TokenBucket(rate, clock=clock)
@@ -160,41 +160,22 @@ class AdmissionController:
             if max_concurrency is not None
             else None
         )
-        self.admitted = 0
-        self.shed_rate = 0
-        self.shed_concurrency = 0
-        self._lock = threading.Lock()
 
     def try_admit(self) -> AdmissionDecision:
         """Admit or shed one request; admitted requests must be released."""
         if self._bucket is not None and not self._bucket.try_acquire():
-            with self._lock:
-                self.shed_rate += 1
-            self._count("shed_rate")
+            self._decisions["shed_rate"].inc()
             return AdmissionDecision(False, SHED_RATE)
         if self._limiter is not None and not self._limiter.try_acquire():
-            with self._lock:
-                self.shed_concurrency += 1
-            self._count("shed_concurrency")
+            self._decisions["shed_concurrency"].inc()
             return AdmissionDecision(False, SHED_CONCURRENCY)
-        with self._lock:
-            self.admitted += 1
-        self._count("admitted")
+        self._decisions["admitted"].inc()
         return AdmissionDecision(True)
-
-    def _count(self, decision: str) -> None:
-        if self._decisions is not None:
-            self._decisions[decision].inc()
 
     def release(self) -> None:
         """Return the concurrency slot of an admitted request."""
         if self._limiter is not None:
             self._limiter.release()
-
-    @property
-    def shed(self) -> int:
-        with self._lock:
-            return self.shed_rate + self.shed_concurrency
 
 
 class BreakerState(enum.Enum):
@@ -225,13 +206,18 @@ class CircuitBreaker:
     Thread-safe; all transitions are driven by :meth:`allow`,
     :meth:`record_success` and :meth:`record_failure`, so the state machine
     is fully deterministic under a :class:`~repro.clock.VirtualClock`.
+    ``registry`` holds its counts: ``breaker_transitions_total{name,to}``
+    (``to="open"`` is how often it tripped),
+    ``breaker_fast_failures_total{name}`` (calls refused while open) and
+    the ``breaker_state{name}`` gauge.
     """
 
     def __init__(
         self,
         clock: Clock | None = None,
         name: str = "breaker",
-        registry: "MetricsRegistry | None" = None,
+        *,
+        registry: "MetricsRegistry",
     ) -> None:
         self.name = name
         self._clock = clock or SystemClock()
@@ -240,23 +226,26 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probe_sent = False
-        self.opened_count = 0
-        self.fast_failures = 0
-        if registry is not None:
-            self._transitions = registry.counter(
+        self._transitions = Children(
+            registry.counter(
                 "breaker_transitions_total",
                 "Circuit breaker state transitions, by breaker and new state",
                 labelnames=("name", "to"),
             )
-            self._state_gauge = registry.gauge(
-                "breaker_state",
-                "Current breaker state (0=closed, 1=half_open, 2=open)",
+        )
+        self._refused = Children(
+            registry.counter(
+                "breaker_fast_failures_total",
+                "Calls refused without reaching the backend, by breaker",
                 labelnames=("name",),
             )
-            self._state_gauge.labels(name=name).set(0)
-        else:
-            self._transitions = None
-            self._state_gauge = None
+        )
+        self._state_gauge = registry.gauge(
+            "breaker_state",
+            "Current breaker state (0=closed, 1=half_open, 2=open)",
+            labelnames=("name",),
+        ).labels(name=name)
+        self._state_gauge.set(0)
 
     #: Numeric encoding of breaker states for the ``breaker_state`` gauge.
     _STATE_VALUES = {
@@ -266,11 +255,8 @@ class CircuitBreaker:
     }
 
     def _record_transition_locked(self, to: BreakerState) -> None:
-        if self._transitions is not None:
-            self._transitions.labels(name=self.name, to=to.value).inc()
-            self._state_gauge.labels(name=self.name).set(
-                self._STATE_VALUES[to]
-            )
+        self._transitions[self.name, to.value].inc()
+        self._state_gauge.set(self._STATE_VALUES[to])
 
     @property
     def state(self) -> BreakerState:
@@ -291,7 +277,6 @@ class CircuitBreaker:
         self._state = BreakerState.OPEN
         self._opened_at = self._clock.now()
         self._consecutive_failures = 0
-        self.opened_count += 1
         self._record_transition_locked(BreakerState.OPEN)
 
     def allow(self) -> bool:
@@ -303,7 +288,7 @@ class CircuitBreaker:
             if self._state is BreakerState.HALF_OPEN and not self._probe_sent:
                 self._probe_sent = True
                 return True
-            self.fast_failures += 1
+            self._refused[self.name].inc()
             return False
 
     def record_success(self) -> None:

@@ -9,21 +9,13 @@ generator.
 """
 
 from .gateway import GatewayConfig, RequestCollector, ServingGateway
-from .router import (
-    Outcome,
-    RecRequest,
-    RecResponse,
-    RequestRouter,
-    Scenario,
-    ScenarioStats,
-)
+from .router import Outcome, RecRequest, RecResponse, RequestRouter, Scenario
 
 __all__ = [
     "RecRequest",
     "RecResponse",
     "RequestRouter",
     "Scenario",
-    "ScenarioStats",
     "Outcome",
     "GatewayConfig",
     "RequestCollector",

@@ -160,32 +160,33 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-serve",
         description="Serve real-time recommendations over HTTP.",
     )
-    parser.add_argument("--host", default="127.0.0.1")
+    defaults = GatewayConfig()
+    parser.add_argument("--host", default=defaults.host)
     parser.add_argument(
         "--port", type=int, default=8080, help="0 picks an ephemeral port"
     )
     parser.add_argument(
         "--max-connections",
         type=int,
-        default=256,
+        default=defaults.max_connections,
         help="open sockets beyond this are answered 503 and closed",
     )
     parser.add_argument(
         "--deadline-ms",
         type=float,
-        default=None,
+        default=defaults.deadline_ms,
         help="default per-request latency budget (504 when exceeded)",
     )
     parser.add_argument(
         "--batch-window-ms",
         type=float,
-        default=2.0,
+        default=defaults.batch_window_ms,
         help="how long the coalescing collector holds a batch open",
     )
     parser.add_argument(
         "--batch-max",
         type=int,
-        default=64,
+        default=defaults.batch_max,
         help="flush a coalesced batch at this size even inside the window",
     )
     parser.add_argument(

@@ -139,7 +139,9 @@ class _HttpRequest:
 
     @property
     def keep_alive(self) -> bool:
-        return self.headers.get("connection", "keep-alive") != "close"
+        # Connection options are case-insensitive tokens (RFC 9110 §7.6.1).
+        options = self.headers.get("connection", "").lower().split(",")
+        return "close" not in {option.strip() for option in options}
 
 
 class _HttpError(Exception):
@@ -162,32 +164,24 @@ class RequestCollector:
     a batch is being served — that concurrency is exactly what makes
     batches form under load.
 
-    Per-batch sizes are recorded in a bounded histogram
-    (:meth:`coalesce_snapshot`) and in the registry's
-    ``gateway_coalesced_batch_size`` histogram.
+    Each batch's size is recorded in the router's registry, in the
+    ``gateway_coalesced_batch_size`` histogram that
+    :meth:`coalesce_snapshot` reads.  ``batch_max`` and ``window_seconds``
+    come from a validated :class:`GatewayConfig`.
     """
 
     def __init__(
         self,
         router: RequestRouter,
-        obs: "Observability",
-        batch_max: int = 64,
-        window_seconds: float = 0.002,
+        batch_max: int,
+        window_seconds: float,
     ) -> None:
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
-        if window_seconds < 0:
-            raise ValueError("window_seconds must be >= 0")
         self.router = router
         self.batch_max = batch_max
         self.window_seconds = window_seconds
         self._pending: list[tuple[RecRequest, asyncio.Future]] = []
         self._flush_handle: asyncio.TimerHandle | None = None
-        self._batch_sizes: dict[int, int] = {}
-        self._batches = 0
-        self._coalesced_requests = 0
-        self._stats_lock = threading.Lock()
-        self._size_hist = obs.registry.histogram(
+        self._size_hist = router.obs.registry.histogram(
             "gateway_coalesced_batch_size",
             "Requests coalesced into one handle_many call",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128),
@@ -217,7 +211,7 @@ class RequestCollector:
         batch, self._pending = self._pending, []
         if not batch:
             return
-        self._record_batch(len(batch))
+        self._size_hist.observe(len(batch))
         requests = [request for request, _ in batch]
         futures = [future for _, future in batch]
         task = loop.run_in_executor(None, self.router.handle_many, requests)
@@ -236,25 +230,17 @@ class RequestCollector:
             else:
                 future.set_result(done.result()[i])
 
-    def _record_batch(self, size: int) -> None:
-        with self._stats_lock:
-            self._batches += 1
-            self._coalesced_requests += size
-            self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
-        self._size_hist.observe(size)
-
     def coalesce_snapshot(self) -> dict:
-        """Plain-dict coalescing statistics (for ``/snapshot`` and benches)."""
-        with self._stats_lock:
-            sizes = dict(sorted(self._batch_sizes.items()))
-            batches = self._batches
-            total = self._coalesced_requests
+        """Plain-dict coalescing statistics for ``/snapshot``, read off the
+        ``gateway_coalesced_batch_size`` histogram (whose buckets are in
+        ``/metrics``)."""
+        batches = self._size_hist.count
+        total = int(self._size_hist.sum)
         return {
             "batches": batches,
             "requests": total,
             "mean_batch_size": (total / batches) if batches else 0.0,
-            "max_batch_size": max(sizes) if sizes else 0,
-            "batch_size_counts": {str(k): v for k, v in sizes.items()},
+            "max_batch_size": int(self._size_hist.max),
         }
 
 
@@ -321,14 +307,23 @@ def _response_bytes(
     return ("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body
 
 
+def _string(doc: dict, name: str) -> str:
+    """``doc[name]``, which must be a JSON string: ``str()`` of a null or
+    an object would serve or train a user named ``"None"``."""
+    value = doc[name]
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def _parse_action(doc: dict) -> UserAction:
     """Build a :class:`UserAction` from an ``/ingest`` JSON document."""
     try:
         action_type = ActionType.parse(str(doc["action"]))
         return UserAction(
             timestamp=float(doc["timestamp"]),
-            user_id=str(doc["user_id"]),
-            video_id=str(doc["video_id"]),
+            user_id=_string(doc, "user_id"),
+            video_id=_string(doc, "video_id"),
             action=action_type,
             view_time=float(doc.get("view_time", 0.0)),
         )
@@ -340,8 +335,9 @@ class ServingGateway:
     """Asyncio HTTP server over a :class:`RequestRouter`.
 
     ``observe`` is the live-training sink ``POST /ingest`` feeds (e.g.
-    ``RealtimeRecommender.observe``).  ``obs`` is the bundle whose registry
-    ``/metrics`` serves; the gateway reports into it too
+    ``RealtimeRecommender.observe``).  ``obs`` must be the router's own
+    bundle (``ValueError`` otherwise), so ``/snapshot`` and ``/metrics``
+    read one registry; the gateway reports into it too
     (``gateway_http_requests_total``, ``gateway_open_connections``,
     ``gateway_coalesced_batch_size``, ``gateway_connections_rejected_total``).
     ``breaker`` defaults to the router's own breaker and feeds
@@ -362,6 +358,11 @@ class ServingGateway:
         config: GatewayConfig | None = None,
         breaker: "CircuitBreaker | None" = None,
     ) -> None:
+        if obs is not router.obs:
+            raise ValueError(
+                "the gateway's obs must be its router's: /snapshot and "
+                "/metrics read one registry"
+            )
         self.router = router
         self.config = config or GatewayConfig()
         self.observe = observe
@@ -369,13 +370,11 @@ class ServingGateway:
         self.breaker = breaker if breaker is not None else router.breaker
         self.collector = RequestCollector(
             router,
-            obs,
             batch_max=self.config.batch_max,
             window_seconds=self.config.batch_window_ms / 1000.0,
         )
         self._server: asyncio.AbstractServer | None = None
         self._open_connections = 0
-        self._rejected_connections = 0
         self._ingested = 0
         self._conn_lock = threading.Lock()
         self._http_counter = Children(
@@ -445,8 +444,6 @@ class ServingGateway:
     ) -> None:
         if self._track_connection(+1) > self.config.max_connections:
             # Socket-level shedding: answer and close before any routing.
-            with self._conn_lock:
-                self._rejected_connections += 1
             self._rejected_counter.inc()
             await self._finish(
                 writer,
@@ -558,15 +555,18 @@ class ServingGateway:
         if "user_id" not in doc:
             raise _HttpError(400, "missing required field: user_id")
         deadline_ms = doc.get("deadline_ms", self.config.deadline_ms)
+        n = doc.get("n", 10)
         try:
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise TypeError(f"n must be an integer, got {json.dumps(n)}")
             rec_request = RecRequest(
-                user_id=str(doc["user_id"]),
+                user_id=_string(doc, "user_id"),
                 current_video=(
-                    str(doc["current_video"])
+                    _string(doc, "current_video")
                     if doc.get("current_video") is not None
                     else None
                 ),
-                n=int(doc.get("n", 10)),
+                n=n,
                 timestamp=(
                     float(doc["timestamp"])
                     if doc.get("timestamp") is not None
@@ -646,9 +646,9 @@ class ServingGateway:
         with self._conn_lock:
             gateway = {
                 "open_connections": self._open_connections,
-                "rejected_connections": self._rejected_connections,
                 "ingested": self._ingested,
             }
+        gateway["rejected_connections"] = int(self._rejected_counter.value)
         payload = {
             "router": self.router.snapshot(),
             "coalescing": self.collector.coalesce_snapshot(),

@@ -33,13 +33,10 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..clock import Clock
-from ..obs import _PerfClock
-from ..obs.registry import Children, Histogram
+from ..obs.registry import Children
 
 if TYPE_CHECKING:  # avoid serving <-> reliability import at module load
     from ..obs import Observability
@@ -62,6 +59,11 @@ class Outcome(enum.Enum):
     DEADLINE_EXCEEDED = "deadline_exceeded"
     ERROR = "error"
 
+
+#: Outcomes whose requests reached a backend.  Only their latency is
+#: recorded, so admission control cannot flatter the distribution with
+#: near-zero rejections.
+_SERVED = frozenset({Outcome.OK, Outcome.DEGRADED, Outcome.ERROR})
 
 #: Largest list one request may ask for.  A cap, because in ``"ann"``
 #: retrieval the work a request does grows with ``n``.
@@ -153,53 +155,46 @@ class RecResponse:
         return Outcome.OK
 
 
-@dataclass
-class ScenarioStats:
-    """Per-scenario serving counters.
+def _count(counter) -> int:
+    return int(counter.value) if counter is not None else 0
 
-    ``latency`` tracks *served* requests only (ok/degraded/error); shed
-    and deadline-exceeded requests are counted separately so admission
-    control cannot flatter the latency distribution with near-zero
-    rejections.  It is the scenario's
-    ``serving_request_latency_seconds`` registry series when the router
-    has an ``obs`` bundle, a stand-alone histogram otherwise.
-    """
 
-    requests: int = 0
-    errors: int = 0
-    empty: int = 0
-    fallbacks: int = 0
-    shed: int = 0
-    deadline_exceeded: int = 0
-    breaker_fast_fails: int = 0
-    latency: Histogram = field(
-        default_factory=lambda: Histogram("serving_request_latency_seconds")
-    )
+def _latency_ms(latency) -> dict[str, float]:
+    return {
+        f"{stat}_latency_ms": (
+            getattr(latency, stat) * 1000.0 if latency is not None else 0.0
+        )
+        for stat in ("mean", "max", "p50", "p95", "p99")
+    }
 
 
 class RequestRouter:
     """Thread-safe serving front for any recommender.
 
     The backing recommender only needs ``recommend_ids``; the router adds
-    scenario dispatch, latency measurement, per-scenario stats, error
+    scenario dispatch, latency measurement, per-scenario counts, error
     isolation and the admission → deadline → breaker → fallback overload
     chain.  Multiple threads may call :meth:`handle` concurrently — the
-    per-scenario counters are lock-protected, and the state the
+    counts are (locked) registry instruments, and the state the
     recommender reads lives in the (locked) KV store.
 
     ``fallback`` (any object with the same ``recommend_ids`` signature,
     e.g. :class:`~repro.baselines.HotRecommender`) enables graceful
     degradation: when the primary recommender raises — say the model store
     is erroring — the request is re-served from the fallback and counted
-    in the scenario's ``fallbacks`` metric, instead of returning an empty
-    error response.  Only when the fallback also fails (or none is
-    configured) does the response carry an error.
+    as ``degraded`` instead of returning an empty error response.  Only
+    when the fallback also fails (or none is configured) does the response
+    carry an error.
 
     ``admission`` sheds excess traffic before any backend call;
     ``breaker`` wraps only the *primary* recommender (the fallback is the
-    escape hatch and must stay reachable); ``clock`` drives latency and
-    deadline measurement — inject a
-    :class:`~repro.clock.VirtualClock` for deterministic overload tests.
+    escape hatch and must stay reachable).  ``obs`` is required: each
+    request is counted in its registry
+    (``serving_requests_total{scenario,outcome}``,
+    ``serving_empty_responses_total{scenario}``,
+    ``serving_request_latency_seconds{scenario}``), roots a trace in its
+    tracer and is timed on its ``perf_clock`` — a bundle built on a
+    :class:`~repro.clock.VirtualClock` makes overload tests deterministic.
     """
 
     def __init__(
@@ -208,50 +203,46 @@ class RequestRouter:
         fallback=None,
         admission: "AdmissionController | None" = None,
         breaker: "CircuitBreaker | None" = None,
-        clock: Clock | None = None,
-        obs: "Observability | None" = None,
+        *,
+        obs: "Observability",
     ) -> None:
         self.recommender = recommender
         self.fallback = fallback
         self.admission = admission
         self.breaker = breaker
-        if clock is None:
-            clock = obs.perf_clock if obs is not None else _PerfClock()
-        self._clock = clock
-        self._stats = {scenario: ScenarioStats() for scenario in Scenario}
-        self._lock = threading.Lock()
-        self._tracer = obs.tracer if obs is not None else None
-        if obs is not None:
-            self._requests_counter = Children(
-                obs.registry.counter(
-                    "serving_requests_total",
-                    "Requests handled by the router, by scenario and outcome",
-                    labelnames=("scenario", "outcome"),
-                )
+        self.obs = obs
+        self._clock = obs.perf_clock
+        self._tracer = obs.tracer
+        self._requests = Children(
+            obs.registry.counter(
+                "serving_requests_total",
+                "Requests handled by the router, by scenario and outcome",
+                labelnames=("scenario", "outcome"),
             )
-            self._latency_family = obs.registry.histogram(
+        )
+        self._empty = Children(
+            obs.registry.counter(
+                "serving_empty_responses_total",
+                "Ok or degraded responses that carried no videos",
+                labelnames=("scenario",),
+            )
+        )
+        self._latency = Children(
+            obs.registry.histogram(
                 "serving_request_latency_seconds",
                 "End-to-end router latency for served requests",
                 labelnames=("scenario",),
             )
-        else:
-            self._requests_counter = None
-            self._latency_family = None
+        )
 
-    def _count_outcome(self, response: RecResponse) -> None:
-        if self._requests_counter is not None:
-            self._requests_counter[
-                response.request.scenario.value, response.outcome.value
-            ].inc()
-
-    def _record_latency(self, scenario: Scenario, elapsed: float) -> None:
-        """Record one served request's latency; caller holds ``_lock``."""
-        stats = self._stats[scenario]
-        if self._latency_family is not None and stats.latency.count == 0:
-            # A scenario's registry series appears with its first served
-            # request, so an idle scenario exports no empty series.
-            stats.latency = self._latency_family.labels(scenario=scenario.value)
-        stats.latency.observe(elapsed)
+    def _record(self, response: RecResponse) -> None:
+        scenario = response.request.scenario.value
+        outcome = response.outcome
+        self._requests[scenario, outcome.value].inc()
+        if outcome in _SERVED:
+            self._latency[scenario].observe(response.latency_seconds)
+            if outcome is not Outcome.ERROR and response.empty:
+                self._empty[scenario].inc()
 
     def _serve(self, backend, request: RecRequest) -> tuple[str, ...]:
         return tuple(
@@ -263,21 +254,6 @@ class RequestRouter:
             )
         )
 
-    def _shed_response(
-        self, request: RecRequest, started: float, reason: str | None
-    ) -> RecResponse:
-        stats = self._stats[request.scenario]
-        with self._lock:
-            stats.requests += 1
-            stats.shed += 1
-        return RecResponse(
-            request=request,
-            video_ids=(),
-            latency_seconds=self._clock.now() - started,
-            shed=True,
-            shed_reason=reason,
-        )
-
     def _remaining(self, request: RecRequest, started: float) -> float | None:
         if request.deadline_seconds is None:
             return None
@@ -285,16 +261,13 @@ class RequestRouter:
 
     def handle(self, request: RecRequest) -> RecResponse:
         """Serve one request; never raises."""
-        if self._tracer is None:
+        # Each request roots its own trace; the recommender and KV spans
+        # underneath parent to it via the ambient span stack.
+        with self._tracer.span("router.handle", parent=None) as span:
+            span.set_attribute("scenario", request.scenario.value)
             response = self._handle(request)
-        else:
-            # Each request roots its own trace; the recommender and KV
-            # spans underneath parent to it via the ambient span stack.
-            with self._tracer.span("router.handle", parent=None) as span:
-                span.set_attribute("scenario", request.scenario.value)
-                response = self._handle(request)
-                span.set_attribute("outcome", response.outcome.value)
-        self._count_outcome(response)
+            span.set_attribute("outcome", response.outcome.value)
+        self._record(response)
         return response
 
     def _handle(self, request: RecRequest) -> RecResponse:
@@ -302,7 +275,13 @@ class RequestRouter:
         if self.admission is not None:
             decision = self.admission.try_admit()
             if not decision.admitted:
-                return self._shed_response(request, started, decision.reason)
+                return RecResponse(
+                    request=request,
+                    video_ids=(),
+                    latency_seconds=self._clock.now() - started,
+                    shed=True,
+                    shed_reason=decision.reason,
+                )
             try:
                 return self._handle_admitted(request, started)
             finally:
@@ -315,7 +294,6 @@ class RequestRouter:
         error: str | None = None
         degraded = False
         deadline_exceeded = False
-        breaker_fast_fail = False
         videos: tuple[str, ...] = ()
 
         primary_allowed = self.breaker is None or self.breaker.allow()
@@ -331,7 +309,6 @@ class RequestRouter:
                 if self.breaker is not None:
                     self.breaker.record_failure()
         else:
-            breaker_fast_fail = True
             error = "CircuitOpenError: primary recommender breaker is open"
 
         if primary_failed:
@@ -352,27 +329,10 @@ class RequestRouter:
                         f"{type(fb_exc).__name__}: {fb_exc}"
                     )
 
-        elapsed = self._clock.now() - started
-        stats = self._stats[request.scenario]
-        with self._lock:
-            stats.requests += 1
-            if breaker_fast_fail:
-                stats.breaker_fast_fails += 1
-            if deadline_exceeded:
-                stats.deadline_exceeded += 1
-            else:
-                self._record_latency(request.scenario, elapsed)
-                if error is not None:
-                    stats.errors += 1
-                else:
-                    if degraded:
-                        stats.fallbacks += 1
-                    if not videos:
-                        stats.empty += 1
         return RecResponse(
             request=request,
             video_ids=videos,
-            latency_seconds=elapsed,
+            latency_seconds=self._clock.now() - started,
             error=error,
             degraded=degraded,
             deadline_exceeded=deadline_exceeded,
@@ -390,32 +350,32 @@ class RequestRouter:
         An empty batch is an explicit no-op: no counters move, no latency
         sample is recorded.  The gateway's coalescing collector may race a
         timer flush against a size flush — the loser finds an empty buffer
-        and must leave the stats untouched.
+        and must leave the counts untouched.
         """
         if not requests:
             return []
         return [self.handle(request) for request in requests]
 
-    def stats(self, scenario: Scenario) -> ScenarioStats:
-        return self._stats[scenario]
-
     def snapshot(self) -> dict[str, dict[str, float]]:
-        """Plain-dict summary of both scenarios (for dashboards/tests)."""
+        """Plain-dict summary of both scenarios, read off the registry.
+
+        Reading creates no series: an idle scenario reports zeros and
+        exports nothing.  ``requests`` is the sum over outcomes.
+        """
         out: dict[str, dict[str, float]] = {}
-        with self._lock:
-            for scenario, stats in self._stats.items():
-                out[scenario.value] = {
-                    "requests": stats.requests,
-                    "errors": stats.errors,
-                    "empty": stats.empty,
-                    "fallbacks": stats.fallbacks,
-                    "shed": stats.shed,
-                    "deadline_exceeded": stats.deadline_exceeded,
-                    "breaker_fast_fails": stats.breaker_fast_fails,
-                    "mean_latency_ms": stats.latency.mean * 1000.0,
-                    "max_latency_ms": stats.latency.max * 1000.0,
-                    "p50_latency_ms": stats.latency.p50 * 1000.0,
-                    "p95_latency_ms": stats.latency.p95 * 1000.0,
-                    "p99_latency_ms": stats.latency.p99 * 1000.0,
-                }
+        for scenario in Scenario:
+            name = scenario.value
+            counts = {
+                outcome: _count(self._requests.peek((name, outcome.value)))
+                for outcome in Outcome
+            }
+            out[name] = {
+                "requests": sum(counts.values()),
+                "errors": counts[Outcome.ERROR],
+                "empty": _count(self._empty.peek(name)),
+                "fallbacks": counts[Outcome.DEGRADED],
+                "shed": counts[Outcome.SHED],
+                "deadline_exceeded": counts[Outcome.DEADLINE_EXCEEDED],
+                **_latency_ms(self._latency.peek(name)),
+            }
         return out

@@ -26,6 +26,7 @@ from repro.core.variants import ALL_VARIANTS, COMBINE_MODEL
 from repro.kvstore import InMemoryKVStore
 from repro.reliability import CheckpointManager
 from tests.reference import RTOL, ReferenceModel, assert_matches_oracle
+from tests.support.obs import counter_totals
 
 VARIANT_IDS = [variant.name for variant in ALL_VARIANTS]
 
@@ -63,7 +64,7 @@ class TestPredictionEquivalence:
     def test_same_entities_learned(self, trained_pair):
         model, trainer, oracle = trained_pair
         assert oracle.counts["updated"] > 100  # the stream did train
-        assert_matches_oracle(model, trainer.stats, oracle)
+        assert_matches_oracle(model, trainer, oracle)
 
     def test_scalar_predict_matches_oracle(self, trained_pair, small_world):
         model, _, oracle = trained_pair
@@ -119,7 +120,9 @@ class TestBatchTrainingEquivalence:
             actions, small_world.videos, variant, batch=32
         )
         assert batch_model.mu == seq_model.mu
-        assert batch_trainer.stats == seq_trainer.stats
+        assert counter_totals(batch_trainer.registry) == counter_totals(
+            seq_trainer.registry
+        )
         videos = sorted(seq_model.video_rows()[0])
         for user_id in sorted(small_world.users)[:10]:
             np.testing.assert_array_equal(
@@ -128,7 +131,7 @@ class TestBatchTrainingEquivalence:
             )
         assert_matches_oracle(
             batch_model,
-            batch_trainer.stats,
+            batch_trainer,
             _oracle(batch_model, actions, small_world.videos, variant),
         )
 
@@ -253,7 +256,7 @@ class TestRecommenderEquivalence:
         rec.observe_stream(actions)
         assert_matches_oracle(
             rec.model,
-            rec.trainer.stats,
+            rec.trainer,
             _oracle(rec.model, actions, small_world.videos, variant),
         )
 

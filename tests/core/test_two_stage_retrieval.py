@@ -196,7 +196,7 @@ class TestRouterIntegration:
         rec = _trained(small_world, small_split, "ann")
         for action in small_split.train:
             rec.observe_demographic(action)
-        router = RequestRouter(rec)
+        router = RequestRouter(rec, obs=Observability.create())
         users = _warm_users(rec, limit=4)
         requests = [RecRequest(user_id=u, n=5) for u in users] + [
             RecRequest(user_id=users[0], current_video="v7", n=5)

@@ -5,8 +5,16 @@ import threading
 import pytest
 
 from repro.clock import VirtualClock
+from repro.obs import MetricsRegistry
 from repro.reliability import AdmissionController, ConcurrencyLimiter, TokenBucket
 from repro.reliability.overload import SHED_CONCURRENCY, SHED_RATE
+from tests.support.obs import registry_total
+
+
+def _decisions(registry, decision):
+    return registry_total(
+        registry, "admission_decisions_total", decision=decision
+    )
 
 
 class TestTokenBucket:
@@ -61,7 +69,7 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(rate=rate)
         with pytest.raises(ValueError):
-            AdmissionController(rate=rate)
+            AdmissionController(rate=rate, registry=MetricsRegistry())
 
 
 class TestConcurrencyLimiter:
@@ -101,34 +109,44 @@ class TestConcurrencyLimiter:
 class TestAdmissionController:
     def test_requires_some_limit(self):
         with pytest.raises(ValueError):
-            AdmissionController()
+            AdmissionController(registry=MetricsRegistry())
+
+    def test_registry_is_required(self):
+        with pytest.raises(TypeError):
+            AdmissionController(rate=1.0)
 
     def test_rate_shed_reason(self):
-        controller = AdmissionController(rate=1.0, clock=VirtualClock(0.0))
+        registry = MetricsRegistry()
+        controller = AdmissionController(
+            rate=1.0, clock=VirtualClock(0.0), registry=registry
+        )
         assert controller.try_admit().admitted
         decision = controller.try_admit()
         assert not decision.admitted
         assert decision.reason == SHED_RATE
-        assert controller.shed_rate == 1
+        assert _decisions(registry, "shed_rate") == 1
 
     def test_concurrency_shed_reason_and_release(self):
-        controller = AdmissionController(max_concurrency=1)
+        registry = MetricsRegistry()
+        controller = AdmissionController(max_concurrency=1, registry=registry)
         assert controller.try_admit().admitted
         decision = controller.try_admit()
         assert not decision.admitted
         assert decision.reason == SHED_CONCURRENCY
         controller.release()
         assert controller.try_admit().admitted
-        assert controller.admitted == 2
-        assert controller.shed == 1
+        assert _decisions(registry, "admitted") == 2
+        assert _decisions(registry, "shed_concurrency") == 1
 
     def test_rate_check_runs_before_concurrency(self):
         """A rate-shed request must not consume a concurrency slot."""
+        registry = MetricsRegistry()
         controller = AdmissionController(
-            rate=1.0, max_concurrency=5, clock=VirtualClock(0.0)
+            rate=1.0, max_concurrency=5, clock=VirtualClock(0.0),
+            registry=registry,
         )
         controller.try_admit()
         for _ in range(10):
             assert not controller.try_admit().admitted
-        assert controller.shed_concurrency == 0
-        assert controller.shed_rate == 10
+        assert _decisions(registry, "shed_concurrency") == 0
+        assert _decisions(registry, "shed_rate") == 10

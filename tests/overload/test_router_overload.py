@@ -12,7 +12,28 @@ import pytest
 from repro.clock import VirtualClock
 from repro.reliability import AdmissionController, CircuitBreaker
 from repro.reliability.overload import FAILURE_THRESHOLD, RESET_TIMEOUT
-from repro.serving import Outcome, RecRequest, RequestRouter, Scenario
+from repro.serving import Outcome, RecRequest, RequestRouter
+from tests.support.obs import deterministic_obs, registry_total
+
+
+def _router(primary, clock, rate=None, **kwargs):
+    """A router on ``clock``, with a token bucket of ``rate`` on it too."""
+    obs = deterministic_obs(clock)
+    admission = (
+        AdmissionController(rate=rate, clock=clock, registry=obs.registry)
+        if rate is not None
+        else None
+    )
+    return RequestRouter(primary, admission=admission, obs=obs, **kwargs)
+
+
+def _requests(router, outcome):
+    return registry_total(
+        router.obs.registry,
+        "serving_requests_total",
+        scenario="guess_you_like",
+        outcome=outcome,
+    )
 
 
 class _SimulatedBackend:
@@ -36,42 +57,32 @@ class _SimulatedBackend:
 class TestShedOutcome:
     def test_shed_is_distinct_from_error_and_degraded(self):
         clock = VirtualClock(0.0)
-        router = RequestRouter(
-            _SimulatedBackend(clock),
-            admission=AdmissionController(rate=1.0, clock=clock),
-            clock=clock,
-        )
+        router = _router(_SimulatedBackend(clock), clock, rate=1.0)
         ok = router.handle(RecRequest("u1"))
         assert ok.outcome is Outcome.OK
         shed = router.handle(RecRequest("u1"))
         assert shed.outcome is Outcome.SHED
         assert shed.shed and not shed.ok and shed.error is None
         assert shed.shed_reason == "rate"
-        stats = router.stats(Scenario.GUESS_YOU_LIKE)
-        assert stats.shed == 1 and stats.errors == 0
+        assert _requests(router, "shed") == 1
+        assert _requests(router, "error") == 0
 
     def test_shed_request_never_reaches_the_backend(self):
         clock = VirtualClock(0.0)
         backend = _SimulatedBackend(clock)
-        router = RequestRouter(
-            backend,
-            admission=AdmissionController(rate=1.0, clock=clock),
-            clock=clock,
-        )
+        router = _router(backend, clock, rate=1.0)
         router.handle(RecRequest("u1"))
         router.handle(RecRequest("u1"))
         assert backend.calls == 1
 
     def test_snapshot_exposes_shed_and_percentiles(self):
         clock = VirtualClock(0.0)
-        router = RequestRouter(
-            _SimulatedBackend(clock, service_time=0.004),
-            admission=AdmissionController(rate=2.0, clock=clock),
-            clock=clock,
+        router = _router(
+            _SimulatedBackend(clock, service_time=0.004), clock, rate=2.0
         )
         for _ in range(3):
             router.handle(RecRequest("u1"))
-        snap = router.snapshot()[Scenario.GUESS_YOU_LIKE.value]
+        snap = router.snapshot()["guess_you_like"]
         assert snap["requests"] == 3
         assert snap["shed"] == 1
         assert snap["p99_latency_ms"] == pytest.approx(4.0)
@@ -90,10 +101,10 @@ class TestSaturation:
         same clock, but it never pushes later arrivals back.
         """
         clock = VirtualClock(0.0)
-        router = RequestRouter(
+        router = _router(
             _SimulatedBackend(clock, service_time=0.002),
-            admission=AdmissionController(rate=self.CAPACITY, clock=clock),
-            clock=clock,
+            clock,
+            rate=self.CAPACITY,
         )
         responses = []
         for i in range(n_requests):
@@ -129,9 +140,10 @@ class TestSaturation:
         # the unsaturated baseline (here they are identical — shedding
         # keeps the served path entirely congestion-free).
         assert self._p99_ms(accepted) <= 2 * self._p99_ms(baseline)
-        stats = router.stats(Scenario.GUESS_YOU_LIKE)
-        assert stats.shed == len(shed)
-        assert stats.requests == len(saturated)
+        assert _requests(router, "shed") == len(shed)
+        assert registry_total(
+            router.obs.registry, "serving_requests_total"
+        ) == len(saturated)
 
 
 class TestDeadlines:
@@ -140,7 +152,7 @@ class TestDeadlines:
         clock = VirtualClock(0.0)
         primary = _SimulatedBackend(clock, service_time=0.030, fail=True)
         fallback = _SimulatedBackend(clock, service_time=0.001)
-        router = RequestRouter(primary, fallback=fallback, clock=clock)
+        router = _router(primary, clock, fallback=fallback)
         response = router.handle(RecRequest("u1", deadline_seconds=0.050))
         assert response.outcome is Outcome.DEGRADED
         assert response.video_ids
@@ -149,21 +161,20 @@ class TestDeadlines:
         clock = VirtualClock(0.0)
         primary = _SimulatedBackend(clock, service_time=0.080, fail=True)
         fallback = _SimulatedBackend(clock, service_time=0.001)
-        router = RequestRouter(primary, fallback=fallback, clock=clock)
+        router = _router(primary, clock, fallback=fallback)
         response = router.handle(RecRequest("u1", deadline_seconds=0.050))
         assert response.outcome is Outcome.DEADLINE_EXCEEDED
         assert response.deadline_exceeded and not response.ok
         assert response.error is None  # a deadline miss is not an error
         assert fallback.calls == 0  # no budget left, fallback skipped
-        stats = router.stats(Scenario.GUESS_YOU_LIKE)
-        assert stats.deadline_exceeded == 1
-        assert stats.errors == 0
+        assert _requests(router, "deadline_exceeded") == 1
+        assert _requests(router, "error") == 0
 
     def test_no_deadline_means_unbounded_budget(self):
         clock = VirtualClock(0.0)
         primary = _SimulatedBackend(clock, service_time=10.0, fail=True)
         fallback = _SimulatedBackend(clock)
-        router = RequestRouter(primary, fallback=fallback, clock=clock)
+        router = _router(primary, clock, fallback=fallback)
         assert router.handle(RecRequest("u1")).outcome is Outcome.DEGRADED
 
 
@@ -172,9 +183,10 @@ class TestPrimaryBreakerFailover:
         clock = VirtualClock(0.0)
         primary = _SimulatedBackend(clock, service_time=0.050, fail=True)
         fallback = _SimulatedBackend(clock, service_time=0.001)
-        breaker = CircuitBreaker(clock=clock)
+        obs = deterministic_obs(clock)
+        breaker = CircuitBreaker(clock=clock, registry=obs.registry)
         router = RequestRouter(
-            primary, fallback=fallback, breaker=breaker, clock=clock
+            primary, fallback=fallback, breaker=breaker, obs=obs
         )
 
         # FAILURE_THRESHOLD failures trip the breaker; each costs the
@@ -190,8 +202,7 @@ class TestPrimaryBreakerFailover:
         assert response.outcome is Outcome.DEGRADED
         assert primary.calls == calls_before
         assert response.latency_seconds == pytest.approx(0.001)
-        stats = router.stats(Scenario.GUESS_YOU_LIKE)
-        assert stats.breaker_fast_fails == 1
+        assert registry_total(obs.registry, "breaker_fast_failures_total") == 1
 
         # Recovery: after the reset timeout the primary is probed again.
         primary.fail = False
@@ -203,8 +214,9 @@ class TestPrimaryBreakerFailover:
     def test_breaker_without_fallback_reports_error(self):
         clock = VirtualClock(0.0)
         primary = _SimulatedBackend(clock, fail=True)
-        breaker = CircuitBreaker(clock=clock)
-        router = RequestRouter(primary, breaker=breaker, clock=clock)
+        obs = deterministic_obs(clock)
+        breaker = CircuitBreaker(clock=clock, registry=obs.registry)
+        router = RequestRouter(primary, breaker=breaker, obs=obs)
         for _ in range(FAILURE_THRESHOLD):
             router.handle(RecRequest("u1"))
         response = router.handle(RecRequest("u1"))

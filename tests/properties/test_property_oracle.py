@@ -52,5 +52,5 @@ def test_batched_production_equals_oracle(stream, cuts, variant):
     oracle = ReferenceModel(model._init_vector, VIDEOS, variant.name)
     for action in stream:
         oracle.process(action)
-    assert trainer.stats.seen == len(stream)
-    assert_matches_oracle(model, trainer.stats, oracle, n=8)
+    assert trainer.seen == len(stream)
+    assert_matches_oracle(model, trainer, oracle, n=8)

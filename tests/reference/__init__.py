@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 
+from tests.support.obs import registry_total
+
 from .oracle import VARIANTS, ReferenceModel
 
 __all__ = ["RTOL", "VARIANTS", "ReferenceModel", "assert_matches_oracle"]
@@ -15,11 +17,14 @@ RTOL = 1e-12
 _close = partial(np.testing.assert_allclose, rtol=RTOL)
 
 
-def assert_matches_oracle(model, stats, oracle: ReferenceModel, n: int = 10):
+def assert_matches_oracle(model, trainer, oracle: ReferenceModel, n: int = 10):
     """A production model (and its trainer's counters) equals the oracle:
     same outcome counts, ``mu``, entities, factors, biases and top-``n``."""
     for outcome, count in oracle.counts.items():
-        assert getattr(stats, outcome) == count, outcome
+        total = registry_total(
+            trainer.registry, "trainer_actions_total", result=outcome
+        )
+        assert total == count, outcome
     _close(model.mu, oracle.mu)
     assert model.n_users == len(oracle.x)
     videos = sorted(oracle.y)

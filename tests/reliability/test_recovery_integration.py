@@ -15,6 +15,7 @@ import pytest
 from repro.baselines import HotRecommender
 from repro.core.recommender import RealtimeRecommender
 from repro.kvstore import InMemoryKVStore, ShardedKVStore
+from repro.obs import Observability
 from repro.reliability import (
     ActionWAL,
     CheckpointManager,
@@ -218,7 +219,9 @@ class TestDegradedServing:
         for action in stream:
             primary.observe(action)
             hot.observe(action)
-        router = RequestRouter(primary, fallback=hot)
+        router = RequestRouter(
+            primary, fallback=hot, obs=Observability.create()
+        )
         user = stream[0].user_id
         now = stream[-1].timestamp + 60.0
 

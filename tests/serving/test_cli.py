@@ -16,10 +16,13 @@ from tests.support.gateway_thread import GatewayThread
 
 def test_parser_defaults_and_flags():
     args = _build_parser().parse_args([])
+    defaults = GatewayConfig()
     assert args.port == 8080
-    assert args.max_connections == 256
-    assert args.deadline_ms is None
-    assert args.batch_window_ms == 2.0
+    assert args.host == defaults.host
+    assert args.max_connections == defaults.max_connections
+    assert args.deadline_ms == defaults.deadline_ms
+    assert args.batch_window_ms == defaults.batch_window_ms
+    assert args.batch_max == defaults.batch_max
 
     args = _build_parser().parse_args(
         [

@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -27,11 +28,11 @@ from repro.serving import (
     RecRequest,
     RequestCollector,
     RequestRouter,
-    Scenario,
     ServingGateway,
 )
 from repro.serving.router import MAX_N
 from tests.support.gateway_thread import GatewayThread
+from tests.support.obs import registry_total
 
 
 class _Backend:
@@ -70,20 +71,33 @@ def _request(
         conn.close()
 
 
-def _gateway(router, config=None, observe=None, obs=None):
+def _router(backend, **kwargs):
+    return RequestRouter(backend, obs=Observability.create(), **kwargs)
+
+
+def _gateway(router, config=None, observe=None):
     return GatewayThread(
         ServingGateway(
             router,
             config=config or GatewayConfig(),
             observe=observe or (lambda action: None),
-            obs=obs or Observability.create(),
+            obs=router.obs,
         )
+    )
+
+
+def _requests(router, outcome):
+    return registry_total(
+        router.obs.registry,
+        "serving_requests_total",
+        scenario="guess_you_like",
+        outcome=outcome,
     )
 
 
 class TestEndpoints:
     def test_recommend_ok(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         with _gateway(router) as server:
             status, headers, doc = _request(
                 server.port, "POST", "/recommend", {"user_id": "u1", "n": 3}
@@ -94,7 +108,7 @@ class TestEndpoints:
         assert "X-Repro-Degraded" not in headers
 
     def test_recommend_related_scenario(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         with _gateway(router) as server:
             status, _, doc = _request(
                 server.port,
@@ -106,7 +120,7 @@ class TestEndpoints:
         assert doc["scenario"] == "related_videos"
 
     def test_recommend_requires_user_id(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         with _gateway(router) as server:
             status, _, doc = _request(server.port, "POST", "/recommend", {})
         assert status == 400
@@ -118,7 +132,7 @@ class TestEndpoints:
         a negative ``n`` used to be served as ``ids[:n]``, a huge one would
         score the whole catalog in ``"ann"`` mode."""
         backend = _Backend()
-        with _gateway(RequestRouter(backend)) as server:
+        with _gateway(_router(backend)) as server:
             status, _, doc = _request(
                 server.port, "POST", "/recommend", {"user_id": "u1", "n": n}
             )
@@ -137,15 +151,25 @@ class TestEndpoints:
             {"timestamp": float("nan")},
             {"deadline_ms": -1},
             {"deadline_ms": float("nan")},
+            {"user_id": None},
+            {"user_id": {"a": 1}},
+            {"current_video": 7},
+            {"n": 3.9},
+            {"n": True},
         ],
-        ids=["inf-time", "nan-time", "neg-deadline", "nan-deadline"],
+        ids=[
+            "inf-time", "nan-time", "neg-deadline", "nan-deadline",
+            "null-user", "object-user", "number-video", "float-n", "bool-n",
+        ],
     )
     def test_recommend_bad_time_or_deadline_is_400(self, bad):
         """``json.loads`` accepts ``Infinity`` and ``NaN``: an infinite
         ``now`` collapses every time-damped score (the list falls back to
-        id order), and a negative or NaN budget is no budget at all."""
+        id order), and a negative or NaN budget is no budget at all.  Ids
+        must be JSON strings and ``n`` a JSON integer: ``str(None)`` would
+        serve the user ``"None"`` and ``int(3.9)`` three items."""
         backend = _Backend()
-        with _gateway(RequestRouter(backend)) as server:
+        with _gateway(_router(backend)) as server:
             status, _, doc = _request(
                 server.port, "POST", "/recommend", {"user_id": "u1", **bad}
             )
@@ -154,7 +178,7 @@ class TestEndpoints:
         assert backend.calls == []
 
     def test_invalid_json_is_400(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         with _gateway(router) as server:
             conn = http.client.HTTPConnection("127.0.0.1", server.port)
             try:
@@ -165,7 +189,7 @@ class TestEndpoints:
                 conn.close()
 
     def test_unknown_path_404_wrong_method_405(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         with _gateway(router) as server:
             status_404, _, _ = _request(server.port, "GET", "/nope")
             status_405, _, _ = _request(server.port, "GET", "/recommend")
@@ -173,7 +197,7 @@ class TestEndpoints:
         assert status_405 == 405
 
     def test_snapshot_reports_router_and_coalescing(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         with _gateway(router) as server:
             _request(server.port, "POST", "/recommend", {"user_id": "u1"})
             status, _, doc = _request(server.port, "GET", "/snapshot")
@@ -184,9 +208,8 @@ class TestEndpoints:
         assert doc["gateway"]["rejected_connections"] == 0
 
     def test_metrics_serves_registry_document(self):
-        obs = Observability.create()
-        router = RequestRouter(_Backend(), obs=obs)
-        with _gateway(router, obs=obs) as server:
+        router = _router(_Backend())
+        with _gateway(router) as server:
             _request(server.port, "POST", "/recommend", {"user_id": "u1"})
             status, _, doc = _request(server.port, "GET", "/metrics")
         assert status == 200
@@ -198,7 +221,7 @@ class TestEndpoints:
 
     def test_ingest_feeds_observe(self):
         seen = []
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         with _gateway(router, observe=seen.append) as server:
             status, _, doc = _request(
                 server.port,
@@ -218,7 +241,7 @@ class TestEndpoints:
         assert seen[0].action.value == "click"
 
     def test_ingest_malformed_action_is_400(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         with _gateway(router, observe=lambda a: None) as server:
             status, _, doc = _request(
                 server.port, "POST", "/ingest", {"user_id": "u1"}
@@ -233,8 +256,14 @@ class TestEndpoints:
             {"video_id": "v\r2"},
             {"timestamp": float("nan")},
             {"view_time": "nan"},
+            {"user_id": None},
+            {"user_id": {"a": 1}},
+            {"video_id": 7},
         ],
-        ids=["tab-in-user", "empty-user", "cr-in-video", "nan-time", "nan-view"],
+        ids=[
+            "tab-in-user", "empty-user", "cr-in-video", "nan-time", "nan-view",
+            "null-user", "object-user", "number-video",
+        ],
     )
     def test_ingest_bad_action_is_400_and_leaves_wal_untouched(
         self, bad, tmp_path
@@ -249,7 +278,7 @@ class TestEndpoints:
         }
         body = {**good, **bad}
         with ActionWAL(tmp_path / "wal") as wal:
-            with _gateway(RequestRouter(_Backend()), observe=wal.append) as server:
+            with _gateway(_router(_Backend()), observe=wal.append) as server:
                 status, _, doc = _request(server.port, "POST", "/ingest", body)
                 assert status == 400, doc
                 assert "bad action" in doc["error"]
@@ -261,7 +290,7 @@ class TestEndpoints:
 
 class TestHealthz:
     def test_healthy_gateway_is_200(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         with _gateway(router) as server:
             status, _, doc = _request(server.port, "GET", "/healthz")
         assert status == 200
@@ -269,9 +298,10 @@ class TestHealthz:
         assert doc["breaker"] is None
 
     def test_open_breaker_flips_healthz_to_503(self):
-        breaker = CircuitBreaker()
+        obs = Observability.create()
+        breaker = CircuitBreaker(registry=obs.registry)
         router = RequestRouter(
-            _Backend(fail_always=True), breaker=breaker
+            _Backend(fail_always=True), breaker=breaker, obs=obs
         )
         with _gateway(router) as server:
             # Trip the breaker through real traffic, then ask for health.
@@ -288,8 +318,11 @@ class TestSaturation:
         """Eight tokens and no refill (the bucket's clock stands still)
         against 24 concurrent clients: the bucket's verdict reaches every
         socket, and shedding is not ill health."""
-        admission = AdmissionController(rate=8, clock=VirtualClock(0.0))
-        router = RequestRouter(_Backend(), admission=admission)
+        obs = Observability.create()
+        admission = AdmissionController(
+            rate=8, clock=VirtualClock(0.0), registry=obs.registry
+        )
+        router = RequestRouter(_Backend(), admission=admission, obs=obs)
         results = []
 
         def client(i, port):
@@ -318,12 +351,12 @@ class TestSaturation:
             for _, headers, doc in shed
         )
         assert health == 200
-        assert router.stats(Scenario.GUESS_YOU_LIKE).shed == 16
+        assert _requests(router, "shed") == 16
 
 
 class TestConnectionLimit:
     def test_excess_connection_gets_503_and_close(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         config = GatewayConfig(max_connections=1)
         with _gateway(router, config=config) as server:
             first = http.client.HTTPConnection(
@@ -353,7 +386,7 @@ class TestConnectionLimit:
 
 class TestKeepAlive:
     def test_many_requests_on_one_connection(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         with _gateway(router) as server:
             conn = http.client.HTTPConnection(
                 "127.0.0.1", server.port, timeout=10.0
@@ -371,7 +404,26 @@ class TestKeepAlive:
                     response.read()
             finally:
                 conn.close()
-        assert router.stats(Scenario.GUESS_YOU_LIKE).requests == 5
+        assert _requests(router, "ok") == 5
+
+    @pytest.mark.parametrize("value", ["close", "Close", "keep-alive, CLOSE"])
+    def test_connection_close_token_is_case_insensitive(self, value):
+        """Connection options are case-insensitive (RFC 9110 §7.6.1): any
+        spelling of ``close`` is answered ``Connection: close`` and the
+        server closes the socket."""
+        with _gateway(_router(_Backend())) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5.0
+            ) as sock:
+                sock.sendall(
+                    b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                    b"Connection: " + value.encode() + b"\r\n\r\n"
+                )
+                reply = b""
+                while chunk := sock.recv(4096):  # b"" once the server closes
+                    reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert b"\r\nConnection: close\r\n" in reply
 
 
 class TestCollector:
@@ -379,9 +431,9 @@ class TestCollector:
         return asyncio.run(coro)
 
     def test_concurrent_submissions_coalesce(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         collector = RequestCollector(
-            router, Observability.create(), batch_max=64, window_seconds=0.05
+            router, batch_max=64, window_seconds=0.05
         )
 
         async def scenario():
@@ -398,9 +450,9 @@ class TestCollector:
         assert snap["mean_batch_size"] == 8.0
 
     def test_batch_max_forces_flush(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         collector = RequestCollector(
-            router, Observability.create(), batch_max=4, window_seconds=60.0
+            router, batch_max=4, window_seconds=60.0
         )
 
         async def scenario():
@@ -414,9 +466,9 @@ class TestCollector:
         assert collector.coalesce_snapshot()["max_batch_size"] == 4
 
     def test_responses_match_requests_in_order(self):
-        router = RequestRouter(_Backend(fail_for={"u1"}))
+        router = _router(_Backend(fail_for={"u1"}))
         collector = RequestCollector(
-            router, Observability.create(), batch_max=8, window_seconds=0.01
+            router, batch_max=8, window_seconds=0.01
         )
 
         async def scenario():
@@ -429,13 +481,17 @@ class TestCollector:
         assert responses[0].ok and responses[2].ok
         assert not responses[1].ok  # the failing user failed, others didn't
 
-    def test_rejects_bad_bounds(self):
-        router = RequestRouter(_Backend())
-        obs = Observability.create()
-        with pytest.raises(ValueError):
-            RequestCollector(router, obs, batch_max=0)
-        with pytest.raises(ValueError):
-            RequestCollector(router, obs, window_seconds=-1.0)
+
+class TestOneRegistry:
+    def test_refuses_a_router_built_on_another_bundle(self):
+        """``/snapshot`` reads the router's registry and ``/metrics`` the
+        gateway's: they must be the same one."""
+        with pytest.raises(ValueError, match="one registry"):
+            ServingGateway(
+                _router(_Backend()),
+                observe=lambda action: None,
+                obs=Observability.create(),
+            )
 
 
 class TestGatewayConfigValidation:
@@ -459,7 +515,7 @@ class TestDefaultDeadline:
                 captured.extend(requests)
                 return super().handle_many(requests)
 
-        router = _CapturingRouter(_Backend())
+        router = _CapturingRouter(_Backend(), obs=Observability.create())
         config = GatewayConfig(deadline_ms=25.0)
         with _gateway(router, config=config) as server:
             _request(server.port, "POST", "/recommend", {"user_id": "u1"})

@@ -4,6 +4,8 @@ Each test drives one overload outcome through a real socket and asserts
 *both* sides of the contract — the HTTP status/header the client saw and
 the router snapshot counter that moved — so the wire mapping and the
 internal accounting cannot drift apart (DESIGN.md "Serving over HTTP").
+The last test checks that ``/snapshot`` and ``/metrics`` report the same
+numbers, since both read the one registry.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ import json
 
 from repro.clock import VirtualClock
 from repro.obs import Observability
-from repro.reliability.overload import AdmissionController
-from repro.serving import RequestRouter, ServingGateway
+from repro.reliability.overload import (
+    FAILURE_THRESHOLD,
+    AdmissionController,
+    CircuitBreaker,
+)
+from repro.serving import GatewayConfig, RequestRouter, ServingGateway
 from tests.support.gateway_thread import GatewayThread
 
 
@@ -44,10 +50,17 @@ def _post_recommend(port, body):
         conn.close()
 
 
-def _serve(router):
+def _router(primary, **kwargs):
+    return RequestRouter(primary, obs=Observability.create(), **kwargs)
+
+
+def _serve(router, config=None):
     return GatewayThread(
         ServingGateway(
-            router, observe=lambda action: None, obs=Observability.create()
+            router,
+            observe=lambda action: None,
+            obs=router.obs,
+            config=config,
         )
     )
 
@@ -59,9 +72,12 @@ def _snapshot(router):
 def test_shed_maps_to_503_with_retry_after():
     # A one-token bucket on a clock nobody advances, its token spent up
     # front, sheds every request on arrival.
-    admission = AdmissionController(rate=1, clock=VirtualClock(0.0))
+    obs = Observability.create()
+    admission = AdmissionController(
+        rate=1, clock=VirtualClock(0.0), registry=obs.registry
+    )
     assert admission.try_admit().admitted
-    router = RequestRouter(_OkBackend(), admission=admission)
+    router = RequestRouter(_OkBackend(), admission=admission, obs=obs)
     with _serve(router) as server:
         status, headers, doc = _post_recommend(server.port, {"user_id": "u1"})
     assert status == 503
@@ -76,7 +92,7 @@ def test_shed_maps_to_503_with_retry_after():
 
 def test_deadline_maps_to_504():
     # Primary fails and the budget is already spent -> deadline, not error.
-    router = RequestRouter(_FailingBackend(), fallback=_OkBackend())
+    router = _router(_FailingBackend(), fallback=_OkBackend())
     with _serve(router) as server:
         status, _headers, doc = _post_recommend(
             server.port, {"user_id": "u1", "deadline_ms": 0}
@@ -90,7 +106,7 @@ def test_deadline_maps_to_504():
 
 
 def test_fallback_served_maps_to_200_with_degraded_header():
-    router = RequestRouter(_FailingBackend(), fallback=_OkBackend())
+    router = _router(_FailingBackend(), fallback=_OkBackend())
     with _serve(router) as server:
         status, headers, doc = _post_recommend(
             server.port, {"user_id": "u1", "n": 2}
@@ -104,7 +120,7 @@ def test_fallback_served_maps_to_200_with_degraded_header():
 
 
 def test_fallback_also_failing_maps_to_500():
-    router = RequestRouter(_FailingBackend(), fallback=_FailingBackend())
+    router = _router(_FailingBackend(), fallback=_FailingBackend())
     with _serve(router) as server:
         status, headers, doc = _post_recommend(server.port, {"user_id": "u1"})
     assert status == 500
@@ -117,7 +133,7 @@ def test_fallback_also_failing_maps_to_500():
 
 
 def test_ok_maps_to_plain_200():
-    router = RequestRouter(_OkBackend())
+    router = _router(_OkBackend())
     with _serve(router) as server:
         status, headers, doc = _post_recommend(
             server.port, {"user_id": "u1", "n": 1}
@@ -130,3 +146,137 @@ def test_ok_maps_to_plain_200():
     assert counters["errors"] == 0
     assert counters["shed"] == 0
 
+
+
+class _ScriptedBackend:
+    """Serves a list, except: ``empty`` gets none, ``boom*`` users make the
+    primary raise, and ``boom-all`` makes the fallback raise too."""
+
+    def __init__(self, fails_for):
+        self.fails_for = fails_for
+
+    def recommend_ids(self, user_id, current_video=None, n=None, now=None):
+        if self.fails_for(user_id):
+            raise RuntimeError(f"{user_id} exploded")
+        if user_id == "empty":
+            return []
+        return [f"rec{i}" for i in range(n or 10)]
+
+
+def _total(metrics, metric, **labels):
+    return sum(
+        series["value"]
+        for series in metrics[metric]["series"]
+        if all(series["labels"][k] == v for k, v in labels.items())
+    )
+
+
+def _histogram(metrics, metric, **labels):
+    (series,) = [
+        series
+        for series in metrics[metric]["series"]
+        if series["labels"] == labels
+    ]
+    return series
+
+
+#: The home scenario's counts after the requests below.
+_EXPECTED_HOME = {
+    "requests": 8,
+    "errors": 1,
+    "empty": 1,
+    "fallbacks": 3,
+    "shed": 1,
+    "deadline_exceeded": 1,
+}
+
+
+def test_snapshot_and_metrics_report_the_same_numbers():
+    """Every outcome once — ok, empty, degraded, error, deadline exceeded,
+    breaker fast-fail, shed — plus a rejected connection; then each
+    ``/snapshot`` number equals its ``/metrics`` series."""
+    obs = Observability.create()
+    breaker = CircuitBreaker(name="primary", registry=obs.registry)
+    router = RequestRouter(
+        _ScriptedBackend(lambda user: user.startswith("boom")),
+        fallback=_ScriptedBackend(lambda user: user == "boom-all"),
+        # Eight tokens on a clock nobody advances: the ninth request sheds.
+        admission=AdmissionController(
+            rate=8, clock=VirtualClock(0.0), registry=obs.registry
+        ),
+        breaker=breaker,
+        obs=obs,
+    )
+    bodies = [
+        ({"user_id": "u1"}, 200),
+        ({"user_id": "empty"}, 200),
+        ({"user_id": "boom", "current_video": "v1"}, 200),  # degraded
+        ({"user_id": "boom-all"}, 500),
+        ({"user_id": "boom", "deadline_ms": 0}, 504),
+        *[({"user_id": "boom"}, 200)] * (FAILURE_THRESHOLD - 3),
+        ({"user_id": "u1"}, 200),  # breaker open: fast-fail, degraded
+        ({"user_id": "u1"}, 503),  # out of tokens: shed
+    ]
+
+    def call(conn, method, path, body=None):
+        conn.request(method, path, body=json.dumps(body) if body else None)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+
+    with _serve(router, GatewayConfig(max_connections=1)) as server:
+        # One keep-alive connection holds the only slot throughout.
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            for body, status in bodies:
+                assert call(conn, "POST", "/recommend", body)[0] == status
+            rejected, _, _ = _post_recommend(server.port, {"user_id": "u1"})
+            _, snapshot = call(conn, "GET", "/snapshot")
+            _, document = call(conn, "GET", "/metrics")
+        finally:
+            conn.close()
+    assert rejected == 503
+    metrics = document["metrics"]
+
+    home = snapshot["router"]["guess_you_like"]
+    related = snapshot["router"]["related_videos"]
+    assert {key: home[key] for key in _EXPECTED_HOME} == _EXPECTED_HOME
+    assert (related["requests"], related["fallbacks"]) == (1, 1)
+    assert _total(metrics, "breaker_fast_failures_total", name="primary") == 1
+
+    outcomes = {
+        "errors": "error",
+        "fallbacks": "degraded",
+        "shed": "shed",
+        "deadline_exceeded": "deadline_exceeded",
+    }
+    for scenario, stats in snapshot["router"].items():
+        assert stats["requests"] == _total(
+            metrics, "serving_requests_total", scenario=scenario
+        )
+        for key, outcome in outcomes.items():
+            assert stats[key] == _total(
+                metrics,
+                "serving_requests_total",
+                scenario=scenario,
+                outcome=outcome,
+            ), (scenario, key)
+        assert stats["empty"] == _total(
+            metrics, "serving_empty_responses_total", scenario=scenario
+        )
+        latency = _histogram(
+            metrics, "serving_request_latency_seconds", scenario=scenario
+        )
+        mean = latency["sum"] / latency["count"]
+        assert stats["mean_latency_ms"] == mean * 1000.0
+        for stat in ("max", "p50", "p95", "p99"):
+            assert stats[f"{stat}_latency_ms"] == latency[stat] * 1000.0
+
+    batches = _histogram(metrics, "gateway_coalesced_batch_size")
+    coalescing = snapshot["coalescing"]
+    assert coalescing["batches"] == batches["count"]
+    assert coalescing["requests"] == batches["sum"] == len(bodies)
+    assert coalescing["max_batch_size"] == batches["max"]
+    assert "batch_size_counts" not in coalescing
+    assert snapshot["gateway"]["rejected_connections"] == _total(
+        metrics, "gateway_connections_rejected_total"
+    ) == 1

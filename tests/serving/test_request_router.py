@@ -6,9 +6,10 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.core import RealtimeRecommender
+from repro.obs import Observability
 from repro.serving import RecRequest, RequestRouter, Scenario
 from repro.serving.router import MAX_N
-from tests.support.obs import counter_totals
+from tests.support.obs import registry_total
 
 
 class _Backend:
@@ -23,6 +24,19 @@ class _Backend:
         if user_id == "empty-user":
             return []
         return [f"rec{i}" for i in range(n or 10)]
+
+
+def _router(backend, **kwargs):
+    return RequestRouter(backend, obs=Observability.create(), **kwargs)
+
+
+def _requests(router, scenario=Scenario.GUESS_YOU_LIKE, **outcome):
+    return registry_total(
+        router.obs.registry,
+        "serving_requests_total",
+        scenario=scenario.value,
+        **outcome,
+    )
 
 
 def _total_requests(router):
@@ -61,14 +75,14 @@ class TestScenarioDispatch:
 
     def test_arguments_forwarded(self):
         backend = _Backend()
-        router = RequestRouter(backend)
+        router = _router(backend)
         router.handle(RecRequest("u1", current_video="v2", n=3, timestamp=7.0))
         assert backend.calls == [("u1", "v2", 3, 7.0)]
 
 
 class TestHandling:
     def test_successful_response(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         response = router.handle(RecRequest("u1", n=4))
         assert response.ok
         assert len(response.video_ids) == 4
@@ -77,73 +91,74 @@ class TestHandling:
 
     def test_backend_failure_isolated(self):
         """A failing request degrades to an empty response, never raises."""
-        router = RequestRouter(_Backend(fail_for={"bad-user"}))
+        router = _router(_Backend(fail_for={"bad-user"}))
         response = router.handle(RecRequest("bad-user"))
         assert not response.ok
         assert response.video_ids == ()
         assert "backend exploded" in response.error
 
     def test_empty_results_counted(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         router.handle(RecRequest("empty-user"))
-        stats = router.stats(Scenario.GUESS_YOU_LIKE)
-        assert stats.empty == 1
+        assert registry_total(
+            router.obs.registry,
+            "serving_empty_responses_total",
+            scenario="guess_you_like",
+        ) == 1
+        assert router.snapshot()["guess_you_like"]["empty"] == 1
 
 
 class TestGracefulDegradation:
     def test_fallback_serves_when_primary_fails(self):
         fallback = _Backend()
-        router = RequestRouter(_Backend(fail_for={"u1"}), fallback=fallback)
+        router = _router(_Backend(fail_for={"u1"}), fallback=fallback)
         response = router.handle(RecRequest("u1", n=3))
         assert response.ok
         assert response.degraded
         assert len(response.video_ids) == 3
         assert fallback.calls == [("u1", None, 3, None)]
-        stats = router.stats(Scenario.GUESS_YOU_LIKE)
-        assert stats.fallbacks == 1
-        assert stats.errors == 0
+        assert _requests(router, outcome="degraded") == 1
+        assert _requests(router, outcome="error") == 0
 
     def test_fallback_not_consulted_on_success(self):
         fallback = _Backend()
-        router = RequestRouter(_Backend(), fallback=fallback)
+        router = _router(_Backend(), fallback=fallback)
         response = router.handle(RecRequest("u1"))
         assert response.ok and not response.degraded
         assert fallback.calls == []
-        assert router.stats(Scenario.GUESS_YOU_LIKE).fallbacks == 0
+        assert _requests(router, outcome="degraded") == 0
 
     def test_both_backends_failing_reports_both_errors(self):
-        router = RequestRouter(
+        router = _router(
             _Backend(fail_for={"u1"}), fallback=_Backend(fail_for={"u1"})
         )
         response = router.handle(RecRequest("u1"))
         assert not response.ok
         assert not response.degraded
         assert "fallback failed" in response.error
-        stats = router.stats(Scenario.GUESS_YOU_LIKE)
-        assert stats.errors == 1
-        assert stats.fallbacks == 0
+        assert _requests(router, outcome="error") == 1
+        assert _requests(router, outcome="degraded") == 0
 
     def test_fallbacks_in_snapshot(self):
-        router = RequestRouter(_Backend(fail_for={"u1"}), fallback=_Backend())
+        router = _router(_Backend(fail_for={"u1"}), fallback=_Backend())
         router.handle(RecRequest("u1"))
         assert router.snapshot()["guess_you_like"]["fallbacks"] == 1
 
 
 class TestStats:
     def test_per_scenario_accounting(self):
-        router = RequestRouter(_Backend(fail_for={"bad"}))
+        router = _router(_Backend(fail_for={"bad"}))
         router.handle(RecRequest("u1"))
         router.handle(RecRequest("u2", current_video="v1"))
         router.handle(RecRequest("bad", current_video="v1"))
-        home = router.stats(Scenario.GUESS_YOU_LIKE)
-        related = router.stats(Scenario.RELATED_VIDEOS)
-        assert home.requests == 1
-        assert related.requests == 2
-        assert related.errors == 1
+        related = Scenario.RELATED_VIDEOS
+        assert _requests(router) == 1
+        assert _requests(router, related) == 2
+        assert _requests(router, related, outcome="error") == 1
         assert _total_requests(router) == 3
 
     def test_snapshot_shape(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         router.handle(RecRequest("u1"))
         snap = router.snapshot()
         assert snap["guess_you_like"]["requests"] == 1
@@ -151,7 +166,7 @@ class TestStats:
         assert snap["related_videos"]["requests"] == 0
 
     def test_concurrent_handling_counts_exactly(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
 
         def fire():
             for i in range(100):
@@ -163,12 +178,13 @@ class TestStats:
         for t in threads:
             t.join()
         assert _total_requests(router) == 600
-        assert router.stats(Scenario.GUESS_YOU_LIKE).latency.count == 600
+        latency = router.obs.registry.get("serving_request_latency_seconds")
+        assert latency.labels(scenario="guess_you_like").count == 600
 
 
 class TestHandleMany:
     def test_batch_responses_in_request_order(self):
-        router = RequestRouter(_Backend())
+        router = _router(_Backend())
         requests = [RecRequest(f"u{i}") for i in range(5)]
         responses = router.handle_many(requests)
         assert [r.request.user_id for r in responses] == [
@@ -178,21 +194,16 @@ class TestHandleMany:
 
     def test_empty_batch_is_a_noop(self):
         """The gateway's empty-flush path must not touch any accounting."""
-        from repro.obs import Observability
-
-        obs = Observability.create()
-        router = RequestRouter(_Backend(), obs=obs)
+        router = _router(_Backend())
         assert router.handle_many([]) == []
-        assert _total_requests(router) == 0
-        for scenario in Scenario:
-            stats = router.stats(scenario)
-            assert stats.requests == 0
-            assert stats.latency.count == 0
-        # Registry side: no serving counter series exists yet either.
-        totals = counter_totals(obs.registry)
-        assert not any(
-            name.startswith("serving_requests_total") for name in totals
+        assert all(
+            stats["requests"] == 0 and stats["max_latency_ms"] == 0
+            for stats in router.snapshot().values()
         )
+        # Reading the snapshot created no series either.
+        snapshot = router.obs.registry.snapshot()
+        assert not snapshot["serving_requests_total"]["series"]
+        assert not snapshot["serving_request_latency_seconds"]["series"]
 
 
 class TestServeWhileTrain:
@@ -208,8 +219,8 @@ class TestServeWhileTrain:
         )
         # warm start so there is state to read while writes happen
         recommender.observe_stream(small_split.train[:1000])
-        seen_before = recommender.trainer.stats.seen
-        router = RequestRouter(recommender)
+        seen_before = recommender.trainer.seen
+        router = _router(recommender)
         users = list(small_world.users)
         videos = list(small_world.videos)
         now = small_split.train[1000].timestamp
@@ -248,5 +259,5 @@ class TestServeWhileTrain:
         catalogue = set(videos)
         assert all(set(r.video_ids) <= catalogue for r in responses)
         # the trainer genuinely ran concurrently and the model advanced
-        assert recommender.trainer.stats.seen > seen_before
+        assert recommender.trainer.seen > seen_before
         assert _total_requests(router) == 200
