@@ -1,7 +1,7 @@
 """What observability costs the online trainer: ``observe_stream`` off vs on.
 
 Every served process runs with an ``Observability`` bundle, and the
-trainer makes about 30 KV ops per action, each one through
+trainer makes about 15 KV ops per action, each one through
 ``InstrumentedKVStore``.  This benchmark trains the ``train_stream`` world
 (120 users x 200 videos, seed 2016, days 0-5: 37,036 actions; 40 x 80 at
 smoke scale) with ``RealtimeRecommender.observe_stream``, alternating
@@ -10,7 +10,9 @@ runs without ``obs`` and with ``Observability.create()``, and
 * asserts the count guards, which hold on any host: one more observed
   run, under a counter, resolves each labelled child through ``labels()``
   once and observes no histogram; every observed run exports the same
-  counters; and with no trace active the tracer records no span;
+  counters; with no trace active the tracer records no span; and KV ops
+  per action stay at most ``MAX_KV_OPS_PER_ACTION`` (one arena read and
+  one list update per partner plus one per engagement put it near 15);
 * reports actions/s for every run, the median per-pair observed /
   unobserved ratio and KV ops per action.  Timings are reported, not
   asserted: on a shared host no rate holds still.
@@ -32,6 +34,7 @@ from _helpers import build_world, format_rows, report, smoke_scaled
 N_USERS = smoke_scaled(120, 40)
 N_VIDEOS = smoke_scaled(200, 80)
 PAIRS = 2 if bench_smoke() else 5
+MAX_KV_OPS_PER_ACTION = 16
 
 
 def _train(world, actions, obs):
@@ -77,6 +80,7 @@ def test_observed_trainer_overhead():
         for key, value in totals[0].items()
         if key.startswith("kvstore_ops_total")
     )
+    assert kv_ops / len(actions) <= MAX_KV_OPS_PER_ACTION, kv_ops
     report("obs_overhead", format_rows(rows))
     emit_bench(
         "obs_overhead",

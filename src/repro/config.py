@@ -117,23 +117,18 @@ class SimilarityConfig:
     ``beta`` mixes CF similarity (Eq. 9) with type similarity (Eq. 10);
     ``xi`` is the half-life in seconds of the time damping factor
     ``d = 2^(-dt/xi)`` (Eq. 11); ``table_size`` is the length of each
-    video's similar-video list; ``candidate_pool`` bounds how many
-    co-occurring videos are rescored per triggering action.
+    video's similar-video list.  How many partners one engagement is
+    scored against is :data:`repro.core.simtable.MAX_PAIRS`.
     """
 
     beta: float = 0.2
     xi: float = 2 * 86_400.0
     table_size: int = 50
-    candidate_pool: int = 200
 
     def __post_init__(self) -> None:
         _require(0 <= self.beta <= 1, "fusion weight beta must be in [0, 1]")
         _require(self.xi > 0, "damping half-life xi must be positive")
         _require(self.table_size >= 1, "table_size must be >= 1")
-        _require(
-            self.candidate_pool >= self.table_size,
-            "candidate_pool must be >= table_size",
-        )
 
 
 @dataclass(frozen=True, slots=True)

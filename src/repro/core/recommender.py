@@ -149,11 +149,13 @@ class RealtimeRecommender:
         if update is not None and self.index is not None:
             self.index.upsert(action.video_id, update.y_i, update.b_i)
         if action.action in ENGAGEMENT_ACTIONS:
-            recent = self.history.recent(
-                action.user_id, self.config.similarity.candidate_pool
+            recent = self.history.recent(action.user_id)
+            partners = [
+                other for _, other in generate_pairs(action.video_id, recent)
+            ]
+            self.table.offer_pair(
+                action.video_id, partners, now=action.timestamp
             )
-            for video_i, video_j in generate_pairs(action.video_id, recent):
-                self.table.offer_pair(video_i, video_j, now=action.timestamp)
             self.history.record(action)
             self.observe_demographic(action)
 

@@ -30,8 +30,14 @@ from .mf import MFModel
 from .similarity import SimilarityScorer
 
 
+#: Most history partners one engagement is paired with (§5.1) — the one
+#: bound on pair work per action, shared by :func:`generate_pairs` and the
+#: topology's ``GetItemPairs`` bolt.
+MAX_PAIRS = 20
+
+
 def generate_pairs(
-    new_video: str, recent_videos: list[str], limit: int = 20
+    new_video: str, recent_videos: list[str], limit: int = MAX_PAIRS
 ) -> list[tuple[str, str]]:
     """Video pairs triggered by an engagement with ``new_video``.
 
@@ -111,27 +117,45 @@ class SimilarVideoTable:
     # ------------------------------------------------------------------
 
     def offer_pair(
-        self, video_i: str, video_j: str, now: float | None = None
-    ) -> float | None:
-        """Score the pair and refresh both videos' lists.
+        self,
+        video_id: str,
+        partners: Sequence[str],
+        now: float | None = None,
+    ) -> list[float | None]:
+        """Score ``video_id`` against each partner and refresh the lists.
 
-        Returns the raw fused relevance, or ``None`` when the pair cannot
-        be scored (unknown video, missing vector, or a self-pair).
+        The served pair step of one engagement: all vectors come from one
+        arena read, each partner is scored with the scalar Eq. 12 fusion,
+        ``video_id``'s list takes every scored partner in one update, and
+        each scored partner's list takes ``video_id``.  The stored lists
+        equal those of scoring the pairs one by one (:meth:`score_pair`,
+        then :meth:`insert_scored` both ways, in partner order).
+
+        Returns one raw fused relevance per partner, ``None`` where the
+        pair cannot be scored (unknown video, missing vector, or a
+        self-pair).
         """
-        if video_i == video_j:
-            return None
-        meta_i = self.videos.get(video_i)
-        meta_j = self.videos.get(video_j)
-        if meta_i is None or meta_j is None:
-            return None
-        y_i, y_j = self.model.video_vectors_many([video_i, video_j])
-        if y_i is None or y_j is None:
-            return None
+        scores: list[float | None] = [None] * len(partners)
+        meta_i = self.videos.get(video_id)
+        if meta_i is None or not partners:
+            return scores
+        y_i, *vectors = self.model.video_vectors_many([video_id, *partners])
+        if y_i is None:
+            return scores
         timestamp = self.clock.now() if now is None else now
-        raw = self.scorer.raw_relevance(meta_i, y_i, meta_j, y_j)
-        self.insert_scored(video_i, video_j, raw, timestamp)
-        self.insert_scored(video_j, video_i, raw, timestamp)
-        return raw
+        scored = []
+        for n, (other, y_j) in enumerate(zip(partners, vectors)):
+            meta_j = self.videos.get(other)
+            if other == video_id or meta_j is None or y_j is None:
+                continue
+            raw = self.scorer.raw_relevance(meta_i, y_i, meta_j, y_j)
+            scores[n] = raw
+            scored.append((other, raw, timestamp))
+        if scored:
+            self._insert(video_id, scored)
+            for other, raw, _ in scored:
+                self._insert(other, [(video_id, raw, timestamp)])
+        return scores
 
     def score_pair(
         self, video_i: str, video_j: str
@@ -156,7 +180,7 @@ class SimilarVideoTable:
         self, video_id: str, other_id: str, raw: float, timestamp: float
     ) -> None:
         """Store one pre-scored directed entry (the ``ResultStorage`` step)."""
-        self._insert(video_id, other_id, raw, timestamp)
+        self._insert(video_id, [(other_id, raw, timestamp)])
 
     def _rebuild_heap(
         self, video_id: str, entries: dict[str, tuple[float, float]]
@@ -171,9 +195,11 @@ class SimilarVideoTable:
         return heap
 
     def _insert(
-        self, video_id: str, other_id: str, raw: float, timestamp: float
+        self, video_id: str, scored: Sequence[tuple[str, float, float]]
     ) -> None:
-        """Put ``other_id`` into ``video_id``'s list, evicting if full.
+        """Put each ``(other_id, raw, timestamp)`` into ``video_id``'s list,
+        in order, evicting whenever the list overflows — one atomic store
+        update for the lot.
 
         Eviction compares *damped* relevances (via the time-invariant
         :func:`_eviction_key`) so a stale high raw score cannot squat in
@@ -183,30 +209,33 @@ class SimilarVideoTable:
         rather than a full scan.
         """
         xi = self.config.xi
-        key = _eviction_key(raw, timestamp, xi)
+        table_size = self.config.table_size
 
         def _update(entries: dict[str, tuple[float, float]]):
             heap = self._heaps.get(video_id)
             if heap is None:
                 heap = self._rebuild_heap(video_id, entries)
-            entries[other_id] = (raw, timestamp)
-            heapq.heappush(heap, (key, other_id))
-            if len(entries) > self.config.table_size:
-                while True:
-                    if not heap:
-                        # Cache missed writes from another table instance
-                        # over the same store; resync and keep going.
-                        heap = self._rebuild_heap(video_id, entries)
-                    weakest_key, weakest = heapq.heappop(heap)
-                    current = entries.get(weakest)
-                    if current is None:
-                        continue  # already evicted; lazily discarded
-                    if _eviction_key(current[0], current[1], xi) != weakest_key:
-                        continue  # superseded by a newer push for this id
-                    del entries[weakest]
-                    break
-            if len(heap) > 4 * self.config.table_size:
-                self._rebuild_heap(video_id, entries)
+            for other_id, raw, timestamp in scored:
+                entries[other_id] = (raw, timestamp)
+                key = _eviction_key(raw, timestamp, xi)
+                heapq.heappush(heap, (key, other_id))
+                if len(entries) > table_size:
+                    while True:
+                        if not heap:
+                            # Cache missed writes from another table
+                            # instance over the same store; resync and
+                            # keep going.
+                            heap = self._rebuild_heap(video_id, entries)
+                        weakest_key, weakest = heapq.heappop(heap)
+                        current = entries.get(weakest)
+                        if current is None:
+                            continue  # already evicted; lazily discarded
+                        if _eviction_key(*current, xi) != weakest_key:
+                            continue  # superseded by a newer push for this id
+                        del entries[weakest]
+                        break
+                if len(heap) > 4 * table_size:
+                    heap = self._rebuild_heap(video_id, entries)
             return entries
 
         self._table.update(video_id, _update, default={})

@@ -24,7 +24,7 @@ from __future__ import annotations
 from ..core.history import UserHistoryStore
 from ..core.mf import MFModel
 from ..core.online import OnlineTrainer
-from ..core.simtable import SimilarVideoTable, generate_pairs
+from ..core.simtable import MAX_PAIRS, SimilarVideoTable, generate_pairs
 from ..data.schema import UserAction
 from ..data.stream import ENGAGEMENT_ACTIONS
 from ..errors import DataError
@@ -121,7 +121,7 @@ class GetItemPairsBolt(Bolt):
     """
 
     def __init__(
-        self, history: UserHistoryStore, max_pairs: int = 20
+        self, history: UserHistoryStore, max_pairs: int = MAX_PAIRS
     ) -> None:
         self.history = history
         self.max_pairs = max_pairs

@@ -19,13 +19,14 @@ def table():
     table = SimilarVideoTable(
         videos,
         model,
-        config=SimilarityConfig(table_size=10, xi=1000.0, candidate_pool=10),
+        config=SimilarityConfig(table_size=10, xi=1000.0),
         clock=VirtualClock(0.0),
     )
     # Build a dense-ish similarity graph.
     for i in range(10):
-        for j in range(i + 1, 10):
-            table.offer_pair(f"v{i}", f"v{j}", now=0.0)
+        table.offer_pair(
+            f"v{i}", [f"v{j}" for j in range(i + 1, 10)], now=0.0
+        )
     return table
 
 

@@ -66,12 +66,10 @@ class TestSimTableEdges:
         table = SimilarVideoTable(
             videos,
             model,
-            config=SimilarityConfig(table_size=1, xi=100.0, candidate_pool=1),
+            config=SimilarityConfig(table_size=1, xi=100.0),
             clock=VirtualClock(0.0),
         )
-        table.offer_pair("v0", "v1", now=0.0)
-        table.offer_pair("v0", "v2", now=0.0)
-        table.offer_pair("v0", "v3", now=0.0)
+        table.offer_pair("v0", ["v1", "v2", "v3"], now=0.0)
         assert len(raw_entries(table, "v0")) == 1
 
 

@@ -5,8 +5,10 @@ import pytest
 from repro.clock import VirtualClock
 from repro.config import SimilarityConfig
 from repro.core import MFModel, SimilarVideoTable, generate_pairs
+from repro.core.simtable import MAX_PAIRS
 from repro.config import MFConfig
 from repro.data import Video
+from repro.kvstore import InMemoryKVStore
 from tests.support.world import raw_entries
 
 
@@ -27,7 +29,7 @@ def setup():
     table = SimilarVideoTable(
         videos,
         model,
-        config=SimilarityConfig(table_size=3, xi=100.0, candidate_pool=3),
+        config=SimilarityConfig(table_size=3, xi=100.0),
         clock=clock,
     )
     return videos, model, clock, table
@@ -47,6 +49,10 @@ class TestGeneratePairs:
         pairs = generate_pairs("new", [f"h{i}" for i in range(50)], limit=5)
         assert len(pairs) == 5
 
+    def test_default_limit_is_max_pairs(self):
+        pairs = generate_pairs("new", [f"h{i}" for i in range(50)])
+        assert len(pairs) == MAX_PAIRS
+
     def test_empty_history(self):
         assert generate_pairs("new", []) == []
 
@@ -54,24 +60,28 @@ class TestGeneratePairs:
 class TestOfferPair:
     def test_both_directions_updated(self, setup):
         videos, model, clock, table = setup
-        raw = table.offer_pair("v0", "v1", now=0.0)
+        [raw] = table.offer_pair("v0", ["v1"], now=0.0)
         assert raw is not None
         assert "v1" in dict(table.neighbors("v0"))
         assert "v0" in dict(table.neighbors("v1"))
 
     def test_self_pair_ignored(self, setup):
         _, _, _, table = setup
-        assert table.offer_pair("v0", "v0") is None
+        assert table.offer_pair("v0", ["v0"]) == [None]
+        assert table.neighbors("v0") == []
 
     def test_unknown_video_ignored(self, setup):
         _, _, _, table = setup
-        assert table.offer_pair("v0", "ghost") is None
+        assert table.offer_pair("v0", ["ghost"]) == [None]
+        assert table.offer_pair("ghost", ["v0"]) == [None]
         assert table.neighbors("v0") == []
 
     def test_video_without_vector_ignored(self, setup):
         videos, model, clock, table = setup
         videos["fresh"] = Video("fresh", "a", 50.0)
-        assert table.offer_pair("v0", "fresh") is None
+        assert table.offer_pair("v0", ["fresh"]) == [None]
+        assert table.offer_pair("fresh", ["v0"]) == [None]
+        assert table.tracked_videos() == []
 
     def test_score_pair_does_not_mutate(self, setup):
         _, _, _, table = setup
@@ -81,24 +91,72 @@ class TestOfferPair:
 
     def test_refresh_updates_timestamp(self, setup):
         videos, model, clock, table = setup
-        table.offer_pair("v0", "v1", now=0.0)
+        table.offer_pair("v0", ["v1"], now=0.0)
         stale = table.neighbors("v0", now=150.0)
-        table.offer_pair("v0", "v1", now=150.0)
+        table.offer_pair("v0", ["v1"], now=150.0)
         fresh = table.neighbors("v0", now=150.0)
         assert dict(fresh)["v1"] > dict(stale)["v1"]
+
+
+class _CountingStore(InMemoryKVStore):
+    """Records every ``(op, namespaced key)`` it serves."""
+
+    def __init__(self):
+        super().__init__()
+        self.ops = []
+
+    def get(self, key, default=None):
+        self.ops.append(("get", key))
+        return super().get(key, default)
+
+    def update(self, key, fn, default=None):
+        self.ops.append(("update", key))
+        return super().update(key, fn, default)
+
+    def mget(self, keys, default=None):
+        keys = list(keys)
+        self.ops.append(("mget", tuple(keys)))
+        return super().mget(keys, default)
+
+
+class TestOfferPairCost:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_one_arena_read_and_k_plus_one_list_updates(self, k):
+        """One engagement with ``k`` scoreable partners: one arena read,
+        one update of the new video's list and one per partner."""
+        store = _CountingStore()
+        videos = _videos()
+        model = MFModel(MFConfig(f=4, init_scale=0.5, seed=1), store=store)
+        for vid in videos:
+            model.ensure_video(vid)
+        table = SimilarVideoTable(
+            videos,
+            model,
+            config=SimilarityConfig(table_size=3, xi=100.0),
+            clock=VirtualClock(0.0),
+            store=store,
+        )
+        partners = [f"v{i}" for i in range(1, k + 1)]
+        store.ops.clear()
+        scores = table.offer_pair("v0", partners, now=0.0)
+        assert None not in scores
+        reads = [key for op, key in store.ops if op != "update"]
+        updates = [key for op, key in store.ops if op == "update"]
+        assert len(reads) == 1 and reads[0][1] == "arena:video"
+        assert updates == [("simtable", "v0")] + [
+            ("simtable", other) for other in partners
+        ]
 
 
 class TestTopKEviction:
     def test_table_bounded(self, setup):
         _, _, _, table = setup
-        for other in ("v1", "v2", "v3", "v4", "v5"):
-            table.offer_pair("v0", other, now=0.0)
+        table.offer_pair("v0", ["v1", "v2", "v3", "v4", "v5"], now=0.0)
         assert len(raw_entries(table, "v0")) == 3
 
     def test_weakest_evicted(self, setup):
         videos, model, clock, table = setup
-        for other in ("v1", "v2", "v3", "v4", "v5"):
-            table.offer_pair("v0", other, now=0.0)
+        table.offer_pair("v0", ["v1", "v2", "v3", "v4", "v5"], now=0.0)
         kept = raw_entries(table, "v0")
         all_raw = {
             other: table.score_pair("v0", other)
@@ -114,14 +172,13 @@ class TestTopKEviction:
 class TestNeighbors:
     def test_sorted_descending(self, setup):
         _, _, _, table = setup
-        for other in ("v1", "v2", "v3"):
-            table.offer_pair("v0", other, now=0.0)
+        table.offer_pair("v0", ["v1", "v2", "v3"], now=0.0)
         sims = [s for _, s in table.neighbors("v0")]
         assert sims == sorted(sims, reverse=True)
 
     def test_damping_applied_at_read_time(self, setup):
         videos, model, clock, table = setup
-        table.offer_pair("v0", "v1", now=0.0)
+        table.offer_pair("v0", ["v1"], now=0.0)
         now0 = dict(table.neighbors("v0", now=0.0)).get("v1")
         later = dict(table.neighbors("v0", now=100.0)).get("v1")
         if now0 is not None and now0 > 0:
@@ -129,8 +186,7 @@ class TestNeighbors:
 
     def test_k_limits_results(self, setup):
         _, _, _, table = setup
-        for other in ("v1", "v2", "v3"):
-            table.offer_pair("v0", other, now=0.0)
+        table.offer_pair("v0", ["v1", "v2", "v3"], now=0.0)
         assert len(table.neighbors("v0", k=1)) == 1
 
     def test_unknown_video_empty(self, setup):
@@ -139,7 +195,7 @@ class TestNeighbors:
 
     def test_clock_used_when_now_omitted(self, setup):
         videos, model, clock, table = setup
-        table.offer_pair("v0", "v1", now=0.0)
+        table.offer_pair("v0", ["v1"], now=0.0)
         at_zero = dict(table.neighbors("v0"))
         clock.advance(100.0)
         at_hundred = dict(table.neighbors("v0"))
@@ -148,7 +204,7 @@ class TestNeighbors:
 
     def test_tracked_videos(self, setup):
         _, _, _, table = setup
-        table.offer_pair("v0", "v1", now=0.0)
+        table.offer_pair("v0", ["v1"], now=0.0)
         assert set(table.tracked_videos()) == {"v0", "v1"}
         assert "v0" in table
         assert "v5" not in table

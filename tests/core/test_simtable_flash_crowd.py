@@ -46,10 +46,12 @@ def _replay_pairs(world, actions, table):
         if action.action not in ENGAGEMENT_ACTIONS:
             continue
         history = recent.setdefault(action.user_id, [])
-        for a, b in generate_pairs(action.video_id, history, limit=5):
-            table.offer_pair(a, b, now=action.timestamp)
-            timeline.setdefault(a, []).append((action.timestamp, b))
-            timeline.setdefault(b, []).append((action.timestamp, a))
+        video = action.video_id
+        partners = [b for _, b in generate_pairs(video, history, limit=5)]
+        table.offer_pair(video, partners, now=action.timestamp)
+        for b in partners:
+            timeline.setdefault(video, []).append((action.timestamp, b))
+            timeline.setdefault(b, []).append((action.timestamp, video))
         if action.video_id in history:
             history.remove(action.video_id)
         history.insert(0, action.video_id)

@@ -1,6 +1,6 @@
 """Work-count guards on the observed trainer's instrumentation.
 
-The trainer makes about 30 KV ops per action, and every one of them runs
+The trainer makes about 15 KV ops per action, and every one of them runs
 through :class:`~repro.obs.InstrumentedKVStore`.  These tests bound that
 per-event cost by counting operations, not by timing them, so they hold on
 any host: a seeded 2,000-action stream (plus 20 reads, for the batch
@@ -24,12 +24,14 @@ N_ACTIONS = 2000
 N_READS = 20
 
 #: Counter totals of the stream and the reads, recorded from the
-#: implementation that looked both children up per op and timed each op.
+#: implementation that looked both children up per op and timed each op;
+#: get/update re-recorded when ``offer_pair`` took an engagement's partners
+#: in one step (one arena read, one list update per partner plus one).
 RECORDED_TOTALS = {
     "kvstore_batch_keys_total{op=mget}": 56.0,
-    "kvstore_ops_total{op=get}": 7599.0,
+    "kvstore_ops_total{op=get}": 4565.0,
     "kvstore_ops_total{op=mget}": 20.0,
-    "kvstore_ops_total{op=update}": 14242.0,
+    "kvstore_ops_total{op=update}": 11208.0,
     "trainer_actions_total{result=skipped_zero}": 1078.0,
     "trainer_actions_total{result=updated}": 922.0,
 }

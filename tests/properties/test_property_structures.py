@@ -2,7 +2,7 @@
 hot trackers, history stores, recommendation merging and the factor arena."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clock import VirtualClock
@@ -32,9 +32,7 @@ def _table(table_size=4):
     return SimilarVideoTable(
         videos,
         model,
-        config=SimilarityConfig(
-            table_size=table_size, xi=500.0, candidate_pool=table_size
-        ),
+        config=SimilarityConfig(table_size=table_size, xi=500.0),
         clock=VirtualClock(0.0),
     )
 
@@ -49,7 +47,7 @@ class TestSimilarVideoTableProperties:
     def test_invariants_hold_under_any_pair_sequence(self, pairs):
         table = _table(table_size=4)
         for video_i, video_j, ts in sorted(pairs, key=lambda p: p[2]):
-            table.offer_pair(video_i, video_j, now=ts)
+            table.offer_pair(video_i, [video_j], now=ts)
         for video in table.tracked_videos():
             entries = raw_entries(table, video)
             # bounded
@@ -69,13 +67,79 @@ class TestSimilarVideoTableProperties:
         )
     )
     def test_symmetry_of_offer(self, pairs):
-        """offer_pair(i, j) touches both directed lists (when scoreable)."""
+        """offer_pair(i, [j]) touches both directed lists (when scoreable)."""
         table = _table(table_size=12)
         for video_i, video_j in pairs:
-            raw = table.offer_pair(video_i, video_j, now=0.0)
+            [raw] = table.offer_pair(video_i, [video_j], now=0.0)
             if raw is not None:
                 assert video_j in raw_entries(table, video_i)
                 assert video_i in raw_entries(table, video_j)
+
+
+def _pair_tables(table_size):
+    """Two empty tables over one model: v0-v7 learned, v8/v9 catalogued
+    but unlearned (no vector yet)."""
+    videos = {
+        f"v{i}": Video(f"v{i}", f"t{i % 3}", duration=100.0) for i in range(10)
+    }
+    model = MFModel(MFConfig(f=4, init_scale=0.5, seed=7))
+    for i in range(8):
+        model.ensure_video(f"v{i}")
+    config = SimilarityConfig(table_size=table_size, xi=500.0)
+    return [
+        SimilarVideoTable(videos, model, config=config, clock=VirtualClock(0.0))
+        for _ in range(2)
+    ]
+
+
+#: Catalogued ids plus one the catalogue does not know.
+pair_ids = st.sampled_from([f"v{i}" for i in range(10)] + ["ghost"])
+
+
+class TestOfferPairEqualsPerPairReplay:
+    """``offer_pair(v, partners, now)`` is the per-pair §5 path batched:
+    ``score_pair`` then ``insert_scored`` v<-j, j<-v, partner by partner.
+    Return values and every stored list (entries, order, raw bits and
+    timestamps) must match it exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                pair_ids, st.lists(pair_ids, max_size=7), st.floats(0, 2000)
+            ),
+            max_size=25,
+        ),
+        table_size=st.integers(1, 4),
+    )
+    @example(
+        steps=[
+            ("v0", ["v1", "v0", "v1", "ghost", "v8", "v2", "v3"], 5.0),
+            ("v1", ["v0", "v2", "v9"], 3.0),
+            ("ghost", ["v0"], 4.0),
+            ("v9", ["v0", "v1"], 6.0),
+        ],
+        table_size=1,
+    )
+    def test_offer_pair_equals_per_pair_replay(self, steps, table_size):
+        batched, replay = _pair_tables(table_size)
+        for video, partners, ts in steps:
+            got = batched.offer_pair(video, partners, now=ts)
+            want = []
+            for other in partners:
+                raw = replay.score_pair(video, other)
+                want.append(raw)
+                if raw is not None:
+                    replay.insert_scored(video, other, raw, ts)
+                    replay.insert_scored(other, video, raw, ts)
+            assert repr(got) == repr(want)
+        assert sorted(batched.tracked_videos()) == sorted(
+            replay.tracked_videos()
+        )
+        for video in replay.tracked_videos():
+            got_entries = list(raw_entries(batched, video).items())
+            want_entries = list(raw_entries(replay, video).items())
+            assert repr(got_entries) == repr(want_entries), video
 
 
 class TestHotTrackerProperties:

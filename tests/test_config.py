@@ -91,10 +91,6 @@ class TestSimilarityConfig:
         with pytest.raises(ConfigError):
             SimilarityConfig(beta=1.5)
 
-    def test_candidate_pool_smaller_than_table_rejected(self):
-        with pytest.raises(ConfigError):
-            SimilarityConfig(table_size=100, candidate_pool=50)
-
     def test_nonpositive_xi_rejected(self):
         with pytest.raises(ConfigError):
             SimilarityConfig(xi=0.0)

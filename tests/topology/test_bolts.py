@@ -190,7 +190,7 @@ class TestItemPairSimAndResultStorage:
         return SimilarVideoTable(
             VIDEOS,
             model,
-            config=SimilarityConfig(table_size=5, xi=100.0, candidate_pool=5),
+            config=SimilarityConfig(table_size=5, xi=100.0),
             clock=VirtualClock(0.0),
         )
 

@@ -7,7 +7,11 @@ MFStorage (the single writer of each key).  Under the deterministic
 ``LocalExecutor`` the pipeline drains between source tuples, so every
 ComputeMF step reads the parameters the previous action's MFStorage
 writes left behind — and the learned state must be byte-identical to the
-sequential trainer's, for every model variant.
+sequential trainer's, for every model variant.  The same holds for the
+similar-video tables: ``observe`` scores each engagement's partners in
+one batched ``offer_pair`` while the topology scores pair by pair
+(ItemPairSim) and stores direction by direction (ResultStorage), and
+every list must come out equal, raw score and timestamp included.
 """
 
 import pytest
@@ -18,6 +22,7 @@ from repro.core.variants import ALL_VARIANTS
 from repro.data import SyntheticWorld, WorldConfig
 from repro.storm import LocalExecutor
 from repro.topology import build_recommendation_topology
+from tests.support.world import raw_entries
 
 N_ACTIONS = 1_500
 
@@ -39,8 +44,10 @@ def _rows(model):
     return ids, vectors.tobytes(), biases.tobytes()
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.name)
-def test_topology_learns_byte_identical_parameters(world, actions, variant):
+@pytest.fixture(scope="module", params=ALL_VARIANTS, ids=lambda v: v.name)
+def trained(request, world, actions):
+    """``(production, system)`` after the same stream, one variant."""
+    variant = request.param
     production = RealtimeRecommender(
         world.videos,
         users=world.users,
@@ -58,7 +65,11 @@ def test_topology_learns_byte_identical_parameters(world, actions, variant):
         clock=VirtualClock(0.0),
     )
     LocalExecutor(topology).run()
+    return production, system
 
+
+def test_topology_learns_byte_identical_parameters(world, trained):
+    production, system = trained
     expected, learned = production.model, system.model
     assert learned.mu == expected.mu
     assert learned.n_videos == expected.n_videos > 0
@@ -71,6 +82,18 @@ def test_topology_learns_byte_identical_parameters(world, actions, variant):
         if want is not None:
             assert got.tobytes() == want.tobytes(), user_id
         assert learned.user_bias(user_id) == expected.user_bias(user_id)
+
+
+def test_topology_builds_identical_similar_lists(trained):
+    production, system = trained
+    tracked = sorted(production.table.tracked_videos())
+    assert tracked and sorted(system.table.tracked_videos()) == tracked
+    for video_id in tracked:
+        expected = raw_entries(production.table, video_id)
+        learned = raw_entries(system.table, video_id)
+        assert repr(sorted(learned.items())) == repr(
+            sorted(expected.items())
+        ), video_id
 
 
 def test_compute_mf_uses_the_systems_trainer(world):
