@@ -2,17 +2,15 @@
 
 Run:  python examples/restart_recovery.py
 
-What it shows: a serving process ingests a live action stream into a
-durable tier (log-structured KV store under a write-back cache, with a
-write-ahead log and periodic incremental checkpoints).  The WAL append is
-what acks an action; the cache holds the model's writes in memory and each
-checkpoint flushes them to the log — one record per key changed since the
-last one — before sealing it.  This script SIGKILLs that process
-mid-ingest — no shutdown hook, no flush, so every write since the last
-checkpoint dies with it — then restarts: the checkpoint rolls the store
-back to a consistent segment set, the WAL suffix replays through a fresh
-recommender, and the revived process serves exactly the same top-N as an
-uninterrupted run over the same acked prefix.
+What it shows: a serving process ingests a live action stream with its
+model in the in-memory KV store, a write-ahead log in front of it and a
+full checkpoint of the store every 100 actions.  The WAL append is what
+acks an action.  This script SIGKILLs that process mid-ingest — no
+shutdown hook, so every model write since the last checkpoint dies with
+it — then restarts: the newest checkpoint is restored into a fresh store,
+the WAL suffix replays through a fresh recommender, and the revived
+process serves exactly the same top-N as an uninterrupted run over the
+same acked prefix.
 """
 
 import os
@@ -25,7 +23,7 @@ from pathlib import Path
 from repro.core.recommender import RealtimeRecommender
 from repro.data import SyntheticWorld
 from repro.data.synthetic import WorldConfig
-from repro.kvstore import DurableKVStore, ReadThroughCache, ShardedKVStore
+from repro.kvstore import InMemoryKVStore, ShardedKVStore
 from repro.reliability import ActionWAL, CheckpointManager, RecoveryManager
 
 WORLD = dict(n_users=60, n_videos=80, n_types=5, days=3, seed=11)
@@ -33,27 +31,25 @@ KILL_AFTER = 400  # acked actions before the SIGKILL
 CHECKPOINT_EVERY = 100
 
 
-def build_tier(root: Path):
-    durable = DurableKVStore(root / "kv", fsync="interval")
-    tier = ReadThroughCache(durable, capacity=1024)
+def build_state(root: Path):
+    store = InMemoryKVStore()
     wal = ActionWAL(root / "wal", fsync=True)
     recovery = RecoveryManager(CheckpointManager(root / "ckpt"), wal)
-    return durable, tier, wal, recovery
+    return store, wal, recovery
 
 
 def ingest(root: Path) -> None:
     """Child mode: stream actions durably, ack each one, never exit cleanly."""
     world = SyntheticWorld(WorldConfig(**WORLD))
-    _, tier, wal, recovery = build_tier(root)
+    store, wal, recovery = build_state(root)
     recommender = RealtimeRecommender(
-        world.videos, enable_demographic=False, store=tier, wal=wal
+        world.videos, enable_demographic=False, store=store, wal=wal
     )
-    recovery.checkpoint(tier, incremental=True)  # baseline cut at seq 0
     for count, action in enumerate(world.generate_actions(), start=1):
         recommender.observe(action)
         print(f"ACK {count}", flush=True)
         if count % CHECKPOINT_EVERY == 0:
-            recovery.checkpoint(tier, incremental=True)
+            recovery.checkpoint(store)
 
 
 def main() -> None:
@@ -82,11 +78,11 @@ def main() -> None:
 
     # ---- Restart: recover from the surviving files ---------------------
     world = SyntheticWorld(WorldConfig(**WORLD))
-    durable, tier, wal, recovery = build_tier(root)
+    store, wal, recovery = build_state(root)
     recovered = RealtimeRecommender(
-        world.videos, enable_demographic=False, store=tier, wal=wal
+        world.videos, enable_demographic=False, store=store, wal=wal
     )
-    report = recovery.recover(tier, recovered.observe)
+    report = recovery.recover(store, recovered.observe)
     print(
         f"recovered: checkpoint seq={report.checkpoint.wal_seq if report.checkpoint else '-'}, "
         f"replayed {report.replayed} WAL records, last seq {report.last_seq}"
@@ -110,7 +106,6 @@ def main() -> None:
         match = "ok" if got == want else "MISMATCH"
         print(f"  {user}: {got} [{match}]")
         assert got == want, f"top-N diverged for {user}"
-    durable.close()
     print(f"\nall {len(users)} users serve identical top-5 after the crash.")
 
 

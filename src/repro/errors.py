@@ -16,40 +16,12 @@ class ConfigError(ReproError):
     """A configuration value is out of its documented range."""
 
 
-class KVStoreError(ReproError):
-    """Base class for key-value store failures."""
-
-
-class DurableStoreError(KVStoreError):
-    """The durable log-structured store hit an unrecoverable disk problem."""
-
-
-class CorruptSegmentError(DurableStoreError):
-    """A sealed segment record failed its checksum (real corruption, not a
-    crash artifact — torn tails in the active segment are truncated, never
-    raised)."""
-
-    def __init__(self, segment: str, offset: int, reason: str) -> None:
-        super().__init__(
-            f"corrupt record in segment {segment} at offset {offset}: {reason}"
-        )
-        self.segment = segment
-        self.offset = offset
-        self.reason = reason
-
-
 class ReliabilityError(ReproError):
     """Base class for checkpoint / write-ahead-log / recovery failures."""
 
 
 class CheckpointError(ReliabilityError):
     """A checkpoint could not be written, validated, or restored."""
-
-
-class StaleCheckpointError(CheckpointError):
-    """An incremental checkpoint references segment files that no longer
-    exist (compaction ran after it was taken).  Recovery falls back to a
-    full WAL replay — the log still holds every acked action."""
 
 
 class WALError(ReliabilityError):

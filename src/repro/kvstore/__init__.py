@@ -1,22 +1,13 @@
-"""Key-value storage substrate: in-memory tiers plus a durable log.
+"""Key-value storage substrate: the in-memory store the model lives in.
 
 Stands in for the paper's "distributed memory-based key-value storage"
-(§5.1).  See :mod:`repro.kvstore.store` for the interface,
-:mod:`repro.kvstore.sharded` for the sharded variant,
-:mod:`repro.kvstore.cache` for the per-worker write-back cache (§5.1's
-cache + combiner), and :mod:`repro.kvstore.durable` for the log-structured
-persistent tier that sits under the cache hierarchy.
+(§5.1).  See :mod:`repro.kvstore.store` for the interface and the
+single-shard store, :mod:`repro.kvstore.sharded` for the sharded variant
+and :mod:`repro.kvstore.namespace` for prefixed views.  Persistence is not
+a store: the write-ahead log and full checkpoints in
+:mod:`repro.reliability` make any of these stores recoverable.
 """
 
-from .cache import ReadThroughCache
-from .durable import (
-    CompactionReport,
-    DurableKVStore,
-    FSYNC_POLICIES,
-    drop_caches,
-    flush_caches,
-    unwrap_durable,
-)
 from .namespace import Namespace
 from .sharded import ShardedKVStore
 from .store import EntrySnapshot, InMemoryKVStore, Key, KVStore
@@ -27,12 +18,5 @@ __all__ = [
     "EntrySnapshot",
     "InMemoryKVStore",
     "ShardedKVStore",
-    "DurableKVStore",
-    "CompactionReport",
-    "FSYNC_POLICIES",
-    "unwrap_durable",
-    "flush_caches",
-    "drop_caches",
     "Namespace",
-    "ReadThroughCache",
 ]

@@ -16,8 +16,8 @@ single-writer (§5.1–5.2), so the one read-modify-write the system needs is
 lock.
 
 Values are stored by reference; callers that mutate values in place (numpy
-vectors) must write them back with :meth:`put` so every tier — caches,
-the durable log — sees the change.
+vectors) must write them back with :meth:`put` so every wrapper — metrics,
+fault injection — sees the change.
 """
 
 from __future__ import annotations
@@ -123,7 +123,12 @@ class KVStore(ABC):
         return [EntrySnapshot(key, value) for key, value in self.items()]
 
     def restore_entries(self, entries: Iterable[EntrySnapshot]) -> int:
-        """Load snapshot entries into this store; return how many."""
+        """Replace this store's contents with snapshot entries; return how
+        many were loaded.  Keys the snapshot does not hold are deleted, so
+        restoring a checkpoint rolls the store back to it, and restoring
+        no entries empties the store."""
+        for key in list(self.keys()):
+            self.delete(key)
         count = 0
         for entry in entries:
             self.put(entry.key, entry.value)
@@ -189,3 +194,11 @@ class InMemoryKVStore(KVStore):
         """All entries captured under one lock acquisition."""
         with self._lock:
             return [EntrySnapshot(key, value) for key, value in self._data.items()]
+
+    def restore_entries(self, entries: Iterable[EntrySnapshot]) -> int:
+        """Replace every entry under one lock acquisition."""
+        loaded = [(entry.key, entry.value) for entry in entries]
+        with self._lock:
+            self._data.clear()
+            self._data.update(loaded)
+        return len(loaded)

@@ -37,8 +37,7 @@ class InstrumentedKVStore(KVStore):
     Purely additive: every call forwards to ``inner`` with identical
     semantics, so it can wrap :class:`~repro.kvstore.InMemoryKVStore`,
     :class:`~repro.kvstore.ShardedKVStore`, or another wrapper (e.g. a
-    :class:`~repro.kvstore.ReadThroughCache` over the durable log)
-    without behavioural change.
+    :class:`~repro.kvstore.Namespace`) without behavioural change.
     """
 
     def __init__(

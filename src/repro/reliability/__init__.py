@@ -23,12 +23,7 @@ chaos/recovery test suites live in ``tests/reliability`` and
 ``tests/overload``, their seeded fault injection in ``tests/support``.
 """
 
-from .checkpoint import (
-    KIND_FULL,
-    KIND_SEGMENTS,
-    CheckpointInfo,
-    CheckpointManager,
-)
+from .checkpoint import CheckpointInfo, CheckpointManager
 from .overload import (
     AdmissionController,
     AdmissionDecision,
@@ -44,8 +39,6 @@ from .wal import ActionWAL
 __all__ = [
     "CheckpointManager",
     "CheckpointInfo",
-    "KIND_FULL",
-    "KIND_SEGMENTS",
     "ActionWAL",
     "RecoveryManager",
     "RecoveryReport",

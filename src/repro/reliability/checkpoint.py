@@ -12,9 +12,9 @@ On-disk layout (all under the manager's root directory)::
 
     ckpt-00000001/
         entries.pkl     # pickled list of EntrySnapshot records
-        manifest.json   # format, id, wal_seq, entry count, sha256 of entries.pkl
+        manifest.json   # format, kind, id, wal_seq, entry count,
+                        # sha256 of entries.pkl
     ckpt-00000002/
-        manifest.json   # incremental: references sealed durable segments
     ...
 
 A checkpoint is *atomic by construction*: entries are written into a
@@ -25,20 +25,12 @@ restore ignores; a manifest whose ``format`` this build does not know, or
 whose checksum does not match its payload, is rejected with
 :class:`~repro.errors.CheckpointError`.
 
-Two checkpoint kinds share that protocol:
-
-* ``kind="full"`` (:meth:`CheckpointManager.create`) — every live entry
-  pickled into ``entries.pkl``; restores into any store.
-* ``kind="segments"`` (:meth:`CheckpointManager.create_incremental`) —
-  for a :class:`~repro.kvstore.durable.DurableKVStore`-backed tier, the
-  write-back caches above the log are flushed and the manifest just
-  *references* the sealed segment files (name + size) that then hold the
-  state durably, so checkpoint cost is O(dirty keys) instead of
-  O(dataset).  Restore rolls the durable store back to exactly that
-  segment set (deleting newer segments) and drops any caches layered above
-  it.  Compaction deletes referenced segments, so older incremental
-  checkpoints go stale — :class:`~repro.errors.StaleCheckpointError` tells
-  recovery to fall back to a full WAL replay.
+Every checkpoint is ``kind="full"``: every live entry pickled into
+``entries.pkl``, restorable into any store, and a restore *replaces* the
+store's contents.  Older builds also wrote ``kind="segments"`` manifests
+that referenced the files of a log-structured store tier; those hold no
+entries, so :meth:`CheckpointManager.list` skips them and recovery from
+such a data directory replays the whole write-ahead log instead.
 
 Values are serialised with :mod:`pickle` — checkpoints are trusted local
 state written and read by the same process family, and the stored values
@@ -56,23 +48,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from ..errors import CheckpointError, DurableStoreError, StaleCheckpointError
-from ..kvstore import EntrySnapshot, KVStore, drop_caches, flush_caches, unwrap_durable
+from ..errors import CheckpointError
+from ..kvstore import EntrySnapshot, KVStore
 
 _PREFIX = "ckpt-"
 _TMP_PREFIX = "tmp-"
 _ENTRIES_FILE = "entries.pkl"
 _MANIFEST_FILE = "manifest.json"
 _FORMAT_VERSION = 1
-
-KIND_FULL = "full"
-KIND_SEGMENTS = "segments"
-
-
-def _segments_digest(segments: list[dict]) -> str:
-    """Canonical checksum over an incremental checkpoint's segment list."""
-    canonical = json.dumps(segments, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(canonical).hexdigest()
+_KIND_FULL = "full"
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,15 +75,10 @@ class CheckpointInfo:
     n_entries: int
     created_at: float
     metadata: Mapping[str, object] = field(default_factory=dict)
-    kind: str = KIND_FULL
 
     @property
     def name(self) -> str:
         return f"{_PREFIX}{self.checkpoint_id:08d}"
-
-    @property
-    def incremental(self) -> bool:
-        return self.kind == KIND_SEGMENTS
 
 
 class CheckpointManager:
@@ -152,7 +131,7 @@ class CheckpointManager:
             self._write_file(staging / _ENTRIES_FILE, payload)
             manifest = {
                 "format": _FORMAT_VERSION,
-                "kind": KIND_FULL,
+                "kind": _KIND_FULL,
                 "checkpoint_id": checkpoint_id,
                 "wal_seq": wal_seq,
                 "n_entries": len(entries),
@@ -177,77 +156,6 @@ class CheckpointManager:
             n_entries=len(entries),
             created_at=created_at,
             metadata=metadata,
-            kind=KIND_FULL,
-        )
-
-    def create_incremental(
-        self,
-        store: KVStore,
-        wal_seq: int = 0,
-        created_at: float = 0.0,
-        metadata: Mapping[str, object] | None = None,
-    ) -> CheckpointInfo:
-        """Checkpoint a durable-backed store by *referencing* its segments.
-
-        ``store`` must be (or wrap) a
-        :class:`~repro.kvstore.durable.DurableKVStore`.  Caches above it
-        are flushed and the active segment sealed first, so the referenced
-        files hold every write so far, immutable and fsynced; the manifest
-        records their names and sizes plus a checksum over that list.  Cost
-        follows the keys written since the last checkpoint, not the dataset.
-        """
-        durable = unwrap_durable(store)
-        if durable is None:
-            raise CheckpointError(
-                "incremental checkpoints need a DurableKVStore backing tier "
-                f"(got {type(store).__name__})"
-            )
-        checkpoint_id = self._next_id()
-        metadata = dict(metadata or {})
-        # Only once the write-back caches above the log are flushed do the
-        # sealed segments hold "all actions up to ``wal_seq``".
-        flush_caches(store)
-        durable.seal_active()
-        segments = [
-            {"name": name, "bytes": size}
-            for name, size in durable.sealed_segments()
-        ]
-        n_entries = len(durable)
-
-        staging = self.root / f"{_TMP_PREFIX}{checkpoint_id:08d}"
-        if staging.exists():
-            shutil.rmtree(staging)
-        staging.mkdir(parents=True)
-        try:
-            manifest = {
-                "format": _FORMAT_VERSION,
-                "kind": KIND_SEGMENTS,
-                "checkpoint_id": checkpoint_id,
-                "wal_seq": wal_seq,
-                "n_entries": n_entries,
-                "created_at": created_at,
-                "segments": segments,
-                "sha256": _segments_digest(segments),
-                "metadata": metadata,
-            }
-            self._write_file(
-                staging / _MANIFEST_FILE,
-                json.dumps(manifest, indent=2).encode("utf-8"),
-            )
-            final = self.root / f"{_PREFIX}{checkpoint_id:08d}"
-            os.rename(staging, final)
-        except OSError as exc:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise CheckpointError(f"failed to write checkpoint: {exc}") from exc
-        self._prune()
-        return CheckpointInfo(
-            checkpoint_id=checkpoint_id,
-            path=str(final),
-            wal_seq=wal_seq,
-            n_entries=n_entries,
-            created_at=created_at,
-            metadata=metadata,
-            kind=KIND_SEGMENTS,
         )
 
     def _write_file(self, path: Path, data: bytes) -> None:
@@ -262,8 +170,10 @@ class CheckpointManager:
     # ------------------------------------------------------------------
 
     def list(self) -> list[CheckpointInfo]:
-        """Completed checkpoints, oldest first.  Torn ``tmp-*`` directories
-        and directories without a manifest are skipped silently."""
+        """Completed full checkpoints, oldest first.  Torn ``tmp-*``
+        directories, directories without a manifest and manifests of
+        another kind (an older build's ``kind="segments"``) are skipped
+        silently."""
         infos: list[CheckpointInfo] = []
         for path in sorted(self.root.iterdir()):
             if not path.is_dir() or not path.name.startswith(_PREFIX):
@@ -275,6 +185,8 @@ class CheckpointManager:
                 manifest = json.loads(manifest_path.read_text())
             except (OSError, json.JSONDecodeError):
                 continue
+            if manifest.get("kind", _KIND_FULL) != _KIND_FULL:
+                continue
             infos.append(
                 CheckpointInfo(
                     checkpoint_id=int(manifest["checkpoint_id"]),
@@ -283,7 +195,6 @@ class CheckpointManager:
                     n_entries=int(manifest["n_entries"]),
                     created_at=float(manifest["created_at"]),
                     metadata=dict(manifest.get("metadata", {})),
-                    kind=str(manifest.get("kind", KIND_FULL)),
                 )
             )
         infos.sort(key=lambda info: info.checkpoint_id)
@@ -295,24 +206,26 @@ class CheckpointManager:
         return infos[-1] if infos else None
 
     def _next_id(self) -> int:
-        existing = [info.checkpoint_id for info in self.list()]
-        return (max(existing) + 1) if existing else 1
+        # Every ``ckpt-*`` name counts, restorable or not, so a new
+        # checkpoint never collides with a directory an older build left.
+        ids = [
+            int(path.name[len(_PREFIX) :])
+            for path in self.root.glob(f"{_PREFIX}*")
+            if path.name[len(_PREFIX) :].isdigit()
+        ]
+        return max(ids, default=0) + 1
 
     # ------------------------------------------------------------------
     # Restoring
     # ------------------------------------------------------------------
 
     def restore(self, info: CheckpointInfo, store: KVStore) -> int:
-        """Load checkpoint ``info`` into ``store``; return entries loaded.
+        """Replace ``store``'s contents with checkpoint ``info``; return
+        entries loaded.
 
         Verifies the manifest's format number and the payload checksum
         before touching the store, so an unknown or corrupt checkpoint
-        never half-loads.  Incremental
-        (``kind="segments"``) checkpoints restore by rolling the durable
-        backing tier back to the referenced segment set; a referenced
-        segment that is missing or resized (compaction ran after the
-        checkpoint) raises :class:`~repro.errors.StaleCheckpointError`
-        with the store untouched.
+        never half-loads.
         """
         path = Path(info.path)
         manifest_path = path / _MANIFEST_FILE
@@ -327,8 +240,6 @@ class CheckpointManager:
                 f"checkpoint {info.name} has unknown format "
                 f"{manifest.get('format')!r} (this build reads {_FORMAT_VERSION})"
             )
-        if manifest.get("kind", KIND_FULL) == KIND_SEGMENTS:
-            return self._restore_segments(info, manifest, store)
 
         entries_path = path / _ENTRIES_FILE
         try:
@@ -344,52 +255,6 @@ class CheckpointManager:
             )
         entries: list[EntrySnapshot] = pickle.loads(payload)
         return store.restore_entries(entries)
-
-    def _restore_segments(
-        self, info: CheckpointInfo, manifest: dict, store: KVStore
-    ) -> int:
-        segments = list(manifest.get("segments", []))
-        if _segments_digest(segments) != manifest["sha256"]:
-            raise CheckpointError(
-                f"checkpoint {info.name} corrupt: segment-list checksum mismatch"
-            )
-        durable = unwrap_durable(store)
-        if durable is None:
-            raise CheckpointError(
-                f"checkpoint {info.name} is incremental but the target store "
-                f"({type(store).__name__}) has no DurableKVStore backing tier"
-            )
-        # Verify the referenced files before touching any state: sealed
-        # segments are immutable, so a size mismatch means the file is not
-        # the one the checkpoint saw (and a missing one means compaction
-        # removed it after the checkpoint was taken).
-        problems = []
-        for segment in segments:
-            seg_path = durable.root / str(segment["name"])
-            if not seg_path.is_file():
-                problems.append(f"{segment['name']} missing")
-            elif seg_path.stat().st_size != int(segment["bytes"]):
-                problems.append(
-                    f"{segment['name']} is {seg_path.stat().st_size} bytes, "
-                    f"expected {segment['bytes']}"
-                )
-        if problems:
-            raise StaleCheckpointError(
-                f"checkpoint {info.name} references segments that no longer "
-                f"match: {'; '.join(problems)}"
-            )
-        try:
-            count = durable.restore_to_segments(
-                [str(segment["name"]) for segment in segments]
-            )
-        except DurableStoreError as exc:
-            raise StaleCheckpointError(
-                f"checkpoint {info.name} could not be restored: {exc}"
-            ) from exc
-        # Layers above the durable tier may hold values from before the
-        # rollback; make them re-read through.
-        drop_caches(store)
-        return count
 
     def restore_latest(self, store: KVStore) -> CheckpointInfo | None:
         """Restore the newest checkpoint into ``store``.

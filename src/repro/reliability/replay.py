@@ -1,15 +1,14 @@
 """Crash recovery: restore the last checkpoint, replay the WAL tail.
 
 **The WAL is the durability point.**  Every action is WAL-appended before
-it mutates model state, and that append is what acks it; the KV store is a
-materialised view of the log, guaranteed right only at a checkpoint (where
-the write-back cache above the durable tier is flushed).  So recovery
-never trusts what the store holds *now*: it rolls it back to the last
-checkpoint — or empties it when there is none — and replays exactly the
-actions logged after it.  An action whose crash interrupted its
-(non-atomic) application is replayed in full against the *checkpoint*
-state, so no partial update survives; checkpoints are only taken between
-actions, so none captures a partial one either.
+it mutates model state, and that append is what acks it; the in-memory KV
+store is a materialised view of the log, written to disk only as a full
+checkpoint.  So recovery never trusts what the store holds *now*: it
+rolls it back to the last checkpoint — or empties it when there is none —
+and replays exactly the actions logged after it.  An action whose crash
+interrupted its (non-atomic) application is replayed in full against the
+*checkpoint* state, so no partial update survives; checkpoints are only
+taken between actions, so none captures a partial one either.
 
 The checkpoint restores what lives in the KV store: MF vectors and biases,
 the ``mu`` accumulator, user histories, similar-video tables.  Model state
@@ -24,8 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..data.schema import UserAction
-from ..errors import StaleCheckpointError
-from ..kvstore import KVStore, drop_caches, unwrap_durable
+from ..kvstore import KVStore
 from .checkpoint import CheckpointInfo, CheckpointManager
 from .wal import ActionWAL
 
@@ -37,7 +35,6 @@ class RecoveryReport:
     checkpoint: CheckpointInfo | None
     replayed: int
     last_seq: int
-    stale_checkpoint: bool = False
 
 
 class RecoveryManager:
@@ -53,27 +50,17 @@ class RecoveryManager:
         self.wal = wal
 
     def checkpoint(
-        self,
-        store: KVStore,
-        created_at: float = 0.0,
-        incremental: bool = False,
+        self, store: KVStore, created_at: float = 0.0
     ) -> CheckpointInfo:
-        """Snapshot ``store`` tagged with the WAL's current position.
+        """Snapshot ``store`` in full, tagged with the WAL's current position.
 
         Call between actions (never mid-action): the snapshot must be a
         consistent cut of the store that corresponds exactly to "all
-        actions up to ``wal.last_seq`` applied".  With ``incremental=True``
-        the store must wrap a :class:`~repro.kvstore.durable.DurableKVStore`;
-        the caches above it are flushed and the checkpoint only
-        *references* the sealed segments — cost follows the keys written
-        since the last checkpoint, not the dataset.
+        actions up to ``wal.last_seq`` applied".
         """
-        create = (
-            self.checkpoints.create_incremental
-            if incremental
-            else self.checkpoints.create
+        return self.checkpoints.create(
+            store, wal_seq=self.wal.last_seq, created_at=created_at
         )
-        return create(store, wal_seq=self.wal.last_seq, created_at=created_at)
 
     def recover(
         self,
@@ -93,23 +80,16 @@ class RecoveryManager:
         ``apply`` every later one, in one pass in log order — time-decayed
         hot lists end up exactly as an uninterrupted run left them.
 
-        With nothing to restore — no checkpoint yet (a crash during the
-        first boot) or a stale incremental one (compaction deleted a
-        referenced segment) — the durable tier holds an unknown prefix of
-        the log, so it is cleared and the whole WAL (every acked action
-        from sequence 1) is replayed.
+        Restoring a checkpoint replaces ``store``'s contents.  With nothing
+        to restore — no checkpoint yet (a crash during the first boot), or
+        only an older build's ``kind="segments"`` ones — the store is
+        emptied and the whole WAL (every acked action from sequence 1) is
+        replayed; no WAL segment is ever truncated, so that is the full
+        history.
         """
-        stale = False
-        try:
-            info = self.checkpoints.restore_latest(store)
-        except StaleCheckpointError:
-            stale = True
-            info = None
+        info = self.checkpoints.restore_latest(store)
         if info is None:
-            durable = unwrap_durable(store)
-            if durable is not None:
-                durable.clear()
-            drop_caches(store)
+            store.restore_entries(())
         after_seq = info.wal_seq if info is not None else 0
         replayed = 0
         last_seq = after_seq
@@ -126,5 +106,4 @@ class RecoveryManager:
             checkpoint=info,
             replayed=replayed,
             last_seq=last_seq,
-            stale_checkpoint=stale,
         )

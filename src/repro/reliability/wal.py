@@ -15,10 +15,13 @@ the same format the :class:`~repro.topology.spout.ActionSpout` parses.
 
 Segments are named ``wal-<first_seq>.log`` and rotated once they reach
 ``segment_max_records`` records, so replay after a checkpoint can skip
-whole segments by filename.  A torn final line (crash mid-append) is
-detected and ignored during replay; corruption anywhere *before* the tail
-raises :class:`~repro.errors.WALError`, because silently skipping interior
-records would break at-least-once recovery.
+whole segments by filename.  A record is whole once its newline is on
+disk.  A torn final record (crash mid-append) is cut off the newest
+segment when the log is opened — otherwise the next append would bury it
+inside the log — and ignored by a replay that meets it; corruption
+anywhere *before* the tail raises :class:`~repro.errors.WALError`,
+because silently skipping interior records would break at-least-once
+recovery.
 """
 
 from __future__ import annotations
@@ -43,6 +46,13 @@ def _segment_name(first_seq: int) -> str:
 def _segment_first_seq(path: Path) -> int:
     stem = path.name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
     return int(stem)
+
+
+def _parse_record(line: str) -> tuple[int, UserAction]:
+    """``(seq, action)`` of one record line (no newline); raises
+    ``ValueError`` or :class:`~repro.errors.DataError` when malformed."""
+    seq_str, payload = line.split("\t", 1)
+    return int(seq_str), UserAction.from_log_line(payload)
 
 
 class ActionWAL:
@@ -208,9 +218,7 @@ class ActionWAL:
                     continue
                 last_line = last_segment and l_idx >= len(lines) - 2
                 try:
-                    seq_str, payload = line.split("\t", 1)
-                    seq = int(seq_str)
-                    action = UserAction.from_log_line(payload)
+                    seq, action = _parse_record(line)
                 except (ValueError, DataError) as exc:
                     if last_line:
                         return  # torn tail from a crash mid-append
@@ -227,16 +235,37 @@ class ActionWAL:
                     yield seq, action
 
     def _scan_last_seq(self) -> int:
-        """Recover the append position from the newest segment on open."""
+        """Recover the append position from the newest segment on open,
+        after cutting a torn final record off it."""
         segments = self.segments()
         if not segments:
             return 0
+        newest = segments[-1]
+        self._truncate_torn_tail(newest)
         last = 0
-        for seq, _ in self.replay(
-            after_seq=max(0, _segment_first_seq(segments[-1]) - 1)
-        ):
+        before_newest = max(0, _segment_first_seq(newest) - 1)
+        for seq, _ in self.replay(after_seq=before_newest):
             last = seq
-        if last == 0:
-            # Newest segment held only a torn record; fall back to its name.
-            last = max(0, _segment_first_seq(segments[-1]) - 1)
-        return last
+        # An empty newest segment: the append position comes from its name.
+        return last or before_newest
+
+    def _truncate_torn_tail(self, path: Path) -> None:
+        """Cut the last record off ``path`` if it lacks its newline or does
+        not parse.  Left in place, the torn bytes become interior once the
+        next append opens a new segment (a fatal :class:`WALError` on the
+        following open), or the next record is glued onto them when this
+        segment is reused."""
+        data = path.read_bytes()
+        keep = data.rfind(b"\n") + 1
+        if keep == len(data) and data:
+            start = data.rfind(b"\n", 0, len(data) - 1) + 1
+            try:
+                _parse_record(data[start:-1].decode("utf-8"))
+            except (ValueError, DataError):
+                keep = start
+        if keep == len(data):
+            return
+        with open(path, "r+b") as handle:
+            handle.truncate(keep)
+            if self.fsync:
+                os.fsync(handle.fileno())

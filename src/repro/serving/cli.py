@@ -12,10 +12,10 @@ for demos, smoke tests, and poking the endpoints with curl::
 
 With ``--data-dir`` the model plane becomes durable: every observed
 action hits a write-ahead log first (that append is the durability
-point), the KV store is a :class:`~repro.kvstore.durable.DurableKVStore`
-under a write-back cache that is flushed at checkpoints, and on boot the
-process recovers checkpoint + WAL tail instead of retraining — kill it
-and restart it and it serves the same recommendations.
+point), the model itself stays in the in-memory KV store, the first boot
+is sealed with a full checkpoint of it, and on boot the process recovers
+checkpoint + WAL tail instead of retraining — kill it and restart it and
+it serves the same recommendations.
 
 Everything is stdlib + numpy; the process serves until interrupted.
 """
@@ -33,7 +33,7 @@ from ..core import RealtimeRecommender
 from ..data import SyntheticWorld
 from ..data.synthetic import paper_world_config
 from ..config import ReproConfig, RetrievalConfig
-from ..kvstore import FSYNC_POLICIES, DurableKVStore, ReadThroughCache
+from ..kvstore import InMemoryKVStore
 from ..obs import Observability
 from ..reliability import ActionWAL, CheckpointManager, RecoveryManager
 from ..reliability.overload import AdmissionController, CircuitBreaker
@@ -41,6 +41,13 @@ from .gateway import GatewayConfig, ServingGateway
 from .router import RequestRouter
 
 __all__ = ["build_demo_gateway", "main"]
+
+#: ``--fsync`` policies for ``--data-dir`` writes.
+FSYNC_POLICIES = {
+    "always": "fsync each WAL append and each checkpoint",
+    "interval": "flush each WAL append to the OS, fsync checkpoints",
+    "never": "no fsync",
+}
 
 
 def build_demo_gateway(
@@ -56,11 +63,11 @@ def build_demo_gateway(
 ) -> ServingGateway:
     """A fully-wired gateway over a freshly trained synthetic recommender.
 
-    With ``data_dir`` the recommender's store is a durable tier
-    (``<data_dir>/kv``) under a write-back cache, actions are WAL-logged
-    (``<data_dir>/wal``), and boot first attempts checkpoint-restore + WAL
-    replay; only a state-less data dir triggers the synthetic training
-    pass, which is then flushed and sealed with an incremental checkpoint.
+    With ``data_dir`` actions are WAL-logged (``<data_dir>/wal``) and
+    boot first attempts checkpoint-restore (``<data_dir>/ckpt``) + WAL
+    replay into the in-memory store; only a state-less data dir triggers
+    the synthetic training pass, which is then sealed with a full
+    checkpoint.  ``fsync`` is one of :data:`FSYNC_POLICIES`.
     """
     world = SyntheticWorld(
         paper_world_config(seed=seed, n_users=n_users, n_videos=n_videos)
@@ -68,11 +75,12 @@ def build_demo_gateway(
     obs = Observability.create()
     store = wal = recovery = None
     if data_dir is not None:
+        if fsync not in FSYNC_POLICIES:
+            raise ValueError(
+                f"fsync must be one of {sorted(FSYNC_POLICIES)}, got {fsync!r}"
+            )
         data_root = Path(data_dir)
-        durable = DurableKVStore(
-            data_root / "kv", fsync=fsync, registry=obs.registry
-        )
-        store = ReadThroughCache(durable, capacity=4096)
+        store = InMemoryKVStore()
         wal = ActionWAL(data_root / "wal", fsync=(fsync == "always"))
         recovery = RecoveryManager(
             CheckpointManager(data_root / "ckpt", fsync=(fsync != "never")),
@@ -118,7 +126,7 @@ def build_demo_gateway(
         for action in actions:
             fallback.observe(action)
         if recovery is not None and store is not None:
-            recovery.checkpoint(store, incremental=True)
+            recovery.checkpoint(store)
     # Seal the boot path for factor-scan retrieval: whether the factors
     # came from training or checkpoint+WAL recovery, the scan's mirror is
     # rebuilt from the arena so it serves the exact same catalog.
@@ -212,14 +220,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--data-dir",
         default=None,
-        help="persist model state here (durable KV + WAL + checkpoints); "
+        help="persist model state here (WAL + full checkpoints); "
         "a restart recovers instead of retraining",
     )
     parser.add_argument(
         "--fsync",
         choices=list(FSYNC_POLICIES),
         default="interval",
-        help="durability policy for --data-dir writes",
+        help="durability policy for --data-dir writes: "
+        + "; ".join(f"{name}: {what}" for name, what in FSYNC_POLICIES.items()),
     )
     parser.add_argument(
         "--retrieval",

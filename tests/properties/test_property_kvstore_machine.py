@@ -4,14 +4,15 @@ One hypothesis state machine drives the whole :class:`~repro.kvstore.KVStore`
 contract (``get`` / ``put`` / ``delete`` / ``update`` / ``setdefault`` /
 ``mget`` / ``mput`` / membership / ``len`` / ``keys`` / ``items`` /
 ``snapshot_entries`` → ``restore_entries``) against a dict, and after every
-step compares the full contents.  It runs over the three base stores, a
-pair of namespaces sharing one store (isolation), a small write-back cache
-over memory, and the two stacks ``repro-serve`` actually builds:
-instrumentation over memory, and instrumentation over a small write-back
-cache over the durable log — the durable ones also compact and close →
-reopen mid-sequence, the cached ones also ``flush``.  Both caches hold three
-entries, so unflushed writes are evicted, re-read, deleted and compacted
-under across rules: none may be lost and none resurrected.
+step compares the full contents.  It runs over the two base stores, a pair
+of namespaces sharing one store (isolation), and the stack ``repro-serve``
+builds: instrumentation over memory.
+
+A second machine drives the persistence path — the write-ahead log plus
+full checkpoints — through appends, checkpoints, crashes that tear the
+log's tail and leave a half-applied action in the store, reopens and
+recoveries: the recovered store must equal a scalar replay of the acked
+prefix, and the log's ``last_seq`` never goes backwards.
 
 Tier-1 draws the ``deterministic`` profile (``tests/conftest.py``); the
 scheduled ``explore`` CI job runs ``tests/properties`` with fresh draws.
@@ -32,13 +33,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.kvstore import (
-    DurableKVStore,
-    InMemoryKVStore,
-    Namespace,
-    ReadThroughCache,
-    ShardedKVStore,
-)
+from repro.data.schema import ActionType, UserAction
+from repro.kvstore import InMemoryKVStore, Namespace, ShardedKVStore
+from repro.reliability import ActionWAL, CheckpointManager, RecoveryManager
 from tests.support.obs import deterministic_obs
 
 _ABSENT = "<absent>"
@@ -53,44 +50,17 @@ values = st.one_of(
 views = st.integers(min_value=0, max_value=1)
 
 
-def _cache_under(store) -> ReadThroughCache | None:
-    """The write-back cache in a view's wrapper chain, if it has one."""
-    while store is not None and not isinstance(store, ReadThroughCache):
-        store = getattr(store, "inner", None)
-    return store
-
-
-def _durable(root: Path) -> DurableKVStore:
-    # Tiny segments and compaction thresholds: a 25-step run rotates
-    # segments and auto-compacts, not just appends to one file.
-    return DurableKVStore(
-        root,
-        fsync="never",
-        segment_max_bytes=256,
-        compact_min_bytes=512,
-        compact_min_dead_ratio=0.5,
-    )
-
-
 class KVStoreMachine(RuleBasedStateMachine):
-    """Subclasses say what to build; ``build(root)`` returns the store views
-    under test (one, or two that must stay isolated) and the durable log
-    beneath them, if any."""
+    """Subclasses say what to build; ``build()`` returns the store views
+    under test (one, or two that must stay isolated)."""
 
-    def build(self, root: Path):
+    def build(self):
         raise NotImplementedError
 
     def __init__(self) -> None:
         super().__init__()
-        self.root = Path(tempfile.mkdtemp(prefix="kv-machine-"))
-        self.fresh_count = 0
-        self.views, self.durable = self.build(self.root / "store")
+        self.views = self.build()
         self.models: list[dict] = [{} for _ in self.views]
-
-    def teardown(self) -> None:
-        if self.durable is not None:
-            self.durable.close()
-        shutil.rmtree(self.root, ignore_errors=True)
 
     def _pick(self, view: int):
         index = view % len(self.views)
@@ -164,62 +134,24 @@ class KVStoreMachine(RuleBasedStateMachine):
     def snapshot_restores_into_a_fresh_store(self, view):
         store, model = self._pick(view)
         entries = store.snapshot_entries()
-        self.fresh_count += 1
-        fresh_views, fresh_durable = self.build(
-            self.root / f"fresh-{self.fresh_count}"
-        )
-        try:
-            fresh = fresh_views[view % len(fresh_views)]
-            assert fresh.restore_entries(entries) == len(model)
-            assert dict(fresh.items()) == model
-        finally:
-            if fresh_durable is not None:
-                fresh_durable.close()
+        fresh = self.build()[view % len(self.views)]
+        assert fresh.restore_entries(entries) == len(model)
+        assert dict(fresh.items()) == model
 
-    # -- write-back caches only ---------------------------------------------
-
-    @precondition(lambda self: _cache_under(self.views[0]) is not None)
-    @rule()
-    def flush(self):
-        """After a flush the *backing* store alone holds the dict."""
-        cache = _cache_under(self.views[0])
-        cache.flush()
-        assert {
-            entry.key: entry.value
-            for entry in cache.backing.snapshot_entries()
-        } == self.models[0]
-        assert cache.flush() == 0
-
-    # -- durable log only --------------------------------------------------
-
-    @precondition(lambda self: self.durable is not None)
-    @rule()
-    def compact(self):
-        report = self.durable.compact()
-        assert report.live_records == len(self.durable)
-
-    @precondition(lambda self: self.durable is not None)
-    @rule()
-    def close_and_reopen(self):
-        """A clean shutdown: what a cache has not flushed is flushed first
-        (a crash instead loses it — that is the WAL's job, not the store's)."""
-        cache = _cache_under(self.views[0])
-        if cache is not None:
-            cache.flush()
-        self.durable.close()
-        self.views, self.durable = self.build(self.root / "store")
+    @rule(view=views, items=st.lists(st.tuples(keys, values), max_size=4))
+    def restore_rolls_back_later_writes(self, view, items):
+        """Restoring a snapshot replaces the contents: keys written after
+        it are gone again, and a namespace leaves its sibling alone."""
+        store, model = self._pick(view)
+        entries = store.snapshot_entries()
+        store.mput(items)
+        assert store.restore_entries(entries) == len(model)
+        assert dict(store.items()) == model
 
     # -- the dict is the specification -------------------------------------
 
     @invariant()
     def contents_match_the_dict(self):
-        """Checked after every step without reading live keys through the
-        store, so a cache keeps whatever the rules left in it: a stale
-        entry is still there for the next rule — or for the absent-key
-        reads below — to trip over.  ``snapshot_entries`` flushes a
-        write-back cache, so over one only the key set is checked here and
-        unflushed writes live on into the next rule; their values are
-        compared by the ``flush``, ``items`` and snapshot rules."""
         for store, model in zip(self.views, self.models):
             listed = list(store.keys())
             assert len(listed) == len(store) == len(model)
@@ -228,60 +160,174 @@ class KVStoreMachine(RuleBasedStateMachine):
                 if key not in model:
                     assert key not in store
                     assert store.get(key, _ABSENT) == _ABSENT
-            if _cache_under(store) is None:
-                entries = store.snapshot_entries()
-                assert len(entries) == len(model)
-                assert {entry.key: entry.value for entry in entries} == model
+            entries = store.snapshot_entries()
+            assert len(entries) == len(model)
+            assert {entry.key: entry.value for entry in entries} == model
 
 
 class InMemoryMachine(KVStoreMachine):
-    def build(self, root):
-        return [InMemoryKVStore()], None
+    def build(self):
+        return [InMemoryKVStore()]
 
 
 class ShardedMachine(KVStoreMachine):
-    def build(self, root):
-        return [ShardedKVStore(n_shards=3)], None
+    def build(self):
+        return [ShardedKVStore(n_shards=3)]
 
 
 class NamespacePairMachine(KVStoreMachine):
     """Two prefixes over one shared store: each view must equal its own
     dict, so a write through one never shows through the other."""
 
-    def build(self, root):
+    def build(self):
         shared = InMemoryKVStore()
-        return [Namespace(shared, "left"), Namespace(shared, "right")], None
-
-
-class DurableMachine(KVStoreMachine):
-    def build(self, root):
-        durable = _durable(root)
-        return [durable], durable
-
-
-class CacheOverMemoryMachine(KVStoreMachine):
-    """The write-back cache by itself, small enough to evict."""
-
-    def build(self, root):
-        return [ReadThroughCache(InMemoryKVStore(), capacity=3)], None
+        return [Namespace(shared, "left"), Namespace(shared, "right")]
 
 
 class ServedMemoryStackMachine(KVStoreMachine):
-    """``repro-serve`` without ``--data-dir``."""
+    """The store ``repro-serve`` builds, with or without ``--data-dir``."""
 
-    def build(self, root):
+    def build(self):
         obs = deterministic_obs()
-        return [obs.instrument_store(InMemoryKVStore())], None
+        return [obs.instrument_store(InMemoryKVStore())]
 
 
-class ServedDurableStackMachine(KVStoreMachine):
-    """``repro-serve --data-dir``: the cache is small enough to evict."""
+# -- the persistence path: WAL + full checkpoints ----------------------------
 
-    def build(self, root):
-        durable = _durable(root)
-        obs = deterministic_obs()
-        tier = ReadThroughCache(durable, capacity=3)
-        return [obs.instrument_store(tier)], durable
+_USERS = ["u1", "u2", "u3"]
+_VIDEOS = ["v1", "v2"]
+
+
+def _apply_updates(action: UserAction):
+    """The two KV updates one action makes, in order (a crash may land
+    between them)."""
+    user = action.user_id
+    return [
+        (("plays", user), lambda n: n + 1, 0),
+        (("seen", action.video_id), lambda users: users + (user,), ()),
+    ]
+
+
+def _apply(store, action: UserAction) -> None:
+    for key, fn, default in _apply_updates(action):
+        store.update(key, fn, default=default)
+
+
+def _scalar_replay(actions: list[UserAction]) -> dict:
+    """The state an uninterrupted run over ``actions`` leaves: a dict fold."""
+    state: dict = {}
+    for action in actions:
+        plays = ("plays", action.user_id)
+        seen = ("seen", action.video_id)
+        state[plays] = state.get(plays, 0) + 1
+        state[seen] = state.get(seen, ()) + (action.user_id,)
+    return state
+
+
+class WALCheckpointMachine(RuleBasedStateMachine):
+    """One process's life over a data dir: it appends (WAL first, then the
+    store), checkpoints the store in full, and crashes — the crash may tear
+    the record it was writing, in the newest segment or in a segment it had
+    just rotated to, and may leave that action half-applied in the store.
+    A restart reopens the log and recovers into the stale store or a fresh
+    one."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="wal-machine-"))
+        self.checkpoints = CheckpointManager(
+            self.root / "ckpt", retain=2, fsync=False
+        )
+        self.acked: list[UserAction] = []
+        self.highest_seq = 0
+        self.store = InMemoryKVStore()
+        self.consistent = True  # the store holds exactly the acked prefix
+        self._open()
+
+    def _open(self) -> None:
+        self.wal = ActionWAL(self.root / "wal", segment_max_records=3)
+        self.recovery = RecoveryManager(self.checkpoints, self.wal)
+
+    def teardown(self) -> None:
+        if self.wal is not None:
+            self.wal.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def _next_action(self, user: str, video: str) -> UserAction:
+        seq = len(self.acked) + 1
+        return UserAction(float(seq), user, video, ActionType.PLAY, 30.0 * seq)
+
+    @precondition(lambda self: self.wal is not None and self.consistent)
+    @rule(user=st.sampled_from(_USERS), video=st.sampled_from(_VIDEOS))
+    def append(self, user, video):
+        action = self._next_action(user, video)
+        assert self.wal.append(action) == len(self.acked) + 1
+        _apply(self.store, action)
+        self.acked.append(action)
+
+    @precondition(lambda self: self.wal is not None and self.consistent)
+    @rule()
+    def checkpoint(self):
+        info = self.recovery.checkpoint(self.store)
+        assert info.wal_seq == len(self.acked)
+
+    @precondition(lambda self: self.wal is not None)
+    @rule(
+        user=st.sampled_from(_USERS),
+        video=st.sampled_from(_VIDEOS),
+        torn=st.integers(min_value=-1, max_value=40),
+        new_segment=st.booleans(),
+        half_applied=st.booleans(),
+    )
+    def crash(self, user, video, torn, new_segment, half_applied):
+        """Kill the process mid-append: ``torn`` bytes of the next record
+        reach the disk (none when negative), never its newline."""
+        self.wal.close()
+        self.wal = None
+        action = self._next_action(user, video)
+        if torn >= 0:
+            record = f"{len(self.acked) + 1}\t{action.to_log_line()}"
+            segments = sorted((self.root / "wal").glob("wal-*.log"))
+            path = (
+                self.root / "wal" / f"wal-{len(self.acked) + 1:012d}.log"
+                if new_segment or not segments
+                else segments[-1]
+            )
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(record[: min(torn, len(record))])
+        if half_applied:
+            key, fn, default = _apply_updates(action)[0]
+            self.store.update(key, fn, default=default)
+            self.consistent = False
+
+    @precondition(lambda self: self.wal is None)
+    @rule()
+    def reopen(self):
+        self._open()
+        self.consistent = False  # recovery decides what the store holds
+
+    @precondition(lambda self: self.wal is not None)
+    @rule(fresh=st.booleans())
+    def recover(self, fresh):
+        if fresh:
+            self.store = InMemoryKVStore()
+        report = self.recovery.recover(
+            self.store, lambda action: _apply(self.store, action)
+        )
+        assert report.last_seq == len(self.acked)
+        assert dict(self.store.items()) == _scalar_replay(self.acked)
+        self.consistent = True
+
+    @invariant()
+    def last_seq_never_goes_backwards(self):
+        if self.wal is not None:
+            assert self.wal.last_seq == len(self.acked) >= self.highest_seq
+            self.highest_seq = self.wal.last_seq
+
+    @invariant()
+    def consistent_store_equals_the_replay(self):
+        if self.consistent:
+            assert dict(self.store.items()) == _scalar_replay(self.acked)
 
 
 def _case(machine):
@@ -294,7 +340,5 @@ def _case(machine):
 TestInMemory = _case(InMemoryMachine)
 TestSharded = _case(ShardedMachine)
 TestNamespacePair = _case(NamespacePairMachine)
-TestDurable = _case(DurableMachine)
-TestCacheOverMemory = _case(CacheOverMemoryMachine)
 TestServedMemoryStack = _case(ServedMemoryStackMachine)
-TestServedDurableStack = _case(ServedDurableStackMachine)
+TestWALCheckpoint = _case(WALCheckpointMachine)

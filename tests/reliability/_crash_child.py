@@ -10,8 +10,9 @@ kill is recoverable from disk.
 
     python _crash_child.py kv <root> [--limit N]
 
-Appends ``put("k<i>", ("k<i>", <i>))`` to a ``DurableKVStore`` opened
-with ``fsync="always"`` and prints ``ACK <i>`` after each put returns —
+Opens the ``ActionWAL`` under ``<root>/wal`` with ``fsync=True`` (cutting
+any torn tail a previous victim left), appends ``wal_action(seq)`` for the
+next sequence numbers, and prints ``ACK <seq>`` after each append returns —
 i.e. after the record is fsynced.
 
 ``rec`` mode::
@@ -19,11 +20,11 @@ i.e. after the record is fsynced.
     python _crash_child.py rec <root> [--limit N] [--checkpoint-every K]
 
 Feeds the deterministic synthetic action stream through a
-``RealtimeRecommender`` over a ``ReadThroughCache(DurableKVStore)`` tier
-with a WAL (``fsync=True``), taking an incremental checkpoint every K
-actions, printing ``ACK <seq>`` after each observe.  The WAL append
-happens (and is fsynced) *before* the model applies the action, so an
-acked sequence number is always replayable.
+``RealtimeRecommender`` over an in-memory store with a WAL
+(``fsync=True``), taking a full checkpoint every K actions, printing
+``ACK <seq>`` after each observe.  The WAL append happens (and is
+fsynced) *before* the model applies the action, so an acked sequence
+number is always replayable.
 """
 
 import argparse
@@ -31,14 +32,21 @@ import sys
 from pathlib import Path
 
 from repro.core.recommender import RealtimeRecommender
-from repro.data import SyntheticWorld
+from repro.data import ActionType, SyntheticWorld, UserAction
 from repro.data.synthetic import WorldConfig
-from repro.kvstore import DurableKVStore, ReadThroughCache
+from repro.kvstore import InMemoryKVStore
 from repro.reliability import ActionWAL, CheckpointManager, RecoveryManager
 
 # The parent builds the identical world to verify against.
 WORLD = dict(n_users=60, n_videos=80, n_types=5, days=3, seed=42)
-SEGMENT_MAX_BYTES = 16 * 1024
+SEGMENT_MAX_RECORDS = 64
+
+
+def wal_action(seq: int) -> UserAction:
+    """The action ``kv`` mode logs as record ``seq``."""
+    return UserAction(
+        float(seq), f"u{seq}", f"v{seq % 13}", ActionType.PLAY, 0.5 * seq
+    )
 
 
 def _ack(n: int) -> None:
@@ -47,37 +55,32 @@ def _ack(n: int) -> None:
 
 
 def run_kv(root: Path, limit: int) -> None:
-    store = DurableKVStore(
-        root / "kv",
-        fsync="always",
-        segment_max_bytes=SEGMENT_MAX_BYTES,
+    wal = ActionWAL(
+        root / "wal", segment_max_records=SEGMENT_MAX_RECORDS, fsync=True
     )
-    for i in range(limit):
-        store.put(f"k{i}", (f"k{i}", i))
-        _ack(i)
+    for _ in range(limit):
+        seq = wal.last_seq + 1
+        assert wal.append(wal_action(seq)) == seq
+        _ack(seq)
 
 
 def run_rec(root: Path, limit: int, checkpoint_every: int) -> None:
     world = SyntheticWorld(WorldConfig(**WORLD))
     actions = world.generate_actions()[:limit]
 
-    durable = DurableKVStore(
-        root / "kv", fsync="interval", segment_max_bytes=SEGMENT_MAX_BYTES
+    store = InMemoryKVStore()
+    wal = ActionWAL(
+        root / "wal", segment_max_records=SEGMENT_MAX_RECORDS, fsync=True
     )
-    tier = ReadThroughCache(durable, capacity=512)
-    wal = ActionWAL(root / "wal", segment_max_records=64, fsync=True)
     recovery = RecoveryManager(CheckpointManager(root / "ckpt"), wal)
     recommender = RealtimeRecommender(
-        world.videos, enable_demographic=False, store=tier, wal=wal
+        world.videos, enable_demographic=False, store=store, wal=wal
     )
-    # Baseline cut at seq 0 so recovery always has a consistent segment
-    # set to roll back to, even if we die before the first periodic one.
-    recovery.checkpoint(tier, incremental=True)
     for count, action in enumerate(actions, start=1):
         recommender.observe(action)
         _ack(count)
         if count % checkpoint_every == 0:
-            recovery.checkpoint(tier, incremental=True)
+            recovery.checkpoint(store)
 
 
 def main() -> None:

@@ -1,13 +1,14 @@
-"""Real SIGKILL crash injection against the durable tier.
+"""Real SIGKILL crash injection against the persistence path (WAL + full
+checkpoints).
 
 A child process (``_crash_child.py``) writes under ``fsync`` guarantees
 and acks each durable operation on stdout; the parent kills it with
 ``SIGKILL`` mid-write — no atexit, no flushing, no mercy — then recovers
-from the surviving files and checks the acceptance bar from the issue:
+from the surviving files and checks:
 
-* every acked write is present after reopen;
-* a torn tail is truncated with a metric increment, never a crash and
-  never a silently wrong read;
+* every acked WAL record replays after reopen, with its exact action;
+* a torn WAL tail is cut by the next open, so kill → reopen → append →
+  kill → reopen never accumulates damage nor loses an acked record;
 * a recovered ``RealtimeRecommender`` serves the same top-N as a clean
   process that saw the same acked prefix;
 * a killed ``repro-serve --data-dir`` restarts from its boot checkpoint
@@ -29,18 +30,12 @@ import pytest
 from repro.core.recommender import RealtimeRecommender
 from repro.data import SyntheticWorld
 from repro.data.synthetic import WorldConfig
-from repro.kvstore import DurableKVStore, ReadThroughCache, ShardedKVStore
-from repro.obs import MetricsRegistry
+from repro.kvstore import InMemoryKVStore, ShardedKVStore
 from repro.reliability import ActionWAL, CheckpointManager, RecoveryManager
 
-from ._crash_child import SEGMENT_MAX_BYTES, WORLD
+from ._crash_child import SEGMENT_MAX_RECORDS, WORLD, wal_action
 
 CHILD = Path(__file__).with_name("_crash_child.py")
-
-
-def _metric(registry, name):
-    doc = registry.snapshot()[name]
-    return doc["series"][0]["value"] if doc["series"] else 0.0
 
 
 def _child_env():
@@ -83,52 +78,51 @@ def _read_acks_then_kill(proc, min_acks, timeout_s=60.0):
     return acked
 
 
+def _assert_every_acked_record_replays(wal_root, acked):
+    """Reopen the log: it replays ``1..last_seq`` with no gap, each record
+    the exact action the child logged, and ``last_seq`` covers every ack."""
+    replayed = list(ActionWAL(wal_root).replay())
+    assert [seq for seq, _ in replayed] == list(range(1, len(replayed) + 1))
+    assert len(replayed) >= max(acked), "an acked WAL record was lost"
+    for seq, action in replayed:
+        assert action == wal_action(seq), f"record {seq} replays wrong"
+
+
+def _tear(wal_root, new_segment):
+    """Leave a torn next record, as a crash mid-append would: in the
+    newest segment, or alone in a segment the crash had just rotated to."""
+    with ActionWAL(wal_root) as wal:
+        seq = wal.last_seq + 1
+        newest = wal.segments()[-1]
+    record = f"{seq}\t{wal_action(seq).to_log_line()}"
+    path = wal_root / f"wal-{seq:012d}.log" if new_segment else newest
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(record[: len(record) // 2])
+
+
 @pytest.mark.slow
 class TestKVCrash:
     def test_no_acked_write_lost_to_sigkill(self, tmp_path):
         proc = _spawn("kv", tmp_path)
         acked = _read_acks_then_kill(proc, min_acks=200)
-
-        registry = MetricsRegistry()
-        with DurableKVStore(
-            tmp_path / "kv",
-            fsync="never",
-            segment_max_bytes=SEGMENT_MAX_BYTES,
-            registry=registry,
-        ) as store:
-            for i in acked:
-                assert store.get(f"k{i}") == (f"k{i}", i), (
-                    f"acked write k{i} lost or wrong after SIGKILL"
-                )
-            # unacked tail may or may not have landed; whatever survived
-            # must still be well-formed
-            for key in store.keys():
-                i = int(key[1:])
-                assert store.get(key) == (key, i)
-        # reopen neither crashed nor invented data; if the kill tore a
-        # record, the anomaly was counted, not hidden
-        assert _metric(registry, "durable_kv_torn_tail_truncations_total") in (
-            0.0,
-            1.0,
-        )
+        assert acked == list(range(1, len(acked) + 1))
+        _assert_every_acked_record_replays(tmp_path / "wal", acked)
 
     def test_repeated_kill_reopen_cycles(self, tmp_path):
-        """Three kill/reopen rounds against the same root: damage never
-        accumulates and earlier rounds' acked writes stay readable."""
+        """Three kill → reopen → append rounds on one log, with a torn
+        record left between rounds: first in the newest segment (the next
+        open starts a new segment, so uncut bytes would become interior),
+        then alone in a fresh segment (whose name the next open reuses).
+        Every acked record of every round still replays."""
         all_acked = []
         for round_ in range(3):
+            if round_:
+                _tear(tmp_path / "wal", new_segment=round_ == 2)
             proc = _spawn("kv", tmp_path)
-            # the child redoes low keys each round; that's fine — versions
-            # just climb. Kill at a different depth each round.
             acked = _read_acks_then_kill(proc, min_acks=80 + 40 * round_)
+            assert not all_acked or acked[0] > all_acked[-1]
             all_acked.extend(acked)
-            with DurableKVStore(
-                tmp_path / "kv",
-                fsync="never",
-                segment_max_bytes=SEGMENT_MAX_BYTES,
-            ) as store:
-                for i in set(all_acked):
-                    assert store.get(f"k{i}") == (f"k{i}", i)
+        _assert_every_acked_record_replays(tmp_path / "wal", all_acked)
 
 
 @pytest.mark.slow
@@ -139,27 +133,26 @@ class TestRecommenderCrash:
         max_acked = max(acked)
 
         # Recover from the surviving files exactly as a restarted service
-        # would: roll the durable tier back to the last checkpoint's
-        # segment set, replay the WAL suffix through a fresh recommender.
-        durable = DurableKVStore(
-            tmp_path / "kv",
-            fsync="never",
-            segment_max_bytes=SEGMENT_MAX_BYTES,
+        # would: restore the last full checkpoint into a fresh store, then
+        # replay the WAL suffix through a fresh recommender.
+        store = InMemoryKVStore()
+        wal = ActionWAL(
+            tmp_path / "wal", segment_max_records=SEGMENT_MAX_RECORDS
         )
-        tier = ReadThroughCache(durable, capacity=512)
-        wal = ActionWAL(tmp_path / "wal", segment_max_records=64)
         recovery = RecoveryManager(
             CheckpointManager(tmp_path / "ckpt"), wal
         )
         world = SyntheticWorld(WorldConfig(**WORLD))
         recovered = RealtimeRecommender(
-            world.videos, enable_demographic=False, store=tier, wal=wal
+            world.videos, enable_demographic=False, store=store, wal=wal
         )
-        report = recovery.recover(tier, recovered.observe)
+        report = recovery.recover(store, recovered.observe)
 
         # Every acked action was WAL-durable before it was acked.
         assert report.last_seq >= max_acked
-        assert report.checkpoint is not None  # the seq-0 baseline always exists
+        # 150 acks span the checkpoints taken after actions 60 and 120.
+        assert report.checkpoint is not None
+        assert report.checkpoint.wal_seq >= 120
 
         # A clean process that saw the same prefix must agree on top-N.
         actions = world.generate_actions()[: report.last_seq]
@@ -177,7 +170,6 @@ class TestRecommenderCrash:
             assert recovered.recommend_ids(user, n=10, now=now) == (
                 clean.recommend_ids(user, n=10, now=now)
             ), f"post-crash top-N diverged for {user}"
-        durable.close()
 
 
 def _spawn_server(data_dir):

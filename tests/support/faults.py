@@ -28,7 +28,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from repro.errors import KVStoreError, ReproError
+from repro.errors import ReproError
 from repro.hashing import stable_hash
 from repro.kvstore import Key, KVStore
 from repro.storm import Bolt, Collector, ComponentContext, StreamTuple, Topology
@@ -39,7 +39,7 @@ class InjectedFault(ReproError):
     """A deliberately injected worker crash."""
 
 
-class TransientKVError(KVStoreError):
+class TransientKVError(ReproError):
     """A shard failed transiently (timeout, connection blip); retryable."""
 
 

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.errors import (
+    CheckpointError,
     ComponentError,
     ConfigError,
-    CorruptSegmentError,
     DataError,
-    DurableStoreError,
-    KVStoreError,
     ModelError,
+    ReliabilityError,
     ReproError,
     TopologyError,
+    WALError,
 )
 
 
@@ -19,18 +19,15 @@ def test_single_catchable_root():
     """Every library error derives from ReproError."""
     for exc_type in (
         ConfigError,
-        KVStoreError,
+        ReliabilityError,
+        CheckpointError,
+        WALError,
         TopologyError,
         ComponentError,
         DataError,
         ModelError,
     ):
         assert issubclass(exc_type, ReproError)
-
-
-def test_kvstore_hierarchy():
-    assert issubclass(DurableStoreError, KVStoreError)
-    assert issubclass(CorruptSegmentError, DurableStoreError)
 
 
 def test_component_error_wraps_original():
