@@ -1,9 +1,11 @@
-"""Fault tolerance: checkpoints, WAL replay, supervision, overload control.
+"""Fault tolerance: checkpoints, WAL replay, overload control.
 
 The paper's production deployment leans on Storm's fault tolerance — failed
 tuples are replayed, and the model state in external KV storage survives
-worker crashes (§5.1-5.2).  This package rebuilds that guarantee for the
-in-process substrate:
+worker crashes (§5.1-5.2).  This package rebuilds the state half of that
+guarantee for the in-process substrate; the executors do not restart
+workers — a bolt exception aborts the run (see :mod:`repro.storm.executor`),
+and recovery is this package's checkpoint + WAL replay:
 
 * :mod:`~repro.reliability.checkpoint` — atomic, versioned on-disk
   snapshots of the whole KV store;
@@ -11,8 +13,6 @@ in-process substrate:
   user actions;
 * :mod:`~repro.reliability.replay` — crash recovery = restore last
   checkpoint + replay the WAL tail (at-least-once);
-* :mod:`~repro.reliability.supervisor` — bounded worker restarts with
-  exponential backoff, honoured by both executors;
 * :mod:`~repro.reliability.overload` — admission control (token bucket +
   concurrency cap) and circuit breakers, the serve-under-load half of
   robustness.
@@ -33,7 +33,6 @@ from .overload import (
     TokenBucket,
 )
 from .replay import RecoveryManager, RecoveryReport
-from .supervisor import RetryPolicy, Supervisor
 from .wal import ActionWAL
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "ActionWAL",
     "RecoveryManager",
     "RecoveryReport",
-    "RetryPolicy",
-    "Supervisor",
     "TokenBucket",
     "ConcurrencyLimiter",
     "AdmissionController",

@@ -15,13 +15,11 @@ Both honour grouping semantics identically: a tuple emitted on
 ``(source, stream)`` is delivered to every subscribed bolt, to the worker(s)
 chosen by that edge's grouping.
 
-Both executors optionally run under a
-:class:`~repro.reliability.Supervisor`: when a bolt raises, the failed
-worker is torn down, recreated from its component factory, and the same
-tuple is retried — bounded restarts with backoff, so topologies survive
-transient faults without losing delivered tuples.  Only when the restart
-budget is exhausted does the executor fall back to its configured failure
-mode (``fail_fast`` abort, or drop the tuple).
+Both fail one way: a bolt exception counts as ``failed``, aborts the run and
+is raised from ``run()`` as a :class:`~repro.errors.ComponentError` naming
+the bolt.  No delivery of an aborted run goes uncounted: each delivery the
+run routed to a bolt ends as ``processed``, ``failed`` or ``shed`` — shed
+being whatever was still pending or queued when the run stopped.
 """
 
 from __future__ import annotations
@@ -38,9 +36,8 @@ from .metrics import TopologyMetrics
 from .topology import Bolt, Collector, ComponentContext, Spout, Topology
 from .tuples import StreamTuple
 
-if TYPE_CHECKING:  # imported lazily to avoid a storm <-> reliability cycle
+if TYPE_CHECKING:
     from ..obs import Observability
-    from ..reliability.supervisor import Supervisor
 
 _POLL_INTERVAL = 0.001
 
@@ -58,15 +55,9 @@ class _ExecutorBase:
     """Shared wiring: instantiate workers, route emissions, run hooks."""
 
     def __init__(
-        self,
-        topology: Topology,
-        fail_fast: bool = True,
-        supervisor: "Supervisor | None" = None,
-        obs: "Observability | None" = None,
+        self, topology: Topology, obs: "Observability | None" = None
     ) -> None:
         self.topology = topology
-        self.fail_fast = fail_fast
-        self.supervisor = supervisor
         self.obs = obs
         self.metrics = TopologyMetrics(obs.registry if obs is not None else None)
         # Durations are measured on the bundle's perf clock so a
@@ -110,52 +101,32 @@ class _ExecutorBase:
                 deliveries.append(_Delivery(target, worker, tup))
         return deliveries
 
-    def _restart_bolt(self, name: str, worker: int) -> Bolt:
-        """Replace one failed bolt worker with a fresh factory instance."""
-        old = self._bolt_workers[(name, worker)]
-        try:
-            old.cleanup()
-        except Exception:  # noqa: BLE001 - the worker is already broken
-            pass
-        spec = self.topology.components[name]
-        bolt = spec.factory()
-        bolt.prepare(ComponentContext(name, worker, spec.parallelism))
-        self._bolt_workers[(name, worker)] = bolt
-        self.metrics.component(name).record_restart()
-        return bolt
-
     def _process_one(self, delivery: _Delivery) -> list[_Delivery]:
         """Run one bolt invocation; return the downstream deliveries.
 
-        Under a supervisor, a failing worker is restarted and the tuple is
-        retried until it succeeds or the worker's restart budget runs out —
-        at-least-once execution of the bolt body.  Each attempt gets a
-        fresh collector, so emissions from a failed attempt are discarded.
+        A bolt exception is counted as a failure and re-raised as a
+        :class:`~repro.errors.ComponentError`; what the bolt emitted before
+        raising is discarded.
         """
         bolt = self._bolt_workers[(delivery.target, delivery.worker)]
         component = self.metrics.component(delivery.target)
-        while True:
-            collector = Collector()
-            started = self._now()
-            try:
-                bolt.process(delivery.tup, collector)
-                break
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                component.record_failure()
-                if self.supervisor is not None and self.supervisor.should_restart(
-                    delivery.target, delivery.worker, exc
-                ):
-                    bolt = self._restart_bolt(delivery.target, delivery.worker)
-                    continue
-                if self.fail_fast:
-                    raise ComponentError(delivery.target, exc) from exc
-                return []
-        component.record_processed(delivery.worker, self._now() - started)
+        collector = Collector()
+        started = self._now()
+        try:
+            bolt.process(delivery.tup, collector)
+        except Exception as exc:  # noqa: BLE001 - isolation boundary
+            component.record_failure()
+            raise ComponentError(delivery.target, exc) from exc
+        component.record_processed(self._now() - started)
         out: list[_Delivery] = []
         for emitted in collector.drain():
             component.record_emit()
             out.extend(self._route(delivery.target, emitted))
         return out
+
+    def _shed(self, delivery: _Delivery) -> None:
+        """Account one delivery the run stopped before processing."""
+        self.metrics.component(delivery.target).record_shed()
 
 
 class LocalExecutor(_ExecutorBase):
@@ -167,28 +138,28 @@ class LocalExecutor(_ExecutorBase):
     in-flight-action semantics the offline replay protocol needs.
     """
 
-    def run(self, max_tuples: int | None = None) -> TopologyMetrics:
-        """Run until every spout is exhausted (or ``max_tuples`` source
-        tuples have been consumed); return the collected metrics."""
+    def run(self) -> TopologyMetrics:
+        """Run until every spout is exhausted; return the collected
+        metrics.  A bolt exception aborts the run: the deliveries still
+        pending are counted as shed and the error is raised."""
         self._instantiate()
+        pending: deque[_Delivery] = deque()
         try:
             live = deque(self._spout_workers)
-            consumed = 0
             while live:
-                if max_tuples is not None and consumed >= max_tuples:
-                    break
                 name, worker, spout = live.popleft()
                 tup = spout.next_tuple()
                 if tup is None:
                     continue  # exhausted: do not requeue
                 live.append((name, worker, spout))
-                consumed += 1
                 self.metrics.component(name).record_emit()
-                pending = deque(self._route(name, tup))
+                pending.extend(self._route(name, tup))
                 while pending:
                     pending.extend(self._process_one(pending.popleft()))
             return self.metrics
         finally:
+            for delivery in pending:
+                self._shed(delivery)
             self._shutdown()
 
 
@@ -196,29 +167,25 @@ class ThreadedExecutor(_ExecutorBase):
     """One thread per worker, bounded queues, graceful drain on exhaustion.
 
     An in-flight counter tracks every delivery from enqueue to completion;
-    once all spouts are exhausted and the counter reaches zero the workers
-    are stopped.  Component failures with ``fail_fast=True`` abort the run
-    and re-raise from :meth:`run`.
+    once all spouts are exhausted and the counter reaches zero the run is
+    stopped.  A component failure also stops the run, and :meth:`run`
+    re-raises it after the threads are joined.
 
     A full inbound queue blocks the producer until there is space,
-    propagating backpressure up to the spout.  The wait is interrupted by
-    a run abort, so a failed run cannot stall a spout forever; deliveries
-    dropped that way, or drained at shutdown, are counted per component
-    as ``shed`` in :class:`~repro.storm.metrics.TopologyMetrics`, alongside
-    a queue-depth gauge/high-water mark sampled at every enqueue.
+    propagating backpressure up to the spout.  Once the run is stopping no
+    worker takes a new delivery: whatever is enqueued after the stop, or
+    still queued after the threads are joined, is counted per component as
+    ``shed`` in :class:`~repro.storm.metrics.TopologyMetrics`, alongside a
+    queue-depth gauge/high-water mark sampled at every enqueue.
     """
 
     def __init__(
         self,
         topology: Topology,
-        fail_fast: bool = True,
         queue_size: int = 10_000,
-        supervisor: "Supervisor | None" = None,
         obs: "Observability | None" = None,
     ) -> None:
-        super().__init__(
-            topology, fail_fast=fail_fast, supervisor=supervisor, obs=obs
-        )
+        super().__init__(topology, obs=obs)
         self._queue_size = queue_size
         self._queues: dict[tuple[str, int], queue.Queue] = {}
         self._inflight = 0
@@ -227,24 +194,21 @@ class ThreadedExecutor(_ExecutorBase):
         self._error: BaseException | None = None
 
     def _shed(self, delivery: _Delivery) -> None:
-        """Account one dropped delivery: shed counter + in-flight release."""
-        self.metrics.component(delivery.target).record_shed()
+        super()._shed(delivery)
         self._done_one()
 
     def _enqueue(self, delivery: _Delivery) -> None:
         q = self._queues[(delivery.target, delivery.worker)]
         with self._cond:
             self._inflight += 1
-        while True:
+        while not self._stop.is_set():
             try:
                 q.put(delivery, timeout=_POLL_INTERVAL)
-                break
             except queue.Full:
-                if self._stop.is_set():
-                    # Run is aborting: don't stall the producer forever.
-                    self._shed(delivery)
-                    return
-        self.metrics.component(delivery.target).record_queue_depth(q.qsize())
+                continue
+            self.metrics.component(delivery.target).record_queue_depth(q.qsize())
+            return
+        self._shed(delivery)
 
     def _done_one(self) -> None:
         with self._cond:
@@ -268,14 +232,13 @@ class ThreadedExecutor(_ExecutorBase):
 
     def _bolt_loop(self, key: tuple[str, int]) -> None:
         q = self._queues[key]
-        while True:
+        while not self._stop.is_set():
             try:
                 delivery = q.get(timeout=_POLL_INTERVAL)
             except queue.Empty:
-                if self._stop.is_set():
-                    return
                 continue
-            if delivery is None:  # sentinel
+            if self._stop.is_set():
+                self._shed(delivery)
                 return
             try:
                 for child in self._process_one(delivery):
@@ -286,12 +249,11 @@ class ThreadedExecutor(_ExecutorBase):
                 self._done_one()
 
     def _fail(self, exc: BaseException) -> None:
-        if self.fail_fast:
-            with self._cond:
-                if self._error is None:
-                    self._error = exc
-                self._stop.set()
-                self._cond.notify_all()
+        with self._cond:
+            if self._error is None:
+                self._error = exc
+            self._stop.set()
+            self._cond.notify_all()
 
     def run(self, timeout: float | None = None) -> TopologyMetrics:
         """Run to exhaustion (or ``timeout`` seconds); return metrics."""
@@ -332,25 +294,17 @@ class ThreadedExecutor(_ExecutorBase):
                     self._cond.wait(timeout=remaining or _POLL_INTERVAL)
         finally:
             self._stop.set()
-            # Deliver the stop sentinel without ever blocking: a full queue
-            # at shutdown (e.g. after a fail-fast abort with queue_size=1)
-            # used to deadlock the blocking put(None) here forever.  Drain
-            # stale deliveries to make room instead — the run is over, so
-            # they are accounted as shed.
-            for key, q in self._queues.items():
+            # Every thread polls the stop flag, so none blocks for long;
+            # once all are joined nothing can enqueue, and what is left in
+            # a queue was never taken: the run is over, so it is shed.
+            for thread in spout_threads + bolt_threads:
+                thread.join(timeout=1.0)
+            for q in self._queues.values():
                 while True:
                     try:
-                        q.put_nowait(None)
+                        self._shed(q.get_nowait())
+                    except queue.Empty:
                         break
-                    except queue.Full:
-                        try:
-                            stale = q.get_nowait()
-                        except queue.Empty:
-                            continue  # consumer raced us; retry the put
-                        if stale is not None:
-                            self._shed(stale)
-            for thread in bolt_threads:
-                thread.join(timeout=1.0)
             self._shutdown()
         if self._error is not None:
             raise self._error

@@ -1,12 +1,15 @@
 """Per-component runtime metrics for topologies.
 
 Tracks the numbers the paper quotes for its production deployment —
-throughput (tuples/s), processing latency, failure counts — per component
-and per worker, so the scalability benchmarks can report tuples/s as a
-function of parallelism.  Every count and latency summary lives in a
+throughput (tuples/s), processing latency, failure counts — per component.
+Every count and latency summary lives in a
 :class:`~repro.obs.registry.MetricsRegistry` under the ``storm_*`` metric
 names; :class:`ComponentMetrics` is the per-component read/record view
 the executors and tests use.
+
+Each delivery routed to a bolt is counted once, as ``processed`` (the bolt
+returned), ``failed`` (it raised, which aborts the run) or ``shed`` (the
+run stopped before a worker took it).
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ class ComponentMetrics:
     ``latency`` is the component's
     ``storm_process_latency_seconds`` :class:`~repro.obs.Histogram`
     (``count`` / ``mean`` / ``max`` / ``p50`` / ``p95`` / ``p99``).
-    ``per_worker_processed`` has no registry series: each worker index is
-    written by that worker's thread only.
     """
 
     def __init__(self, name: str, registry: MetricsRegistry) -> None:
@@ -42,11 +43,6 @@ class ComponentMetrics:
         self._failed = registry.counter(
             "storm_tuple_failures_total",
             "Bolt invocations that raised, per component",
-            labelnames=("component",),
-        ).labels(**label)
-        self._restarts = registry.counter(
-            "storm_worker_restarts_total",
-            "Supervised worker restarts per component",
             labelnames=("component",),
         ).labels(**label)
         self._shed = registry.counter(
@@ -69,23 +65,16 @@ class ComponentMetrics:
             "Per-invocation bolt processing latency",
             labelnames=("component",),
         ).labels(**label)
-        self.per_worker_processed: dict[int, int] = {}
 
     def record_emit(self, count: int = 1) -> None:
         self._emitted.inc(count)
 
-    def record_processed(self, worker: int, seconds: float) -> None:
+    def record_processed(self, seconds: float) -> None:
         self._processed.inc()
         self.latency.observe(seconds)
-        self.per_worker_processed[worker] = (
-            self.per_worker_processed.get(worker, 0) + 1
-        )
 
     def record_failure(self) -> None:
         self._failed.inc()
-
-    def record_restart(self) -> None:
-        self._restarts.inc()
 
     def record_shed(self, count: int = 1) -> None:
         """Count deliveries dropped by a run abort or shutdown drain."""
@@ -107,10 +96,6 @@ class ComponentMetrics:
     @property
     def failed(self) -> int:
         return int(self._failed.value)
-
-    @property
-    def restarts(self) -> int:
-        return int(self._restarts.value)
 
     @property
     def shed(self) -> int:
@@ -155,7 +140,6 @@ class TopologyMetrics:
                 "emitted": metrics.emitted,
                 "processed": metrics.processed,
                 "failed": metrics.failed,
-                "restarts": metrics.restarts,
                 "shed": metrics.shed,
                 "queue_depth": metrics.queue_depth,
                 "max_queue_depth": metrics.max_queue_depth,

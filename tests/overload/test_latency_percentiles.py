@@ -65,7 +65,7 @@ class TestMetricsSurfacing:
         metrics = TopologyMetrics()
         comp = metrics.component("bolt_a")
         for ms in (1, 2, 3, 4, 100):
-            comp.record_processed(worker=0, seconds=ms / 1000.0)
+            comp.record_processed(ms / 1000.0)
         comp.record_shed(2)
         comp.record_queue_depth(7)
         comp.record_queue_depth(3)

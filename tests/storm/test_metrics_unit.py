@@ -56,27 +56,25 @@ class TestComponentMetrics:
     def test_counters(self):
         metrics = TopologyMetrics().component("bolt")
         metrics.record_emit(3)
-        metrics.record_processed(worker=0, seconds=0.01)
-        metrics.record_processed(worker=1, seconds=0.02)
+        metrics.record_processed(0.01)
+        metrics.record_processed(0.02)
         metrics.record_failure()
         assert metrics.emitted == 3
         assert metrics.processed == 2
         assert metrics.failed == 1
-        assert metrics.per_worker_processed == {0: 1, 1: 1}
 
     def test_thread_safety(self):
         metrics = TopologyMetrics().component("bolt")
 
         def work(worker):
             for _ in range(500):
-                metrics.record_processed(worker=worker, seconds=0.001)
+                metrics.record_processed(0.001)
                 metrics.record_emit()
 
         _run_in_four_threads(work)
         assert metrics.processed == 2000
         assert metrics.emitted == 2000
         assert metrics.latency.count == 2000
-        assert metrics.per_worker_processed == {w: 500 for w in range(4)}
 
     def test_queue_depth_high_water_under_contention(self):
         metrics = TopologyMetrics().component("bolt")
@@ -113,7 +111,7 @@ class TestTopologyMetrics:
 
     def test_snapshot_shape(self):
         metrics = TopologyMetrics()
-        metrics.component("x").record_processed(0, 0.5)
+        metrics.component("x").record_processed(0.5)
         snap = metrics.snapshot()
         assert snap["x"]["processed"] == 1
         assert snap["x"]["mean_latency_s"] == pytest.approx(0.5)
@@ -121,8 +119,8 @@ class TestTopologyMetrics:
 
     def test_total_processed(self):
         metrics = TopologyMetrics()
-        metrics.component("a").record_processed(0, 0.1)
-        metrics.component("b").record_processed(0, 0.1)
+        metrics.component("a").record_processed(0.1)
+        metrics.component("b").record_processed(0.1)
         snapshot = metrics.snapshot()
         assert sum(row["processed"] for row in snapshot.values()) == 2
 
@@ -153,7 +151,6 @@ _COUNTER_OF = {
     "emitted": "storm_tuples_emitted_total",
     "processed": "storm_tuples_processed_total",
     "failed": "storm_tuple_failures_total",
-    "restarts": "storm_worker_restarts_total",
     "shed": "storm_tuples_shed_total",
 }
 

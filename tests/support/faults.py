@@ -1,152 +1,26 @@
-"""Deterministic fault injection for topologies and the KV store — the
-chaos harness of the reliability and executor tests.
+"""Deterministic fault injection for the KV store, and the delivery
+accounting every aborted topology run must satisfy.
 
-Chaos testing only proves something when the chaos is reproducible: every
-fault source here is driven either by a per-worker counter (crash every Nth
-tuple) or by a per-worker RNG seeded from ``(plan.seed, component,
-worker)``, so a failing run can be replayed exactly.
-
-Three fault surfaces:
-
-* **worker crashes** — :class:`ChaosBolt` raises
-  :class:`InjectedFault` on a schedule *before* delegating,
-  simulating a worker dying with a tuple in hand; under a
-  :class:`~repro.reliability.Supervisor` the executor restarts the worker
-  and retries the tuple.
-* **tuple drops / duplicates** — emitted tuples are suppressed or doubled
-  at a seeded rate, exercising downstream idempotence (history dedup,
-  last-write-wins vector storage).
 * **transient KV errors** — :class:`FlakyKVStore` wraps any store and makes
-  every Nth operation raise :class:`TransientKVError`,
-  simulating a shard timing out.
+  every Nth operation raise :class:`TransientKVError`, simulating a shard
+  timing out.  The schedule is a counter, so a failing run replays exactly.
+* **delivery accounting** — :func:`unaccounted` lists the bolts whose
+  ``processed + failed + shed`` differs from the deliveries the run routed
+  to them; whether the run finished or aborted, there must be none.
 """
 
 from __future__ import annotations
 
-import random
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import ReproError
-from repro.hashing import stable_hash
 from repro.kvstore import Key, KVStore
-from repro.storm import Bolt, Collector, ComponentContext, StreamTuple, Topology
-from repro.storm.topology import ComponentSpec
-
-
-class InjectedFault(ReproError):
-    """A deliberately injected worker crash."""
+from repro.storm import Topology
 
 
 class TransientKVError(ReproError):
     """A shard failed transiently (timeout, connection blip); retryable."""
-
-
-@dataclass(frozen=True, slots=True)
-class FaultPlan:
-    """A reproducible chaos schedule.
-
-    ``crash_every`` maps component names to a period: that component's
-    workers raise on their Nth, 2Nth, ... delivered tuple.  ``drop_rate``
-    and ``duplicate_rate`` apply to every emitted tuple of every wrapped
-    bolt.
-    """
-
-    seed: int = 0
-    crash_every: Mapping[str, int] = field(default_factory=dict)
-    drop_rate: float = 0.0
-    duplicate_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name, period in self.crash_every.items():
-            if period < 1:
-                raise ValueError(
-                    f"crash_every[{name!r}] must be >= 1, got {period}"
-                )
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
-        if not 0.0 <= self.duplicate_rate < 1.0:
-            raise ValueError(
-                f"duplicate_rate must be in [0, 1), got {self.duplicate_rate}"
-            )
-
-
-class ChaosBolt(Bolt):
-    """Wraps a real bolt with the plan's crash/drop/duplicate faults.
-
-    The crash fires before the inner bolt runs, so a retried tuple is not
-    half-processed twice by the same instance.  A restarted worker is a
-    fresh :class:`ChaosBolt` whose counter starts over — exactly like a
-    rescheduled Storm worker.
-    """
-
-    def __init__(self, inner: Bolt, component: str, plan: FaultPlan) -> None:
-        self.inner = inner
-        self.component = component
-        self.plan = plan
-        self._count = 0
-        self._rng = random.Random(stable_hash((plan.seed, component)))
-
-    def prepare(self, ctx: ComponentContext) -> None:
-        self._rng = random.Random(
-            stable_hash((self.plan.seed, self.component, ctx.worker_index))
-        )
-        self.inner.prepare(ctx)
-
-    def cleanup(self) -> None:
-        self.inner.cleanup()
-
-    def process(self, tup: StreamTuple, collector: Collector) -> None:
-        self._count += 1
-        period = self.plan.crash_every.get(self.component)
-        if period is not None and self._count % period == 0:
-            raise InjectedFault(
-                f"injected crash in {self.component!r} at tuple {self._count}"
-            )
-        staging = Collector()
-        self.inner.process(tup, staging)
-        for emitted in staging.drain():
-            roll = self._rng.random()
-            if roll < self.plan.drop_rate:
-                continue
-            collector.emit(emitted, stream=emitted.stream)
-            if roll < self.plan.drop_rate + self.plan.duplicate_rate:
-                collector.emit(emitted, stream=emitted.stream)
-
-
-def wrap_topology(
-    topology: Topology,
-    plan: FaultPlan,
-    components: Iterable[str] | None = None,
-) -> Topology:
-    """A copy of ``topology`` with :class:`ChaosBolt` around its bolts.
-
-    ``components`` restricts the chaos to the named bolts (default: every
-    bolt).  Spouts, parallelism and wiring are untouched.
-    """
-    wanted = set(components) if components is not None else None
-
-    def _wrap(spec: ComponentSpec) -> Callable[[], Bolt]:
-        inner_factory = spec.factory
-        if wanted is not None and spec.name not in wanted:
-            return inner_factory
-        return lambda: ChaosBolt(inner_factory(), spec.name, plan)
-
-    return Topology(
-        {
-            name: spec
-            if spec.is_spout
-            else ComponentSpec(
-                name=spec.name,
-                factory=_wrap(spec),
-                parallelism=spec.parallelism,
-                is_spout=False,
-                subscriptions=list(spec.subscriptions),
-            )
-            for name, spec in topology.components.items()
-        }
-    )
 
 
 class FlakyKVStore(KVStore):
@@ -222,3 +96,27 @@ class FlakyKVStore(KVStore):
 
     def restore_entries(self, entries):
         return self.inner.restore_entries(entries)
+
+
+def unaccounted(
+    topology: Topology, snapshot: Mapping[str, Mapping[str, float]]
+) -> dict[str, tuple[int, int]]:
+    """Bolts whose ``processed + failed + shed`` differs from the
+    deliveries the run routed to them, as ``name -> (routed, accounted)``.
+
+    Fields grouping sends each emitted tuple to exactly one worker of every
+    subscribed bolt, so a bolt receives one delivery per tuple its sources
+    emitted.  Exact when every stream a component emits on has the same
+    subscribers — true of the Figure-2 topology and the test topologies.
+    """
+    out: dict[str, tuple[int, int]] = {}
+    for name, spec in topology.components.items():
+        if spec.is_spout:
+            continue
+        sources = {sub.source for sub in spec.subscriptions}
+        routed = sum(int(snapshot[source]["emitted"]) for source in sources)
+        row = snapshot[name]
+        accounted = int(row["processed"] + row["failed"] + row["shed"])
+        if accounted != routed:
+            out[name] = (routed, accounted)
+    return out

@@ -7,7 +7,8 @@ Two censuses, one rule: code only the tests reach belongs under ``tests/``
 outside its own definition refers to it — as a bare name, an attribute or
 an imported name — in another top-level statement of its module, in
 another module of ``src/`` (the package ``__init__`` re-exports do not
-count), or in any file under ``benchmarks/`` or ``examples/``.
+count), or in any file under ``benchmarks/`` or ``examples/``.  Nothing
+under ``if TYPE_CHECKING:`` counts: an import for annotations runs no code.
 
 *Methods and properties of public classes.*  A public method counts as
 used when its name appears outside its own body — as an attribute or a
@@ -91,15 +92,32 @@ def _outside_modules() -> dict[Path, ast.Module]:
     }
 
 
+def _is_type_checking(node: ast.AST) -> bool:
+    """``if TYPE_CHECKING:`` or ``if typing.TYPE_CHECKING:``."""
+    if not isinstance(node, ast.If):
+        return False
+    test = node.test
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
 def _references(tree: ast.AST) -> set[str]:
+    """Names ``tree`` refers to, outside any ``if TYPE_CHECKING:`` body."""
     names: set[str] = set()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if _is_type_checking(node):
+            stack.extend(node.orelse)
+            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
     return names
 
 
@@ -207,6 +225,18 @@ def _unreferenced_methods() -> list[str]:
             if not used:
                 missing.append(entry)
     return missing
+
+
+def test_type_checking_imports_are_not_references():
+    tree = ast.parse(
+        "import typing\n"
+        "if TYPE_CHECKING:\n    from a import Hidden\n"
+        "else:\n    from a import Shown\n"
+        "if typing.TYPE_CHECKING:\n    Annotated = Hidden\n"
+    )
+    names = _references(tree)
+    assert "Shown" in names
+    assert "Hidden" not in names and "Annotated" not in names
 
 
 def test_every_public_definition_has_a_non_test_caller():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.config import ReproConfig
-from repro.storm import LocalExecutor, ThreadedExecutor
+from repro.storm import LocalExecutor, StreamTuple, ThreadedExecutor
 from repro.topology import (
     COMPUTE_MF,
     MF_STORAGE,
@@ -87,7 +87,13 @@ class TestThreadedRun:
         assert snap[COMPUTE_MF]["processed"] == len(train)
         assert all(stats["failed"] == 0 for stats in snap.values())
         # fields grouping spreads the users over every ComputeMF worker
-        assert len(metrics.component(COMPUTE_MF).per_worker_processed) == 3
+        grouping = topo.components[COMPUTE_MF].subscriptions[0].grouping
+        workers = {
+            worker
+            for action in train
+            for worker in grouping.select(StreamTuple({"user": action.user_id}), 3)
+        }
+        assert workers == {0, 1, 2}
         assert system.model.n_users > 0
 
     def test_threaded_and_local_learn_the_same_entities(self, small_world, train):
