@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from ..clock import SECONDS_PER_DAY
@@ -28,6 +29,11 @@ ENGAGEMENT_ACTIONS = frozenset(
         ActionType.SHARE,
     }
 )
+
+#: Sort key of replay order.  ``UserAction`` compares by ``timestamp``
+#: alone, so this gives the same stable order as its ``__lt__`` without a
+#: Python-level comparison call per pair.
+_BY_TIME = attrgetter("timestamp")
 
 
 def filter_active(
@@ -99,15 +105,15 @@ def split_by_day(
     test: list[UserAction] = []
     for action in actions:
         (train if day_of(action) < train_days else test).append(action)
-    train.sort()
-    test.sort()
+    train.sort(key=_BY_TIME)
+    test.sort(key=_BY_TIME)
     return TrainTestSplit(train=train, test=test)
 
 
 def replay(actions: Sequence[UserAction]) -> Iterator[UserAction]:
     """Iterate actions in strict time order, validating monotonicity."""
     last = float("-inf")
-    for action in sorted(actions):
+    for action in sorted(actions, key=_BY_TIME):
         if action.timestamp < last:  # pragma: no cover - sorted() prevents it
             raise DataError("actions out of order after sort; corrupt stream")
         last = action.timestamp

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -126,6 +127,34 @@ def _sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
+#: ``Generator.choice``'s tolerance on ``sum(p) - 1``.
+_P_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(a, p=p)`` draws from, built once.
+
+    ``cdf.searchsorted(rng.random(), side="right")`` then picks the same
+    index ``choice`` would and consumes the same single double from the
+    stream, without ``choice``'s per-call validation and cumsum.  ``p``
+    is checked as ``choice`` checks it (non-negative, sums to 1 within
+    :data:`_P_ATOL`, else ``ValueError``); a 2-D ``p`` is one distribution
+    per row, and ``cumsum`` along the row equals each row's own cumsum.
+    """
+    if not (p >= 0).all():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(p.sum(axis=-1) - 1.0) > _P_ATOL).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn from ``cdf`` exactly as ``Generator.choice`` would."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def paper_world_config(
     n_users: int = 300,
     n_videos: int = 400,
@@ -168,22 +197,25 @@ def paper_world_config(
 class _DayState:
     """The world dynamics in force on one simulated day.
 
-    For a scenario-free world every field aliases the base structures, so
-    the generator's draw sequence — and therefore its output — is
-    byte-identical to the pre-scenario implementation (pinned by the
-    golden digest test).  Scenario events swap in per-day variants:
-    boosted/renormalised popularity, restricted catalogues, rotated
-    preference factors, modulated arrival rates, wave-shaped session
-    start times.
+    Every weighted draw's distribution is held as the CDF
+    :func:`_choice_cdf` builds, once per day (``pop_cdf``), per type
+    (``type_cdfs``, within-type popularity) and per user (``type_cdf``,
+    one row of type preferences each).  For a scenario-free world every
+    field but ``pop_cdf`` aliases the base structures, so the generator's
+    draw sequence — and therefore its output — is byte-identical to the
+    pre-scenario implementation (pinned by the golden digest tests).
+    Scenario events swap in per-day variants: boosted/renormalised
+    popularity, restricted catalogues, rotated preference factors,
+    modulated arrival rates, wave-shaped session start times.
     """
 
-    pop: np.ndarray
+    pop_cdf: np.ndarray
     videos_of_type: list[np.ndarray]
-    type_pop: list[np.ndarray]
+    type_cdfs: list[np.ndarray]
     favorites: np.ndarray
     active: np.ndarray | None
     user_factors: np.ndarray
-    type_probs: np.ndarray
+    type_cdf: np.ndarray
     rate_multiplier: float
     start_sampler: Callable[[float], float] | None
 
@@ -271,11 +303,11 @@ class SyntheticWorld:
         self._base_popularity = 1.0 / ranks.astype(float) ** cfg.popularity_skew
         self._base_popularity /= self._base_popularity.sum()
 
-        # Per-user type preference distribution (softmax of factor affinity).
-        logits = self.user_factors @ type_means.T * cfg.type_temperature
-        logits -= logits.max(axis=1, keepdims=True)
-        expl = np.exp(logits)
-        self._user_type_probs = expl / expl.sum(axis=1, keepdims=True)
+        # Per-user type preference distribution (softmax of factor
+        # affinity), kept as the CDF the impression sampler draws from.
+        self._user_type_cdf = _choice_cdf(
+            self._type_probs_for(self.user_factors)
+        )
 
         # Per-user favourite pools: sampled from the user's top-affinity
         # videos, weighted toward the very top (series the user follows).
@@ -291,17 +323,17 @@ class SyntheticWorld:
                 top, size=n_fav, replace=False, p=weights
             )
 
-        # Videos grouped by type, with within-type popularity.
+        # Videos grouped by type, with the CDF of within-type popularity.
         self._videos_of_type: list[np.ndarray] = []
-        self._type_pop: list[np.ndarray] = []
+        self._type_cdfs: list[np.ndarray] = []
         for k in range(cfg.n_types):
             members = np.flatnonzero(video_types == k)
             self._videos_of_type.append(members)
             if members.size:
                 pop = self._base_popularity[members]
-                self._type_pop.append(pop / pop.sum())
+                self._type_cdfs.append(_choice_cdf(pop / pop.sum()))
             else:
-                self._type_pop.append(np.empty(0))
+                self._type_cdfs.append(np.empty(0))
 
         # ---- scenario dynamics ------------------------------------------
         # Everything above is the base world, built with exactly the same
@@ -395,11 +427,11 @@ class SyntheticWorld:
         rotation = self.scenario.drift_rotation(day, self.config.latent_dim)
         if rotation is None:
             factors = self.user_factors
-            type_probs = self._user_type_probs
+            type_cdf = self._user_type_cdf
         else:
             factors = self.user_factors @ rotation.T
-            type_probs = self._type_probs_for(factors)
-        self._drift_factors[day] = (factors, type_probs)
+            type_cdf = _choice_cdf(self._type_probs_for(factors))
+        self._drift_factors[day] = (factors, type_cdf)
         return factors
 
     def _type_probs_for(self, user_factors: np.ndarray) -> np.ndarray:
@@ -451,13 +483,13 @@ class SyntheticWorld:
     def _default_day_state(self, day: int) -> _DayState:
         """The classic organic dynamics — every field aliases base state."""
         return _DayState(
-            pop=self._daily_popularity(day),
+            pop_cdf=_choice_cdf(self._daily_popularity(day)),
             videos_of_type=self._videos_of_type,
-            type_pop=self._type_pop,
+            type_cdfs=self._type_cdfs,
             favorites=self._favorites,
             active=None,
             user_factors=self.user_factors,
-            type_probs=self._user_type_probs,
+            type_cdf=self._user_type_cdf,
             rate_multiplier=1.0,
             start_sampler=None,
         )
@@ -507,38 +539,39 @@ class SyntheticWorld:
         pop /= total
 
         videos_of_type: list[np.ndarray] = []
-        type_pop: list[np.ndarray] = []
+        type_cdfs: list[np.ndarray] = []
         for k in range(cfg.n_types):
             members = np.flatnonzero((self._video_types == k) & active)
             videos_of_type.append(members)
             if members.size:
                 weights = pop[members]
                 wsum = weights.sum()
-                if wsum > 0:
-                    type_pop.append(weights / wsum)
-                else:
-                    type_pop.append(
-                        np.full(members.size, 1.0 / members.size)
+                type_cdfs.append(
+                    _choice_cdf(
+                        weights / wsum
+                        if wsum > 0
+                        else np.full(members.size, 1.0 / members.size)
                     )
+                )
             else:
-                type_pop.append(np.empty(0))
+                type_cdfs.append(np.empty(0))
 
         self._effective_user_factors(day * SECONDS_PER_DAY)
-        factors, type_probs = self._drift_factors.get(
-            day, (self.user_factors, self._user_type_probs)
+        factors, type_cdf = self._drift_factors.get(
+            day, (self.user_factors, self._user_type_cdf)
         )
 
         wave = scenario.arrival_wave(day)
         sampler = self._wave_sampler(wave) if wave is not None else None
 
         return _DayState(
-            pop=pop,
+            pop_cdf=_choice_cdf(pop),
             videos_of_type=videos_of_type,
-            type_pop=type_pop,
+            type_cdfs=type_cdfs,
             favorites=self._favorites,
             active=active if not active.all() else None,
             user_factors=factors,
-            type_probs=type_probs,
+            type_cdf=type_cdf,
             rate_multiplier=scenario.rate_multiplier(day),
             start_sampler=sampler,
         )
@@ -584,9 +617,14 @@ class SyntheticWorld:
         state: _DayState,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Draw ``count`` impressed videos for one session."""
+        """Draw ``count`` impressed videos for one session.
+
+        Each weighted draw is :func:`_draw` over a CDF cached on
+        ``state``: the pick and RNG consumption of ``rng.choice(a, p=p)``
+        without its per-call validation and cumsum.
+        """
         cfg = self.config
-        pop = state.pop
+        pop_cdf = state.pop_cdf
         chosen = np.empty(count, dtype=int)
         rolls = rng.random(count)
         favorites = state.favorites[user_idx]
@@ -598,17 +636,17 @@ class SyntheticWorld:
                 if state.active is not None and not state.active[pick]:
                     # The favourite left the catalogue — the user falls
                     # back to browsing what is actually on offer.
-                    pick = rng.choice(pop.size, p=pop)
+                    pick = _draw(pop_cdf, rng)
                 chosen[slot] = pick
             elif roll < cfg.rewatch_mix + cfg.popularity_mix:
-                chosen[slot] = rng.choice(pop.size, p=pop)
+                chosen[slot] = _draw(pop_cdf, rng)
             else:
-                k = rng.choice(cfg.n_types, p=state.type_probs[user_idx])
+                k = _draw(state.type_cdf[user_idx], rng)
                 members = state.videos_of_type[k]
                 if members.size == 0:
-                    chosen[slot] = rng.choice(pop.size, p=pop)
+                    chosen[slot] = _draw(pop_cdf, rng)
                 else:
-                    chosen[slot] = rng.choice(members, p=state.type_pop[k])
+                    chosen[slot] = members[_draw(state.type_cdfs[k], rng)]
         return chosen
 
     def generate_actions(self, days: int | None = None) -> list[UserAction]:
@@ -642,7 +680,7 @@ class SyntheticWorld:
                             u, day_start + offset, state, rng
                         )
                     )
-        actions.sort()
+        actions.sort(key=attrgetter("timestamp"))
         return actions
 
     def _generate_session(

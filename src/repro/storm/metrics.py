@@ -47,7 +47,7 @@ class ComponentMetrics:
         ).labels(**label)
         self._shed = registry.counter(
             "storm_tuples_shed_total",
-            "Tuples dropped by backpressure shed policies",
+            "Deliveries an aborted run never processed, per component",
             labelnames=("component",),
         ).labels(**label)
         self._queue_depth = registry.gauge(

@@ -92,6 +92,71 @@ class TestByteIdentity:
         assert plain == scenario
 
 
+# Full-precision digests (``repr`` of every float, every field) of the
+# worlds the end-to-end benchmark boots — ``paper_world_config(seed=2016)``
+# at the train_stream, serve_while_train and durable_ingest_recover sizes —
+# and of a flash-crowd + catalog-churn world, whose retirements send
+# re-watches of inactive favourites to the popularity fallback.  Captured
+# from the ``Generator.choice``-based sampler, before it drew from cached
+# CDFs.
+GOLDEN_FULL_PRECISION = {
+    "paper_120x200": (
+        "04dea60ba6f8f5bc5a018adaea2bc8babab42f4a0acb171bee0f1bf7ab7b3262"
+    ),
+    "paper_20x150": (
+        "6a82d61416cd243818582131fa0f8526eb9b6a1a44c30f6295124b95b6de35c2"
+    ),
+    "paper_16x60": (
+        "1fd116c0da030c6119431594e0c16601cea468c0beb6e7cc9f21a13610b811a4"
+    ),
+    "flash_crowd_churn": (
+        "0f3a43f851fe7bd1686137a314d40f2accf9418adb51de16716007927bfda645"
+    ),
+}
+
+
+def _full_precision_digest(actions):
+    h = hashlib.sha256()
+    for a in actions:
+        h.update(
+            f"{a.timestamp!r}\t{a.user_id}\t{a.video_id}\t"
+            f"{a.action.value}\t{a.view_time!r}\n".encode()
+        )
+    return h.hexdigest()
+
+
+def _golden_world(name):
+    if name == "flash_crowd_churn":
+        scenario = Scenario(
+            "flash_crowd_churn",
+            flash_crowd(day=2, duration_days=2).events
+            + catalog_churn(
+                start_day=1, adds_per_day=3, retires_per_day=8
+            ).events,
+        )
+        return SyntheticWorld(
+            paper_world_config(n_users=40, n_videos=60, days=6, seed=2016),
+            scenario=scenario,
+        )
+    n_users, n_videos = map(int, name.removeprefix("paper_").split("x"))
+    return SyntheticWorld(
+        paper_world_config(seed=2016, n_users=n_users, n_videos=n_videos)
+    )
+
+
+class TestFullPrecisionGoldens:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FULL_PRECISION))
+    def test_stream_matches_golden(self, name):
+        actions = _golden_world(name).generate_actions()
+        assert _full_precision_digest(actions) == GOLDEN_FULL_PRECISION[name]
+
+    def test_scenario_world_exercises_the_inactive_favourite_fallback(self):
+        world = _golden_world("flash_crowd_churn")
+        last = world._day_state(world.config.days - 1)
+        assert last.active is not None
+        assert not last.active[last.favorites].all()
+
+
 @pytest.fixture(scope="module")
 def base_cfg():
     return WorldConfig(n_users=40, n_videos=50, days=6, seed=21)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.clock import SECONDS_PER_DAY
 from repro.data import ActionType, SyntheticWorld, WorldConfig
-from repro.data.synthetic import paper_world_config
+from repro.data.synthetic import _choice_cdf, _draw, paper_world_config
 from repro.errors import ConfigError
 from tests.support.world import best_videos
 
@@ -192,3 +192,107 @@ class TestPaperWorldConfig:
         cfg = paper_world_config(n_users=10, noise_click_rate=0.5)
         assert cfg.n_users == 10
         assert cfg.noise_click_rate == 0.5
+
+
+def _random_p(rng, size, zero_share):
+    """A probability vector with about ``zero_share`` of its entries 0."""
+    weights = rng.random(size) ** 3
+    weights[rng.random(size) < zero_share] = 0.0
+    if not weights.any():
+        weights[rng.integers(0, size)] = 1.0
+    return weights / weights.sum()
+
+
+def _assert_same_stream(draws):
+    """``draws(rng, use_cdf)`` picks with ``choice`` or the cached CDF; both
+    must pick the same values and leave the generator in the same state."""
+    choice_rng, cdf_rng = np.random.default_rng(7), np.random.default_rng(7)
+    assert draws(choice_rng, False) == draws(cdf_rng, True)
+    assert choice_rng.bit_generator.state == cdf_rng.bit_generator.state
+
+
+class TestCachedCdfSampler:
+    """The impression sampler's draw is ``Generator.choice``'s, draw for
+    draw: same picks, same RNG consumption, same ``p`` validation."""
+
+    def test_matches_choice_with_zero_entries(self):
+        ps = [
+            _random_p(np.random.default_rng(i), 1 + i % 40, i % 5 / 5)
+            for i in range(200)
+        ]
+        cdfs = [_choice_cdf(p) for p in ps]
+
+        def draws(rng, use_cdf):
+            picks = []
+            for p, cdf in zip(ps, cdfs):
+                for _ in range(5):
+                    if use_cdf:
+                        picks.append(_draw(cdf, rng))
+                    else:
+                        picks.append(int(rng.choice(p.size, p=p)))
+                    # Other draws interleave, as in a session.
+                    picks.append(int(rng.integers(0, 10)))
+            return picks
+
+        _assert_same_stream(draws)
+
+    def test_matches_choice_over_member_arrays(self):
+        member_sets = [
+            np.array([17]),  # a one-member type
+            np.array([3, 9, 40]),
+            np.arange(5, 60, 4),
+        ]
+        ps = [
+            _random_p(np.random.default_rng(i), m.size, 0.2)
+            for i, m in enumerate(member_sets)
+        ]
+        cdfs = [_choice_cdf(p) for p in ps]
+
+        def draws(rng, use_cdf):
+            picks = []
+            for _ in range(100):
+                for members, p, cdf in zip(member_sets, ps, cdfs):
+                    if use_cdf:
+                        picks.append(int(members[_draw(cdf, rng)]))
+                    else:
+                        picks.append(int(rng.choice(members, p=p)))
+            return picks
+
+        _assert_same_stream(draws)
+
+    def test_matches_choice_over_per_user_cdf_rows(self):
+        world = SyntheticWorld(
+            paper_world_config(n_users=60, n_videos=80, seed=11)
+        )
+        type_probs = world._type_probs_for(world.user_factors)
+        cdf = _choice_cdf(type_probs)
+        assert cdf.shape == type_probs.shape
+        for row, probs in zip(cdf, type_probs):
+            assert np.array_equal(row, _choice_cdf(probs))
+
+        def draws(rng, use_cdf):
+            picks = []
+            for _ in range(20):
+                for u, probs in enumerate(type_probs):
+                    if use_cdf:
+                        picks.append(_draw(cdf[u], rng))
+                    else:
+                        picks.append(int(rng.choice(probs.size, p=probs)))
+            return picks
+
+        _assert_same_stream(draws)
+
+    @pytest.mark.parametrize(
+        "p",
+        [[0.5, -0.1, 0.6], [0.5, 0.6], [0.2, 0.2]],
+        ids=["negative", "over-one", "under-one"],
+    )
+    def test_invalid_p_raises_like_choice(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(p.size, p=p)
+        with pytest.raises(ValueError):
+            _choice_cdf(p)
+        # One bad row spoils a per-user matrix.
+        with pytest.raises(ValueError):
+            _choice_cdf(np.vstack([np.full(p.size, 1 / p.size), p]))
