@@ -3,8 +3,9 @@
 Run:  python examples/restart_recovery.py
 
 What it shows: a serving process ingests a live action stream with its
-model in the in-memory KV store, a write-ahead log in front of it and a
-full checkpoint of the store every 100 actions.  The WAL append is what
+whole model — demographic hot lists included — in the in-memory KV
+store, a write-ahead log in front of it and a full checkpoint of the
+store every 100 actions.  The WAL append is what
 acks an action.  This script SIGKILLs that process mid-ingest — no
 shutdown hook, so every model write since the last checkpoint dies with
 it — then restarts: the newest checkpoint is restored into a fresh store,
@@ -43,7 +44,7 @@ def ingest(root: Path) -> None:
     world = SyntheticWorld(WorldConfig(**WORLD))
     store, wal, recovery = build_state(root)
     recommender = RealtimeRecommender(
-        world.videos, enable_demographic=False, store=store, wal=wal
+        world.videos, users=world.users, store=store, wal=wal
     )
     for count, action in enumerate(world.generate_actions(), start=1):
         recommender.observe(action)
@@ -80,7 +81,7 @@ def main() -> None:
     world = SyntheticWorld(WorldConfig(**WORLD))
     store, wal, recovery = build_state(root)
     recovered = RealtimeRecommender(
-        world.videos, enable_demographic=False, store=store, wal=wal
+        world.videos, users=world.users, store=store, wal=wal
     )
     report = recovery.recover(store, recovered.observe)
     print(
@@ -93,7 +94,7 @@ def main() -> None:
     actions = world.generate_actions()[: report.last_seq]
     clean = RealtimeRecommender(
         world.videos,
-        enable_demographic=False,
+        users=world.users,
         store=ShardedKVStore(n_shards=4),
     )
     clean.observe_stream(actions)

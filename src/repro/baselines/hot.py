@@ -3,6 +3,9 @@
 "A simple but powerful method, where the computation is in real-time."
 Popularity decays exponentially so the list tracks what is hot *now*; the
 user's own watched videos are excluded from their list.
+
+Over a recommender's ``store=`` the counts (``hot`` key ``"__all__"``)
+join its checkpoints and the watched sets are its own ``history``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from ..core.demographic import HotVideoTracker
 from ..core.history import UserHistoryStore
 from ..data.schema import UserAction
 from ..data.stream import ENGAGEMENT_ACTIONS
+from ..kvstore import InMemoryKVStore, KVStore
 
 _GLOBAL = "__all__"
 #: Videos the decayed popularity tracker keeps scores for.
@@ -26,15 +30,19 @@ class HotRecommender:
         half_life: float = SECONDS_PER_DAY,
         clock: Clock | None = None,
         exclude_watched: bool = True,
+        store: KVStore | None = None,
     ) -> None:
         self.clock = clock or SystemClock()
+        backing = store if store is not None else InMemoryKVStore()
         self.tracker = HotVideoTracker(
-            half_life=half_life, max_tracked=MAX_TRACKED, clock=self.clock
+            half_life, MAX_TRACKED, clock=self.clock, store=backing
         )
-        self.history = UserHistoryStore()
+        self.history = UserHistoryStore(store=backing)
         self.exclude_watched = exclude_watched
 
     def observe(self, action: UserAction) -> None:
+        # Over a shared store the recommender pushed the history already;
+        # pushing the same action again leaves it unchanged.
         if action.action not in ENGAGEMENT_ACTIONS:
             return
         self.tracker.record(

@@ -105,10 +105,9 @@ class DemographicRecommender:
         self,
         users: Mapping[str, User],
         tracker: HotVideoTracker | None = None,
-        clock: Clock | None = None,
     ) -> None:
         self.users = users
-        self.tracker = tracker or HotVideoTracker(clock=clock)
+        self.tracker = tracker or HotVideoTracker()
 
     def group_for(self, user_id: str) -> str:
         """The demographic group of a user; global when unknown."""

@@ -13,6 +13,9 @@ entry points:
   similar-video tables, predict preferences with Eq. 2, rank, and merge in
   demographic results.
 
+All model state, demographic hot lists included, lives in the one KV
+store ``store`` (§5), so a checkpoint of it is the whole model.
+
 Request latency is recorded per call; the paper's production deployment
 reports millisecond latencies, which the latency benchmark checks on this
 implementation too.
@@ -40,7 +43,11 @@ if TYPE_CHECKING:
 from .actions import ActionWeigher, LogPlaytimeWeigher
 from .annindex import AnnIndex
 from .candidates import CandidateSelector
-from .demographic import DemographicRecommender, merge_recommendations
+from .demographic import (
+    DemographicRecommender,
+    HotVideoTracker,
+    merge_recommendations,
+)
 from .history import UserHistoryStore
 from .mf import MFModel
 from .online import ActionLog, OnlineTrainer
@@ -129,7 +136,8 @@ class RealtimeRecommender:
         self.demographic: DemographicRecommender | None = None
         if enable_demographic:
             self.demographic = DemographicRecommender(
-                self.users, clock=self.clock
+                self.users,
+                tracker=HotVideoTracker(clock=self.clock, store=backing),
             )
 
     # ------------------------------------------------------------------
@@ -157,23 +165,11 @@ class RealtimeRecommender:
                 action.video_id, partners, now=action.timestamp
             )
             self.history.record(action)
-            self.observe_demographic(action)
-
-    def observe_demographic(self, action: UserAction) -> None:
-        """Fold one action into the demographic hot lists *only*.
-
-        Recovery hook: demographic state lives in memory, not in the KV
-        store, so a checkpoint restore leaves it empty — replaying the
-        checkpointed WAL prefix through this method rebuilds it exactly
-        (the weights depend only on the action and static video metadata)
-        without re-applying anything to KV-backed state.
-        """
-        if self.demographic is None or action.action not in ENGAGEMENT_ACTIONS:
-            return
-        weight = self.weigher.weight(
-            action, self.videos.get(action.video_id)
-        ) if self.trainer.is_playtime_capable(action) else 1.0
-        self.demographic.record(action, weight=weight)
+            if self.demographic is not None:
+                weight = self.weigher.weight(
+                    action, self.videos.get(action.video_id)
+                ) if self.trainer.is_playtime_capable(action) else 1.0
+                self.demographic.record(action, weight=weight)
 
     def rebuild_index(self) -> dict | None:
         """(Re)build the retrieval mirror from the model's current factors.

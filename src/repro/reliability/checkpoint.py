@@ -5,8 +5,8 @@ unacked tuples and the model state lives in external storage (§5.1-5.2).
 This module provides the durable half of that story for this repo's
 in-process KV store: a :class:`CheckpointManager` snapshots every live
 entry — MF vectors, biases, the ``mu`` accumulator, user histories,
-similar-video tables — into a versioned directory and restores it into a
-fresh store.
+similar-video tables, hot lists — into a versioned directory and restores
+it into a fresh store.
 
 On-disk layout (all under the manager's root directory)::
 
@@ -30,7 +30,8 @@ Every checkpoint is ``kind="full"``: every live entry pickled into
 store's contents.  Older builds also wrote ``kind="segments"`` manifests
 that referenced the files of a log-structured store tier; those hold no
 entries, so :meth:`CheckpointManager.list` skips them and recovery from
-such a data directory replays the whole write-ahead log instead.
+such a data directory replays the whole write-ahead log instead.  So do
+format-1 checkpoints, written before the hot lists joined the store.
 
 Values are serialised with :mod:`pickle` — checkpoints are trusted local
 state written and read by the same process family, and the stored values
@@ -55,7 +56,8 @@ _PREFIX = "ckpt-"
 _TMP_PREFIX = "tmp-"
 _ENTRIES_FILE = "entries.pkl"
 _MANIFEST_FILE = "manifest.json"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_FORMAT_WITHOUT_HOT_LISTS = 1
 _KIND_FULL = "full"
 
 
@@ -171,9 +173,9 @@ class CheckpointManager:
 
     def list(self) -> list[CheckpointInfo]:
         """Completed full checkpoints, oldest first.  Torn ``tmp-*``
-        directories, directories without a manifest and manifests of
-        another kind (an older build's ``kind="segments"``) are skipped
-        silently."""
+        directories, directories without a manifest and what older builds
+        wrote (``kind="segments"`` manifests, format-1 checkpoints without
+        the hot lists) are skipped silently."""
         infos: list[CheckpointInfo] = []
         for path in sorted(self.root.iterdir()):
             if not path.is_dir() or not path.name.startswith(_PREFIX):
@@ -185,7 +187,10 @@ class CheckpointManager:
                 manifest = json.loads(manifest_path.read_text())
             except (OSError, json.JSONDecodeError):
                 continue
-            if manifest.get("kind", _KIND_FULL) != _KIND_FULL:
+            if (
+                manifest.get("kind", _KIND_FULL) != _KIND_FULL
+                or manifest.get("format") == _FORMAT_WITHOUT_HOT_LISTS
+            ):
                 continue
             infos.append(
                 CheckpointInfo(

@@ -10,11 +10,10 @@ interrupted its (non-atomic) application is replayed in full against the
 *checkpoint* state, so no partial update survives; checkpoints are only
 taken between actions, so none captures a partial one either.
 
-The checkpoint restores what lives in the KV store: MF vectors and biases,
-the ``mu`` accumulator, user histories, similar-video tables.  Model state
-held outside it (demographic hot lists, a hot-videos fallback) is rebuilt
-from the log through :meth:`RecoveryManager.recover`'s ``rebuild``; trainer
-counters and metrics restart from zero — observability, not model.
+All model state lives in the KV store — MF vectors and biases, ``mu``,
+user histories, similar-video tables, hot lists — so restoring the
+checkpoint and replaying the actions after its ``wal_seq`` is all of
+recovery.  Trainer counters and metrics restart from zero.
 """
 
 from __future__ import annotations
@@ -66,19 +65,15 @@ class RecoveryManager:
         self,
         store: KVStore,
         apply: Callable[[UserAction], object],
-        rebuild: Callable[[UserAction], object] | None = None,
     ) -> RecoveryReport:
         """Rebuild state into ``store``; return what happened.
 
         ``apply`` re-feeds one logged action through the model — typically
-        ``OnlineTrainer.process`` or ``RealtimeRecommender.observe``.  The
-        WAL is suspended for the duration so an ``apply`` that itself logs
-        to this WAL does not duplicate records.
-
-        ``rebuild`` serves model state kept outside ``store`` (so in no
-        checkpoint): it gets every action the restored checkpoint covers,
-        ``apply`` every later one, in one pass in log order — time-decayed
-        hot lists end up exactly as an uninterrupted run left them.
+        ``OnlineTrainer.process`` or ``RealtimeRecommender.observe`` — and
+        gets exactly the actions logged after the restored checkpoint's
+        ``wal_seq``, in log order.  The WAL is suspended for the duration
+        so an ``apply`` that itself logs to this WAL does not duplicate
+        records.
 
         Restoring a checkpoint replaces ``store``'s contents.  With nothing
         to restore — no checkpoint yet (a crash during the first boot), or
@@ -93,15 +88,11 @@ class RecoveryManager:
         after_seq = info.wal_seq if info is not None else 0
         replayed = 0
         last_seq = after_seq
-        start = after_seq if rebuild is None else 0
         with self.wal.suspend():
-            for seq, action in self.wal.replay(after_seq=start):
-                if seq <= after_seq:
-                    rebuild(action)
-                else:
-                    apply(action)
-                    replayed += 1
-                    last_seq = seq
+            for seq, action in self.wal.replay(after_seq=after_seq):
+                apply(action)
+                replayed += 1
+                last_seq = seq
         return RecoveryReport(
             checkpoint=info,
             replayed=replayed,

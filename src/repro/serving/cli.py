@@ -10,12 +10,12 @@ for demos, smoke tests, and poking the endpoints with curl::
     curl -s localhost:8080/healthz
     curl -s -XPOST localhost:8080/recommend -d '{"user_id": "u0001"}'
 
-With ``--data-dir`` the model plane becomes durable: every observed
-action hits a write-ahead log first (that append is the durability
-point), the model itself stays in the in-memory KV store, the first boot
-is sealed with a full checkpoint of it, and on boot the process recovers
-checkpoint + WAL tail instead of retraining — kill it and restart it and
-it serves the same recommendations.
+The recommender and the fallback share one in-memory KV store; training,
+``/ingest`` and recovery feed both through one ``observe``.  With
+``--data-dir`` every observed action hits a write-ahead log first (that
+append is the durability point), the first boot is sealed with a full
+checkpoint of the store, and a restart restores it and replays the WAL
+after it instead of retraining — it serves the same recommendations.
 
 Everything is stdlib + numpy; the process serves until interrupted.
 """
@@ -30,7 +30,7 @@ from pathlib import Path
 from ..baselines import HotRecommender
 from ..clock import SystemClock
 from ..core import RealtimeRecommender
-from ..data import SyntheticWorld
+from ..data import SyntheticWorld, UserAction
 from ..data.synthetic import paper_world_config
 from ..config import ReproConfig, RetrievalConfig
 from ..kvstore import InMemoryKVStore
@@ -64,23 +64,23 @@ def build_demo_gateway(
     """A fully-wired gateway over a freshly trained synthetic recommender.
 
     With ``data_dir`` actions are WAL-logged (``<data_dir>/wal``) and
-    boot first attempts checkpoint-restore (``<data_dir>/ckpt``) + WAL
-    replay into the in-memory store; only a state-less data dir triggers
-    the synthetic training pass, which is then sealed with a full
-    checkpoint.  ``fsync`` is one of :data:`FSYNC_POLICIES`.
+    boot first restores the newest checkpoint (``<data_dir>/ckpt``) and
+    replays the WAL after it; only a state-less data dir triggers the
+    synthetic training pass, which is then sealed with a full checkpoint.
+    ``fsync`` is one of :data:`FSYNC_POLICIES`.
     """
     world = SyntheticWorld(
         paper_world_config(seed=seed, n_users=n_users, n_videos=n_videos)
     )
     obs = Observability.create()
-    store = wal = recovery = None
+    store = InMemoryKVStore()
+    wal = recovery = None
     if data_dir is not None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync must be one of {sorted(FSYNC_POLICIES)}, got {fsync!r}"
             )
         data_root = Path(data_dir)
-        store = InMemoryKVStore()
         wal = ActionWAL(data_root / "wal", fsync=(fsync == "always"))
         recovery = RecoveryManager(
             CheckpointManager(data_root / "ckpt", fsync=(fsync != "never")),
@@ -95,23 +95,15 @@ def build_demo_gateway(
         store=store,
         wal=wal,
     )
-    fallback = HotRecommender()
+    fallback = HotRecommender(store=store)
+
+    def observe(action: UserAction) -> None:
+        recommender.observe(action)
+        fallback.observe(action)
+
     recovered = False
-    if recovery is not None and store is not None:
-        # KV-backed state comes back from checkpoint + replayed tail; the
-        # demographic hot lists and the hot-videos fallback live in memory
-        # only, so they see the whole log in order (``rebuild``, then tail).
-        report = recovery.recover(
-            store,
-            lambda action: (
-                recommender.observe(action),
-                fallback.observe(action),
-            ),
-            rebuild=lambda action: (
-                recommender.observe_demographic(action),
-                fallback.observe(action),
-            ),
-        )
+    if recovery is not None:
+        report = recovery.recover(store, observe)
         recovered = report.checkpoint is not None or report.replayed > 0
         if recovered:
             print(
@@ -121,11 +113,9 @@ def build_demo_gateway(
                 flush=True,
             )
     if not recovered:
-        actions = world.generate_actions()
-        recommender.observe_stream(actions)
-        for action in actions:
-            fallback.observe(action)
-        if recovery is not None and store is not None:
+        for action in world.generate_actions():
+            observe(action)
+        if recovery is not None:
             recovery.checkpoint(store)
     # Seal the boot path for factor-scan retrieval: whether the factors
     # came from training or checkpoint+WAL recovery, the scan's mirror is
@@ -157,7 +147,7 @@ def build_demo_gateway(
     return ServingGateway(
         router,
         config=config,
-        observe=recommender.observe,
+        observe=observe,
         obs=obs,
         breaker=breaker,
     )

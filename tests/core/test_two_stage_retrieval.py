@@ -7,7 +7,11 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.config import ReproConfig, RetrievalConfig
-from repro.core import DemographicRecommender, RealtimeRecommender
+from repro.core import (
+    DemographicRecommender,
+    HotVideoTracker,
+    RealtimeRecommender,
+)
 from repro.data import ActionType, UserAction
 from repro.kvstore import InMemoryKVStore
 from repro.obs import Observability
@@ -65,8 +69,6 @@ class TestSaturatedEquivalence:
         """The merged output only draws demographic picks from the
         post-filter-equivalent list (blocked = watched + seeds)."""
         rec = _trained(small_world, small_split, "ann")
-        for action in small_split.train:
-            rec.observe_demographic(action)
         for user in _warm_users(rec):
             got = rec.recommend_ids(user, current_video="v2", n=10)
             assert len(got) == len(set(got))
@@ -78,7 +80,7 @@ class TestDemographicPostFilterPin:
         self, small_world, small_actions
     ):
         demo = DemographicRecommender(
-            small_world.users, clock=VirtualClock(0.0)
+            small_world.users, tracker=HotVideoTracker(clock=VirtualClock(0.0))
         )
         for action in small_actions[:400]:
             demo.record(action)
@@ -94,7 +96,7 @@ class TestDemographicPostFilterPin:
         self, small_world, small_actions
     ):
         demo = DemographicRecommender(
-            small_world.users, clock=VirtualClock(0.0)
+            small_world.users, tracker=HotVideoTracker(clock=VirtualClock(0.0))
         )
         for action in small_actions[:400]:
             demo.record(action)
@@ -194,8 +196,6 @@ class TestBatchedSeedFetches:
 class TestRouterIntegration:
     def test_handle_many_serves_ann_mode(self, small_world, small_split):
         rec = _trained(small_world, small_split, "ann")
-        for action in small_split.train:
-            rec.observe_demographic(action)
         router = RequestRouter(rec, obs=Observability.create())
         users = _warm_users(rec, limit=4)
         requests = [RecRequest(user_id=u, n=5) for u in users] + [

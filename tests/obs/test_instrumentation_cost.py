@@ -26,12 +26,15 @@ N_READS = 20
 #: Counter totals of the stream and the reads, recorded from the
 #: implementation that looked both children up per op and timed each op;
 #: get/update re-recorded when ``offer_pair`` took an engagement's partners
-#: in one step (one arena read, one list update per partner plus one).
+#: in one step (one arena read, one list update per partner plus one), and
+#: again when the demographic hot lists moved into the model's store (per
+#: engagement an update of the user's group's list and of the global one,
+#: per read a get of the group's list).
 RECORDED_TOTALS = {
     "kvstore_batch_keys_total{op=mget}": 56.0,
-    "kvstore_ops_total{op=get}": 4565.0,
+    "kvstore_ops_total{op=get}": 4585.0,
     "kvstore_ops_total{op=mget}": 20.0,
-    "kvstore_ops_total{op=update}": 11208.0,
+    "kvstore_ops_total{op=update}": 12843.0,
     "trainer_actions_total{result=skipped_zero}": 1078.0,
     "trainer_actions_total{result=updated}": 922.0,
 }

@@ -74,7 +74,7 @@ def run_rec(root: Path, limit: int, checkpoint_every: int) -> None:
     )
     recovery = RecoveryManager(CheckpointManager(root / "ckpt"), wal)
     recommender = RealtimeRecommender(
-        world.videos, enable_demographic=False, store=store, wal=wal
+        world.videos, users=world.users, store=store, wal=wal
     )
     for count, action in enumerate(actions, start=1):
         recommender.observe(action)

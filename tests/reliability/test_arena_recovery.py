@@ -26,7 +26,7 @@ def test_checkpoint_snapshots_arena_as_single_entries(
         small_world.videos,
         store=store,
         clock=VirtualClock(0.0),
-        enable_demographic=False,
+        users=small_world.users,
     )
     rec.observe_stream(small_split.train[:200])
     arena_keys = [
@@ -58,7 +58,7 @@ def test_model_constructed_before_restore_sees_restored_arena(
         small_world.videos,
         store=store_a,
         clock=VirtualClock(0.0),
-        enable_demographic=False,
+        users=small_world.users,
     )
     rec_a.observe_stream(small_split.train[:150])
     manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
@@ -71,7 +71,7 @@ def test_model_constructed_before_restore_sees_restored_arena(
         small_world.videos,
         store=store_b,
         clock=VirtualClock(0.0),
-        enable_demographic=False,
+        users=small_world.users,
     )
     assert rec_b.model.n_users == 0
     manager.restore(info, store_b)
@@ -95,7 +95,7 @@ def test_full_recovery_with_wal_replay_on_arena(
         config=ReproConfig(),
         store=store_a,
         clock=VirtualClock(0.0),
-        enable_demographic=False,
+        users=small_world.users,
         wal=wal_a,
     )
     manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
@@ -108,7 +108,7 @@ def test_full_recovery_with_wal_replay_on_arena(
         small_world.videos,
         store=InMemoryKVStore(),
         clock=VirtualClock(0.0),
-        enable_demographic=False,
+        users=small_world.users,
     )
     ref.observe_stream(actions)
 
@@ -119,7 +119,7 @@ def test_full_recovery_with_wal_replay_on_arena(
         small_world.videos,
         store=store_c,
         clock=VirtualClock(0.0),
-        enable_demographic=False,
+        users=small_world.users,
     )
     recovery = RecoveryManager(manager, ActionWAL(tmp_path / "wal-a", fsync=False))
     report = recovery.recover(store_c, rec_c.observe)

@@ -144,7 +144,7 @@ class TestRecommenderCrash:
         )
         world = SyntheticWorld(WorldConfig(**WORLD))
         recovered = RealtimeRecommender(
-            world.videos, enable_demographic=False, store=store, wal=wal
+            world.videos, users=world.users, store=store, wal=wal
         )
         report = recovery.recover(store, recovered.observe)
 
@@ -158,7 +158,7 @@ class TestRecommenderCrash:
         actions = world.generate_actions()[: report.last_seq]
         clean = RealtimeRecommender(
             world.videos,
-            enable_demographic=False,
+            users=world.users,
             store=ShardedKVStore(n_shards=4),
         )
         clean.observe_stream(actions)

@@ -38,7 +38,7 @@ N_CRASH = 220  # "power loss" after this many
 def _recommender(world, store, wal=None):
     return RealtimeRecommender(
         world.videos,
-        enable_demographic=False,  # demographic state is not KV-backed
+        users=world.users,
         store=store,
         wal=wal,
     )
@@ -257,34 +257,32 @@ class TestFullCheckpointRecovery:
         assert report.replayed == N_CRASH
         self._assert_same_top_n(live, reference, stream)
 
-    def test_rebuild_sees_the_checkpointed_prefix_in_log_order(
+    def test_apply_gets_exactly_the_records_after_the_checkpoint_in_log_order(
         self, small_world, small_actions, tmp_path
     ):
-        """State outside the store gets one in-order pass over the log:
-        ``rebuild`` for what the checkpoint covers, ``apply`` for the rest."""
+        """Every piece of model state is in the checkpoint, so ``apply``
+        sees the records with ``seq`` past its ``wal_seq`` and no other."""
         stream = small_actions[:N_CRASH]
         recovery = self._recovery(tmp_path)
         store = InMemoryKVStore()
         live = _recommender(small_world, store, wal=recovery.wal)
         live.observe_stream(stream[:N_CHECKPOINT])
-        recovery.checkpoint(store)
+        info = recovery.checkpoint(store)
         live.observe_stream(stream[N_CHECKPOINT:])
         del live
 
         seen = []
-        report = recovery.recover(
-            InMemoryKVStore(),
-            lambda action: seen.append(("apply", action)),
-            rebuild=lambda action: seen.append(("rebuild", action)),
-        )
-        assert report.replayed == N_CRASH - N_CHECKPOINT
-        assert report.last_seq == N_CRASH
-        assert [action.to_log_line() for _, action in seen] == [
-            action.to_log_line() for action in stream
+        report = recovery.recover(InMemoryKVStore(), seen.append)
+        tail = [
+            action.to_log_line()
+            for seq, action in recovery.wal.replay()
+            if seq > info.wal_seq
         ]
-        assert [kind for kind, _ in seen] == (
-            ["rebuild"] * N_CHECKPOINT + ["apply"] * report.replayed
-        )
+        assert info.wal_seq == N_CHECKPOINT
+        assert report.replayed == len(seen) == N_CRASH - N_CHECKPOINT
+        assert report.last_seq == N_CRASH
+        assert [action.to_log_line() for action in seen] == tail
+        assert tail == [a.to_log_line() for a in stream[N_CHECKPOINT:]]
 
     def test_newest_of_several_checkpoints_is_the_recovery_point(
         self, small_world, small_actions, tmp_path

@@ -6,11 +6,14 @@ import hashlib
 import http.client
 import json
 import os
+import pickle
 import random
 
 import pytest
 
-from repro.data import ActionType, UserAction
+from repro.baselines import HotRecommender
+from repro.data import GLOBAL_GROUP, ActionType, SyntheticWorld, UserAction
+from repro.data.synthetic import paper_world_config
 from repro.serving import GatewayConfig
 from repro.reliability import ActionWAL
 from repro.serving.cli import FSYNC_POLICIES, _build_parser, build_demo_gateway
@@ -93,19 +96,27 @@ def test_demo_gateway_serves_end_to_end():
             conn.close()
 
 
-def _durable_boot(data_dir, capsys, fsync="interval"):
-    """``build_demo_gateway(data_dir=...)``'s recommender and what it printed."""
+#: The world every durable boot below trains on.
+DEMO_WORLD = dict(n_users=10, n_videos=30, seed=7)
+
+
+def _durable_gateway(data_dir, capsys, fsync="interval"):
+    """``build_demo_gateway(data_dir=...)`` and what it printed."""
     gateway = build_demo_gateway(
         GatewayConfig(port=0),
         rate=None,
         max_concurrency=None,
-        n_users=10,
-        n_videos=30,
-        seed=7,
         data_dir=data_dir,
         fsync=fsync,
+        **DEMO_WORLD,
     )
-    return gateway.router.recommender, capsys.readouterr().out
+    return gateway, capsys.readouterr().out
+
+
+def _durable_boot(data_dir, capsys, fsync="interval"):
+    """``build_demo_gateway(data_dir=...)``'s recommender and what it printed."""
+    gateway, out = _durable_gateway(data_dir, capsys, fsync)
+    return gateway.router.recommender, out
 
 
 @pytest.mark.parametrize("n_tail", [30, 300])
@@ -113,8 +124,7 @@ def test_restart_recovers_checkpoint_plus_tail(tmp_path, capsys, n_tail):
     """The served recovery path with a non-empty tail: a restart rolls back
     to the boot checkpoint, replays exactly the actions ingested since, and
     serves every user the list the uninterrupted process served — the
-    demographic hot lists decay by timestamp deltas, so this holds only if
-    they see the log in order (prefix first, then tail)."""
+    demographic hot lists included, which the checkpoint carries."""
     live, boot_out = _durable_boot(tmp_path, capsys)
     assert "recovered" not in boot_out  # fresh directory: trained, not recovered
     serve = _ingest_tail(live, n_tail)
@@ -162,15 +172,17 @@ def test_data_dir_with_a_segments_checkpoint_replays_the_whole_log(
     assert serve(restarted) == served
 
 
-def _ingest_tail(live, n_tail):
-    """Observe ``n_tail`` seeded actions on ``live``; return a function
-    giving any recommender's top-10 per user at a time after them."""
+def _ingest_tail(live, n_tail, observe=None):
+    """Observe ``n_tail`` seeded actions through ``observe`` (by default
+    ``live.observe``); return a function giving any recommender's top-10
+    per user at a time after them."""
+    observe = observe or live.observe
     users, videos = sorted(live.users), sorted(live.videos)
     rng = random.Random(n_tail)
     stamp = 1e7
     for _ in range(n_tail):
         stamp += rng.randrange(1, 600)
-        live.observe(
+        observe(
             UserAction(
                 stamp,
                 rng.choice(users),
@@ -187,6 +199,106 @@ def _ingest_tail(live, n_tail):
         }
 
     return serve
+
+
+def _served_lists(gateway, serve):
+    """Every user's primary and hot-videos fallback lists."""
+    return serve(gateway.router.recommender), serve(gateway.router.fallback)
+
+
+def test_restart_serves_the_live_primary_and_fallback_lists(tmp_path, capsys):
+    """``gateway.observe`` — what ``/ingest`` runs — feeds the primary and
+    the hot-videos fallback alike, and the boot checkpoint holds both, so
+    a restart replays exactly the ingested actions and every user gets the
+    live process's primary and fallback lists."""
+    n_ingested = 200
+    live, _ = _durable_gateway(tmp_path, capsys)
+    users = sorted(live.router.recommender.users)
+
+    def fallback_lists():
+        return [
+            live.router.fallback.recommend_ids(user, n=10, now=2e7)
+            for user in users
+        ]
+
+    before = fallback_lists()
+    serve = _ingest_tail(live.router.recommender, n_ingested, live.observe)
+    served = _served_lists(live, serve)
+    assert fallback_lists() != before  # the ingested actions reached it
+
+    restarted, out = _durable_gateway(tmp_path, capsys)
+    assert "checkpoint=ckpt-" in out
+    assert f"replayed={n_ingested} " in out
+    assert _served_lists(restarted, serve) == served
+
+
+def test_fallback_hot_list_cannot_collide_with_a_demographic_group(
+    tmp_path, capsys
+):
+    """The fallback keeps its counts under key ``"__all__"`` of the same
+    ``hot`` namespace as the demographic groups.  No group label is that
+    key, and the checkpointed fallback serves what a fallback with a store
+    of its own serves after the same actions."""
+    config = paper_world_config(**DEMO_WORLD)
+    labels = {GLOBAL_GROUP} | {
+        f"{gender}|{age}"
+        for gender in config.genders
+        for age in config.age_bands
+    }
+    assert "__all__" not in labels
+
+    live, _ = _durable_boot(tmp_path, capsys)
+    assert {user.demographic_group for user in live.users.values()} <= labels
+    (checkpoint,) = (tmp_path / "ckpt").glob("ckpt-*")
+    entries = pickle.loads((checkpoint / "entries.pkl").read_bytes())
+    hot_keys = {entry.key[1] for entry in entries if entry.key[0] == "hot"}
+    assert "__all__" in hot_keys and hot_keys - {"__all__"} <= labels
+
+    alone = HotRecommender()
+    for action in SyntheticWorld(config).generate_actions():
+        alone.observe(action)
+    restarted, out = _durable_gateway(tmp_path, capsys)
+    assert "replayed=0 " in out
+    for user in sorted(live.users):
+        assert restarted.router.fallback.recommend_ids(
+            user, n=10, now=2e7
+        ) == alone.recommend_ids(user, n=10, now=2e7)
+
+
+def test_data_dir_with_a_format_1_checkpoint_replays_the_whole_log(
+    tmp_path, capsys
+):
+    """A data dir an older build wrote — its boot sealed by a format-1
+    checkpoint, from before the hot lists were store entries — still
+    boots.  Restoring that checkpoint would lose the hot lists, so it is
+    skipped: the restart replays the whole WAL and serves the live
+    process's primary and fallback lists."""
+    live, _ = _durable_gateway(tmp_path, capsys)
+    serve = _ingest_tail(live.router.recommender, 30, live.observe)
+    served = _served_lists(live, serve)
+
+    (checkpoint,) = (tmp_path / "ckpt").glob("ckpt-*")
+    entries_path = checkpoint / "entries.pkl"
+    entries = [
+        entry
+        for entry in pickle.loads(entries_path.read_bytes())
+        if entry.key[0] != "hot"
+    ]
+    payload = pickle.dumps(entries)
+    entries_path.write_bytes(payload)
+    manifest_path = checkpoint / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(
+        format=1,
+        n_entries=len(entries),
+        sha256=hashlib.sha256(payload).hexdigest(),
+    )
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+
+    restarted, out = _durable_gateway(tmp_path, capsys)
+    assert "checkpoint=none " in out
+    assert f"replayed={manifest['wal_seq'] + 30} " in out
+    assert _served_lists(restarted, serve) == served
 
 
 @pytest.mark.parametrize("policy", ["always", "interval", "never"])
