@@ -14,13 +14,18 @@ Pair discovery follows the paper's topology (§5.1): when a user engages with
 a new video, it is paired with the videos already in that user's recent
 history (``GetItemPairs``), each pair is scored (``ItemPairSim``), and the
 per-video lists are updated (``ResultStorage``).
+
+All lists live in one store entry (:class:`SimilarLists`), the way the
+factors live in one :class:`~repro.core.arena.FactorArena`, so the k + 1
+list updates of one engagement are one store update.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Mapping, Sequence
+import threading
+from typing import Iterable, Mapping, Sequence
 
 from ..clock import Clock, SystemClock
 from ..config import SimilarityConfig
@@ -80,12 +85,131 @@ def _eviction_key(raw: float, timestamp: float, xi: float) -> tuple[float, float
     return (0.0, 0.0)
 
 
+#: The key, in the ``simtable`` namespace, of the one entry holding every list.
+LISTS_KEY = "lists"
+
+#: One directed list update: ``(video, other, raw relevance, timestamp)``.
+Entry = tuple[str, str, float, float]
+
+
+class SimilarLists:
+    """Every video's top-K similar list, as one store value.
+
+    A row is a dict ``other -> (raw, updated_at, eviction key)`` with its
+    own min-heap of ``(eviction key, other)``: eviction pops the weakest
+    entry in O(log K) instead of scanning all K.  Keys are time-invariant
+    (see :func:`_eviction_key`), so a row's heap survives across updates;
+    pushes superseded by a later write to the same ``other`` are skipped
+    lazily at pop time (their key object is no longer the entry's).
+
+    Thread safety: every method takes the value's own lock, so a reader
+    copies a row while no writer is mid-update.  Pickling (checkpoints)
+    goes through :meth:`__getstate__` and keeps only
+    ``{video: {other: (raw, updated_at)}}``; keys and heaps are rebuilt
+    per row on that row's first write after a restore.
+    """
+
+    def __init__(self) -> None:
+        self._rows: dict[str, dict[str, tuple]] = {}
+        # Per row: its min-heap; a restored row has none until written.
+        self._weakest: dict[str, list[tuple[tuple[float, float], str]]] = {}
+        self._lock = threading.RLock()
+
+    def insert(
+        self, entries: Iterable[Entry], table_size: int, xi: float
+    ) -> None:
+        """Apply each ``(video, other, raw, timestamp)`` in order, evicting
+        the weakest entry of ``video``'s row whenever it overflows."""
+        rows, weakest = self._rows, self._weakest
+        with self._lock:
+            for video, other, raw, timestamp in entries:
+                row = rows.get(video)
+                if row is None:
+                    row = rows[video] = {}
+                    heap = weakest[video] = []
+                else:
+                    heap = weakest.get(video)
+                    if heap is None:
+                        # First write since a restore: key the row.
+                        for o, (r, t, _) in row.items():
+                            row[o] = (r, t, _eviction_key(r, t, xi))
+                        heap = self._reheap(video)
+                key = _eviction_key(raw, timestamp, xi)
+                row[other] = (raw, timestamp, key)
+                if len(row) <= table_size:
+                    heapq.heappush(heap, (key, other))
+                else:
+                    # Push the newcomer and pop the weakest in one step,
+                    # skipping pushes a later write to their id superseded.
+                    weakest_key, evicted = heapq.heappushpop(heap, (key, other))
+                    while (entry := row.get(evicted)) is None or (
+                        entry[2] is not weakest_key
+                    ):
+                        weakest_key, evicted = heapq.heappop(heap)
+                    del row[evicted]
+                if len(heap) > 4 * table_size:
+                    self._reheap(video)
+
+    def _reheap(self, video: str) -> list[tuple[tuple[float, float], str]]:
+        """Rebuild ``video``'s heap from its row's stored keys."""
+        heap = [(entry[2], other) for other, entry in self._rows[video].items()]
+        heapq.heapify(heap)
+        self._weakest[video] = heap
+        return heap
+
+    def rows(self, video_ids: Iterable[str]) -> list[dict[str, tuple]]:
+        """A copy of each video's row (empty when it has none)."""
+        with self._lock:
+            return [dict(self._rows.get(video, ())) for video in video_ids]
+
+    def videos(self) -> list[str]:
+        """Ids of all videos that have a list."""
+        with self._lock:
+            return list(self._rows)
+
+    def __contains__(self, video_id: str) -> bool:
+        with self._lock:
+            return video_id in self._rows
+
+    def __getstate__(self) -> dict[str, dict[str, tuple[float, float]]]:
+        with self._lock:
+            return {
+                video: {other: entry[:2] for other, entry in row.items()}
+                for video, row in self._rows.items()
+            }
+
+    def __setstate__(
+        self, state: dict[str, dict[str, tuple[float, float]]]
+    ) -> None:
+        self._rows = {
+            video: {
+                other: (raw, updated_at, None)
+                for other, (raw, updated_at) in row.items()
+            }
+            for video, row in state.items()
+        }
+        self._weakest = {}
+        self._lock = threading.RLock()
+
+
 class SimilarVideoTable:
     """Incrementally maintained top-K similar-video lists.
 
     The table needs the video catalogue (for type similarity) and the MF
     model (for latent vectors).  Pairs whose videos have no learned vector
     yet are ignored — they cannot be scored.
+
+    Ties are broken by id, both ways:
+
+    * when two entries of a full list have equal eviction keys (equal
+      damped relevance at every read time), the smaller ``other`` id is
+      evicted first;
+    * when two entries have equal damped similarities at read time, they
+      are served in ascending id order.
+
+    All lists are one store entry (:data:`LISTS_KEY`), written under
+    fields grouping by video: one writer per row, not per key, as with
+    the factor arena's rows.
     """
 
     def __init__(
@@ -102,15 +226,7 @@ class SimilarVideoTable:
         self.scorer = SimilarityScorer(self.config)
         self.clock = clock or SystemClock()
         backing = store if store is not None else InMemoryKVStore()
-        # Per video: dict other_id -> (raw_relevance, updated_at).
         self._table = Namespace(backing, "simtable")
-        # Per video: min-heap of (eviction key, other_id) mirroring the
-        # stored entries, so eviction pops the weakest in O(log K) instead
-        # of scanning all K.  Keys are time-invariant (see _eviction_key)
-        # so the heap survives across updates; superseded pushes are
-        # skipped lazily at pop time.  Purely a local accelerator — it is
-        # rebuilt on demand, never persisted.
-        self._heaps: dict[str, list[tuple[tuple[float, float], str]]] = {}
 
     # ------------------------------------------------------------------
     # Updates
@@ -126,10 +242,11 @@ class SimilarVideoTable:
 
         The served pair step of one engagement: all vectors come from one
         arena read, each partner is scored with the scalar Eq. 12 fusion,
-        ``video_id``'s list takes every scored partner in one update, and
-        each scored partner's list takes ``video_id``.  The stored lists
-        equal those of scoring the pairs one by one (:meth:`score_pair`,
-        then :meth:`insert_scored` both ways, in partner order).
+        and one store update puts every scored partner into ``video_id``'s
+        list (in partner order) and ``video_id`` into each scored partner's
+        list.  The stored lists equal those of scoring the pairs one by
+        one (:meth:`score_pair`, then :meth:`insert_scored` both ways, in
+        partner order).
 
         Returns one raw fused relevance per partner, ``None`` where the
         pair cannot be scored (unknown video, missing vector, or a
@@ -143,18 +260,18 @@ class SimilarVideoTable:
         if y_i is None:
             return scores
         timestamp = self.clock.now() if now is None else now
-        scored = []
+        forward: list[Entry] = []
+        backward: list[Entry] = []
         for n, (other, y_j) in enumerate(zip(partners, vectors)):
             meta_j = self.videos.get(other)
             if other == video_id or meta_j is None or y_j is None:
                 continue
             raw = self.scorer.raw_relevance(meta_i, y_i, meta_j, y_j)
             scores[n] = raw
-            scored.append((other, raw, timestamp))
-        if scored:
-            self._insert(video_id, scored)
-            for other, raw, _ in scored:
-                self._insert(other, [(video_id, raw, timestamp)])
+            forward.append((video_id, other, raw, timestamp))
+            backward.append((other, video_id, raw, timestamp))
+        if forward:
+            self._insert(forward + backward)
         return scores
 
     def score_pair(
@@ -180,69 +297,32 @@ class SimilarVideoTable:
         self, video_id: str, other_id: str, raw: float, timestamp: float
     ) -> None:
         """Store one pre-scored directed entry (the ``ResultStorage`` step)."""
-        self._insert(video_id, [(other_id, raw, timestamp)])
+        self._insert([(video_id, other_id, raw, timestamp)])
 
-    def _rebuild_heap(
-        self, video_id: str, entries: dict[str, tuple[float, float]]
-    ) -> list[tuple[tuple[float, float], str]]:
-        xi = self.config.xi
-        heap = [
-            (_eviction_key(raw, updated_at, xi), other)
-            for other, (raw, updated_at) in entries.items()
-        ]
-        heapq.heapify(heap)
-        self._heaps[video_id] = heap
-        return heap
-
-    def _insert(
-        self, video_id: str, scored: Sequence[tuple[str, float, float]]
-    ) -> None:
-        """Put each ``(other_id, raw, timestamp)`` into ``video_id``'s list,
-        in order, evicting whenever the list overflows — one atomic store
-        update for the lot.
+    def _insert(self, entries: list[Entry]) -> None:
+        """Apply directed entries, in order, in one atomic store update.
 
         Eviction compares *damped* relevances (via the time-invariant
         :func:`_eviction_key`) so a stale high raw score cannot squat in
-        the table forever.  The stored dict is mutated in place under the
-        store's atomic update — no copy of all K entries per write — and
-        the weakest entry comes off the instance's min-heap in O(log K)
-        rather than a full scan.
+        the table forever.
         """
-        xi = self.config.xi
-        table_size = self.config.table_size
+        table_size, xi = self.config.table_size, self.config.xi
 
-        def _update(entries: dict[str, tuple[float, float]]):
-            heap = self._heaps.get(video_id)
-            if heap is None:
-                heap = self._rebuild_heap(video_id, entries)
-            for other_id, raw, timestamp in scored:
-                entries[other_id] = (raw, timestamp)
-                key = _eviction_key(raw, timestamp, xi)
-                heapq.heappush(heap, (key, other_id))
-                if len(entries) > table_size:
-                    while True:
-                        if not heap:
-                            # Cache missed writes from another table
-                            # instance over the same store; resync and
-                            # keep going.
-                            heap = self._rebuild_heap(video_id, entries)
-                        weakest_key, weakest = heapq.heappop(heap)
-                        current = entries.get(weakest)
-                        if current is None:
-                            continue  # already evicted; lazily discarded
-                        if _eviction_key(*current, xi) != weakest_key:
-                            continue  # superseded by a newer push for this id
-                        del entries[weakest]
-                        break
-                if len(heap) > 4 * table_size:
-                    heap = self._rebuild_heap(video_id, entries)
-            return entries
+        def _apply(lists: SimilarLists | None) -> SimilarLists:
+            if lists is None:
+                lists = SimilarLists()
+            lists.insert(entries, table_size, xi)
+            return lists
 
-        self._table.update(video_id, _update, default={})
+        self._table.update(LISTS_KEY, _apply, default=None)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    def _lists(self) -> SimilarLists:
+        lists = self._table.get(LISTS_KEY)
+        return SimilarLists() if lists is None else lists
 
     def neighbors(
         self, video_id: str, k: int | None = None, now: float | None = None
@@ -253,7 +333,7 @@ class SimilarVideoTable:
         fully forgotten per the paper's "past similar videos should be
         gradually forgotten".
         """
-        entries: dict[str, tuple[float, float]] = self._table.get(video_id, {})
+        [entries] = self._lists().rows([video_id])
         current = self.clock.now() if now is None else now
         return self._rank(entries, k, current)
 
@@ -263,36 +343,33 @@ class SimilarVideoTable:
         k: int | None = None,
         now: float | None = None,
     ) -> list[list[tuple[str, float]]]:
-        """Batch :meth:`neighbors`: one store round-trip for all seeds.
+        """Batch :meth:`neighbors`: one store read for all seeds.
 
         Returns one ranked list per seed, in input order — the candidate
-        selector's path, where a request's seeds become one ``mget``
-        (one call per shard on a sharded store) instead of a get per seed.
-        Duplicate seeds (a video appearing twice in a user's recent
-        history) are fetched — and ranked — once, then fanned back out.
+        selector's path, where a request's seeds become one ``get`` and one
+        copy of their rows under the lists' lock.  Duplicate seeds (a
+        video appearing twice in a user's recent history) are copied — and
+        ranked — once, then fanned back out.
         """
         current = self.clock.now() if now is None else now
         unique = list(dict.fromkeys(video_ids))
         ranked = {
-            vid: self._rank(entries or {}, k, current)
-            for vid, entries in zip(unique, self._table.mget(unique))
+            vid: self._rank(entries, k, current)
+            for vid, entries in zip(unique, self._lists().rows(unique))
         }
         return [ranked[vid] for vid in video_ids]
 
     def _rank(
         self,
-        entries: dict[str, tuple[float, float]],
+        entries: dict[str, tuple],
         k: int | None,
         current: float,
     ) -> list[tuple[str, float]]:
         if not entries:
             return []
-        # Snapshot first: entries may be the live stored dict (inserts
-        # mutate it in place) and a concurrent writer must not upend the
-        # iteration.  A plain dict() copy is atomic under the GIL.
         scored = [
             (other, self.scorer.damped(raw, current - updated_at))
-            for other, (raw, updated_at) in list(dict(entries).items())
+            for other, (raw, updated_at, _) in entries.items()
         ]
         scored = [(other, sim) for other, sim in scored if sim > 0.0]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -301,7 +378,7 @@ class SimilarVideoTable:
 
     def tracked_videos(self) -> list[str]:
         """Ids of all videos that currently have a similar list."""
-        return list(self._table.keys())
+        return self._lists().videos()
 
     def __contains__(self, video_id: str) -> bool:
-        return video_id in self._table
+        return video_id in self._lists()

@@ -13,7 +13,10 @@ The contract is exactly what the system calls: ``get`` / ``put`` /
 compare-and-set and no expiry: fields grouping makes every key
 single-writer (§5.1–5.2), so the one read-modify-write the system needs is
 :meth:`KVStore.update`, which runs its callable under the owning store's
-lock.
+lock.  State held as one entry of many rows — the factor arenas, the
+similar-video lists — is single-writer per row instead: fields grouping
+sends every write of a row to one worker, and the value's own lock keeps
+readers off a row while it is written.
 
 Values are stored by reference; callers that mutate values in place (numpy
 vectors) must write them back with :meth:`put` so every wrapper — metrics,

@@ -31,7 +31,9 @@ store's contents.  Older builds also wrote ``kind="segments"`` manifests
 that referenced the files of a log-structured store tier; those hold no
 entries, so :meth:`CheckpointManager.list` skips them and recovery from
 such a data directory replays the whole write-ahead log instead.  So do
-format-1 checkpoints, written before the hot lists joined the store.
+format-1 checkpoints, written before the hot lists joined the store, and
+format-2 ones, which hold one ``simtable`` entry per video instead of the
+one entry that holds every similar-video list.
 
 Values are serialised with :mod:`pickle` — checkpoints are trusted local
 state written and read by the same process family, and the stored values
@@ -56,8 +58,10 @@ _PREFIX = "ckpt-"
 _TMP_PREFIX = "tmp-"
 _ENTRIES_FILE = "entries.pkl"
 _MANIFEST_FILE = "manifest.json"
-_FORMAT_VERSION = 2
-_FORMAT_WITHOUT_HOT_LISTS = 1
+_FORMAT_VERSION = 3
+#: Formats older builds wrote that this one skips: 1 lacks the hot lists,
+#: 2 holds a ``simtable`` entry per video.
+_SKIPPED_FORMATS = (1, 2)
 _KIND_FULL = "full"
 
 
@@ -174,8 +178,8 @@ class CheckpointManager:
     def list(self) -> list[CheckpointInfo]:
         """Completed full checkpoints, oldest first.  Torn ``tmp-*``
         directories, directories without a manifest and what older builds
-        wrote (``kind="segments"`` manifests, format-1 checkpoints without
-        the hot lists) are skipped silently."""
+        wrote (``kind="segments"`` manifests, format-1 and format-2
+        checkpoints) are skipped silently."""
         infos: list[CheckpointInfo] = []
         for path in sorted(self.root.iterdir()):
             if not path.is_dir() or not path.name.startswith(_PREFIX):
@@ -189,7 +193,7 @@ class CheckpointManager:
                 continue
             if (
                 manifest.get("kind", _KIND_FULL) != _KIND_FULL
-                or manifest.get("format") == _FORMAT_WITHOUT_HOT_LISTS
+                or manifest.get("format") in _SKIPPED_FORMATS
             ):
                 continue
             infos.append(

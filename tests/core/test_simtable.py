@@ -1,11 +1,16 @@
 """Tests for similar-video tables (§4.2) and pair generation."""
 
+import pickle
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.clock import VirtualClock
 from repro.config import SimilarityConfig
 from repro.core import MFModel, SimilarVideoTable, generate_pairs
-from repro.core.simtable import MAX_PAIRS
+from repro.core.simtable import LISTS_KEY, MAX_PAIRS
 from repro.config import MFConfig
 from repro.data import Video
 from repro.kvstore import InMemoryKVStore
@@ -121,9 +126,10 @@ class _CountingStore(InMemoryKVStore):
 
 class TestOfferPairCost:
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_one_arena_read_and_k_plus_one_list_updates(self, k):
-        """One engagement with ``k`` scoreable partners: one arena read,
-        one update of the new video's list and one per partner."""
+    def test_one_arena_read_and_one_list_update(self, k):
+        """One engagement with ``k`` scoreable partners: one arena read and
+        one update of the entry holding every list — the new video's and
+        each partner's."""
         store = _CountingStore()
         videos = _videos()
         model = MFModel(MFConfig(f=4, init_scale=0.5, seed=1), store=store)
@@ -143,9 +149,18 @@ class TestOfferPairCost:
         reads = [key for op, key in store.ops if op != "update"]
         updates = [key for op, key in store.ops if op == "update"]
         assert len(reads) == 1 and reads[0][1] == "arena:video"
-        assert updates == [("simtable", "v0")] + [
-            ("simtable", other) for other in partners
-        ]
+        assert updates == [("simtable", LISTS_KEY)]
+        for other in partners:
+            assert "v0" in raw_entries(table, other)
+        assert len(raw_entries(table, "v0")) == min(k, 3)
+
+    def test_insert_scored_is_one_list_update(self):
+        store = _CountingStore()
+        table = SimilarVideoTable(
+            _videos(), MFModel(MFConfig(f=4, seed=1), store=store), store=store
+        )
+        table.insert_scored("v0", "v1", 0.5, 0.0)
+        assert store.ops == [("update", ("simtable", LISTS_KEY))]
 
 
 class TestTopKEviction:
@@ -208,3 +223,155 @@ class TestNeighbors:
         assert set(table.tracked_videos()) == {"v0", "v1"}
         assert "v0" in table
         assert "v5" not in table
+
+
+class TestTieRules:
+    """The two tie rules of the class docstring, pinned."""
+
+    def _table(self, table_size):
+        return SimilarVideoTable(
+            _videos(),
+            MFModel(MFConfig(f=4, seed=1)),
+            config=SimilarityConfig(table_size=table_size, xi=100.0),
+            clock=VirtualClock(0.0),
+        )
+
+    def test_equal_eviction_keys_evict_the_smaller_id(self):
+        table = self._table(table_size=2)
+        for other in ("v3", "v2"):
+            table.insert_scored("v0", other, 1.0, 0.0)
+        # (2.0, t=0) and (1.0, t=xi) damp to the same value at any time:
+        # an equal eviction key, so the smallest id of the three goes.
+        table.insert_scored("v0", "v1", 2.0, -100.0)
+        assert sorted(raw_entries(table, "v0")) == ["v2", "v3"]
+        table.insert_scored("v0", "v4", 5.0, 0.0)
+        assert sorted(raw_entries(table, "v0")) == ["v3", "v4"]
+
+    def test_an_equal_newcomer_with_the_smallest_id_is_evicted(self):
+        table = self._table(table_size=2)
+        for other in ("v3", "v2", "v1"):
+            table.insert_scored("v0", other, 1.0, 0.0)
+        assert sorted(raw_entries(table, "v0")) == ["v2", "v3"]
+
+    def test_equal_damped_similarities_read_in_id_order(self):
+        table = self._table(table_size=4)
+        for other in ("v5", "v2", "v4"):
+            table.insert_scored("v0", other, 1.0, 0.0)
+        table.insert_scored("v0", "v1", 2.0, -100.0)
+        ranked = table.neighbors("v0", now=50.0)
+        assert [other for other, _ in ranked] == ["v1", "v2", "v4", "v5"]
+        assert len({sim for _, sim in ranked}) == 1
+        [via_many] = table.neighbors_many(["v0"], now=50.0)
+        assert via_many == ranked
+
+
+class TestConcurrentReads:
+    def test_reads_during_writes_never_raise_overflow_or_self_pair(self):
+        """All lists are one store entry, so readers copy rows while
+        writers update others (or the same) in it: a read must never
+        raise, and never see a row with more than K entries or a
+        self-entry.  One thread runs ``offer_pair``, one ``insert_scored``
+        and the test thread reads — more threads than this host's cores,
+        under a shortened switch interval."""
+        videos = _videos(n=12)
+        model = MFModel(MFConfig(f=4, init_scale=0.5, seed=1))
+        for vid in videos:
+            model.ensure_video(vid)
+        table = SimilarVideoTable(
+            videos,
+            model,
+            config=SimilarityConfig(table_size=3, xi=100.0),
+            clock=VirtualClock(0.0),
+        )
+        ids = sorted(videos)
+        errors = []
+
+        def offer(rng):
+            video = rng.choice(ids)
+            table.offer_pair(video, rng.sample(ids, 4), now=rng.uniform(0, 2e3))
+
+        def insert(rng):
+            video, other = rng.sample(ids, 2)
+            table.insert_scored(
+                video, other, rng.uniform(-1.0, 1.0), rng.uniform(0, 2e3)
+            )
+
+        def write(step, seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(2000):
+                    step(rng)
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writers = [
+            threading.Thread(target=write, args=(offer, 5)),
+            threading.Thread(target=write, args=(insert, 6)),
+        ]
+        try:
+            for writer in writers:
+                writer.start()
+            reads = 0
+            while reads == 0 or any(w.is_alive() for w in writers):
+                served = table.neighbors_many(ids, k=100, now=2000.0)
+                for video, ranked in zip(ids, served):
+                    assert len(ranked) <= 3, (video, ranked)
+                    assert video not in dict(ranked), (video, ranked)
+                    stored = raw_entries(table, video)
+                    assert len(stored) <= 3 and video not in stored
+                reads += 1
+        finally:
+            for writer in writers:
+                writer.join(timeout=60.0)
+            sys.setswitchinterval(interval)
+        assert not any(writer.is_alive() for writer in writers)
+        assert errors == []
+        assert reads > 1
+
+
+class TestCheckpointedLists:
+    def _writes(self, table, rng, n):
+        ids = sorted(table.videos)
+        for step in range(n):
+            video, other = rng.sample(ids, 2)
+            table.insert_scored(
+                video, other, rng.uniform(-1.0, 1.0), float(rng.randrange(50))
+            )
+
+    def test_restored_lists_keep_evicting_as_the_live_ones(self):
+        """The lists pickle as ``{video: {other: (raw, t)}}`` only; a
+        restored copy re-keys each row on its first write and from then
+        on evicts exactly as the live value does."""
+        rng = random.Random(11)
+        store = InMemoryKVStore()
+        videos = _videos(n=10)
+        model = MFModel(MFConfig(f=4, seed=1))
+        config = SimilarityConfig(table_size=3, xi=100.0)
+        live = SimilarVideoTable(videos, model, config=config, store=store)
+        self._writes(live, rng, 300)
+
+        (entry,) = store.snapshot_entries()
+        assert entry.key == ("simtable", LISTS_KEY)
+        state = entry.value.__getstate__()
+        assert all(
+            len(value) == 2 for row in state.values() for value in row.values()
+        )
+        restored_store = InMemoryKVStore()
+        restored_store.restore_entries(
+            pickle.loads(pickle.dumps(store.snapshot_entries()))
+        )
+        restored = SimilarVideoTable(
+            videos, model, config=config, store=restored_store
+        )
+        for video in sorted(videos):
+            assert raw_entries(restored, video) == raw_entries(live, video)
+
+        seed = rng.random()
+        self._writes(live, random.Random(seed), 300)
+        self._writes(restored, random.Random(seed), 300)
+        for video in sorted(videos):
+            assert repr(sorted(raw_entries(restored, video).items())) == repr(
+                sorted(raw_entries(live, video).items())
+            )

@@ -113,16 +113,11 @@ class TestDemographicPostFilterPin:
 
 
 class TestBatchedSeedFetches:
-    def _mget_stats(self, obs):
+    def _read_ops(self, obs):
         ops = obs.registry.get("kvstore_ops_total")
-        keys = obs.registry.get("kvstore_batch_keys_total")
-        return (
-            ops.labels(op="mget").value,
-            keys.labels(op="mget").value,
-        )
+        return ops.labels(op="get").value, ops.labels(op="mget").value
 
-    def test_duplicate_seeds_are_one_mget(self, small_world, small_split):
-        obs = Observability.create()
+    def _recommender(self, small_world, small_split, obs):
         rec = RealtimeRecommender(
             small_world.videos,
             users=small_world.users,
@@ -132,33 +127,54 @@ class TestBatchedSeedFetches:
             enable_demographic=False,
         )
         rec.observe_stream(small_split.train[:200])
-        ops_before, keys_before = self._mget_stats(obs)
-        rec.table.neighbors_many(["v1", "v1", "v2"])
-        ops_after, keys_after = self._mget_stats(obs)
-        assert ops_after - ops_before == 1
-        assert keys_after - keys_before == 2  # deduplicated before the batch
+        return rec
 
-    def test_selector_dedups_before_seed_cap(self, small_world, small_split):
+    def test_duplicate_seeds_are_one_read(
+        self, small_world, small_split, monkeypatch
+    ):
+        """Every list is one store entry: a batch of seeds is one ``get``,
+        and a duplicate seed is ranked once and fanned back out."""
         obs = Observability.create()
-        rec = RealtimeRecommender(
-            small_world.videos,
-            users=small_world.users,
-            clock=VirtualClock(0.0),
-            store=InMemoryKVStore(),
-            obs=obs,
-            enable_demographic=False,
-        )
-        rec.observe_stream(small_split.train[:200])
+        rec = self._recommender(small_world, small_split, obs)
+        ranked = []
+        rank = rec.table._rank
+
+        def counting_rank(entries, k, now):
+            ranked.append(entries)
+            return rank(entries, k, now)
+
+        monkeypatch.setattr(rec.table, "_rank", counting_rank)
+        before = self._read_ops(obs)
+        lists = rec.table.neighbors_many(["v1", "v1", "v2"], now=1.0)
+        after = self._read_ops(obs)
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 0)
+        assert len(ranked) == 2  # deduplicated before ranking
+        assert lists[0] == lists[1]
+        assert lists[0] == rec.table.neighbors("v1", now=1.0)
+
+    def test_selector_dedups_before_seed_cap(
+        self, small_world, small_split, monkeypatch
+    ):
+        obs = Observability.create()
+        rec = self._recommender(small_world, small_split, obs)
         cap = rec.config.recommend.max_seeds
         # More duplicate seeds than the cap: dedup must happen *before*
         # the cap so distinct seeds are not crowded out, and the table
-        # fetch stays a single batched read.
+        # fetch stays a single read.
         seeds = ["v1"] * cap + ["v2"]
-        ops_before, keys_before = self._mget_stats(obs)
+        fetched = []
+        neighbors_many = rec.table.neighbors_many
+
+        def recording_neighbors_many(ids, **kwargs):
+            fetched.append(list(ids))
+            return neighbors_many(ids, **kwargs)
+
+        monkeypatch.setattr(rec.table, "neighbors_many", recording_neighbors_many)
+        before = self._read_ops(obs)
         rec.selector.select(seeds, now=1.0)
-        ops_after, keys_after = self._mget_stats(obs)
-        assert ops_after - ops_before == 1
-        assert keys_after - keys_before == 2
+        after = self._read_ops(obs)
+        assert fetched == [["v1", "v2"]]
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 0)
 
     def test_cold_user_ann_fallback_batches_seed_vectors(
         self, small_world, small_split

@@ -1,6 +1,6 @@
 """Work-count guards on the observed trainer's instrumentation.
 
-The trainer makes about 15 KV ops per action, and every one of them runs
+The trainer makes about 7 KV ops per action, and every one of them runs
 through :class:`~repro.obs.InstrumentedKVStore`.  These tests bound that
 per-event cost by counting operations, not by timing them, so they hold on
 any host: a seeded 2,000-action stream (plus 20 reads, for the batch
@@ -29,12 +29,12 @@ N_READS = 20
 #: in one step (one arena read, one list update per partner plus one), and
 #: again when the demographic hot lists moved into the model's store (per
 #: engagement an update of the user's group's list and of the global one,
-#: per read a get of the group's list).
+#: per read a get of the group's list), and again when every similar-video
+#: list became one store entry (per engagement one list update instead of
+#: one per scored partner plus one, per read one get instead of an mget).
 RECORDED_TOTALS = {
-    "kvstore_batch_keys_total{op=mget}": 56.0,
-    "kvstore_ops_total{op=get}": 4585.0,
-    "kvstore_ops_total{op=mget}": 20.0,
-    "kvstore_ops_total{op=update}": 12843.0,
+    "kvstore_ops_total{op=get}": 4605.0,
+    "kvstore_ops_total{op=update}": 9027.0,
     "trainer_actions_total{result=skipped_zero}": 1078.0,
     "trainer_actions_total{result=updated}": 922.0,
 }

@@ -202,10 +202,11 @@ class TestRollback:
         assert report.replayed == N_CRASH - N_CHECKPOINT
 
         # Histories, similar-video lists and ``mu``: equal, entry for entry
-        # (the arenas hold arrays, so they are judged by the top-N below).
+        # (the lists by their ``{video: {other: (raw, t)}}`` rows; the
+        # arenas hold arrays, so they are judged by the top-N below).
         def plain(kv):
             return {
-                key: value
+                key: value.__getstate__() if key[0] == "simtable" else value
                 for key, value in kv.items()
                 if not (key[0] == "mf:meta" and key[1].startswith("arena:"))
             }

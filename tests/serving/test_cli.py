@@ -14,6 +14,7 @@ import pytest
 from repro.baselines import HotRecommender
 from repro.data import GLOBAL_GROUP, ActionType, SyntheticWorld, UserAction
 from repro.data.synthetic import paper_world_config
+from repro.kvstore import EntrySnapshot
 from repro.serving import GatewayConfig
 from repro.reliability import ActionWAL
 from repro.serving.cli import FSYNC_POLICIES, _build_parser, build_demo_gateway
@@ -265,6 +266,26 @@ def test_fallback_hot_list_cannot_collide_with_a_demographic_group(
         ) == alone.recommend_ids(user, n=10, now=2e7)
 
 
+def _as_older_format(data_dir, fmt, rewrite):
+    """Rewrite the boot checkpoint's entries with ``rewrite`` and label it
+    format ``fmt``, as an older build would have written it; return its
+    ``wal_seq``."""
+    (checkpoint,) = (data_dir / "ckpt").glob("ckpt-*")
+    entries_path = checkpoint / "entries.pkl"
+    entries = rewrite(pickle.loads(entries_path.read_bytes()))
+    payload = pickle.dumps(entries)
+    entries_path.write_bytes(payload)
+    manifest_path = checkpoint / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(
+        format=fmt,
+        n_entries=len(entries),
+        sha256=hashlib.sha256(payload).hexdigest(),
+    )
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+    return manifest["wal_seq"]
+
+
 def test_data_dir_with_a_format_1_checkpoint_replays_the_whole_log(
     tmp_path, capsys
 ):
@@ -276,28 +297,45 @@ def test_data_dir_with_a_format_1_checkpoint_replays_the_whole_log(
     live, _ = _durable_gateway(tmp_path, capsys)
     serve = _ingest_tail(live.router.recommender, 30, live.observe)
     served = _served_lists(live, serve)
-
-    (checkpoint,) = (tmp_path / "ckpt").glob("ckpt-*")
-    entries_path = checkpoint / "entries.pkl"
-    entries = [
-        entry
-        for entry in pickle.loads(entries_path.read_bytes())
-        if entry.key[0] != "hot"
-    ]
-    payload = pickle.dumps(entries)
-    entries_path.write_bytes(payload)
-    manifest_path = checkpoint / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest.update(
-        format=1,
-        n_entries=len(entries),
-        sha256=hashlib.sha256(payload).hexdigest(),
+    wal_seq = _as_older_format(
+        tmp_path,
+        1,
+        lambda entries: [entry for entry in entries if entry.key[0] != "hot"],
     )
-    manifest_path.write_text(json.dumps(manifest, indent=2))
 
     restarted, out = _durable_gateway(tmp_path, capsys)
     assert "checkpoint=none " in out
-    assert f"replayed={manifest['wal_seq'] + 30} " in out
+    assert f"replayed={wal_seq + 30} " in out
+    assert _served_lists(restarted, serve) == served
+
+
+def test_data_dir_with_a_format_2_checkpoint_replays_the_whole_log(
+    tmp_path, capsys
+):
+    """A format-2 checkpoint holds one ``simtable`` entry per video, from
+    before every similar-video list was one entry.  This build would not
+    read those lists, so the checkpoint is skipped: the restart replays
+    the whole WAL and serves the live process's primary and fallback
+    lists."""
+    live, _ = _durable_gateway(tmp_path, capsys)
+    serve = _ingest_tail(live.router.recommender, 30, live.observe)
+    served = _served_lists(live, serve)
+
+    def per_video_lists(entries):
+        kept = [entry for entry in entries if entry.key[0] != "simtable"]
+        (lists,) = [entry.value for entry in entries if entry.key[0] == "simtable"]
+        per_video = [
+            EntrySnapshot(("simtable", video), row)
+            for video, row in lists.__getstate__().items()
+        ]
+        assert per_video
+        return kept + per_video
+
+    wal_seq = _as_older_format(tmp_path, 2, per_video_lists)
+
+    restarted, out = _durable_gateway(tmp_path, capsys)
+    assert "checkpoint=none " in out
+    assert f"replayed={wal_seq + 30} " in out
     assert _served_lists(restarted, serve) == served
 
 

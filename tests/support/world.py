@@ -27,7 +27,8 @@ def raw_entries(
     table: SimilarVideoTable, video_id: str
 ) -> dict[str, tuple[float, float]]:
     """One video's stored ``{other: (raw relevance, updated_at)}`` map."""
-    return dict(table._table.get(video_id, {}))
+    [row] = table._lists().rows([video_id])
+    return {other: entry[:2] for other, entry in row.items()}
 
 
 def created_groups(grouped: GroupedRecommender) -> list[str]:

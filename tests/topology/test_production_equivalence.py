@@ -12,16 +12,24 @@ similar-video tables: ``observe`` scores each engagement's partners in
 one batched ``offer_pair`` while the topology scores pair by pair
 (ItemPairSim) and stores direction by direction (ResultStorage), and
 every list must come out equal, raw score and timestamp included.
+
+Under the ``ThreadedExecutor`` the ComputeMF and ItemPairSim workers race
+on the factors, so the scores differ from run to run; what must still
+hold is that the ResultStorage workers, which update the one store entry
+holding every list concurrently, each the rows of its own videos, lose
+nothing: the lists equal a row-by-row replay of what each worker stored.
 """
+
+import threading
 
 import pytest
 
 from repro.clock import VirtualClock
-from repro.core import RealtimeRecommender
+from repro.core import RealtimeRecommender, SimilarVideoTable
 from repro.core.variants import ALL_VARIANTS
 from repro.data import SyntheticWorld, WorldConfig
-from repro.storm import LocalExecutor
-from repro.topology import build_recommendation_topology
+from repro.storm import LocalExecutor, ThreadedExecutor
+from repro.topology import RESULT_STORAGE, build_recommendation_topology
 from tests.support.world import raw_entries
 
 N_ACTIONS = 1_500
@@ -90,6 +98,44 @@ def test_topology_builds_identical_similar_lists(trained):
     assert tracked and sorted(system.table.tracked_videos()) == tracked
     for video_id in tracked:
         expected = raw_entries(production.table, video_id)
+        learned = raw_entries(system.table, video_id)
+        assert repr(sorted(learned.items())) == repr(
+            sorted(expected.items())
+        ), video_id
+
+
+def test_threaded_topology_builds_identical_similar_lists(world, actions):
+    topology, system = build_recommendation_topology(
+        list(actions),
+        world.videos,
+        users=world.users,
+        clock=VirtualClock(0.0),
+        parallelism={RESULT_STORAGE: 3},
+    )
+    stored: dict[str, list[tuple[str, float, float]]] = {}
+    writers: dict[str, set[int]] = {}
+    insert = system.table.insert_scored
+
+    def recording_insert(video_id, other_id, raw, timestamp):
+        writers.setdefault(video_id, set()).add(threading.get_ident())
+        stored.setdefault(video_id, []).append((other_id, raw, timestamp))
+        insert(video_id, other_id, raw, timestamp)
+
+    system.table.insert_scored = recording_insert
+    ThreadedExecutor(topology).run(timeout=120.0)
+    assert all(len(threads) == 1 for threads in writers.values())
+    assert len(set().union(*writers.values())) == 3
+
+    replay = SimilarVideoTable(
+        world.videos, system.model, config=system.table.config
+    )
+    for video_id, entries in stored.items():
+        for other_id, raw, timestamp in entries:
+            replay.insert_scored(video_id, other_id, raw, timestamp)
+    tracked = sorted(replay.tracked_videos())
+    assert tracked and sorted(system.table.tracked_videos()) == tracked
+    for video_id in tracked:
+        expected = raw_entries(replay, video_id)
         learned = raw_entries(system.table, video_id)
         assert repr(sorted(learned.items())) == repr(
             sorted(expected.items())
