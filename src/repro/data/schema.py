@@ -36,13 +36,14 @@ class ActionType(enum.Enum):
             raise DataError(f"unknown action type: {token!r}") from exc
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Video:
     """A catalogue item.
 
     ``kind`` is the fine-grained type/category the type-similarity factor
     compares; ``duration`` is the full play length in seconds, the
-    denominator of the view rate in Eq. 6.
+    denominator of the view rate in Eq. 6, so it must be finite and
+    positive (a NaN would turn every view rate of the video into NaN).
     """
 
     video_id: str
@@ -50,11 +51,39 @@ class Video:
     duration: float
     publish_time: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
+    # Handwritten, like ``UserAction``'s; the dataclass still supplies
+    # eq, hash, repr and frozen-ness.
+    def __init__(
+        self,
+        video_id: str,
+        kind: str,
+        duration: float,
+        publish_time: float = 0.0,
+    ) -> None:
+        if (
+            not video_id
+            or "\t" in video_id
+            or "\n" in video_id
+            or "\r" in video_id
+        ):
             raise DataError(
-                f"video {self.video_id!r}: duration must be positive"
+                "video id must be non-empty and free of tab, CR and LF: "
+                f"{video_id!r}"
             )
+        if not (isfinite(duration) and isfinite(publish_time)):
+            raise DataError(
+                f"video {video_id!r}: times must be finite "
+                f"(duration={duration!r}, publish_time={publish_time!r})"
+            )
+        if duration <= 0:
+            raise DataError(
+                f"video {video_id!r}: duration must be positive"
+            )
+        _set = object.__setattr__
+        _set(self, "video_id", video_id)
+        _set(self, "kind", kind)
+        _set(self, "duration", duration)
+        _set(self, "publish_time", publish_time)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +120,7 @@ class User:
 GLOBAL_GROUP = "global"
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@dataclass(frozen=True, slots=True, order=True, init=False)
 class UserAction:
     """One implicit-feedback event.
 
@@ -112,8 +141,18 @@ class UserAction:
     action: ActionType = field(compare=False)
     view_time: float = field(default=0.0, compare=False)
 
-    def __post_init__(self) -> None:
-        user_id, video_id = self.user_id, self.video_id
+    # Handwritten: the synthetic generator builds one per event, and the
+    # generated ``__init__`` plus a ``__post_init__`` call cost about
+    # twice as much.  The dataclass still supplies eq, order, hash, repr
+    # and frozen-ness.
+    def __init__(
+        self,
+        timestamp: float,
+        user_id: str,
+        video_id: str,
+        action: ActionType,
+        view_time: float = 0.0,
+    ) -> None:
         if (
             not user_id
             or not video_id
@@ -128,18 +167,24 @@ class UserAction:
                 "ids must be non-empty and free of tab, CR and LF "
                 f"(user={user_id!r}, video={video_id!r})"
             )
-        if not (isfinite(self.timestamp) and isfinite(self.view_time)):
+        if not (isfinite(timestamp) and isfinite(view_time)):
             raise DataError(
-                f"times must be finite (timestamp={self.timestamp!r}, "
-                f"view_time={self.view_time!r})"
+                f"times must be finite (timestamp={timestamp!r}, "
+                f"view_time={view_time!r})"
             )
-        if self.action is ActionType.PLAYTIME and self.view_time <= 0:
+        if action is ActionType.PLAYTIME and view_time <= 0:
             raise DataError(
                 "PLAYTIME actions must carry a positive view_time "
-                f"(user={self.user_id!r}, video={self.video_id!r})"
+                f"(user={user_id!r}, video={video_id!r})"
             )
-        if self.view_time < 0:
+        if view_time < 0:
             raise DataError("view_time cannot be negative")
+        _set = object.__setattr__
+        _set(self, "timestamp", timestamp)
+        _set(self, "user_id", user_id)
+        _set(self, "video_id", video_id)
+        _set(self, "action", action)
+        _set(self, "view_time", view_time)
 
     # -- log-line (de)serialisation, used by the ActionSpout ---------------
 

@@ -103,8 +103,11 @@ def split_by_day(
         raise DataError(f"train_days must be >= 1, got {train_days}")
     train: list[UserAction] = []
     test: list[UserAction] = []
+    # ``day_of(a) < train_days`` exactly: a finite timestamp's floor
+    # division by whole days is exact.
+    boundary = train_days * SECONDS_PER_DAY
     for action in actions:
-        (train if day_of(action) < train_days else test).append(action)
+        (train if action.timestamp < boundary else test).append(action)
     train.sort(key=_BY_TIME)
     test.sort(key=_BY_TIME)
     return TrainTestSplit(train=train, test=test)

@@ -27,6 +27,7 @@ rankings correlate with true affinities.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -140,6 +141,8 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
     is checked as ``choice`` checks it (non-negative, sums to 1 within
     :data:`_P_ATOL`, else ``ValueError``); a 2-D ``p`` is one distribution
     per row, and ``cumsum`` along the row equals each row's own cumsum.
+    The sampler keeps the ``tolist()`` copy, which :func:`_draw` searches
+    with ``bisect_right`` — the same index, without numpy's per-call cost.
     """
     if not (p >= 0).all():
         raise ValueError("probabilities are not non-negative")
@@ -150,9 +153,15 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """One index drawn from ``cdf`` exactly as ``Generator.choice`` would."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _draw(cdf: Sequence[float], rng: np.random.Generator) -> int:
+    """One index drawn from ``cdf`` exactly as ``Generator.choice`` would.
+
+    ``bisect_right`` returns ``searchsorted(side="right")``'s index: the
+    first entry greater than the draw, so a draw equal to a CDF value
+    skips past it, and zero-probability entries (repeated values) are
+    never picked.
+    """
+    return bisect_right(cdf, rng.random())
 
 
 def paper_world_config(
@@ -198,24 +207,26 @@ class _DayState:
     """The world dynamics in force on one simulated day.
 
     Every weighted draw's distribution is held as the CDF
-    :func:`_choice_cdf` builds, once per day (``pop_cdf``), per type
-    (``type_cdfs``, within-type popularity) and per user (``type_cdf``,
-    one row of type preferences each).  For a scenario-free world every
-    field but ``pop_cdf`` aliases the base structures, so the generator's
-    draw sequence — and therefore its output — is byte-identical to the
-    pre-scenario implementation (pinned by the golden digest tests).
+    :func:`_choice_cdf` builds, as a plain list for :func:`_draw`, once
+    per day (``pop_cdf``), per type (``type_cdfs``, within-type
+    popularity) and per user (``type_cdf``, one row of type preferences
+    each); catalogue members and favourites are lists of video indices.
+    For a scenario-free world every field but ``pop_cdf`` aliases the base
+    structures, so the generator's draw sequence — and therefore its
+    output — is byte-identical to the pre-scenario implementation (pinned
+    by the golden digest tests).
     Scenario events swap in per-day variants: boosted/renormalised
     popularity, restricted catalogues, rotated preference factors,
     modulated arrival rates, wave-shaped session start times.
     """
 
-    pop_cdf: np.ndarray
-    videos_of_type: list[np.ndarray]
-    type_cdfs: list[np.ndarray]
-    favorites: np.ndarray
+    pop_cdf: list[float]
+    videos_of_type: list[list[int]]
+    type_cdfs: list[list[float]]
+    favorites: list[list[int]]
     active: np.ndarray | None
     user_factors: np.ndarray
-    type_cdf: np.ndarray
+    type_cdf: list[list[float]]
     rate_multiplier: float
     start_sampler: Callable[[float], float] | None
 
@@ -304,36 +315,37 @@ class SyntheticWorld:
         self._base_popularity /= self._base_popularity.sum()
 
         # Per-user type preference distribution (softmax of factor
-        # affinity), kept as the CDF the impression sampler draws from.
+        # affinity), kept as the CDF rows the impression sampler draws from.
         self._user_type_cdf = _choice_cdf(
             self._type_probs_for(self.user_factors)
-        )
+        ).tolist()
 
         # Per-user favourite pools: sampled from the user's top-affinity
         # videos, weighted toward the very top (series the user follows).
         n_fav = min(cfg.favorites_per_user, cfg.n_videos)
-        self._favorites = np.empty((cfg.n_users, n_fav), dtype=int)
+        favorites = np.empty((cfg.n_users, n_fav), dtype=int)
         scores_all = self.user_factors @ self.video_factors.T
         pool_size = min(cfg.n_videos, max(n_fav, 3 * n_fav))
         for i in range(cfg.n_users):
             top = np.argsort(-scores_all[i])[:pool_size]
             weights = 1.0 / (np.arange(pool_size) + 1.0)
             weights /= weights.sum()
-            self._favorites[i] = self._rng.choice(
+            favorites[i] = self._rng.choice(
                 top, size=n_fav, replace=False, p=weights
             )
+        self._favorites: list[list[int]] = favorites.tolist()
 
         # Videos grouped by type, with the CDF of within-type popularity.
-        self._videos_of_type: list[np.ndarray] = []
-        self._type_cdfs: list[np.ndarray] = []
+        self._videos_of_type: list[list[int]] = []
+        self._type_cdfs: list[list[float]] = []
         for k in range(cfg.n_types):
             members = np.flatnonzero(video_types == k)
-            self._videos_of_type.append(members)
+            self._videos_of_type.append(members.tolist())
             if members.size:
                 pop = self._base_popularity[members]
-                self._type_cdfs.append(_choice_cdf(pop / pop.sum()))
+                self._type_cdfs.append(_choice_cdf(pop / pop.sum()).tolist())
             else:
-                self._type_cdfs.append(np.empty(0))
+                self._type_cdfs.append([])
 
         # ---- scenario dynamics ------------------------------------------
         # Everything above is the base world, built with exactly the same
@@ -353,7 +365,9 @@ class SyntheticWorld:
             self._base_popularity, kind="stable"
         )
         self._day_states: dict[int, _DayState] = {}
-        self._drift_factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._drift_factors: dict[
+            int, tuple[np.ndarray, list[list[float]]]
+        ] = {}
         if self.scenario is not None:
             self._apply_scenario(self.scenario)
         self._index_to_id = list(self.videos)
@@ -430,7 +444,7 @@ class SyntheticWorld:
             type_cdf = self._user_type_cdf
         else:
             factors = self.user_factors @ rotation.T
-            type_cdf = _choice_cdf(self._type_probs_for(factors))
+            type_cdf = _choice_cdf(self._type_probs_for(factors)).tolist()
         self._drift_factors[day] = (factors, type_cdf)
         return factors
 
@@ -483,7 +497,7 @@ class SyntheticWorld:
     def _default_day_state(self, day: int) -> _DayState:
         """The classic organic dynamics — every field aliases base state."""
         return _DayState(
-            pop_cdf=_choice_cdf(self._daily_popularity(day)),
+            pop_cdf=_choice_cdf(self._daily_popularity(day)).tolist(),
             videos_of_type=self._videos_of_type,
             type_cdfs=self._type_cdfs,
             favorites=self._favorites,
@@ -538,11 +552,11 @@ class SyntheticWorld:
             )
         pop /= total
 
-        videos_of_type: list[np.ndarray] = []
-        type_cdfs: list[np.ndarray] = []
+        videos_of_type: list[list[int]] = []
+        type_cdfs: list[list[float]] = []
         for k in range(cfg.n_types):
             members = np.flatnonzero((self._video_types == k) & active)
-            videos_of_type.append(members)
+            videos_of_type.append(members.tolist())
             if members.size:
                 weights = pop[members]
                 wsum = weights.sum()
@@ -551,10 +565,10 @@ class SyntheticWorld:
                         weights / wsum
                         if wsum > 0
                         else np.full(members.size, 1.0 / members.size)
-                    )
+                    ).tolist()
                 )
             else:
-                type_cdfs.append(np.empty(0))
+                type_cdfs.append([])
 
         self._effective_user_factors(day * SECONDS_PER_DAY)
         factors, type_cdf = self._drift_factors.get(
@@ -565,7 +579,7 @@ class SyntheticWorld:
         sampler = self._wave_sampler(wave) if wave is not None else None
 
         return _DayState(
-            pop_cdf=_choice_cdf(pop),
+            pop_cdf=_choice_cdf(pop).tolist(),
             videos_of_type=videos_of_type,
             type_cdfs=type_cdfs,
             favorites=self._favorites,
@@ -616,37 +630,38 @@ class SyntheticWorld:
         count: int,
         state: _DayState,
         rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Draw ``count`` impressed videos for one session.
+    ) -> list[int]:
+        """Draw ``count`` impressed videos (catalogue indices) for one session.
 
         Each weighted draw is :func:`_draw` over a CDF cached on
         ``state``: the pick and RNG consumption of ``rng.choice(a, p=p)``
         without its per-call validation and cumsum.
         """
         cfg = self.config
+        rewatch = cfg.rewatch_mix
+        browse = rewatch + cfg.popularity_mix
         pop_cdf = state.pop_cdf
-        chosen = np.empty(count, dtype=int)
-        rolls = rng.random(count)
+        active = state.active
         favorites = state.favorites[user_idx]
-        for slot in range(count):
-            roll = rolls[slot]
-            if roll < cfg.rewatch_mix and favorites.size:
+        chosen: list[int] = []
+        for roll in rng.random(count).tolist():
+            if roll < rewatch and favorites:
                 # Re-watching: revisit a personal favourite (series, show).
-                pick = favorites[rng.integers(0, favorites.size)]
-                if state.active is not None and not state.active[pick]:
+                pick = favorites[rng.integers(0, len(favorites))]
+                if active is not None and not active[pick]:
                     # The favourite left the catalogue — the user falls
                     # back to browsing what is actually on offer.
                     pick = _draw(pop_cdf, rng)
-                chosen[slot] = pick
-            elif roll < cfg.rewatch_mix + cfg.popularity_mix:
-                chosen[slot] = _draw(pop_cdf, rng)
+            elif roll < browse:
+                pick = _draw(pop_cdf, rng)
             else:
                 k = _draw(state.type_cdf[user_idx], rng)
                 members = state.videos_of_type[k]
-                if members.size == 0:
-                    chosen[slot] = _draw(pop_cdf, rng)
+                if members:
+                    pick = members[_draw(state.type_cdfs[k], rng)]
                 else:
-                    chosen[slot] = members[_draw(state.type_cdfs[k], rng)]
+                    pick = _draw(pop_cdf, rng)
+            chosen.append(pick)
         return chosen
 
     def generate_actions(self, days: int | None = None) -> list[UserAction]:
@@ -656,143 +671,124 @@ class SyntheticWorld:
         configured world length).  Deterministic for a fixed config — and
         byte-identical to the pre-scenario generator when no scenario
         event is active.
+
+        Session starts and the gaps between a session's events are
+        uniform draws written ``lo + (hi - lo) * rng.random()``:
+        ``Generator.uniform``'s own formula over the same double, bit for
+        bit, without its per-call cost.
         """
         cfg = self.config
         span = days if days is not None else cfg.days
+        if span < 0:
+            raise ConfigError(f"days must be >= 0, got {span}")
         rng = np.random.default_rng(cfg.seed + 1)
         actions: list[UserAction] = []
         for day in range(span):
-            state = self._day_state(day)
-            day_start = day * SECONDS_PER_DAY
-            lam = self._activity * cfg.mean_sessions_per_day
-            if state.rate_multiplier != 1.0:
-                lam = lam * state.rate_multiplier
-            n_sessions = rng.poisson(lam)
-            for u in range(cfg.n_users):
-                for _ in range(int(n_sessions[u])):
-                    offset = rng.uniform(0, SECONDS_PER_DAY - 3600)
-                    if state.start_sampler is not None:
-                        offset = state.start_sampler(
-                            offset / (SECONDS_PER_DAY - 3600.0)
-                        )
-                    actions.extend(
-                        self._generate_session(
-                            u, day_start + offset, state, rng
-                        )
-                    )
+            self._generate_day(day, rng, actions)
         actions.sort(key=attrgetter("timestamp"))
         return actions
 
-    def _generate_session(
-        self,
-        user_idx: int,
-        start: float,
-        state: _DayState,
-        rng: np.random.Generator,
-    ) -> list[UserAction]:
-        """Simulate one session: impressions and the resulting funnel."""
+    def _generate_day(
+        self, day: int, rng: np.random.Generator, out: list[UserAction]
+    ) -> None:
+        """Append one day of sessions — impressions and the funnel — to
+        ``out``.  The loop's attributes are read into locals once."""
         cfg = self.config
-        user_id = f"u{user_idx}"
-        impressed = self._sample_impressions(
-            user_idx, cfg.impressions_per_session, state, rng
+        state = self._day_state(day)
+        day_start = day * SECONDS_PER_DAY
+        start_span = SECONDS_PER_DAY - 3600
+        lam = self._activity * cfg.mean_sessions_per_day
+        if state.rate_multiplier != 1.0:
+            lam = lam * state.rate_multiplier
+        n_sessions = rng.poisson(lam).tolist()
+
+        random, beta = rng.random, rng.beta
+        append = out.append
+        sample = self._sample_impressions
+        start_sampler = state.start_sampler
+        user_factors = state.user_factors
+        video_factors = self.video_factors
+        index_to_id = self._index_to_id
+        videos = self.videos
+        sigmoid = _sigmoid
+        impress, click, play = (
+            ActionType.IMPRESS, ActionType.CLICK, ActionType.PLAY
         )
-        out: list[UserAction] = []
-        t = start
-        x_u = state.user_factors[user_idx]
-        for v in impressed:
-            video_id = self._index_to_id[v]
-            out.append(
-                UserAction(
-                    timestamp=t,
-                    user_id=user_id,
-                    video_id=video_id,
-                    action=ActionType.IMPRESS,
-                )
-            )
-            t += rng.uniform(1.0, 5.0)
-            score = float(x_u @ self.video_factors[v])
-            noise_click = rng.random() < cfg.noise_click_rate
-            if not noise_click:
-                p_click = _sigmoid(cfg.click_bias + cfg.click_scale * score)
-                if rng.random() >= p_click:
-                    continue
-            out.append(
-                UserAction(
-                    timestamp=t,
-                    user_id=user_id,
-                    video_id=video_id,
-                    action=ActionType.CLICK,
-                )
-            )
-            t += rng.uniform(1.0, 3.0)
-            # Accidental clicks rarely turn into real watching.
-            p_play = 0.5 * cfg.play_given_click if noise_click else cfg.play_given_click
-            if rng.random() >= p_play:
-                continue
-            out.append(
-                UserAction(
-                    timestamp=t,
-                    user_id=user_id,
-                    video_id=video_id,
-                    action=ActionType.PLAY,
-                )
-            )
-            # View rate: Beta with mean increasing in affinity; accidental
-            # plays are mostly abandoned immediately — but some run long
-            # anyway (left playing, fell asleep), producing deceptively
-            # high weights: watching in its entirety is not liking.
-            if noise_click:
-                mean_vrate = 0.55 if rng.random() < 0.3 else 0.06
-            elif rng.random() < cfg.time_limited_rate:
-                mean_vrate = 0.15  # cut short by time, not by dislike
-            else:
-                mean_vrate = min(
-                    0.95, max(0.05, 0.2 + 0.7 * _sigmoid(2.0 * score))
-                )
-            concentration = cfg.vrate_concentration
-            vrate = float(
-                rng.beta(
-                    mean_vrate * concentration,
-                    (1 - mean_vrate) * concentration,
-                )
-            )
-            duration = self.videos[video_id].duration
-            view_time = max(1.0, vrate * duration)
-            t += view_time
-            out.append(
-                UserAction(
-                    timestamp=t,
-                    user_id=user_id,
-                    video_id=video_id,
-                    action=ActionType.PLAYTIME,
-                    view_time=view_time,
-                )
-            )
-            # Strong engagement occasionally produces social actions.
-            if vrate > 0.7:
-                roll = rng.random()
-                if roll < 0.08:
-                    t += rng.uniform(1.0, 10.0)
-                    out.append(
-                        UserAction(
-                            timestamp=t,
-                            user_id=user_id,
-                            video_id=video_id,
-                            action=ActionType.LIKE,
+        playtime, like, comment = (
+            ActionType.PLAYTIME, ActionType.LIKE, ActionType.COMMENT
+        )
+        per_session = cfg.impressions_per_session
+        noise_click_rate = cfg.noise_click_rate
+        click_bias, click_scale = cfg.click_bias, cfg.click_scale
+        play_given_click = cfg.play_given_click
+        time_limited_rate = cfg.time_limited_rate
+        concentration = cfg.vrate_concentration
+
+        for user_idx, sessions in enumerate(n_sessions):
+            user_id = f"u{user_idx}"
+            x_u = user_factors[user_idx]
+            for _ in range(sessions):
+                offset = start_span * random()
+                if start_sampler is not None:
+                    offset = start_sampler(offset / start_span)
+                t = day_start + offset
+                for v in sample(user_idx, per_session, state, rng):
+                    video_id = index_to_id[v]
+                    append(UserAction(t, user_id, video_id, impress))
+                    t += 1.0 + 4.0 * random()
+                    score = float(x_u @ video_factors[v])
+                    noise_click = random() < noise_click_rate
+                    if not noise_click:
+                        p_click = sigmoid(click_bias + click_scale * score)
+                        if random() >= p_click:
+                            continue
+                    append(UserAction(t, user_id, video_id, click))
+                    t += 1.0 + 2.0 * random()
+                    # Accidental clicks rarely turn into real watching.
+                    p_play = (
+                        0.5 * play_given_click
+                        if noise_click
+                        else play_given_click
+                    )
+                    if random() >= p_play:
+                        continue
+                    append(UserAction(t, user_id, video_id, play))
+                    # View rate: Beta with mean increasing in affinity;
+                    # accidental plays are mostly abandoned immediately —
+                    # but some run long anyway (left playing, fell
+                    # asleep), producing deceptively high weights:
+                    # watching in its entirety is not liking.
+                    if noise_click:
+                        mean_vrate = 0.55 if random() < 0.3 else 0.06
+                    elif random() < time_limited_rate:
+                        mean_vrate = 0.15  # cut short by time, not dislike
+                    else:
+                        mean_vrate = min(
+                            0.95,
+                            max(0.05, 0.2 + 0.7 * sigmoid(2.0 * score)),
+                        )
+                    vrate = float(
+                        beta(
+                            mean_vrate * concentration,
+                            (1 - mean_vrate) * concentration,
                         )
                     )
-                elif roll < 0.12:
-                    t += rng.uniform(5.0, 30.0)
-                    out.append(
-                        UserAction(
-                            timestamp=t,
-                            user_id=user_id,
-                            video_id=video_id,
-                            action=ActionType.COMMENT,
-                        )
+                    view_time = max(1.0, vrate * videos[video_id].duration)
+                    t += view_time
+                    append(
+                        UserAction(t, user_id, video_id, playtime, view_time)
                     )
-            t += rng.uniform(1.0, 10.0)
-        return out
+                    # Strong engagement occasionally produces social
+                    # actions.
+                    if vrate > 0.7:
+                        roll = random()
+                        if roll < 0.08:
+                            t += 1.0 + 9.0 * random()
+                            append(UserAction(t, user_id, video_id, like))
+                        elif roll < 0.12:
+                            t += 5.0 + 25.0 * random()
+                            append(UserAction(t, user_id, video_id, comment))
+                    t += 1.0 + 9.0 * random()
 
     # ------------------------------------------------------------------
     # Convenience

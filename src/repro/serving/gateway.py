@@ -316,16 +316,28 @@ def _string(doc: dict, name: str) -> str:
     return value
 
 
+def _number(value: object, name: str) -> float:
+    """``value`` of field ``name``, which must be a JSON number: ``float()``
+    would read ``true`` as 1.0 (a 1 ms budget for ``deadline_ms``) and the
+    string ``"12.5"`` as 12.5."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal past float range
+        raise ValueError(f"{name} is out of range") from exc
+
+
 def _parse_action(doc: dict) -> UserAction:
     """Build a :class:`UserAction` from an ``/ingest`` JSON document."""
     try:
         action_type = ActionType.parse(str(doc["action"]))
         return UserAction(
-            timestamp=float(doc["timestamp"]),
+            timestamp=_number(doc["timestamp"], "timestamp"),
             user_id=_string(doc, "user_id"),
             video_id=_string(doc, "video_id"),
             action=action_type,
-            view_time=float(doc.get("view_time", 0.0)),
+            view_time=_number(doc.get("view_time", 0.0), "view_time"),
         )
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise _HttpError(400, f"bad action: {exc}") from exc
@@ -568,12 +580,12 @@ class ServingGateway:
                 ),
                 n=n,
                 timestamp=(
-                    float(doc["timestamp"])
+                    _number(doc["timestamp"], "timestamp")
                     if doc.get("timestamp") is not None
                     else None
                 ),
                 deadline_seconds=(
-                    float(deadline_ms) / 1000.0
+                    _number(deadline_ms, "deadline_ms") / 1000.0
                     if deadline_ms is not None
                     else None
                 ),

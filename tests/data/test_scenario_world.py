@@ -144,11 +144,52 @@ def _golden_world(name):
     )
 
 
+# Full-precision digests of a diurnal-wave world (its start sampler maps
+# every session-start draw) and a preference-drift world (days 3-5 draw
+# types from rotated per-user CDF rows).  Captured from the
+# ``Generator.uniform`` / ``searchsorted`` sampler, before the generator
+# drew its uniforms and weighted picks from plain doubles.
+GOLDEN_SCENARIO_FULL_PRECISION = {
+    "diurnal_wave": (
+        "31da292d89fe7c88e9c6911b8da6644751d4bac2f188b711a243b2f6636a586b"
+    ),
+    "preference_drift": (
+        "29c3125a3dc6499d869d89e829ed4db9dd3530e7fb4f6ad7d41f3d710183d937"
+    ),
+}
+
+
+def _scenario_golden_world(name):
+    scenario = (
+        diurnal_wave(amplitude=0.7)
+        if name == "diurnal_wave"
+        else preference_drift(day=3, angle_degrees=90.0)
+    )
+    return SyntheticWorld(
+        paper_world_config(n_users=40, n_videos=60, days=6, seed=2016),
+        scenario=scenario,
+    )
+
+
 class TestFullPrecisionGoldens:
     @pytest.mark.parametrize("name", sorted(GOLDEN_FULL_PRECISION))
     def test_stream_matches_golden(self, name):
         actions = _golden_world(name).generate_actions()
         assert _full_precision_digest(actions) == GOLDEN_FULL_PRECISION[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIO_FULL_PRECISION))
+    def test_scenario_stream_matches_golden(self, name):
+        actions = _scenario_golden_world(name).generate_actions()
+        assert (
+            _full_precision_digest(actions)
+            == GOLDEN_SCENARIO_FULL_PRECISION[name]
+        )
+
+    def test_drift_world_draws_from_rotated_type_rows(self):
+        world = _scenario_golden_world("preference_drift")
+        first, before, after = (world._day_state(d) for d in (0, 2, 3))
+        assert before.type_cdf is first.type_cdf
+        assert after.type_cdf is not before.type_cdf
 
     def test_scenario_world_exercises_the_inactive_favourite_fallback(self):
         world = _golden_world("flash_crowd_churn")

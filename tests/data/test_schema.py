@@ -1,5 +1,7 @@
 """Tests for entities and action records."""
 
+import dataclasses
+import inspect
 import io
 
 import pytest
@@ -29,6 +31,89 @@ class TestVideo:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(DataError):
             Video(video_id="v1", kind="t", duration=0.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(duration=float("nan")),
+            dict(duration=float("inf")),
+            dict(duration=float("-inf")),
+            dict(publish_time=float("nan")),
+            dict(publish_time=float("inf")),
+            dict(video_id=""),
+            dict(video_id="v\t1"),
+            dict(video_id="v\n1"),
+            dict(video_id="v\r1"),
+        ],
+        ids=[
+            "nan-duration", "inf-duration", "neg-inf-duration",
+            "nan-publish", "inf-publish",
+            "empty-id", "tab-id", "lf-id", "cr-id",
+        ],
+    )
+    def test_bad_values_rejected(self, fields):
+        with pytest.raises(DataError):
+            Video(**{**dict(video_id="v1", kind="t", duration=60.0), **fields})
+
+
+class TestHandwrittenConstructors:
+    """``UserAction`` and ``Video`` write their own ``__init__``; the
+    dataclass contract around it is unchanged."""
+
+    def test_signatures(self):
+        assert list(inspect.signature(UserAction).parameters) == [
+            "timestamp", "user_id", "video_id", "action", "view_time",
+        ]
+        assert list(inspect.signature(Video).parameters) == [
+            "video_id", "kind", "duration", "publish_time",
+        ]
+
+    def test_positional_and_keyword_construction_agree(self):
+        a = UserAction(1.5, "u", "v", ActionType.CLICK)
+        b = UserAction(
+            timestamp=1.5, user_id="u", video_id="v", action=ActionType.CLICK
+        )
+        assert (a.timestamp, a.user_id, a.video_id, a.action, a.view_time) == (
+            1.5, "u", "v", ActionType.CLICK, 0.0,
+        )
+        assert a == b and repr(a) == repr(b)
+        assert Video("v", "t", 60.0) == Video(
+            video_id="v", kind="t", duration=60.0, publish_time=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            UserAction(1.5, "u", "v", ActionType.PLAYTIME, 3.0),
+            Video("v", "t", 60.0, 5.0),
+        ],
+        ids=["action", "video"],
+    )
+    def test_frozen_slotted_and_hashable(self, obj):
+        for field in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, getattr(obj, field.name))
+        assert not hasattr(obj, "__dict__")
+        twin = dataclasses.replace(obj)
+        assert twin == obj and hash(twin) == hash(obj)
+
+    def test_action_compares_by_timestamp_only(self):
+        a = UserAction(1.0, "u", "v", ActionType.CLICK)
+        b = UserAction(1.0, "u2", "v2", ActionType.PLAY)
+        assert a == b and hash(a) == hash(b)
+        assert a < UserAction(2.0, "u", "v", ActionType.CLICK)
+        assert repr(a) == (
+            "UserAction(timestamp=1.0, user_id='u', video_id='v', "
+            "action=<ActionType.CLICK: 'click'>, view_time=0.0)"
+        )
+
+    def test_replace_runs_the_checks(self):
+        video = Video("v", "t", 60.0)
+        with pytest.raises(DataError):
+            dataclasses.replace(video, duration=float("nan"))
+        action = UserAction(1.0, "u", "v", ActionType.CLICK)
+        with pytest.raises(DataError):
+            dataclasses.replace(action, user_id="")
 
 
 class TestUserDemographics:

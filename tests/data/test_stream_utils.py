@@ -1,5 +1,8 @@
 """Tests for stream cleaning, splitting and replay."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.clock import SECONDS_PER_DAY
@@ -50,6 +53,23 @@ class TestSplitByDay:
         actions = [_action(2.0), _action(1.0), _action(0.5)]
         split = split_by_day(actions, train_days=1)
         assert [a.timestamp for a in split.train] == [0.5, 1.0, 2.0]
+
+    def test_partition_matches_day_of_at_the_boundaries(self):
+        edge = 6 * SECONDS_PER_DAY
+        stamps = [
+            math.nextafter(edge, -math.inf), edge,
+            math.nextafter(edge, math.inf), -0.5, 0.0, -1e-300,
+            math.nextafter(SECONDS_PER_DAY, -math.inf), 1e12,
+        ]
+        stamps += np.random.default_rng(3).uniform(-1e6, 1e6, 500).tolist()
+        actions = [_action(ts) for ts in stamps]
+        split = split_by_day(actions, train_days=6)
+        assert sorted(map(id, split.train)) == sorted(
+            id(a) for a in actions if day_of(a) < 6
+        )
+        assert sorted(map(id, split.test)) == sorted(
+            id(a) for a in actions if day_of(a) >= 6
+        )
 
     def test_invalid_train_days(self):
         with pytest.raises(DataError):

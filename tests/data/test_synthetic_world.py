@@ -117,6 +117,10 @@ class TestActionStream:
         short = world.generate_actions(days=1)
         assert max(a.timestamp for a in short) < SECONDS_PER_DAY
 
+    def test_negative_days_rejected(self, world):
+        with pytest.raises(ConfigError):
+            world.generate_actions(days=-3)
+
 
 class TestGroundTruth:
     def test_affinity_symmetric_to_factors(self, world):
@@ -296,3 +300,74 @@ class TestCachedCdfSampler:
         # One bad row spoils a per-user matrix.
         with pytest.raises(ValueError):
             _choice_cdf(np.vstack([np.full(p.size, 1 / p.size), p]))
+
+
+class _Fixed:
+    """A generator stand-in whose next double is ``x``."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def random(self):
+        return self.x
+
+
+class TestPlainDoubleDraws:
+    """The generator's draws from plain doubles are numpy's, bit for bit:
+    ``lo + (hi - lo) * random()`` is ``uniform(lo, hi)``, and
+    ``bisect_right`` over a CDF's list copy is ``searchsorted`` on it."""
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, SECONDS_PER_DAY - 3600),  # session start
+            (1.0, 5.0),  # after an impression
+            (1.0, 3.0),  # after a click
+            (1.0, 10.0),  # after a like, and between impressions
+            (5.0, 30.0),  # after a comment
+        ],
+    )
+    def test_uniform_formula_matches_generator_uniform(self, lo, hi):
+        uniform_rng, plain_rng = (np.random.default_rng(11) for _ in "ab")
+        n = 50_000
+        expected = [uniform_rng.uniform(lo, hi) for _ in range(n)]
+        random = plain_rng.random
+        got = [lo + (hi - lo) * random() for _ in range(n)]
+        assert [x.hex() for x in got] == [float(x).hex() for x in expected]
+        assert (
+            uniform_rng.bit_generator.state == plain_rng.bit_generator.state
+        )
+
+    def test_draw_on_exact_cdf_values_matches_searchsorted(self):
+        rng = np.random.default_rng(5)
+        # Zero-probability entries repeat a CDF value, leading, inside
+        # and trailing.
+        cdfs = [_choice_cdf(np.array([0.0, 0.5, 0.0, 0.0, 0.5, 0.0]))]
+        cdfs += [
+            _choice_cdf(_random_p(rng, 1 + i % 40, i % 5 / 5))
+            for i in range(200)
+        ]
+        assert cdfs[0].tolist() == [0.0, 0.5, 0.5, 0.5, 1.0, 1.0]
+        assert _draw(cdfs[0].tolist(), _Fixed(0.5)) == 4
+        for cdf in cdfs:
+            values = cdf.tolist()
+            # Draws equal to a CDF value, between values, and at 0.
+            probes = values + [0.0] + rng.random(20).tolist()
+            for x in probes:
+                assert _draw(values, _Fixed(x)) == int(
+                    cdf.searchsorted(x, side="right")
+                )
+
+    def test_draw_on_list_matches_searchsorted_on_array(self):
+        cdfs = [
+            _choice_cdf(_random_p(np.random.default_rng(i), 1 + i % 30, 0.4))
+            for i in range(100)
+        ]
+        list_rng, array_rng = (np.random.default_rng(3) for _ in "ab")
+        for cdf in cdfs:
+            values = cdf.tolist()
+            for _ in range(10):
+                assert _draw(values, list_rng) == int(
+                    cdf.searchsorted(array_rng.random(), side="right")
+                )
+        assert list_rng.bit_generator.state == array_rng.bit_generator.state

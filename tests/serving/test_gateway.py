@@ -156,10 +156,18 @@ class TestEndpoints:
             {"current_video": 7},
             {"n": 3.9},
             {"n": True},
+            {"timestamp": True},
+            {"timestamp": "12.5"},
+            {"deadline_ms": True},
+            {"deadline_ms": "5"},
+            {"deadline_ms": [5]},
+            {"timestamp": 10**400},
         ],
         ids=[
             "inf-time", "nan-time", "neg-deadline", "nan-deadline",
             "null-user", "object-user", "number-video", "float-n", "bool-n",
+            "bool-time", "string-time", "bool-deadline", "string-deadline",
+            "list-deadline", "huge-int-time",
         ],
     )
     def test_recommend_bad_time_or_deadline_is_400(self, bad):
@@ -259,10 +267,16 @@ class TestEndpoints:
             {"user_id": None},
             {"user_id": {"a": 1}},
             {"video_id": 7},
+            {"timestamp": True},
+            {"timestamp": "12.5"},
+            {"view_time": True},
+            {"view_time": "30"},
+            {"view_time": None},
         ],
         ids=[
             "tab-in-user", "empty-user", "cr-in-video", "nan-time", "nan-view",
-            "null-user", "object-user", "number-video",
+            "null-user", "object-user", "number-video", "bool-time",
+            "string-time", "bool-view", "string-view", "null-view",
         ],
     )
     def test_ingest_bad_action_is_400_and_leaves_wal_untouched(
@@ -527,3 +541,28 @@ class TestDefaultDeadline:
             )
         assert captured[0].deadline_seconds == pytest.approx(0.025)
         assert captured[1].deadline_seconds == pytest.approx(0.090)
+
+    def test_integer_and_null_request_deadlines(self):
+        """A JSON integer is a number; an explicit ``null`` is no budget,
+        not the configured default."""
+        captured = []
+
+        class _CapturingRouter(RequestRouter):
+            def handle_many(self, requests):
+                captured.extend(requests)
+                return super().handle_many(requests)
+
+        router = _CapturingRouter(_Backend(), obs=Observability.create())
+        config = GatewayConfig(deadline_ms=25.0)
+        with _gateway(router, config=config) as server:
+            for body in (
+                {"user_id": "u1", "deadline_ms": 40, "timestamp": 7},
+                {"user_id": "u2", "deadline_ms": None},
+            ):
+                status, _, doc = _request(
+                    server.port, "POST", "/recommend", body
+                )
+                assert status == 200, doc
+        assert captured[0].deadline_seconds == pytest.approx(0.040)
+        assert captured[0].timestamp == 7.0
+        assert captured[1].deadline_seconds is None
