@@ -5,7 +5,8 @@ Popularity decays exponentially so the list tracks what is hot *now*; the
 user's own watched videos are excluded from their list.
 
 Over a recommender's ``store=`` the counts (``hot`` key ``"__all__"``)
-join its checkpoints and the watched sets are its own ``history``.
+join its checkpoints and the watched sets are its own ``history``, which
+the recommender records: the fallback then only counts.
 """
 
 from __future__ import annotations
@@ -38,17 +39,17 @@ class HotRecommender:
             half_life, MAX_TRACKED, clock=self.clock, store=backing
         )
         self.history = UserHistoryStore(store=backing)
+        self._owns_history = store is None
         self.exclude_watched = exclude_watched
 
     def observe(self, action: UserAction) -> None:
-        # Over a shared store the recommender pushed the history already;
-        # pushing the same action again leaves it unchanged.
         if action.action not in ENGAGEMENT_ACTIONS:
             return
         self.tracker.record(
             _GLOBAL, action.video_id, weight=1.0, now=action.timestamp
         )
-        self.history.record(action)
+        if self._owns_history:
+            self.history.record(action)
 
     def recommend_ids(
         self,

@@ -2,15 +2,21 @@
 
 They read private state on purpose: the system itself never needs a raw
 similar-video entry, a user's true best videos, the list of group
-models created so far, a model's user rows or the retrieval mirror's
-rows, only tests do.
+models created so far, a model's user rows, the retrieval mirror's
+rows or a user's stored history, only tests do.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AnnIndex, GroupedRecommender, MFModel, SimilarVideoTable
+from repro.core import (
+    AnnIndex,
+    GroupedRecommender,
+    MFModel,
+    SimilarVideoTable,
+    UserHistoryStore,
+)
 from repro.data import SyntheticWorld
 
 
@@ -49,3 +55,10 @@ def stored_rows(
     """``(ids, vectors, biases)`` of one kind (``"user"`` or ``"video"``),
     ids sorted — :meth:`MFModel.video_rows` for either kind."""
     return model._params.export(kind, np.float64)
+
+
+def history_entries(
+    history: UserHistoryStore, user_id: str
+) -> list[tuple[str, float]]:
+    """One user's stored ``[(video, timestamp), ...]`` history, newest first."""
+    return history._store.get(user_id, [])
