@@ -347,10 +347,10 @@ class RequestRouter:
         batched serving endpoint hands the router.  Responses come back in
         the same order as the requests.
 
-        An empty batch is an explicit no-op: no counters move, no latency
-        sample is recorded.  The gateway's coalescing collector may race a
-        timer flush against a size flush — the loser finds an empty buffer
-        and must leave the counts untouched.
+        The gateway's collector calls it with the requests that queued
+        while the previous batch was served (a group commit, never
+        empty).  An empty batch is still a no-op: no counters move, no
+        latency sample is recorded.
         """
         if not requests:
             return []
