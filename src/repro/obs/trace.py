@@ -18,8 +18,8 @@ the work done in that stage alone.
 Ids are minted from deterministic counters — with a
 :class:`~repro.clock.VirtualClock` a traced run is bit-for-bit
 reproducible.  ``sample_every=n`` keeps only every n-th trace (the ids
-still advance, so sampled runs stay comparable); ``max_spans`` bounds
-memory, evicting the oldest finished span in O(1).
+still advance, so sampled runs stay comparable); ``max_spans`` (10,000
+by default) bounds memory, evicting the oldest finished span in O(1).
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class Tracer:
         self,
         clock: Clock | None = None,
         sample_every: int = 1,
-        max_spans: int = 100_000,
+        max_spans: int = 10_000,
     ) -> None:
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")

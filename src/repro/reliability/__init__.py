@@ -13,8 +13,8 @@ and recovery is this package's checkpoint + WAL replay:
   user actions;
 * :mod:`~repro.reliability.replay` — crash recovery = restore last
   checkpoint + replay the WAL tail (at-least-once);
-* :mod:`~repro.reliability.overload` — admission control (token bucket +
-  concurrency cap) and circuit breakers, the serve-under-load half of
+* :mod:`~repro.reliability.overload` — admission control (a token
+  bucket) and circuit breakers, the serve-under-load half of
   robustness.
 
 Recovery semantics are documented in DESIGN.md ("Fault-tolerance
@@ -29,7 +29,6 @@ from .overload import (
     AdmissionDecision,
     BreakerState,
     CircuitBreaker,
-    ConcurrencyLimiter,
     TokenBucket,
 )
 from .replay import RecoveryManager, RecoveryReport
@@ -42,7 +41,6 @@ __all__ = [
     "RecoveryManager",
     "RecoveryReport",
     "TokenBucket",
-    "ConcurrencyLimiter",
     "AdmissionController",
     "AdmissionDecision",
     "CircuitBreaker",

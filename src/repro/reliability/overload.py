@@ -12,9 +12,8 @@ breaker → fallback, see DESIGN.md "Overload semantics"):
   iff a token is available.  With a
   :class:`~repro.clock.VirtualClock` the refill schedule is exact, so
   saturation tests are bit-for-bit reproducible.
-* :class:`ConcurrencyLimiter` — a non-blocking cap on in-flight requests.
-* :class:`AdmissionController` — combines both; rejections carry a reason
-  (``"rate"`` or ``"concurrency"``) and are counted in the registry.
+* :class:`AdmissionController` — the bucket in front of the router;
+  rejections carry a reason (``"rate"``) and are counted in the registry.
 * :class:`CircuitBreaker` — the closed → open → half-open state machine.
   :data:`FAILURE_THRESHOLD` consecutive failures open the circuit; while
   open every call fails fast (no backend invocation) until
@@ -80,42 +79,15 @@ class TokenBucket:
             return False
 
 
-class ConcurrencyLimiter:
-    """Non-blocking cap on concurrently admitted requests."""
-
-    def __init__(self, limit: int) -> None:
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        self.limit = limit
-        self._inflight = 0
-        self._lock = threading.Lock()
-
-    def try_acquire(self) -> bool:
-        with self._lock:
-            if self._inflight >= self.limit:
-                return False
-            self._inflight += 1
-            return True
-
-    def release(self) -> None:
-        with self._lock:
-            if self._inflight <= 0:
-                raise RuntimeError("release() without a matching try_acquire()")
-            self._inflight -= 1
-
-
-#: Reason codes attached to shed admissions.
+#: Reason code attached to shed admissions.
 SHED_RATE = "rate"
-SHED_CONCURRENCY = "concurrency"
 
 
 @dataclass(frozen=True, slots=True)
 class AdmissionDecision:
     """Outcome of one admission check.
 
-    ``admitted=False`` carries the shed reason; an admitted decision holds
-    the concurrency slot until :meth:`AdmissionController.release` is
-    called (the router does this in a ``finally``).
+    ``admitted=False`` carries the shed reason.
     """
 
     admitted: bool
@@ -125,24 +97,20 @@ class AdmissionDecision:
 class AdmissionController:
     """Admission control in front of a serving endpoint.
 
-    Composes an optional rate limit (a :class:`TokenBucket` of ``rate``
-    requests per second) and an optional concurrency cap.  The rate check
-    runs first: a request shed by rate never consumes a concurrency slot.
+    A rate limit: a :class:`TokenBucket` of ``rate`` requests per second.
     Every decision is counted in ``registry`` as
-    ``admission_decisions_total{decision}`` (``admitted``, ``shed_rate``
-    or ``shed_concurrency``).
+    ``admission_decisions_total{decision}`` (``admitted`` or
+    ``shed_rate``).  No concurrency cap: the gateway serves one request at
+    a time, so a cap could never shed.
     """
 
     def __init__(
         self,
-        rate: float | None = None,
-        max_concurrency: int | None = None,
+        rate: float,
         clock: Clock | None = None,
         *,
         registry: "MetricsRegistry",
     ) -> None:
-        if rate is None and max_concurrency is None:
-            raise ValueError("need at least one of rate / max_concurrency")
         self._decisions = Children(
             registry.counter(
                 "admission_decisions_total",
@@ -150,32 +118,15 @@ class AdmissionController:
                 labelnames=("decision",),
             )
         )
-        self._bucket = (
-            TokenBucket(rate, clock=clock)
-            if rate is not None
-            else None
-        )
-        self._limiter = (
-            ConcurrencyLimiter(max_concurrency)
-            if max_concurrency is not None
-            else None
-        )
+        self._bucket = TokenBucket(rate, clock=clock)
 
     def try_admit(self) -> AdmissionDecision:
-        """Admit or shed one request; admitted requests must be released."""
-        if self._bucket is not None and not self._bucket.try_acquire():
+        """Admit or shed one request."""
+        if not self._bucket.try_acquire():
             self._decisions["shed_rate"].inc()
             return AdmissionDecision(False, SHED_RATE)
-        if self._limiter is not None and not self._limiter.try_acquire():
-            self._decisions["shed_concurrency"].inc()
-            return AdmissionDecision(False, SHED_CONCURRENCY)
         self._decisions["admitted"].inc()
         return AdmissionDecision(True)
-
-    def release(self) -> None:
-        """Return the concurrency slot of an admitted request."""
-        if self._limiter is not None:
-            self._limiter.release()
 
 
 class BreakerState(enum.Enum):

@@ -3,12 +3,12 @@
 Reproduces the operational envelope the paper quotes for production —
 millisecond request latency under concurrent traffic while the model keeps
 updating in real time (§4.1, §6).  :class:`ServingGateway` puts the
-router behind real sockets with request coalescing.  Load over real
-sockets is measured by ``benchmarks/e2e``, which carries its own
-generator.
+router behind real sockets, with all model work on one thread.  Load
+over real sockets is measured by ``benchmarks/e2e``, which carries its
+own generator.
 """
 
-from .gateway import GatewayConfig, RequestCollector, ServingGateway
+from .gateway import GatewayConfig, ServingGateway
 from .router import Outcome, RecRequest, RecResponse, RequestRouter, Scenario
 
 __all__ = [
@@ -18,6 +18,5 @@ __all__ = [
     "Scenario",
     "Outcome",
     "GatewayConfig",
-    "RequestCollector",
     "ServingGateway",
 ]

@@ -72,7 +72,7 @@ def build_demo_gateway(
 
     ``rate`` is the admission token bucket's requests per second
     (``None``: no admission control).  ``max_concurrency`` must be
-    ``None``: the gateway serves ``/recommend`` on one read thread, so a
+    ``None``: the gateway serves every request on one model thread, so a
     cap on concurrently served requests could never shed
     (``GatewayConfig.max_connections`` bounds the load a gateway takes).
     """
@@ -187,12 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="default per-request latency budget (504 when exceeded)",
     )
     parser.add_argument(
-        "--batch-max",
-        type=int,
-        default=defaults.batch_max,
-        help="most /recommend requests served by one coalesced batch",
-    )
-    parser.add_argument(
         "--rate",
         type=float,
         default=None,
@@ -236,7 +230,6 @@ def main(argv: list[str] | None = None) -> int:
         port=args.port,
         max_connections=args.max_connections,
         deadline_ms=args.deadline_ms,
-        batch_max=args.batch_max,
     )
     print(
         f"preparing demo recommender ({args.users} users, "

@@ -1,7 +1,7 @@
 """Async HTTP serving gateway — the system's network face (§4.1, §6.2).
 
-Every layer built so far — router, admission control, breakers,
-micro-batched scoring — is reached by in-process function calls.  The
+Every layer built so far — router, admission control, breakers, the
+live trainer — is reached by in-process function calls.  The
 paper's deployment is a *service*: "handling millions of user requests
 every day, with latency of milliseconds" arrives over sockets.
 :class:`ServingGateway` is that boundary, a dependency-light asyncio
@@ -13,18 +13,17 @@ HTTP/1.1 front-end over :class:`~repro.serving.router.RequestRouter`:
   :meth:`~repro.obs.MetricsRegistry.to_json` document;
 * ``GET  /healthz``  — liveness + circuit-breaker state;
 * ``GET  /snapshot`` — the router's per-scenario counters plus the
-  gateway's own connection/coalescing statistics.
+  gateway's own connection statistics.
 
-**Two lanes.** Model work runs on two single-thread lanes; sockets,
+**One model lane.** Model work runs on one single-thread lane; sockets,
 parsing and the gateway's counters stay on the event loop's thread.
-The read lane serves ``/recommend``: a
-:class:`RequestCollector` sends a batch as soon as none is in flight, and
-the requests that arrive while it is served go out together when it
-finishes (at most ``batch_max``), as one
-:meth:`RequestRouter.handle_many` call.  The write lane runs
-``/ingest``'s ``observe`` calls one at a time in arrival order, so each
-key has one writer (paper §5) and the WAL order is the apply order that
-recovery replays.
+``/recommend`` (:meth:`RequestRouter.handle`) and ``/ingest``
+(``observe``) run on it one call at a time, in arrival order.  So each
+key has one writer (paper §5), the WAL order is the apply order that
+recovery replays, and every response is computed on the state after
+some prefix of the WAL.  A request's ``deadline_ms`` counts from the
+moment the gateway has parsed it: the router gets what is left after
+the request's wait for the lane.
 
 **Overload semantics on the wire.**  The router's outcome enum maps onto
 HTTP statuses faithfully (DESIGN.md "Serving over HTTP"):
@@ -52,7 +51,7 @@ import asyncio
 import json
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Awaitable, Callable
 
 from ..data.schema import ActionType, UserAction
@@ -66,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "GatewayConfig",
-    "RequestCollector",
     "ServingGateway",
 ]
 
@@ -99,7 +97,6 @@ _LINGER_SECONDS = 1.0
 class GatewayConfig:
     """Tunables of one :class:`ServingGateway`.
 
-    ``batch_max`` caps one coalesced ``/recommend`` batch.
     ``deadline_ms`` is the default per-request latency budget stamped on
     requests that do not carry their own ``deadline_ms`` field;
     ``None`` disables the default.  ``max_connections`` bounds
@@ -111,15 +108,12 @@ class GatewayConfig:
     port: int = 0  # 0 = ephemeral, read the bound port off the gateway
     max_connections: int = 256
     deadline_ms: float | None = None
-    batch_max: int = 64
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
             raise ValueError(
                 f"max_connections must be >= 1, got {self.max_connections}"
             )
-        if self.batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
         if self.deadline_ms is not None and self.deadline_ms < 0:
             raise ValueError(
                 f"deadline_ms must be >= 0, got {self.deadline_ms}"
@@ -149,103 +143,6 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
-
-
-class RequestCollector:
-    """Coalesce concurrent recommendation requests into ``handle_many``.
-
-    A :meth:`submit` finding no batch in flight dispatches one on the
-    next loop tick, so the requests submitted in the same tick join it.
-    The batch runs :meth:`RequestRouter.handle_many` on the read lane, one
-    thread; requests submitted meanwhile wait, and go out together, at
-    most ``batch_max`` at a time, as soon as it finishes (a group
-    commit).  No timer holds a request back.
-
-    Each batch's size is recorded in the router's registry, in the
-    ``gateway_coalesced_batch_size`` histogram that
-    :meth:`coalesce_snapshot` reads.  ``batch_max`` comes from a
-    validated :class:`GatewayConfig`.
-    """
-
-    def __init__(self, router: RequestRouter, batch_max: int) -> None:
-        self.router = router
-        self.batch_max = batch_max
-        self._pending: list[tuple[RecRequest, asyncio.Future]] = []
-        self._in_flight = False
-        # Its one worker thread starts with the first batch.
-        self._lane = ThreadPoolExecutor(1, thread_name_prefix="gateway-read")
-        self._size_hist = router.obs.registry.histogram(
-            "gateway_coalesced_batch_size",
-            "Requests coalesced into one handle_many call",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-        )
-
-    async def submit(self, request: RecRequest) -> RecResponse:
-        """Enqueue one request and await its (batched) response."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append((request, future))
-        if not self._in_flight:
-            self._in_flight = True
-            loop.call_soon(self._dispatch)
-        return await future
-
-    def _dispatch(self) -> None:
-        batch = self._pending[: self.batch_max]
-        del self._pending[: self.batch_max]
-        if not batch:
-            self._in_flight = False
-            return
-        futures = [future for _, future in batch]
-        loop = asyncio.get_running_loop()
-        try:
-            task = loop.run_in_executor(
-                self._lane, self.router.handle_many, [r for r, _ in batch]
-            )
-        except RuntimeError as exc:  # close() shut the lane down
-            task = loop.create_future()
-            task.set_exception(exc)
-        else:
-            self._size_hist.observe(len(batch))
-        task.add_done_callback(lambda done: self._resolve(futures, done))
-
-    def _resolve(
-        self, futures: list[asyncio.Future], done: asyncio.Future
-    ) -> None:
-        """Hand each waiter its response, the batch's exception or its
-        cancellation; then send the next batch."""
-        cancelled = done.cancelled()
-        exc = None if cancelled else done.exception()
-        for i, future in enumerate(futures):
-            if future.done():  # its waiter was cancelled
-                continue
-            if cancelled:
-                future.cancel()
-            elif exc is not None:
-                future.set_exception(exc)
-            else:
-                future.set_result(done.result()[i])
-        self._dispatch()
-
-    async def close(self) -> None:
-        """Cancel the requests not yet dispatched and stop the read lane."""
-        pending, self._pending = self._pending, []
-        for _, future in pending:
-            future.cancel()
-        await asyncio.to_thread(self._lane.shutdown, cancel_futures=True)
-
-    def coalesce_snapshot(self) -> dict:
-        """Plain-dict coalescing statistics for ``/snapshot``, read off the
-        ``gateway_coalesced_batch_size`` histogram (whose buckets are in
-        ``/metrics``)."""
-        batches = self._size_hist.count
-        total = int(self._size_hist.sum)
-        return {
-            "batches": batches,
-            "requests": total,
-            "mean_batch_size": (total / batches) if batches else 0.0,
-            "max_batch_size": int(self._size_hist.max),
-        }
 
 
 async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
@@ -382,20 +279,21 @@ class ServingGateway:
     """Asyncio HTTP server over a :class:`RequestRouter`.
 
     ``observe`` is the live-training sink ``POST /ingest`` feeds (e.g.
-    ``RealtimeRecommender.observe``), on the write lane: one call at a
-    time, in arrival order; if it raises, that request gets ``500`` and
-    the lane serves on.  ``obs`` must be the router's own
+    ``RealtimeRecommender.observe``).  It runs on the model lane, the one
+    thread that also serves every ``/recommend``: one call at a time, in
+    arrival order; if it raises, that request gets ``500`` and the lane
+    serves on.  ``obs`` must be the router's own
     bundle (``ValueError`` otherwise), so ``/snapshot`` and ``/metrics``
     read one registry; the gateway reports into it too
     (``gateway_http_requests_total``, ``gateway_open_connections``,
-    ``gateway_coalesced_batch_size``, ``gateway_connections_rejected_total``).
+    ``gateway_connections_rejected_total``).
     ``breaker`` defaults to the router's own breaker and feeds
     ``/healthz``: the gateway is healthy while it is not open.
 
     Lifecycle: ``await start()`` binds the socket (``port`` then reports
-    the real port when the config asked for 0); each lane's thread starts
-    with its first request.  ``await stop()`` closes the socket and the
-    open connections, shuts both lanes down and closes :attr:`on_stop`.
+    the real port when the config asked for 0); the lane's thread starts
+    with the first request.  ``await stop()`` closes the socket and the
+    open connections, shuts the lane down and closes :attr:`on_stop`.
     ``repro-serve`` drives it with :meth:`serve_forever` under
     ``asyncio.run``; ``benchmarks/e2e`` runs the CLI's composition in a
     child process.
@@ -420,10 +318,8 @@ class ServingGateway:
         self.observe = observe
         self.obs = obs
         self.breaker = breaker if breaker is not None else router.breaker
-        self.collector = RequestCollector(router, self.config.batch_max)
-        self._writer = ThreadPoolExecutor(
-            1, thread_name_prefix="gateway-ingest"
-        )
+        # Its one worker thread starts with the first request.
+        self._model = ThreadPoolExecutor(1, thread_name_prefix="gateway-model")
         #: What :meth:`stop` closes last: a durable composition registers
         #: its write-ahead log here.
         self.on_stop = ExitStack()
@@ -462,7 +358,7 @@ class ServingGateway:
         )
 
     async def stop(self) -> None:
-        """Close the socket and every open connection, shut both lanes
+        """Close the socket and every open connection, shut the model lane
         down, then close what :attr:`on_stop` holds."""
         if self._server is not None:
             self._server.close()
@@ -476,10 +372,7 @@ class ServingGateway:
                     await stream.wait_closed()
                 except (ConnectionError, OSError):
                     pass
-        await asyncio.gather(
-            self.collector.close(),
-            asyncio.to_thread(self._writer.shutdown, cancel_futures=True),
-        )
+        await asyncio.to_thread(self._model.shutdown, cancel_futures=True)
         self.on_stop.close()
 
     @property
@@ -644,8 +537,21 @@ class ServingGateway:
             )
         except (TypeError, ValueError) as exc:
             raise _HttpError(400, f"bad request field: {exc}") from exc
-        response = await self.collector.submit(rec_request)
+        parsed = self.obs.perf_clock.now()
+        response = await asyncio.get_running_loop().run_in_executor(
+            self._model, self._serve, rec_request, parsed
+        )
         return self._map_outcome(response)
+
+    def _serve(self, request: RecRequest, parsed: float) -> RecResponse:
+        """Serve ``request`` on the model lane, with the part of its
+        budget that its wait for the lane since ``parsed`` left."""
+        budget = request.deadline_seconds
+        if budget is not None:
+            waited = self.obs.perf_clock.now() - parsed
+            left = max(0.0, budget - waited)
+            request = replace(request, deadline_seconds=left)
+        return self.router.handle(request)
 
     def _map_outcome(
         self, response: RecResponse
@@ -678,7 +584,7 @@ class ServingGateway:
     ) -> tuple[int, dict, dict[str, str] | None]:
         action = _parse_action(self._json_body(request))
         await asyncio.get_running_loop().run_in_executor(
-            self._writer, self.observe, action
+            self._model, self.observe, action
         )
         self._ingested += 1
         return 202, {"ingested": self._ingested}, None
@@ -707,7 +613,6 @@ class ServingGateway:
     ) -> tuple[int, dict, dict[str, str] | None]:
         payload = {
             "router": self.router.snapshot(),
-            "coalescing": self.collector.coalesce_snapshot(),
             "gateway": {
                 "open_connections": self._open_connections,
                 "ingested": self._ingested,

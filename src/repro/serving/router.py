@@ -79,7 +79,8 @@ class RecRequest:
     in ``[1, MAX_N]``, and ``timestamp``, when given, finite.
     ``deadline_seconds`` is an optional total latency budget (finite and
     non-negative) measured on the router's clock from the moment
-    :meth:`RequestRouter.handle` starts.
+    :meth:`RequestRouter.handle` starts.  The gateway passes what is left
+    of the client's budget after the request's wait for the model lane.
     """
 
     user_id: str
@@ -282,15 +283,6 @@ class RequestRouter:
                     shed=True,
                     shed_reason=decision.reason,
                 )
-            try:
-                return self._handle_admitted(request, started)
-            finally:
-                self.admission.release()
-        return self._handle_admitted(request, started)
-
-    def _handle_admitted(
-        self, request: RecRequest, started: float
-    ) -> RecResponse:
         error: str | None = None
         degraded = False
         deadline_exceeded = False
@@ -337,24 +329,6 @@ class RequestRouter:
             degraded=degraded,
             deadline_exceeded=deadline_exceeded,
         )
-
-    def handle_many(self, requests: list[RecRequest]) -> list[RecResponse]:
-        """Serve a batch of requests; never raises.
-
-        Each request runs through the full admission → breaker → deadline
-        → fallback chain independently (one user's failure or shed never
-        poisons a neighbour's response), in input order — the shape a
-        batched serving endpoint hands the router.  Responses come back in
-        the same order as the requests.
-
-        The gateway's collector calls it with the requests that queued
-        while the previous batch was served (a group commit, never
-        empty).  An empty batch is still a no-op: no counters move, no
-        latency sample is recorded.
-        """
-        if not requests:
-            return []
-        return [self.handle(request) for request in requests]
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         """Plain-dict summary of both scenarios, read off the registry.

@@ -210,14 +210,14 @@ class TestBatchedSeedFetches:
 
 
 class TestRouterIntegration:
-    def test_handle_many_serves_ann_mode(self, small_world, small_split):
+    def test_handle_serves_ann_mode(self, small_world, small_split):
         rec = _trained(small_world, small_split, "ann")
         router = RequestRouter(rec, obs=Observability.create())
         users = _warm_users(rec, limit=4)
         requests = [RecRequest(user_id=u, n=5) for u in users] + [
             RecRequest(user_id=users[0], current_video="v7", n=5)
         ]
-        responses = router.handle_many(requests)
+        responses = [router.handle(request) for request in requests]
         assert len(responses) == len(requests)
         for response in responses:
             assert response.error is None

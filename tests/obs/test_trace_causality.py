@@ -55,6 +55,16 @@ def test_max_spans_bounds_memory_and_counts_drops():
     assert tracer.dropped_spans == 3
 
 
+def test_the_default_ring_keeps_ten_thousand_spans():
+    """A served process roots six spans per ``/recommend`` and nothing
+    reads them back: by default the ring keeps the newest 10,000."""
+    tracer = Tracer(clock=VirtualClock(0.0))
+    for _ in range(10_001):
+        tracer.start_span("s", parent=None).finish()
+    assert len(tracer.finished_spans()) == 10_000
+    assert tracer.dropped_spans == 1
+
+
 def test_eviction_keeps_the_newest_spans():
     tracer = Tracer(clock=VirtualClock(0.0), max_spans=3)
     for i in range(7):

@@ -1,13 +1,11 @@
-"""Unit tests for admission control: token bucket, concurrency, controller."""
-
-import threading
+"""Unit tests for admission control: token bucket and controller."""
 
 import pytest
 
 from repro.clock import VirtualClock
 from repro.obs import MetricsRegistry
-from repro.reliability import AdmissionController, ConcurrencyLimiter, TokenBucket
-from repro.reliability.overload import SHED_CONCURRENCY, SHED_RATE
+from repro.reliability import AdmissionController, TokenBucket
+from repro.reliability.overload import SHED_RATE
 from tests.support.obs import registry_total
 
 
@@ -72,43 +70,9 @@ class TestTokenBucket:
             AdmissionController(rate=rate, registry=MetricsRegistry())
 
 
-class TestConcurrencyLimiter:
-    def test_cap_and_release(self):
-        limiter = ConcurrencyLimiter(2)
-        assert limiter.try_acquire() and limiter.try_acquire()
-        assert not limiter.try_acquire()
-        limiter.release()
-        assert limiter.try_acquire()
-
-    def test_release_underflow_raises(self):
-        limiter = ConcurrencyLimiter(1)
-        with pytest.raises(RuntimeError):
-            limiter.release()
-
-    def test_thread_safety_never_exceeds_limit(self):
-        limiter = ConcurrencyLimiter(3)
-        high_water = [0]
-        lock = threading.Lock()
-
-        def worker():
-            for _ in range(200):
-                if limiter.try_acquire():
-                    with lock:
-                        high_water[0] = max(high_water[0], limiter._inflight)
-                    limiter.release()
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert high_water[0] <= 3
-        assert limiter._inflight == 0
-
-
 class TestAdmissionController:
-    def test_requires_some_limit(self):
-        with pytest.raises(ValueError):
+    def test_rate_is_required(self):
+        with pytest.raises(TypeError):
             AdmissionController(registry=MetricsRegistry())
 
     def test_registry_is_required(self):
@@ -126,27 +90,26 @@ class TestAdmissionController:
         assert decision.reason == SHED_RATE
         assert _decisions(registry, "shed_rate") == 1
 
-    def test_concurrency_shed_reason_and_release(self):
-        registry = MetricsRegistry()
-        controller = AdmissionController(max_concurrency=1, registry=registry)
-        assert controller.try_admit().admitted
-        decision = controller.try_admit()
-        assert not decision.admitted
-        assert decision.reason == SHED_CONCURRENCY
-        controller.release()
-        assert controller.try_admit().admitted
-        assert _decisions(registry, "admitted") == 2
-        assert _decisions(registry, "shed_concurrency") == 1
-
-    def test_rate_check_runs_before_concurrency(self):
-        """A rate-shed request must not consume a concurrency slot."""
+    def test_every_decision_is_counted_under_its_label(self):
         registry = MetricsRegistry()
         controller = AdmissionController(
-            rate=1.0, max_concurrency=5, clock=VirtualClock(0.0),
-            registry=registry,
+            rate=2.0, clock=VirtualClock(0.0), registry=registry
         )
-        controller.try_admit()
-        for _ in range(10):
-            assert not controller.try_admit().admitted
-        assert _decisions(registry, "shed_concurrency") == 0
-        assert _decisions(registry, "shed_rate") == 10
+        decisions = [controller.try_admit() for _ in range(5)]
+        assert [d.admitted for d in decisions] == [True, True] + [False] * 3
+        assert [d.reason for d in decisions] == [None, None] + [SHED_RATE] * 3
+        assert _decisions(registry, "admitted") == 2
+        assert _decisions(registry, "shed_rate") == 3
+        assert registry_total(registry, "admission_decisions_total") == 5
+
+    def test_an_admission_holds_nothing_to_give_back(self):
+        """Only the rate sheds: requests admitted earlier and never
+        finished do not hold back the next second's tokens."""
+        clock = VirtualClock(0.0)
+        controller = AdmissionController(
+            rate=3.0, clock=clock, registry=MetricsRegistry()
+        )
+        for _ in range(3):
+            admitted = [controller.try_admit().admitted for _ in range(4)]
+            assert admitted == [True, True, True, False]
+            clock.advance(1.0)

@@ -170,6 +170,20 @@ class TestDeadlines:
         assert _requests(router, "deadline_exceeded") == 1
         assert _requests(router, "error") == 0
 
+    def test_the_budget_counts_from_the_start_of_handle(self):
+        """An in-process caller's budget starts when ``handle`` does: time
+        that passed before the call takes nothing off it.  (The gateway
+        hands the router what a request's wait for the lane left.)"""
+        clock = VirtualClock(0.0)
+        primary = _SimulatedBackend(clock, service_time=0.030, fail=True)
+        fallback = _SimulatedBackend(clock, service_time=0.001)
+        router = _router(primary, clock, fallback=fallback)
+        request = RecRequest("u1", deadline_seconds=0.050)
+        clock.advance(1.0)
+        response = router.handle(request)
+        assert response.outcome is Outcome.DEGRADED
+        assert response.latency_seconds == pytest.approx(0.031)
+
     def test_no_deadline_means_unbounded_budget(self):
         clock = VirtualClock(0.0)
         primary = _SimulatedBackend(clock, service_time=10.0, fail=True)

@@ -19,7 +19,7 @@ from repro.core import UserHistoryStore
 from repro.data import GLOBAL_GROUP, ActionType, SyntheticWorld, UserAction
 from repro.data.synthetic import paper_world_config
 from repro.kvstore import EntrySnapshot
-from repro.serving import GatewayConfig
+from repro.serving import GatewayConfig, RecRequest
 from repro.reliability import ActionWAL
 from repro.serving.cli import FSYNC_POLICIES, _build_parser, build_demo_gateway
 from tests.support.gateway_thread import GatewayThread
@@ -33,32 +33,31 @@ def test_parser_defaults_and_flags():
     assert args.host == defaults.host
     assert args.max_connections == defaults.max_connections
     assert args.deadline_ms == defaults.deadline_ms
-    assert args.batch_max == defaults.batch_max
 
     args = _build_parser().parse_args(
         [
             "--port", "0",
             "--max-connections", "16",
             "--deadline-ms", "50",
-            "--batch-max", "8",
             "--rate", "100",
         ]
     )
     assert args.port == 0
     assert args.max_connections == 16
     assert args.deadline_ms == 50.0
-    assert args.batch_max == 8
     assert args.rate == 100.0
     with pytest.raises(SystemExit):  # requests are never held back
         _build_parser().parse_args(["--batch-window-ms", "2"])
-    with pytest.raises(SystemExit):  # one read thread: nothing to cap
+    with pytest.raises(SystemExit):  # one model thread: nothing to cap
         _build_parser().parse_args(["--max-inflight", "4"])
+    with pytest.raises(SystemExit):  # nothing is batched
+        _build_parser().parse_args(["--batch-max", "8"])
 
 
 def test_a_concurrency_cap_is_refused():
-    """The read lane serves one /recommend request at a time, so a cap
-    on concurrently served requests could never shed: it is refused
-    rather than silently ignored."""
+    """The model lane serves one request at a time, so a cap on
+    concurrently served requests could never shed: it is refused rather
+    than silently ignored."""
     with pytest.raises(ValueError, match="max_concurrency"):
         build_demo_gateway(
             GatewayConfig(port=0), rate=None, max_concurrency=4, **DEMO_WORLD
@@ -282,6 +281,24 @@ def test_one_engagement_is_one_history_update(monkeypatch):
     assert recommender.history.recent(user)[0] == video
     hot_after = gateway.router.fallback.tracker.hot("__all__", 100, now=2e7)
     assert dict(hot_after)[video] > dict(hot_before).get(video, 0.0)
+
+
+def test_the_served_tracer_keeps_a_bounded_ring_of_spans():
+    """Nothing in the served process reads finished spans, so the
+    tracer keeps at most its default ring of them: 2,000 requests finish
+    24,000 spans on this world, and the oldest are dropped."""
+    gateway = build_demo_gateway(
+        GatewayConfig(port=0), rate=None, **DEMO_WORLD
+    )
+    users = sorted(gateway.router.recommender.users)
+    for i in range(2000):
+        response = gateway.router.handle(
+            RecRequest(users[i % len(users)], timestamp=2e7)
+        )
+        assert response.ok
+    tracer = gateway.obs.tracer
+    assert len(tracer.finished_spans()) <= 10_000
+    assert tracer.dropped_spans > 0
 
 
 def test_fallback_hot_list_cannot_collide_with_a_demographic_group(

@@ -24,13 +24,8 @@ from repro.reliability.overload import (
     AdmissionController,
     CircuitBreaker,
 )
-from repro.serving import (
-    GatewayConfig,
-    RecRequest,
-    RequestCollector,
-    RequestRouter,
-    ServingGateway,
-)
+from repro.serving import GatewayConfig, RequestRouter, ServingGateway
+from repro.serving.gateway import _HttpRequest
 from repro.serving.router import MAX_N
 from tests.support.gateway_thread import GatewayThread
 from tests.support.obs import registry_total
@@ -70,6 +65,15 @@ def _request(
         return response.status, dict(response.getheaders()), doc
     finally:
         conn.close()
+
+
+def _request_in_background(results, key, *args):
+    """Start a thread that stores ``_request(*args)`` as ``results[key]``."""
+    thread = threading.Thread(
+        target=lambda: results.__setitem__(key, _request(*args))
+    )
+    thread.start()
+    return thread
 
 
 def _router(backend, **kwargs):
@@ -205,16 +209,53 @@ class TestEndpoints:
         assert status_404 == 404
         assert status_405 == 405
 
-    def test_snapshot_reports_router_and_coalescing(self):
+    def test_snapshot_reports_router_and_gateway(self):
         router = _router(_Backend())
         with _gateway(router) as server:
             _request(server.port, "POST", "/recommend", {"user_id": "u1"})
             status, _, doc = _request(server.port, "GET", "/snapshot")
         assert status == 200
         assert doc["router"]["guess_you_like"]["requests"] == 1
-        assert doc["coalescing"]["batches"] == 1
-        assert doc["coalescing"]["requests"] == 1
+        assert set(doc) == {"router", "gateway"}
         assert doc["gateway"]["rejected_connections"] == 0
+
+    def test_every_routed_recommend_is_one_router_request(self):
+        """``/snapshot``'s router total equals the ``/recommend`` series of
+        ``gateway_http_requests_total``, less the malformed requests the
+        gateway refuses before routing: served, failed and shed alike."""
+        obs = Observability.create()
+        admission = AdmissionController(
+            rate=4.0, clock=VirtualClock(0.0), registry=obs.registry
+        )
+        router = RequestRouter(
+            _Backend(fail_for={"u1"}), admission=admission, obs=obs
+        )
+        with _gateway(router) as server:
+            statuses = [
+                _request(server.port, "POST", "/recommend", body)[0]
+                for body in (
+                    {"user_id": "u0"},
+                    {"user_id": "u1"},
+                    {"n": 3},
+                    {"user_id": "u2", "current_video": "v1"},
+                    {"user_id": "u3"},
+                    {"user_id": "u4"},
+                )
+            ]
+            _, _, metrics = _request(server.port, "GET", "/metrics")
+            _, _, snapshot = _request(server.port, "GET", "/snapshot")
+        assert statuses == [200, 500, 400, 200, 200, 503]
+        series = metrics["metrics"]["gateway_http_requests_total"]["series"]
+        routed = sum(
+            s["value"]
+            for s in series
+            if s["labels"]["path"] == "/recommend"
+            and s["labels"]["status"] != "400"
+        )
+        served = sum(
+            stats["requests"] for stats in snapshot["router"].values()
+        )
+        assert served == routed == 5
 
     def test_metrics_serves_registry_document(self):
         router = _router(_Backend())
@@ -226,7 +267,6 @@ class TestEndpoints:
         names = set(doc["metrics"])
         assert "serving_requests_total" in names
         assert "gateway_http_requests_total" in names
-        assert "gateway_coalesced_batch_size" in names
 
     def test_ingest_feeds_observe(self):
         seen = []
@@ -573,206 +613,10 @@ class TestBodyFraming:
         assert calls == []
 
 
-class _RecordingRouter(RequestRouter):
-    """Records each ``handle_many`` batch's size and the most calls ever
-    running at once.  Each call waits for ``release``, then ``hold``
-    seconds."""
+class TestModelLane:
+    """One single-thread lane runs every ``router.handle`` and every
+    ``observe``; sockets and parsing stay on the event loop."""
 
-    def __init__(self, hold=0.0):
-        super().__init__(_Backend(), obs=Observability.create())
-        self.hold = hold
-        self.batches = []
-        self.most_at_once = 0
-        self.release = threading.Event()
-        self._running = 0
-        self._lock = threading.Lock()
-
-    def handle_many(self, requests):
-        with self._lock:
-            self._running += 1
-            self.most_at_once = max(self.most_at_once, self._running)
-            self.batches.append(len(requests))
-        try:
-            self.release.wait(timeout=10.0)
-            time.sleep(self.hold)
-            return super().handle_many(requests)
-        finally:
-            with self._lock:
-                self._running -= 1
-
-
-class TestCollector:
-    @staticmethod
-    def _run(collector, scenario):
-        """Run ``scenario()`` on a fresh loop, then close the collector."""
-
-        async def main():
-            try:
-                return await scenario()
-            finally:
-                await collector.close()
-
-        return asyncio.run(main())
-
-    @staticmethod
-    def _submit_all(collector, user_ids):
-        return [
-            asyncio.ensure_future(collector.submit(RecRequest(user_id)))
-            for user_id in user_ids
-        ]
-
-    def test_a_lone_request_is_dispatched_without_a_timer(self):
-        router = _RecordingRouter()
-        router.release.set()
-        collector = RequestCollector(router, batch_max=64)
-
-        async def scenario():
-            loop = asyncio.get_running_loop()
-
-            def no_timer(*args, **kwargs):
-                raise AssertionError("the collector armed a timer")
-
-            loop.call_later = loop.call_at = no_timer
-            try:
-                return await collector.submit(RecRequest("u1"))
-            finally:
-                del loop.call_later, loop.call_at
-
-        response = self._run(collector, scenario)
-        assert response.ok
-        assert router.batches == [1]
-
-    def test_submits_in_one_tick_are_one_batch(self):
-        router = _router(_Backend())
-        collector = RequestCollector(router, batch_max=64)
-
-        async def scenario():
-            return await asyncio.gather(
-                *(collector.submit(RecRequest(f"u{i}")) for i in range(8))
-            )
-
-        responses = self._run(collector, scenario)
-        assert len(responses) == 8
-        assert all(r.ok for r in responses)
-        snap = collector.coalesce_snapshot()
-        assert snap["batches"] == 1
-        assert snap["requests"] == 8
-        assert snap["mean_batch_size"] == 8.0
-
-    def test_submits_during_a_batch_go_out_together_up_to_batch_max(self):
-        """A group commit: the 70 requests that arrive while the first
-        batch is served leave as soon as it finishes, 64 then 6."""
-        router = _RecordingRouter()
-        collector = RequestCollector(router, batch_max=64)
-
-        async def scenario():
-            (first,) = self._submit_all(collector, ["u0"])
-            while not router.batches:
-                await asyncio.sleep(0.001)
-            rest = self._submit_all(collector, [f"u{i}" for i in range(1, 71)])
-            await asyncio.sleep(0)
-            router.release.set()
-            return await asyncio.gather(first, *rest)
-
-        responses = self._run(collector, scenario)
-        assert [r.request.user_id for r in responses] == [
-            f"u{i}" for i in range(71)
-        ]
-        assert router.batches == [1, 64, 6]
-        assert collector.coalesce_snapshot()["max_batch_size"] == 64
-
-    def test_a_submit_after_close_fails_instead_of_hanging(self):
-        """A closed collector's lane takes no work: a late request gets
-        the lane's error, and no thread starts to serve it."""
-        router = _RecordingRouter()
-        router.release.set()
-        collector = RequestCollector(router, batch_max=64)
-
-        async def scenario():
-            await collector.close()
-            with pytest.raises(RuntimeError, match="shutdown"):
-                await asyncio.wait_for(
-                    collector.submit(RecRequest("u1")), timeout=5.0
-                )
-
-        self._run(collector, scenario)
-        assert router.batches == []
-        assert not [
-            thread
-            for thread in threading.enumerate()
-            if thread.name.startswith("gateway-read")
-        ]
-
-    def test_handle_many_calls_never_overlap(self):
-        router = _RecordingRouter(hold=0.002)
-        router.release.set()
-        collector = RequestCollector(router, batch_max=64)
-
-        async def client(i):
-            for j in range(5):
-                await asyncio.sleep(0.001 * ((i + j) % 3))
-                await collector.submit(RecRequest(f"u{i}-{j}"))
-
-        async def scenario():
-            await asyncio.gather(*(client(i) for i in range(40)))
-
-        self._run(collector, scenario)
-        assert router.most_at_once == 1
-        assert sum(router.batches) == 200
-        assert len(router.batches) > 1
-
-    def test_responses_match_requests_in_order(self):
-        router = _router(_Backend(fail_for={"u1"}))
-        collector = RequestCollector(router, batch_max=8)
-
-        async def scenario():
-            return await asyncio.gather(
-                *(collector.submit(RecRequest(f"u{i}")) for i in range(3))
-            )
-
-        responses = self._run(collector, scenario)
-        assert [r.request.user_id for r in responses] == ["u0", "u1", "u2"]
-        assert responses[0].ok and responses[2].ok
-        assert not responses[1].ok  # the failing user failed, others didn't
-
-    @pytest.mark.parametrize("end", ["cancelled", "raised"])
-    def test_a_cancelled_or_failed_batch_ends_every_request(self, end):
-        """A batch the read lane cancels (shutting it down drops a call
-        not yet started) or whose call raises ends each of its requests
-        with that cancellation or exception; none waits forever."""
-        collector = RequestCollector(_router(_Backend()), batch_max=64)
-
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            batches = []
-
-            def held(executor, fn, *args):
-                batches.append(loop.create_future())
-                return batches[-1]
-
-            loop.run_in_executor = held
-            try:
-                waiters = self._submit_all(collector, ["u0", "u1", "u2"])
-                while not batches:
-                    await asyncio.sleep(0)
-                if end == "cancelled":
-                    batches[0].cancel()
-                else:
-                    batches[0].set_exception(RuntimeError("lane failed"))
-                return await asyncio.wait_for(
-                    asyncio.gather(*waiters, return_exceptions=True), 5.0
-                )
-            finally:
-                del loop.run_in_executor
-
-        outcomes = self._run(collector, scenario)
-        expected = (
-            asyncio.CancelledError if end == "cancelled" else RuntimeError
-        )
-        assert [type(outcome) for outcome in outcomes] == [expected] * 3
-
-
-class TestLanes:
     _ACTION = {
         "timestamp": 1.0,
         "user_id": "u1",
@@ -785,10 +629,10 @@ class TestLanes:
         return sorted(
             thread.name
             for thread in threading.enumerate()
-            if thread.name.startswith(("gateway-read", "gateway-ingest"))
+            if thread.name.startswith("gateway-model")
         )
 
-    def test_lanes_start_with_their_first_request_and_stop_with_the_gateway(
+    def test_the_lane_starts_with_the_first_request_and_stops_with_the_gateway(
         self,
     ):
         router = _router(_Backend())
@@ -798,16 +642,110 @@ class TestLanes:
         with GatewayThread(gateway) as server:
             assert self._lane_threads() == []
             assert _request(server.port, "POST", "/ingest", self._ACTION)[0] == 202
-            assert self._lane_threads() == ["gateway-ingest_0"]
+            assert self._lane_threads() == ["gateway-model_0"]
             _request(server.port, "POST", "/recommend", {"user_id": "u1"})
-            assert self._lane_threads() == ["gateway-ingest_0", "gateway-read_0"]
+            assert self._lane_threads() == ["gateway-model_0"]
         assert self._lane_threads() == []
 
-    def test_a_failing_observe_is_500_and_the_lane_serves_on(self):
-        writers, seen = set(), []
+    def test_concurrent_reads_and_writes_run_on_one_thread(self):
+        """Four ``/recommend`` and four ``/ingest`` keep-alive clients at
+        once: every ``handle`` and every ``observe`` runs on the model
+        lane's one thread, never on the event loop's."""
+        threads = []
+
+        class _NotingRouter(RequestRouter):
+            def handle(self, request):
+                threads.append(threading.current_thread())
+                return super().handle(request)
 
         def observe(action):
-            writers.add(threading.current_thread().name)
+            threads.append(threading.current_thread())
+
+        router = _NotingRouter(_Backend(), obs=Observability.create())
+        statuses = []
+
+        def client(path, bodies, port):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                for body in bodies:
+                    conn.request("POST", path, body=json.dumps(body))
+                    response = conn.getresponse()
+                    response.read()
+                    statuses.append((path, response.status))
+            finally:
+                conn.close()
+
+        with _gateway(router, observe=observe) as server:
+            clients = [
+                threading.Thread(
+                    target=client,
+                    args=(
+                        "/recommend",
+                        [{"user_id": f"u{i}-{j}"} for j in range(25)],
+                        server.port,
+                    ),
+                )
+                for i in range(4)
+            ] + [
+                threading.Thread(
+                    target=client,
+                    args=(
+                        "/ingest",
+                        [
+                            {**self._ACTION, "user_id": f"w{i}-{j}"}
+                            for j in range(25)
+                        ],
+                        server.port,
+                    ),
+                )
+                for i in range(4)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in clients)
+            loop_thread = server._thread
+        assert sorted(statuses) == sorted(
+            [("/recommend", 200)] * 100 + [("/ingest", 202)] * 100
+        )
+        assert len(threads) == 200
+        assert {thread.name for thread in threads} == {"gateway-model_0"}
+        assert len(set(threads)) == 1
+        assert loop_thread not in threads
+
+    def test_concurrent_responses_match_their_requests(self):
+        """Each client gets its own request's response, and one user's
+        failure leaves the others' responses whole."""
+        router = _router(_Backend(fail_for={"u1"}))
+        results = {}
+
+        def client(user, port):
+            results[user] = _request(
+                port, "POST", "/recommend", {"user_id": user}
+            )
+
+        with _gateway(router) as server:
+            clients = [
+                threading.Thread(target=client, args=(f"u{i}", server.port))
+                for i in range(6)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in clients)
+        assert sorted(results) == [f"u{i}" for i in range(6)]
+        for user, (status, _, doc) in results.items():
+            assert doc["user_id"] == user
+            assert status == (500 if user == "u1" else 200), doc
+        assert "backend exploded" in results["u1"][2]["error"]
+
+    def test_a_failing_observe_is_500_and_the_lane_serves_on(self):
+        workers, seen = set(), []
+
+        def observe(action):
+            workers.add(threading.current_thread().name)
             if action.user_id == "bad":
                 raise RuntimeError("trainer exploded")
             seen.append(action.user_id)
@@ -822,9 +760,126 @@ class TestLanes:
                 )[0]
                 for user in ("u1", "bad", "u2")
             ]
+            served, _, _ = _request(
+                server.port, "POST", "/recommend", {"user_id": "u1"}
+            )
         assert statuses == [202, 500, 202]
+        assert served == 200
         assert seen == ["u1", "u2"]
-        assert writers == {"gateway-ingest_0"}
+        assert workers == {"gateway-model_0"}
+
+    def test_a_read_that_arrives_during_a_write_is_served_after_it(self):
+        """A ``/recommend`` that arrives while an ``observe`` runs waits
+        for it and is served on the state the write left."""
+        entered, release = threading.Event(), threading.Event()
+        watched = []
+
+        class _Watched:
+            def recommend_ids(self, user_id, current_video=None, n=None,
+                              now=None):
+                return list(watched)
+
+        def observe(action):
+            entered.set()
+            release.wait(timeout=10.0)
+            watched.append(action.video_id)
+
+        results = {}
+        with _gateway(_router(_Watched()), observe=observe) as server:
+            write = _request_in_background(
+                results, "ingest", server.port, "POST", "/ingest", self._ACTION
+            )
+            assert entered.wait(timeout=10.0)
+            read = _request_in_background(
+                results,
+                "recommend",
+                server.port,
+                "POST",
+                "/recommend",
+                {"user_id": "u1"},
+            )
+            read.join(timeout=0.05)
+            assert "recommend" not in results  # queued behind the write
+            release.set()
+            write.join(timeout=10.0)
+            read.join(timeout=10.0)
+            assert not write.is_alive() and not read.is_alive()
+        assert results["ingest"][0] == 202
+        status, _, doc = results["recommend"]
+        assert status == 200, doc
+        assert doc["video_ids"] == ["v2"]
+
+    def test_a_write_that_arrives_during_a_read_is_applied_after_it(self):
+        """An ``/ingest`` that arrives while ``router.handle`` runs is not
+        applied until the read has been served, so the read's response is
+        computed on the state before the write."""
+        entered, release = threading.Event(), threading.Event()
+        watched, observed = [], []
+
+        class _Watched:
+            def recommend_ids(self, user_id, current_video=None, n=None,
+                              now=None):
+                entered.set()
+                release.wait(timeout=10.0)
+                return list(watched)
+
+        def observe(action):
+            observed.append(action.video_id)
+            watched.append(action.video_id)
+
+        results = {}
+        with _gateway(_router(_Watched()), observe=observe) as server:
+            read = _request_in_background(
+                results,
+                "recommend",
+                server.port,
+                "POST",
+                "/recommend",
+                {"user_id": "u1"},
+            )
+            assert entered.wait(timeout=10.0)
+            write = _request_in_background(
+                results, "ingest", server.port, "POST", "/ingest", self._ACTION
+            )
+            write.join(timeout=0.05)
+            assert observed == []  # queued behind the read
+            release.set()
+            read.join(timeout=10.0)
+            write.join(timeout=10.0)
+            assert not write.is_alive() and not read.is_alive()
+        status, _, doc = results["recommend"]
+        assert status == 200, doc
+        assert doc["video_ids"] == []
+        assert results["ingest"][0] == 202
+        assert observed == ["v2"]
+
+    def test_a_request_after_stop_fails_instead_of_hanging(self):
+        """A stopped gateway's lane takes no work: a late request gets the
+        lane's error as a 500, and no thread starts to serve it.  No
+        socket is open after ``stop()``, so the request enters below
+        HTTP."""
+        backend = _Backend()
+        router = _router(backend)
+        gateway = ServingGateway(
+            router, observe=lambda action: None, obs=router.obs
+        )
+        late = _HttpRequest(
+            method="POST",
+            path="/recommend",
+            headers={},
+            body=json.dumps({"user_id": "u1"}).encode(),
+        )
+
+        async def scenario():
+            await gateway.start()
+            await gateway.stop()
+            return await asyncio.wait_for(gateway._dispatch(late), 5.0)
+
+        status, doc, _ = asyncio.run(scenario())
+        assert status == 500
+        assert "shutdown" in doc["error"]
+        assert backend.calls == []
+        assert self._lane_threads() == []
 
     def test_stop_waits_for_the_running_observe_off_the_loop(self):
         """``stop()`` lets the ``observe`` in flight finish before it closes
@@ -879,21 +934,32 @@ class TestGatewayConfigValidation:
         with pytest.raises(ValueError):
             GatewayConfig(max_connections=0)
         with pytest.raises(ValueError):
-            GatewayConfig(batch_max=0)
-        with pytest.raises(ValueError):
             GatewayConfig(deadline_ms=-5)
+
+    def test_accepts_the_boundary_values(self):
+        config = GatewayConfig(max_connections=1, deadline_ms=0)
+        assert config.max_connections == 1
+        assert config.deadline_ms == 0
+
+
+class _CapturingRouter(RequestRouter):
+    """Keeps every request ``handle`` receives.  Its clock stands still
+    unless the test advances it, so a request's wait for the lane takes
+    nothing off its budget by itself."""
+
+    def __init__(self, backend, clock=None):
+        obs = Observability(perf_clock=clock or VirtualClock(0.0))
+        super().__init__(backend, obs=obs)
+        self.captured = []
+
+    def handle(self, request):
+        self.captured.append(request)
+        return super().handle(request)
 
 
 class TestDefaultDeadline:
     def test_config_deadline_applies_when_request_has_none(self):
-        captured = []
-
-        class _CapturingRouter(RequestRouter):
-            def handle_many(self, requests):
-                captured.extend(requests)
-                return super().handle_many(requests)
-
-        router = _CapturingRouter(_Backend(), obs=Observability.create())
+        router = _CapturingRouter(_Backend())
         config = GatewayConfig(deadline_ms=25.0)
         with _gateway(router, config=config) as server:
             _request(server.port, "POST", "/recommend", {"user_id": "u1"})
@@ -903,20 +969,14 @@ class TestDefaultDeadline:
                 "/recommend",
                 {"user_id": "u2", "deadline_ms": 90.0},
             )
+        captured = router.captured
         assert captured[0].deadline_seconds == pytest.approx(0.025)
         assert captured[1].deadline_seconds == pytest.approx(0.090)
 
     def test_integer_and_null_request_deadlines(self):
         """A JSON integer is a number; an explicit ``null`` is no budget,
         not the configured default."""
-        captured = []
-
-        class _CapturingRouter(RequestRouter):
-            def handle_many(self, requests):
-                captured.extend(requests)
-                return super().handle_many(requests)
-
-        router = _CapturingRouter(_Backend(), obs=Observability.create())
+        router = _CapturingRouter(_Backend())
         config = GatewayConfig(deadline_ms=25.0)
         with _gateway(router, config=config) as server:
             for body in (
@@ -927,6 +987,113 @@ class TestDefaultDeadline:
                     server.port, "POST", "/recommend", body
                 )
                 assert status == 200, doc
+        captured = router.captured
         assert captured[0].deadline_seconds == pytest.approx(0.040)
         assert captured[0].timestamp == 7.0
         assert captured[1].deadline_seconds is None
+
+
+class TestDeadlineCountsQueueTime:
+    def test_a_request_queued_past_its_budget_gets_504(self):
+        """The budget starts when the gateway has parsed the request, not
+        when the lane reaches it.  B (5 ms, a failing primary, a working
+        fallback) waits about 50 ms behind A: its budget is spent before
+        its turn, so it gets 504 instead of a degraded 200."""
+        entered, release = threading.Event(), threading.Event()
+
+        class _Primary:
+            def recommend_ids(self, user_id, current_video=None, n=None,
+                              now=None):
+                if user_id == "a":
+                    entered.set()
+                    release.wait(timeout=10.0)
+                    return ["v1"]
+                raise RuntimeError("primary down")
+
+        router = _router(_Primary(), fallback=_Backend())
+        results = {}
+
+        def client(user, body, port):
+            results[user] = _request(port, "POST", "/recommend", body)
+
+        with _gateway(router) as server:
+            first = threading.Thread(
+                target=client, args=("a", {"user_id": "a"}, server.port)
+            )
+            first.start()
+            assert entered.wait(timeout=10.0)
+            second = threading.Thread(
+                target=client,
+                args=("b", {"user_id": "b", "deadline_ms": 5}, server.port),
+            )
+            second.start()
+            time.sleep(0.05)
+            release.set()
+            first.join(timeout=10.0)
+            second.join(timeout=10.0)
+            assert not first.is_alive() and not second.is_alive()
+        assert results["a"][0] == 200
+        status, headers, doc = results["b"]
+        assert status == 504, doc
+        assert "X-Repro-Degraded" not in headers
+        assert doc["error"] == "deadline exceeded"
+
+    @pytest.mark.parametrize("budget_from", ["request", "config"])
+    def test_a_queued_request_gets_what_is_left_of_its_budget(
+        self, budget_from
+    ):
+        """B's 40 ms budget, from its body or the gateway's default, starts
+        when the gateway parses it; 30 ms pass on the clock while it waits
+        behind A, so the router is handed the 10 ms that are left."""
+        entered, release = threading.Event(), threading.Event()
+        parsed = threading.Semaphore(0)
+
+        class _LoopCountingClock(VirtualClock):
+            """Signals each read on the event loop: the gateway reads the
+            clock there once per ``/recommend`` it parses."""
+
+            def now(self):
+                if threading.current_thread().name == "gateway-loop":
+                    parsed.release()
+                return super().now()
+
+        class _Primary:
+            def recommend_ids(self, user_id, current_video=None, n=None,
+                              now=None):
+                if user_id == "a":
+                    entered.set()
+                    release.wait(timeout=10.0)
+                return ["v1"]
+
+        clock = _LoopCountingClock(0.0)
+        router = _CapturingRouter(_Primary(), clock=clock)
+        body_b = {"user_id": "b"}
+        config = GatewayConfig()
+        if budget_from == "request":
+            body_b["deadline_ms"] = 40
+        else:
+            config = GatewayConfig(deadline_ms=40.0)
+        results = {}
+        with _gateway(router, config=config) as server:
+            first = _request_in_background(
+                results, "a", server.port, "POST", "/recommend",
+                {"user_id": "a", "deadline_ms": None},
+            )
+            assert entered.wait(timeout=10.0)
+            second = _request_in_background(
+                results, "b", server.port, "POST", "/recommend", body_b
+            )
+            assert parsed.acquire(timeout=10.0)  # A's parse
+            assert parsed.acquire(timeout=10.0)  # B's parse
+            clock.advance(0.030)
+            release.set()
+            first.join(timeout=10.0)
+            second.join(timeout=10.0)
+            assert not first.is_alive() and not second.is_alive()
+        captured = router.captured
+        assert [request.user_id for request in captured] == ["a", "b"]
+        assert captured[0].deadline_seconds is None
+        assert captured[1].deadline_seconds == pytest.approx(0.010)
+        status, headers, doc = results["b"]
+        assert status == 200, doc
+        assert "X-Repro-Degraded" not in headers

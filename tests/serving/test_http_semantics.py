@@ -271,12 +271,10 @@ def test_snapshot_and_metrics_report_the_same_numbers():
         for stat in ("max", "p50", "p95", "p99"):
             assert stats[f"{stat}_latency_ms"] == latency[stat] * 1000.0
 
-    batches = _histogram(metrics, "gateway_coalesced_batch_size")
-    coalescing = snapshot["coalescing"]
-    assert coalescing["batches"] == batches["count"]
-    assert coalescing["requests"] == batches["sum"] == len(bodies)
-    assert coalescing["max_batch_size"] == batches["max"]
-    assert "batch_size_counts" not in coalescing
+    served = sum(stats["requests"] for stats in snapshot["router"].values())
+    assert served == _total(
+        metrics, "gateway_http_requests_total", path="/recommend"
+    ) == len(bodies)
     assert snapshot["gateway"]["rejected_connections"] == _total(
         metrics, "gateway_connections_rejected_total"
     ) == 1

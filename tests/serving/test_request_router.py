@@ -182,20 +182,18 @@ class TestStats:
         assert latency.labels(scenario="guess_you_like").count == 600
 
 
-class TestHandleMany:
-    def test_batch_responses_in_request_order(self):
+class TestAccounting:
+    def test_responses_carry_their_requests(self):
         router = _router(_Backend())
         requests = [RecRequest(f"u{i}") for i in range(5)]
-        responses = router.handle_many(requests)
-        assert [r.request.user_id for r in responses] == [
-            f"u{i}" for i in range(5)
-        ]
+        responses = [router.handle(request) for request in requests]
+        assert [r.request for r in responses] == requests
         assert _total_requests(router) == 5
 
-    def test_empty_batch_is_a_noop(self):
-        """The gateway's empty-flush path must not touch any accounting."""
+    def test_an_unused_router_has_no_accounting(self):
+        """Until a request is handled no counter moves, no latency sample
+        exists, and reading the snapshot creates no series."""
         router = _router(_Backend())
-        assert router.handle_many([]) == []
         assert all(
             stats["requests"] == 0 and stats["max_latency_ms"] == 0
             for stats in router.snapshot().values()

@@ -52,9 +52,10 @@ ALLOWED_METHODS = {
 }
 
 
-#: e2e hook targets whose code was deleted with the log-structured store
-#: tier and the write-back cache; the tracer lists them under
-#: ``trace_missing`` until the trace table drops them.
+#: e2e hook targets whose code was deleted: with the log-structured store
+#: tier and the write-back cache, and with the gateway's request
+#: coalescer; the tracer lists them under ``trace_missing`` until the
+#: trace table drops them.
 _DELETED_HOOK_TARGETS = {
     "repro.kvstore.cache:ReadThroughCache.get",
     "repro.kvstore.cache:ReadThroughCache.put",
@@ -68,6 +69,8 @@ _DELETED_HOOK_TARGETS = {
     "repro.kvstore.durable:DurableKVStore.mput",
     "repro.kvstore.durable:DurableKVStore.compact",
     "repro.reliability.checkpoint:CheckpointManager.create_incremental",
+    "repro.serving.gateway:RequestCollector.submit",
+    "repro.serving.router:RequestRouter.handle_many",
 }
 
 
@@ -281,7 +284,7 @@ def test_every_e2e_hook_target_resolves():
         module, qualname = target.split(":")
         cls_name, method = qualname.split(".")
         if importlib.util.find_spec(module) is not None:
-            cls = getattr(importlib.import_module(module), cls_name)
+            cls = getattr(importlib.import_module(module), cls_name, None)
             assert getattr(cls, method, None) is None, target
     for target in targets:
         if target in _DELETED_HOOK_TARGETS:
