@@ -19,6 +19,13 @@ end-to-end benchmark's worlds):
 * ``bulk_load`` — 20,000 ``Video`` records, their factors loaded with
   ``put_params_many`` and the ANN mirror built (``large_catalog_ann``'s
   boot at its smoke size); smoke: 2,000.
+* ``observe``   — ``observe_stream`` of the 20 x 150 world's stream
+  through an instrumented store (the trainer's per-action KV path);
+  smoke: 8 x 80;
+* ``topology``  — the Figure-2 topology under ``ThreadedExecutor`` over
+  its default store, pinned to one CPU, on the first 800 training
+  actions of the 40 x 80 world (``train_stream``'s topology run at its
+  smoke size); smoke: 200 actions.
 
 The report gives each side's median and quartiles, the median paired
 ratio (working tree / base) and the working tree's wins, and applies the
@@ -26,7 +33,7 @@ gain rule of a paired sandbox measurement: wins in at least nine tenths
 of the rounds, and a median gap wider than the base's interquartile
 range.  Each round also checks that both sides produced the same output
 (the stream's full-precision digest, the served lists, the mirror's
-shortlists).  This is supporting evidence; ``benchmarks/e2e`` stays the
+shortlists, the stored entries, the topology's deterministic counts).  This is supporting evidence; ``benchmarks/e2e`` stays the
 end-to-end judge.
 """
 
@@ -132,10 +139,93 @@ def bulk_load(pkg: str, smoke: bool) -> tuple[float, str]:
     return seconds, repr(recommender.index.query_user(probe, 10))
 
 
+def observe(pkg: str, smoke: bool) -> tuple[float, str]:
+    import pickle
+
+    core, kvstore, obs = _mod(pkg, "core"), _mod(pkg, "kvstore"), _mod(pkg, "obs")
+    synthetic = _mod(pkg, "data.synthetic")
+    n_users, n_videos = (8, 80) if smoke else (20, 150)
+    world = synthetic.SyntheticWorld(
+        synthetic.paper_world_config(
+            seed=SEED, n_users=n_users, n_videos=n_videos
+        )
+    )
+    actions = world.generate_actions()
+    started = time.perf_counter()
+    store = obs.Observability.create().instrument_store(
+        kvstore.InMemoryKVStore()
+    )
+    recommender = core.RealtimeRecommender(
+        world.videos, users=world.users, store=store
+    )
+    recommender.observe_stream(actions)
+    seconds = time.perf_counter() - started
+    digest = hashlib.sha256()
+    for entry in store.snapshot_entries():
+        value = entry.value
+        if type(value).__module__.startswith(f"{pkg}."):
+            value = value.__getstate__()  # the pickle names the package
+        digest.update(repr(entry.key).encode())
+        digest.update(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    return seconds, digest.hexdigest()
+
+
+#: ``(source, subscriber)`` edges of the Figure-2 topology.
+_EDGES = (
+    ("spout", "user_history"),
+    ("spout", "compute_mf"),
+    ("spout", "get_item_pairs"),
+    ("compute_mf", "mf_storage"),
+    ("get_item_pairs", "item_pair_sim"),
+    ("item_pair_sim", "result_storage"),
+)
+#: Components whose counts do not depend on thread timing: the pairs
+#: ``get_item_pairs`` emits depend on how far ``user_history`` has got.
+_STEADY = ("spout", "user_history", "compute_mf", "mf_storage")
+
+
+def topology(pkg: str, smoke: bool) -> tuple[float, str]:
+    import os
+
+    synthetic, stream = _mod(pkg, "data.synthetic"), _mod(pkg, "data.stream")
+    storm, figure2 = _mod(pkg, "storm"), _mod(pkg, "topology")
+    world = synthetic.SyntheticWorld(
+        synthetic.paper_world_config(seed=SEED, n_users=40, n_videos=80)
+    )
+    train = stream.split_by_day(world.generate_actions(), train_days=6).train
+    head = list(train[: 200 if smoke else 800])
+    pinned = hasattr(os, "sched_setaffinity")
+    if pinned:
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(cpus)})
+    try:
+        started = time.perf_counter()
+        built, _ = figure2.build_recommendation_topology(
+            head, world.videos, users=world.users
+        )
+        snapshot = storm.ThreadedExecutor(built).run(timeout=150.0).snapshot()
+        seconds = time.perf_counter() - started
+    finally:
+        if pinned:
+            os.sched_setaffinity(0, cpus)
+    counts = {
+        name: [int(snapshot[name][k]) for k in ("emitted", "processed", "failed")]
+        for name in _STEADY
+    }
+    balanced = all(
+        snapshot[src]["emitted"] == snapshot[dst]["processed"]
+        for src, dst in _EDGES
+    )
+    failed = sum(int(row["failed"]) for row in snapshot.values())
+    return seconds, repr((counts, balanced, failed))
+
+
 WORKLOADS: dict[str, Workload] = {
     "worldgen": worldgen,
     "boot": boot,
     "bulk_load": bulk_load,
+    "observe": observe,
+    "topology": topology,
 }
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from repro.core.recommender import RealtimeRecommender
 from repro.data import SyntheticWorld
 from repro.data.synthetic import WorldConfig
-from repro.kvstore import InMemoryKVStore, ShardedKVStore
+from repro.kvstore import InMemoryKVStore
 from repro.reliability import ActionWAL, CheckpointManager, RecoveryManager
 
 WORLD = dict(n_users=60, n_videos=80, n_types=5, days=3, seed=11)
@@ -93,9 +93,7 @@ def main() -> None:
     # ---- Referee: a clean process that saw the same prefix -------------
     actions = world.generate_actions()[: report.last_seq]
     clean = RealtimeRecommender(
-        world.videos,
-        users=world.users,
-        store=ShardedKVStore(n_shards=4),
+        world.videos, users=world.users, store=InMemoryKVStore()
     )
     clean.observe_stream(actions)
 

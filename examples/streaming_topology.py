@@ -7,7 +7,7 @@ What it shows:
      the production spout parses),
   2. assembling the Figure 2 topology — spout, UserHistory, ComputeMF ->
      MFStorage (fields-grouped single-writer vector updates), GetItemPairs
-     -> ItemPairSim -> ResultStorage — over a sharded KV store,
+     -> ItemPairSim -> ResultStorage — over one in-memory KV store,
   3. executing it on the threaded executor with real per-worker queues,
   4. serving recommendations straight from the KV-store state the
      topology built,

@@ -8,12 +8,12 @@ lookup *and* one small-array dispatch per candidate.  A
 reads become numpy gathers and scoring a candidate set is a single matmul.
 
 One arena holds one entity kind (users or videos).  It lives as a single
-value inside the model's KV namespace, which keeps the rest of the system
-honest: checkpoints capture it through the ordinary
-``snapshot_entries``/``restore_entries`` path (one entry instead of
-thousands, no per-key loop), fault injection and instrumentation wrappers
-see every arena access as a normal store operation, and a recovered store
-drops in transparently.
+value in the model's KV store (key ``("mf:meta", "arena:<kind>")``),
+which keeps the rest of the system honest: checkpoints capture it
+through the ordinary ``snapshot_entries``/``restore_entries`` path (one
+entry instead of thousands, no per-key loop), fault injection and
+instrumentation wrappers see every arena access as a normal store
+operation, and a recovered store drops in transparently.
 
 Thread safety: all methods take the arena's own lock, and pickling goes
 through :meth:`__getstate__`, which copies the compacted arrays under that

@@ -19,7 +19,10 @@ from typing import Mapping
 from ..clock import SECONDS_PER_DAY, Clock, SystemClock
 from ..data.schema import GLOBAL_GROUP, User, UserAction
 from ..data.stream import ENGAGEMENT_ACTIONS
-from ..kvstore import InMemoryKVStore, KVStore, Namespace
+from ..kvstore import InMemoryKVStore, KVStore
+
+#: Key prefix of the per-group hot tables in the store.
+PREFIX = "hot"
 
 
 class HotVideoTracker:
@@ -45,9 +48,8 @@ class HotVideoTracker:
         self.half_life = half_life
         self.max_tracked = max_tracked
         self.clock = clock or SystemClock()
-        backing = store if store is not None else InMemoryKVStore()
-        # Per group: dict video_id -> (score, last_update_ts).
-        self._groups = Namespace(backing, "hot")
+        # Under (PREFIX, group): dict video_id -> (score, last_update_ts).
+        self._store = store if store is not None else InMemoryKVStore()
 
     def _decayed(self, score: float, elapsed: float) -> float:
         return score * 2.0 ** (-max(0.0, elapsed) / self.half_life)
@@ -75,13 +77,15 @@ class HotVideoTracker:
                 del table[coldest]
             return table
 
-        self._groups.update(group, _bump, default={})
+        self._store.update((PREFIX, group), _bump, default={})
 
     def hot(
         self, group: str, k: int = 10, now: float | None = None
     ) -> list[tuple[str, float]]:
         """The group's ``k`` hottest videos with decay applied at read time."""
-        table: dict[str, tuple[float, float]] = self._groups.get(group, {})
+        table: dict[str, tuple[float, float]] = self._store.get(
+            (PREFIX, group), {}
+        )
         if not table:
             return []
         current = self.clock.now() if now is None else now

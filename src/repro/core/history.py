@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 from ..data.schema import UserAction
 from ..data.stream import ENGAGEMENT_ACTIONS
-from ..kvstore import InMemoryKVStore, KVStore, Namespace
+from ..kvstore import InMemoryKVStore, KVStore
+
+#: Key prefix of the per-user histories in the store.
+PREFIX = "history"
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,8 +40,7 @@ class UserHistoryStore:
     ) -> None:
         if max_items < 1:
             raise ValueError(f"max_items must be >= 1, got {max_items}")
-        backing = store if store is not None else InMemoryKVStore()
-        self._store = Namespace(backing, "history")
+        self._store = store if store is not None else InMemoryKVStore()
         self.max_items = max_items
 
     def record(self, action: UserAction) -> bool:
@@ -60,30 +62,26 @@ class UserHistoryStore:
             kept.insert(0, (video_id, timestamp))
             return kept[: self.max_items]
 
-        self._store.update(user_id, _push, default=[])
+        self._store.update((PREFIX, user_id), _push, default=[])
 
     def recent(self, user_id: str, k: int | None = None) -> list[str]:
         """The user's most recent distinct videos, newest first."""
-        entries = self._store.get(user_id, [])
+        entries = self._store.get((PREFIX, user_id), [])
         selected = entries if k is None else entries[:k]
         return [video_id for video_id, _ in selected]
 
     def watched(self, user_id: str) -> set[str]:
         """All videos currently in the user's (bounded) history."""
-        return {video_id for video_id, _ in self._store.get(user_id, [])}
+        return {
+            video_id for video_id, _ in self._store.get((PREFIX, user_id), [])
+        }
 
     def snapshot(self, user_id: str, k: int | None = None) -> HistorySnapshot:
         """Recent list, watched set and last-active from a single get."""
-        entries = self._store.get(user_id, [])
+        entries = self._store.get((PREFIX, user_id), [])
         selected = entries if k is None else entries[:k]
         return HistorySnapshot(
             recent=[video_id for video_id, _ in selected],
             watched=frozenset(video_id for video_id, _ in entries),
             last_active=entries[0][1] if entries else None,
         )
-
-    def __contains__(self, user_id: str) -> bool:
-        return user_id in self._store
-
-    def __len__(self) -> int:
-        return len(self._store)

@@ -43,10 +43,15 @@ import numpy as np
 from ..config import MFConfig
 from ..errors import ModelError
 from ..hashing import stable_hash
-from ..kvstore import InMemoryKVStore, KVStore, Namespace
+from ..kvstore import InMemoryKVStore, KVStore
 from .arena import FactorArena
 
 _KINDS = ("user", "video")
+
+#: Key prefix of the model's entries (the two arenas and ``mu``) in the
+#: store.
+PREFIX = "mf:meta"
+_MU_KEY = (PREFIX, "mu")
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,25 +113,27 @@ def _sgd_update(
 class _ArenaParams:
     """Contiguous-arena parameter layout.
 
-    One :class:`FactorArena` per entity kind, stored as a single entry in
-    the model's meta namespace.  Reads fetch the arena object from the
-    store on every access (never cached on the model), so a checkpoint
+    One :class:`FactorArena` per entity kind, stored as a single entry
+    under the model's :data:`PREFIX`.  Reads fetch the arena object from
+    the store on every access (never cached on the model), so a checkpoint
     restored *into the store* — the recovery path constructs the model
     before restoring — is picked up transparently.  Writes run inside
-    :meth:`KVStore.update` callbacks, so fault injection, metrics and
-    breaker wrappers observe them as ordinary store operations and the
-    entry version advances with every commit.
+    :meth:`KVStore.update` callbacks, so fault injection and metrics
+    wrappers observe them as ordinary store operations.
     """
 
-    ARENA_KEYS = {"user": "arena:user", "video": "arena:video"}
+    ARENA_KEYS = {
+        "user": (PREFIX, "arena:user"),
+        "video": (PREFIX, "arena:video"),
+    }
 
-    def __init__(self, meta: Namespace, f: int) -> None:
-        self._meta = meta
+    def __init__(self, store: KVStore, f: int) -> None:
+        self._store = store
         self._f = f
 
     def _arena(self, kind: str) -> FactorArena:
         """The stored arena, or an empty stand-in before the first write."""
-        arena = self._meta.get(self.ARENA_KEYS[kind])
+        arena = self._store.get(self.ARENA_KEYS[kind])
         return FactorArena(self._f, 1) if arena is None else arena
 
     def _mutate(self, kind: str, fn: Callable[[FactorArena], None]) -> None:
@@ -136,7 +143,7 @@ class _ArenaParams:
             fn(arena)
             return arena
 
-        self._meta.update(self.ARENA_KEYS[kind], _apply, default=None)
+        self._store.update(self.ARENA_KEYS[kind], _apply, default=None)
 
     # -- scalar access ----------------------------------------------------
 
@@ -341,10 +348,8 @@ class MFModel:
         store: KVStore | None = None,
     ) -> None:
         self.config = config or MFConfig()
-        self._meta = Namespace(
-            store if store is not None else InMemoryKVStore(), "mf:meta"
-        )
-        self._params = _ArenaParams(self._meta, self.config.f)
+        self._store = store if store is not None else InMemoryKVStore()
+        self._params = _ArenaParams(self._store, self.config.f)
 
     # ------------------------------------------------------------------
     # Global average
@@ -352,7 +357,7 @@ class MFModel:
 
     def _mu_state(self) -> tuple[float, int]:
         """The ``(total, count)`` accumulator behind ``mu``."""
-        return self._meta.get("mu", (0.0, 0))
+        return self._store.get(_MU_KEY, (0.0, 0))
 
     def _mu_fold(self, ratings: Sequence[float]) -> None:
         """Atomically fold observed ratings into the accumulator."""
@@ -367,7 +372,7 @@ class MFModel:
                 count = count + 1
             return (total, count)
 
-        self._meta.update("mu", _fold, default=(0.0, 0))
+        self._store.update(_MU_KEY, _fold, default=(0.0, 0))
 
     @property
     def mu(self) -> float:

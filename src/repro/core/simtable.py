@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 from ..clock import Clock, SystemClock
 from ..config import SimilarityConfig
 from ..data.schema import Video
-from ..kvstore import InMemoryKVStore, KVStore, Namespace
+from ..kvstore import InMemoryKVStore, KVStore
 from .mf import MFModel
 from .similarity import SimilarityScorer
 
@@ -85,7 +85,10 @@ def _eviction_key(raw: float, timestamp: float, xi: float) -> tuple[float, float
     return (0.0, 0.0)
 
 
-#: The key, in the ``simtable`` namespace, of the one entry holding every list.
+#: Key prefix of the similar-video lists in the store.
+PREFIX = "simtable"
+
+#: The key, under :data:`PREFIX`, of the one entry holding every list.
 LISTS_KEY = "lists"
 
 #: One directed list update: ``(video, other, raw relevance, timestamp)``.
@@ -225,8 +228,7 @@ class SimilarVideoTable:
         self.config = config or SimilarityConfig()
         self.scorer = SimilarityScorer(self.config)
         self.clock = clock or SystemClock()
-        backing = store if store is not None else InMemoryKVStore()
-        self._table = Namespace(backing, "simtable")
+        self._store = store if store is not None else InMemoryKVStore()
 
     # ------------------------------------------------------------------
     # Updates
@@ -314,14 +316,14 @@ class SimilarVideoTable:
             lists.insert(entries, table_size, xi)
             return lists
 
-        self._table.update(LISTS_KEY, _apply, default=None)
+        self._store.update((PREFIX, LISTS_KEY), _apply, default=None)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
     def _lists(self) -> SimilarLists:
-        lists = self._table.get(LISTS_KEY)
+        lists = self._store.get((PREFIX, LISTS_KEY))
         return SimilarLists() if lists is None else lists
 
     def neighbors(

@@ -1,10 +1,10 @@
 """Stable hashing helpers.
 
 Python's built-in ``hash`` is salted per process for strings, which would
-make shard assignment and Storm fields-grouping non-deterministic across
+make Storm fields-grouping and A/B arm assignment non-deterministic across
 runs.  Everything in this library that routes by key uses
-:func:`stable_hash` instead, so a given key always lands on the same shard
-or worker regardless of ``PYTHONHASHSEED``.
+:func:`stable_hash` instead, so a given key always lands on the same
+worker or arm regardless of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations

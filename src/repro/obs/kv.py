@@ -13,16 +13,15 @@ The trainer makes about 7 KV ops per action, so an untraced op costs one
 counter increment (its child cached per op name) and an ambient-span
 check; nothing times it — a span's duration is the op's latency.
 
-The ops are the :class:`~repro.kvstore.KVStore` contract's: ``get``,
-``put``, ``delete``, ``update``, ``contains``, ``mget``, ``mput``.
-Iteration and the checkpoint pair pass through uncounted.  Registry and
+The counted ops are the model's two, ``get`` and ``update``; the
+checkpoint pair passes through uncounted.  Registry and
 tracer are both required — :meth:`repro.obs.Observability.instrument_store`
 is the one place this class is built.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from ..kvstore.store import EntrySnapshot, Key, KVStore
 from .registry import Children, MetricsRegistry
@@ -35,9 +34,7 @@ class InstrumentedKVStore(KVStore):
     """Delegating KV store that reports into a registry and a tracer.
 
     Purely additive: every call forwards to ``inner`` with identical
-    semantics, so it can wrap :class:`~repro.kvstore.InMemoryKVStore`,
-    :class:`~repro.kvstore.ShardedKVStore`, or another wrapper (e.g. a
-    :class:`~repro.kvstore.Namespace`) without behavioural change.
+    semantics, so wrapping a store changes nothing but what is counted.
     """
 
     def __init__(
@@ -49,13 +46,6 @@ class InstrumentedKVStore(KVStore):
             registry.counter(
                 "kvstore_ops_total",
                 "KV operations by op name",
-                labelnames=("op",),
-            )
-        )
-        self._batch_keys = Children(
-            registry.counter(
-                "kvstore_batch_keys_total",
-                "Keys carried by batch KV operations, by op name",
                 labelnames=("op",),
             )
         )
@@ -80,16 +70,6 @@ class InstrumentedKVStore(KVStore):
             return self._traced("get", self.inner.get, key, default)
         return self.inner.get(key, default)
 
-    def put(self, key: Key, value: Any) -> None:
-        if self._count("put"):
-            return self._traced("put", self.inner.put, key, value)
-        self.inner.put(key, value)
-
-    def delete(self, key: Key) -> bool:
-        if self._count("delete"):
-            return self._traced("delete", self.inner.delete, key)
-        return self.inner.delete(key)
-
     def update(
         self, key: Key, fn: Callable[[Any], Any], default: Any = None
     ) -> Any:
@@ -97,39 +77,7 @@ class InstrumentedKVStore(KVStore):
             return self._traced("update", self.inner.update, key, fn, default)
         return self.inner.update(key, fn, default)
 
-    def mget(self, keys, default: Any = None) -> list[Any]:
-        """Batch get: one ``mget`` op count/span for the whole batch, plus
-        the batch size in ``kvstore_batch_keys_total{op="mget"}``."""
-        keys = list(keys)
-        self._batch_keys["mget"].inc(len(keys))
-        if self._count("mget"):
-            return self._traced("mget", self.inner.mget, keys, default)
-        return self.inner.mget(keys, default)
-
-    def mput(self, items) -> None:
-        """Batch put: one ``mput`` op count/span for the whole batch."""
-        items = list(items)
-        self._batch_keys["mput"].inc(len(items))
-        if self._count("mput"):
-            return self._traced("mput", self.inner.mput, items)
-        self.inner.mput(items)
-
-    def __contains__(self, key: Key) -> bool:
-        if self._count("contains"):
-            return self._traced("contains", self.inner.__contains__, key)
-        return key in self.inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def keys(self) -> Iterator[Key]:
-        return self.inner.keys()
-
-    def items(self) -> Iterator[tuple[Key, Any]]:
-        return self.inner.items()
-
-    # -- checkpoint support (delegated, so a restore is not counted as
-    # -- one put per entry) ------------------------------------------------
+    # -- checkpoint support (delegated, uncounted) ------------------------
 
     def snapshot_entries(self) -> list[EntrySnapshot]:
         return self.inner.snapshot_entries()

@@ -85,7 +85,9 @@ def build_demo_gateway(
         paper_world_config(seed=seed, n_users=n_users, n_videos=n_videos)
     )
     obs = Observability.create()
-    store = InMemoryKVStore()
+    # One instrumented store under both the recommender and the Hot
+    # fallback, so every model write is counted once.
+    store = obs.instrument_store(InMemoryKVStore())
     wal = recovery = None
     if data_dir is not None:
         if fsync not in FSYNC_POLICIES:

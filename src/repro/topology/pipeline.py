@@ -33,7 +33,7 @@ from ..clock import Clock, SystemClock
 from ..core.recommender import RealtimeRecommender
 from ..core.variants import COMBINE_MODEL, ModelVariant
 from ..data.schema import User, UserAction, Video
-from ..kvstore import KVStore, ShardedKVStore
+from ..kvstore import InMemoryKVStore, KVStore
 from ..storm import Topology, TopologyBuilder
 from .bolts import (
     ComputeMFBolt,
@@ -126,7 +126,7 @@ def build_recommendation_topology(
     :class:`RecommendationSystem` handles for inspecting state and serving
     requests.
     """
-    backing = store if store is not None else ShardedKVStore()
+    backing = store if store is not None else InMemoryKVStore()
     if obs is not None:
         # One instrumented store feeds both the topology bolts and the
         # serving recommender built over the same state.

@@ -11,7 +11,6 @@ from repro.core import (
 )
 from repro.config import MFConfig, SimilarityConfig
 from repro.data import ActionType, UserAction, Video
-from repro.kvstore import InMemoryKVStore, Namespace
 from tests.support.world import raw_entries
 
 
@@ -71,17 +70,6 @@ class TestSimTableEdges:
         )
         table.offer_pair("v0", ["v1", "v2", "v3"], now=0.0)
         assert len(raw_entries(table, "v0")) == 1
-
-
-class TestNamespaceMixedBacking:
-    def test_namespace_ignores_foreign_raw_keys(self):
-        backing = InMemoryKVStore()
-        backing.put("raw-key", 1)  # someone wrote directly to the backing
-        backing.put(("other", "k"), 2)
-        ns = Namespace(backing, "mine")
-        ns.put("k", 3)
-        assert list(ns.keys()) == ["k"]
-        assert len(ns) == 1
 
 
 class TestMFModelEdges:

@@ -65,19 +65,12 @@ class TestQueries:
         assert history.recent("ghost") == []
         assert history.watched("ghost") == set()
         assert history.snapshot("ghost").last_active is None
-        assert "ghost" not in history
 
     def test_last_active(self):
         history = UserHistoryStore()
         history.record(_engagement("u", "a", 5.0))
         history.record(_engagement("u", "b", 9.0))
         assert history.snapshot("u").last_active == 9.0
-
-    def test_len_counts_users(self):
-        history = UserHistoryStore()
-        history.record(_engagement("u1", "a", 1.0))
-        history.record(_engagement("u2", "a", 1.0))
-        assert len(history) == 2
 
     def test_users_isolated(self):
         history = UserHistoryStore()

@@ -104,7 +104,7 @@ class TestOfferPair:
 
 
 class _CountingStore(InMemoryKVStore):
-    """Records every ``(op, namespaced key)`` it serves."""
+    """Records every ``(op, key)`` it serves."""
 
     def __init__(self):
         super().__init__()
@@ -117,11 +117,6 @@ class _CountingStore(InMemoryKVStore):
     def update(self, key, fn, default=None):
         self.ops.append(("update", key))
         return super().update(key, fn, default)
-
-    def mget(self, keys, default=None):
-        keys = list(keys)
-        self.ops.append(("mget", tuple(keys)))
-        return super().mget(keys, default)
 
 
 class TestOfferPairCost:
@@ -146,7 +141,7 @@ class TestOfferPairCost:
         store.ops.clear()
         scores = table.offer_pair("v0", partners, now=0.0)
         assert None not in scores
-        reads = [key for op, key in store.ops if op != "update"]
+        reads = [key for op, key in store.ops if op == "get"]
         updates = [key for op, key in store.ops if op == "update"]
         assert len(reads) == 1 and reads[0][1] == "arena:video"
         assert updates == [("simtable", LISTS_KEY)]

@@ -47,7 +47,7 @@ class _WorkBolt(Bolt):
 
     def process(self, tup, collector):
         self._clock.advance(0.001)
-        self._store.put(f"count:{tup['k']}", tup["v"])
+        self._store.update(f"count:{tup['k']}", lambda _old: tup["v"])
         self._store.get(f"count:{tup['k']}")
 
 

@@ -18,6 +18,7 @@ from repro.data import ActionType, UserAction, Video
 from repro.eval import percentile_rank, recall_at_n
 from repro.hashing import stable_bucket, stable_hash
 from repro.kvstore import InMemoryKVStore
+from tests.support.kv import contents, put
 
 ids = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126),
@@ -169,14 +170,14 @@ class TestKVStoreProperties:
         )
     )
     def test_store_matches_reference_dict(self, ops):
-        """The store behaves exactly like a dict under put/get."""
+        """The store behaves exactly like a dict under update/get."""
         store = InMemoryKVStore()
         reference: dict = {}
         for key, value in ops:
-            store.put(key, value)
+            put(store, key, value)
             reference[key] = value
-        assert dict(store.items()) == reference
-        assert len(store) == len(reference)
+            assert store.get(key) == value
+        assert contents(store) == reference
 
 
 class TestMFProperties:

@@ -1,12 +1,13 @@
 """Model-based test of the KV stack: every store is a plain ``dict``.
 
 One hypothesis state machine drives the whole :class:`~repro.kvstore.KVStore`
-contract (``get`` / ``put`` / ``delete`` / ``update`` / ``setdefault`` /
-``mget`` / ``mput`` / membership / ``len`` / ``keys`` / ``items`` /
-``snapshot_entries`` → ``restore_entries``) against a dict, and after every
-step compares the full contents.  It runs over the two base stores, a pair
-of namespaces sharing one store (isolation), and the stack ``repro-serve``
-builds: instrumentation over memory.
+contract (``get`` / ``update`` / ``snapshot_entries`` →
+``restore_entries``) against a dict, and after every step compares the
+full contents.  It runs over the base store, the stack ``repro-serve``
+builds (instrumentation over memory), and the test wrappers other tests
+put in its place: the recording store, under instrumentation as the
+traffic tests stack it, and the fault-injecting store with no faults
+scheduled.
 
 A second machine drives the persistence path — the write-ahead log plus
 full checkpoints — through appends, checkpoints, crashes that tear the
@@ -34,8 +35,10 @@ from hypothesis.stateful import (
 )
 
 from repro.data.schema import ActionType, UserAction
-from repro.kvstore import InMemoryKVStore, Namespace, ShardedKVStore
+from repro.kvstore import InMemoryKVStore
 from repro.reliability import ActionWAL, CheckpointManager, RecoveryManager
+from tests.support.faults import FlakyKVStore
+from tests.support.kv import RecordingKVStore, contents
 from tests.support.obs import deterministic_obs
 
 _ABSENT = "<absent>"
@@ -47,141 +50,78 @@ values = st.one_of(
     st.integers(min_value=-5, max_value=5),
     st.lists(st.integers(min_value=0, max_value=3), max_size=3),
 )
-views = st.integers(min_value=0, max_value=1)
 
 
 class KVStoreMachine(RuleBasedStateMachine):
-    """Subclasses say what to build; ``build()`` returns the store views
-    under test (one, or two that must stay isolated)."""
+    """Subclasses say what to build; ``build()`` returns the store under
+    test."""
 
     def build(self):
         raise NotImplementedError
 
     def __init__(self) -> None:
         super().__init__()
-        self.views = self.build()
-        self.models: list[dict] = [{} for _ in self.views]
-
-    def _pick(self, view: int):
-        index = view % len(self.views)
-        return self.views[index], self.models[index]
+        self.store = self.build()
+        self.model: dict = {}
 
     # -- single-key operations ---------------------------------------------
 
-    @rule(view=views, key=keys, value=values)
-    def put(self, view, key, value):
-        store, model = self._pick(view)
-        assert store.put(key, value) is None
-        assert store.get(key, _ABSENT) == value  # read-your-writes
-        model[key] = value
+    @rule(key=keys, value=values)
+    def replace(self, key, value):
+        """An update that ignores what it is handed is a put."""
+        assert self.store.update(key, lambda _old: value) == value
+        assert self.store.get(key, _ABSENT) == value  # read-your-writes
+        self.model[key] = value
 
-    @rule(view=views, key=keys)
-    def delete(self, view, key):
-        store, model = self._pick(view)
-        assert store.delete(key) is (key in model)
-        model.pop(key, None)
-
-    @rule(view=views, key=keys, delta=st.integers(0, 9), default=values)
-    def update(self, view, key, delta, default):
-        store, model = self._pick(view)
-
+    @rule(key=keys, delta=st.integers(0, 9), default=values)
+    def update(self, key, delta, default):
         def fn(current):
             # Keeps what it was handed (flattened, so values stay small).
             kept = current[1] if isinstance(current, tuple) else current
             return (delta, kept)
 
-        expected = fn(model.get(key, default))
-        assert store.update(key, fn, default=default) == expected
-        assert store.get(key, _ABSENT) == expected
-        model[key] = expected
+        expected = fn(self.model.get(key, default))
+        assert self.store.update(key, fn, default=default) == expected
+        assert self.store.get(key, _ABSENT) == expected
+        self.model[key] = expected
 
-    @rule(view=views, key=keys, value=values)
-    def setdefault(self, view, key, value):
-        store, model = self._pick(view)
-        assert store.setdefault(key, lambda: value) == model.setdefault(key, value)
-
-    @rule(view=views, key=keys)
-    def get_and_contains(self, view, key):
-        store, model = self._pick(view)
-        assert store.get(key, _ABSENT) == model.get(key, _ABSENT)
-        assert (key in store) is (key in model)
-
-    @rule(view=views)
-    def items(self, view):
-        store, model = self._pick(view)
-        assert dict(store.items()) == model
-
-    # -- batch operations --------------------------------------------------
-
-    @rule(view=views, items=st.lists(st.tuples(keys, values), max_size=6))
-    def mput(self, view, items):
-        store, model = self._pick(view)
-        assert store.mput(items) is None
-        model.update(items)
-        written = [key for key, _ in items]
-        assert store.mget(written) == [model[key] for key in written]
-
-    @rule(view=views, batch=st.lists(keys, max_size=6))
-    def mget(self, view, batch):
-        store, model = self._pick(view)
-        assert store.mget(batch, _ABSENT) == [
-            model.get(key, _ABSENT) for key in batch
-        ]
+    @rule(key=keys)
+    def get(self, key):
+        assert self.store.get(key, _ABSENT) == self.model.get(key, _ABSENT)
 
     # -- checkpoint round trip ---------------------------------------------
 
-    @rule(view=views)
-    def snapshot_restores_into_a_fresh_store(self, view):
-        store, model = self._pick(view)
-        entries = store.snapshot_entries()
-        fresh = self.build()[view % len(self.views)]
-        assert fresh.restore_entries(entries) == len(model)
-        assert dict(fresh.items()) == model
+    @rule()
+    def snapshot_restores_into_a_fresh_store(self):
+        entries = self.store.snapshot_entries()
+        fresh = self.build()
+        assert fresh.restore_entries(entries) == len(self.model)
+        assert contents(fresh) == self.model
 
-    @rule(view=views, items=st.lists(st.tuples(keys, values), max_size=4))
-    def restore_rolls_back_later_writes(self, view, items):
+    @rule(items=st.lists(st.tuples(keys, values), max_size=4))
+    def restore_rolls_back_later_writes(self, items):
         """Restoring a snapshot replaces the contents: keys written after
-        it are gone again, and a namespace leaves its sibling alone."""
-        store, model = self._pick(view)
-        entries = store.snapshot_entries()
-        store.mput(items)
-        assert store.restore_entries(entries) == len(model)
-        assert dict(store.items()) == model
+        it are gone again."""
+        entries = self.store.snapshot_entries()
+        for key, value in items:
+            self.store.update(key, lambda _old, value=value: value)
+        assert self.store.restore_entries(entries) == len(self.model)
+        assert contents(self.store) == self.model
 
     # -- the dict is the specification -------------------------------------
 
     @invariant()
     def contents_match_the_dict(self):
-        for store, model in zip(self.views, self.models):
-            listed = list(store.keys())
-            assert len(listed) == len(store) == len(model)
-            assert set(listed) == set(model)
-            for key in _KEYS:
-                if key not in model:
-                    assert key not in store
-                    assert store.get(key, _ABSENT) == _ABSENT
-            entries = store.snapshot_entries()
-            assert len(entries) == len(model)
-            assert {entry.key: entry.value for entry in entries} == model
+        entries = self.store.snapshot_entries()
+        assert len(entries) == len(self.model)
+        assert contents(self.store) == self.model
+        for key in _KEYS:
+            assert self.store.get(key, _ABSENT) == self.model.get(key, _ABSENT)
 
 
 class InMemoryMachine(KVStoreMachine):
     def build(self):
-        return [InMemoryKVStore()]
-
-
-class ShardedMachine(KVStoreMachine):
-    def build(self):
-        return [ShardedKVStore(n_shards=3)]
-
-
-class NamespacePairMachine(KVStoreMachine):
-    """Two prefixes over one shared store: each view must equal its own
-    dict, so a write through one never shows through the other."""
-
-    def build(self):
-        shared = InMemoryKVStore()
-        return [Namespace(shared, "left"), Namespace(shared, "right")]
+        return InMemoryKVStore()
 
 
 class ServedMemoryStackMachine(KVStoreMachine):
@@ -189,7 +129,24 @@ class ServedMemoryStackMachine(KVStoreMachine):
 
     def build(self):
         obs = deterministic_obs()
-        return [obs.instrument_store(InMemoryKVStore())]
+        return obs.instrument_store(InMemoryKVStore())
+
+
+class RecordedServedStackMachine(KVStoreMachine):
+    """The served stack with a recorder under it, as the traffic tests
+    build it."""
+
+    def build(self):
+        obs = deterministic_obs()
+        return obs.instrument_store(RecordingKVStore(InMemoryKVStore()))
+
+
+class FaultFreeFlakyMachine(KVStoreMachine):
+    """The fault-injecting store with no faults scheduled: a pure
+    forwarder."""
+
+    def build(self):
+        return FlakyKVStore(InMemoryKVStore())
 
 
 # -- the persistence path: WAL + full checkpoints ----------------------------
@@ -315,7 +272,7 @@ class WALCheckpointMachine(RuleBasedStateMachine):
             self.store, lambda action: _apply(self.store, action)
         )
         assert report.last_seq == len(self.acked)
-        assert dict(self.store.items()) == _scalar_replay(self.acked)
+        assert contents(self.store) == _scalar_replay(self.acked)
         self.consistent = True
 
     @invariant()
@@ -327,7 +284,7 @@ class WALCheckpointMachine(RuleBasedStateMachine):
     @invariant()
     def consistent_store_equals_the_replay(self):
         if self.consistent:
-            assert dict(self.store.items()) == _scalar_replay(self.acked)
+            assert contents(self.store) == _scalar_replay(self.acked)
 
 
 def _case(machine):
@@ -338,7 +295,7 @@ def _case(machine):
 
 
 TestInMemory = _case(InMemoryMachine)
-TestSharded = _case(ShardedMachine)
-TestNamespacePair = _case(NamespacePairMachine)
 TestServedMemoryStack = _case(ServedMemoryStackMachine)
+TestRecordedServedStack = _case(RecordedServedStackMachine)
+TestFaultFreeFlaky = _case(FaultFreeFlakyMachine)
 TestWALCheckpoint = _case(WALCheckpointMachine)

@@ -16,6 +16,7 @@ from repro.core import MFModel, RealtimeRecommender
 from repro.core.arena import FactorArena
 from repro.kvstore import InMemoryKVStore
 from repro.reliability import ActionWAL, CheckpointManager, RecoveryManager
+from tests.support.kv import put
 
 
 def test_checkpoint_snapshots_arena_as_single_entries(
@@ -30,7 +31,9 @@ def test_checkpoint_snapshots_arena_as_single_entries(
     )
     rec.observe_stream(small_split.train[:200])
     arena_keys = [
-        key for key in store.keys() if "arena:" in str(key)
+        entry.key
+        for entry in store.snapshot_entries()
+        if "arena:" in str(entry.key)
     ]
     assert len(arena_keys) == 2  # one per entity kind, not one per entity
     manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
@@ -135,7 +138,7 @@ def test_arena_value_roundtrips_through_snapshot_entries():
     store = InMemoryKVStore()
     arena = FactorArena(4)
     arena.put("e", np.arange(4.0), 0.5)
-    store.put(("ns", "arena"), arena)
+    put(store, ("ns", "arena"), arena)
     restored = InMemoryKVStore()
     restored.restore_entries(store.snapshot_entries())
     clone = restored.get(("ns", "arena"))

@@ -13,8 +13,9 @@ import pytest
 
 import repro.kvstore.store as store_module
 from repro.errors import CheckpointError
-from repro.kvstore import InMemoryKVStore, Namespace, ShardedKVStore
+from repro.kvstore import InMemoryKVStore
 from repro.reliability import CheckpointManager
+from tests.support.kv import contents, put
 
 
 def _manager(tmp_path, **kwargs):
@@ -24,40 +25,25 @@ def _manager(tmp_path, **kwargs):
 
 class TestRoundTrip:
     def test_values_and_namespaces_survive(self, tmp_path):
-        store = ShardedKVStore(n_shards=4)
-        ns = Namespace(store, "mf:x")
-        ns.put("u1", np.arange(4.0))
-        ns.put("u1", np.arange(4.0) * 2)
-        store.put(("history", "u2"), [("v1", 1.0), ("v2", 2.0)])
-        store.put("mu", (12.5, 7))
+        store = InMemoryKVStore()
+        put(store, ("mf:x", "u1"), np.arange(4.0))
+        put(store, ("mf:x", "u1"), np.arange(4.0) * 2)
+        put(store, ("history", "u2"), [("v1", 1.0), ("v2", 2.0)])
+        put(store, "mu", (12.5, 7))
 
         manager = _manager(tmp_path)
         info = manager.create(store, wal_seq=41)
         assert info.n_entries == 3
         assert info.wal_seq == 41
 
-        restored = ShardedKVStore(n_shards=4)
+        restored = InMemoryKVStore()
         assert manager.restore_latest(restored).checkpoint_id == 1
         np.testing.assert_array_equal(
-            Namespace(restored, "mf:x").get("u1"), np.arange(4.0) * 2
+            restored.get(("mf:x", "u1")), np.arange(4.0) * 2
         )
         assert restored.get(("history", "u2")) == [("v1", 1.0), ("v2", 2.0)]
         assert restored.get("mu") == (12.5, 7)
-        assert len(restored) == 3
-
-    def test_restore_across_different_shard_counts(self, tmp_path):
-        store = ShardedKVStore(n_shards=2)
-        for i in range(50):
-            store.put(f"k{i}", i)
-        manager = _manager(tmp_path)
-        manager.create(store)
-
-        restored = ShardedKVStore(n_shards=8)
-        manager.restore_latest(restored)
-        assert {restored.get(f"k{i}") for i in range(50)} == set(range(50))
-        # Every entry landed on the shard that owns its key.
-        for i in range(50):
-            assert f"k{i}" in restored.shard_for(f"k{i}")
+        assert len(restored.snapshot_entries()) == 3
 
     def test_full_checkpoint_written_before_versions_left_restores(
         self, tmp_path, monkeypatch
@@ -99,7 +85,7 @@ class TestRoundTrip:
             restored.get(("mf:x", "u1")), np.arange(3.0)
         )
         assert restored.get("mu") == (12.5, 7)
-        assert len(restored) == 2
+        assert len(restored.snapshot_entries()) == 2
 
 
 class TestAtomicityAndRetention:
@@ -111,7 +97,7 @@ class TestAtomicityAndRetention:
     def test_torn_staging_directory_is_ignored(self, tmp_path):
         manager = _manager(tmp_path)
         store = InMemoryKVStore()
-        store.put("k", 1)
+        put(store, "k", 1)
         manager.create(store)
         # Simulate a crash mid-write: staging dir with entries but no
         # manifest, never renamed.
@@ -123,7 +109,7 @@ class TestAtomicityAndRetention:
     def test_checksum_mismatch_refuses_restore(self, tmp_path):
         manager = _manager(tmp_path)
         store = InMemoryKVStore()
-        store.put("k", 1)
+        put(store, "k", 1)
         info = manager.create(store)
         entries = Path(info.path) / "entries.pkl"
         entries.write_bytes(entries.read_bytes() + b"x")
@@ -133,10 +119,10 @@ class TestAtomicityAndRetention:
     def test_unknown_manifest_format_refuses_restore(self, tmp_path):
         manager = _manager(tmp_path)
         store, target = InMemoryKVStore(), InMemoryKVStore()
-        store.put("k", 1)
+        put(store, "k", 1)
         info = manager.create(store)
-        target.put("later", 2)
-        before = dict(target.items())
+        put(target, "later", 2)
+        before = contents(target)
         manifest_path = Path(info.path) / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         assert manifest["kind"] == "full"
@@ -147,7 +133,7 @@ class TestAtomicityAndRetention:
             manager.restore(info, target)
         with pytest.raises(CheckpointError, match="format"):
             manager.restore_latest(target)
-        assert dict(target.items()) == before
+        assert contents(target) == before
 
     def test_segments_manifest_of_an_older_build_is_skipped(self, tmp_path):
         """An older build's ``kind="segments"`` manifest references files of
@@ -175,7 +161,7 @@ class TestAtomicityAndRetention:
         assert manager.restore_latest(InMemoryKVStore()) is None
 
         store = InMemoryKVStore()
-        store.put("k", 1)
+        put(store, "k", 1)
         info = manager.create(store, wal_seq=41)
         assert info.checkpoint_id == 2
         assert [i.checkpoint_id for i in manager.list()] == [2]
@@ -183,18 +169,18 @@ class TestAtomicityAndRetention:
     def test_restore_replaces_the_store_contents(self, tmp_path):
         manager = _manager(tmp_path)
         store = InMemoryKVStore()
-        store.put("a", 1)
+        put(store, "a", 1)
         manager.create(store)
-        for target in (store, ShardedKVStore(n_shards=3)):
-            target.put("a", 2)
-            target.put("b", 3)
+        for target in (store, InMemoryKVStore()):
+            put(target, "a", 2)
+            put(target, "b", 3)
             assert manager.restore_latest(target) is not None
-            assert dict(target.items()) == {"a": 1}
+            assert contents(target) == {"a": 1}
 
     def test_manifest_records_payload_hash(self, tmp_path):
         manager = _manager(tmp_path)
         store = InMemoryKVStore()
-        store.put("k", "v")
+        put(store, "k", "v")
         info = manager.create(store, wal_seq=9)
         manifest = json.loads((Path(info.path) / "manifest.json").read_text())
         assert manifest["wal_seq"] == 9
@@ -205,7 +191,7 @@ class TestAtomicityAndRetention:
         manager = _manager(tmp_path, retain=2)
         store = InMemoryKVStore()
         for i in range(4):
-            store.put("k", i)
+            put(store, "k", i)
             manager.create(store)
         ids = [info.checkpoint_id for info in manager.list()]
         assert ids == [3, 4]
@@ -217,15 +203,16 @@ class TestAtomicityAndRetention:
     def test_checksum_mismatch_leaves_the_store_untouched(self, tmp_path):
         manager = _manager(tmp_path)
         store = InMemoryKVStore()
-        store.put("k", 1)
+        put(store, "k", 1)
         info = manager.create(store)
         entries = Path(info.path) / "entries.pkl"
         entries.write_bytes(entries.read_bytes()[:-1])
-        target = ShardedKVStore(n_shards=2)
-        target.mput([("live", 1), ("k", 2)])
+        target = InMemoryKVStore()
+        put(target, "live", 1)
+        put(target, "k", 2)
         with pytest.raises(CheckpointError, match="checksum"):
             manager.restore_latest(target)
-        assert dict(target.items()) == {"live": 1, "k": 2}
+        assert contents(target) == {"live": 1, "k": 2}
 
     def test_retain_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="retain"):
@@ -235,7 +222,7 @@ class TestAtomicityAndRetention:
 class TestManifest:
     def test_metadata_and_wal_seq_survive_a_reopen(self, tmp_path):
         store = InMemoryKVStore()
-        store.put("k", 1)
+        put(store, "k", 1)
         _manager(tmp_path).create(
             store,
             wal_seq=12,
@@ -253,7 +240,7 @@ class TestManifest:
         store = InMemoryKVStore()
         for round_ in range(3):
             manager = _manager(tmp_path, retain=1)
-            store.put("k", round_)
+            put(store, "k", round_)
             manager.create(store, wal_seq=round_)
             manager.create(store, wal_seq=round_ + 100)
         infos = _manager(tmp_path).list()
@@ -272,6 +259,6 @@ class TestManifest:
         calls = []
         monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
         store = InMemoryKVStore()
-        store.put("k", 1)
+        put(store, "k", 1)
         _manager(tmp_path, fsync=fsync).create(store)
         assert len(calls) == (2 if fsync else 0)

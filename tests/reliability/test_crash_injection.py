@@ -30,7 +30,7 @@ import pytest
 from repro.core.recommender import RealtimeRecommender
 from repro.data import SyntheticWorld
 from repro.data.synthetic import WorldConfig
-from repro.kvstore import InMemoryKVStore, ShardedKVStore
+from repro.kvstore import InMemoryKVStore
 from repro.reliability import ActionWAL, CheckpointManager, RecoveryManager
 
 from ._crash_child import SEGMENT_MAX_RECORDS, WORLD, wal_action
@@ -157,9 +157,7 @@ class TestRecommenderCrash:
         # A clean process that saw the same prefix must agree on top-N.
         actions = world.generate_actions()[: report.last_seq]
         clean = RealtimeRecommender(
-            world.videos,
-            users=world.users,
-            store=ShardedKVStore(n_shards=4),
+            world.videos, users=world.users, store=InMemoryKVStore()
         )
         clean.observe_stream(actions)
 

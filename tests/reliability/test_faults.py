@@ -5,6 +5,7 @@ import pytest
 
 from repro.kvstore import InMemoryKVStore
 from tests.support.faults import FlakyKVStore, TransientKVError
+from tests.support.kv import put
 
 
 class TestFlakyKVStore:
@@ -13,7 +14,7 @@ class TestFlakyKVStore:
         outcomes = []
         for i in range(9):
             try:
-                store.put(f"k{i}", i)
+                put(store, f"k{i}", i)
                 outcomes.append("ok")
             except TransientKVError:
                 outcomes.append("err")
@@ -22,10 +23,10 @@ class TestFlakyKVStore:
 
     def test_failed_operation_leaves_state_untouched(self):
         store = FlakyKVStore(InMemoryKVStore())
-        store.put("k", 1)
+        put(store, "k", 1)
         store.fail_next()
         with pytest.raises(TransientKVError):
-            store.put("k", 2)
+            put(store, "k", 2)
         assert store.get("k") == 1
 
     def test_fail_next_forces_errors(self):

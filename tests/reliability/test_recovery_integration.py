@@ -18,7 +18,7 @@ import pytest
 from repro.baselines import HotRecommender
 from repro.core.recommender import RealtimeRecommender
 from repro.errors import CheckpointError, ComponentError
-from repro.kvstore import InMemoryKVStore, ShardedKVStore
+from repro.kvstore import InMemoryKVStore
 from repro.obs import Observability
 from repro.reliability import (
     ActionWAL,
@@ -29,6 +29,7 @@ from repro.serving.router import RecRequest, RequestRouter, Scenario
 from repro.storm import LocalExecutor, ThreadedExecutor
 from repro.topology.pipeline import SPOUT, build_recommendation_topology
 from tests.support.faults import FlakyKVStore, TransientKVError, unaccounted
+from tests.support.kv import contents, put
 
 N_TOTAL = 240  # actions in the run
 N_CHECKPOINT = 150  # checkpoint taken after this many
@@ -63,7 +64,7 @@ class TestKillAndRecover:
         self, small_world, stream, tmp_path
     ):
         # Reference: one uninterrupted pass over the whole stream.
-        rec_a = _recommender(small_world, ShardedKVStore(n_shards=4))
+        rec_a = _recommender(small_world, InMemoryKVStore())
         rec_a.observe_stream(stream)
 
         # Crashing run: WAL everything, checkpoint part-way, then "lose"
@@ -72,7 +73,7 @@ class TestKillAndRecover:
         recovery = RecoveryManager(
             CheckpointManager(tmp_path / "ckpt", fsync=False), wal
         )
-        store_b = ShardedKVStore(n_shards=4)
+        store_b = InMemoryKVStore()
         rec_b = _recommender(small_world, store_b, wal=wal)
         rec_b.observe_stream(stream[:N_CHECKPOINT])
         recovery.checkpoint(store_b)
@@ -81,7 +82,7 @@ class TestKillAndRecover:
 
         # Recover into a brand-new store and recommender, replaying only
         # the WAL suffix past the checkpoint, then finish the stream.
-        store_c = ShardedKVStore(n_shards=4)
+        store_c = InMemoryKVStore()
         rec_c = _recommender(small_world, store_c, wal=wal)
         report = recovery.recover(store_c, rec_c.observe)
         assert report.checkpoint is not None
@@ -103,14 +104,14 @@ class TestKillAndRecover:
         recovery = RecoveryManager(
             CheckpointManager(tmp_path / "ckpt", fsync=False), wal
         )
-        rec = _recommender(small_world, ShardedKVStore(n_shards=2), wal=wal)
+        rec = _recommender(small_world, InMemoryKVStore(), wal=wal)
         rec.observe_stream(stream[:100])
         del rec
 
-        rec_a = _recommender(small_world, ShardedKVStore(n_shards=2))
+        rec_a = _recommender(small_world, InMemoryKVStore())
         rec_a.observe_stream(stream[:100])
 
-        store = ShardedKVStore(n_shards=2)
+        store = InMemoryKVStore()
         rec_b = _recommender(small_world, store, wal=wal)
         report = recovery.recover(store, rec_b.observe)
         assert report.checkpoint is None
@@ -128,7 +129,7 @@ class TestKillAndRecover:
         recovery = RecoveryManager(
             CheckpointManager(tmp_path / "ckpt", fsync=False), wal
         )
-        store = ShardedKVStore(n_shards=2)
+        store = InMemoryKVStore()
         rec = _recommender(small_world, store, wal=wal)
         rec.observe_stream(stream[:80])
         recovery.checkpoint(store)
@@ -137,7 +138,7 @@ class TestKillAndRecover:
 
         recovered = []
         for _ in range(2):
-            store = ShardedKVStore(n_shards=2)
+            store = InMemoryKVStore()
             twin = _recommender(small_world, store, wal=wal)
             report = recovery.recover(store, twin.observe)
             assert report.replayed == 40
@@ -162,21 +163,21 @@ class TestRollback:
     def test_keys_written_after_the_checkpoint_are_dropped(self, tmp_path):
         recovery = self._recovery(tmp_path)
         store = InMemoryKVStore()
-        store.put("a", 1)
+        put(store, "a", 1)
         recovery.checkpoint(store)
-        store.put("a", 2)
-        store.put("b", 3)
+        put(store, "a", 2)
+        put(store, "b", 3)
         report = recovery.recover(store, lambda action: None)
         assert report.checkpoint is not None
-        assert dict(store.items()) == {"a": 1}
+        assert contents(store) == {"a": 1}
 
     def test_no_checkpoint_starts_from_an_empty_store(self, tmp_path):
         recovery = self._recovery(tmp_path)
         store = InMemoryKVStore()
-        store.put("x", 1)
+        put(store, "x", 1)
         report = recovery.recover(store, lambda action: None)
         assert report.checkpoint is None
-        assert list(store.keys()) == []
+        assert store.snapshot_entries() == []
 
     def test_recovering_the_live_store_applies_the_tail_once(
         self, small_world, small_actions, tmp_path
@@ -207,7 +208,7 @@ class TestRollback:
         def plain(kv):
             return {
                 key: value.__getstate__() if key[0] == "simtable" else value
-                for key, value in kv.items()
+                for key, value in contents(kv).items()
                 if not (key[0] == "mf:meta" and key[1].startswith("arena:"))
             }
 
@@ -252,7 +253,7 @@ class TestFullCheckpointRecovery:
         store = InMemoryKVStore()
         live = _recommender(small_world, store, wal=recovery.wal)
         live.observe_stream(stream)
-        assert len(store) > 0
+        assert store.snapshot_entries()
         report = recovery.recover(store, live.observe)
         assert report.checkpoint is None
         assert report.replayed == N_CRASH
@@ -324,13 +325,13 @@ class TestFullCheckpointRecovery:
         live.observe_stream(small_actions[N_CHECKPOINT:N_CRASH])
         entries = Path(info.path) / "entries.pkl"
         entries.write_bytes(entries.read_bytes()[:-8])
-        before = sorted(store.keys(), key=repr)
+        before = sorted(contents(store), key=repr)
 
         applied = []
         with pytest.raises(CheckpointError, match="checksum"):
             recovery.recover(store, applied.append)
         assert applied == []
-        assert sorted(store.keys(), key=repr) == before
+        assert sorted(contents(store), key=repr) == before
 
     def test_restart_over_reopened_roots_after_a_torn_append(
         self, small_world, small_actions, tmp_path
@@ -378,7 +379,7 @@ class TestStoreFailureAbortsTopology:
         self, executor_cls, small_world, small_actions
     ):
         stream = small_actions[:200]
-        flaky_store = FlakyKVStore(ShardedKVStore(n_shards=4), error_every=97)
+        flaky_store = FlakyKVStore(InMemoryKVStore(), error_every=97)
         topology, _ = build_recommendation_topology(
             list(stream), small_world.videos, store=flaky_store
         )

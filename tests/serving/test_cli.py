@@ -23,6 +23,8 @@ from repro.serving import GatewayConfig, RecRequest
 from repro.reliability import ActionWAL
 from repro.serving.cli import FSYNC_POLICIES, _build_parser, build_demo_gateway
 from tests.support.gateway_thread import GatewayThread
+from tests.support.kv import record_demo_stores
+from tests.support.obs import registry_total
 from tests.support.world import history_entries, raw_entries, stored_rows
 
 
@@ -281,6 +283,33 @@ def test_one_engagement_is_one_history_update(monkeypatch):
     assert recommender.history.recent(user)[0] == video
     hot_after = gateway.router.fallback.tracker.hot("__all__", 100, now=2e7)
     assert dict(hot_after)[video] > dict(hot_before).get(video, 0.0)
+
+
+def test_every_store_update_of_an_engagement_is_counted(monkeypatch):
+    """The recommender and the Hot fallback write through one instrumented
+    store, so ``kvstore_ops_total{op="update"}`` counts every update the
+    store makes — the fallback's ``("hot", "__all__")`` bump included."""
+    made = record_demo_stores(monkeypatch)
+    gateway = build_demo_gateway(
+        GatewayConfig(port=0), rate=None, **DEMO_WORLD
+    )
+    (store,) = made
+    registry = gateway.obs.registry
+
+    def counted():
+        return registry_total(registry, "kvstore_ops_total", op="update")
+
+    assert counted() == store.calls["update"]  # the boot's training
+    recommender = gateway.router.recommender
+    users, videos = sorted(recommender.users), sorted(recommender.videos)
+    for i in range(5):
+        counted_before, made_before = counted(), store.calls["update"]
+        store.keys.clear()
+        gateway.observe(
+            UserAction(2e7 + i, users[i], videos[i], ActionType.CLICK)
+        )
+        assert counted() - counted_before == store.calls["update"] - made_before
+        assert ("hot", "__all__") in store.keys
 
 
 def test_the_served_tracer_keeps_a_bounded_ring_of_spans():

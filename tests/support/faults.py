@@ -12,7 +12,7 @@ accounting every aborted topology run must satisfy.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import ReproError
 from repro.kvstore import Key, KVStore
@@ -26,7 +26,7 @@ class TransientKVError(ReproError):
 class FlakyKVStore(KVStore):
     """A store whose operations fail transiently on a fixed schedule.
 
-    Every ``error_every``-th operation (across get/put/update/delete)
+    Every ``error_every``-th operation (across get/update)
     raises :class:`~repro.errors.TransientKVError` *before* touching the
     underlying store, so a retried operation sees unchanged state.
     ``error_every=0`` disables injection; :meth:`fail_next` forces the next
@@ -70,26 +70,9 @@ class FlakyKVStore(KVStore):
         self._maybe_fail("get", key)
         return self.inner.get(key, default)
 
-    def put(self, key: Key, value: Any) -> None:
-        self._maybe_fail("put", key)
-        self.inner.put(key, value)
-
-    def delete(self, key: Key) -> bool:
-        self._maybe_fail("delete", key)
-        return self.inner.delete(key)
-
     def update(self, key: Key, fn: Callable[[Any], Any], default: Any = None) -> Any:
         self._maybe_fail("update", key)
         return self.inner.update(key, fn, default=default)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self.inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def keys(self) -> Iterator[Key]:
-        return self.inner.keys()
 
     def snapshot_entries(self):
         return self.inner.snapshot_entries()

@@ -3,7 +3,8 @@
 They read private state on purpose: the system itself never needs a raw
 similar-video entry, a user's true best videos, the list of group
 models created so far, a model's user rows, the retrieval mirror's
-rows or a user's stored history, only tests do.
+rows or a user's stored history, or the users who have one, only tests
+do.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from repro.core import (
     SimilarVideoTable,
     UserHistoryStore,
 )
+from repro.core.history import PREFIX as HISTORY
 from repro.data import SyntheticWorld
+from tests.support.kv import contents
 
 
 def best_videos(
@@ -61,4 +64,9 @@ def history_entries(
     history: UserHistoryStore, user_id: str
 ) -> list[tuple[str, float]]:
     """One user's stored ``[(video, timestamp), ...]`` history, newest first."""
-    return history._store.get(user_id, [])
+    return history._store.get((HISTORY, user_id), [])
+
+
+def history_users(history: UserHistoryStore) -> list[str]:
+    """Users with a stored history, in the order they first engaged."""
+    return [key[1] for key in contents(history._store) if key[0] == HISTORY]

@@ -53,9 +53,10 @@ ALLOWED_METHODS = {
 
 
 #: e2e hook targets whose code was deleted: with the log-structured store
-#: tier and the write-back cache, and with the gateway's request
-#: coalescer; the tracer lists them under ``trace_missing`` until the
-#: trace table drops them.
+#: tier and the write-back cache, with the gateway's request coalescer,
+#: and with the KV operations and wrappers the system never called; the
+#: tracer lists them under ``trace_missing`` until the trace table drops
+#: them.
 _DELETED_HOOK_TARGETS = {
     "repro.kvstore.cache:ReadThroughCache.get",
     "repro.kvstore.cache:ReadThroughCache.put",
@@ -71,6 +72,22 @@ _DELETED_HOOK_TARGETS = {
     "repro.reliability.checkpoint:CheckpointManager.create_incremental",
     "repro.serving.gateway:RequestCollector.submit",
     "repro.serving.router:RequestRouter.handle_many",
+    "repro.kvstore.namespace:Namespace.get",
+    "repro.kvstore.namespace:Namespace.put",
+    "repro.kvstore.namespace:Namespace.update",
+    "repro.kvstore.namespace:Namespace.mget",
+    "repro.kvstore.namespace:Namespace.mput",
+    "repro.kvstore.sharded:ShardedKVStore.get",
+    "repro.kvstore.sharded:ShardedKVStore.put",
+    "repro.kvstore.sharded:ShardedKVStore.update",
+    "repro.kvstore.sharded:ShardedKVStore.mget",
+    "repro.kvstore.sharded:ShardedKVStore.mput",
+    "repro.kvstore.store:InMemoryKVStore.put",
+    "repro.kvstore.store:InMemoryKVStore.mget",
+    "repro.kvstore.store:InMemoryKVStore.mput",
+    "repro.obs.kv:InstrumentedKVStore.put",
+    "repro.obs.kv:InstrumentedKVStore.mget",
+    "repro.obs.kv:InstrumentedKVStore.mput",
 }
 
 

@@ -13,6 +13,7 @@ from repro.topology import (
     RESULT_STORAGE,
     build_recommendation_topology,
 )
+from tests.support.world import history_users
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +46,7 @@ class TestLocalRun:
         LocalExecutor(topo).run()
         assert system.model.n_users > 0
         assert system.model.n_videos > 0
-        assert len(system.history) > 0
+        assert history_users(system.history)
         assert system.table.tracked_videos()
 
     def test_mf_storage_writes_match_compute_emissions(self, small_world, train):
@@ -67,7 +68,7 @@ class TestLocalRun:
         LocalExecutor(topo).run()
         clock.set(max(a.timestamp for a in train) + 1)
         recommender = system.serving_recommender()
-        active_user = next(iter(system.history._store.keys()))
+        active_user = history_users(system.history)[0]
         recs = recommender.recommend_ids(active_user, n=5)
         assert isinstance(recs, list)
         # the serving view shares the exact model state
@@ -103,7 +104,9 @@ class TestThreadedRun:
         ThreadedExecutor(topo_t).run(timeout=120.0)
         assert system_l.model.n_users == system_t.model.n_users
         assert system_l.model.n_videos == system_t.model.n_videos
-        assert len(system_l.history) == len(system_t.history)
+        assert len(history_users(system_l.history)) == len(
+            history_users(system_t.history)
+        )
 
 
 class TestSingleWriterInvariant:
