@@ -1,7 +1,7 @@
 """What observability costs the online trainer: ``observe_stream`` off vs on.
 
 Every served process runs with an ``Observability`` bundle, and the
-trainer makes about 7.4 KV ops per action, each one through
+recommender makes about 6.4 KV ops per action, each one through
 ``InstrumentedKVStore``.  This benchmark trains the ``train_stream`` world
 (120 users x 200 videos, seed 2016, days 0-5: 37,036 actions; 40 x 80 at
 smoke scale) with ``RealtimeRecommender.observe_stream``, alternating
@@ -11,10 +11,12 @@ runs without ``obs`` and with ``Observability.create()``, and
   run, under a counter, resolves each labelled child through ``labels()``
   once and observes no histogram; every observed run exports the same
   counters; with no trace active the tracer records no span; and KV ops
-  per action stay at most ``MAX_KV_OPS_PER_ACTION`` (one arena read and
-  one update of the entry holding every similar-video list per
-  engagement, and a hot-list update for the user's group and for the
-  global one, put it at 7.4, 7.2 at smoke scale);
+  per action stay at most ``MAX_KV_OPS_PER_ACTION`` (per SGD step one
+  read and one write of each factor arena; per engagement one arena read
+  and one update of the entry holding every similar-video list, and a
+  hot-list update for the user's group and for the global one: 6.41, and
+  6.19 at smoke scale; ``tests/obs/test_ingest_work_counts.py`` holds the
+  tier-1 twin of the bound);
 * reports actions/s for every run, the median per-pair observed /
   unobserved ratio and KV ops per action.  Timings are reported, not
   asserted: on a shared host no rate holds still.
@@ -36,7 +38,7 @@ from _helpers import build_world, format_rows, report, smoke_scaled
 N_USERS = smoke_scaled(120, 40)
 N_VIDEOS = smoke_scaled(200, 80)
 PAIRS = 2 if bench_smoke() else 5
-MAX_KV_OPS_PER_ACTION = 10
+MAX_KV_OPS_PER_ACTION = 6.5
 
 
 def _train(world, actions, obs):

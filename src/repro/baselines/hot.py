@@ -12,10 +12,10 @@ the recommender records: the fallback then only counts.
 from __future__ import annotations
 
 from ..clock import SECONDS_PER_DAY, Clock, SystemClock
+from ..core.actions import is_engagement
 from ..core.demographic import HotVideoTracker
 from ..core.history import UserHistoryStore
 from ..data.schema import UserAction
-from ..data.stream import ENGAGEMENT_ACTIONS
 from ..kvstore import InMemoryKVStore, KVStore
 
 _GLOBAL = "__all__"
@@ -43,7 +43,7 @@ class HotRecommender:
         self.exclude_watched = exclude_watched
 
     def observe(self, action: UserAction) -> None:
-        if action.action not in ENGAGEMENT_ACTIONS:
+        if not is_engagement(action):
             return
         self.tracker.record(
             _GLOBAL, action.video_id, weight=1.0, now=action.timestamp

@@ -39,7 +39,7 @@ from .similarity import (
     fuse,
     type_similarity,
 )
-from .simtable import SimilarVideoTable, generate_pairs
+from .simtable import SimilarVideoTable, pair_partners
 from .variants import (
     ALL_VARIANTS,
     BINARY_MODEL,
@@ -72,7 +72,7 @@ __all__ = [
     "damping",
     "fuse",
     "SimilarVideoTable",
-    "generate_pairs",
+    "pair_partners",
     "UserHistoryStore",
     "Candidate",
     "CandidateSelector",

@@ -51,7 +51,7 @@ class FactorArena:
         self.f = f
         self._rows: dict[str, int] = {}
         self._ids: list[str] = []
-        self._vecs = np.zeros((initial_capacity, f), dtype=np.float64)
+        self._set_vecs(np.zeros((initial_capacity, f), dtype=np.float64))
         self._biases = np.zeros(initial_capacity, dtype=np.float64)
         self._lock = threading.RLock()
 
@@ -59,17 +59,27 @@ class FactorArena:
     # Internal
     # ------------------------------------------------------------------
 
+    def _set_vecs(self, vecs: np.ndarray) -> None:
+        """Install the vector matrix and the read-only view of it that
+        :meth:`row_views` indexes."""
+        self._vecs = vecs
+        self._readonly = vecs.view()
+        self._readonly.flags.writeable = False
+
     def _grow(self, need: int) -> None:
         capacity = len(self._biases)
         if need <= capacity:
             return
         new_capacity = max(capacity * 2, need)
-        for name in ("_vecs", "_biases"):
-            old = getattr(self, name)
-            shape = (new_capacity,) + old.shape[1:]
-            fresh = np.zeros(shape, dtype=old.dtype)
-            fresh[: len(self._ids)] = old[: len(self._ids)]
-            setattr(self, name, fresh)
+        n = len(self._ids)
+        # One array at a time, so the old matrix is freed before the
+        # new biases are allocated.
+        vecs = np.zeros((new_capacity, self.f), dtype=np.float64)
+        vecs[:n] = self._vecs[:n]
+        self._set_vecs(vecs)
+        biases = np.zeros(new_capacity, dtype=np.float64)
+        biases[:n] = self._biases[:n]
+        self._biases = biases
 
     def _intern(self, entity_id: str) -> int:
         row = self._rows.get(entity_id)
@@ -128,11 +138,36 @@ class FactorArena:
             row = self._rows.get(entity_id)
             return default if row is None else float(self._biases[row])
 
+    def row(self, entity_id: str) -> tuple[np.ndarray, float] | None:
+        """A copy of the entity's vector and its bias, or ``None`` when
+        unlearned: an SGD step's whole read of one arena, one lock pass."""
+        with self._lock:
+            row = self._rows.get(entity_id)
+            if row is None:
+                return None
+            return self._vecs[row].copy(), float(self._biases[row])
+
     def vectors_many(self, entity_ids: list[str]) -> list[np.ndarray | None]:
         """Per-id vector copies (``None`` for unlearned), one lock pass."""
         with self._lock:
             rows = [self._rows.get(entity_id) for entity_id in entity_ids]
             return [None if row is None else self._vecs[row].copy() for row in rows]
+
+    def row_views(self, entity_ids: list[str]) -> list[np.ndarray | None]:
+        """Per-id read-only views of the vector rows (``None`` for
+        unlearned), one lock pass, nothing copied.
+
+        A view shows later writes to its row (growth leaves it on the old,
+        unchanged buffer), so the views may be read only while no thread
+        writes the arena — the pair step of one engagement, inside
+        ``observe``, which runs on one thread at a time.
+        """
+        with self._lock:
+            rows, view = self._rows, self._readonly
+            return [
+                None if (row := rows.get(entity_id)) is None else view[row]
+                for entity_id in entity_ids
+            ]
 
     def vectors_matrix(self, entity_ids: list[str]) -> np.ndarray:
         """An ``(n, f)`` gather with zero rows for unlearned ids."""
@@ -250,7 +285,7 @@ class FactorArena:
             entity_id: row for row, entity_id in enumerate(self._ids)
         }
         n = max(len(self._ids), 1)
-        self._vecs = np.zeros((n, self.f), dtype=np.float64)
+        self._set_vecs(np.zeros((n, self.f), dtype=np.float64))
         self._biases = np.zeros(n, dtype=np.float64)
         self._vecs[: len(self._ids)] = vecs
         self._biases[: len(self._ids)] = biases

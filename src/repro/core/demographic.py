@@ -18,8 +18,8 @@ from typing import Mapping
 
 from ..clock import SECONDS_PER_DAY, Clock, SystemClock
 from ..data.schema import GLOBAL_GROUP, User, UserAction
-from ..data.stream import ENGAGEMENT_ACTIONS
 from ..kvstore import InMemoryKVStore, KVStore
+from .actions import is_engagement
 
 #: Key prefix of the per-group hot tables in the store.
 PREFIX = "hot"
@@ -122,7 +122,7 @@ class DemographicRecommender:
         self, action: UserAction, weight: float = 1.0
     ) -> None:
         """Fold one engagement into the group and global hot lists."""
-        if action.action not in ENGAGEMENT_ACTIONS:
+        if not is_engagement(action):
             return
         group = self.group_for(action.user_id)
         self.tracker.record(group, action.video_id, weight, now=action.timestamp)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..data.schema import UserAction
-from ..data.stream import ENGAGEMENT_ACTIONS
 from ..kvstore import InMemoryKVStore, KVStore
+from .actions import is_engagement
 
 #: Key prefix of the per-user histories in the store.
 PREFIX = "history"
@@ -49,7 +49,7 @@ class UserHistoryStore:
         Only engagement actions count (impressions are displays, not
         interest).  Returns ``True`` if the history changed.
         """
-        if action.action not in ENGAGEMENT_ACTIONS:
+        if not is_engagement(action):
             return False
         self.add(action.user_id, action.video_id, action.timestamp)
         return True
@@ -58,9 +58,10 @@ class UserHistoryStore:
         """Push ``video_id`` to the front of ``user_id``'s history."""
 
         def _push(entries: list[tuple[str, float]]) -> list[tuple[str, float]]:
-            kept = [(v, t) for v, t in entries if v != video_id]
-            kept.insert(0, (video_id, timestamp))
-            return kept[: self.max_items]
+            kept = [(video_id, timestamp)]
+            kept += [entry for entry in entries if entry[0] != video_id]
+            del kept[self.max_items :]
+            return kept
 
         self._store.update((PREFIX, user_id), _push, default=[])
 

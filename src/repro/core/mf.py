@@ -150,6 +150,11 @@ class _ArenaParams:
     def vector(self, kind: str, entity_id: str) -> np.ndarray | None:
         return self._arena(kind).vector(entity_id)
 
+    def row(
+        self, kind: str, entity_id: str
+    ) -> tuple[np.ndarray, float] | None:
+        return self._arena(kind).row(entity_id)
+
     def bias(self, kind: str, entity_id: str) -> float:
         return self._arena(kind).bias(entity_id)
 
@@ -178,6 +183,11 @@ class _ArenaParams:
         self, kind: str, entity_ids: Sequence[str]
     ) -> list[np.ndarray | None]:
         return self._arena(kind).vectors_many(list(entity_ids))
+
+    def row_views(
+        self, kind: str, entity_ids: list[str]
+    ) -> list[np.ndarray | None]:
+        return self._arena(kind).row_views(entity_ids)
 
     def vectors_matrix(self, kind: str, entity_ids: Sequence[str]) -> np.ndarray:
         return self._arena(kind).vectors_matrix(list(entity_ids))
@@ -360,14 +370,17 @@ class MFModel:
         return self._store.get(_MU_KEY, (0.0, 0))
 
     def _mu_fold(self, ratings: Sequence[float]) -> None:
-        """Atomically fold observed ratings into the accumulator."""
+        """Atomically fold observed ratings, in order, into the accumulator.
+
+        ``fn`` runs inside ``update``, so the caller may clear ``ratings``
+        once this returns.
+        """
         if not ratings:
             return
-        folded = list(ratings)  # the caller may clear its list after this
 
         def _fold(current: tuple[float, int]) -> tuple[float, int]:
             total, count = current
-            for rating in folded:
+            for rating in ratings:
                 total = total + rating
                 count = count + 1
             return (total, count)
@@ -382,7 +395,7 @@ class MFModel:
 
     def observe_rating(self, rating: float) -> None:
         """Fold one observed rating (including zeros) into ``mu``."""
-        self._mu_fold([rating])
+        self._mu_fold((rating,))
 
     # ------------------------------------------------------------------
     # Parameter access
@@ -407,6 +420,12 @@ class MFModel:
     ) -> list[np.ndarray | None]:
         """Batch :meth:`video_vector`: one store round-trip for the lot."""
         return self._params.vectors_many("video", video_ids)
+
+    def video_row_views(self, video_ids: list[str]) -> list[np.ndarray | None]:
+        """Like :meth:`video_vectors_many`, as read-only views of the
+        arena's rows instead of copies (:meth:`FactorArena.row_views`):
+        for a caller that writes no factor while it reads them."""
+        return self._params.row_views("video", video_ids)
 
     def user_bias(self, user_id: str) -> float:
         return self._params.bias("user", user_id)
@@ -514,26 +533,30 @@ class MFModel:
         ``persist_init=False`` new-entity vectors are derived (they are a
         deterministic function of the id) but *not* written — the topology's
         ``ComputeMF`` bolt uses this so that only ``MFStorage`` ever writes
-        parameters.
+        parameters — and each arena is read once, vector and bias together.
         """
         _check_eta(eta)
         if persist_init:
-            x_u = self.ensure_user(user_id)
-            y_i = self.ensure_video(video_id)
-        else:
-            x_u = self.user_vector(user_id)
-            if x_u is None:
-                x_u = self._init_vector("user", user_id)
-            y_i = self.video_vector(video_id)
-            if y_i is None:
-                y_i = self._init_vector("video", video_id)
+            self.ensure_user(user_id)
+            self.ensure_video(video_id)
+        params = self._params
+        user = params.row("user", user_id)
+        x_u, b_u = (
+            (self._init_vector("user", user_id), 0.0) if user is None else user
+        )
+        video = params.row("video", video_id)
+        y_i, b_i = (
+            (self._init_vector("video", video_id), 0.0)
+            if video is None
+            else video
+        )
         return _sgd_update(
             user_id,
             video_id,
             x_u,
             y_i,
-            self.user_bias(user_id),
-            self.video_bias(video_id),
+            b_u,
+            b_i,
             self.mu,
             rating,
             eta,
@@ -587,8 +610,15 @@ class MFModel:
     def sgd_step(
         self, user_id: str, video_id: str, rating: float, eta: float
     ) -> MFUpdate:
-        """Compute and immediately apply one SGD step; return it."""
-        update = self.compute_update(user_id, video_id, rating, eta)
+        """Compute and immediately apply one SGD step; return it.
+
+        One read and one write of each arena: a new entity's initial
+        vector is derived, not stored, and its row is interned by the
+        step's own write — the same row order as writing it first.
+        """
+        update = self.compute_update(
+            user_id, video_id, rating, eta, persist_init=False
+        )
         self.apply_update(update)
         return update
 

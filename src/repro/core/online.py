@@ -107,12 +107,17 @@ class OnlineTrainer:
             action, self.weigher, self.variant.rating_mode, video
         )
 
-    def process(self, action: UserAction) -> MFUpdate | None:
+    def process(
+        self, action: UserAction, feedback: Feedback | None = None
+    ) -> MFUpdate | None:
         """Handle one action; return the applied update, or ``None``.
 
         ``None`` means the action carried no positive evidence (an
         impression) or was invalid (PLAYTIME without a known duration).
         Either way ``mu`` bookkeeping still happens for valid actions.
+        ``feedback`` is :meth:`feedback_for` of ``action`` when the caller
+        already computed it (the recommender weighs the engagement's hot
+        lists with it too); ``None`` computes it here.
 
         With a write-ahead log attached the action is logged *before* any
         state changes, so crash recovery can replay it
@@ -120,17 +125,20 @@ class OnlineTrainer:
         """
         if self._tracer is not None and self._tracer.current_span() is not None:
             with self._tracer.span("trainer.process"):
-                return self._process(action)
-        return self._process(action)
+                return self._process(action, feedback)
+        return self._process(action, feedback)
 
-    def _process(self, action: UserAction) -> MFUpdate | None:
+    def _process(
+        self, action: UserAction, feedback: Feedback | None
+    ) -> MFUpdate | None:
         if self.wal is not None:
             self.wal.append(action)
-        try:
-            feedback = self.feedback_for(action)
-        except DataError:
-            self._actions["skipped_invalid"].inc()
-            return None
+        if feedback is None:
+            try:
+                feedback = self.feedback_for(action)
+            except DataError:
+                self._actions["skipped_invalid"].inc()
+                return None
         self.model.observe_rating(feedback.rating)
         if not feedback.is_positive:
             self._actions["skipped_zero"].inc()

@@ -33,14 +33,13 @@ import numpy as np
 from ..clock import Clock, SystemClock
 from ..config import ReproConfig
 from ..data.schema import User, UserAction, Video
-from ..data.stream import ENGAGEMENT_ACTIONS
 from ..kvstore import InMemoryKVStore, KVStore
 from ..obs.kv import InstrumentedKVStore
 from ..obs.registry import Histogram
 
 if TYPE_CHECKING:
     from ..obs import Observability
-from .actions import ActionWeigher, LogPlaytimeWeigher
+from .actions import ActionWeigher, LogPlaytimeWeigher, is_engagement
 from .annindex import AnnIndex
 from .candidates import CandidateSelector
 from .demographic import (
@@ -51,7 +50,7 @@ from .demographic import (
 from .history import UserHistoryStore
 from .mf import MFModel
 from .online import ActionLog, OnlineTrainer
-from .simtable import SimilarVideoTable, generate_pairs
+from .simtable import MAX_PAIRS, SimilarVideoTable, pair_partners
 from .variants import COMBINE_MODEL, ModelVariant
 
 
@@ -152,23 +151,35 @@ class RealtimeRecommender:
         acted-on video and the user's prior history are refreshed, and only
         then is the video pushed onto the history (so it does not pair with
         itself).
+
+        Calls must not overlap: the pair step reads factor rows that an
+        SGD step writes in place (DESIGN "``observe`` runs on one thread
+        at a time").  :meth:`recommend` may run on other threads beside it.
         """
-        update = self.trainer.process(action)
+        trainer = self.trainer
+        # The action's weight is computed once: it is the trainer's
+        # confidence and the engagement's hot-list weight (1.0 for an
+        # action the trainer cannot weigh).
+        feedback = (
+            trainer.feedback_for(action)
+            if trainer.is_playtime_capable(action)
+            else None
+        )
+        update = trainer.process(action, feedback)
         if update is not None and self.index is not None:
             self.index.upsert(action.video_id, update.y_i, update.b_i)
-        if action.action in ENGAGEMENT_ACTIONS:
-            recent = self.history.recent(action.user_id)
-            partners = [
-                other for _, other in generate_pairs(action.video_id, recent)
-            ]
+        if is_engagement(action):
+            # Histories are deduplicated: the newest MAX_PAIRS + 1 videos
+            # hold every partner.
+            recent = self.history.recent(action.user_id, MAX_PAIRS + 1)
             self.table.offer_pair(
-                action.video_id, partners, now=action.timestamp
+                action.video_id,
+                pair_partners(action.video_id, recent),
+                now=action.timestamp,
             )
             self.history.record(action)
             if self.demographic is not None:
-                weight = self.weigher.weight(
-                    action, self.videos.get(action.video_id)
-                ) if self.trainer.is_playtime_capable(action) else 1.0
+                weight = 1.0 if feedback is None else feedback.confidence
                 self.demographic.record(action, weight=weight)
 
     def rebuild_index(self) -> dict | None:

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 
 from ..data.schema import UserAction
+from .feedback import Feedback
 from .online import OnlineTrainer
 
 
@@ -93,10 +94,17 @@ class ReservoirTrainer:
     def model(self):
         return self.trainer.model
 
-    def process(self, action: UserAction):
+    def feedback_for(self, action: UserAction) -> Feedback:
+        return self.trainer.feedback_for(action)
+
+    def is_playtime_capable(self, action: UserAction) -> bool:
+        return self.trainer.is_playtime_capable(action)
+
+    def process(self, action: UserAction, feedback: Feedback | None = None):
         """Process one action plus its replay budget; return the primary
-        update (or ``None`` as in :meth:`OnlineTrainer.process`)."""
-        update = self.trainer.process(action)
+        update (or ``None`` as in :meth:`OnlineTrainer.process`, which
+        takes ``feedback`` the same way)."""
+        update = self.trainer.process(action, feedback)
         if update is None:
             return None
         self.reservoir.offer(action)

@@ -44,6 +44,13 @@ def fuse(s1: float, s2: float, beta: float) -> float:
     """The convex combination ``(1-beta)*s1 + beta*s2`` inside Eq. 12."""
     if not 0 <= beta <= 1:
         raise ValueError(f"fusion weight beta must be in [0, 1], got {beta}")
+    return fused(s1, s2, beta)
+
+
+def fused(s1: float, s2: float, beta: float) -> float:
+    """:func:`fuse` for a ``beta`` already checked (a
+    :class:`~repro.config.SimilarityConfig` checks its own): the one
+    definition of Eq. 12's fusion, called once per scored pair."""
     return (1.0 - beta) * s1 + beta * s2
 
 

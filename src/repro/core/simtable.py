@@ -32,32 +32,27 @@ from ..config import SimilarityConfig
 from ..data.schema import Video
 from ..kvstore import InMemoryKVStore, KVStore
 from .mf import MFModel
-from .similarity import SimilarityScorer
+from .similarity import SimilarityScorer, fused, type_similarity
 
 
 #: Most history partners one engagement is paired with (§5.1) — the one
-#: bound on pair work per action, shared by :func:`generate_pairs` and the
+#: bound on pair work per action, shared by :func:`pair_partners` and the
 #: topology's ``GetItemPairs`` bolt.
 MAX_PAIRS = 20
 
 
-def generate_pairs(
+def pair_partners(
     new_video: str, recent_videos: list[str], limit: int = MAX_PAIRS
-) -> list[tuple[str, str]]:
-    """Video pairs triggered by an engagement with ``new_video``.
+) -> list[str]:
+    """The videos an engagement with ``new_video`` is paired with.
 
-    Pairs the new video with up to ``limit`` of the user's most recent
-    *other* videos — the co-occurrence signal the similar-video tables are
-    built from.
+    Up to ``limit`` of the user's most recent *other* videos, newest
+    first — the co-occurrence signal the similar-video tables are built
+    from.
     """
-    pairs = []
-    for other in recent_videos:
-        if other == new_video:
-            continue
-        pairs.append((new_video, other))
-        if len(pairs) >= limit:
-            break
-    return pairs
+    partners = [other for other in recent_videos if other != new_video]
+    del partners[limit:]
+    return partners
 
 
 def _eviction_key(raw: float, timestamp: float, xi: float) -> tuple[float, float]:
@@ -91,8 +86,10 @@ PREFIX = "simtable"
 #: The key, under :data:`PREFIX`, of the one entry holding every list.
 LISTS_KEY = "lists"
 
-#: One directed list update: ``(video, other, raw relevance, timestamp)``.
-Entry = tuple[str, str, float, float]
+#: One directed list update: ``(video, other, raw relevance, timestamp,
+#: eviction key)``; the key is :func:`_eviction_key` of the raw relevance
+#: and timestamp, computed once per scored pair for both directions.
+Entry = tuple[str, str, float, float, tuple[float, float]]
 
 
 class SimilarLists:
@@ -101,9 +98,12 @@ class SimilarLists:
     A row is a dict ``other -> (raw, updated_at, eviction key)`` with its
     own min-heap of ``(eviction key, other)``: eviction pops the weakest
     entry in O(log K) instead of scanning all K.  Keys are time-invariant
-    (see :func:`_eviction_key`), so a row's heap survives across updates;
-    pushes superseded by a later write to the same ``other`` are skipped
-    lazily at pop time (their key object is no longer the entry's).
+    (see :func:`_eviction_key`), so a row's heap survives across updates.
+    Every entry has a heap item whose key is at most the entry's, so the
+    first popped item that equals its entry's key is the weakest entry: a
+    rewrite that raises an entry's key (the usual case, as time moves on)
+    pushes nothing, and an eviction that pops such an outdated item
+    pushes the entry's current key back and pops again.
 
     Thread safety: every method takes the value's own lock, so a reader
     copies a row while no writer is mid-update.  Pickling (checkpoints)
@@ -121,11 +121,12 @@ class SimilarLists:
     def insert(
         self, entries: Iterable[Entry], table_size: int, xi: float
     ) -> None:
-        """Apply each ``(video, other, raw, timestamp)`` in order, evicting
-        the weakest entry of ``video``'s row whenever it overflows."""
+        """Apply each ``(video, other, raw, timestamp, key)`` in order,
+        evicting the weakest entry of ``video``'s row whenever it
+        overflows.  ``xi`` keys a restored row's stored entries."""
         rows, weakest = self._rows, self._weakest
         with self._lock:
-            for video, other, raw, timestamp in entries:
+            for video, other, raw, timestamp, key in entries:
                 row = rows.get(video)
                 if row is None:
                     row = rows[video] = {}
@@ -137,17 +138,25 @@ class SimilarLists:
                         for o, (r, t, _) in row.items():
                             row[o] = (r, t, _eviction_key(r, t, xi))
                         heap = self._reheap(video)
-                key = _eviction_key(raw, timestamp, xi)
+                old = row.get(other)
                 row[other] = (raw, timestamp, key)
-                if len(row) <= table_size:
+                if old is not None:
+                    # A rewrite: the row keeps its size, and an entry's
+                    # heap item only has to bound its key from below.
+                    if key < old[2]:
+                        heapq.heappush(heap, (key, other))
+                elif len(row) <= table_size:
                     heapq.heappush(heap, (key, other))
                 else:
-                    # Push the newcomer and pop the weakest in one step,
-                    # skipping pushes a later write to their id superseded.
+                    # Push the newcomer and pop the weakest in one step.
+                    # A popped item of an evicted id is skipped; one below
+                    # its entry's key goes back in at that key.
                     weakest_key, evicted = heapq.heappushpop(heap, (key, other))
                     while (entry := row.get(evicted)) is None or (
-                        entry[2] is not weakest_key
+                        entry[2] != weakest_key
                     ):
+                        if entry is not None:
+                            heapq.heappush(heap, (entry[2], evicted))
                         weakest_key, evicted = heapq.heappop(heap)
                     del row[evicted]
                 if len(heap) > 4 * table_size:
@@ -243,35 +252,46 @@ class SimilarVideoTable:
         """Score ``video_id`` against each partner and refresh the lists.
 
         The served pair step of one engagement: all vectors come from one
-        arena read, each partner is scored with the scalar Eq. 12 fusion,
-        and one store update puts every scored partner into ``video_id``'s
-        list (in partner order) and ``video_id`` into each scored partner's
-        list.  The stored lists equal those of scoring the pairs one by
-        one (:meth:`score_pair`, then :meth:`insert_scored` both ways, in
-        partner order).
+        arena read, as read-only row views (``observe`` runs on one thread,
+        so no arena write happens while the step reads them and nothing is
+        copied), each partner is scored as
+        :meth:`SimilarityScorer.raw_relevance` scores it (through
+        :func:`~repro.core.similarity.fused`, with Eq. 9's ``np.dot``
+        taken as ``ndarray.dot``: the same product, without the
+        function's dispatch), and one store update puts
+        every scored partner into ``video_id``'s list (in partner order)
+        and ``video_id`` into each scored partner's list, both directions
+        sharing the pair's one eviction key.  The stored lists equal those
+        of scoring the pairs one by one (:meth:`score_pair`, then
+        :meth:`insert_scored` both ways, in partner order).
 
         Returns one raw fused relevance per partner, ``None`` where the
         pair cannot be scored (unknown video, missing vector, or a
         self-pair).
         """
         scores: list[float | None] = [None] * len(partners)
-        meta_i = self.videos.get(video_id)
+        videos = self.videos
+        meta_i = videos.get(video_id)
         if meta_i is None or not partners:
             return scores
-        y_i, *vectors = self.model.video_vectors_many([video_id, *partners])
+        y_i, *vectors = self.model.video_row_views([video_id, *partners])
         if y_i is None:
             return scores
         timestamp = self.clock.now() if now is None else now
+        beta, xi = self.config.beta, self.config.xi
         forward: list[Entry] = []
         backward: list[Entry] = []
         for n, (other, y_j) in enumerate(zip(partners, vectors)):
-            meta_j = self.videos.get(other)
+            meta_j = videos.get(other)
             if other == video_id or meta_j is None or y_j is None:
                 continue
-            raw = self.scorer.raw_relevance(meta_i, y_i, meta_j, y_j)
+            raw = fused(
+                float(y_i.dot(y_j)), type_similarity(meta_i, meta_j), beta
+            )
             scores[n] = raw
-            forward.append((video_id, other, raw, timestamp))
-            backward.append((other, video_id, raw, timestamp))
+            key = _eviction_key(raw, timestamp, xi)
+            forward.append((video_id, other, raw, timestamp, key))
+            backward.append((other, video_id, raw, timestamp, key))
         if forward:
             self._insert(forward + backward)
         return scores
@@ -299,7 +319,8 @@ class SimilarVideoTable:
         self, video_id: str, other_id: str, raw: float, timestamp: float
     ) -> None:
         """Store one pre-scored directed entry (the ``ResultStorage`` step)."""
-        self._insert([(video_id, other_id, raw, timestamp)])
+        key = _eviction_key(raw, timestamp, self.config.xi)
+        self._insert([(video_id, other_id, raw, timestamp, key)])
 
     def _insert(self, entries: list[Entry]) -> None:
         """Apply directed entries, in order, in one atomic store update.

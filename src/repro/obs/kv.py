@@ -9,9 +9,10 @@ the calling thread already has an active span, so bulk offline work does
 not flood the tracer — records a ``kv.<op>`` child span.  That makes the
 router→recommender→KV call chain one causally-linked trace.
 
-The trainer makes about 7 KV ops per action, so an untraced op costs one
-counter increment (its child cached per op name) and an ambient-span
-check; nothing times it — a span's duration is the op's latency.
+``RealtimeRecommender.observe`` makes about 6.4 KV ops per action, so an
+untraced op costs one counter increment (its child cached per op name)
+and an ambient-span check; nothing times it — a span's duration is the
+op's latency.
 
 The counted ops are the model's two, ``get`` and ``update``; the
 checkpoint pair passes through uncounted.  Registry and

@@ -325,6 +325,9 @@ class ServingGateway:
         self.on_stop = ExitStack()
         self._server: asyncio.AbstractServer | None = None
         self._streams: set[asyncio.StreamWriter] = set()
+        #: Every connection handler still running, until it has closed
+        #: its connection: :meth:`stop` waits for them.
+        self._handlers: set[asyncio.Task] = set()
         self._open_connections = 0
         self._ingested = 0
         self._http_counter = Children(
@@ -358,8 +361,12 @@ class ServingGateway:
         )
 
     async def stop(self) -> None:
-        """Close the socket and every open connection, shut the model lane
-        down, then close what :attr:`on_stop` holds."""
+        """Close the socket and every open connection, wait (at most
+        ``_LINGER_SECONDS``) for their handlers to finish, shut the model
+        lane down, then close what :attr:`on_stop` holds.
+
+        A handler still running when the event loop ends would be
+        cancelled, and Python 3.11 logs that cancellation as an error."""
         if self._server is not None:
             self._server.close()
             streams = list(self._streams)
@@ -372,6 +379,8 @@ class ServingGateway:
                     await stream.wait_closed()
                 except (ConnectionError, OSError):
                     pass
+            if self._handlers:
+                await asyncio.wait(self._handlers, timeout=_LINGER_SECONDS)
         await asyncio.to_thread(self._model.shutdown, cancel_futures=True)
         self.on_stop.close()
 
@@ -402,6 +411,8 @@ class ServingGateway:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         over_limit = self._track_connection(+1) > self.config.max_connections
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         self._streams.add(writer)
         try:
             if over_limit:
@@ -419,9 +430,13 @@ class ServingGateway:
             else:
                 await self._serve_connection(reader, writer)
         finally:
-            self._streams.discard(writer)
             self._track_connection(-1)
-            await _close(reader, writer)
+            try:
+                await _close(reader, writer)
+            finally:
+                # Tracked until closed, so stop() ends a lingering close.
+                self._streams.discard(writer)
+                self._handlers.discard(handler)
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -24,7 +24,7 @@ from __future__ import annotations
 from ..core.history import UserHistoryStore
 from ..core.mf import MFModel
 from ..core.online import OnlineTrainer
-from ..core.simtable import MAX_PAIRS, SimilarVideoTable, generate_pairs
+from ..core.simtable import MAX_PAIRS, SimilarVideoTable, pair_partners
 from ..data.schema import UserAction
 from ..data.stream import ENGAGEMENT_ACTIONS
 from ..errors import DataError
@@ -131,9 +131,8 @@ class GetItemPairsBolt(Bolt):
         if action.action not in ENGAGEMENT_ACTIONS:
             return
         recent = self.history.recent(action.user_id)
-        for video_i, video_j in generate_pairs(
-            action.video_id, recent, limit=self.max_pairs
-        ):
+        video_i = action.video_id
+        for video_j in pair_partners(video_i, recent, limit=self.max_pairs):
             key = f"{min(video_i, video_j)}#{max(video_i, video_j)}"
             collector.emit(
                 {

@@ -6,7 +6,9 @@ import pytest
 
 from repro.config import ActionWeightConfig
 from repro.core import LinearPlaytimeWeigher, LogPlaytimeWeigher, view_rate
+from repro.core.actions import is_engagement
 from repro.data import ActionType, UserAction, Video
+from repro.data.stream import ENGAGEMENT_ACTIONS
 from repro.errors import DataError
 
 VIDEO = Video("v1", "type_0", duration=1000.0)
@@ -116,3 +118,9 @@ class TestLinearPlaytimeWeigher:
         log_w, lin_w = LogPlaytimeWeigher(), LinearPlaytimeWeigher()
         for kind in (ActionType.CLICK, ActionType.PLAY, ActionType.LIKE):
             assert log_w.weight(_action(kind)) == lin_w.weight(_action(kind))
+
+
+@pytest.mark.parametrize("kind", list(ActionType))
+def test_is_engagement_is_membership_of_engagement_actions(kind):
+    action = UserAction(0.0, "u", "v1", kind, view_time=1.0)
+    assert is_engagement(action) == (kind in ENGAGEMENT_ACTIONS)

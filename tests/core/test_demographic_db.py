@@ -9,6 +9,7 @@ from repro.core import (
     merge_recommendations,
 )
 from repro.data import GLOBAL_GROUP, ActionType, User, UserAction
+from repro.kvstore import InMemoryKVStore
 
 
 class TestHotVideoTracker:
@@ -51,6 +52,23 @@ class TestHotVideoTracker:
         videos = [v for v, _ in tracker.hot("g", 5, now=0.0)]
         assert "cold" not in videos
         assert len(videos) == 2
+
+    def test_record_leaves_a_table_already_read_unchanged(self):
+        """``hot()`` walks a table outside the store's lock while another
+        thread may record, so a record builds a new table (bump, insert
+        and eviction alike) instead of changing the one a reader holds."""
+        store = InMemoryKVStore()
+        tracker = HotVideoTracker(
+            max_tracked=2, clock=VirtualClock(0.0), store=store
+        )
+        tracker.record("g", "a", weight=1.0, now=0.0)
+        tracker.record("g", "b", weight=2.0, now=0.0)
+        read = store.get(("hot", "g"))
+        before = dict(read)
+        tracker.record("g", "a", weight=1.0, now=1.0)
+        tracker.record("g", "c", weight=5.0, now=2.0)
+        assert read == before
+        assert store.get(("hot", "g")) is not read
 
     def test_empty_group(self):
         tracker = HotVideoTracker(clock=VirtualClock(0.0))

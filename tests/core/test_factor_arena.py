@@ -97,6 +97,30 @@ class TestBatchReads:
         assert out[0] is None
         np.testing.assert_array_equal(out[1], [1.0, 1.0])
 
+    def test_row_is_a_copy_with_its_bias(self):
+        arena = FactorArena(2)
+        arena.put("a", np.array([1.0, 2.0]), 0.5)
+        vector, bias = arena.row("a")
+        vector[0] = 9.0
+        np.testing.assert_array_equal(arena.vector("a"), [1.0, 2.0])
+        assert bias == 0.5 and type(bias) is float
+        assert arena.row("missing") is None
+
+    def test_row_views_are_read_only_rows(self):
+        arena = FactorArena(2, initial_capacity=1)
+        arena.put("a", np.array([1.0, 2.0]), 0.0)
+        missing, view = arena.row_views(["missing", "a"])
+        assert missing is None
+        np.testing.assert_array_equal(view, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            view[0] = 9.0
+        arena.put("a", np.array([3.0, 4.0]), 0.0)
+        np.testing.assert_array_equal(view, [3.0, 4.0])  # a view, not a copy
+        arena.put("b", np.array([5.0, 6.0]), 0.0)  # grows: a new buffer
+        [grown] = arena.row_views(["a"])
+        assert not grown.flags.writeable
+        np.testing.assert_array_equal(grown, [3.0, 4.0])
+
 
 class TestSetdefaultDelete:
     def test_setdefault_installs_once(self):

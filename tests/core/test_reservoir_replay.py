@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import OnlineConfig
-from repro.core import MFModel, OnlineTrainer
+from repro.core import MFModel, OnlineTrainer, RealtimeRecommender
 from repro.core.reservoir import Reservoir, ReservoirTrainer
 from repro.core.variants import COMBINE_MODEL
 from repro.data import ActionType, UserAction, Video
@@ -117,3 +117,22 @@ class TestReservoirTrainer:
     def test_validation(self):
         with pytest.raises(ValueError):
             ReservoirTrainer(_trainer(), replays=-1)
+
+    def test_a_recommender_observes_through_it(
+        self, small_world, small_actions
+    ):
+        """``RealtimeRecommender.observe`` hands the trainer the action's
+        feedback; with no replays the wrapped recommender learns exactly
+        what the plain one does, hot lists included."""
+        plain, wrapped = (
+            RealtimeRecommender(small_world.videos, users=small_world.users)
+            for _ in range(2)
+        )
+        wrapped.trainer = ReservoirTrainer(wrapped.trainer, replays=0)
+        plain.observe_stream(small_actions[:1500])
+        wrapped.observe_stream(small_actions[:1500])
+        now = small_actions[1499].timestamp
+        for user in sorted(small_world.users)[:10]:
+            assert wrapped.recommend(user, now=now) == plain.recommend(
+                user, now=now
+            )

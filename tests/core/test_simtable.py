@@ -9,7 +9,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.config import SimilarityConfig
-from repro.core import MFModel, SimilarVideoTable, generate_pairs
+from repro.core import MFModel, SimilarVideoTable, pair_partners
 from repro.core.simtable import LISTS_KEY, MAX_PAIRS
 from repro.config import MFConfig
 from repro.data import Video
@@ -40,26 +40,23 @@ def setup():
     return videos, model, clock, table
 
 
-class TestGeneratePairs:
+class TestPairPartners:
     def test_pairs_new_video_with_history(self):
-        pairs = generate_pairs("new", ["h1", "h2", "h3"])
-        assert pairs == [("new", "h1"), ("new", "h2"), ("new", "h3")]
+        assert pair_partners("new", ["h1", "h2", "h3"]) == ["h1", "h2", "h3"]
 
     def test_excludes_self_pair(self):
-        pairs = generate_pairs("h2", ["h1", "h2", "h3"])
-        assert ("h2", "h2") not in pairs
-        assert len(pairs) == 2
+        assert pair_partners("h2", ["h1", "h2", "h3"]) == ["h1", "h3"]
 
     def test_respects_limit(self):
-        pairs = generate_pairs("new", [f"h{i}" for i in range(50)], limit=5)
-        assert len(pairs) == 5
+        partners = pair_partners("new", [f"h{i}" for i in range(50)], limit=5)
+        assert partners == [f"h{i}" for i in range(5)]
 
     def test_default_limit_is_max_pairs(self):
-        pairs = generate_pairs("new", [f"h{i}" for i in range(50)])
-        assert len(pairs) == MAX_PAIRS
+        partners = pair_partners("new", [f"h{i}" for i in range(50)])
+        assert len(partners) == MAX_PAIRS
 
     def test_empty_history(self):
-        assert generate_pairs("new", []) == []
+        assert pair_partners("new", []) == []
 
 
 class TestOfferPair:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.clock import SECONDS_PER_DAY, VirtualClock
 from repro.config import MFConfig, SimilarityConfig
-from repro.core import MFModel, SimilarVideoTable, generate_pairs
+from repro.core import MFModel, SimilarVideoTable, pair_partners
 from repro.core.simtable import _eviction_key
 from repro.data import SyntheticWorld, WorldConfig
 from repro.data.stream import ENGAGEMENT_ACTIONS
@@ -47,7 +47,7 @@ def _replay_pairs(world, actions, table):
             continue
         history = recent.setdefault(action.user_id, [])
         video = action.video_id
-        partners = [b for _, b in generate_pairs(video, history, limit=5)]
+        partners = pair_partners(video, history, limit=5)
         table.offer_pair(video, partners, now=action.timestamp)
         for b in partners:
             timeline.setdefault(video, []).append((action.timestamp, b))

@@ -1,7 +1,7 @@
 """Work-count guards on the observed trainer's instrumentation.
 
-The trainer makes about 7 KV ops per action, and every one of them runs
-through :class:`~repro.obs.InstrumentedKVStore`.  These tests bound that
+The recommender makes about 6.4 KV ops per action, and every one of them
+runs through :class:`~repro.obs.InstrumentedKVStore`.  These tests bound that
 per-event cost by counting operations, not by timing them, so they hold on
 any host: a seeded 2,000-action stream (plus 20 reads, for the batch
 counters) resolves each labelled child once, times nothing, and still
@@ -31,10 +31,13 @@ N_READS = 20
 #: engagement an update of the user's group's list and of the global one,
 #: per read a get of the group's list), and again when every similar-video
 #: list became one store entry (per engagement one list update instead of
-#: one per scored partner plus one, per read one get instead of an mget).
+#: one per scored partner plus one, per read one get instead of an mget),
+#: and again when the SGD step stopped writing a new entity's initial
+#: vector before its update (per SGD step one update of each arena instead
+#: of two: 9027 - 2 x 922 updates).
 RECORDED_TOTALS = {
     "kvstore_ops_total{op=get}": 4605.0,
-    "kvstore_ops_total{op=update}": 9027.0,
+    "kvstore_ops_total{op=update}": 7183.0,
     "trainer_actions_total{result=skipped_zero}": 1078.0,
     "trainer_actions_total{result=updated}": 922.0,
 }

@@ -15,6 +15,7 @@ from repro.core import (
     UserHistoryStore,
     merge_recommendations,
 )
+from repro.core.simtable import SimilarLists, _eviction_key
 from repro.data import Video
 from tests.support.world import raw_entries
 
@@ -279,3 +280,56 @@ class TestFactorArenaProperties:
                 assert biases[row] == reference[eid][1]
             else:
                 assert np.array_equal(matrix[row], np.zeros(ARENA_F))
+
+
+list_writes = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("write"),
+            st.sampled_from(["v0", "v1"]),
+            st.sampled_from([f"o{i}" for i in range(8)]),
+            st.sampled_from([0.0, -0.4, 0.3, 0.3, 0.9, 1.7]),
+            st.integers(min_value=-3, max_value=40).map(float),
+        ),
+        st.tuples(st.just("restore")),
+    ),
+    max_size=80,
+)
+
+
+class TestSimilarListsEviction:
+    """``SimilarLists.insert`` against the obvious reference: each row a
+    dict, and an overflowing row drops its entry with the smallest
+    ``(_eviction_key, other)``.  Writes repeat ids, raise and lower keys,
+    tie, and go back in time; a checkpoint round trip may come between
+    any two."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=list_writes, table_size=st.integers(min_value=1, max_value=4))
+    def test_matches_scan_reference(self, ops, table_size):
+        xi = 10.0
+        lists = SimilarLists()
+        reference: dict[str, dict[str, tuple[float, float]]] = {}
+        for op in ops:
+            if op[0] == "restore":
+                restored = SimilarLists()
+                restored.__setstate__(lists.__getstate__())
+                lists = restored
+                continue
+            _, video, other, raw, t = op
+            lists.insert(
+                [(video, other, raw, t, _eviction_key(raw, t, xi))],
+                table_size,
+                xi,
+            )
+            row = reference.setdefault(video, {})
+            row[other] = (raw, t)
+            if len(row) > table_size:
+                del row[
+                    min(row, key=lambda o: (_eviction_key(*row[o], xi), o))
+                ]
+        state = lists.__getstate__()
+        assert state == reference
+        assert [list(row) for row in state.values()] == [
+            list(row) for row in reference.values()
+        ]
