@@ -3,12 +3,12 @@
 Run:  python examples/restart_recovery.py
 
 What it shows: a serving process ingests a live action stream with its
-whole model — demographic hot lists included — in the in-memory KV
-store, a write-ahead log in front of it and a full checkpoint of the
-store every 100 actions.  The WAL append is what
+whole model — demographic hot lists included — in its in-memory
+state, a write-ahead log in front of it and a full checkpoint of the
+state every 100 actions.  The WAL append is what
 acks an action.  This script SIGKILLs that process mid-ingest — no
 shutdown hook, so every model write since the last checkpoint dies with
-it — then restarts: the newest checkpoint is restored into a fresh store,
+it — then restarts: the newest checkpoint is restored into a fresh state,
 the WAL suffix replays through a fresh recommender, and the revived
 process serves exactly the same top-N as an uninterrupted run over the
 same acked prefix.
@@ -21,10 +21,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.core import ModelState
 from repro.core.recommender import RealtimeRecommender
 from repro.data import SyntheticWorld
 from repro.data.synthetic import WorldConfig
-from repro.kvstore import InMemoryKVStore
 from repro.reliability import ActionWAL, CheckpointManager, RecoveryManager
 
 WORLD = dict(n_users=60, n_videos=80, n_types=5, days=3, seed=11)
@@ -33,24 +33,24 @@ CHECKPOINT_EVERY = 100
 
 
 def build_state(root: Path):
-    store = InMemoryKVStore()
+    state = ModelState()
     wal = ActionWAL(root / "wal", fsync=True)
     recovery = RecoveryManager(CheckpointManager(root / "ckpt"), wal)
-    return store, wal, recovery
+    return state, wal, recovery
 
 
 def ingest(root: Path) -> None:
     """Child mode: stream actions durably, ack each one, never exit cleanly."""
     world = SyntheticWorld(WorldConfig(**WORLD))
-    store, wal, recovery = build_state(root)
+    state, wal, recovery = build_state(root)
     recommender = RealtimeRecommender(
-        world.videos, users=world.users, store=store, wal=wal
+        world.videos, users=world.users, state=state, wal=wal
     )
     for count, action in enumerate(world.generate_actions(), start=1):
         recommender.observe(action)
         print(f"ACK {count}", flush=True)
         if count % CHECKPOINT_EVERY == 0:
-            recovery.checkpoint(store)
+            recovery.checkpoint(state)
 
 
 def main() -> None:
@@ -79,11 +79,11 @@ def main() -> None:
 
     # ---- Restart: recover from the surviving files ---------------------
     world = SyntheticWorld(WorldConfig(**WORLD))
-    store, wal, recovery = build_state(root)
+    state, wal, recovery = build_state(root)
     recovered = RealtimeRecommender(
-        world.videos, users=world.users, store=store, wal=wal
+        world.videos, users=world.users, state=state, wal=wal
     )
-    report = recovery.recover(store, recovered.observe)
+    report = recovery.recover(state, recovered.observe)
     print(
         f"recovered: checkpoint seq={report.checkpoint.wal_seq if report.checkpoint else '-'}, "
         f"replayed {report.replayed} WAL records, last seq {report.last_seq}"
@@ -93,7 +93,7 @@ def main() -> None:
     # ---- Referee: a clean process that saw the same prefix -------------
     actions = world.generate_actions()[: report.last_seq]
     clean = RealtimeRecommender(
-        world.videos, users=world.users, store=InMemoryKVStore()
+        world.videos, users=world.users, state=ModelState()
     )
     clean.observe_stream(actions)
 

@@ -7,9 +7,9 @@ What it shows:
      the production spout parses),
   2. assembling the Figure 2 topology — spout, UserHistory, ComputeMF ->
      MFStorage (fields-grouped single-writer vector updates), GetItemPairs
-     -> ItemPairSim -> ResultStorage — over one in-memory KV store,
+     -> ItemPairSim -> ResultStorage — over one in-memory model state,
   3. executing it on the threaded executor with real per-worker queues,
-  4. serving recommendations straight from the KV-store state the
+  4. serving recommendations straight from the model state the
      topology built,
   5. replaying the same log under the deterministic executor, where the
      topology is the executable specification of Algorithm 1: it learns
@@ -57,7 +57,7 @@ def main() -> None:
 
     clock.set(max(a.timestamp for a in actions) + 1)
     recommender = system.serving_recommender()
-    print("\nserving from the topology's KV-store state:")
+    print("\nserving from the topology's model state:")
     shown = 0
     for user in world.users:
         recs = recommender.recommend_ids(user, n=5)

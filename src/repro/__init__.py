@@ -8,7 +8,6 @@ described in the paper, plus every substrate it depends on:
   similar-video tables, real-time top-N generation, demographic
   optimizations (the paper's contribution);
 * :mod:`repro.storm` — a Storm-like stream-processing engine;
-* :mod:`repro.kvstore` — the distributed-style key-value storage;
 * :mod:`repro.topology` — the paper's Figure 2 topology on that engine;
 * :mod:`repro.data` — the action schema and synthetic Tencent-like
   workloads;

@@ -4,9 +4,9 @@
 Popularity decays exponentially so the list tracks what is hot *now*; the
 user's own watched videos are excluded from their list.
 
-Over a recommender's ``store=`` the counts (``hot`` key ``"__all__"``)
-join its checkpoints and the watched sets are its own ``history``, which
-the recommender records: the fallback then only counts.
+Over a recommender's ``state=`` the counts (hot table ``"__all__"``) join
+its checkpoints and the watched sets are its own histories, which the
+recommender records: the fallback then only counts.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from ..clock import SECONDS_PER_DAY, Clock, SystemClock
 from ..core.actions import is_engagement
 from ..core.demographic import HotVideoTracker
 from ..core.history import UserHistoryStore
+from ..core.state import ModelState
 from ..data.schema import UserAction
-from ..kvstore import InMemoryKVStore, KVStore
 
 _GLOBAL = "__all__"
 #: Videos the decayed popularity tracker keeps scores for.
@@ -31,15 +31,15 @@ class HotRecommender:
         half_life: float = SECONDS_PER_DAY,
         clock: Clock | None = None,
         exclude_watched: bool = True,
-        store: KVStore | None = None,
+        state: ModelState | None = None,
     ) -> None:
         self.clock = clock or SystemClock()
-        backing = store if store is not None else InMemoryKVStore()
+        self._owns_history = state is None
+        state = state if state is not None else ModelState()
         self.tracker = HotVideoTracker(
-            half_life, MAX_TRACKED, clock=self.clock, store=backing
+            half_life, MAX_TRACKED, clock=self.clock, state=state
         )
-        self.history = UserHistoryStore(store=backing)
-        self._owns_history = store is None
+        self.history = UserHistoryStore(state)
         self.exclude_watched = exclude_watched
 
     def observe(self, action: UserAction) -> None:

@@ -74,8 +74,8 @@ class MFConfig:
     ``init_scale`` the standard deviation used to initialise new user/video
     vectors in Algorithm 1.
 
-    The factors live in one layout — contiguous per-kind arenas stored as
-    two KV entries (DESIGN.md "Parameter layout") — so there is nothing to
+    The factors live in one layout — contiguous per-kind arenas, two values
+    of the model state (DESIGN.md "Parameter layout") — so there is nothing to
     select here.
     """
 

@@ -4,6 +4,8 @@ Module map (paper section in parentheses):
 
 * :mod:`~repro.core.actions` — action weighting (§3.2, Table 1, Eq. 6)
 * :mod:`~repro.core.feedback` — binary rating + confidence (§3.2, Eq. 7)
+* :mod:`~repro.core.state` — the model's state, in place of the KV
+  storage (§5.1)
 * :mod:`~repro.core.mf` — biased matrix factorization (§3.1, Eqs. 2-5)
 * :mod:`~repro.core.online` — Algorithm 1, adjustable updates (§3.3, Eq. 8)
 * :mod:`~repro.core.variants` — Binary/Conf/Combine models (§6.1.2)
@@ -40,6 +42,7 @@ from .similarity import (
     type_similarity,
 )
 from .simtable import SimilarVideoTable, pair_partners
+from .state import ModelState
 from .variants import (
     ALL_VARIANTS,
     BINARY_MODEL,
@@ -60,6 +63,7 @@ __all__ = [
     "FactorArena",
     "MFModel",
     "MFUpdate",
+    "ModelState",
     "OnlineTrainer",
     "ModelVariant",
     "BINARY_MODEL",

@@ -61,19 +61,22 @@ class _BaseWeigher:
 
     def __init__(self, config: ActionWeightConfig | None = None) -> None:
         self.config = config or ActionWeightConfig()
-        self._fixed: Mapping[ActionType, float] = {
-            ActionType.IMPRESS: 0.0,  # a display is no evidence (§3.3)
-            ActionType.CLICK: self.config.click,
-            ActionType.PLAY: self.config.play,
-            ActionType.COMMENT: self.config.comment,
-            ActionType.LIKE: self.config.like,
-            ActionType.SHARE: self.config.share,
+        # Keyed by the member's string value: a lookup hashes a str (its
+        # hash cached), not the member (a Python-level ``Enum.__hash__``).
+        self._fixed: Mapping[str, float] = {
+            ActionType.IMPRESS.value: 0.0,  # a display is no evidence (§3.3)
+            ActionType.CLICK.value: self.config.click,
+            ActionType.PLAY.value: self.config.play,
+            ActionType.COMMENT.value: self.config.comment,
+            ActionType.LIKE.value: self.config.like,
+            ActionType.SHARE.value: self.config.share,
         }
 
     def weight(self, action: UserAction, video: Video | None = None) -> float:
-        if action.action is ActionType.PLAYTIME:
+        kind = action.action
+        if kind is ActionType.PLAYTIME:
             return self._playtime_weight(view_rate(action, video))
-        return self._fixed[action.action]
+        return self._fixed[kind._value_]
 
     def _playtime_weight(self, vrate: float) -> float:
         raise NotImplementedError

@@ -23,7 +23,9 @@ rebuilds it from the model's sorted export, and :meth:`AnnIndex.upsert`
 folds in each trainer update.  Writers hold the lock; a query reads the
 array references and row count under it and scans outside it, so a row
 upserted mid-scan may be scored from its old or new coordinates — never
-from a row that is not a known video.
+from a row that is not a known video.  The lock separates the thread that
+runs ``observe`` (an upsert per update) from a request thread querying
+beside it.
 """
 
 from __future__ import annotations

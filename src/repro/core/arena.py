@@ -7,18 +7,18 @@ lookup *and* one small-array dispatch per candidate.  A
 ``(capacity, f)`` float64 matrix (plus a parallel bias vector), so batch
 reads become numpy gathers and scoring a candidate set is a single matmul.
 
-One arena holds one entity kind (users or videos).  It lives as a single
-value in the model's KV store (key ``("mf:meta", "arena:<kind>")``),
-which keeps the rest of the system honest: checkpoints capture it
-through the ordinary ``snapshot_entries``/``restore_entries`` path (one
-entry instead of thousands, no per-key loop), fault injection and
-instrumentation wrappers see every arena access as a normal store
-operation, and a recovered store drops in transparently.
+One arena holds one entity kind (users or videos): it is one value of
+the model's :class:`~repro.core.state.ModelState` (``users`` /
+``videos``), pickled whole with it by a checkpoint.
 
 Thread safety: all methods take the arena's own lock, and pickling goes
 through :meth:`__getstate__`, which copies the compacted arrays under that
 lock — a checkpoint taken while a writer is mid-batch sees a consistent
-row set.
+row set.  The lock separates two threads that share an arena: the two
+``MFStorage`` workers of the threaded topology executor, which intern
+rows (and grow the arrays) concurrently, and a request thread reading
+rows while ``observe`` writes them on another
+(``examples/serve_while_train.py``).
 """
 
 from __future__ import annotations

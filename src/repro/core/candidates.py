@@ -53,7 +53,7 @@ class CandidateSelector:
         excluded.update(seeds)
         best: dict[str, Candidate] = {}
         # Dedup before the cap: a video repeated in the user's history must
-        # neither waste a seed slot nor be fetched twice from the store.
+        # neither waste a seed slot nor be fetched twice from the lists.
         used = list(dict.fromkeys(seeds))[: cfg.max_seeds]
         for seed, ranked_list in zip(
             used, self.table.neighbors_many(used, now=now)

@@ -18,11 +18,8 @@ from typing import Mapping
 
 from ..clock import SECONDS_PER_DAY, Clock, SystemClock
 from ..data.schema import GLOBAL_GROUP, User, UserAction
-from ..kvstore import InMemoryKVStore, KVStore
 from .actions import is_engagement
-
-#: Key prefix of the per-group hot tables in the store.
-PREFIX = "hot"
+from .state import ModelState
 
 
 class HotVideoTracker:
@@ -31,7 +28,9 @@ class HotVideoTracker:
     Each engagement adds its weight to the video's score; scores halve
     every ``half_life`` seconds, so "hot" genuinely means *currently*
     popular.  Per-group maps are bounded at ``max_tracked`` videos by
-    evicting the coldest.
+    evicting the coldest.  The maps are ``state.hot``, ``group -> {video_id:
+    (score, last_update_ts)}``; a record replaces its group's map, so a
+    map :meth:`hot` walks on another thread never changes under it.
     """
 
     def __init__(
@@ -39,7 +38,7 @@ class HotVideoTracker:
         half_life: float = SECONDS_PER_DAY,
         max_tracked: int = 500,
         clock: Clock | None = None,
-        store: KVStore | None = None,
+        state: ModelState | None = None,
     ) -> None:
         if half_life <= 0:
             raise ValueError(f"half_life must be positive, got {half_life}")
@@ -48,8 +47,7 @@ class HotVideoTracker:
         self.half_life = half_life
         self.max_tracked = max_tracked
         self.clock = clock or SystemClock()
-        # Under (PREFIX, group): dict video_id -> (score, last_update_ts).
-        self._store = store if store is not None else InMemoryKVStore()
+        self._state = state if state is not None else ModelState()
 
     def _decayed(self, score: float, elapsed: float) -> float:
         return score * 2.0 ** (-max(0.0, elapsed) / self.half_life)
@@ -59,33 +57,28 @@ class HotVideoTracker:
     ) -> None:
         """Add ``weight`` popularity to ``video_id`` within ``group``."""
         timestamp = self.clock.now() if now is None else now
-
-        def _bump(table: dict[str, tuple[float, float]]):
-            table = dict(table)
-            score, last = table.get(video_id, (0.0, timestamp))
-            table[video_id] = (
-                self._decayed(score, timestamp - last) + weight,
-                timestamp,
+        tables = self._state.hot
+        table = dict(tables.get(group, ()))
+        score, last = table.get(video_id, (0.0, timestamp))
+        table[video_id] = (
+            self._decayed(score, timestamp - last) + weight,
+            timestamp,
+        )
+        if len(table) > self.max_tracked:
+            coldest = min(
+                table,
+                key=lambda vid: self._decayed(
+                    table[vid][0], timestamp - table[vid][1]
+                ),
             )
-            if len(table) > self.max_tracked:
-                coldest = min(
-                    table,
-                    key=lambda vid: self._decayed(
-                        table[vid][0], timestamp - table[vid][1]
-                    ),
-                )
-                del table[coldest]
-            return table
-
-        self._store.update((PREFIX, group), _bump, default={})
+            del table[coldest]
+        tables[group] = table
 
     def hot(
         self, group: str, k: int = 10, now: float | None = None
     ) -> list[tuple[str, float]]:
         """The group's ``k`` hottest videos with decay applied at read time."""
-        table: dict[str, tuple[float, float]] = self._store.get(
-            (PREFIX, group), {}
-        )
+        table = self._state.hot.get(group)
         if not table:
             return []
         current = self.clock.now() if now is None else now

@@ -11,11 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..data.schema import UserAction
-from ..kvstore import InMemoryKVStore, KVStore
 from .actions import is_engagement
-
-#: Key prefix of the per-user histories in the store.
-PREFIX = "history"
+from .state import ModelState
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,8 +20,8 @@ class HistorySnapshot:
     """One consistent read of a user's history.
 
     ``recent`` is newest-first;  ``watched`` is the same videos as a set.
-    Serving reads both per request — taking them from one store get keeps
-    them mutually consistent and halves the read traffic.
+    Serving reads both per request — taking them from one read of the
+    history keeps them mutually consistent and halves the read traffic.
     """
 
     recent: list[str]
@@ -33,14 +30,16 @@ class HistorySnapshot:
 
 
 class UserHistoryStore:
-    """Bounded, deduplicated, most-recent-first per-user video history."""
+    """Bounded, deduplicated, most-recent-first per-user video history,
+    kept in ``state.histories``.  A push replaces the user's list, so a
+    list a reader holds never changes under it."""
 
     def __init__(
-        self, store: KVStore | None = None, max_items: int = 100
+        self, state: ModelState | None = None, max_items: int = 100
     ) -> None:
         if max_items < 1:
             raise ValueError(f"max_items must be >= 1, got {max_items}")
-        self._store = store if store is not None else InMemoryKVStore()
+        self._state = state if state is not None else ModelState()
         self.max_items = max_items
 
     def record(self, action: UserAction) -> bool:
@@ -56,30 +55,29 @@ class UserHistoryStore:
 
     def add(self, user_id: str, video_id: str, timestamp: float) -> None:
         """Push ``video_id`` to the front of ``user_id``'s history."""
-
-        def _push(entries: list[tuple[str, float]]) -> list[tuple[str, float]]:
-            kept = [(video_id, timestamp)]
-            kept += [entry for entry in entries if entry[0] != video_id]
-            del kept[self.max_items :]
-            return kept
-
-        self._store.update((PREFIX, user_id), _push, default=[])
+        histories = self._state.histories
+        kept = [(video_id, timestamp)]
+        kept += [
+            entry for entry in histories.get(user_id, ()) if entry[0] != video_id
+        ]
+        del kept[self.max_items :]
+        histories[user_id] = kept
 
     def recent(self, user_id: str, k: int | None = None) -> list[str]:
         """The user's most recent distinct videos, newest first."""
-        entries = self._store.get((PREFIX, user_id), [])
+        entries = self._state.histories.get(user_id, ())
         selected = entries if k is None else entries[:k]
         return [video_id for video_id, _ in selected]
 
     def watched(self, user_id: str) -> set[str]:
         """All videos currently in the user's (bounded) history."""
         return {
-            video_id for video_id, _ in self._store.get((PREFIX, user_id), [])
+            video_id for video_id, _ in self._state.histories.get(user_id, ())
         }
 
     def snapshot(self, user_id: str, k: int | None = None) -> HistorySnapshot:
-        """Recent list, watched set and last-active from a single get."""
-        entries = self._store.get((PREFIX, user_id), [])
+        """Recent list, watched set and last-active from a single read."""
+        entries = self._state.histories.get(user_id, ())
         selected = entries if k is None else entries[:k]
         return HistorySnapshot(
             recent=[video_id for video_id, _ in selected],

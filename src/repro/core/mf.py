@@ -5,18 +5,17 @@ Implements the prediction rule of Eq. 2::
     r_hat(u, i) = mu + b_u + b_i + x_u . y_i
 
 with SGD updates in the direction opposite the gradient of the regularized
-squared error (Eq. 3).  Parameters live in a :class:`~repro.kvstore.KVStore`
-— exactly how the production system stores them (§5.1) — so that vectors are
-addressable by key from any worker, and so the Figure 2 topology can split
+squared error (Eq. 3).  Parameters live in the model's
+:class:`~repro.core.state.ModelState` — the stand-in for the production
+system's key-value storage (§5.1) — so the Figure 2 topology can split
 *computing* an update (``ComputeMF``) from *storing* it (``MFStorage``).
 
 There is one parameter layout (DESIGN.md "Parameter layout"): a
-:class:`~repro.core.arena.FactorArena` per entity kind, stored as a single
-entry under ``mf:meta`` (``arena:user`` / ``arena:video``, next to the
-``mu`` accumulator), so batch reads are contiguous gathers and
-:meth:`MFModel.predict_many` is one matmul.  Checkpoints capture the two
-arenas as ordinary store entries (``repro.reliability``).  The arithmetic
-is checked against the scalar oracle in ``tests/reference``.
+:class:`~repro.core.arena.FactorArena` per entity kind (``state.users`` /
+``state.videos``, next to the ``mu`` accumulator ``state.mu``), so batch
+reads are contiguous gathers and :meth:`MFModel.predict_many` is one
+matmul.  A checkpoint pickles the state (``repro.reliability``).  The
+arithmetic is checked against the scalar oracle in ``tests/reference``.
 
 Two deliberate deviations from the paper's text, both documented in
 DESIGN.md:
@@ -36,22 +35,17 @@ DESIGN.md:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..config import MFConfig
 from ..errors import ModelError
 from ..hashing import stable_hash
-from ..kvstore import InMemoryKVStore, KVStore
 from .arena import FactorArena
+from .state import ModelState
 
 _KINDS = ("user", "video")
-
-#: Key prefix of the model's entries (the two arenas and ``mu``) in the
-#: store.
-PREFIX = "mf:meta"
-_MU_KEY = (PREFIX, "mu")
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +54,7 @@ class MFUpdate:
 
     This is the message ``ComputeMF`` sends to ``MFStorage`` in the Figure 2
     topology: new vectors plus bookkeeping.  Applying it writes the four
-    parameters back to the store.
+    parameters back to the arenas.
     """
 
     user_id: str
@@ -110,103 +104,6 @@ def _sgd_update(
     )
 
 
-class _ArenaParams:
-    """Contiguous-arena parameter layout.
-
-    One :class:`FactorArena` per entity kind, stored as a single entry
-    under the model's :data:`PREFIX`.  Reads fetch the arena object from
-    the store on every access (never cached on the model), so a checkpoint
-    restored *into the store* — the recovery path constructs the model
-    before restoring — is picked up transparently.  Writes run inside
-    :meth:`KVStore.update` callbacks, so fault injection and metrics
-    wrappers observe them as ordinary store operations.
-    """
-
-    ARENA_KEYS = {
-        "user": (PREFIX, "arena:user"),
-        "video": (PREFIX, "arena:video"),
-    }
-
-    def __init__(self, store: KVStore, f: int) -> None:
-        self._store = store
-        self._f = f
-
-    def _arena(self, kind: str) -> FactorArena:
-        """The stored arena, or an empty stand-in before the first write."""
-        arena = self._store.get(self.ARENA_KEYS[kind])
-        return FactorArena(self._f, 1) if arena is None else arena
-
-    def _mutate(self, kind: str, fn: Callable[[FactorArena], None]) -> None:
-        def _apply(arena: FactorArena | None) -> FactorArena:
-            if arena is None:
-                arena = FactorArena(self._f)
-            fn(arena)
-            return arena
-
-        self._store.update(self.ARENA_KEYS[kind], _apply, default=None)
-
-    # -- scalar access ----------------------------------------------------
-
-    def vector(self, kind: str, entity_id: str) -> np.ndarray | None:
-        return self._arena(kind).vector(entity_id)
-
-    def row(
-        self, kind: str, entity_id: str
-    ) -> tuple[np.ndarray, float] | None:
-        return self._arena(kind).row(entity_id)
-
-    def bias(self, kind: str, entity_id: str) -> float:
-        return self._arena(kind).bias(entity_id)
-
-    def count(self, kind: str) -> int:
-        return len(self._arena(kind))
-
-    def setdefault_vector(
-        self, kind: str, entity_id: str, factory: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        result: list[np.ndarray] = []
-
-        def _fn(arena: FactorArena) -> None:
-            result.append(arena.setdefault_vector(entity_id, factory))
-
-        self._mutate(kind, _fn)
-        return result[0]
-
-    def put(
-        self, kind: str, entity_id: str, vector: np.ndarray, bias: float
-    ) -> None:
-        self._mutate(kind, lambda arena: arena.put(entity_id, vector, bias))
-
-    # -- batch access -----------------------------------------------------
-
-    def vectors_many(
-        self, kind: str, entity_ids: Sequence[str]
-    ) -> list[np.ndarray | None]:
-        return self._arena(kind).vectors_many(list(entity_ids))
-
-    def row_views(
-        self, kind: str, entity_ids: list[str]
-    ) -> list[np.ndarray | None]:
-        return self._arena(kind).row_views(entity_ids)
-
-    def vectors_matrix(self, kind: str, entity_ids: Sequence[str]) -> np.ndarray:
-        return self._arena(kind).vectors_matrix(list(entity_ids))
-
-    def biases_array(self, kind: str, entity_ids: Sequence[str]) -> np.ndarray:
-        return self._arena(kind).biases_array(list(entity_ids))
-
-    def put_many(self, kind: str, items: "_KindRecords") -> None:
-        self._mutate(kind, lambda arena: arena.put_many(items))
-
-    # -- bulk export (retrieval mirror build) ------------------------------
-
-    def export(
-        self, kind: str, dtype: type
-    ) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """Learned ``(ids, vectors, biases)``, row-aligned, ids sorted."""
-        return self._arena(kind).sorted_rows(dtype)
-
-
 class _KindRecords:
     """One kind's ``(id, vector, bias)`` records of a mixed
     ``(kind, id, vector, bias)`` batch: a re-iterable view, so the arena's
@@ -233,10 +130,10 @@ class MFBatchSession:
     Prefetches every touched vector and bias with batch reads, replays
     :meth:`MFModel.sgd_step` math through the overlay (each step reads the
     previous step's in-overlay values — exactly what the sequential path
-    reads from the store), and commits all dirty parameters in one batch
+    reads from the arenas), and commits all dirty parameters in one batch
     write plus one atomic ``mu`` fold.  The per-step arithmetic is
     byte-identical to calling :meth:`MFModel.observe_rating` /
-    :meth:`MFModel.sgd_step` per action; only the number of store
+    :meth:`MFModel.sgd_step` per action; only the number of arena
     operations changes.
 
     Not thread-safe; one session per worker per batch (the same ownership
@@ -255,7 +152,7 @@ class MFBatchSession:
         self._dirty: dict[tuple[str, str], None] = {}  # first-write order
         self._prefetch("user", list(dict.fromkeys(user_ids)))
         self._prefetch("video", list(dict.fromkeys(video_ids)))
-        total, count = model._mu_state()
+        total, count = model.state.mu
         self._mu_total = float(total)
         self._mu_count = int(count)
         self._mu_ratings: list[float] = []
@@ -263,9 +160,9 @@ class MFBatchSession:
     def _prefetch(self, kind: str, entity_ids: list[str]) -> None:
         if not entity_ids:
             return
-        params = self._model._params
-        vectors = params.vectors_many(kind, entity_ids)
-        biases = params.biases_array(kind, entity_ids)
+        arena = self._model._arena(kind)
+        vectors = arena.vectors_many(entity_ids)
+        biases = arena.biases_array(entity_ids)
         for entity_id, vector, bias in zip(entity_ids, vectors, biases):
             self._vectors[(kind, entity_id)] = vector
             self._biases[(kind, entity_id)] = float(bias)
@@ -329,7 +226,7 @@ class MFBatchSession:
         return update
 
     def commit(self) -> None:
-        """Write all dirty parameters and the ``mu`` delta to the store.
+        """Write all dirty parameters and the ``mu`` delta to the state.
 
         Parameters go out as one batch per kind; ``mu`` is folded with one
         atomic update that replays the session's ratings in order, so
@@ -345,7 +242,8 @@ class MFBatchSession:
 
 
 class MFModel:
-    """KV-store-backed biased MF model with per-entity lazy initialisation.
+    """Biased MF model over a :class:`ModelState`, with per-entity lazy
+    initialisation.
 
     New user/video vectors are initialised deterministically from the
     entity id (seed XOR stable hash), so initialisation is idempotent: any
@@ -355,42 +253,37 @@ class MFModel:
     def __init__(
         self,
         config: MFConfig | None = None,
-        store: KVStore | None = None,
+        state: ModelState | None = None,
     ) -> None:
         self.config = config or MFConfig()
-        self._store = store if store is not None else InMemoryKVStore()
-        self._params = _ArenaParams(self._store, self.config.f)
+        self.state = state if state is not None else ModelState(self.config.f)
+
+    def _arena(self, kind: str) -> FactorArena:
+        """The state's arena of ``kind``, read on every access so a
+        restored state is seen."""
+        return self.state.users if kind == "user" else self.state.videos
 
     # ------------------------------------------------------------------
     # Global average
     # ------------------------------------------------------------------
 
-    def _mu_state(self) -> tuple[float, int]:
-        """The ``(total, count)`` accumulator behind ``mu``."""
-        return self._store.get(_MU_KEY, (0.0, 0))
-
     def _mu_fold(self, ratings: Sequence[float]) -> None:
-        """Atomically fold observed ratings, in order, into the accumulator.
-
-        ``fn`` runs inside ``update``, so the caller may clear ``ratings``
-        once this returns.
-        """
+        """Fold observed ratings, in order, into the accumulator; the
+        caller may clear ``ratings`` once this returns."""
         if not ratings:
             return
-
-        def _fold(current: tuple[float, int]) -> tuple[float, int]:
-            total, count = current
+        state = self.state
+        with state.mu_lock:
+            total, count = state.mu
             for rating in ratings:
                 total = total + rating
                 count = count + 1
-            return (total, count)
-
-        self._store.update(_MU_KEY, _fold, default=(0.0, 0))
+            state.mu = (total, count)
 
     @property
     def mu(self) -> float:
         """The running overall average rating (Eq. 2's ``mu``)."""
-        total, count = self._mu_state()
+        total, count = self.state.mu
         return total / count if count else 0.0
 
     def observe_rating(self, rating: float) -> None:
@@ -409,51 +302,51 @@ class MFModel:
 
     def user_vector(self, user_id: str) -> np.ndarray | None:
         """Return ``x_u`` or ``None`` when the user is unknown."""
-        return self._params.vector("user", user_id)
+        return self.state.users.vector(user_id)
 
     def video_vector(self, video_id: str) -> np.ndarray | None:
         """Return ``y_i`` or ``None`` when the video is unknown."""
-        return self._params.vector("video", video_id)
+        return self.state.videos.vector(video_id)
 
     def video_vectors_many(
         self, video_ids: Sequence[str]
     ) -> list[np.ndarray | None]:
-        """Batch :meth:`video_vector`: one store round-trip for the lot."""
-        return self._params.vectors_many("video", video_ids)
+        """Batch :meth:`video_vector`: one arena read for the lot."""
+        return self.state.videos.vectors_many(list(video_ids))
 
     def video_row_views(self, video_ids: list[str]) -> list[np.ndarray | None]:
         """Like :meth:`video_vectors_many`, as read-only views of the
         arena's rows instead of copies (:meth:`FactorArena.row_views`):
         for a caller that writes no factor while it reads them."""
-        return self._params.row_views("video", video_ids)
+        return self.state.videos.row_views(video_ids)
 
     def user_bias(self, user_id: str) -> float:
-        return self._params.bias("user", user_id)
+        return self.state.users.bias(user_id)
 
     def video_bias(self, video_id: str) -> float:
-        return self._params.bias("video", video_id)
+        return self.state.videos.bias(video_id)
 
     def ensure_user(self, user_id: str) -> np.ndarray:
         """Return ``x_u``, initialising it first for a new user
         (Algorithm 1 lines 3-5)."""
-        return self._params.setdefault_vector(
-            "user", user_id, lambda: self._init_vector("user", user_id)
+        return self.state.users.setdefault_vector(
+            user_id, lambda: self._init_vector("user", user_id)
         )
 
     def ensure_video(self, video_id: str) -> np.ndarray:
         """Return ``y_i``, initialising it first for a new video
         (Algorithm 1 lines 6-8)."""
-        return self._params.setdefault_vector(
-            "video", video_id, lambda: self._init_vector("video", video_id)
+        return self.state.videos.setdefault_vector(
+            video_id, lambda: self._init_vector("video", video_id)
         )
 
     @property
     def n_users(self) -> int:
-        return self._params.count("user")
+        return len(self.state.users)
 
     @property
     def n_videos(self) -> int:
-        return self._params.count("video")
+        return len(self.state.videos)
 
     def video_rows(
         self, dtype: type = np.float64
@@ -466,7 +359,7 @@ class MFModel:
         make a rebuilt mirror identical to the original.  The arrays are
         fresh, in ``dtype``; the mirror keeps a float32 export as its own.
         """
-        return self._params.export("video", dtype)
+        return self.state.videos.sorted_rows(dtype)
 
     # ------------------------------------------------------------------
     # Prediction (Eq. 2) and error (Eq. 4)
@@ -502,11 +395,11 @@ class MFModel:
         the scalar ``@``).
         """
         base = self.mu + self.user_bias(user_id)
-        biases = self._params.biases_array("video", video_ids)
-        scores = base + biases
+        videos = self.state.videos
+        scores = base + videos.biases_array(video_ids)
         x_u = self.user_vector(user_id)
         if x_u is not None and len(video_ids):
-            matrix = self._params.vectors_matrix("video", video_ids)
+            matrix = videos.vectors_matrix(video_ids)
             scores = scores + matrix @ x_u
         return scores
 
@@ -539,12 +432,12 @@ class MFModel:
         if persist_init:
             self.ensure_user(user_id)
             self.ensure_video(video_id)
-        params = self._params
-        user = params.row("user", user_id)
+        state = self.state
+        user = state.users.row(user_id)
         x_u, b_u = (
             (self._init_vector("user", user_id), 0.0) if user is None else user
         )
-        video = params.row("video", video_id)
+        video = state.videos.row(video_id)
         y_i, b_i = (
             (self._init_vector("video", video_id), 0.0)
             if video is None
@@ -565,11 +458,11 @@ class MFModel:
 
     def put_user(self, user_id: str, x_u: np.ndarray, b_u: float) -> None:
         """Write one user's parameters (the ``MFStorage`` user path)."""
-        self._params.put("user", user_id, x_u, b_u)
+        self.state.users.put(user_id, x_u, b_u)
 
     def put_video(self, video_id: str, y_i: np.ndarray, b_i: float) -> None:
         """Write one video's parameters (the ``MFStorage`` video path)."""
-        self._params.put("video", video_id, y_i, b_i)
+        self.state.videos.put(video_id, y_i, b_i)
 
     def put_params_many(
         self, items: Sequence[tuple[str, str, np.ndarray, float]]
@@ -595,17 +488,18 @@ class MFModel:
             counts[kind] += 1
         for kind, count in counts.items():
             if count:
-                self._params.put_many(kind, _KindRecords(items, kind))
+                self._arena(kind).put_many(_KindRecords(items, kind))
 
     def apply_update(self, update: MFUpdate) -> None:
-        """Write one computed step's parameters back to the store.
+        """Write one computed step's parameters back to the arenas.
 
         In the topology this is ``MFStorage``'s job; fields grouping
         guarantees a single writer per key so the puts need no cross-key
         transaction.
         """
-        self._params.put("user", update.user_id, update.x_u, update.b_u)
-        self._params.put("video", update.video_id, update.y_i, update.b_i)
+        state = self.state
+        state.users.put(update.user_id, update.x_u, update.b_u)
+        state.videos.put(update.video_id, update.y_i, update.b_i)
 
     def sgd_step(
         self, user_id: str, video_id: str, rating: float, eta: float

@@ -151,7 +151,7 @@ class OnlineTrainer:
         return update
 
     def process_batch(self, actions: list[UserAction]) -> list[MFUpdate | None]:
-        """Process a micro-batch of actions with batched store traffic.
+        """Process a micro-batch of actions with batched arena traffic.
 
         Semantically identical to calling :meth:`process` per action in
         order — same WAL appends, same counters, same model

@@ -13,8 +13,9 @@ entry points:
   similar-video tables, predict preferences with Eq. 2, rank, and merge in
   demographic results.
 
-All model state, demographic hot lists included, lives in the one KV
-store ``store`` (§5), so a checkpoint of it is the whole model.
+All model state, demographic hot lists included, lives in the one
+:class:`~repro.core.state.ModelState` ``state`` (§5), so a checkpoint of
+it is the whole model.
 
 Request latency is recorded per call; the paper's production deployment
 reports millisecond latencies, which the latency benchmark checks on this
@@ -33,8 +34,6 @@ import numpy as np
 from ..clock import Clock, SystemClock
 from ..config import ReproConfig
 from ..data.schema import User, UserAction, Video
-from ..kvstore import InMemoryKVStore, KVStore
-from ..obs.kv import InstrumentedKVStore
 from ..obs.registry import Histogram
 
 if TYPE_CHECKING:
@@ -51,6 +50,7 @@ from .history import UserHistoryStore
 from .mf import MFModel
 from .online import ActionLog, OnlineTrainer
 from .simtable import MAX_PAIRS, SimilarVideoTable, pair_partners
+from .state import ModelState
 from .variants import COMBINE_MODEL, ModelVariant
 
 
@@ -78,7 +78,7 @@ class RealtimeRecommender:
         variant: ModelVariant = COMBINE_MODEL,
         weigher: ActionWeigher | None = None,
         clock: Clock | None = None,
-        store: KVStore | None = None,
+        state: ModelState | None = None,
         enable_demographic: bool = True,
         wal: "ActionLog | None" = None,
         obs: "Observability | None" = None,
@@ -89,9 +89,9 @@ class RealtimeRecommender:
         self.clock = clock or SystemClock()
         self.variant = variant
         self.obs = obs
-        backing = store if store is not None else InMemoryKVStore()
-        if obs is not None and not isinstance(backing, InstrumentedKVStore):
-            backing = obs.instrument_store(backing)
+        self.state = (
+            state if state is not None else ModelState(self.config.mf.f)
+        )
         self._tracer = obs.tracer if obs is not None else None
         self._now = (
             obs.perf_clock.now if obs is not None else time.perf_counter
@@ -105,7 +105,7 @@ class RealtimeRecommender:
             else Histogram("recommender_request_latency_seconds")
         )
 
-        self.model = MFModel(self.config.mf, store=backing)
+        self.model = MFModel(self.config.mf, self.state)
         self.weigher = weigher or LogPlaytimeWeigher(self.config.weights)
         self.trainer = OnlineTrainer(
             self.model,
@@ -116,13 +116,12 @@ class RealtimeRecommender:
             wal=wal,
             obs=obs,
         )
-        self.history = UserHistoryStore(store=backing)
+        self.history = UserHistoryStore(self.state)
         self.table = SimilarVideoTable(
             videos,
             self.model,
             config=self.config.similarity,
             clock=self.clock,
-            store=backing,
         )
         self.selector = CandidateSelector(self.table, self.config.recommend)
         # Two-stage retrieval (DESIGN.md "Candidate retrieval index"): in
@@ -136,7 +135,7 @@ class RealtimeRecommender:
         if enable_demographic:
             self.demographic = DemographicRecommender(
                 self.users,
-                tracker=HotVideoTracker(clock=self.clock, store=backing),
+                tracker=HotVideoTracker(clock=self.clock, state=self.state),
             )
 
     # ------------------------------------------------------------------
@@ -186,7 +185,7 @@ class RealtimeRecommender:
         """(Re)build the retrieval mirror from the model's current factors.
 
         The recovery hook for ``"ann"`` mode: after a checkpoint restore
-        the KV-backed factor arena is authoritative and the mirror is
+        the state's factor arena is authoritative and the mirror is
         rebuilt from it (`AnnIndex.build_from_model`), serving the same
         shortlists as before the crash.  Returns the build report (cost
         included), or ``None`` in ``"table"`` mode.
@@ -274,7 +273,7 @@ class RealtimeRecommender:
             # Seeds (§4.1): the watched video for "related videos", else the
             # user's recent history for "guess you like".  One history read
             # serves both seed selection and the watched filter (mutually
-            # consistent, half the store traffic).
+            # consistent, half the reads).
             snapshot = self.history.snapshot(
                 user_id, self.config.recommend.max_seeds
             )

@@ -1,7 +1,8 @@
 """Similar-video tables (paper §4.2).
 
 For every video the system keeps "a top-N similar video list" in the KV
-store — the key data structure that makes real-time top-N generation
+storage (here the model's :class:`~repro.core.state.ModelState`) — the key
+data structure that makes real-time top-N generation
 tractable: instead of scoring millions of videos per request, candidates
 come from the precomputed lists of a few seed videos.
 
@@ -15,9 +16,9 @@ a new video, it is paired with the videos already in that user's recent
 history (``GetItemPairs``), each pair is scored (``ItemPairSim``), and the
 per-video lists are updated (``ResultStorage``).
 
-All lists live in one store entry (:class:`SimilarLists`), the way the
-factors live in one :class:`~repro.core.arena.FactorArena`, so the k + 1
-list updates of one engagement are one store update.
+All lists are one value (:class:`SimilarLists`, the state's ``lists``),
+the way the factors live in one :class:`~repro.core.arena.FactorArena`, so
+the k + 1 list updates of one engagement are one insert.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..clock import Clock, SystemClock
 from ..config import SimilarityConfig
 from ..data.schema import Video
-from ..kvstore import InMemoryKVStore, KVStore
-from .mf import MFModel
 from .similarity import SimilarityScorer, fused, type_similarity
+
+if TYPE_CHECKING:
+    from .mf import MFModel
 
 
 #: Most history partners one engagement is paired with (§5.1) — the one
@@ -80,12 +82,6 @@ def _eviction_key(raw: float, timestamp: float, xi: float) -> tuple[float, float
     return (0.0, 0.0)
 
 
-#: Key prefix of the similar-video lists in the store.
-PREFIX = "simtable"
-
-#: The key, under :data:`PREFIX`, of the one entry holding every list.
-LISTS_KEY = "lists"
-
 #: One directed list update: ``(video, other, raw relevance, timestamp,
 #: eviction key)``; the key is :func:`_eviction_key` of the raw relevance
 #: and timestamp, computed once per scored pair for both directions.
@@ -93,7 +89,7 @@ Entry = tuple[str, str, float, float, tuple[float, float]]
 
 
 class SimilarLists:
-    """Every video's top-K similar list, as one store value.
+    """Every video's top-K similar list, as one value.
 
     A row is a dict ``other -> (raw, updated_at, eviction key)`` with its
     own min-heap of ``(eviction key, other)``: eviction pops the weakest
@@ -106,7 +102,11 @@ class SimilarLists:
     pushes the entry's current key back and pops again.
 
     Thread safety: every method takes the value's own lock, so a reader
-    copies a row while no writer is mid-update.  Pickling (checkpoints)
+    copies a row while no writer is mid-update.  The lock separates two
+    threads that share the lists: the two ``ResultStorage`` workers of
+    the threaded topology executor, which insert into one dict of rows
+    concurrently, and a request thread copying rows while ``observe``
+    inserts on another.  Pickling (checkpoints)
     goes through :meth:`__getstate__` and keeps only
     ``{video: {other: (raw, updated_at)}}``; keys and heaps are rebuilt
     per row on that row's first write after a restore.
@@ -219,25 +219,23 @@ class SimilarVideoTable:
     * when two entries have equal damped similarities at read time, they
       are served in ascending id order.
 
-    All lists are one store entry (:data:`LISTS_KEY`), written under
-    fields grouping by video: one writer per row, not per key, as with
-    the factor arena's rows.
+    All lists are one value, ``model.state.lists``, written under fields
+    grouping by video: one writer per row, not per key, as with the factor
+    arena's rows.
     """
 
     def __init__(
         self,
         videos: Mapping[str, Video],
-        model: MFModel,
+        model: "MFModel",
         config: SimilarityConfig | None = None,
         clock: Clock | None = None,
-        store: KVStore | None = None,
     ) -> None:
         self.videos = videos
         self.model = model
         self.config = config or SimilarityConfig()
         self.scorer = SimilarityScorer(self.config)
         self.clock = clock or SystemClock()
-        self._store = store if store is not None else InMemoryKVStore()
 
     # ------------------------------------------------------------------
     # Updates
@@ -258,7 +256,7 @@ class SimilarVideoTable:
         :meth:`SimilarityScorer.raw_relevance` scores it (through
         :func:`~repro.core.similarity.fused`, with Eq. 9's ``np.dot``
         taken as ``ndarray.dot``: the same product, without the
-        function's dispatch), and one store update puts
+        function's dispatch), and one insert puts
         every scored partner into ``video_id``'s list (in partner order)
         and ``video_id`` into each scored partner's list, both directions
         sharing the pair's one eviction key.  The stored lists equal those
@@ -323,29 +321,20 @@ class SimilarVideoTable:
         self._insert([(video_id, other_id, raw, timestamp, key)])
 
     def _insert(self, entries: list[Entry]) -> None:
-        """Apply directed entries, in order, in one atomic store update.
+        """Apply directed entries, in order, in one insert.
 
         Eviction compares *damped* relevances (via the time-invariant
         :func:`_eviction_key`) so a stale high raw score cannot squat in
         the table forever.
         """
-        table_size, xi = self.config.table_size, self.config.xi
-
-        def _apply(lists: SimilarLists | None) -> SimilarLists:
-            if lists is None:
-                lists = SimilarLists()
-            lists.insert(entries, table_size, xi)
-            return lists
-
-        self._store.update((PREFIX, LISTS_KEY), _apply, default=None)
+        self._lists().insert(entries, self.config.table_size, self.config.xi)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
     def _lists(self) -> SimilarLists:
-        lists = self._store.get((PREFIX, LISTS_KEY))
-        return SimilarLists() if lists is None else lists
+        return self.model.state.lists
 
     def neighbors(
         self, video_id: str, k: int | None = None, now: float | None = None
@@ -366,11 +355,11 @@ class SimilarVideoTable:
         k: int | None = None,
         now: float | None = None,
     ) -> list[list[tuple[str, float]]]:
-        """Batch :meth:`neighbors`: one store read for all seeds.
+        """Batch :meth:`neighbors`: one read of the lists for all seeds.
 
         Returns one ranked list per seed, in input order — the candidate
-        selector's path, where a request's seeds become one ``get`` and one
-        copy of their rows under the lists' lock.  Duplicate seeds (a
+        selector's path, where a request's seeds become one copy of their
+        rows under the lists' lock.  Duplicate seeds (a
         video appearing twice in a user's recent history) are copied — and
         ranked — once, then fanned back out.
         """

@@ -1,6 +1,6 @@
 """Evaluation: metrics (Eqs. 13-14), offline protocol (§6.1), grid search
 (Table 2), the experimentation platform (§6.2), and scriptable
-adversarial scenarios (ROADMAP item 1)."""
+adversarial scenarios."""
 
 from .experiment import ArmStats, Experiment, ExperimentResult
 from .gridsearch import GridPoint, GridSearchResult, grid_search

@@ -1,4 +1,4 @@
-"""Scriptable adversarial production scenarios (ROADMAP item 1).
+"""Scriptable adversarial production scenarios.
 
 The paper validates its real-time methods with a ten-day live A/B test
 (§6.2); the original reproduction replayed one benign organic trace.  But

@@ -7,13 +7,10 @@ them requires measuring this system the way Tencent measured theirs.
 
 * :class:`MetricsRegistry` with typed :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments — the shared registry every subsystem
-  (topology metrics, router, trainer, KV stores, breakers) reports into;
+  (topology metrics, router, trainer, breakers) reports into;
 * :class:`Tracer` — synchronous, causally-linked spans from a routed
-  request through the recommender and every KV call, with per-stage
-  latency attribution;
-* :class:`InstrumentedKVStore` — per-op KV counts and spans, at one
-  counter increment per op outside a trace (the trainer makes ~30 per
-  action);
+  request through the recommender's stages, with per-stage latency
+  attribution;
 * :class:`Observability` — the bundle components accept as one ``obs=``
   argument.
 
@@ -27,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..clock import Clock
-from .kv import InstrumentedKVStore
 from .percentiles import nearest_rank
 from .registry import (
     DEFAULT_BUCKETS,
@@ -50,7 +46,6 @@ __all__ = [
     "SpanContext",
     "Tracer",
     "TRACE_SCHEMA_VERSION",
-    "InstrumentedKVStore",
     "Observability",
     "nearest_rank",
 ]
@@ -97,10 +92,4 @@ class Observability:
         return cls(
             registry=MetricsRegistry(),
             tracer=Tracer(sample_every=sample_every),
-        )
-
-    def instrument_store(self, store):
-        """Wrap a KV store so its ops report into this bundle."""
-        return InstrumentedKVStore(
-            store, registry=self.registry, tracer=self.tracer
         )

@@ -3,7 +3,7 @@
 The paper's production claims (§6: millisecond serving under billions of
 tuples per day) are measurement claims.  A :class:`MetricsRegistry` is
 the one place every subsystem — topology, router, recommender, trainer,
-KV stores, breakers — keeps its counts and latency summaries, so a single
+breakers — keeps its counts and latency summaries, so a single
 ``to_json()`` call captures the whole system and the bench harness can
 diff runs.
 
@@ -58,7 +58,7 @@ __all__ = [
 REGISTRY_SCHEMA_VERSION = 1
 
 #: Default histogram boundaries (seconds): 100 µs .. 10 s, roughly
-#: logarithmic — covers both sub-millisecond KV ops and multi-second runs.
+#: logarithmic — covers both sub-millisecond stages and multi-second runs.
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0001,
     0.00025,
@@ -194,7 +194,7 @@ class Counter(_Instrument):
                 f"counters only go up by finite amounts, got inc({amount})"
             )
         self._guard_unlabelled()
-        # Per KV op: explicit acquire/release is cheaper than ``with``.
+        # Per event: explicit acquire/release is cheaper than ``with``.
         self._lock.acquire()
         try:
             self._value += amount

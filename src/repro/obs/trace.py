@@ -3,14 +3,14 @@
 Per-component counters cannot attribute a request's end-to-end time to
 stages.  A :class:`Tracer` mints a trace id at the edge of the system (a
 :class:`~repro.serving.router.RequestRouter` request), propagates it
-through router → recommender → KV calls, and records one :class:`Span` per
+through router → recommender → its stages, and records one :class:`Span` per
 unit of work, parent-linked so the whole causal tree can be exported and
 each stage's share of the latency read off.
 
 Spans are synchronous and request-scoped: they nest with the call stack.
 The tracer keeps a per-thread ambient span; :meth:`Tracer.span` parents to
 it automatically, so the router's span encloses the recommender's, which
-encloses each KV op's.  Every child therefore starts after its parent
+encloses each stage's.  Every child therefore starts after its parent
 starts and ends before its parent ends, and a span's *self* time — its
 duration minus its direct children's (:meth:`Tracer.stage_latencies`) — is
 the work done in that stage alone.

@@ -8,7 +8,7 @@ workers — a bolt exception aborts the run (see :mod:`repro.storm.executor`),
 and recovery is this package's checkpoint + WAL replay:
 
 * :mod:`~repro.reliability.checkpoint` — atomic, versioned on-disk
-  snapshots of the whole KV store;
+  snapshots of the whole model state;
 * :mod:`~repro.reliability.wal` — a segment-rotated write-ahead log of
   user actions;
 * :mod:`~repro.reliability.replay` — crash recovery = restore last

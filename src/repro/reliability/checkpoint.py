@@ -1,43 +1,38 @@
-"""Atomic on-disk checkpoints of KV-store state.
+"""Atomic on-disk checkpoints of the model state.
 
 The paper's production system survives worker crashes because Storm replays
 unacked tuples and the model state lives in external storage (§5.1-5.2).
 This module provides the durable half of that story for this repo's
-in-process KV store: a :class:`CheckpointManager` snapshots every live
-entry — MF vectors, biases, the ``mu`` accumulator, user histories,
-similar-video tables, hot lists — into a versioned directory and restores
-it into a fresh store.
+in-process state: a :class:`CheckpointManager` pickles the whole
+:class:`~repro.core.state.ModelState` — MF vectors, biases, the ``mu``
+accumulator, user histories, similar-video lists, hot tables — into a
+versioned directory and restores it in place.
 
 On-disk layout (all under the manager's root directory)::
 
     ckpt-00000001/
-        entries.pkl     # pickled list of EntrySnapshot records
-        manifest.json   # format, kind, id, wal_seq, entry count,
-                        # sha256 of entries.pkl
+        state.pkl       # the pickled ModelState
+        manifest.json   # format, kind, id, wal_seq, sha256 of state.pkl
     ckpt-00000002/
     ...
 
-A checkpoint is *atomic by construction*: entries are written into a
-``tmp-*`` staging directory, the manifest (with a checksum over the entry
+A checkpoint is *atomic by construction*: the state is written into a
+``tmp-*`` staging directory, the manifest (with a checksum over the
 payload) is written last, and only then is the directory renamed to its
 final ``ckpt-*`` name.  A crash mid-write leaves a ``tmp-*`` directory that
 restore ignores; a manifest whose ``format`` this build does not know, or
 whose checksum does not match its payload, is rejected with
 :class:`~repro.errors.CheckpointError`.
 
-Every checkpoint is ``kind="full"``: every live entry pickled into
-``entries.pkl``, restorable into any store, and a restore *replaces* the
-store's contents.  Older builds also wrote ``kind="segments"`` manifests
-that referenced the files of a log-structured store tier; those hold no
-entries, so :meth:`CheckpointManager.list` skips them and recovery from
-such a data directory replays the whole write-ahead log instead.  So do
-format-1 checkpoints, written before the hot lists joined the store, and
-format-2 ones, which hold one ``simtable`` entry per video instead of the
-one entry that holds every similar-video list.
+Older builds wrote checkpoints of a key-value store: ``kind="segments"``
+manifests that referenced the files of a log-structured store tier, and
+formats 1-3, lists of store entries.  :meth:`CheckpointManager.list` skips
+them all, so recovery from such a data directory replays the whole
+write-ahead log instead.
 
-Values are serialised with :mod:`pickle` — checkpoints are trusted local
-state written and read by the same process family, and the stored values
-(numpy arrays, tuples, dicts) have no stable text encoding.
+The state is serialised with :mod:`pickle` — checkpoints are trusted local
+state written and read by the same process family, and the values (numpy
+arrays, tuples, dicts) have no stable text encoding.
 """
 
 from __future__ import annotations
@@ -51,17 +46,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from ..core.state import ModelState
 from ..errors import CheckpointError
-from ..kvstore import EntrySnapshot, KVStore
 
 _PREFIX = "ckpt-"
 _TMP_PREFIX = "tmp-"
-_ENTRIES_FILE = "entries.pkl"
+_STATE_FILE = "state.pkl"
 _MANIFEST_FILE = "manifest.json"
-_FORMAT_VERSION = 3
-#: Formats older builds wrote that this one skips: 1 lacks the hot lists,
-#: 2 holds a ``simtable`` entry per video.
-_SKIPPED_FORMATS = (1, 2)
+_FORMAT_VERSION = 4
+#: Formats older builds wrote that this one skips: lists of key-value
+#: store entries (1 lacks the hot lists, 2 holds a ``simtable`` entry per
+#: video, 3 one entry holding every similar-video list).
+_SKIPPED_FORMATS = (1, 2, 3)
 _KIND_FULL = "full"
 
 
@@ -78,7 +74,6 @@ class CheckpointInfo:
     checkpoint_id: int
     path: str
     wal_seq: int
-    n_entries: int
     created_at: float
     metadata: Mapping[str, object] = field(default_factory=dict)
 
@@ -112,12 +107,12 @@ class CheckpointManager:
 
     def create(
         self,
-        store: KVStore,
+        state: ModelState,
         wal_seq: int = 0,
         created_at: float = 0.0,
         metadata: Mapping[str, object] | None = None,
     ) -> CheckpointInfo:
-        """Snapshot ``store`` as the next checkpoint; return its manifest.
+        """Pickle ``state`` as the next checkpoint; return its manifest.
 
         ``wal_seq`` records the last WAL sequence number already reflected
         in the snapshot, so recovery knows where replay must resume.
@@ -126,21 +121,19 @@ class CheckpointManager:
         """
         checkpoint_id = self._next_id()
         metadata = dict(metadata or {})
-        entries = store.snapshot_entries()
-        payload = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
         staging = self.root / f"{_TMP_PREFIX}{checkpoint_id:08d}"
         if staging.exists():
             shutil.rmtree(staging)
         staging.mkdir(parents=True)
         try:
-            self._write_file(staging / _ENTRIES_FILE, payload)
+            self._write_file(staging / _STATE_FILE, payload)
             manifest = {
                 "format": _FORMAT_VERSION,
                 "kind": _KIND_FULL,
                 "checkpoint_id": checkpoint_id,
                 "wal_seq": wal_seq,
-                "n_entries": len(entries),
                 "created_at": created_at,
                 "sha256": hashlib.sha256(payload).hexdigest(),
                 "metadata": metadata,
@@ -159,7 +152,6 @@ class CheckpointManager:
             checkpoint_id=checkpoint_id,
             path=str(final),
             wal_seq=wal_seq,
-            n_entries=len(entries),
             created_at=created_at,
             metadata=metadata,
         )
@@ -178,8 +170,8 @@ class CheckpointManager:
     def list(self) -> list[CheckpointInfo]:
         """Completed full checkpoints, oldest first.  Torn ``tmp-*``
         directories, directories without a manifest and what older builds
-        wrote (``kind="segments"`` manifests, format-1 and format-2
-        checkpoints) are skipped silently."""
+        wrote (``kind="segments"`` manifests, formats 1-3) are skipped
+        silently."""
         infos: list[CheckpointInfo] = []
         for path in sorted(self.root.iterdir()):
             if not path.is_dir() or not path.name.startswith(_PREFIX):
@@ -201,7 +193,6 @@ class CheckpointManager:
                     checkpoint_id=int(manifest["checkpoint_id"]),
                     path=str(path),
                     wal_seq=int(manifest["wal_seq"]),
-                    n_entries=int(manifest["n_entries"]),
                     created_at=float(manifest["created_at"]),
                     metadata=dict(manifest.get("metadata", {})),
                 )
@@ -228,12 +219,11 @@ class CheckpointManager:
     # Restoring
     # ------------------------------------------------------------------
 
-    def restore(self, info: CheckpointInfo, store: KVStore) -> int:
-        """Replace ``store``'s contents with checkpoint ``info``; return
-        entries loaded.
+    def restore(self, info: CheckpointInfo, state: ModelState) -> None:
+        """Replace ``state``'s values with checkpoint ``info``'s, in place.
 
         Verifies the manifest's format number and the payload checksum
-        before touching the store, so an unknown or corrupt checkpoint
+        before touching the state, so an unknown or corrupt checkpoint
         never half-loads.
         """
         path = Path(info.path)
@@ -250,9 +240,8 @@ class CheckpointManager:
                 f"{manifest.get('format')!r} (this build reads {_FORMAT_VERSION})"
             )
 
-        entries_path = path / _ENTRIES_FILE
         try:
-            payload = entries_path.read_bytes()
+            payload = (path / _STATE_FILE).read_bytes()
         except OSError as exc:
             raise CheckpointError(
                 f"checkpoint {info.name} unreadable: {exc}"
@@ -262,11 +251,10 @@ class CheckpointManager:
             raise CheckpointError(
                 f"checkpoint {info.name} corrupt: checksum mismatch"
             )
-        entries: list[EntrySnapshot] = pickle.loads(payload)
-        return store.restore_entries(entries)
+        state.restore(pickle.loads(payload))
 
-    def restore_latest(self, store: KVStore) -> CheckpointInfo | None:
-        """Restore the newest checkpoint into ``store``.
+    def restore_latest(self, state: ModelState) -> CheckpointInfo | None:
+        """Restore the newest checkpoint into ``state``.
 
         Returns its manifest, or ``None`` when no checkpoint exists (the
         caller then recovers from the WAL alone).
@@ -274,7 +262,7 @@ class CheckpointManager:
         info = self.latest()
         if info is None:
             return None
-        self.restore(info, store)
+        self.restore(info, state)
         return info
 
     # ------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Crash recovery: restore the last checkpoint, replay the WAL tail.
 
 **The WAL is the durability point.**  Every action is WAL-appended before
-it mutates model state, and that append is what acks it; the in-memory KV
-store is a materialised view of the log, written to disk only as a full
-checkpoint.  So recovery never trusts what the store holds *now*: it
-rolls it back to the last checkpoint — or empties it when there is none —
-and replays exactly the actions logged after it.  An action whose crash
+it mutates model state, and that append is what acks it; the in-memory
+:class:`~repro.core.state.ModelState` is a materialised view of the log,
+written to disk only as a full checkpoint.  So recovery never trusts what
+the state holds *now*: it rolls it back to the last checkpoint — or
+empties it when there is none — and replays exactly the actions logged
+after it.  An action whose crash
 interrupted its (non-atomic) application is replayed in full against the
 *checkpoint* state, so no partial update survives; checkpoints are only
 taken between actions, so none captures a partial one either.
 
-All model state lives in the KV store — MF vectors and biases, ``mu``,
-user histories, similar-video tables, hot lists — so restoring the
+All model state lives in the ``ModelState`` — MF vectors and biases,
+``mu``, user histories, similar-video lists, hot tables — so restoring the
 checkpoint and replaying the actions after its ``wal_seq`` is all of
 recovery.  Trainer counters and metrics restart from zero.
 """
@@ -21,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..core.state import ModelState
 from ..data.schema import UserAction
-from ..kvstore import KVStore
 from .checkpoint import CheckpointInfo, CheckpointManager
 from .wal import ActionWAL
 
@@ -41,7 +42,7 @@ class RecoveryManager:
 
     One instance per durable root; the same object serves both the running
     system (periodic :meth:`checkpoint` calls) and the post-crash restart
-    (:meth:`recover` into a fresh store).
+    (:meth:`recover` into a fresh state).
     """
 
     def __init__(self, checkpoints: CheckpointManager, wal: ActionWAL) -> None:
@@ -49,24 +50,24 @@ class RecoveryManager:
         self.wal = wal
 
     def checkpoint(
-        self, store: KVStore, created_at: float = 0.0
+        self, state: ModelState, created_at: float = 0.0
     ) -> CheckpointInfo:
-        """Snapshot ``store`` in full, tagged with the WAL's current position.
+        """Snapshot ``state`` in full, tagged with the WAL's current position.
 
         Call between actions (never mid-action): the snapshot must be a
-        consistent cut of the store that corresponds exactly to "all
+        consistent cut of the state that corresponds exactly to "all
         actions up to ``wal.last_seq`` applied".
         """
         return self.checkpoints.create(
-            store, wal_seq=self.wal.last_seq, created_at=created_at
+            state, wal_seq=self.wal.last_seq, created_at=created_at
         )
 
     def recover(
         self,
-        store: KVStore,
+        state: ModelState,
         apply: Callable[[UserAction], object],
     ) -> RecoveryReport:
-        """Rebuild state into ``store``; return what happened.
+        """Rebuild ``state`` in place; return what happened.
 
         ``apply`` re-feeds one logged action through the model — typically
         ``OnlineTrainer.process`` or ``RealtimeRecommender.observe`` — and
@@ -75,16 +76,15 @@ class RecoveryManager:
         so an ``apply`` that itself logs to this WAL does not duplicate
         records.
 
-        Restoring a checkpoint replaces ``store``'s contents.  With nothing
+        Restoring a checkpoint replaces ``state``'s values.  With nothing
         to restore — no checkpoint yet (a crash during the first boot), or
-        only an older build's ``kind="segments"`` ones — the store is
-        emptied and the whole WAL (every acked action from sequence 1) is
-        replayed; no WAL segment is ever truncated, so that is the full
-        history.
+        only checkpoints of an older format — the state is emptied and the
+        whole WAL (every acked action from sequence 1) is replayed; no WAL
+        segment is ever truncated, so that is the full history.
         """
-        info = self.checkpoints.restore_latest(store)
+        info = self.checkpoints.restore_latest(state)
         if info is None:
-            store.restore_entries(())
+            state.restore(ModelState(state.users.f))
         after_seq = info.wal_seq if info is not None else 0
         replayed = 0
         last_seq = after_seq

@@ -2,7 +2,7 @@
 
 Every action is appended to the log *before* it mutates any model state, so
 after a crash the actions newer than the last checkpoint can be replayed
-into a restored store — Storm's "replay unacked tuples" guarantee (§5.1),
+into a restored state — Storm's "replay unacked tuples" guarantee (§5.1),
 rebuilt on a plain append-only file.
 
 Record format is one line per action::

@@ -10,11 +10,11 @@ for demos, smoke tests, and poking the endpoints with curl::
     curl -s localhost:8080/healthz
     curl -s -XPOST localhost:8080/recommend -d '{"user_id": "u0001"}'
 
-The recommender and the fallback share one in-memory KV store; training,
+The recommender and the fallback share one model state; training,
 ``/ingest`` and recovery feed both through one ``observe``.  With
 ``--data-dir`` every observed action hits a write-ahead log first (that
 append is the durability point), the first boot is sealed with a full
-checkpoint of the store, and a restart restores it and replays the WAL
+checkpoint of the state, and a restart restores it and replays the WAL
 after it instead of retraining — it serves the same recommendations.
 
 Everything is stdlib + numpy; the process serves until interrupted.
@@ -33,7 +33,6 @@ from ..core import RealtimeRecommender
 from ..data import SyntheticWorld, UserAction
 from ..data.synthetic import paper_world_config
 from ..config import ReproConfig, RetrievalConfig
-from ..kvstore import InMemoryKVStore
 from ..obs import Observability
 from ..reliability import ActionWAL, CheckpointManager, RecoveryManager
 from ..reliability.overload import AdmissionController, CircuitBreaker
@@ -85,9 +84,6 @@ def build_demo_gateway(
         paper_world_config(seed=seed, n_users=n_users, n_videos=n_videos)
     )
     obs = Observability.create()
-    # One instrumented store under both the recommender and the Hot
-    # fallback, so every model write is counted once.
-    store = obs.instrument_store(InMemoryKVStore())
     wal = recovery = None
     if data_dir is not None:
         if fsync not in FSYNC_POLICIES:
@@ -106,10 +102,10 @@ def build_demo_gateway(
         config=ReproConfig(retrieval=RetrievalConfig(mode=retrieval)),
         clock=SystemClock(),
         obs=obs,
-        store=store,
         wal=wal,
     )
-    fallback = HotRecommender(store=store)
+    # The fallback's hot table joins the recommender's state.
+    fallback = HotRecommender(state=recommender.state)
 
     def observe(action: UserAction) -> None:
         recommender.observe(action)
@@ -117,7 +113,7 @@ def build_demo_gateway(
 
     recovered = False
     if recovery is not None:
-        report = recovery.recover(store, observe)
+        report = recovery.recover(recommender.state, observe)
         recovered = report.checkpoint is not None or report.replayed > 0
         if recovered:
             print(
@@ -130,7 +126,7 @@ def build_demo_gateway(
         for action in world.generate_actions():
             observe(action)
         if recovery is not None:
-            recovery.checkpoint(store)
+            recovery.checkpoint(recommender.state)
     # Seal the boot path for factor-scan retrieval: whether the factors
     # came from training or checkpoint+WAL recovery, the scan's mirror is
     # rebuilt from the arena so it serves the exact same catalog.

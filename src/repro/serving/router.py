@@ -177,12 +177,13 @@ class RequestRouter:
     isolation and the admission → deadline → breaker → fallback overload
     chain.  Multiple threads may call :meth:`handle` concurrently — the
     counts are (locked) registry instruments, and the state the
-    recommender reads lives in the (locked) KV store.
+    recommender reads is copied out of (locked) arenas and lists or read
+    from history and hot entries that writers replace, never mutate.
 
     ``fallback`` (any object with the same ``recommend_ids`` signature,
     e.g. :class:`~repro.baselines.HotRecommender`) enables graceful
-    degradation: when the primary recommender raises — say the model store
-    is erroring — the request is re-served from the fallback and counted
+    degradation: when the primary recommender raises — say its model
+    state is unreadable — the request is re-served from the fallback and counted
     as ``degraded`` instead of returning an empty error response.  Only
     when the fallback also fails (or none is configured) does the response
     carry an error.
@@ -262,7 +263,7 @@ class RequestRouter:
 
     def handle(self, request: RecRequest) -> RecResponse:
         """Serve one request; never raises."""
-        # Each request roots its own trace; the recommender and KV spans
+        # Each request roots its own trace; the recommender's spans
         # underneath parent to it via the ambient span stack.
         with self._tracer.span("router.handle", parent=None) as span:
             span.set_attribute("scenario", request.scenario.value)

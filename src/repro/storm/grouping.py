@@ -1,8 +1,8 @@
 """Stream groupings — how tuples are distributed across a bolt's workers.
 
 The paper's correctness argument (§5.1) hinges on *fields grouping*: new MF
-vectors are re-partitioned from ``ComputeMF`` to ``MFStorage`` by their KV
-key, which "guarantees only a single worker node should operate over a
+vectors are re-partitioned from ``ComputeMF`` to ``MFStorage`` by their
+storage key, which "guarantees only a single worker node should operate over a
 specific video or user vector at some point", making vector updates atomic
 without locks.  :class:`FieldsGrouping` implements exactly that guarantee
 with a stable hash, and the topology tests assert it.  It is the only

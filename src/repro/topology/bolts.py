@@ -16,17 +16,18 @@ Three processing lines fan out from the spout:
    score each pair (Eq. 12's raw fusion), store the per-video top-K lists.
 
 Every bolt instance is one worker's private object; all shared state lives
-in the KV store, exactly as in the production design.
+in the model's :class:`~repro.core.state.ModelState`, as it lives in the
+KV storage of the production design.
 """
 
 from __future__ import annotations
 
+from ..core.actions import is_engagement
 from ..core.history import UserHistoryStore
 from ..core.mf import MFModel
 from ..core.online import OnlineTrainer
 from ..core.simtable import MAX_PAIRS, SimilarVideoTable, pair_partners
 from ..data.schema import UserAction
-from ..data.stream import ENGAGEMENT_ACTIONS
 from ..errors import DataError
 from ..storm import Bolt, Collector, StreamTuple
 
@@ -103,7 +104,7 @@ class MFStorageBolt(Bolt):
 
 
 class UserHistoryBolt(Bolt):
-    """Records user behaviour histories in the KV store."""
+    """Records user behaviour histories in the model state."""
 
     def __init__(self, history: UserHistoryStore) -> None:
         self.history = history
@@ -128,7 +129,7 @@ class GetItemPairsBolt(Bolt):
 
     def process(self, tup: StreamTuple, collector: Collector) -> None:
         action: UserAction = tup["action"]
-        if action.action not in ENGAGEMENT_ACTIONS:
+        if not is_engagement(action):
             return
         recent = self.history.recent(action.user_id)
         video_i = action.video_id

@@ -16,7 +16,8 @@ the groupings of the paper's figure:
 
 The topology's state is built once, as one
 :class:`~repro.core.recommender.RealtimeRecommender` (no demographic
-component) over the shared KV store: the bolts write its model, history
+component) over one shared :class:`~repro.core.state.ModelState`: the
+bolts write its model, history
 and similar-video table, ``ComputeMF`` takes ``(r, w)`` and Eq. 8 from its
 trainer, and :meth:`RecommendationSystem.serving_recommender` returns it as
 the serving layer for whatever the topology has learned so far.  Every
@@ -31,9 +32,9 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..clock import Clock, SystemClock
 from ..core.recommender import RealtimeRecommender
+from ..core.state import ModelState
 from ..core.variants import COMBINE_MODEL, ModelVariant
 from ..data.schema import User, UserAction, Video
-from ..kvstore import InMemoryKVStore, KVStore
 from ..storm import Topology, TopologyBuilder
 from .bolts import (
     ComputeMFBolt,
@@ -72,7 +73,7 @@ DEFAULT_PARALLELISM: Mapping[str, int] = {
 class RecommendationSystem:
     """Handles to the shared state behind a running topology."""
 
-    store: KVStore
+    state: ModelState
     videos: Mapping[str, Video]
     users: Mapping[str, User] = field(default_factory=dict)
     variant: ModelVariant = COMBINE_MODEL
@@ -88,7 +89,7 @@ class RecommendationSystem:
             users=self.users,
             variant=self.variant,
             clock=self.clock,
-            store=self.store,
+            state=self.state,
             enable_demographic=False,
             obs=self.obs,
         )
@@ -114,11 +115,11 @@ def build_recommendation_topology(
     users: Mapping[str, User] | None = None,
     variant: ModelVariant = COMBINE_MODEL,
     clock: Clock | None = None,
-    store: KVStore | None = None,
+    state: ModelState | None = None,
     parallelism: Mapping[str, int] | None = None,
     obs: "Observability | None" = None,
 ) -> tuple[Topology, RecommendationSystem]:
-    """Assemble the paper's topology over a shared KV store.
+    """Assemble the paper's topology over one shared model state.
 
     Returns the built topology (run it with a
     :class:`~repro.storm.LocalExecutor` or
@@ -126,13 +127,8 @@ def build_recommendation_topology(
     :class:`RecommendationSystem` handles for inspecting state and serving
     requests.
     """
-    backing = store if store is not None else InMemoryKVStore()
-    if obs is not None:
-        # One instrumented store feeds both the topology bolts and the
-        # serving recommender built over the same state.
-        backing = obs.instrument_store(backing)
     system = RecommendationSystem(
-        store=backing,
+        state=state if state is not None else ModelState(),
         videos=videos,
         users=users or {},
         variant=variant,

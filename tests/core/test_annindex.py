@@ -12,7 +12,7 @@ import pytest
 from repro.config import MFConfig
 from repro.core import AnnIndex, MFModel, top_n_by_score
 from repro.core.annindex import OVERFETCH
-from repro.kvstore import InMemoryKVStore
+from repro.core.state import ModelState
 from repro.reliability import CheckpointManager
 
 
@@ -180,8 +180,8 @@ class TestIncrementalMaintenance:
 
 
 class TestRebuildEquivalence:
-    def _trained_model(self, f=6, store=None):
-        model = MFModel(MFConfig(f=f, seed=4), store=store)
+    def _trained_model(self, f=6, state=None):
+        model = MFModel(MFConfig(f=f, seed=4), state)
         model.observe_rating(0.0)
         model.observe_rating(1.0)
         rng = np.random.default_rng(12)
@@ -194,15 +194,15 @@ class TestRebuildEquivalence:
     def test_checkpoint_restored_index_serves_identical_shortlists(
         self, tmp_path
     ):
-        store = InMemoryKVStore()
-        model = self._trained_model(store=store)
+        state = ModelState(6)
+        model = self._trained_model(state=state)
         fresh = AnnIndex(6)
         fresh.build_from_model(model)
 
         manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
-        restored_store = InMemoryKVStore()
-        manager.restore(manager.create(store), restored_store)
-        restored_model = MFModel(MFConfig(f=6), store=restored_store)
+        restored_state = ModelState(6)
+        manager.restore(manager.create(state), restored_state)
+        restored_model = MFModel(MFConfig(f=6), restored_state)
         restored = AnnIndex(6)
         restored.build_from_model(restored_model)
 

@@ -9,7 +9,7 @@ from repro.core import (
     merge_recommendations,
 )
 from repro.data import GLOBAL_GROUP, ActionType, User, UserAction
-from repro.kvstore import InMemoryKVStore
+from repro.core.state import ModelState
 
 
 class TestHotVideoTracker:
@@ -54,21 +54,21 @@ class TestHotVideoTracker:
         assert len(videos) == 2
 
     def test_record_leaves_a_table_already_read_unchanged(self):
-        """``hot()`` walks a table outside the store's lock while another
-        thread may record, so a record builds a new table (bump, insert
-        and eviction alike) instead of changing the one a reader holds."""
-        store = InMemoryKVStore()
+        """``hot()`` walks a table with no lock while another thread may
+        record, so a record builds a new table (bump, insert and eviction
+        alike) instead of changing the one a reader holds."""
+        state = ModelState()
         tracker = HotVideoTracker(
-            max_tracked=2, clock=VirtualClock(0.0), store=store
+            max_tracked=2, clock=VirtualClock(0.0), state=state
         )
         tracker.record("g", "a", weight=1.0, now=0.0)
         tracker.record("g", "b", weight=2.0, now=0.0)
-        read = store.get(("hot", "g"))
+        read = state.hot["g"]
         before = dict(read)
         tracker.record("g", "a", weight=1.0, now=1.0)
         tracker.record("g", "c", weight=5.0, now=2.0)
         assert read == before
-        assert store.get(("hot", "g")) is not read
+        assert state.hot["g"] is not read
 
     def test_empty_group(self):
         tracker = HotVideoTracker(clock=VirtualClock(0.0))

@@ -6,7 +6,7 @@ import pytest
 from repro.config import MFConfig
 from repro.core import MFModel
 from repro.errors import ModelError
-from repro.kvstore import InMemoryKVStore
+from repro.core.state import ModelState
 
 
 @pytest.fixture
@@ -33,9 +33,8 @@ class TestInitialisation:
     def test_init_deterministic_per_entity(self):
         """Any worker initialising the same entity gets the same vector —
         the idempotence the topology's persist_init=False path needs."""
-        store = InMemoryKVStore()
-        m1 = MFModel(MFConfig(f=8, seed=3), store=InMemoryKVStore())
-        m2 = MFModel(MFConfig(f=8, seed=3), store=store)
+        m1 = MFModel(MFConfig(f=8, seed=3), ModelState(8))
+        m2 = MFModel(MFConfig(f=8, seed=3), ModelState(8))
         assert np.array_equal(m1.ensure_user("u9"), m2.ensure_user("u9"))
 
     def test_users_and_videos_independent(self, model):
@@ -175,10 +174,10 @@ class TestSGDStep:
 
 class TestSharedStore:
     def test_shared_store_is_the_single_source_of_truth(self):
-        """Two MFModel views over one store see each other's writes."""
-        store = InMemoryKVStore()
-        writer = MFModel(MFConfig(f=4, seed=2), store=store)
-        reader = MFModel(MFConfig(f=4, seed=2), store=store)
+        """Two MFModel views over one state see each other's writes."""
+        state = ModelState(4)
+        writer = MFModel(MFConfig(f=4, seed=2), state)
+        reader = MFModel(MFConfig(f=4, seed=2), state)
         writer.sgd_step("u", "v", 1.0, 0.1)
         assert reader.user_vector("u") is not None
         assert np.array_equal(reader.user_vector("u"), writer.user_vector("u"))

@@ -1,27 +1,26 @@
-"""MF model persistence: a checkpoint of the model's store, restored into a
-fresh store (the recovery path ``repro-serve --data-dir`` serves)."""
+"""MF model persistence: a checkpoint of the model's state, restored into a
+fresh state (the recovery path ``repro-serve --data-dir`` serves)."""
 
 import numpy as np
 import pytest
 
 from repro.config import MFConfig
-from repro.core import MFModel
-from repro.kvstore import InMemoryKVStore
+from repro.core import MFModel, ModelState
 from repro.reliability import CheckpointManager
 
 
-def _restore(store, tmp_path, f, seed=0):
-    """A model over a fresh store holding a checkpoint of ``store``."""
+def _restore(state, tmp_path, f, seed=0):
+    """A model over a fresh state holding a checkpoint of ``state``."""
     manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
-    restored = InMemoryKVStore()
-    manager.restore(manager.create(store), restored)
-    return MFModel(MFConfig(f=f, seed=seed), store=restored)
+    restored = ModelState(f)
+    manager.restore(manager.create(state), restored)
+    return MFModel(MFConfig(f=f, seed=seed), restored)
 
 
 @pytest.fixture
 def trained():
-    store = InMemoryKVStore()
-    model = MFModel(MFConfig(f=6, seed=3), store=store)
+    store = ModelState(6)
+    model = MFModel(MFConfig(f=6, seed=3), store)
     model.observe_rating(0.0)
     model.observe_rating(1.0)
     for i in range(10):
@@ -62,7 +61,7 @@ class TestSaveLoad:
             wrong.ensure_user("new-user")
 
     def test_empty_model_round_trip(self, tmp_path):
-        restored = _restore(InMemoryKVStore(), tmp_path, f=4)
+        restored = _restore(ModelState(4), tmp_path, f=4)
         assert restored.n_users == 0
         assert restored.n_videos == 0
         assert restored.mu == 0.0

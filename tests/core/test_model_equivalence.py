@@ -23,7 +23,7 @@ from repro.clock import VirtualClock
 from repro.config import ReproConfig, RetrievalConfig
 from repro.core import MFModel, OnlineTrainer, RealtimeRecommender
 from repro.core.variants import ALL_VARIANTS, COMBINE_MODEL
-from repro.kvstore import InMemoryKVStore
+from repro.core.state import ModelState
 from repro.reliability import CheckpointManager
 from tests.reference import RTOL, ReferenceModel, assert_matches_oracle
 from tests.support.obs import counter_totals
@@ -40,8 +40,8 @@ def _oracle(model, actions, videos, variant=COMBINE_MODEL):
 
 
 def _trained_model(actions, videos, variant=COMBINE_MODEL, batch=None):
-    store = InMemoryKVStore()
-    model = MFModel(store=store)
+    state = ModelState()
+    model = MFModel(state=state)
     trainer = OnlineTrainer(model, videos=videos, variant=variant)
     if batch is None:
         for action in actions:
@@ -49,7 +49,7 @@ def _trained_model(actions, videos, variant=COMBINE_MODEL, batch=None):
     else:
         for start in range(0, len(actions), batch):
             trainer.process_batch(list(actions[start : start + batch]))
-    return model, trainer, store
+    return model, trainer, state
 
 
 @pytest.fixture(scope="module", params=ALL_VARIANTS, ids=VARIANT_IDS)
@@ -188,15 +188,15 @@ class TestBatchTrainingEquivalence:
 
 class TestPersistence:
     def test_checkpoint_round_trip(self, small_world, small_split, tmp_path):
-        src_model, _, src_store = _trained_model(
+        src_model, _, src_state = _trained_model(
             small_split.train[:300], small_world.videos
         )
         manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
-        info = manager.create(src_store)
+        info = manager.create(src_state)
 
-        dst_store = InMemoryKVStore()
-        manager.restore(info, dst_store)
-        dst_model = MFModel(store=dst_store)
+        dst_state = ModelState()
+        manager.restore(info, dst_state)
+        dst_model = MFModel(state=dst_state)
         assert dst_model.mu == src_model.mu
         assert dst_model.n_users == src_model.n_users
         videos = sorted(src_model.video_rows()[0])
@@ -210,17 +210,17 @@ class TestPersistence:
     def test_training_resumes_identically_after_restore(
         self, small_world, small_split, tmp_path
     ):
-        # The served recovery path: checkpoint, restore into a fresh store,
+        # The served recovery path: checkpoint, restore into a fresh state,
         # keep training.  The restored model must go on learning exactly
         # what the uninterrupted one learns.
         actions = small_split.train[:300]
-        src_model, src_trainer, src_store = _trained_model(
+        src_model, src_trainer, src_state = _trained_model(
             actions[:200], small_world.videos
         )
         manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
-        dst_store = InMemoryKVStore()
-        manager.restore(manager.create(src_store), dst_store)
-        dst_model = MFModel(store=dst_store)
+        dst_state = ModelState()
+        manager.restore(manager.create(src_state), dst_state)
+        dst_model = MFModel(state=dst_state)
         dst_trainer = OnlineTrainer(dst_model, videos=small_world.videos)
         for action in actions[200:]:
             src_trainer.process(action)
@@ -244,7 +244,7 @@ class TestRecommenderEquivalence:
         self, variant, small_world, small_split
     ):
         # The assembled system (history, simtable and demographic updates
-        # interleaved with training on one store) learns the oracle's model.
+        # interleaved with training on one state) learns the oracle's model.
         actions = small_split.train[:500]
         rec = RealtimeRecommender(
             small_world.videos,

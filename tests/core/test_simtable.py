@@ -10,10 +10,11 @@ import pytest
 from repro.clock import VirtualClock
 from repro.config import SimilarityConfig
 from repro.core import MFModel, SimilarVideoTable, pair_partners
-from repro.core.simtable import LISTS_KEY, MAX_PAIRS
+from repro.core.simtable import MAX_PAIRS
+from repro.core.state import ModelState
 from repro.config import MFConfig
 from repro.data import Video
-from repro.kvstore import InMemoryKVStore
+from tests.support.state import CountingState
 from tests.support.world import raw_entries
 
 
@@ -100,31 +101,15 @@ class TestOfferPair:
         assert dict(fresh)["v1"] > dict(stale)["v1"]
 
 
-class _CountingStore(InMemoryKVStore):
-    """Records every ``(op, key)`` it serves."""
-
-    def __init__(self):
-        super().__init__()
-        self.ops = []
-
-    def get(self, key, default=None):
-        self.ops.append(("get", key))
-        return super().get(key, default)
-
-    def update(self, key, fn, default=None):
-        self.ops.append(("update", key))
-        return super().update(key, fn, default)
-
-
 class TestOfferPairCost:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_one_arena_read_and_one_list_update(self, k):
         """One engagement with ``k`` scoreable partners: one arena read and
-        one update of the entry holding every list — the new video's and
+        one insert into the value holding every list — the new video's and
         each partner's."""
-        store = _CountingStore()
+        state = CountingState(4)
         videos = _videos()
-        model = MFModel(MFConfig(f=4, init_scale=0.5, seed=1), store=store)
+        model = MFModel(MFConfig(f=4, init_scale=0.5, seed=1), state)
         for vid in videos:
             model.ensure_video(vid)
         table = SimilarVideoTable(
@@ -132,27 +117,22 @@ class TestOfferPairCost:
             model,
             config=SimilarityConfig(table_size=3, xi=100.0),
             clock=VirtualClock(0.0),
-            store=store,
         )
         partners = [f"v{i}" for i in range(1, k + 1)]
-        store.ops.clear()
+        state.reset()
         scores = table.offer_pair("v0", partners, now=0.0)
         assert None not in scores
-        reads = [key for op, key in store.ops if op == "get"]
-        updates = [key for op, key in store.ops if op == "update"]
-        assert len(reads) == 1 and reads[0][1] == "arena:video"
-        assert updates == [("simtable", LISTS_KEY)]
+        assert state.ops == {"videos": 1, "lists": 1}
         for other in partners:
             assert "v0" in raw_entries(table, other)
         assert len(raw_entries(table, "v0")) == min(k, 3)
 
     def test_insert_scored_is_one_list_update(self):
-        store = _CountingStore()
-        table = SimilarVideoTable(
-            _videos(), MFModel(MFConfig(f=4, seed=1), store=store), store=store
-        )
+        state = CountingState(4)
+        table = SimilarVideoTable(_videos(), MFModel(MFConfig(f=4, seed=1), state))
+        state.reset()
         table.insert_scored("v0", "v1", 0.5, 0.0)
-        assert store.ops == [("update", ("simtable", LISTS_KEY))]
+        assert state.ops == {"lists": 1}
 
 
 class TestTopKEviction:
@@ -259,7 +239,7 @@ class TestTieRules:
 
 class TestConcurrentReads:
     def test_reads_during_writes_never_raise_overflow_or_self_pair(self):
-        """All lists are one store entry, so readers copy rows while
+        """All lists are one value, so readers copy rows while
         writers update others (or the same) in it: a read must never
         raise, and never see a row with more than K entries or a
         self-entry.  One thread runs ``offer_pair``, one ``insert_scored``
@@ -337,26 +317,23 @@ class TestCheckpointedLists:
         restored copy re-keys each row on its first write and from then
         on evicts exactly as the live value does."""
         rng = random.Random(11)
-        store = InMemoryKVStore()
         videos = _videos(n=10)
-        model = MFModel(MFConfig(f=4, seed=1))
         config = SimilarityConfig(table_size=3, xi=100.0)
-        live = SimilarVideoTable(videos, model, config=config, store=store)
+        live_state = ModelState(4)
+        live = SimilarVideoTable(
+            videos, MFModel(MFConfig(f=4, seed=1), live_state), config=config
+        )
         self._writes(live, rng, 300)
 
-        (entry,) = store.snapshot_entries()
-        assert entry.key == ("simtable", LISTS_KEY)
-        state = entry.value.__getstate__()
+        pickled = live_state.lists.__getstate__()
         assert all(
-            len(value) == 2 for row in state.values() for value in row.values()
+            len(value) == 2 for row in pickled.values() for value in row.values()
         )
-        restored_store = InMemoryKVStore()
-        restored_store.restore_entries(
-            pickle.loads(pickle.dumps(store.snapshot_entries()))
-        )
+        restored_state = ModelState(4)
         restored = SimilarVideoTable(
-            videos, model, config=config, store=restored_store
+            videos, MFModel(MFConfig(f=4, seed=1), restored_state), config=config
         )
+        restored_state.restore(pickle.loads(pickle.dumps(live_state)))
         for video in sorted(videos):
             assert raw_entries(restored, video) == raw_entries(live, video)
 

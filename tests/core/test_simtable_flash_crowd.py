@@ -1,4 +1,4 @@
-"""Simtable eviction under a flash-crowd scenario (ROADMAP item 1).
+"""Simtable eviction under a flash-crowd scenario.
 
 A video going viral mid-stream floods the similar-video tables with fresh
 high-engagement pairs.  Two properties must hold (§4.2, Eq. 11):

@@ -13,10 +13,10 @@ from repro.core import (
     RealtimeRecommender,
 )
 from repro.data import ActionType, UserAction
-from repro.kvstore import InMemoryKVStore
 from repro.obs import Observability
 from repro.serving import RecRequest, RequestRouter
 from tests.support.obs import counter_totals
+from tests.support.state import CountingState
 
 
 def _config(mode):
@@ -113,16 +113,12 @@ class TestDemographicPostFilterPin:
 
 
 class TestBatchedSeedFetches:
-    def _read_ops(self, obs):
-        ops = obs.registry.get("kvstore_ops_total")
-        return ops.labels(op="get").value, ops.labels(op="mget").value
-
     def _recommender(self, small_world, small_split, obs):
         rec = RealtimeRecommender(
             small_world.videos,
             users=small_world.users,
             clock=VirtualClock(0.0),
-            store=InMemoryKVStore(),
+            state=CountingState(),
             obs=obs,
             enable_demographic=False,
         )
@@ -132,7 +128,7 @@ class TestBatchedSeedFetches:
     def test_duplicate_seeds_are_one_read(
         self, small_world, small_split, monkeypatch
     ):
-        """Every list is one store entry: a batch of seeds is one ``get``,
+        """Every list is one value: a batch of seeds is one read of it,
         and a duplicate seed is ranked once and fanned back out."""
         obs = Observability.create()
         rec = self._recommender(small_world, small_split, obs)
@@ -144,10 +140,9 @@ class TestBatchedSeedFetches:
             return rank(entries, k, now)
 
         monkeypatch.setattr(rec.table, "_rank", counting_rank)
-        before = self._read_ops(obs)
+        rec.state.reset()
         lists = rec.table.neighbors_many(["v1", "v1", "v2"], now=1.0)
-        after = self._read_ops(obs)
-        assert (after[0] - before[0], after[1] - before[1]) == (1, 0)
+        assert rec.state.ops == {"lists": 1}
         assert len(ranked) == 2  # deduplicated before ranking
         assert lists[0] == lists[1]
         assert lists[0] == rec.table.neighbors("v1", now=1.0)
@@ -170,11 +165,10 @@ class TestBatchedSeedFetches:
             return neighbors_many(ids, **kwargs)
 
         monkeypatch.setattr(rec.table, "neighbors_many", recording_neighbors_many)
-        before = self._read_ops(obs)
+        rec.state.reset()
         rec.selector.select(seeds, now=1.0)
-        after = self._read_ops(obs)
         assert fetched == [["v1", "v2"]]
-        assert (after[0] - before[0], after[1] - before[1]) == (1, 0)
+        assert rec.state.ops == {"lists": 1}
 
     def test_cold_user_ann_fallback_batches_seed_vectors(
         self, small_world, small_split
@@ -185,28 +179,21 @@ class TestBatchedSeedFetches:
             users=small_world.users,
             config=_config("ann"),
             clock=VirtualClock(0.0),
-            store=InMemoryKVStore(),
+            state=CountingState(),
             obs=obs,
             enable_demographic=False,
         )
         rec.observe_stream(small_split.train[:200])
         rec.rebuild_index()
-        ops = obs.registry.get("kvstore_ops_total")
 
-        def reads() -> float:
-            # Every op that can fetch a value; writes are not expected here.
-            return sum(
-                ops.labels(op=op).value for op in ("get", "mget", "update")
-            )
-
-        # The video arena is one store entry, so all seed vectors cost one
-        # read however many seeds there are; the other read is the cold
-        # user's (missing) ``x_u`` lookup in the user arena.
+        # The video arena is one value, so all seed vectors cost one read
+        # however many seeds there are; the other read is the cold user's
+        # (missing) ``x_u`` lookup in the user arena.
         for seeds in (["v1", "v1", "v2"], [f"v{i}" for i in range(1, 9)]):
-            before = reads()
+            rec.state.reset()
             shortlist = rec._ann_shortlist("stranger", seeds, set(), 10)
             assert shortlist
-            assert reads() - before == 2
+            assert rec.state.ops == {"users": 1, "videos": 1}
 
 
 class TestRouterIntegration:

@@ -16,7 +16,6 @@ change::
 import os
 from pathlib import Path
 
-from repro.kvstore import InMemoryKVStore
 from repro.storm import Bolt, LocalExecutor, Spout, StreamTuple, TopologyBuilder
 from tests.support.obs import deterministic_obs
 
@@ -39,26 +38,25 @@ class _FixedSpout(Spout):
 
 class _WorkBolt(Bolt):
     """Simulates 1 ms of work on the shared virtual clock, then writes
-    through the instrumented KV store."""
+    into a shared table."""
 
-    def __init__(self, clock, store) -> None:
+    def __init__(self, clock, table) -> None:
         self._clock = clock
-        self._store = store
+        self._table = table
 
     def process(self, tup, collector):
         self._clock.advance(0.001)
-        self._store.update(f"count:{tup['k']}", lambda _old: tup["v"])
-        self._store.get(f"count:{tup['k']}")
+        self._table[f"count:{tup['k']}"] = tup["v"]
 
 
 def _deterministic_registry_json() -> str:
     obs = deterministic_obs()
     clock = obs.perf_clock  # the one VirtualClock behind everything
-    store = obs.instrument_store(InMemoryKVStore())
+    table: dict = {}
     builder = TopologyBuilder()
     builder.set_spout("spout", _FixedSpout)
     builder.set_bolt(
-        "work", lambda: _WorkBolt(clock, store), parallelism=2
+        "work", lambda: _WorkBolt(clock, table), parallelism=2
     ).fields_grouping("spout", ["k"])
     LocalExecutor(builder.build(), obs=obs).run()
     return obs.registry.to_json()

@@ -2,21 +2,38 @@
 
 ``RealtimeRecommender.observe`` does one engagement's arithmetic once:
 each scored pair gets one Eq. 12 eviction key, shared by its two
-directed list entries, and each SGD step reads and writes each factor
-arena once.  These tests count that work on seeded streams, so they hold
-on any host.
+directed list entries, each SGD step reads and writes each factor arena
+once, and no action's type is hashed.  These tests count that work on
+seeded streams, so they hold on any host.
 """
 
 from repro.core import RealtimeRecommender, simtable
-from repro.data import SyntheticWorld, split_by_day
+from repro.data import ActionType, SyntheticWorld, split_by_day
 from repro.data.synthetic import paper_world_config
 from repro.obs import Observability
-from tests.support.obs import counter_totals
+from tests.support.state import CountingState
 
-#: KV ops per observed action on the 40 x 80 world's training days: the
-#: tier-1 twin of ``benchmarks/test_obs_overhead.py::MAX_KV_OPS_PER_ACTION``
-#: (6.19 measured here, 6.41 on the benchmark's 120 x 200 world).
-MAX_KV_OPS_PER_ACTION = 6.5
+#: State operations per observed action on the 40 x 80 world's training
+#: days: the tier-1 twin of
+#: ``benchmarks/test_obs_overhead.py::MAX_STATE_OPS_PER_ACTION`` (6.19
+#: measured here, 6.41 on the benchmark's 120 x 200 world).  A state
+#: operation is one fetch of a ``ModelState`` value by a component
+#: (``tests/support/state.py``).
+MAX_STATE_OPS_PER_ACTION = 6.5
+#: The exact fetches of that run, by value: per action one ``mu`` fold;
+#: per SGD step a ``mu`` read and a read and a write of each arena; per
+#: engagement a history read (the pairing partners) and push, a video
+#: arena read and a list insert when there are partners, and a hot-table
+#: record per group.  81,419 in all — the KV operations the key-value
+#: store counted on the same run, one for one.
+RECORDED_STATE_OPS = {
+    "mu": 19534,
+    "users": 12774,
+    "videos": 19081,
+    "histories": 12774,
+    "hot": 10949,
+    "lists": 6307,
+}
 
 
 def test_one_eviction_key_per_scored_pair(
@@ -49,17 +66,41 @@ def test_one_eviction_key_per_scored_pair(
     assert calls == scored
 
 
-def test_kv_ops_per_action_within_bound():
+def _training_days():
     world = SyntheticWorld(
         paper_world_config(seed=2016, n_users=40, n_videos=80)
     )
-    actions = split_by_day(world.generate_actions(), train_days=6).train
-    obs = Observability.create()
-    recommender = RealtimeRecommender(world.videos, users=world.users, obs=obs)
-    recommender.observe_stream(actions)
-    kv_ops = sum(
-        value
-        for key, value in counter_totals(obs.registry).items()
-        if key.startswith("kvstore_ops_total")
+    return world, split_by_day(world.generate_actions(), train_days=6).train
+
+
+def test_state_ops_per_action_within_bound():
+    world, actions = _training_days()
+    state = CountingState()
+    recommender = RealtimeRecommender(
+        world.videos, users=world.users, state=state, obs=Observability.create()
     )
-    assert kv_ops / len(actions) <= MAX_KV_OPS_PER_ACTION, kv_ops
+    state.reset()
+    recommender.observe_stream(actions)
+    assert dict(state.ops) == RECORDED_STATE_OPS
+    assert state.total() / len(actions) <= MAX_STATE_OPS_PER_ACTION
+
+
+def test_no_action_type_is_hashed_per_observed_action(monkeypatch):
+    """The weigher's fixed-weight table is keyed by the member's string
+    value and engagement is an identity test, so ``observe`` runs no
+    Python-level ``Enum.__hash__``."""
+    world, actions = _training_days()
+    recommender = RealtimeRecommender(world.videos, users=world.users)
+    hashes = 0
+    enum_hash = ActionType.__hash__
+
+    def counting_hash(member):
+        nonlocal hashes
+        hashes += 1
+        return enum_hash(member)
+
+    monkeypatch.setattr(ActionType, "__hash__", counting_hash)
+    assert hash(ActionType.PLAY) and hashes == 1  # the counter counts
+    hashes = 0
+    recommender.observe_stream(actions)
+    assert hashes == 0

@@ -17,8 +17,6 @@ from repro.core import (
 from repro.data import ActionType, UserAction, Video
 from repro.eval import percentile_rank, recall_at_n
 from repro.hashing import stable_bucket, stable_hash
-from repro.kvstore import InMemoryKVStore
-from tests.support.kv import contents, put
 
 ids = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126),
@@ -160,24 +158,6 @@ class TestMetricProperties:
     def test_percentile_rank_bounds(self, length, data):
         position = data.draw(st.integers(min_value=0, max_value=length - 1))
         assert 0.0 <= percentile_rank(position, length) < 1.0
-
-
-class TestKVStoreProperties:
-    @given(
-        ops=st.lists(
-            st.tuples(ids, st.integers(min_value=-100, max_value=100)),
-            max_size=60,
-        )
-    )
-    def test_store_matches_reference_dict(self, ops):
-        """The store behaves exactly like a dict under update/get."""
-        store = InMemoryKVStore()
-        reference: dict = {}
-        for key, value in ops:
-            put(store, key, value)
-            reference[key] = value
-            assert store.get(key) == value
-        assert contents(store) == reference
 
 
 class TestMFProperties:

@@ -20,7 +20,7 @@ i.e. after the record is fsynced.
     python _crash_child.py rec <root> [--limit N] [--checkpoint-every K]
 
 Feeds the deterministic synthetic action stream through a
-``RealtimeRecommender`` over an in-memory store with a WAL
+``RealtimeRecommender`` over an in-memory model state with a WAL
 (``fsync=True``), taking a full checkpoint every K actions, printing
 ``ACK <seq>`` after each observe.  The WAL append happens (and is
 fsynced) *before* the model applies the action, so an acked sequence
@@ -31,10 +31,10 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.core import ModelState
 from repro.core.recommender import RealtimeRecommender
 from repro.data import ActionType, SyntheticWorld, UserAction
 from repro.data.synthetic import WorldConfig
-from repro.kvstore import InMemoryKVStore
 from repro.reliability import ActionWAL, CheckpointManager, RecoveryManager
 
 # The parent builds the identical world to verify against.
@@ -68,19 +68,19 @@ def run_rec(root: Path, limit: int, checkpoint_every: int) -> None:
     world = SyntheticWorld(WorldConfig(**WORLD))
     actions = world.generate_actions()[:limit]
 
-    store = InMemoryKVStore()
+    state = ModelState()
     wal = ActionWAL(
         root / "wal", segment_max_records=SEGMENT_MAX_RECORDS, fsync=True
     )
     recovery = RecoveryManager(CheckpointManager(root / "ckpt"), wal)
     recommender = RealtimeRecommender(
-        world.videos, users=world.users, store=store, wal=wal
+        world.videos, users=world.users, state=state, wal=wal
     )
     for count, action in enumerate(actions, start=1):
         recommender.observe(action)
         _ack(count)
         if count % checkpoint_every == 0:
-            recovery.checkpoint(store)
+            recovery.checkpoint(state)
 
 
 def main() -> None:

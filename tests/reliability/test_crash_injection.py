@@ -27,10 +27,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import ModelState
 from repro.core.recommender import RealtimeRecommender
 from repro.data import SyntheticWorld
 from repro.data.synthetic import WorldConfig
-from repro.kvstore import InMemoryKVStore
 from repro.reliability import ActionWAL, CheckpointManager, RecoveryManager
 
 from ._crash_child import SEGMENT_MAX_RECORDS, WORLD, wal_action
@@ -133,9 +133,9 @@ class TestRecommenderCrash:
         max_acked = max(acked)
 
         # Recover from the surviving files exactly as a restarted service
-        # would: restore the last full checkpoint into a fresh store, then
+        # would: restore the last full checkpoint into a fresh state, then
         # replay the WAL suffix through a fresh recommender.
-        store = InMemoryKVStore()
+        state = ModelState()
         wal = ActionWAL(
             tmp_path / "wal", segment_max_records=SEGMENT_MAX_RECORDS
         )
@@ -144,9 +144,9 @@ class TestRecommenderCrash:
         )
         world = SyntheticWorld(WorldConfig(**WORLD))
         recovered = RealtimeRecommender(
-            world.videos, users=world.users, store=store, wal=wal
+            world.videos, users=world.users, state=state, wal=wal
         )
-        report = recovery.recover(store, recovered.observe)
+        report = recovery.recover(state, recovered.observe)
 
         # Every acked action was WAL-durable before it was acked.
         assert report.last_seq >= max_acked
@@ -157,7 +157,7 @@ class TestRecommenderCrash:
         # A clean process that saw the same prefix must agree on top-N.
         actions = world.generate_actions()[: report.last_seq]
         clean = RealtimeRecommender(
-            world.videos, users=world.users, store=InMemoryKVStore()
+            world.videos, users=world.users, state=ModelState()
         )
         clean.observe_stream(actions)
 

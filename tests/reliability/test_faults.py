@@ -1,39 +1,41 @@
-"""Fault-injection harness tests: the KV fault schedule must be
+"""Fault-injection harness tests: the state's fault schedule must be
 deterministic."""
 
 import pytest
 
-from repro.kvstore import InMemoryKVStore
-from tests.support.faults import FlakyKVStore, TransientKVError
-from tests.support.kv import put
+from repro.core import MFModel, UserHistoryStore
+from tests.support.faults import FlakyState, TransientStateError
 
 
-class TestFlakyKVStore:
+class TestFlakyState:
     def test_error_schedule_is_periodic(self):
-        store = FlakyKVStore(InMemoryKVStore(), error_every=3)
+        state = FlakyState(error_every=3)
+        model = MFModel(state=state)
         outcomes = []
         for i in range(9):
             try:
-                put(store, f"k{i}", i)
+                model.observe_rating(float(i))
                 outcomes.append("ok")
-            except TransientKVError:
+            except TransientStateError:
                 outcomes.append("err")
         assert outcomes == ["ok", "ok", "err"] * 3
-        assert store.errors_raised == 3
+        assert state.errors_raised == 3
 
     def test_failed_operation_leaves_state_untouched(self):
-        store = FlakyKVStore(InMemoryKVStore())
-        put(store, "k", 1)
-        store.fail_next()
-        with pytest.raises(TransientKVError):
-            put(store, "k", 2)
-        assert store.get("k") == 1
+        state = FlakyState()
+        history = UserHistoryStore(state)
+        history.add("u1", "v1", 1.0)
+        state.fail_next()
+        with pytest.raises(TransientStateError):
+            history.add("u1", "v2", 2.0)
+        assert history.recent("u1") == ["v1"]
 
     def test_fail_next_forces_errors(self):
-        store = FlakyKVStore(InMemoryKVStore())
-        store.fail_next(2)
-        with pytest.raises(TransientKVError):
-            store.get("a")
-        with pytest.raises(TransientKVError):
-            store.update("a", lambda x: x, default=0)
-        assert store.get("a", "d") == "d"  # schedule exhausted
+        state = FlakyState()
+        model = MFModel(state=state)
+        state.fail_next(2)
+        with pytest.raises(TransientStateError):
+            model.user_vector("u1")
+        with pytest.raises(TransientStateError):
+            model.observe_rating(1.0)
+        assert model.mu == 0.0  # schedule exhausted

@@ -4,10 +4,10 @@ The acceptance bar for the subsystem:
 
 * a recommender crashed mid-stream and recovered from checkpoint + WAL
   replay serves the *same top-N* as an uninterrupted run;
-* a transient KV error under the Figure-2 topology aborts the run on
-  both executors, naming the failing bolt, and every delivery the run
-  routed is processed, failed or shed — none is lost uncounted;
-* when the model store errors at serve time the router falls back to the
+* a transient model-state error under the Figure-2 topology aborts the
+  run on both executors, naming the failing bolt, and every delivery the
+  run routed is processed, failed or shed — none is lost uncounted;
+* when the model state errors at serve time the router falls back to the
   hot-videos baseline, observably in its metrics.
 """
 
@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 from repro.baselines import HotRecommender
+from repro.core import ModelState, UserHistoryStore
 from repro.core.recommender import RealtimeRecommender
 from repro.errors import CheckpointError, ComponentError
-from repro.kvstore import InMemoryKVStore
 from repro.obs import Observability
 from repro.reliability import (
     ActionWAL,
@@ -28,19 +28,19 @@ from repro.reliability import (
 from repro.serving.router import RecRequest, RequestRouter, Scenario
 from repro.storm import LocalExecutor, ThreadedExecutor
 from repro.topology.pipeline import SPOUT, build_recommendation_topology
-from tests.support.faults import FlakyKVStore, TransientKVError, unaccounted
-from tests.support.kv import contents, put
+from tests.support.faults import FlakyState, TransientStateError, unaccounted
+from tests.support.state import plain
 
 N_TOTAL = 240  # actions in the run
 N_CHECKPOINT = 150  # checkpoint taken after this many
 N_CRASH = 220  # "power loss" after this many
 
 
-def _recommender(world, store, wal=None):
+def _recommender(world, state=None, wal=None):
     return RealtimeRecommender(
         world.videos,
         users=world.users,
-        store=store,
+        state=state,
         wal=wal,
     )
 
@@ -64,27 +64,27 @@ class TestKillAndRecover:
         self, small_world, stream, tmp_path
     ):
         # Reference: one uninterrupted pass over the whole stream.
-        rec_a = _recommender(small_world, InMemoryKVStore())
+        rec_a = _recommender(small_world, ModelState())
         rec_a.observe_stream(stream)
 
         # Crashing run: WAL everything, checkpoint part-way, then "lose"
-        # the process after N_CRASH actions (the store simply goes away).
+        # the process after N_CRASH actions (the state simply goes away).
         wal = ActionWAL(tmp_path / "wal", segment_max_records=64)
         recovery = RecoveryManager(
             CheckpointManager(tmp_path / "ckpt", fsync=False), wal
         )
-        store_b = InMemoryKVStore()
-        rec_b = _recommender(small_world, store_b, wal=wal)
+        state_b = ModelState()
+        rec_b = _recommender(small_world, state_b, wal=wal)
         rec_b.observe_stream(stream[:N_CHECKPOINT])
-        recovery.checkpoint(store_b)
+        recovery.checkpoint(state_b)
         rec_b.observe_stream(stream[N_CHECKPOINT:N_CRASH])
         del rec_b  # crash: in-memory state is gone, disk survives
 
-        # Recover into a brand-new store and recommender, replaying only
+        # Recover into a brand-new state and recommender, replaying only
         # the WAL suffix past the checkpoint, then finish the stream.
-        store_c = InMemoryKVStore()
-        rec_c = _recommender(small_world, store_c, wal=wal)
-        report = recovery.recover(store_c, rec_c.observe)
+        state_c = ModelState()
+        rec_c = _recommender(small_world, state_c, wal=wal)
+        report = recovery.recover(state_c, rec_c.observe)
         assert report.checkpoint is not None
         assert report.checkpoint.wal_seq == N_CHECKPOINT
         assert report.replayed == N_CRASH - N_CHECKPOINT
@@ -104,16 +104,16 @@ class TestKillAndRecover:
         recovery = RecoveryManager(
             CheckpointManager(tmp_path / "ckpt", fsync=False), wal
         )
-        rec = _recommender(small_world, InMemoryKVStore(), wal=wal)
+        rec = _recommender(small_world, ModelState(), wal=wal)
         rec.observe_stream(stream[:100])
         del rec
 
-        rec_a = _recommender(small_world, InMemoryKVStore())
+        rec_a = _recommender(small_world, ModelState())
         rec_a.observe_stream(stream[:100])
 
-        store = InMemoryKVStore()
-        rec_b = _recommender(small_world, store, wal=wal)
-        report = recovery.recover(store, rec_b.observe)
+        state = ModelState()
+        rec_b = _recommender(small_world, state, wal=wal)
+        report = recovery.recover(state, rec_b.observe)
         assert report.checkpoint is None
         assert report.replayed == 100
 
@@ -129,18 +129,18 @@ class TestKillAndRecover:
         recovery = RecoveryManager(
             CheckpointManager(tmp_path / "ckpt", fsync=False), wal
         )
-        store = InMemoryKVStore()
-        rec = _recommender(small_world, store, wal=wal)
+        state = ModelState()
+        rec = _recommender(small_world, state, wal=wal)
         rec.observe_stream(stream[:80])
-        recovery.checkpoint(store)
+        recovery.checkpoint(state)
         rec.observe_stream(stream[80:120])
         del rec
 
         recovered = []
         for _ in range(2):
-            store = InMemoryKVStore()
-            twin = _recommender(small_world, store, wal=wal)
-            report = recovery.recover(store, twin.observe)
+            state = ModelState()
+            twin = _recommender(small_world, state, wal=wal)
+            report = recovery.recover(state, twin.observe)
             assert report.replayed == 40
             recovered.append(twin)
         now = stream[119].timestamp + 60.0
@@ -151,8 +151,8 @@ class TestKillAndRecover:
 
 
 class TestRollback:
-    """``recover`` never trusts what the store holds now: it rolls any
-    store back to the last checkpoint, or empties it when there is none."""
+    """``recover`` never trusts what the state holds now: it rolls any
+    state back to the last checkpoint, or empties it when there is none."""
 
     def _recovery(self, tmp_path):
         return RecoveryManager(
@@ -162,57 +162,51 @@ class TestRollback:
 
     def test_keys_written_after_the_checkpoint_are_dropped(self, tmp_path):
         recovery = self._recovery(tmp_path)
-        store = InMemoryKVStore()
-        put(store, "a", 1)
-        recovery.checkpoint(store)
-        put(store, "a", 2)
-        put(store, "b", 3)
-        report = recovery.recover(store, lambda action: None)
+        state = ModelState()
+        history = UserHistoryStore(state)
+        history.add("a", "v1", 1.0)
+        recovery.checkpoint(state)
+        expected = plain(state)
+        history.add("a", "v2", 2.0)
+        history.add("b", "v3", 3.0)
+        report = recovery.recover(state, lambda action: None)
         assert report.checkpoint is not None
-        assert contents(store) == {"a": 1}
+        assert plain(state) == expected
+        assert state.histories == {"a": [("v1", 1.0)]}
 
-    def test_no_checkpoint_starts_from_an_empty_store(self, tmp_path):
+    def test_no_checkpoint_starts_from_an_empty_state(self, tmp_path):
         recovery = self._recovery(tmp_path)
-        store = InMemoryKVStore()
-        put(store, "x", 1)
-        report = recovery.recover(store, lambda action: None)
+        state = ModelState()
+        UserHistoryStore(state).add("x", "v1", 1.0)
+        report = recovery.recover(state, lambda action: None)
         assert report.checkpoint is None
-        assert store.snapshot_entries() == []
+        assert plain(state) == plain(ModelState())
 
     def test_recovering_the_live_store_applies_the_tail_once(
         self, small_world, small_actions, tmp_path
     ):
-        """The store that already saw the tail is recovered in place: the
+        """The state that already saw the tail is recovered in place: the
         tail replays onto the checkpoint, not on top of itself."""
         stream = small_actions[:N_CRASH]
-        reference_store = InMemoryKVStore()
-        reference = _recommender(small_world, reference_store)
+        reference_state = ModelState()
+        reference = _recommender(small_world, reference_state)
         reference.observe_stream(stream)
 
         wal = ActionWAL(tmp_path / "wal")
         recovery = RecoveryManager(
             CheckpointManager(tmp_path / "ckpt", fsync=False), wal
         )
-        store = InMemoryKVStore()
-        live = _recommender(small_world, store, wal=wal)
+        state = ModelState()
+        live = _recommender(small_world, state, wal=wal)
         live.observe_stream(stream[:N_CHECKPOINT])
-        recovery.checkpoint(store)
+        recovery.checkpoint(state)
         live.observe_stream(stream[N_CHECKPOINT:])
-        report = recovery.recover(store, live.observe)
+        report = recovery.recover(state, live.observe)
         wal.close()
         assert report.replayed == N_CRASH - N_CHECKPOINT
 
-        # Histories, similar-video lists and ``mu``: equal, entry for entry
-        # (the lists by their ``{video: {other: (raw, t)}}`` rows; the
-        # arenas hold arrays, so they are judged by the top-N below).
-        def plain(kv):
-            return {
-                key: value.__getstate__() if key[0] == "simtable" else value
-                for key, value in contents(kv).items()
-                if not (key[0] == "mf:meta" and key[1].startswith("arena:"))
-            }
-
-        assert plain(store) == plain(reference_store)
+        # Every value equal, row for row and entry for entry.
+        assert plain(state) == plain(reference_state)
         now = stream[-1].timestamp + 60.0
         for user in _sample_users(stream):
             assert live.recommend_ids(user, n=10, now=now) == (
@@ -222,7 +216,7 @@ class TestRollback:
 
 class TestFullCheckpointRecovery:
     """Recovery paths of the one persistence design: full checkpoints of
-    an in-memory store plus the WAL tail."""
+    an in-memory model state plus the WAL tail."""
 
     def _recovery(self, tmp_path, retain=3):
         wal = ActionWAL(tmp_path / "wal", segment_max_records=64)
@@ -241,20 +235,20 @@ class TestFullCheckpointRecovery:
     def test_crash_before_the_first_checkpoint_replays_onto_an_empty_store(
         self, small_world, small_actions, tmp_path
     ):
-        """A first boot killed before its checkpoint: the live store holds
+        """A first boot killed before its checkpoint: the live state holds
         a prefix of the log and there is nothing to roll back to.
         Replaying from sequence 1 on top of it would apply that prefix
         twice."""
         stream = small_actions[:N_CRASH]
-        reference = _recommender(small_world, InMemoryKVStore())
+        reference = _recommender(small_world, ModelState())
         reference.observe_stream(stream)
 
         recovery = self._recovery(tmp_path)
-        store = InMemoryKVStore()
-        live = _recommender(small_world, store, wal=recovery.wal)
+        state = ModelState()
+        live = _recommender(small_world, state, wal=recovery.wal)
         live.observe_stream(stream)
-        assert store.snapshot_entries()
-        report = recovery.recover(store, live.observe)
+        assert state.histories
+        report = recovery.recover(state, live.observe)
         assert report.checkpoint is None
         assert report.replayed == N_CRASH
         self._assert_same_top_n(live, reference, stream)
@@ -266,15 +260,15 @@ class TestFullCheckpointRecovery:
         sees the records with ``seq`` past its ``wal_seq`` and no other."""
         stream = small_actions[:N_CRASH]
         recovery = self._recovery(tmp_path)
-        store = InMemoryKVStore()
-        live = _recommender(small_world, store, wal=recovery.wal)
+        state = ModelState()
+        live = _recommender(small_world, state, wal=recovery.wal)
         live.observe_stream(stream[:N_CHECKPOINT])
-        info = recovery.checkpoint(store)
+        info = recovery.checkpoint(state)
         live.observe_stream(stream[N_CHECKPOINT:])
         del live
 
         seen = []
-        report = recovery.recover(InMemoryKVStore(), seen.append)
+        report = recovery.recover(ModelState(), seen.append)
         tail = [
             action.to_log_line()
             for seq, action in recovery.wal.replay()
@@ -290,22 +284,22 @@ class TestFullCheckpointRecovery:
         self, small_world, small_actions, tmp_path
     ):
         stream = small_actions[:N_CRASH]
-        reference = _recommender(small_world, InMemoryKVStore())
+        reference = _recommender(small_world, ModelState())
         reference.observe_stream(stream)
 
         recovery = self._recovery(tmp_path, retain=2)
-        store = InMemoryKVStore()
-        live = _recommender(small_world, store, wal=recovery.wal)
+        state = ModelState()
+        live = _recommender(small_world, state, wal=recovery.wal)
         done = 0
         for cut in (60, 120, 180):
             live.observe_stream(stream[done:cut])
-            recovery.checkpoint(store)
+            recovery.checkpoint(state)
             done = cut
         live.observe_stream(stream[180:])
         del live
 
         assert [i.wal_seq for i in recovery.checkpoints.list()] == [120, 180]
-        fresh = InMemoryKVStore()
+        fresh = ModelState()
         recovered = _recommender(small_world, fresh, wal=recovery.wal)
         report = recovery.recover(fresh, recovered.observe)
         assert report.checkpoint.wal_seq == 180
@@ -316,22 +310,22 @@ class TestFullCheckpointRecovery:
         self, small_world, small_actions, tmp_path
     ):
         """A checkpoint that fails its checksum stops recovery with a typed
-        error; the store is left as it was, not half rolled back."""
+        error; the state is left as it was, not half rolled back."""
         recovery = self._recovery(tmp_path)
-        store = InMemoryKVStore()
-        live = _recommender(small_world, store, wal=recovery.wal)
+        state = ModelState()
+        live = _recommender(small_world, state, wal=recovery.wal)
         live.observe_stream(small_actions[:N_CHECKPOINT])
-        info = recovery.checkpoint(store)
+        info = recovery.checkpoint(state)
         live.observe_stream(small_actions[N_CHECKPOINT:N_CRASH])
-        entries = Path(info.path) / "entries.pkl"
-        entries.write_bytes(entries.read_bytes()[:-8])
-        before = sorted(contents(store), key=repr)
+        payload = Path(info.path) / "state.pkl"
+        payload.write_bytes(payload.read_bytes()[:-8])
+        before = plain(state)
 
         applied = []
         with pytest.raises(CheckpointError, match="checksum"):
-            recovery.recover(store, applied.append)
+            recovery.recover(state, applied.append)
         assert applied == []
-        assert sorted(contents(store), key=repr) == before
+        assert plain(state) == before
 
     def test_restart_over_reopened_roots_after_a_torn_append(
         self, small_world, small_actions, tmp_path
@@ -342,58 +336,58 @@ class TestFullCheckpointRecovery:
         segment that held the torn bytes — still serves what an
         uninterrupted run serves."""
         stream = small_actions[:N_TOTAL]
-        reference = _recommender(small_world, InMemoryKVStore())
+        reference = _recommender(small_world, ModelState())
         reference.observe_stream(stream)
 
         def boot():
             recovery = self._recovery(tmp_path)
-            store = InMemoryKVStore()
-            rec = _recommender(small_world, store, wal=recovery.wal)
-            report = recovery.recover(store, rec.observe)
-            return recovery, store, rec, report
+            state = ModelState()
+            rec = _recommender(small_world, state, wal=recovery.wal)
+            report = recovery.recover(state, rec.observe)
+            return recovery, state, rec, report
 
-        recovery, store, rec, _ = boot()
+        recovery, state, rec, _ = boot()
         rec.observe_stream(stream[:N_CHECKPOINT])
-        recovery.checkpoint(store)
+        recovery.checkpoint(state)
         rec.observe_stream(stream[N_CHECKPOINT:N_CRASH])
         recovery.wal.close()
         torn = f"{N_CRASH + 1}\t{stream[N_CRASH].to_log_line()}"
         with open(recovery.wal.segments()[-1], "a", encoding="utf-8") as handle:
             handle.write(torn[: len(torn) // 2])
 
-        recovery, store, rec, report = boot()
+        recovery, state, rec, report = boot()
         assert report.checkpoint.wal_seq == N_CHECKPOINT
         assert report.replayed == N_CRASH - N_CHECKPOINT
         assert recovery.wal.last_seq == N_CRASH
         rec.observe_stream(stream[N_CRASH:])
         recovery.wal.close()
 
-        recovery, store, rec, report = boot()
+        recovery, state, rec, report = boot()
         assert report.checkpoint.wal_seq == N_CHECKPOINT
         assert report.replayed == N_TOTAL - N_CHECKPOINT
         self._assert_same_top_n(rec, reference, stream)
 
 @pytest.mark.parametrize("executor_cls", [LocalExecutor, ThreadedExecutor])
-class TestStoreFailureAbortsTopology:
-    def test_kv_error_aborts_the_run_and_accounts_every_delivery(
+class TestStateFailureAbortsTopology:
+    def test_state_error_aborts_the_run_and_accounts_every_delivery(
         self, executor_cls, small_world, small_actions
     ):
         stream = small_actions[:200]
-        flaky_store = FlakyKVStore(InMemoryKVStore(), error_every=97)
+        flaky_state = FlakyState(error_every=97)
         topology, _ = build_recommendation_topology(
-            list(stream), small_world.videos, store=flaky_store
+            list(stream), small_world.videos, state=flaky_state
         )
         executor = executor_cls(topology)
         with pytest.raises(ComponentError) as raised:
             executor.run()
         failing = raised.value.component
-        assert isinstance(raised.value.original, TransientKVError)
+        assert isinstance(raised.value.original, TransientStateError)
         assert failing in topology.components and failing != SPOUT
         snap = executor.metrics.snapshot()
         assert snap[failing]["failed"] >= 1
         # Every injected error surfaced as exactly one bolt failure.
         assert sum(row["failed"] for row in snap.values()) == (
-            flaky_store.errors_raised
+            flaky_state.errors_raised
         )
         # The run stopped early, and lost no delivery uncounted.
         assert snap[SPOUT]["emitted"] < len(stream) or any(
@@ -403,11 +397,11 @@ class TestStoreFailureAbortsTopology:
 
 
 class TestDegradedServing:
-    def test_router_falls_back_to_hot_videos_on_store_errors(
+    def test_router_falls_back_to_hot_videos_on_state_errors(
         self, small_world, small_actions
     ):
         stream = small_actions[:300]
-        flaky = FlakyKVStore(InMemoryKVStore())
+        flaky = FlakyState()
         primary = _recommender(small_world, flaky)
         hot = HotRecommender()
         for action in stream:
@@ -419,11 +413,11 @@ class TestDegradedServing:
         user = stream[0].user_id
         now = stream[-1].timestamp + 60.0
 
-        # Healthy store: the primary serves.
+        # Healthy state: the primary serves.
         healthy = router.handle(RecRequest(user, n=5, timestamp=now))
         assert healthy.ok and not healthy.degraded
 
-        # Model store starts erroring: requests degrade to HotVideos but
+        # Model state starts erroring: requests degrade to HotVideos but
         # still succeed, and the fallback is visible in the metrics.
         flaky.fail_next(10_000)
         for _ in range(3):

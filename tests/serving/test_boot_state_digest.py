@@ -1,11 +1,11 @@
 """Byte-identity golden of the served boot's whole model state.
 
 ``build_demo_gateway`` on the 20 x 150 seed-2016 world (no data dir, so
-the boot trains on the world's whole stream) leaves one store holding the
-two factor arenas and ``mu``, every history, every hot list and every
-similar-video list.  Its entries, and the top-10 served to every user with
-and without a current video, are digested canonically: keys and strings
-by their text, floats by ``float.hex()``, float64 arrays by
+the boot trains on the world's whole stream) leaves one ``ModelState``
+holding the two factor arenas, every similar-video list, every history,
+every hot table and ``mu``.  Its values, in ``VALUES`` order and each
+after its name, and the top-10 served to every user with and without a
+current video, are digested canonically: keys and strings by their text, floats by ``float.hex()``, float64 arrays by
 ``tobytes()``, and ``SimilarLists`` / ``FactorArena`` through
 ``__getstate__``.  Pickle bytes are not digested: they differ across the
 numpy and Python versions the suite runs on.
@@ -21,12 +21,16 @@ import numpy as np
 
 from repro.core.arena import FactorArena
 from repro.core.simtable import SimilarLists
+from repro.core.state import VALUES
 from repro.serving import GatewayConfig
 from repro.serving.cli import build_demo_gateway
 
-#: Digest of ``snapshot_entries()`` after the boot.
+#: Digest of the state's values after the boot.  The same per-value
+#: enumeration over the key-value store the state replaced (its arena,
+#: ``mu``, list, history and hot-table entries gathered by value) gives
+#: this digest too.
 STATE_DIGEST = (
-    "75c7008c77726e0afae0dde5c4680621020b84b16131c4ae7fe7b5546e5318aa"
+    "7332f1d929472671d1e64a2a78839818e9029c8030b2b9daa043e5fef29d54a0"
 )
 #: Digest of every user's top-10, without and with a current video.
 SERVED_DIGEST = (
@@ -77,9 +81,9 @@ def test_served_boot_state_is_byte_identical():
     recommender = gateway.router.recommender
 
     state = hashlib.sha256()
-    for entry in recommender.history._store.snapshot_entries():
-        _feed(state, entry.key)
-        _feed(state, entry.value)
+    for name in VALUES:
+        _feed(state, name)
+        _feed(state, getattr(recommender.state, name))
 
     served = hashlib.sha256()
     for user_id in sorted(recommender.users):

@@ -18,13 +18,11 @@ from repro.baselines import HotRecommender
 from repro.core import UserHistoryStore
 from repro.data import GLOBAL_GROUP, ActionType, SyntheticWorld, UserAction
 from repro.data.synthetic import paper_world_config
-from repro.kvstore import EntrySnapshot
 from repro.serving import GatewayConfig, RecRequest
 from repro.reliability import ActionWAL
 from repro.serving.cli import FSYNC_POLICIES, _build_parser, build_demo_gateway
 from tests.support.gateway_thread import GatewayThread
-from tests.support.kv import record_demo_stores
-from tests.support.obs import registry_total
+from tests.support.state import CountingState
 from tests.support.world import history_entries, raw_entries, stored_rows
 
 
@@ -180,7 +178,7 @@ def test_data_dir_with_a_segments_checkpoint_replays_the_whole_log(
     served = serve(live)
 
     (checkpoint,) = (tmp_path / "ckpt").glob("ckpt-*")
-    (checkpoint / "entries.pkl").unlink()
+    (checkpoint / "state.pkl").unlink()
     manifest_path = checkpoint / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     segments = [{"name": "seg-000000000001.log", "bytes": 4096}]
@@ -285,42 +283,44 @@ def test_one_engagement_is_one_history_update(monkeypatch):
     assert dict(hot_after)[video] > dict(hot_before).get(video, 0.0)
 
 
-def test_every_store_update_of_an_engagement_is_counted(monkeypatch):
-    """The recommender and the Hot fallback write through one instrumented
-    store, so ``kvstore_ops_total{op="update"}`` counts every update the
-    store makes — the fallback's ``("hot", "__all__")`` bump included."""
-    made = record_demo_stores(monkeypatch)
+def test_every_engagement_reaches_the_one_shared_state(monkeypatch):
+    """The recommender and the Hot fallback share one model state, so the
+    fallback's ``"__all__"`` hot table is one more table of the
+    recommender's state, and every engagement writes into that state."""
+    made: list[CountingState] = []
+
+    def counting_state(*args):
+        made.append(CountingState(*args))
+        return made[-1]
+
+    monkeypatch.setattr("repro.core.recommender.ModelState", counting_state)
     gateway = build_demo_gateway(
         GatewayConfig(port=0), rate=None, **DEMO_WORLD
     )
-    (store,) = made
-    registry = gateway.obs.registry
-
-    def counted():
-        return registry_total(registry, "kvstore_ops_total", op="update")
-
-    assert counted() == store.calls["update"]  # the boot's training
+    (state,) = made
     recommender = gateway.router.recommender
+    assert recommender.state is state
+    assert "__all__" in state.hot
     users, videos = sorted(recommender.users), sorted(recommender.videos)
     for i in range(5):
-        counted_before, made_before = counted(), store.calls["update"]
-        store.keys.clear()
+        before = dict(state.hot)
+        state.reset()
         gateway.observe(
             UserAction(2e7 + i, users[i], videos[i], ActionType.CLICK)
         )
-        assert counted() - counted_before == store.calls["update"] - made_before
-        assert ("hot", "__all__") in store.keys
+        assert {"histories", "hot", "mu"} <= set(state.ops)
+        assert state.hot["__all__"] is not before["__all__"]
 
 
 def test_the_served_tracer_keeps_a_bounded_ring_of_spans():
     """Nothing in the served process reads finished spans, so the
-    tracer keeps at most its default ring of them: 2,000 requests finish
-    24,000 spans on this world, and the oldest are dropped."""
+    tracer keeps at most its default ring of them: 3,000 requests finish
+    12,000 spans on this world (four each), and the oldest are dropped."""
     gateway = build_demo_gateway(
         GatewayConfig(port=0), rate=None, **DEMO_WORLD
     )
     users = sorted(gateway.router.recommender.users)
-    for i in range(2000):
+    for i in range(3000):
         response = gateway.router.handle(
             RecRequest(users[i % len(users)], timestamp=2e7)
         )
@@ -333,10 +333,10 @@ def test_the_served_tracer_keeps_a_bounded_ring_of_spans():
 def test_fallback_hot_list_cannot_collide_with_a_demographic_group(
     tmp_path, capsys
 ):
-    """The fallback keeps its counts under key ``"__all__"`` of the same
-    ``hot`` namespace as the demographic groups.  No group label is that
-    key, and the checkpointed fallback serves what a fallback with a store
-    of its own serves after the same actions."""
+    """The fallback keeps its counts in hot table ``"__all__"`` of the
+    same state as the demographic groups' tables.  No group label is that
+    name, and the checkpointed fallback serves what a fallback with a
+    state of its own serves after the same actions."""
     config = paper_world_config(**DEMO_WORLD)
     labels = {GLOBAL_GROUP} | {
         f"{gender}|{age}"
@@ -348,9 +348,8 @@ def test_fallback_hot_list_cannot_collide_with_a_demographic_group(
     live, _ = _durable_boot(tmp_path, capsys)
     assert {user.demographic_group for user in live.users.values()} <= labels
     (checkpoint,) = (tmp_path / "ckpt").glob("ckpt-*")
-    entries = pickle.loads((checkpoint / "entries.pkl").read_bytes())
-    hot_keys = {entry.key[1] for entry in entries if entry.key[0] == "hot"}
-    assert "__all__" in hot_keys and hot_keys - {"__all__"} <= labels
+    state = pickle.loads((checkpoint / "state.pkl").read_bytes())
+    assert "__all__" in state.hot and set(state.hot) - {"__all__"} <= labels
 
     alone = HotRecommender()
     for action in SyntheticWorld(config).generate_actions():
@@ -363,72 +362,39 @@ def test_fallback_hot_list_cannot_collide_with_a_demographic_group(
         ) == alone.recommend_ids(user, n=10, now=2e7)
 
 
-def _as_older_format(data_dir, fmt, rewrite):
-    """Rewrite the boot checkpoint's entries with ``rewrite`` and label it
-    format ``fmt``, as an older build would have written it; return its
-    ``wal_seq``."""
+def _as_older_format(data_dir, fmt):
+    """Label the boot checkpoint format ``fmt``, as an older build wrote
+    it (a list of key-value store entries in ``entries.pkl``); return its
+    ``wal_seq``.  The payload is never read: its format skips it."""
     (checkpoint,) = (data_dir / "ckpt").glob("ckpt-*")
-    entries_path = checkpoint / "entries.pkl"
-    entries = rewrite(pickle.loads(entries_path.read_bytes()))
-    payload = pickle.dumps(entries)
-    entries_path.write_bytes(payload)
+    payload = pickle.dumps([("format", fmt)])
+    (checkpoint / "state.pkl").rename(checkpoint / "entries.pkl")
+    (checkpoint / "entries.pkl").write_bytes(payload)
     manifest_path = checkpoint / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest.update(
         format=fmt,
-        n_entries=len(entries),
+        n_entries=1,
         sha256=hashlib.sha256(payload).hexdigest(),
     )
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return manifest["wal_seq"]
 
 
-def test_data_dir_with_a_format_1_checkpoint_replays_the_whole_log(
-    tmp_path, capsys
+@pytest.mark.parametrize("fmt", [1, 2, 3])
+def test_data_dir_with_an_older_format_checkpoint_replays_the_whole_log(
+    tmp_path, capsys, fmt
 ):
-    """A data dir an older build wrote — its boot sealed by a format-1
-    checkpoint, from before the hot lists were store entries — still
-    boots.  Restoring that checkpoint would lose the hot lists, so it is
-    skipped: the restart replays the whole WAL and serves the live
-    process's primary and fallback lists."""
+    """A data dir an older build wrote, its boot sealed by a checkpoint of
+    the key-value store the model state replaced — format 1 without the
+    hot lists, format 2 with one ``simtable`` entry per video, format 3
+    with one entry holding every list — still boots.  This build reads
+    none of them, so the checkpoint is skipped: the restart replays the
+    whole WAL and serves the live process's primary and fallback lists."""
     live, _ = _durable_gateway(tmp_path, capsys)
     serve = _ingest_tail(live.router.recommender, 30, live.observe)
     served = _served_lists(live, serve)
-    wal_seq = _as_older_format(
-        tmp_path,
-        1,
-        lambda entries: [entry for entry in entries if entry.key[0] != "hot"],
-    )
-
-    restarted, out = _durable_gateway(tmp_path, capsys)
-    assert "checkpoint=none " in out
-    assert f"replayed={wal_seq + 30} " in out
-    assert _served_lists(restarted, serve) == served
-
-
-def test_data_dir_with_a_format_2_checkpoint_replays_the_whole_log(
-    tmp_path, capsys
-):
-    """A format-2 checkpoint holds one ``simtable`` entry per video, from
-    before every similar-video list was one entry.  This build would not
-    read those lists, so the checkpoint is skipped: the restart replays
-    the whole WAL and serves the live process's primary and fallback
-    lists."""
-    live, _ = _durable_gateway(tmp_path, capsys)
-    serve = _ingest_tail(live.router.recommender, 30, live.observe)
-    served = _served_lists(live, serve)
-
-    def per_video_lists(entries):
-        kept = [entry for entry in entries if entry.key[0] != "simtable"]
-        (lists,) = [entry.value for entry in entries if entry.key[0] == "simtable"]
-        per_video = [
-            EntrySnapshot(("simtable", video), row)
-            for video, row in lists.__getstate__().items()
-        ]
-        assert per_video
-        return kept + per_video
-
-    wal_seq = _as_older_format(tmp_path, 2, per_video_lists)
+    wal_seq = _as_older_format(tmp_path, fmt)
 
     restarted, out = _durable_gateway(tmp_path, capsys)
     assert "checkpoint=none " in out

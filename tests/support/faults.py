@@ -1,9 +1,10 @@
-"""Deterministic fault injection for the KV store, and the delivery
+"""Deterministic fault injection for the model state, and the delivery
 accounting every aborted topology run must satisfy.
 
-* **transient KV errors** — :class:`FlakyKVStore` wraps any store and makes
-  every Nth operation raise :class:`TransientKVError`, simulating a shard
-  timing out.  The schedule is a counter, so a failing run replays exactly.
+* **transient state errors** — :class:`FlakyState` is a model state whose
+  every Nth value fetch raises :class:`TransientStateError`, simulating a
+  storage shard timing out.  The schedule is a counter, so a failing run
+  replays exactly.
 * **delivery accounting** — :func:`unaccounted` lists the bolts whose
   ``processed + failed + shed`` differs from the deliveries the run routed
   to them; whether the run finished or aborted, there must be none.
@@ -12,73 +13,64 @@ accounting every aborted topology run must satisfy.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Mapping
+from typing import Mapping
 
+from repro.core.state import VALUES, ModelState
 from repro.errors import ReproError
-from repro.kvstore import Key, KVStore
 from repro.storm import Topology
 
 
-class TransientKVError(ReproError):
+class TransientStateError(ReproError):
     """A shard failed transiently (timeout, connection blip); retryable."""
 
 
-class FlakyKVStore(KVStore):
-    """A store whose operations fail transiently on a fixed schedule.
+class FlakyState(ModelState):
+    """A model state whose value fetches fail on a fixed schedule.
 
-    Every ``error_every``-th operation (across get/update)
-    raises :class:`~repro.errors.TransientKVError` *before* touching the
-    underlying store, so a retried operation sees unchanged state.
-    ``error_every=0`` disables injection; :meth:`fail_next` forces the next
-    operation to fail regardless, for targeted tests.
+    Every ``error_every``-th fetch of a value (``state.users``,
+    ``state.hot``, ...) raises :class:`TransientStateError` instead of
+    handing the value out, so the operation that needed it changes
+    nothing.  ``error_every=0`` disables injection; :meth:`fail_next`
+    forces the next fetches to fail regardless, for targeted tests.
     """
 
-    def __init__(self, inner: KVStore, error_every: int = 0) -> None:
+    def __init__(self, error_every: int = 0, *args) -> None:
         if error_every < 0:
             raise ValueError(f"error_every must be >= 0, got {error_every}")
-        self.inner = inner
         self.error_every = error_every
         self.errors_raised = 0
-        self._ops = 0
+        self._fetches = 0
         self._force_fail = 0
-        self._lock = threading.Lock()
+        self._fault_lock = threading.Lock()
+        super().__init__(*args)
+
+    def __reduce__(self):
+        """Pickle as a plain state: a checkpoint holds no fault schedule."""
+        return ModelState, (), self.__getstate__()
 
     def fail_next(self, n: int = 1) -> None:
-        """Make the next ``n`` operations raise unconditionally."""
-        with self._lock:
+        """Make the next ``n`` value fetches raise unconditionally."""
+        with self._fault_lock:
             self._force_fail += n
 
-    def _maybe_fail(self, op: str, key: Any) -> None:
-        with self._lock:
-            self._ops += 1
+    def __getattribute__(self, name: str):
+        if name in VALUES:
+            object.__getattribute__(self, "_maybe_fail")(name)
+        return object.__getattribute__(self, name)
+
+    def _maybe_fail(self, name: str) -> None:
+        with self._fault_lock:
+            self._fetches += 1
             fail = False
             if self._force_fail > 0:
                 self._force_fail -= 1
                 fail = True
-            elif self.error_every and self._ops % self.error_every == 0:
+            elif self.error_every and self._fetches % self.error_every == 0:
                 fail = True
             if fail:
                 self.errors_raised += 1
         if fail:
-            raise TransientKVError(
-                f"injected transient failure on {op}({key!r})"
-            )
-
-    # -- KVStore API (fault check, then delegate) --------------------------
-
-    def get(self, key: Key, default: Any = None) -> Any:
-        self._maybe_fail("get", key)
-        return self.inner.get(key, default)
-
-    def update(self, key: Key, fn: Callable[[Any], Any], default: Any = None) -> Any:
-        self._maybe_fail("update", key)
-        return self.inner.update(key, fn, default=default)
-
-    def snapshot_entries(self):
-        return self.inner.snapshot_entries()
-
-    def restore_entries(self, entries):
-        return self.inner.restore_entries(entries)
+            raise TransientStateError(f"injected transient failure on {name}")
 
 
 def unaccounted(

@@ -18,9 +18,7 @@ from repro.core import (
     SimilarVideoTable,
     UserHistoryStore,
 )
-from repro.core.history import PREFIX as HISTORY
 from repro.data import SyntheticWorld
-from tests.support.kv import contents
 
 
 def best_videos(
@@ -57,16 +55,16 @@ def stored_rows(
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """``(ids, vectors, biases)`` of one kind (``"user"`` or ``"video"``),
     ids sorted — :meth:`MFModel.video_rows` for either kind."""
-    return model._params.export(kind, np.float64)
+    return model._arena(kind).sorted_rows(np.float64)
 
 
 def history_entries(
     history: UserHistoryStore, user_id: str
 ) -> list[tuple[str, float]]:
     """One user's stored ``[(video, timestamp), ...]`` history, newest first."""
-    return history._store.get((HISTORY, user_id), [])
+    return history._state.histories.get(user_id, [])
 
 
 def history_users(history: UserHistoryStore) -> list[str]:
     """Users with a stored history, in the order they first engaged."""
-    return [key[1] for key in contents(history._store) if key[0] == HISTORY]
+    return list(history._state.histories)

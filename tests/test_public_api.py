@@ -9,7 +9,6 @@ PACKAGES = [
     "repro.core",
     "repro.data",
     "repro.storm",
-    "repro.kvstore",
     "repro.topology",
     "repro.baselines",
     "repro.eval",

@@ -54,8 +54,8 @@ class TestFigure2Wiring:
             assert grouping.fields == ("user",)
 
     def test_vector_repartitioning_by_storage_key(self):
-        """The critical edge: ComputeMF -> MFStorage re-groups by the KV
-        key, the single-writer guarantee."""
+        """The critical edge: ComputeMF -> MFStorage re-groups by the
+        storage key, the single-writer guarantee."""
         topo, _ = _topology()
         for stream in ("user_vec", "video_vec"):
             targets = topo.targets(COMPUTE_MF, stream)
@@ -76,6 +76,6 @@ class TestFigure2Wiring:
     def test_serving_recommender_shares_store(self):
         _, system = _topology()
         recommender = system.serving_recommender()
-        # Both views read the same physical store object graph.
+        # Both views read the same model state.
         system.model.put_user("ux", system.model._init_vector("user", "ux"), 0.1)
         assert recommender.model.user_bias("ux") == 0.1
