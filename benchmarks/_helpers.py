@@ -14,6 +14,9 @@ from repro.data import SyntheticWorld
 from repro.data.synthetic import paper_world_config
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Where a smoke run's tables go: the tracked tables are full-size figures,
+#: and this directory is gitignored, so a smoke run leaves the tree clean.
+SMOKE_RESULTS_DIR = RESULTS_DIR / "smoke"
 
 #: The world every offline benchmark runs on.
 PAPER_SEED = 2016
@@ -62,11 +65,13 @@ def train_variant(world, train_actions, variant, enable_demographic=False):
 
 
 def report(name: str, text: str) -> None:
-    """Print a benchmark's table and persist it under benchmarks/results/."""
+    """Print a benchmark's table and persist it under benchmarks/results/
+    (benchmarks/results/smoke/ when REPRO_BENCH_SMOKE is set)."""
     banner = f"\n===== {name} =====\n{text}\n"
     print(banner)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    directory = SMOKE_RESULTS_DIR if bench_smoke() else RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
 
 def format_rows(rows: list[dict], columns: list[str] | None = None) -> str:

@@ -3,7 +3,8 @@
 Every benchmark regenerates one table or figure of the paper's §6 on the
 calibrated synthetic world (see DESIGN.md for the substitution argument).
 Results are printed and also written to ``benchmarks/results/`` so
-EXPERIMENTS.md can cite them.
+EXPERIMENTS.md can cite them; a smoke run (``REPRO_BENCH_SMOKE=1``) writes
+its tables to the gitignored ``benchmarks/results/smoke/`` instead.
 
 The expensive artefacts (the world, its action stream, the chronological
 split, trained models) are session-scoped and shared across benchmarks.

@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from itertools import combinations
 
+from ..core.actions import is_engagement
 from ..core.history import UserHistoryStore
 from ..data.schema import UserAction
-from ..data.stream import ENGAGEMENT_ACTIONS
 
 #: Strongest rules kept per antecedent video.
 MAX_RULES_PER_VIDEO = 50
@@ -52,7 +52,7 @@ class AssociationRuleRecommender:
     # ------------------------------------------------------------------
 
     def observe(self, action: UserAction) -> None:
-        if action.action not in ENGAGEMENT_ACTIONS:
+        if not is_engagement(action):
             return
         self._log.append(action)
         self.history.record(action)

@@ -14,9 +14,9 @@ from __future__ import annotations
 import hashlib
 from collections import Counter, defaultdict
 
+from ..core.actions import is_engagement
 from ..core.history import UserHistoryStore
 from ..data.schema import UserAction
-from ..data.stream import ENGAGEMENT_ACTIONS
 
 SIGNATURE_BITS = 64
 #: Bucket-mates a user's recommendations are drawn from.
@@ -84,7 +84,7 @@ class SimHashCFRecommender:
     # ------------------------------------------------------------------
 
     def observe(self, action: UserAction) -> None:
-        if action.action not in ENGAGEMENT_ACTIONS:
+        if not is_engagement(action):
             return
         self._profiles[action.user_id][action.video_id] += 1
         self.history.record(action)

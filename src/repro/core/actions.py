@@ -20,16 +20,8 @@ from typing import Mapping, Protocol
 
 from ..config import ActionWeightConfig
 from ..data.schema import ActionType, UserAction, Video
+from ..data.stream import is_engagement  # noqa: F401 - re-exported
 from ..errors import DataError
-
-
-def is_engagement(action: UserAction) -> bool:
-    """Whether ``action`` is positive engagement: its type is in
-    :data:`repro.data.stream.ENGAGEMENT_ACTIONS`, which holds every type
-    but an impression.  One identity test per action, where a probe of
-    that set hashes the member through the Python-level
-    ``Enum.__hash__``."""
-    return action.action is not ActionType.IMPRESS
 
 
 class ActionWeigher(Protocol):

@@ -122,7 +122,7 @@ class AnnIndex:
         self._ids[:] = ids
         self._matrix, self._bias = matrix, bias
         self._norms = _norms(matrix)
-        self._row_of = {vid: row for row, vid in enumerate(ids)}
+        self._row_of = dict(zip(ids, range(len(ids))))
         self._n = len(ids)
 
     # ------------------------------------------------------------------

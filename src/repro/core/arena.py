@@ -24,13 +24,17 @@ rows while ``observe`` writes them on another
 from __future__ import annotations
 
 import threading
-from typing import Iterable
+from itertools import islice
+from operator import itemgetter
+from typing import Collection
 
 import numpy as np
 
-#: Rows :meth:`FactorArena.sorted_rows` gathers per step: its only scratch
-#: memory is one float64 block of this many rows.
+#: Rows :meth:`FactorArena.put_many` writes and :meth:`FactorArena.sorted_rows`
+#: gathers per step: the scratch memory of either is one block.
 _BLOCK = 4096
+
+_ID, _VECTOR, _BIAS = itemgetter(-3), itemgetter(-2), itemgetter(-1)
 
 
 class FactorArena:
@@ -184,15 +188,22 @@ class FactorArena:
     ) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Row-aligned ``(ids, vectors, biases)`` in ``dtype``, ids sorted.
 
-        Rows are gathered ``_BLOCK`` at a time straight into the returned
-        arrays, so the export costs its own bytes plus one block: a
-        float32 export never holds a float64 copy of the arena.
+        When the rows are already in sorted-id order (a catalog loaded in
+        id order) the arrays are cast straight across; otherwise rows are
+        gathered ``_BLOCK`` at a time into the returned arrays.  Either way
+        the export costs its own bytes plus at most one block: a float32
+        export never holds a float64 copy of the arena.
         """
         with self._lock:
             ids = sorted(self._ids)
-            vectors = np.empty((len(ids), self.f), dtype=dtype)
-            biases = np.empty(len(ids), dtype=dtype)
-            for start in range(0, len(ids), _BLOCK):
+            n = len(ids)
+            vectors = np.empty((n, self.f), dtype=dtype)
+            biases = np.empty(n, dtype=dtype)
+            if ids == self._ids:
+                vectors[:] = self._vecs[:n]
+                biases[:] = self._biases[:n]
+                return ids, vectors, biases
+            for start in range(0, n, _BLOCK):
                 block = ids[start : start + _BLOCK]
                 rows = np.fromiter(
                     map(self._rows.__getitem__, block),
@@ -215,35 +226,43 @@ class FactorArena:
             self._vecs[row] = vector
             self._biases[row] = bias
 
-    def put_many(
-        self, items: Iterable[tuple[str, np.ndarray, float]]
-    ) -> None:
-        """Apply many ``(id, vector, bias)`` writes under one lock pass.
+    def put_many(self, records: Collection[tuple]) -> None:
+        """Apply many writes under one lock pass: records are tuples ending
+        in ``(id, vector, bias)`` (the model's ``(kind, id, vector, bias)``
+        records, read as they are), every vector's shape checked by the
+        caller (:meth:`~repro.core.mf.MFModel.put_params_many`).
 
-        All or nothing: a first pass checks every vector's shape and counts
-        the ids not yet interned, so a bad record raises before any row is
-        written and the arrays grow at most once for the batch (by an upper
-        bound when a new id repeats).  ``items`` is iterated twice, so it
-        must be re-iterable (a list, or the model's per-kind view).
+        The arrays grow once, by the records whose id is not stored yet.  A
+        block of ``_BLOCK`` new, distinct ids is interned by one
+        ``dict.update`` and copied into consecutive rows by one
+        ``np.concatenate``; any other block takes its rows one id at a time,
+        and of two records for one id the later wins.
         """
         with self._lock:
-            rows, ids, shape = self._rows, self._ids, (self.f,)
-            fresh = 0
-            for entity_id, vector, _ in items:
-                if np.shape(vector) != shape:
-                    raise ValueError(
-                        f"vector shape {np.shape(vector)} does not match "
-                        f"arena f={self.f}"
-                    )
-                fresh += entity_id not in rows
-            self._grow(len(ids) + fresh)
+            rows, ids = self._rows, self._ids
+            stored = sum(map(rows.__contains__, map(_ID, records))) if rows else 0
+            self._grow(len(ids) + len(records) - stored)
             vecs, biases = self._vecs, self._biases
-            for entity_id, vector, bias in items:
-                row = rows.setdefault(entity_id, len(ids))
-                if row == len(ids):
-                    ids.append(entity_id)
-                vecs[row] = vector
-                biases[row] = bias
+            it = iter(records)
+            while block := list(islice(it, _BLOCK)):
+                block_ids = list(map(_ID, block))
+                vectors = list(map(_VECTOR, block))
+                start, n = len(ids), len(block)
+                fresh = dict(zip(block_ids, range(start, start + n)))
+                if len(fresh) == n and rows.keys().isdisjoint(fresh):
+                    rows.update(fresh)
+                    ids.extend(block_ids)
+                    np.concatenate(vectors, out=vecs[start : start + n].reshape(-1))
+                    biases[start : start + n] = list(map(_BIAS, block))
+                    continue
+                last = {}  # row -> index of the block's last record for it
+                for i, entity_id in enumerate(block_ids):
+                    last[rows.setdefault(entity_id, len(ids))] = i
+                    if len(rows) > len(ids):
+                        ids.append(entity_id)
+                picks = list(last.values())
+                vecs[list(last)] = np.concatenate(vectors).reshape(n, -1)[picks]
+                biases[list(last)] = [block[i][-1] for i in picks]
 
     def setdefault_vector(
         self, entity_id: str, factory

@@ -34,7 +34,10 @@ DESIGN.md:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +49,7 @@ from .arena import FactorArena
 from .state import ModelState
 
 _KINDS = ("user", "video")
+_KIND, _VECTOR, _SHAPE = itemgetter(0), itemgetter(2), attrgetter("shape")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,23 +109,21 @@ def _sgd_update(
 
 
 class _KindRecords:
-    """One kind's ``(id, vector, bias)`` records of a mixed
-    ``(kind, id, vector, bias)`` batch: a re-iterable view, so the arena's
-    two passes read the batch without a per-kind copy of it."""
+    """One kind's records of a mixed ``(kind, id, vector, bias)`` batch: a
+    sized, re-iterable view, so the arena reads the batch's own tuples
+    without a per-kind copy of it."""
 
-    def __init__(
-        self, items: Sequence[tuple[str, str, np.ndarray, float]], kind: str
-    ) -> None:
-        self._items = items
-        self._kind = kind
+    def __init__(self, items: Sequence[tuple], kind: str, count: int) -> None:
+        self._items, self._kind, self._count = items, kind, count
+
+    def __len__(self) -> int:
+        return self._count
 
     def __iter__(self):
-        kind = self._kind
-        return (
-            (entity_id, vector, bias)
-            for item_kind, entity_id, vector, bias in self._items
-            if item_kind == kind
-        )
+        items = self._items
+        if self._count == len(items):
+            return iter(items)
+        return compress(items, map(self._kind.__eq__, map(_KIND, items)))
 
 
 class MFBatchSession:
@@ -257,6 +259,10 @@ class MFModel:
     ) -> None:
         self.config = config or MFConfig()
         self.state = state if state is not None else ModelState(self.config.f)
+        if self.state.f != self.config.f:
+            raise ValueError(
+                f"state's arenas have f={self.state.f}, config f={self.config.f}"
+            )
 
     def _arena(self, kind: str) -> FactorArena:
         """The state's arena of ``kind``, read on every access so a
@@ -473,22 +479,24 @@ class MFModel:
         catalog: all user rows go out in one batch write, all video rows
         in another, each streamed from ``items`` with no per-kind copy.
         Within a kind, later records win (same as sequential puts).  All
-        or nothing: every record's kind and shape is checked before either
-        arena is written.
+        or nothing: every record's kind and shape is checked, by passes
+        that run per record in C, before either arena is written.
         """
-        counts = dict.fromkeys(_KINDS, 0)
-        shape = (self.config.f,)
-        for kind, _, vector, _ in items:
-            if kind not in counts:
-                raise ModelError(f"unknown parameter kind {kind!r}")
-            if np.shape(vector) != shape:
-                raise ValueError(
-                    f"vector shape {np.shape(vector)} does not match f={shape[0]}"
-                )
-            counts[kind] += 1
+        counts = Counter(map(_KIND, items))
+        unknown = counts.keys() - _KINDS
+        if unknown:
+            raise ModelError(f"unknown parameter kind {unknown.pop()!r}")
+        try:
+            shapes = set(map(_SHAPE, map(_VECTOR, items)))
+        except AttributeError:  # a vector given as a list
+            shapes = set(map(np.shape, map(_VECTOR, items)))
+        shapes.discard((self.config.f,))
+        if shapes:
+            raise ValueError(
+                f"vector shape {shapes.pop()} does not match f={self.config.f}"
+            )
         for kind, count in counts.items():
-            if count:
-                self._arena(kind).put_many(_KindRecords(items, kind))
+            self._arena(kind).put_many(_KindRecords(items, kind, count))
 
     def apply_update(self, update: MFUpdate) -> None:
         """Write one computed step's parameters back to the arenas.

@@ -45,6 +45,8 @@ class ModelState:
     ``mu`` of one model."""
 
     def __init__(self, f: int = MFConfig().f) -> None:
+        #: The arenas' factor dimensionality, which a restore keeps.
+        self.f = f
         self.users = FactorArena(f)
         self.videos = FactorArena(f)
         self.lists = SimilarLists()
@@ -56,7 +58,12 @@ class ModelState:
 
     def restore(self, other: "ModelState") -> None:
         """Take ``other``'s values in place: a checkpoint restored, or
-        ``ModelState(f)`` to empty the state."""
+        ``ModelState(f)`` to empty the state.  Raises ``ValueError``, and
+        takes nothing, when ``other``'s factors have another dimensionality."""
+        if other.f != self.f:
+            raise ValueError(
+                f"restored arenas have f={other.f}, this state's f={self.f}"
+            )
         for name in VALUES:
             setattr(self, name, getattr(other, name))
 
@@ -65,4 +72,5 @@ class ModelState:
 
     def __setstate__(self, values: dict) -> None:
         self.__dict__.update(values)
+        self.f = values["users"].f
         self.mu_lock = threading.Lock()

@@ -30,6 +30,15 @@ ENGAGEMENT_ACTIONS = frozenset(
     }
 )
 
+
+def is_engagement(action: UserAction) -> bool:
+    """Whether ``action`` is positive engagement: its type is in
+    :data:`ENGAGEMENT_ACTIONS`, which holds every type but an impression.
+    One identity test per action, where a probe of that set hashes the
+    member through the Python-level ``Enum.__hash__``."""
+    return action.action is not ActionType.IMPRESS
+
+
 #: Sort key of replay order.  ``UserAction`` compares by ``timestamp``
 #: alone, so this gives the same stable order as its ``__lt__`` without a
 #: Python-level comparison call per pair.

@@ -815,11 +815,11 @@ class SyntheticWorld:
         this (no ground truth); the synthetic world can, which removes the
         label noise that observed-weight thresholds inherit.
         """
-        from .stream import ENGAGEMENT_ACTIONS
+        from .stream import is_engagement
 
         engaged: dict[str, set[str]] = {}
         for action in test_actions:
-            if action.action in ENGAGEMENT_ACTIONS:
+            if is_engagement(action):
                 engaged.setdefault(action.user_id, set()).add(action.video_id)
         liked: dict[str, set[str]] = {}
         for user_id, videos in engaged.items():

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..core.actions import ActionWeigher, LogPlaytimeWeigher
+from ..core.actions import ActionWeigher, LogPlaytimeWeigher, is_engagement
 from ..data.schema import UserAction, Video
-from ..data.stream import ENGAGEMENT_ACTIONS
 from .metrics import average_rank, recall_curve
 
 #: Minimum action confidence for a test action to count as "liked" in
@@ -39,7 +38,7 @@ def liked_videos_by_user(
     weigher = weigher or LogPlaytimeWeigher()
     out: dict[str, set[str]] = {}
     for action in test_actions:
-        if action.action not in ENGAGEMENT_ACTIONS:
+        if not is_engagement(action):
             continue
         try:
             weight = weigher.weight(action, videos.get(action.video_id))
@@ -88,7 +87,7 @@ def interest_lists_by_user(
     weigher = weigher or LogPlaytimeWeigher()
     confidence: dict[str, dict[str, float]] = {}
     for action in test_actions:
-        if action.action not in ENGAGEMENT_ACTIONS:
+        if not is_engagement(action):
             continue
         try:
             weight = weigher.weight(action, videos.get(action.video_id))

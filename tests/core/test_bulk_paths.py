@@ -126,6 +126,79 @@ class TestBulkEqualsSequential:
                 assert mine.tobytes() == theirs.tobytes()
 
 
+def _arena_bytes(model, kind):
+    """One arena as its checkpoint holds it: ids in row order, then the
+    rows' vector and bias bytes."""
+    state = model._arena(kind).__getstate__()
+    return state["ids"], state["vecs"].tobytes(), state["biases"].tobytes()
+
+
+class TestBlockScale:
+    """``put_params_many`` against a ``put`` per record over more than two
+    blocks: a block with a repeated id, a repeat across a block boundary,
+    a block of fresh distinct ids, a block holding an id already stored,
+    user records between the video records, and vectors given as lists,
+    float32 arrays and int arrays."""
+
+    N = 3 * _BLOCK + 100
+    STORED = [("video", "v0000050", _vec(7), 0.7), ("user", "u3", _vec(8), 0.8)]
+
+    def _batch(self):
+        rng = np.random.default_rng(11)
+        ids = [f"v{i + 100:07d}" for i in range(self.N)]
+        ids[10] = ids[3]  # a repeat inside the first block
+        ids[_BLOCK] = ids[_BLOCK - 1]  # a repeat across a block boundary
+        ids[3 * _BLOCK + 7] = "v0000050"  # stored before the batch
+        forms = (
+            lambda v: v.tolist(),
+            lambda v: v.astype(np.float32),
+            lambda v: np.rint(v * 10).astype(np.int64),
+        )
+        items = [
+            ("video", vid, forms[i % 3](rng.standard_normal(F)), i / 64)
+            for i, vid in enumerate(ids)
+        ]
+        for i in range(40):  # users, some repeated and one stored
+            vector = forms[i % 3](rng.standard_normal(F))
+            items.insert(i * 300, ("user", f"u{i % 25}", vector, -i / 8))
+        return items
+
+    def _models(self):
+        bulk, sequential = MFModel(MFConfig(f=F)), MFModel(MFConfig(f=F))
+        for model in (bulk, sequential):
+            for record in self.STORED:
+                _put(model, *record)
+        return bulk, sequential
+
+    def test_bulk_load_equals_a_put_per_record(self):
+        items = self._batch()
+        bulk, sequential = self._models()
+        bulk.put_params_many(items)
+        for record in items:
+            _put(sequential, *record)
+        assert bulk.n_videos == self.N - 2
+        for kind in ("user", "video"):
+            assert _arena_bytes(bulk, kind) == _arena_bytes(sequential, kind)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("video", "v-bad", np.zeros(F + 1), 0.0),
+            ("item", "v-bad", _vec(1), 0.0),
+        ],
+    )
+    def test_a_bad_record_in_the_last_block_leaves_both_arenas_untouched(
+        self, bad
+    ):
+        items = self._batch() + [bad]
+        model, _ = self._models()
+        before = {kind: _arena_bytes(model, kind) for kind in ("user", "video")}
+        with pytest.raises((ValueError, ModelError)):
+            model.put_params_many(items)
+        for kind in ("user", "video"):
+            assert _arena_bytes(model, kind) == before[kind]
+
+
 class TestMirror:
     def test_mirror_is_video_rows_cast_to_float32_in_sorted_order(self):
         n = 2 * _BLOCK + 17  # a partial last block

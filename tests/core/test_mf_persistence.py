@@ -53,12 +53,30 @@ class TestSaveLoad:
                 assert restored.predict(user, video) == model.predict(user, video)
 
     def test_dimension_mismatch_rejected(self, trained, tmp_path):
-        # A model of another dimensionality over the restored arenas cannot
-        # write a vector into them.
+        # A checkpoint of another dimensionality is refused by the restore
+        # itself, not at the first write into its arenas.
         _, store = trained
-        wrong = _restore(store, tmp_path, f=8)
-        with pytest.raises(ValueError, match="does not match"):
-            wrong.ensure_user("new-user")
+        with pytest.raises(ValueError, match="f=6.*f=8"):
+            _restore(store, tmp_path, f=8)
+
+    def test_model_over_a_state_of_another_dimensionality_is_refused(self):
+        with pytest.raises(ValueError, match="f=16.*f=8"):
+            MFModel(MFConfig(f=8), ModelState())
+
+    def test_restore_under_a_built_model_refuses_another_dimensionality(
+        self, trained, tmp_path
+    ):
+        """Recovery builds the model first and restores under it: a
+        checkpoint of another ``f`` is refused and the state is kept."""
+        _, store = trained
+        manager = CheckpointManager(tmp_path / "ckpts", fsync=False)
+        info = manager.create(store)
+        model = MFModel(MFConfig(f=8))
+        model.put_user("u", np.ones(8), 0.5)
+        with pytest.raises(ValueError, match="f=6.*f=8"):
+            manager.restore(info, model.state)
+        assert model.n_users == 1 and model.n_videos == 0
+        assert model.user_bias("u") == 0.5
 
     def test_empty_model_round_trip(self, tmp_path):
         restored = _restore(ModelState(4), tmp_path, f=4)

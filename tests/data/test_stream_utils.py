@@ -14,7 +14,8 @@ from repro.data import (
     replay,
     split_by_day,
 )
-from repro.data.stream import ENGAGEMENT_ACTIONS
+from repro.core import actions
+from repro.data.stream import ENGAGEMENT_ACTIONS, is_engagement
 from repro.errors import DataError
 
 
@@ -135,3 +136,12 @@ class TestGroupByDay:
         from repro.data.stream import group_by_day
 
         assert group_by_day([]) == {}
+
+
+@pytest.mark.parametrize("kind", list(ActionType))
+def test_is_engagement_agrees_with_engagement_actions(kind):
+    """The identity test is the set's membership for every action type,
+    and ``repro.core.actions`` re-exports the one definition."""
+    action = UserAction(0.0, "u", "v", kind, view_time=1.0)
+    assert is_engagement(action) == (kind in ENGAGEMENT_ACTIONS)
+    assert actions.is_engagement is is_engagement

@@ -7,6 +7,7 @@ once, and no action's type is hashed.  These tests count that work on
 seeded streams, so they hold on any host.
 """
 
+from repro.baselines import AssociationRuleRecommender, SimHashCFRecommender
 from repro.core import RealtimeRecommender, simtable
 from repro.data import ActionType, SyntheticWorld, split_by_day
 from repro.data.synthetic import paper_world_config
@@ -87,7 +88,8 @@ def test_state_ops_per_action_within_bound():
 
 def test_no_action_type_is_hashed_per_observed_action(monkeypatch):
     """The weigher's fixed-weight table is keyed by the member's string
-    value and engagement is an identity test, so ``observe`` runs no
+    value and engagement is an identity test, so ``observe`` — the
+    recommender's and the SimHash and association baselines' — runs no
     Python-level ``Enum.__hash__``."""
     world, actions = _training_days()
     recommender = RealtimeRecommender(world.videos, users=world.users)
@@ -103,4 +105,8 @@ def test_no_action_type_is_hashed_per_observed_action(monkeypatch):
     assert hash(ActionType.PLAY) and hashes == 1  # the counter counts
     hashes = 0
     recommender.observe_stream(actions)
+    assert hashes == 0
+    for baseline in (SimHashCFRecommender(), AssociationRuleRecommender()):
+        for action in actions:
+            baseline.observe(action)
     assert hashes == 0
